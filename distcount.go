@@ -267,43 +267,6 @@ func New(algorithm string, n int, opts ...Option) (AsyncCounter, error) {
 	return registry.NewWith(algorithm, n, cfg)
 }
 
-// NewCounter builds the named counter over (at least) n processors.
-//
-// Deprecated: Use New(algorithm, n).
-func NewCounter(algorithm string, n int) (Counter, error) {
-	return New(algorithm, n)
-}
-
-// NewTracedCounter is NewCounter with communication-DAG tracing enabled.
-//
-// Deprecated: Use New(algorithm, n, WithTracing()).
-func NewTracedCounter(algorithm string, n int) (Counter, error) {
-	return New(algorithm, n, WithTracing())
-}
-
-// AsyncAlgorithms lists the algorithms that support concurrent operation.
-// Since the per-initiator op-state refactor this is every registered
-// algorithm — identical to Algorithms().
-//
-// Deprecated: Use Algorithms().
-func AsyncAlgorithms() []string { return registry.Names() }
-
-// NewAsyncCounter builds the named counter configured for concurrent
-// operation.
-//
-// Deprecated: Use New(algorithm, n, InConcurrentRegime()).
-func NewAsyncCounter(algorithm string, n int) (AsyncCounter, error) {
-	return New(algorithm, n, InConcurrentRegime())
-}
-
-// NewAsyncCounterWithServiceTime is NewAsyncCounter on a network where
-// every processor takes service ticks to process each incoming message.
-//
-// Deprecated: Use New(algorithm, n, InConcurrentRegime(), WithServiceTime(service)).
-func NewAsyncCounterWithServiceTime(algorithm string, n int, service int64) (AsyncCounter, error) {
-	return New(algorithm, n, InConcurrentRegime(), WithServiceTime(service))
-}
-
 // Scenarios lists the built-in workload scenario names usable with
 // NewScenario.
 func Scenarios() []string { return workload.Names() }

@@ -16,9 +16,7 @@
 //     of completions, so the driver can push an algorithm past its
 //     saturation knee and measure what the closed loop structurally cannot:
 //     latency divergence under overload. Open-loop runs additionally report
-//     queueing delay (arrival to injection) separately from service latency
-//     (injection to completion), per-rate-bucket statistics, and a detected
-//     saturation knee (see Knee).
+//     per-rate-bucket statistics and a detected saturation knee (see Knee).
 //
 // The paper studies its Ω(k) bottleneck at quiescence — one operation at a
 // time ("enough time elapses in between any two inc requests"). The engine
@@ -28,24 +26,26 @@
 // message load becomes a throughput ceiling, and the open-loop ramp makes
 // the paper's prediction observable as a saturation point.
 //
-// Everything runs on the single-threaded discrete-event simulator, so runs
-// are exactly reproducible for a fixed scenario seed: "concurrent" means
-// concurrent in simulated time, not goroutines.
+// Each loop is written once (loop.go) against the substrate interface
+// (substrate.go), with three adapters: a simulator-backed counter (Run —
+// ticks, exactly reproducible per scenario seed), the goroutine-per-processor
+// rt.Runtime (RunWall — wall-clock ns and ops/sec) and the sharded
+// countersvc.Service on either backend (RunKeyed). One metrics type derives
+// every report field from the substrate's clock and loads.
 //
-// See docs/ARCHITECTURE.md for how the engine sits between the scenario
-// generators (internal/workload) and the exporters (internal/engine/report),
-// and docs/EXPERIMENTS.md for a runnable cookbook.
+// See docs/ARCHITECTURE.md for where the engine sits between internal/workload
+// and internal/engine/report, and docs/EXPERIMENTS.md for a runnable cookbook.
 package engine
 
 import (
 	"fmt"
-	"math"
-	"slices"
+	"strings"
 	"time"
 
 	"distcount/internal/counter"
 	"distcount/internal/countersvc"
 	"distcount/internal/loadstat"
+	"distcount/internal/rt"
 	"distcount/internal/sim"
 	"distcount/internal/verify"
 	"distcount/internal/workload"
@@ -322,34 +322,136 @@ type Result struct {
 	Latencies []int64 `json:"-"`
 }
 
+// KeyStat is one key's aggregate outcome in a keyed run.
+type KeyStat struct {
+	Key int `json:"key"`
+	// Shard is the key's final routing (post-migration for a migrated key).
+	Shard int `json:"shard"`
+	// Ops is the key's completed-operation count over the whole run.
+	Ops int `json:"ops"`
+	// MeanLatency is the mean end-to-end latency of the key's measured
+	// operations (0 when none fell inside the measure window).
+	MeanLatency float64 `json:"mean_latency"`
+}
+
 // Run drives the counter with the scenario until the generator is
 // exhausted and every admitted operation has completed, in the mode
 // selected by cfg.
 func Run(c counter.Async, gen workload.Generator, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-
 	net := c.Net()
 	if net == nil {
 		return nil, fmt.Errorf("engine: counter %q has no simulated network (an rt-backend counter); drive it with RunWall", c.Name())
 	}
-	// The report's time axis, load baselines and series are all relative
-	// to a fresh network; a reused counter would silently fold its
-	// previous traffic into every metric.
-	if net.Now() != 0 || net.Ops() != 0 {
-		return nil, fmt.Errorf("engine: counter %q has already run %d ops (t=%d); build a fresh counter per run",
-			c.Name(), net.Ops(), net.Now())
-	}
+	valued, _ := c.(counter.Valued)
 	var vf *verifier
 	if cfg.Verify {
-		var err error
-		if vf, err = newVerifier(c); err != nil {
-			return nil, err
+		// Every implementation in this repository is counter.Valued; the
+		// error guards external implementations driven through the public
+		// API.
+		if valued == nil {
+			return nil, fmt.Errorf("engine: verification needs per-operation values, which %q does not expose (counter.Valued)", c.Name())
+		}
+		vf = &verifier{guarantee: valued.Guarantee()}
+	}
+	res := &Result{Algorithm: c.Name(), N: c.N()}
+	return drive(&simCounter{c: c, net: net, valued: valued}, res, gen, cfg, vf)
+}
+
+// RunWall drives an rt-backend counter with the scenario in the mode
+// selected by cfg — the wall-clock analog of Run. The scenario's tick-
+// denominated arrival times are scaled by the runtime's tick duration and
+// paced in real time, so the same generator offers the same logical load to
+// both backends; the result reports wall-clock nanoseconds and operations
+// per second (Result.Wall).
+func RunWall(r *rt.Runtime, gen workload.Generator, cfg Config) (*Result, error) {
+	cfg = cfg.withDefaults()
+	var vf *verifier
+	if cfg.Verify {
+		vf = &verifier{guarantee: r.Guarantee()}
+	}
+	res := &Result{Algorithm: r.Name(), N: r.N(), Wall: true, TickNs: r.Tick().Nanoseconds()}
+	return drive(&wallRuntime{r: r, wedgeIdle: cfg.WedgeIdle}, res, gen, cfg, vf)
+}
+
+// RunKeyed drives a multi-key counting service with a keyed scenario until
+// the generator is exhausted and every admitted operation has completed —
+// the service-layer analog of Run/RunWall. The admission discipline is
+// cfg.Mode's, with one addition: a key frozen for migration drain is held
+// at admission (closed loop: head-of-line; open loop: in its initiator's
+// queue) until the cutover reopens it. The backend follows the service's:
+// shards built on the rt backend are driven in real time and the result is
+// reported in wall units (Result.Wall), sim-backed shards run on the merged
+// deterministic event loop.
+func RunKeyed(svc *countersvc.Service, gen workload.Generator, cfg Config) (*Result, error) {
+	cfg = cfg.withDefaults()
+	var vf *verifier
+	if cfg.Verify {
+		vf = &verifier{svc: svc}
+	}
+	res := &Result{
+		Algorithm:  serviceLabel(svc),
+		N:          svc.N(),
+		Keys:       svc.Keys(),
+		Shards:     svc.Shards(),
+		ShardAlgos: shardAlgoList(svc),
+	}
+	if r := svc.RT(0); r != nil {
+		res.Wall, res.TickNs = true, r.Tick().Nanoseconds()
+	}
+	res, err := drive(&keyedService{svc: svc, wall: res.Wall}, res, gen, cfg, vf)
+	if err != nil {
+		return nil, err
+	}
+	// The service is the authority on where each key ended up and how often
+	// it was served; the metrics only know the measured latencies.
+	for k := range res.PerKey {
+		res.PerKey[k].Shard, _ = svc.RouteFor(k)
+		res.PerKey[k].Ops = svc.KeyOps(k)
+	}
+	if evs := svc.Migrations(); len(evs) > 0 {
+		res.Migrations = append([]countersvc.MigrationEvent(nil), evs...)
+	}
+	return res, nil
+}
+
+// serviceLabel names a keyed run's "algorithm": the home-shard algorithm(s)
+// plus the hot shard's, e.g. "svc(central[4]+combining)".
+func serviceLabel(svc *countersvc.Service) string {
+	homes := svc.Algo(0)
+	uniform := true
+	for s := 1; s < svc.BaseShards(); s++ {
+		if svc.Algo(s) != homes {
+			uniform = false
+			break
 		}
 	}
-	if cfg.Mode == Open {
-		return runOpen(c, gen, cfg, vf)
+	var b strings.Builder
+	b.WriteString("svc(")
+	if uniform {
+		fmt.Fprintf(&b, "%s[%d]", homes, svc.BaseShards())
+	} else {
+		for s := 0; s < svc.BaseShards(); s++ {
+			if s > 0 {
+				b.WriteString(",")
+			}
+			b.WriteString(svc.Algo(s))
+		}
 	}
-	return runClosed(c, gen, cfg, vf)
+	if hot := svc.HotShard(); hot >= 0 {
+		fmt.Fprintf(&b, "+%s", svc.Algo(hot))
+	}
+	b.WriteString(")")
+	return b.String()
+}
+
+// shardAlgoList copies the per-shard algorithm names out of the service.
+func shardAlgoList(svc *countersvc.Service) []string {
+	algos := make([]string, svc.Shards())
+	for s := range algos {
+		algos[s] = svc.Algo(s)
+	}
+	return algos
 }
 
 // source pulls the request stream one ahead, so admission can stop at a
@@ -360,19 +462,11 @@ type source struct {
 	keys    int // key-space bound for keyed runs; 0 = unkeyed, keys ignored
 	head    workload.Request
 	have    bool
-	arrival int64 // absolute arrival time of head
+	arrival int64 // absolute arrival time of head, in scenario ticks
 	err     error // sticky: a malformed request stops the stream
 }
 
-func newSource(gen workload.Generator, n int) *source {
-	s := &source{gen: gen, n: n}
-	s.pull()
-	return s
-}
-
-// newKeyedSource additionally validates each request's key against the
-// service's key space.
-func newKeyedSource(gen workload.Generator, n, keys int) *source {
+func newSource(gen workload.Generator, n, keys int) *source {
 	s := &source{gen: gen, n: n, keys: keys}
 	s.pull()
 	return s
@@ -428,351 +522,4 @@ func resolveStride(cfg Config, gen workload.Generator) (stride int, thinAfter bo
 		return stride, false
 	}
 	return 1, true
-}
-
-// runClosed is the closed-loop driver.
-func runClosed(c counter.Async, gen workload.Generator, cfg Config, vf *verifier) (*Result, error) {
-	net := c.Net()
-	n := c.N()
-	res := &Result{
-		Algorithm: c.Name(),
-		Scenario:  gen.Name(),
-		Mode:      Closed.String(),
-		N:         n,
-		Warmup:    cfg.Warmup,
-		InFlight:  cfg.InFlight,
-	}
-
-	src := newSource(gen, n)
-	if src.err != nil {
-		return nil, src.err
-	}
-
-	hint := opsHint(cfg, gen)
-	var (
-		busy     = make([]bool, n+1) // one op per initiator in flight
-		timesOf  = make(map[sim.OpID]opTimes, cfg.InFlight)
-		inFlight = 0
-		m        = newRunMetrics(cfg.Warmup, hint)
-		drain    = drainFor(c, vf)
-	)
-	res.Latencies = preallocLatencies(hint, cfg.Warmup)
-
-	// admit starts requests, in arrival order, while a window slot is free
-	// and the head-of-line initiator is idle. Requests whose arrival time
-	// is in the past (the closed loop fell behind) start immediately; the
-	// wait is accounted as queueing delay.
-	admit := func() {
-		for inFlight < cfg.InFlight && src.have && !busy[src.head.Proc] {
-			at := src.arrival
-			if now := net.Now(); at < now {
-				at = now
-			}
-			id := c.Start(at, src.head.Proc)
-			timesOf[id] = opTimes{arrival: src.arrival, start: at}
-			busy[src.head.Proc] = true
-			inFlight++
-			src.pull()
-		}
-	}
-
-	sampleEvery, thinAfter := resolveStride(cfg, gen)
-
-	net.OnOpDone(func(st *sim.OpStats) {
-		inFlight--
-		busy[st.Initiator] = false
-		tm := timesOf[st.ID]
-		delete(timesOf, st.ID)
-		if vf != nil {
-			vf.observe(st)
-		} else if drain != nil {
-			drain.OpValue(st.ID)
-		}
-		net.ForgetOp(st.ID)
-		m.onDone(res, net, cfg.Warmup, st, tm)
-		if m.completed%sampleEvery == 0 {
-			res.Series = append(res.Series, sampleNow(net, n, m.completed, inFlight, 0))
-		}
-		admit()
-	})
-	defer net.OnOpDone(nil)
-
-	admit()
-	if err := net.Run(); err != nil {
-		return nil, fmt.Errorf("engine: %s/%s: %w", res.Algorithm, res.Scenario, err)
-	}
-	if src.err != nil {
-		return nil, src.err
-	}
-	if src.have || inFlight != 0 {
-		if !net.FaultStats().Any() {
-			return nil, fmt.Errorf("engine: %s/%s: driver stalled with %d ops in flight",
-				res.Algorithm, res.Scenario, inFlight)
-		}
-		// Injected faults wedged part of the workload: the in-flight
-		// operations can never complete (a fault destroyed one of their
-		// events) and the requests still behind them were never served.
-		// That is the expected shape of a faulty run — account for it
-		// instead of failing.
-		res.Wedged = inFlight
-		for src.have {
-			res.Unserved++
-			src.pull()
-		}
-		if src.err != nil {
-			return nil, src.err
-		}
-	}
-	if net.FaultsActive() {
-		fs := net.FaultStats()
-		res.Faults = &fs
-	}
-	if err := m.finalize(res, net, cfg.Warmup, thinAfter); err != nil {
-		return nil, err
-	}
-	if vf != nil {
-		res.Verification = vf.report(faultContext(res))
-	}
-	return res, nil
-}
-
-// faultContext summarizes a result's fault activity for the verifier.
-func faultContext(res *Result) verify.FaultContext {
-	return verify.FaultContext{
-		Fired:  res.Faults != nil && res.Faults.Any(),
-		Wedged: res.Wedged,
-	}
-}
-
-// drainFor returns the value sink of a run without verification: every
-// counter.Ops table records each completed operation's value until someone
-// consumes it, so if no verifier will, the drivers must read-and-discard
-// per completion — otherwise an unbounded run accumulates one map entry
-// per operation. Nil when the verifier consumes values itself or the
-// counter records none.
-func drainFor(c counter.Async, vf *verifier) counter.Valued {
-	if vf != nil {
-		return nil
-	}
-	d, _ := c.(counter.Valued)
-	return d
-}
-
-// opTimes carries an operation's arrival and injection times between
-// admission and completion.
-type opTimes struct {
-	arrival int64 // scenario arrival time
-	start   int64 // injection time (= arrival unless the op waited)
-}
-
-// runMetrics accumulates the per-completion measurements common to both
-// drivers and derives the result's aggregate fields, so the two admission
-// disciplines cannot drift in what they report.
-type runMetrics struct {
-	completed          int
-	opStarts, opDones  []int64 // activity intervals, for PeakInFlight
-	lastDone           int64
-	measureBegan       bool
-	baseSent, baseRecv []int64 // load snapshot at the warmup boundary
-	queueDelays        []int64
-	serviceLats        []int64
-}
-
-// newRunMetrics sizes the accumulation slices from the expected completion
-// count (0 = grow by append), so a hinted run's metric collection performs
-// no mid-run reallocation.
-func newRunMetrics(warmup, hint int) *runMetrics {
-	// No warmup: measure from t=0 with a zero load baseline.
-	m := &runMetrics{measureBegan: warmup == 0}
-	if hint > 0 {
-		m.opStarts = make([]int64, 0, hint)
-		m.opDones = make([]int64, 0, hint)
-		if meas := hint - warmup; meas > 0 {
-			m.queueDelays = make([]int64, 0, meas)
-			m.serviceLats = make([]int64, 0, meas)
-		}
-	}
-	return m
-}
-
-// preallocLatencies sizes the result's raw latency vector from the hint
-// (nil when no hint, keeping append-growth semantics).
-func preallocLatencies(hint, warmup int) []int64 {
-	if meas := hint - warmup; hint > 0 && meas > 0 {
-		return make([]int64, 0, meas)
-	}
-	return nil
-}
-
-// onDone records one completion: its activity interval always, and past
-// the warmup boundary its end-to-end latency split into queueing delay
-// (arrival to injection) and service latency (injection to completion).
-func (m *runMetrics) onDone(res *Result, net *sim.Network, warmup int, st *sim.OpStats, tm opTimes) {
-	m.completed++
-	m.opStarts = append(m.opStarts, st.StartedAt)
-	m.opDones = append(m.opDones, st.DoneAt)
-	if st.DoneAt > m.lastDone {
-		m.lastDone = st.DoneAt
-	}
-	if m.completed > warmup {
-		if !m.measureBegan {
-			m.measureBegan = true
-			res.MeasureStart = net.Now()
-			m.baseSent, m.baseRecv = net.Sent(), net.Recv()
-			// The op crossing the boundary is the first measured one.
-		}
-		res.Latencies = append(res.Latencies, st.DoneAt-tm.arrival)
-		m.queueDelays = append(m.queueDelays, tm.start-tm.arrival)
-		m.serviceLats = append(m.serviceLats, st.DoneAt-tm.start)
-	}
-}
-
-// finalize derives the aggregate report fields once the run has drained.
-func (m *runMetrics) finalize(res *Result, net *sim.Network, warmup int, thinAfter bool) error {
-	res.Ops = m.completed
-	res.Measured = len(res.Latencies)
-	if res.Measured == 0 && res.Wedged == 0 {
-		// A wedged run may legitimately complete nothing (every operation
-		// stalled on a destroyed event); its zero latency digests are part
-		// of the measurement. Without faults an empty measure window is a
-		// configuration error.
-		return fmt.Errorf("engine: warmup %d consumed all %d operations", warmup, m.completed)
-	}
-	res.SimTime = m.lastDone
-	res.Messages = net.MessagesTotal()
-	res.PeakInFlight = peakConcurrency(m.opStarts, m.opDones)
-	if thinAfter {
-		res.Series = thinSeries(res.Series, 64)
-	}
-	res.Loads = measuredLoads(net, m.baseSent, m.baseRecv)
-	if res.Measured > 0 {
-		res.MessagesPerOp = float64(res.Loads.TotalMessages) / float64(res.Measured)
-	}
-	res.Arrivals = res.Ops + res.Dropped
-	if res.Arrivals > 0 {
-		res.DropRate = float64(res.Dropped) / float64(res.Arrivals)
-	}
-
-	window := res.SimTime - res.MeasureStart
-	if window < 1 {
-		window = 1
-	}
-	res.Throughput = float64(res.Measured) / float64(window)
-	res.Latency = summarizeLatencies(res.Latencies)
-	res.QueueDelay = summarizeLatencies(m.queueDelays)
-	res.ServiceLatency = summarizeLatencies(m.serviceLats)
-	return nil
-}
-
-// sampleNow takes one O(1) bottleneck-series point from the network's
-// incremental max-load tracker.
-func sampleNow(net *sim.Network, n, completed, inFlight, queueDepth int) Sample {
-	b, l := net.MaxLoad()
-	return Sample{
-		SimTime:        net.Now(),
-		Completed:      completed,
-		Bottleneck:     int(b),
-		BottleneckLoad: l,
-		MeanLoad:       float64(net.SumLoads()) / float64(n),
-		InFlight:       inFlight,
-		QueueDepth:     queueDepth,
-	}
-}
-
-// measuredLoads returns the measure-window load summary: final loads minus
-// the snapshot at the warmup boundary (zero snapshot when there was no
-// warmup).
-func measuredLoads(net *sim.Network, baseSent, baseRecv []int64) loadstat.Summary {
-	sent, recv := net.Sent(), net.Recv()
-	if baseSent != nil {
-		for p := range sent {
-			sent[p] -= baseSent[p]
-			recv[p] -= baseRecv[p]
-		}
-	}
-	return loadstat.Summarize(sent, recv)
-}
-
-// summarizeLatencies computes the latency digest; it does not modify its
-// argument. The zero digest is returned for an empty vector.
-func summarizeLatencies(lats []int64) LatencyStats {
-	if len(lats) == 0 {
-		return LatencyStats{}
-	}
-	sorted := append([]int64(nil), lats...)
-	slices.Sort(sorted)
-	var sum float64
-	for _, l := range sorted {
-		sum += float64(l)
-	}
-	return LatencyStats{
-		Mean: sum / float64(len(sorted)),
-		P50:  percentile(sorted, 0.50),
-		P90:  percentile(sorted, 0.90),
-		P99:  percentile(sorted, 0.99),
-		Max:  sorted[len(sorted)-1],
-	}
-}
-
-// percentile interpolates the q-quantile of a sorted vector: the "type 7"
-// estimator (linear interpolation between the order statistics at the two
-// ranks bracketing q·(len−1), the default of R and NumPy) — not the
-// nearest-rank method, which never interpolates.
-func percentile(sorted []int64, q float64) float64 {
-	if len(sorted) == 1 {
-		return float64(sorted[0])
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return float64(sorted[lo])
-	}
-	frac := pos - float64(lo)
-	return float64(sorted[lo])*(1-frac) + float64(sorted[hi])*frac
-}
-
-// peakConcurrency sweeps the operations' [start, done] activity intervals
-// and returns the maximum overlap. An operation completing at the same
-// tick another starts is not concurrent with it (the closed loop admits
-// the successor from the completion); a zero-duration operation — one that
-// completes within its own start event — occupies its start tick. The
-// argument slices are left untouched (the caller hands over its live
-// metrics arrays).
-func peakConcurrency(starts, dones []int64) int {
-	starts = append([]int64(nil), starts...)
-	dones = append([]int64(nil), dones...)
-	for i := range dones {
-		if dones[i] == starts[i] {
-			dones[i]++
-		}
-	}
-	slices.Sort(starts)
-	slices.Sort(dones)
-	peak, cur, j := 0, 0, 0
-	for _, s := range starts {
-		for j < len(dones) && dones[j] <= s {
-			cur--
-			j++
-		}
-		cur++
-		if cur > peak {
-			peak = cur
-		}
-	}
-	return peak
-}
-
-// thinSeries keeps at most target points, evenly spaced, always retaining
-// the final point.
-func thinSeries(series []Sample, target int) []Sample {
-	if len(series) <= target || target < 2 {
-		return series
-	}
-	out := make([]Sample, 0, target)
-	step := float64(len(series)-1) / float64(target-1)
-	for i := 0; i < target; i++ {
-		out = append(out, series[int(math.Round(float64(i)*step))])
-	}
-	return out
 }

@@ -472,7 +472,7 @@ func TestThinSeries(t *testing.T) {
 
 // TestPeakConcurrencyLeavesArgumentsUntouched is the regression test for
 // the in-place mutation bug: peakConcurrency is handed the live
-// runMetrics.opStarts/opDones slices, and used to bump zero-duration dones
+// metrics.opStarts/opDones slices, and used to bump zero-duration dones
 // and sort both arrays in place — corrupting the caller's completion-order
 // data for anyone reading it after finalize.
 func TestPeakConcurrencyLeavesArgumentsUntouched(t *testing.T) {

@@ -1,13 +1,5 @@
 package engine
 
-import (
-	"fmt"
-
-	"distcount/internal/counter"
-	"distcount/internal/sim"
-	"distcount/internal/workload"
-)
-
 // RateBucket is one arrival-ordered slice of an open-loop run, the unit of
 // the saturation analysis: the run's operations are split into
 // Config.KneeBuckets consecutive groups by arrival, so on a ramp scenario
@@ -68,165 +60,13 @@ type Knee struct {
 // opRec tracks one open-loop request through its lifecycle. Times are -1
 // until reached.
 type opRec struct {
+	key        int
 	arrival    int64
 	start      int64 // injection time; -1 while queued
 	done       int64 // completion time; -1 while outstanding
 	queueDepth int   // admission-queue depth observed at arrival
 	backlog    int   // in flight + queued at arrival
 	dropped    bool
-}
-
-// runOpen is the open-loop driver: it interleaves request admission with
-// event delivery in timestamp order, deciding each request's fate (inject,
-// queue, or drop) with the system state of its arrival instant.
-func runOpen(c counter.Async, gen workload.Generator, cfg Config, vf *verifier) (*Result, error) {
-	net := c.Net()
-	n := c.N()
-	res := &Result{
-		Algorithm: c.Name(),
-		Scenario:  gen.Name(),
-		Mode:      Open.String(),
-		N:         n,
-		Warmup:    cfg.Warmup,
-		QueueCap:  cfg.QueueCap,
-	}
-
-	src := newSource(gen, n)
-	if src.err != nil {
-		return nil, src.err
-	}
-
-	hint := opsHint(cfg, gen)
-	var (
-		recs        = make([]opRec, 0, hint)
-		recOf       = make(map[sim.OpID]int, n)
-		busy        = make([]bool, n+1)  // one op per initiator in flight
-		queued      = make([][]int, n+1) // rec indices waiting per initiator
-		totalQueued = 0
-		inFlight    = 0
-		m           = newRunMetrics(cfg.Warmup, hint)
-		drain       = drainFor(c, vf)
-	)
-	res.Latencies = preallocLatencies(hint, cfg.Warmup)
-
-	sampleEvery, thinAfter := resolveStride(cfg, gen)
-
-	// inject starts the request of recs[idx] by p at time at (its arrival,
-	// or the instant its initiator freed up).
-	inject := func(idx int, p sim.ProcID, at int64) {
-		recs[idx].start = at
-		recOf[c.Start(at, p)] = idx
-		busy[p] = true
-		inFlight++
-	}
-
-	// admit decides the head request's fate at its arrival instant: the
-	// network has delivered every earlier event, so busy/queue state is the
-	// state a real open-loop frontend would see at that moment.
-	admit := func() {
-		rec := opRec{
-			arrival:    src.arrival,
-			start:      -1,
-			done:       -1,
-			queueDepth: totalQueued,
-			backlog:    inFlight + totalQueued,
-		}
-		p := src.head.Proc
-		switch {
-		case !busy[p]:
-			recs = append(recs, rec)
-			inject(len(recs)-1, p, src.arrival)
-		case totalQueued >= cfg.QueueCap:
-			rec.dropped = true
-			res.Dropped++
-			recs = append(recs, rec)
-		default:
-			recs = append(recs, rec)
-			queued[p] = append(queued[p], len(recs)-1)
-			totalQueued++
-			if totalQueued > res.PeakQueueDepth {
-				res.PeakQueueDepth = totalQueued
-			}
-		}
-	}
-
-	net.OnOpDone(func(st *sim.OpStats) {
-		inFlight--
-		busy[st.Initiator] = false
-		idx := recOf[st.ID]
-		delete(recOf, st.ID)
-		if vf != nil {
-			vf.observe(st)
-		} else if drain != nil {
-			drain.OpValue(st.ID)
-		}
-		net.ForgetOp(st.ID)
-		rec := &recs[idx]
-		rec.done = st.DoneAt
-		m.onDone(res, net, cfg.Warmup, st, opTimes{arrival: rec.arrival, start: rec.start})
-		if m.completed%sampleEvery == 0 {
-			res.Series = append(res.Series, sampleNow(net, n, m.completed, inFlight, totalQueued))
-		}
-
-		// Hand the freed initiator its oldest queued request; it starts
-		// now, and the wait is its queueing delay.
-		p := st.Initiator
-		if q := queued[p]; len(q) > 0 {
-			next := q[0]
-			queued[p] = q[1:]
-			totalQueued--
-			inject(next, p, net.Now())
-		}
-	})
-	defer net.OnOpDone(nil)
-
-	// The main loop merges two timestamp-ordered streams: scenario arrivals
-	// and simulator events. Arrivals win ties so that admission sees the
-	// pre-completion state of their tick, deterministically.
-	for {
-		for src.have {
-			if na, ok := net.NextAt(); ok && na < src.arrival {
-				break
-			}
-			admit()
-			src.pull()
-		}
-		if src.err != nil {
-			return nil, src.err
-		}
-		ok, err := net.Step()
-		if err != nil {
-			return nil, fmt.Errorf("engine: %s/%s: %w", res.Algorithm, res.Scenario, err)
-		}
-		if !ok && !src.have {
-			break
-		}
-	}
-	if totalQueued != 0 || inFlight != 0 {
-		if !net.FaultStats().Any() {
-			return nil, fmt.Errorf("engine: %s/%s: driver stalled with %d ops in flight, %d queued",
-				res.Algorithm, res.Scenario, inFlight, totalQueued)
-		}
-		// Injected faults wedged part of the workload: the stuck in-flight
-		// operations and the requests queued behind their initiators are
-		// the faulty run's expected residue.
-		res.Wedged = inFlight
-		res.Unserved = totalQueued
-	}
-	if net.FaultsActive() {
-		fs := net.FaultStats()
-		res.Faults = &fs
-	}
-
-	if err := m.finalize(res, net, cfg.Warmup, thinAfter); err != nil {
-		return nil, err
-	}
-	res.Buckets = bucketize(recs, cfg.KneeBuckets)
-	res.Knee = detectKnee(res.Buckets, cfg.KneeFactor)
-	if vf != nil {
-		res.Verification = vf.report(faultContext(res))
-	}
-	return res, nil
 }
 
 // bucketize splits the op records (already in arrival order) into at most

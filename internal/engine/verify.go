@@ -1,61 +1,63 @@
 package engine
 
 import (
-	"fmt"
-
 	"distcount/internal/counter"
-	"distcount/internal/sim"
+	"distcount/internal/countersvc"
 	"distcount/internal/verify"
 )
 
 // verifier collects each completed operation's delivered value during a run
-// so the post-run evaluation (verify.Evaluate) can check the algorithm's
-// claimed consistency level. Collection happens in the completion handler,
-// before the driver forgets the operation, and costs O(1) per op; the
-// engine's default runs skip it entirely (Config.Verify).
+// so the post-run evaluation can check the claimed consistency level.
+// Collection happens in the completion handler and costs O(1) per op; the
+// engine's default runs skip it entirely (Config.Verify). A single counter
+// is evaluated at its own guarantee (verify.EvaluateWithFaults); a keyed run
+// (svc set) files every value under its (shard, key, epoch) so
+// verify.EvaluateKeyed can check each shard history at its own claimed level
+// and every (key, epoch) segment across migration.
 type verifier struct {
-	c       counter.Valued
-	vals    []verify.TimedValue
-	missing int
+	guarantee counter.Guarantee
+	svc       *countersvc.Service
+	vals      []verify.TimedValue
+	keyed     []verify.KeyedValue
+	missing   int
 }
 
-// newVerifier wraps the counter for value collection. Every implementation
-// in this repository is counter.Valued; the error guards external
-// implementations driven through the public API.
-func newVerifier(c counter.Async) (*verifier, error) {
-	vc, ok := c.(counter.Valued)
-	if !ok {
-		return nil, fmt.Errorf("engine: verification needs per-operation values, which %q does not expose (counter.Valued)", c.Name())
-	}
-	return &verifier{c: vc}, nil
-}
-
-// observe consumes the value of a completed operation; it must run before
-// the driver forgets the op.
-func (v *verifier) observe(st *sim.OpStats) {
-	val, ok := v.c.OpValue(st.ID)
-	if !ok {
+// observe records the value the substrate delivered for a completion.
+func (v *verifier) observe(c completion, value int, ok bool) {
+	switch {
+	case !ok:
 		v.missing++
+	case v.svc != nil:
+		v.keyed = append(v.keyed, verify.KeyedValue{
+			Op: c.id, Shard: c.shard, Key: c.key, Epoch: c.epoch,
+			Value: value, Start: c.start, End: c.done,
+		})
+	default:
+		v.vals = append(v.vals, verify.TimedValue{Op: c.id, Value: value, Start: c.start, End: c.done})
+	}
+}
+
+// attach evaluates the collected values into the result. Fault-attributable
+// anomalies are excused only when the run's fault plan actually fired (the
+// service layer rejects fault plans, so a keyed run's context is always
+// clean). A keyed run gets the full sharded report plus its aggregate
+// Summary as Verification, so existing render and gate paths treat it like
+// any other.
+func (v *verifier) attach(res *Result) {
+	fc := verify.FaultContext{
+		Fired:  res.Faults != nil && res.Faults.Any(),
+		Wedged: res.Wedged,
+	}
+	if v.svc == nil {
+		rep := verify.EvaluateWithFaults(v.guarantee, v.vals, v.missing, fc)
+		res.Verification = &rep
 		return
 	}
-	v.vals = append(v.vals, verify.TimedValue{Op: st.ID, Value: val, Start: st.StartedAt, End: st.DoneAt})
-}
-
-// observeTimes is observe for the wall-clock drivers, whose completion
-// events carry explicit wall-clock interval bounds instead of sim.OpStats.
-func (v *verifier) observeTimes(id sim.OpID, startNs, doneNs int64) {
-	val, ok := v.c.OpValue(id)
-	if !ok {
-		v.missing++
-		return
+	guarantees := make([]counter.Guarantee, v.svc.Shards())
+	for s := range guarantees {
+		guarantees[s] = v.svc.Counter(s).Guarantee()
 	}
-	v.vals = append(v.vals, verify.TimedValue{Op: id, Value: val, Start: startNs, End: doneNs})
-}
-
-// report evaluates the collected values against the claimed consistency
-// level, excusing fault-attributable anomalies when the run's fault plan
-// actually fired (see verify.EvaluateWithFaults).
-func (v *verifier) report(fc verify.FaultContext) *verify.Report {
-	rep := verify.EvaluateWithFaults(v.c.Guarantee(), v.vals, v.missing, fc)
-	return &rep
+	rep := verify.EvaluateKeyed(guarantees, res.ShardAlgos, v.keyed, v.missing, fc)
+	res.KeyedVerification = &rep
+	res.Verification = &rep.Summary
 }

@@ -82,15 +82,3 @@ func Counter(c counter.Counter, order []sim.ProcID) error {
 	}
 	return HotSpot(c.Net(), res)
 }
-
-func intersect(a, b map[int]struct{}) bool {
-	if len(b) < len(a) {
-		a, b = b, a
-	}
-	for k := range a {
-		if _, ok := b[k]; ok {
-			return true
-		}
-	}
-	return false
-}

@@ -139,18 +139,3 @@ func TestBrokenCounterCaught(t *testing.T) {
 		t.Fatal("HotSpot accepted operations with disjoint participant sets")
 	}
 }
-
-func TestIntersectHelper(t *testing.T) {
-	a := map[int]struct{}{1: {}, 2: {}}
-	b := map[int]struct{}{2: {}, 3: {}}
-	c := map[int]struct{}{4: {}}
-	if !intersect(a, b) {
-		t.Fatal("intersecting sets reported disjoint")
-	}
-	if intersect(a, c) {
-		t.Fatal("disjoint sets reported intersecting")
-	}
-	if intersect(nil, a) {
-		t.Fatal("nil set intersects")
-	}
-}
