@@ -13,6 +13,7 @@ package distcount_test
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 
 	"distcount"
@@ -446,12 +447,61 @@ func BenchmarkRTInc(b *testing.B) {
 	b.ReportMetric(float64(r.MessagesTotal())/float64(b.N), "msgs/op")
 }
 
+// afterWake is BenchmarkRTAfter's timer payload: due is the deadline the
+// wakeup was scheduled for, in runtime nanoseconds.
+type afterWake struct{ due int64 }
+
+func (afterWake) Kind() string { return "wake" }
+
+// afterLateness records how long after its deadline each wakeup arrives.
+// Only processor 1 initiates, and the benchmark reads between synchronous
+// Incs, so its goroutine is the only writer.
+type afterLateness struct{ ns []float64 }
+
+func (l *afterLateness) Deliver(nw sim.Transport, msg sim.Message) {
+	l.ns = append(l.ns, float64(nw.Now()-msg.Payload.(afterWake).due))
+}
+
+// BenchmarkRTAfter measures what a merge window costs on the rt backend: an
+// operation that is one After(256 ticks) — the window rt_closed_combining
+// waits on — on an otherwise idle runtime. ns/op is the whole round trip
+// (256 µs of window plus start and completion hops); late_us_p50/p99 is how
+// long past its deadline the wakeup reached the protocol. While timers rode
+// time.AfterFunc the median was ≈860 µs (the Go runtime's whole-millisecond
+// idle sleep); the clock goroutine's sleep-then-spin wait brings it under a
+// few microseconds.
+func BenchmarkRTAfter(b *testing.B) {
+	const window = 256
+	late := &afterLateness{}
+	r := rt.New(counter.Machine{
+		Name: "after", N: 1, Proto: late,
+		Initiate: func(nw counter.Transport, _ sim.ProcID) {
+			nw.After(window, afterWake{due: nw.Now() + window*rt.DefaultTick.Nanoseconds()})
+		},
+		Value:     func(sim.OpID) (int, bool) { return 0, true },
+		Guarantee: counter.Exact(counter.Linearizable),
+	})
+	defer r.Close()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.Inc(1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	sort.Float64s(late.ns)
+	quantile := func(q float64) float64 { return late.ns[int(q*float64(len(late.ns)-1))] / 1e3 }
+	b.ReportMetric(quantile(0.50), "late_us_p50")
+	b.ReportMetric(quantile(0.99), "late_us_p99")
+}
+
 // BenchmarkRTWall runs the wall-clock driver end to end per algorithm at
 // n=8 — goroutine processors on real cores, closed loop — and reports the
 // sustained real-hardware ops/sec next to the per-op message count. The
-// merge-window schemes land orders of magnitude below central here because
-// their windows ride real OS timers, a genuine hardware-vs-model gap the
-// simulator's tick accounting hides.
+// merge-window schemes (combining, difftree) pay one real window of
+// registry.DefaultWindow ticks per tree level here, delivered on time by
+// the runtime's clock goroutine, so their gap to central is the protocol's
+// own waiting — not the ≈1 ms per window that OS timers used to add.
 func BenchmarkRTWall(b *testing.B) {
 	const ops = 300
 	for _, algo := range registry.Names() {

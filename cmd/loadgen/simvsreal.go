@@ -35,8 +35,8 @@ var simVsRealDefaultAlgos = []string{"central", "combining", "quorum-majority"}
 var simVsRealDefaultNs = []int{8}
 
 // simVsRealProbeOps sizes the calibration probe: long enough for a stable
-// throughput estimate, short enough that the slow merging schemes (whose
-// wall-clock windows ride on real timers) finish the probe in well under a
+// throughput estimate, short enough that the merging schemes (which wait
+// out a real merge window per tree level) finish the probe in well under a
 // second.
 const simVsRealProbeOps = 800
 

@@ -3,7 +3,9 @@ package engine
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"distcount/internal/countersvc"
 	"distcount/internal/registry"
@@ -76,14 +78,25 @@ func matrixCells() []cell {
 
 // TestLoopMatrix: every cell of {closed, open} × {sim, rt} × {single, keyed}
 // runs through the same two loops and one metrics type, so they all share
-// the report's structural invariants.
+// the report's structural invariants. The rt cells also check that nothing
+// survives the substrate's close: processor, clock and service goroutines
+// have all exited when the run returns.
 func TestLoopMatrix(t *testing.T) {
 	for _, c := range matrixCells() {
 		for _, mode := range []Mode{Closed, Open} {
 			t.Run(c.name+"/"+mode.String(), func(t *testing.T) {
+				goroutines := runtime.NumGoroutine()
 				res, err := c.build(t)(Config{Mode: mode, InFlight: 3, Warmup: 10, Verify: true})
 				if err != nil {
 					t.Fatal(err)
+				}
+				if c.wall {
+					for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; {
+						if time.Now().After(deadline) {
+							t.Fatalf("%d goroutines after the run, %d before the substrate was built", runtime.NumGoroutine(), goroutines)
+						}
+						time.Sleep(time.Millisecond)
+					}
 				}
 				if res.Arrivals != matrixOps || res.Ops+res.Dropped != res.Arrivals {
 					t.Fatalf("ops %d + dropped %d != arrivals %d (offered %d)", res.Ops, res.Dropped, res.Arrivals, matrixOps)
@@ -130,6 +143,62 @@ func TestLoopMatrix(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestAwaitWallLeavesTimerStopped: every way out of the wall-clock wait — a
+// completion already there, one arriving during the far sleep, an arrival
+// coming due inside and beyond the spin horizon, the stall timeout — leaves
+// the substrate's reusable timer stopped and drained, and never returns
+// before the time it was asked to wait out.
+func TestAwaitWallLeavesTimerStopped(t *testing.T) {
+	const far = time.Hour // a stall timeout that never expires
+	for _, tc := range []struct {
+		name       string
+		ready      bool          // a completion is buffered on entry
+		sendAfter  time.Duration // or arrives this much later
+		until      time.Duration // the pending arrival; negative = none
+		stall      time.Duration
+		want       bool
+		handled    int
+		atLeastFor time.Duration
+	}{
+		{name: "completion ready", ready: true, until: -1, stall: far, want: true, handled: 1},
+		{name: "completion during sleep", sendAfter: 5 * time.Millisecond, until: -1, stall: far, want: true, handled: 1, atLeastFor: 5 * time.Millisecond},
+		{name: "completion ready, arrival overdue", ready: true, until: 0, stall: far, want: true, handled: 1},
+		{name: "arrival overdue", until: 0, stall: far, want: true},
+		{name: "arrival inside the horizon", until: 300 * time.Microsecond, stall: far, want: true, atLeastFor: 300 * time.Microsecond},
+		{name: "arrival beyond the horizon", until: 4 * time.Millisecond, stall: far, want: true, atLeastFor: 4 * time.Millisecond},
+		{name: "stall", until: -1, stall: 3 * time.Millisecond, want: false, atLeastFor: 3 * time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			timer := newWallTimer()
+			comp := make(chan int, 1)
+			if tc.ready {
+				comp <- 1
+			}
+			if tc.sendAfter > 0 {
+				go func() {
+					time.Sleep(tc.sendAfter)
+					comp <- 1
+				}()
+			}
+			handled := 0
+			t0 := time.Now()
+			got := awaitWall(timer, comp, func(int) { handled++ }, int64(tc.until), 0, tc.stall)
+			if elapsed := time.Since(t0); got != tc.want || handled != tc.handled || elapsed < tc.atLeastFor {
+				t.Fatalf("awaitWall = %v after %v with %d completions handled, want %v after at least %v with %d",
+					got, elapsed, handled, tc.want, tc.atLeastFor, tc.handled)
+			}
+			if timer.Stop() {
+				t.Fatal("timer left armed")
+			}
+			select {
+			case <-timer.C:
+				t.Fatal("timer left undrained")
+			default:
+			}
+		})
 	}
 }
 

@@ -138,30 +138,30 @@ func (s *simCounter) faults() (sim.FaultStats, bool) {
 // CI machine never trip it.
 const wallStall = 30 * time.Second
 
+// newWallTimer returns the stopped timer a wall-clock substrate reuses for
+// every await: the far part of a wait (the stall timeout, an arrival
+// milliseconds away) sleeps on it, the near part is rt.WaitFor's yield-spin,
+// so an idle sub-millisecond arrival wait costs what it asks for.
+func newWallTimer() *time.Timer {
+	t := time.NewTimer(wallStall)
+	t.Stop()
+	return t
+}
+
 // awaitWall is await on real time: it hands the next completion on comp to
 // handle, waking at until (in now's clock) when an arrival is pending, or
-// giving up after stall when none is.
-func awaitWall[D any](comp <-chan D, handle func(D), until, now int64, stall time.Duration) bool {
+// giving up after stall when none is. It leaves t stopped and drained.
+func awaitWall[D any](t *time.Timer, comp <-chan D, handle func(D), until, now int64, stall time.Duration) bool {
 	wait := stall
 	if until >= 0 {
-		if wait = time.Duration(until - now); wait <= 0 {
-			// The arrival is already due; take a completion only if one is
-			// ready.
-			select {
-			case d := <-comp:
-				handle(d)
-			default:
-			}
-			return true
-		}
+		wait = time.Duration(until - now)
 	}
-	select {
-	case d := <-comp:
+	if d, ok := rt.WaitFor(t, comp, wait); ok {
 		handle(d)
 		return true
-	case <-time.After(wait):
-		return until >= 0
 	}
+	// The deadline passed: an arrival is due, or real time stayed silent.
+	return until >= 0
 }
 
 // wallRuntime adapts the goroutine-per-processor runtime.
@@ -172,6 +172,7 @@ type wallRuntime struct {
 	wedgeIdle time.Duration
 	comp      chan rt.OpDone
 	handle    func(rt.OpDone)
+	timer     *time.Timer
 }
 
 func (w *wallRuntime) fresh() bool { return w.r.Ops() == 0 }
@@ -181,13 +182,18 @@ func (w *wallRuntime) bind(done func(completion), _ func()) {
 	// (one in-flight operation per initiator), so a processor goroutine never
 	// blocks delivering a completion even while the loop sleeps.
 	w.comp = make(chan rt.OpDone, w.r.N()+8)
+	w.timer = newWallTimer()
 	w.r.OnOpDone(func(d rt.OpDone) { w.comp <- d })
 	w.handle = func(d rt.OpDone) {
 		done(completion{id: d.ID, proc: d.Initiator, start: d.StartNs, done: d.DoneNs})
 	}
 }
 
-func (w *wallRuntime) close()                             { w.r.Close() }
+func (w *wallRuntime) close() {
+	w.timer.Stop()
+	w.r.Close()
+}
+
 func (w *wallRuntime) now() int64                         { return w.r.NowNs() }
 func (w *wallRuntime) due(at int64, _ bool) bool          { return at <= w.r.NowNs() }
 func (w *wallRuntime) open(int) bool                      { return true }
@@ -198,7 +204,7 @@ func (w *wallRuntime) await(until int64) (bool, error) {
 	if w.r.FaultStats().Any() {
 		stall = w.wedgeIdle
 	}
-	return awaitWall(w.comp, w.handle, until, w.r.NowNs(), stall), nil
+	return awaitWall(w.timer, w.comp, w.handle, until, w.r.NowNs(), stall), nil
 }
 
 func (w *wallRuntime) settle() error                  { return nil }
@@ -216,6 +222,7 @@ type keyedService struct {
 	svc    *countersvc.Service
 	wall   bool
 	handle func(countersvc.RTDone)
+	timer  *time.Timer // wall only
 }
 
 func (k *keyedService) fresh() bool {
@@ -236,6 +243,7 @@ func (k *keyedService) bind(done func(completion), reopened func()) {
 	// synchronization.
 	k.svc.OnMigrate(func(countersvc.MigrationEvent) { reopened() })
 	if k.wall {
+		k.timer = newWallTimer()
 		k.handle = func(d countersvc.RTDone) {
 			key, epoch := k.svc.CompleteRT(d)
 			done(completion{shard: d.Shard, id: d.Done.ID, key: key, epoch: epoch,
@@ -250,6 +258,9 @@ func (k *keyedService) bind(done func(completion), reopened func()) {
 }
 
 func (k *keyedService) close() {
+	if k.wall {
+		k.timer.Stop()
+	}
 	k.svc.OnMigrate(nil)
 	k.svc.OnOpDone(nil)
 	k.svc.Close()
@@ -282,7 +293,7 @@ func (k *keyedService) start(at int64, key int, p sim.ProcID) { k.svc.Start(at, 
 
 func (k *keyedService) await(until int64) (bool, error) {
 	if k.wall {
-		return awaitWall(k.svc.Completions(), k.handle, until, k.svc.NowNs(), wallStall), nil
+		return awaitWall(k.timer, k.svc.Completions(), k.handle, until, k.svc.NowNs(), wallStall), nil
 	}
 	return k.svc.Step()
 }

@@ -48,9 +48,14 @@
 // in simulated ticks; the runtime scales them by the configured tick
 // duration (WithTick, default 1 microsecond — so a tick-1 service cost caps
 // a processor near 10^6 messages/second, the scale of SNIPPETS.md's
-// million-increments-per-second shared counters). Note that real timers
-// have coarser resolution than the discrete-event queue: a merge window of
-// w ticks opens for at least w x tick, usually somewhat longer.
+// million-increments-per-second shared counters). Timers never fire early and
+// are delivered within a few microseconds of their deadline: a merge window
+// of w ticks opens for w x tick plus one mailbox hop. They are kept in one
+// deadline heap per runtime, served by a clock goroutine (clock.go) that
+// blocks while no timer is pending and yield-spins — one core's worth of
+// runtime.Gosched calls — only while a deadline is less than spinHorizon
+// away; OS timers alone would round every sub-millisecond wait up to about a
+// millisecond.
 package rt
 
 import (
@@ -198,8 +203,9 @@ type Runtime struct {
 	sent, recv []int64 // per-processor message loads, updated atomically
 	msgTotal   int64
 
-	timerMu sync.Mutex
-	timers  map[*time.Timer]struct{}
+	// clock holds the pending timers (After, AfterDetached, frozen-crash
+	// redeliveries); its goroutine is counted in wg.
+	clock clock
 
 	// faults, when non-nil, is the installed fault plan's decision core,
 	// guarded by faultMu (processor goroutines consult it concurrently).
@@ -215,13 +221,13 @@ func New(m counter.Machine, opts ...Option) *Runtime {
 		panic("rt: incomplete machine (need Proto, Initiate, N >= 1)")
 	}
 	r := &Runtime{
-		m:      m,
-		n:      m.N,
-		tick:   DefaultTick,
-		ops:    make(map[sim.OpID]*opRec),
-		sent:   make([]int64, m.N+1),
-		recv:   make([]int64, m.N+1),
-		timers: make(map[*time.Timer]struct{}),
+		m:     m,
+		n:     m.N,
+		tick:  DefaultTick,
+		ops:   make(map[sim.OpID]*opRec),
+		sent:  make([]int64, m.N+1),
+		recv:  make([]int64, m.N+1),
+		clock: clock{wake: make(chan struct{}, 1)},
 	}
 	for _, opt := range opts {
 		opt(r)
@@ -246,6 +252,8 @@ func New(m counter.Machine, opts ...Option) *Runtime {
 		r.wg.Add(1)
 		go r.loop(pr)
 	}
+	r.wg.Add(1)
+	go r.runClock()
 	return r
 }
 
@@ -330,34 +338,14 @@ func (r *Runtime) faultIntercept(p sim.ProcID, it item) bool {
 	if r.faults.Plan().Freeze && !forever {
 		r.faults.NoteCrashDeferred()
 		r.faultMu.Unlock()
-		r.requeueAfter(p, time.Duration(until-t)*r.tick, it)
+		// The frozen delivery re-enters the mailbox at recovery, through the
+		// clock so Close still cancels it.
+		r.clock.schedule(until*int64(r.tick), p, it)
 		return true
 	}
 	r.faults.NoteCrashDropped()
 	r.faultMu.Unlock()
 	return true
-}
-
-// requeueAfter re-enqueues a frozen delivery once its processor's downtime
-// has passed, through the runtime's timer set so Close still cancels it.
-func (r *Runtime) requeueAfter(p sim.ProcID, d time.Duration, it item) {
-	if d < 0 {
-		d = 0
-	}
-	r.timerMu.Lock()
-	if r.timers == nil { // closed
-		r.timerMu.Unlock()
-		return
-	}
-	var t *time.Timer
-	t = time.AfterFunc(d, func() {
-		r.timerMu.Lock()
-		delete(r.timers, t)
-		r.timerMu.Unlock()
-		r.enqueue(p, it)
-	})
-	r.timers[t] = struct{}{}
-	r.timerMu.Unlock()
 }
 
 // OnOpDone registers the completion callback. It must be set before the
@@ -429,19 +417,14 @@ func (r *Runtime) startWith(p sim.ProcID, waiter chan<- OpDone) sim.OpID {
 	return id
 }
 
-// Close stops every processor goroutine and cancels detached timers. It
+// Close stops every goroutine of the runtime and cancels pending timers. It
 // must be called at quiescence: operations still in flight never complete
 // (their remaining messages are dropped at the stopped mailboxes).
 func (r *Runtime) Close() {
 	if !atomic.CompareAndSwapInt32(&r.closed, 0, 1) {
 		return
 	}
-	r.timerMu.Lock()
-	for t := range r.timers {
-		t.Stop()
-	}
-	r.timers = nil
-	r.timerMu.Unlock()
+	r.clock.close()
 	for p := 1; p <= r.n; p++ {
 		pr := r.procs[p]
 		pr.mu.Lock()
@@ -556,28 +539,15 @@ func (r *Runtime) lookup(id sim.OpID) *opRec {
 	return rec
 }
 
-// scheduleTimer arms a wall-clock timer that re-enters processor p's
-// mailbox as a local message. Attributed timers (rec != nil) already hold a
-// pending unit taken by After.
+// scheduleTimer arms a wakeup that re-enters processor p's mailbox as a
+// local message after delay ticks of wall time. Attributed timers
+// (rec != nil) already hold a pending unit taken by After.
 func (r *Runtime) scheduleTimer(p sim.ProcID, delay int64, pl sim.Payload, rec *opRec) {
-	d := time.Duration(delay) * r.tick
-	if d < 0 {
-		d = 0
+	if delay < 0 {
+		delay = 0
 	}
-	r.timerMu.Lock()
-	if r.timers == nil { // closed: only detached maintenance gets here
-		r.timerMu.Unlock()
-		return
-	}
-	var t *time.Timer
-	t = time.AfterFunc(d, func() {
-		r.timerMu.Lock()
-		delete(r.timers, t)
-		r.timerMu.Unlock()
-		r.enqueue(p, item{msg: sim.Message{From: p, To: p, Payload: pl, Local: true}, rec: rec})
-	})
-	r.timers[t] = struct{}{}
-	r.timerMu.Unlock()
+	r.clock.schedule(r.NowNs()+delay*int64(r.tick), p,
+		item{msg: sim.Message{From: p, To: p, Payload: pl, Local: true}, rec: rec})
 }
 
 // spin busy-waits for d, consuming the goroutine's core — the emulated
