@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -57,7 +58,7 @@ func parseFaultSpec(spec string) (*sim.FaultPlan, error) {
 			plan.Seed = s
 		case "loss", "dup":
 			p, err := strconv.ParseFloat(arg, 64)
-			if err != nil || p < 0 || p >= 1 {
+			if err != nil || math.IsNaN(p) || p < 0 || p >= 1 {
 				return nil, fmt.Errorf("-faults: %s probability %q outside [0,1)", kind, arg)
 			}
 			if kind == "loss" {

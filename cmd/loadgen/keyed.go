@@ -2,95 +2,12 @@ package main
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
 	"distcount/internal/countersvc"
-	"distcount/internal/engine"
-	"distcount/internal/registry"
-	"distcount/internal/sim"
-	"distcount/internal/workload"
 )
-
-// Keyed runs: -keys/-shards/-shard-algo/-migrate route a run through the
-// sharded service layer (internal/countersvc) instead of a single counter.
-// Each shard is an independent counter instance; keys hash onto home
-// shards, the scenario draws a key per request from -key-dist, and an
-// optional -migrate spec adds a dedicated hot shard that hot keys drain
-// and cut over to mid-run.
-
-// runOneKeyed is runOne's service-layer path: it builds the sharded
-// service and executes one engine.RunKeyed on the selected backend.
-func runOneKeyed(opt options, algo, scenario string) (*engine.Result, error) {
-	if scenario == "adversarial" {
-		return nil, fmt.Errorf("scenario adversarial drives a single counter; it does not compose with -keys/-shards")
-	}
-	if opt.faults != "" {
-		return nil, fmt.Errorf("-faults does not compose with -keys/-shards (the service layer does not inject faults)")
-	}
-	var simOpts []sim.Option
-	svcOpt, err := serviceSimOpt(opt.service, opt.svcDist)
-	if err != nil {
-		return nil, err
-	}
-	if svcOpt != nil {
-		simOpts = append(simOpts, svcOpt)
-	}
-	rcfg := registry.Concurrent(simOpts...)
-	rcfg.Window = opt.window
-	rcfg.Epsilon = opt.epsilon
-	rcfg.Backend = opt.backend
-	if opt.backend == "rt" {
-		if rcfg.RTService, err = serviceCost(opt.service, opt.svcDist); err != nil {
-			return nil, err
-		}
-	}
-
-	scfg := countersvc.Config{Keys: opt.keys, N: opt.n, Shards: opt.shards, Registry: rcfg}
-	if opt.shardAlgo != "" {
-		// One name sets every home shard; a list sets them individually.
-		if list := splitList(opt.shardAlgo); len(list) == 1 {
-			scfg.Algo = list[0]
-		} else {
-			scfg.ShardAlgos = list
-		}
-	} else {
-		scfg.Algo = algo
-	}
-	if scfg.Migration, err = parseMigrateSpec(opt.migrate); err != nil {
-		return nil, err
-	}
-	svc, err := countersvc.New(scfg)
-	if err != nil {
-		return nil, err
-	}
-
-	wcfg := opt.wcfg
-	wcfg.N = svc.N()
-	wcfg.MeanGap = opt.meanGap
-	wcfg.Keys = opt.keys
-	wcfg.KeyDist = opt.keyDist
-	wcfg.KeyZipfS = opt.keyZipfS
-	gen, err := workload.New(scenario, wcfg)
-	if err != nil {
-		return nil, err
-	}
-
-	ecfg := engine.Config{
-		Mode:        opt.mode,
-		Ops:         opt.ops,
-		InFlight:    opt.inflight,
-		QueueCap:    opt.queueCap,
-		Warmup:      opt.warmup,
-		SampleEvery: opt.sample,
-		KneeBuckets: opt.kneeBuckets,
-		Verify:      opt.verify,
-	}
-	if ecfg.Warmup < 0 {
-		ecfg.Warmup = opt.ops / 10
-	}
-	return engine.RunKeyed(svc, gen, ecfg)
-}
 
 // parseMigrateSpec parses a -migrate value: a target algorithm name,
 // optionally followed by @-clauses tuning the hotspot detector —
@@ -116,7 +33,7 @@ func parseMigrateSpec(spec string) (*countersvc.Migration, error) {
 		switch key {
 		case "hot":
 			f, err := strconv.ParseFloat(val, 64)
-			if err != nil || f <= 0 || f > 1 {
+			if err != nil || math.IsNaN(f) || f <= 0 || f > 1 {
 				return nil, fmt.Errorf("-migrate %q: hot=%q is not a share in (0, 1]", spec, val)
 			}
 			m.HotShare = f

@@ -49,12 +49,7 @@
 // stay within a factor 1±ε of the true count's concurrency bracket.
 // -epsilon overrides an approximate algorithm's default claimed bound;
 // tightening it makes the protocol synchronize more (and the verifier
-// demand more). -study accuracy packages the exact-vs-approximate
-// experiment: exact references and every ε-approximate algorithm over an
-// ε ladder on the same open-loop ramp, verification on everywhere, with a
-// machine-checkable "exact-vs-approx" verdict demanding that each
-// approximate algorithm at its default ε sustain at least 2x the best
-// exact knee (docs/EXPERIMENTS.md §12).
+// demand more).
 //
 // With -faults the run executes under a deterministic, seeded
 // fault-injection plan — message loss and duplication (probabilistic or
@@ -63,51 +58,15 @@
 // wedge their operations visibly instead of completing them silently;
 // combined with -verify, fault-attributable anomalies are excused and
 // measured while a completed operation without a value stays a hard
-// violation. -study faults packages the grid: every algorithm under a
-// fixed plan ladder (none, loss low/high, duplication, crash, churn) with
-// verification on, reporting knee, wedged/unserved counts and excused
-// anomalies per cell.
-//
-// With -sweep the tool runs the full -algos x -scenarios x -windows x
-// -gaps x -ns grid (windows apply to closed loop only) and merges all
-// runs into one CSV (-format csv, one row per run), JSON array, or text
-// table. "-algos all" expands to every registered algorithm and
-// "-scenarios all" to every scenario; -ns makes the network size a grid
-// dimension. Cells run concurrently on a -parallel worker pool (each owns
-// an independent network; output order stays deterministic), and a cell
-// that fails is reported as a skipped row with its reason instead of
-// aborting the sweep.
-//
-// With -study scaling the tool packages the knee-vs-n experiment of
-// docs/EXPERIMENTS.md §4: one open-loop ramprate cell per (algorithm, n)
-// over -ns at the base merge window (-window), a merge-window sub-sweep
-// (-windows) at the largest n for the request-merging algorithms, a
-// log-log fit of knee_rate against n, and a per-algorithm verdict —
-// bottleneck-bound, merge-bound, or scales-with-n — rendered as text,
-// CSV (one row per measured point), or JSON. Unset knobs default to
-// saturating values (-service 1, -rate-to 8, -ops 4000, -knee-buckets
-// 48).
-//
-// With -study regression the tool measures each algorithm's multi-metric
-// performance fingerprint — knee rate and reason, service p50/p99 at a
-// fixed sub-knee rate, messages/op, bottleneck load share, drop rate and
-// queue-reason knee under a tight admission queue, knees under the
-// halfslow and straggler service profiles, and the scaling class — and
-// renders it, or with -baseline record|check <path> serializes it to /
-// gates it against a committed schema-versioned baseline with per-metric
-// tolerance bands (docs/EXPERIMENTS.md §6). -baseline diff <a> <b>
-// compares two recorded baseline files under the same bands without
-// re-measuring. -artifacts dir additionally writes the JSON/CSV artifact
-// files CI uploads.
+// violation.
 //
 // With -backend rt the same protocol state machines run on the
 // goroutine-per-processor runtime instead of the simulator: one goroutine
 // per processor, channel messaging, one simulated tick of service cost
 // emulated as 1 µs of real work, and the report in wall-clock nanoseconds
-// and ops/sec. -study simvsreal runs the same open-loop ramp cells on
-// both backends and reports, per (algorithm, n), whether the simulator's
-// saturation knee predicts the measured hardware knee
-// (docs/EXPERIMENTS.md §8).
+// and ops/sec. -service-dist selects a heterogeneous per-processor
+// service-cost profile (flat, halfslow, straggler) on top of -service; it
+// applies on both backends.
 //
 // With -keys > 1 (or -shards, -shard-algo, -migrate) the run routes
 // through the sharded service layer (internal/countersvc): requests
@@ -116,19 +75,31 @@
 // and -migrate adds a dedicated hot shard of the given algorithm that a
 // detected hot key drains to and cuts over to mid-run. The report gains
 // per-key stats, migration events, and a per-shard keyed verification
-// that partitions each key's history by routing epoch. -study skew
-// packages the headline experiment: a closed-loop zipf-exponent ladder
-// comparing static shard assignments (all-central, all-counting-network)
-// against adaptive hot-key migration, with a machine-checkable verdict
-// line per skew level (docs/EXPERIMENTS.md §11).
+// that partitions each key's history by routing epoch.
 //
-// -service-dist selects a heterogeneous per-processor service-cost
-// profile (flat, halfslow, straggler) on top of -service; it applies on
-// both backends.
+// -sweep and -study run a grid of such runs instead of one. Every grid is
+// one row of the study table in study.go: its name, the loop mode it pins,
+// the flags it reads (any other explicitly set flag is rejected — a
+// measurement tool must not silently ignore a selection), the defaults it
+// gives unset flags, a grid function that copies the options once per cell
+// and changes what that cell varies, and a digest function that turns the
+// cells' rows into a document with a CSV, a text and a JSON form plus the
+// study's verdict. One runner does the rest: cells spread over a -parallel
+// worker pool (each owns an independent network; output order stays
+// deterministic), a failed cell is reported as a skipped row with its
+// reason instead of aborting the grid, the document is written in the
+// selected -format, and the exit status is gated. -sweep is the row whose
+// grid is -algos x -scenarios x -windows x -gaps x -ns ("all" expands
+// either list; windows apply to closed loop only). Adding a study is one
+// row plus its grid and digest. What each study measures, pins and
+// concludes is in docs/EXPERIMENTS.md (§4 scaling, §6 regression and the
+// -baseline record|check|diff gate with its -artifacts files, §8
+// simvsreal, §9 faults, §11 skew, §12 accuracy).
 //
 // Exit status: non-zero when -verify finds violations, when any
-// sweep/study cell is skipped, or when -baseline check finds a metric out
-// of band — gates script against the exit code, not output greps.
+// sweep/study cell is skipped, when a study's verdict fails, or when
+// -baseline check finds a metric out of band — gates script against the
+// exit code, not output greps.
 //
 // The special scenario "adversarial" first executes the paper's
 // lower-bound adversary against the chosen algorithm (sequentially, on a
@@ -138,23 +109,20 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
 	"strings"
-	"sync"
 
-	"distcount/internal/adversary"
-	"distcount/internal/counter"
 	"distcount/internal/engine"
 	"distcount/internal/engine/report"
 	"distcount/internal/registry"
-	"distcount/internal/rt"
-	"distcount/internal/sim"
 	"distcount/internal/workload"
 )
 
@@ -165,8 +133,9 @@ func main() {
 	}
 }
 
-// options collects the parsed flag values shared by single runs, sweeps,
-// and studies.
+// options holds the flag values; flags bind straight into it. The first
+// block describes one run — a study cell is a copy of the options with the
+// fields that cell varies changed — the second the invocation around it.
 type options struct {
 	mode        engine.Mode
 	backend     string // execution backend: "sim" (discrete event) or "rt" (goroutine per processor)
@@ -188,10 +157,23 @@ type options struct {
 	keys        int    // keyed mode: independent counter keys (1 = classic single counter)
 	keyDist     string // key-popularity distribution (uniform/zipf)
 	keyZipfS    float64
-	shards      int             // keyed mode: home shards keys hash onto
-	shardAlgo   string          // home-shard algorithm(s): one name, or one per shard
-	migrate     string          // hot-key migration spec (see keyed.go); "" = static assignment
-	wcfg        workload.Config // scenario knobs (Zipf, hotspot, burst, rates)
+	shards      int    // keyed mode: home shards keys hash onto
+	shardAlgo   string // home-shard algorithm(s): one name, or one per shard
+	migrate     string // hot-key migration spec (see keyed.go); "" = static assignment
+	zipfS       float64
+	hotFrac     float64
+	hotProb     float64
+	burstLen    int
+	rateFrom    float64
+	rateTo      float64
+
+	algo, scenario string // the single run's coordinates
+	format         string
+	// The -sweep/-study grid axes, unparsed, and the worker pool size.
+	algos, scenarios, windows, gaps, ns string
+	parallel                            int
+	baseline, artifacts                 string
+	args                                []string // positional arguments: -baseline file paths
 }
 
 // keyed reports whether the options select the sharded service layer
@@ -201,257 +183,163 @@ func (o options) keyed() bool {
 }
 
 func run(args []string, out io.Writer) error {
+	var opt options
 	fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
+	fs.StringVar(&opt.algo, "algo", "ctree", "algorithm: "+strings.Join(registry.Names(), ", "))
+	fs.StringVar(&opt.scenario, "scenario", "uniform", "scenario: "+strings.Join(workload.Names(), ", ")+", adversarial")
+	fs.IntVar(&opt.n, "n", 81, "number of processors (rounded up for structured algorithms)")
+	fs.IntVar(&opt.ops, "ops", 2000, "number of operations")
+	fs.Uint64Var(&opt.seed, "seed", 1, "scenario seed (runs are deterministic per seed)")
+	fs.StringVar(&opt.backend, "backend", "sim", "execution backend: sim (discrete-event simulator, ticks) or rt (goroutine-per-processor runtime on real cores, wall-clock ns and ops/sec)")
+	fs.IntVar(&opt.inflight, "inflight", 8, "closed-loop window: max operations concurrently in flight")
+	fs.IntVar(&opt.queueCap, "queue-cap", 4096, "open-loop admission queue bound; overflow is dropped")
+	fs.IntVar(&opt.warmup, "warmup", -1, "completions excluded from measurement (default ops/10)")
+	fs.Int64Var(&opt.meanGap, "mean-gap", 4, "mean interarrival time in simulated ticks")
+	fs.Int64Var(&opt.service, "service", 0, "per-message processing cost in ticks (0 = instantaneous; saturation needs > 0)")
+	fs.StringVar(&opt.svcDist, "service-dist", "", "per-processor distribution of -service: flat (uniform, the default), halfslow (every second processor 4x slower), straggler (processor 1 8x slower)")
+	fs.IntVar(&opt.sample, "sample", 0, "bottleneck series stride in completions (0 = auto)")
+	fs.Int64Var(&opt.window, "window", registry.DefaultWindow, "combining/diffraction merge window in ticks (request-merging algorithms only)")
+	fs.Float64Var(&opt.epsilon, "epsilon", 0, "claimed relative error bound for the ε-approximate algorithms (0 = the algorithm's default; exact algorithms ignore it)")
+	fs.IntVar(&opt.kneeBuckets, "knee-buckets", 0, "open-loop rate buckets for the saturation analysis (0 = engine default; more buckets = finer knee resolution)")
+	fs.BoolVar(&opt.verify, "verify", false, "check delivered values against the algorithm's claimed consistency level")
+	fs.StringVar(&opt.faults, "faults", "", `deterministic fault-injection spec, comma-separated clauses: "loss:0.01" / "dup:0.01" (i.i.d. per-send probabilities), "dropnth:2@every=5" / "dupnth:2@every=5" (deterministic per-sender rules; proc 0 = all), "crash:1@t=500" / "crash:1@t=500-900" (crash/recover windows), "churn:2@every=400/down=100" (rotating membership churn), "freeze" (crashed processors buffer instead of drop), "seed:7" (fault RNG seed). Applies on both backends`)
+	fs.StringVar(&opt.format, "format", "json", "output format: json, text, csv")
+	fs.IntVar(&opt.keys, "keys", 1, "independent counter keys requests address (1 = the classic single counter; > 1 routes through the sharded service layer)")
+	fs.StringVar(&opt.keyDist, "key-dist", "zipf", "key-popularity distribution for -keys > 1: "+strings.Join(workload.KeyDists(), ", "))
+	fs.Float64Var(&opt.keyZipfS, "key-zipf-s", 1.2, "zipf exponent of -key-dist zipf (key 0 is the hottest)")
+	fs.IntVar(&opt.shards, "shards", 1, "home shards keys hash onto; each shard is an independent counter instance")
+	fs.StringVar(&opt.shardAlgo, "shard-algo", "", "home-shard algorithm: one name for all shards, or a comma-separated list with one entry per shard (default: -algo)")
+	fs.StringVar(&opt.migrate, "migrate", "", `hot-key migration spec: a target algorithm, optionally tuned — "combining" or "combining@hot=0.2/every=256/max=1" (hot = completion share that marks a key hot, every = completions per detection window, max = keys that may migrate). Adds a dedicated hot shard of the target algorithm; hot keys drain and cut over to it mid-run`)
+	fs.Float64Var(&opt.zipfS, "zipf-s", 1.2, "zipf exponent (scenario zipf)")
+	fs.Float64Var(&opt.hotFrac, "hot-frac", 0.1, "hot-set fraction (scenario hotspot)")
+	fs.Float64Var(&opt.hotProb, "hot-prob", 0.9, "hot-set probability (scenario hotspot)")
+	fs.IntVar(&opt.burstLen, "burst-len", 32, "operations per burst (scenario bursty)")
+	fs.Float64Var(&opt.rateFrom, "rate-from", 0, "starting offered rate in ops/tick (scenario ramprate; 0 = auto)")
+	fs.Float64Var(&opt.rateTo, "rate-to", 0, "final offered rate in ops/tick (scenario ramprate; 0 = auto)")
+	fs.StringVar(&opt.baseline, "baseline", "", `with -study regression: "record" writes the measured fingerprints to the baseline file given as the positional argument; "check" compares against it and exits non-zero when any metric leaves its tolerance band. Standalone: "diff" compares two recorded baseline files (base, current) without re-measuring — the PR-to-PR review form`)
+	fs.StringVar(&opt.artifacts, "artifacts", "", "with -study regression: directory to additionally write the study's JSON/CSV artifacts into (created if missing)")
+	fs.StringVar(&opt.algos, "algos", "central,ctree", "comma-separated algorithms for -sweep/-study, or \"all\" for every registered algorithm (-study default: all)")
+	fs.StringVar(&opt.scenarios, "scenarios", "uniform,zipf", "comma-separated scenarios for -sweep, or \"all\" for every scenario")
+	fs.StringVar(&opt.windows, "windows", "", "comma-separated closed-loop admission windows for -sweep (default: -inflight); merge-window sub-sweep for -study (default: 1,4,64)")
+	fs.StringVar(&opt.gaps, "gaps", "", "comma-separated mean interarrival gaps for -sweep (default: -mean-gap)")
+	fs.StringVar(&opt.ns, "ns", "", "comma-separated processor counts: the n grid dimension for -sweep and -study (default: -n)")
+	fs.IntVar(&opt.parallel, "parallel", runtime.GOMAXPROCS(0), "worker goroutines for -sweep/-study cells (each cell owns an independent network)")
 	var (
-		algo     = fs.String("algo", "ctree", "algorithm: "+strings.Join(registry.Names(), ", "))
-		scenario = fs.String("scenario", "uniform", "scenario: "+strings.Join(workload.Names(), ", ")+", adversarial")
-		n        = fs.Int("n", 81, "number of processors (rounded up for structured algorithms)")
-		ops      = fs.Int("ops", 2000, "number of operations")
-		seed     = fs.Uint64("seed", 1, "scenario seed (runs are deterministic per seed)")
-		mode     = fs.String("mode", "closed", "admission mode: closed (window throttles) or open (admit at arrival time)")
-		backend  = fs.String("backend", "sim", "execution backend: sim (discrete-event simulator, ticks) or rt (goroutine-per-processor runtime on real cores, wall-clock ns and ops/sec)")
-		inflight = fs.Int("inflight", 8, "closed-loop window: max operations concurrently in flight")
-		queueCap = fs.Int("queue-cap", 4096, "open-loop admission queue bound; overflow is dropped")
-		warmup   = fs.Int("warmup", -1, "completions excluded from measurement (default ops/10)")
-		meanGap  = fs.Int64("mean-gap", 4, "mean interarrival time in simulated ticks")
-		service  = fs.Int64("service", 0, "per-message processing cost in ticks (0 = instantaneous; saturation needs > 0)")
-		svcDist  = fs.String("service-dist", "", "per-processor distribution of -service: flat (uniform, the default), halfslow (every second processor 4x slower), straggler (processor 1 8x slower)")
-		sample   = fs.Int("sample", 0, "bottleneck series stride in completions (0 = auto)")
-		window   = fs.Int64("window", registry.DefaultWindow, "combining/diffraction merge window in ticks (request-merging algorithms only)")
-		epsilon  = fs.Float64("epsilon", 0, "claimed relative error bound for the ε-approximate algorithms (0 = the algorithm's default; exact algorithms ignore it)")
-		kneeBk   = fs.Int("knee-buckets", 0, "open-loop rate buckets for the saturation analysis (0 = engine default; more buckets = finer knee resolution)")
-		verify   = fs.Bool("verify", false, "check delivered values against the algorithm's claimed consistency level")
-		faults   = fs.String("faults", "", `deterministic fault-injection spec, comma-separated clauses: "loss:0.01" / "dup:0.01" (i.i.d. per-send probabilities), "dropnth:2@every=5" / "dupnth:2@every=5" (deterministic per-sender rules; proc 0 = all), "crash:1@t=500" / "crash:1@t=500-900" (crash/recover windows), "churn:2@every=400/down=100" (rotating membership churn), "freeze" (crashed processors buffer instead of drop), "seed:7" (fault RNG seed). Applies on both backends`)
-		format   = fs.String("format", "json", "output format: json, text, csv")
-		keys     = fs.Int("keys", 1, "independent counter keys requests address (1 = the classic single counter; > 1 routes through the sharded service layer)")
-		keyDist  = fs.String("key-dist", "zipf", "key-popularity distribution for -keys > 1: "+strings.Join(workload.KeyDists(), ", "))
-		keyZipfS = fs.Float64("key-zipf-s", 1.2, "zipf exponent of -key-dist zipf (key 0 is the hottest)")
-		shards   = fs.Int("shards", 1, "home shards keys hash onto; each shard is an independent counter instance")
-		shardAlg = fs.String("shard-algo", "", "home-shard algorithm: one name for all shards, or a comma-separated list with one entry per shard (default: -algo)")
-		migrate  = fs.String("migrate", "", `hot-key migration spec: a target algorithm, optionally tuned — "combining" or "combining@hot=0.2/every=256/max=1" (hot = completion share that marks a key hot, every = completions per detection window, max = keys that may migrate). Adds a dedicated hot shard of the target algorithm; hot keys drain and cut over to it mid-run`)
-		zipfS    = fs.Float64("zipf-s", 1.2, "zipf exponent (scenario zipf)")
-		hotFrac  = fs.Float64("hot-frac", 0.1, "hot-set fraction (scenario hotspot)")
-		hotProb  = fs.Float64("hot-prob", 0.9, "hot-set probability (scenario hotspot)")
-		burstLen = fs.Int("burst-len", 32, "operations per burst (scenario bursty)")
-		rateFrom = fs.Float64("rate-from", 0, "starting offered rate in ops/tick (scenario ramprate; 0 = auto)")
-		rateTo   = fs.Float64("rate-to", 0, "final offered rate in ops/tick (scenario ramprate; 0 = auto)")
-		sweep    = fs.Bool("sweep", false, "run the -algos x -scenarios x -windows x -gaps x -ns grid into one merged report")
-		study    = fs.String("study", "", `packaged experiment: "scaling" runs the knee-vs-n study (open-loop ramprate over -algos x -ns, plus a merge-window sub-sweep at the largest n) and reports per-algorithm scaling verdicts; "regression" measures each algorithm's multi-metric performance fingerprint (knee, sub-knee latency, messages/op, bottleneck share, queue-cap, heterogeneous-service and straggler knees, scaling class) for the baseline gate; "simvsreal" runs the same ramprate grid on the sim and rt backends and reports where the simulator's knee predicts the hardware knee; "skew" runs the keyed closed-loop grid over zipf exponents comparing static shard assignments against adaptive hot-key migration and reports where adaptive placement wins; "accuracy" runs the exact-vs-approximate ramp (exact references plus every ε-approximate algorithm over an ε ladder, verification on) and reports the measured price of exactness`)
-		baseline = fs.String("baseline", "", `with -study regression: "record" writes the measured fingerprints to the baseline file given as the positional argument; "check" compares against it and exits non-zero when any metric leaves its tolerance band. Standalone: "diff" compares two recorded baseline files (base, current) without re-measuring — the PR-to-PR review form`)
-		artdir   = fs.String("artifacts", "", "with -study regression: directory to additionally write the study's JSON/CSV artifacts into (created if missing)")
-		algos    = fs.String("algos", "central,ctree", "comma-separated algorithms for -sweep/-study, or \"all\" for every registered algorithm (-study default: all)")
-		scens    = fs.String("scenarios", "uniform,zipf", "comma-separated scenarios for -sweep, or \"all\" for every scenario")
-		windows  = fs.String("windows", "", "comma-separated closed-loop admission windows for -sweep (default: -inflight); merge-window sub-sweep for -study (default: 1,4,64)")
-		gaps     = fs.String("gaps", "", "comma-separated mean interarrival gaps for -sweep (default: -mean-gap)")
-		ns       = fs.String("ns", "", "comma-separated processor counts: the n grid dimension for -sweep and -study (default: -n)")
-		parallel = fs.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines for -sweep/-study cells (each cell owns an independent network)")
-		list     = fs.Bool("list", false, "list algorithms and scenarios, then exit")
-		cpuprof  = fs.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file (inspect with go tool pprof; recipe in docs/EXPERIMENTS.md §10)")
-		memprof  = fs.String("memprofile", "", "write an allocation profile, taken after a final GC at exit, to this file")
+		mode      = fs.String("mode", "closed", "admission mode: closed (window throttles) or open (admit at arrival time)")
+		sweep     = fs.Bool("sweep", false, "run the -algos x -scenarios x -windows x -gaps x -ns grid into one merged report")
+		studyName = fs.String("study", "", "packaged experiment: "+studyHelp())
+		list      = fs.Bool("list", false, "list algorithms and scenarios, then exit")
+		cpuprof   = fs.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file (inspect with go tool pprof; recipe in docs/EXPERIMENTS.md §10)")
+		memprof   = fs.String("memprofile", "", "write an allocation profile, taken after a final GC at exit, to this file")
 	)
-	if err := fs.Parse(args); err != nil {
+	err := fs.Parse(args)
+	if err != nil {
 		return err
 	}
+	opt.args = fs.Args()
 	if *list {
 		fmt.Fprintln(out, "algorithms:", strings.Join(registry.Names(), ", "))
 		fmt.Fprintln(out, "scenarios: ", strings.Join(workload.Names(), ", ")+", adversarial")
 		return nil
 	}
-	if *n < 1 {
-		return fmt.Errorf("need -n >= 1 (got %d)", *n)
+	// The explicitly set flags, in name order; a NaN or infinite float is
+	// never a usable knob (and compares false against every range check).
+	var set []string
+	var nonFinite error
+	fs.Visit(func(f *flag.Flag) {
+		set = append(set, f.Name)
+		if v, ok := f.Value.(flag.Getter).Get().(float64); ok && nonFinite == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+			nonFinite = fmt.Errorf("need a finite -%s (got %v)", f.Name, v)
+		}
+	})
+	if nonFinite != nil {
+		return nonFinite
 	}
-	if *ops < 1 {
-		return fmt.Errorf("need -ops >= 1 (got %d)", *ops)
-	}
-	switch *format {
-	case "json", "text", "csv":
-	default:
-		// Validated before the run so a typo does not waste the simulation.
-		return fmt.Errorf("unknown format %q (have json, text, csv)", *format)
-	}
-	m, err := engine.ParseMode(*mode)
-	if err != nil {
+	if opt.mode, err = engine.ParseMode(*mode); err != nil {
 		return err
 	}
-	switch *backend {
-	case "sim", "rt":
-	default:
-		return fmt.Errorf("unknown backend %q (have %s)", *backend, strings.Join(registry.Backends(), ", "))
-	}
-	if *service < 0 {
-		return fmt.Errorf("need -service >= 0 (got %d)", *service)
-	}
-	if *keys < 1 {
-		return fmt.Errorf("need -keys >= 1 (got %d)", *keys)
-	}
-	if *shards < 1 {
-		return fmt.Errorf("need -shards >= 1 (got %d)", *shards)
-	}
 	// A measurement tool must not silently ignore an explicit selection:
-	// the single-run, sweep, and study flag families are mutually exclusive.
-	set := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if *window < 0 {
-		return fmt.Errorf("need -window >= 0 (got %d)", *window)
-	}
-	if *parallel < 1 {
-		return fmt.Errorf("need -parallel >= 1 (got %d)", *parallel)
-	}
-	// The keyed (sharded service) flag family; sweeps and the pre-existing
-	// studies drive single counters, so these compose only with single runs
-	// and the skew study's pinned grid.
-	keyedFlags := []string{"keys", "key-dist", "key-zipf-s", "shards", "shard-algo", "migrate"}
+	// the single-run, sweep, and study flag families are mutually exclusive,
+	// and a grid rejects every set flag it does not read.
+	var st *study
 	switch {
-	case *sweep && *study != "":
+	case *sweep && *studyName != "":
 		return fmt.Errorf("-sweep and -study are mutually exclusive")
 	case *sweep:
-		for _, name := range []string{"algo", "scenario"} {
-			if set[name] {
-				return fmt.Errorf("-%s is ignored by -sweep; use -algos/-scenarios", name)
-			}
-		}
-		for _, name := range keyedFlags {
-			if set[name] {
-				return fmt.Errorf("-%s does not compose with -sweep (keyed runs are single runs, or -study skew)", name)
-			}
-		}
-		if m == engine.Open && set["windows"] {
-			return fmt.Errorf("-windows only applies to closed-loop sweeps (open loop has no admission window)")
-		}
-	case *study != "":
-		switch *study {
-		case "scaling", "regression", "simvsreal", "faults", "skew", "accuracy":
-		default:
-			return fmt.Errorf("unknown study %q (have scaling, regression, simvsreal, faults, skew, accuracy)", *study)
-		}
-		// Studies pin their own backends and fault plans: scaling and
-		// regression are sim experiments (the committed baselines are sim
-		// fingerprints), simvsreal runs both sides itself, and the faults
-		// study injects its own fixed plan grid.
-		banned := []string{"algo", "scenario", "scenarios", "gaps", "backend", "faults"}
-		if *study == "simvsreal" {
-			// The comparison is only meaningful under the uniform service
-			// model both backends share; windows stay at the base value so
-			// sim and rt cells are the identical protocol configuration.
-			banned = append(banned, "windows", "service-dist", "queue-cap", "rate-from")
-		}
-		if *study == "regression" {
-			// The regression study's grid is pinned so a committed baseline
-			// and a later check are always the same experiment; the knobs
-			// that *are* free (seed, ops, window, service, rate ceiling,
-			// buckets) are recorded in the baseline and diffed as config.
-			// -mean-gap and -warmup are banned too: the first feeds the
-			// ramp's derived starting rate and the second the measure
-			// window, and neither is recorded.
-			banned = append(banned, "ns", "windows", "service-dist", "queue-cap", "rate-from",
-				"mean-gap", "warmup", "verify")
-		}
-		if *study == "faults" {
-			// The fault grid is the experiment: plans, n, and verification
-			// are pinned so every run of the study is the same measurement.
-			banned = append(banned, "ns", "windows", "service-dist", "queue-cap", "rate-from", "verify")
-		}
-		if *study == "accuracy" {
-			// The accuracy grid — the exact reference set, the ε ladder,
-			// network size, service cost, verification — is the experiment;
-			// ops, seed, the rate ceiling, buckets and parallelism stay
-			// free, as in the regression study.
-			banned = append(banned, "algos", "ns", "windows", "service-dist", "queue-cap", "rate-from",
-				"mean-gap", "warmup", "verify", "n", "inflight", "service", "epsilon")
-		}
-		if *study == "skew" {
-			// The skew study's grid — network size, key space, shard count,
-			// admission window, service cost, arrival gap, the assignment
-			// policies themselves — is the experiment; only ops, seed, the
-			// merge window and parallelism stay free.
-			banned = append(banned, "algos", "ns", "windows", "service-dist", "queue-cap", "rate-from",
-				"mean-gap", "warmup", "verify", "n", "inflight", "service")
-			banned = append(banned, keyedFlags...)
-		}
-		for _, name := range banned {
-			if set[name] {
-				return fmt.Errorf("-%s is ignored by -study %s (the study pins its own grid)", name, *study)
-			}
-		}
-		if *study == "skew" {
-			// Skew is the one closed-loop study: the question is how a fixed
-			// admission window's throughput degrades with key skew.
-			if set["mode"] && m != engine.Closed {
-				return fmt.Errorf("-study skew is a closed-loop experiment; drop -mode %s", m)
-			}
-			m = engine.Closed
-		} else {
-			if set["mode"] && m != engine.Open {
-				return fmt.Errorf("-study %s is an open-loop experiment; drop -mode %s", *study, m)
-			}
-			m = engine.Open
-		}
-		for _, name := range keyedFlags {
-			if *study != "skew" && set[name] {
-				return fmt.Errorf("-%s does not compose with -study %s (keyed runs are single runs, or -study skew)", name, *study)
-			}
+		st = &sweepGrid
+	case *studyName != "":
+		if st = findStudy(*studyName); st == nil {
+			return fmt.Errorf("unknown study %q (have %s)", *studyName, strings.Join(studyNames(), ", "))
 		}
 	default:
-		for _, name := range []string{"algos", "scenarios", "windows", "gaps", "ns", "parallel"} {
-			if set[name] {
+		for _, name := range set {
+			if listed(gridFlags, name) {
 				return fmt.Errorf("-%s only applies with -sweep or -study", name)
 			}
 		}
 	}
-	switch *baseline {
+	if st != nil {
+		if err := st.admit(fs, set, &opt); err != nil {
+			return err
+		}
+	}
+	// Everything below sees the study's defaults, so a typo is caught
+	// before any simulation runs.
+	switch {
+	case opt.n < 1:
+		return fmt.Errorf("need -n >= 1 (got %d)", opt.n)
+	case opt.ops < 1:
+		return fmt.Errorf("need -ops >= 1 (got %d)", opt.ops)
+	case opt.format != "json" && opt.format != "text" && opt.format != "csv":
+		return fmt.Errorf("unknown format %q (have json, text, csv)", opt.format)
+	case opt.backend != "sim" && opt.backend != "rt":
+		return fmt.Errorf("unknown backend %q (have %s)", opt.backend, strings.Join(registry.Backends(), ", "))
+	case opt.service < 0:
+		return fmt.Errorf("need -service >= 0 (got %d)", opt.service)
+	case opt.keys < 1:
+		return fmt.Errorf("need -keys >= 1 (got %d)", opt.keys)
+	case opt.shards < 1:
+		return fmt.Errorf("need -shards >= 1 (got %d)", opt.shards)
+	case opt.window < 0:
+		return fmt.Errorf("need -window >= 0 (got %d)", opt.window)
+	case opt.parallel < 1:
+		return fmt.Errorf("need -parallel >= 1 (got %d)", opt.parallel)
+	}
+	switch opt.baseline {
 	case "":
-		if fs.NArg() > 0 {
-			return fmt.Errorf("unexpected argument %q (only -baseline record|check|diff takes positional file paths)", fs.Arg(0))
+		if len(opt.args) > 0 {
+			return fmt.Errorf("unexpected argument %q (only -baseline record|check|diff takes positional file paths)", opt.args[0])
 		}
 	case "record", "check":
-		if *study != "regression" {
-			return fmt.Errorf("-baseline %s needs -study regression", *baseline)
+		if *studyName != "regression" {
+			return fmt.Errorf("-baseline %s needs -study regression", opt.baseline)
 		}
-		if fs.NArg() != 1 {
+		if len(opt.args) != 1 {
 			return fmt.Errorf("-baseline %s needs exactly one baseline file path argument, as the last argument (got %d: %v; flags after the path are not parsed)",
-				*baseline, fs.NArg(), fs.Args())
+				opt.baseline, len(opt.args), opt.args)
 		}
 	case "diff":
 		// Diff compares two already-recorded files — no measurement, so no
 		// study; loadgen -study regression -baseline record produced both.
-		if *study != "" || *sweep {
+		if st != nil {
 			return fmt.Errorf("-baseline diff compares two recorded baseline files without re-measuring; drop -study/-sweep")
 		}
-		if fs.NArg() != 2 {
+		if len(opt.args) != 2 {
 			return fmt.Errorf("-baseline diff needs exactly two baseline file paths (base then current), as the last arguments (got %d: %v)",
-				fs.NArg(), fs.Args())
+				len(opt.args), opt.args)
 		}
+		return runBaselineDiff(out, opt.format, opt.args[0], opt.args[1])
 	default:
-		return fmt.Errorf("unknown -baseline mode %q (have record, check, diff)", *baseline)
+		return fmt.Errorf("unknown -baseline mode %q (have record, check, diff)", opt.baseline)
 	}
-	if *artdir != "" && *study != "regression" {
+	if opt.artifacts != "" && *studyName != "regression" {
 		return fmt.Errorf("-artifacts only applies with -study regression")
 	}
-	if *baseline == "diff" {
-		return runBaselineDiff(out, *format, fs.Arg(0), fs.Arg(1))
+	if _, err := registryConfig(opt); err != nil {
+		return err // a bad -service-dist or -faults spec
 	}
-	if _, err := serviceSimOpt(*service, *svcDist); err != nil {
-		// Validated before the run so a typo'd distribution does not waste
-		// the simulation; 0-service "flat" passes (it is the default shape).
+	if _, err := parseMigrateSpec(opt.migrate); err != nil {
 		return err
-	}
-	if _, err := parseFaultSpec(*faults); err != nil {
-		// Same early validation for the fault spec.
-		return err
-	}
-	if _, err := parseMigrateSpec(*migrate); err != nil {
-		// And for the migration spec.
-		return err
-	}
-	if *keys > 1 || *shards > 1 || *shardAlg != "" || *migrate != "" {
-		// The service layer shares one fate across its shards; fault plans
-		// and the adversarial replay both assume a single counter instance.
-		if *faults != "" {
-			return fmt.Errorf("-faults does not compose with -keys/-shards (the service layer does not inject faults)")
-		}
-		if *scenario == "adversarial" {
-			return fmt.Errorf("scenario adversarial drives a single counter; it does not compose with -keys/-shards")
-		}
 	}
 	stopProfiles, err := startProfiles(*cpuprof, *memprof)
 	if err != nil {
@@ -459,94 +347,14 @@ func run(args []string, out io.Writer) error {
 	}
 	defer stopProfiles()
 
-	opt := options{
-		mode:        m,
-		backend:     *backend,
-		n:           *n,
-		ops:         *ops,
-		seed:        *seed,
-		inflight:    *inflight,
-		queueCap:    *queueCap,
-		warmup:      *warmup,
-		meanGap:     *meanGap,
-		service:     *service,
-		svcDist:     *svcDist,
-		sample:      *sample,
-		window:      *window,
-		epsilon:     *epsilon,
-		kneeBuckets: *kneeBk,
-		verify:      *verify,
-		faults:      *faults,
-		keys:        *keys,
-		keyDist:     *keyDist,
-		keyZipfS:    *keyZipfS,
-		shards:      *shards,
-		shardAlgo:   *shardAlg,
-		migrate:     *migrate,
-		wcfg: workload.Config{
-			Ops:      *ops,
-			Seed:     *seed,
-			ZipfS:    *zipfS,
-			HotFrac:  *hotFrac,
-			HotProb:  *hotProb,
-			BurstLen: *burstLen,
-			RateFrom: *rateFrom,
-			RateTo:   *rateTo,
-		},
+	if st != nil {
+		return runStudy(out, st, opt)
 	}
-
-	nsList := []int{opt.n}
-	if *ns != "" {
-		var err error
-		if nsList, err = parseInts(*ns, "-ns"); err != nil {
-			return err
-		}
-	}
-
-	if *sweep {
-		return runSweep(out, opt, *format, *algos, *scens, *windows, *gaps, nsList, *parallel)
-	}
-	if *study != "" {
-		scfg := studyConfig{
-			algos:          *algos,
-			algosSet:       set["algos"],
-			opsSet:         set["ops"],
-			ns:             nsList,
-			nsSet:          set["ns"],
-			windows:        *windows,
-			serviceSet:     set["service"],
-			rateToSet:      set["rate-to"],
-			kneeBucketsSet: set["knee-buckets"],
-			parallel:       *parallel,
-		}
-		switch *study {
-		case "regression":
-			return runRegressionStudy(out, opt, *format, scfg, *baseline, fs.Arg(0), *artdir)
-		case "simvsreal":
-			return runSimVsRealStudy(out, opt, *format, scfg)
-		case "faults":
-			return runFaultStudy(out, opt, *format, scfg)
-		case "skew":
-			return runSkewStudy(out, opt, *format, scfg)
-		case "accuracy":
-			return runAccuracyStudy(out, opt, *format, scfg)
-		}
-		return runScalingStudy(out, opt, *format, scfg)
-	}
-
-	res, err := runOne(opt, *algo, *scenario)
+	res, err := runOne(opt, opt.algo, opt.scenario)
 	if err != nil {
 		return err
 	}
-	switch *format {
-	case "csv":
-		err = report.WriteCSV(out, res)
-	case "text":
-		_, err = io.WriteString(out, report.Render(res))
-	default: // "json", validated above
-		err = report.WriteJSON(out, res)
-	}
-	if err != nil {
+	if err := emit(out, opt.format, render(res, report.WriteCSV, report.Render, report.WriteJSON)); err != nil {
 		return err
 	}
 	if v := res.Verification; v != nil && v.Violations > 0 {
@@ -556,6 +364,45 @@ func run(args []string, out io.Writer) error {
 			v.Violations, v.Property, v.First)
 	}
 	return nil
+}
+
+// document is what a run, sweep or study has to say, in the three output
+// forms, plus the verdict the process exits with once it has been written
+// (nil = pass).
+type document struct {
+	csv     func(io.Writer) error
+	text    func() string
+	json    func(io.Writer) error
+	verdict error
+}
+
+// emit writes the document in the selected -format (validated by run).
+func emit(out io.Writer, format string, doc document) error {
+	switch format {
+	case "csv":
+		return doc.csv(out)
+	case "text":
+		_, err := io.WriteString(out, doc.text())
+		return err
+	}
+	return doc.json(out)
+}
+
+// render wraps a report value and its three report-package writers as a
+// document.
+func render[T any](v T, csv func(io.Writer, T) error, text func(T) string, json func(io.Writer, T) error) document {
+	return document{
+		csv:  func(w io.Writer) error { return csv(w, v) },
+		text: func() string { return text(v) },
+		json: func(w io.Writer) error { return json(w, v) },
+	}
+}
+
+// writeJSON writes v as an indented JSON document.
+func writeJSON(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
 }
 
 // startProfiles starts CPU profiling and/or arranges an exit-time
@@ -599,396 +446,6 @@ func startProfiles(cpuPath, memPath string) (stop func(), err error) {
 	return stop, nil
 }
 
-// runOne builds a fresh counter and scenario and executes a single engine
-// run on the selected backend: the discrete-event simulator (engine.Run)
-// or the goroutine-per-processor rt runtime (engine.RunWall). Keyed options
-// route through the sharded service layer instead (keyed.go).
-func runOne(opt options, algo, scenario string) (*engine.Result, error) {
-	if opt.keyed() {
-		return runOneKeyed(opt, algo, scenario)
-	}
-	var simOpts []sim.Option
-	svcOpt, err := serviceSimOpt(opt.service, opt.svcDist)
-	if err != nil {
-		return nil, err
-	}
-	if svcOpt != nil {
-		simOpts = append(simOpts, svcOpt)
-	}
-	rcfg := registry.Concurrent(simOpts...)
-	rcfg.Window = opt.window
-	rcfg.Epsilon = opt.epsilon
-	rcfg.Backend = opt.backend
-	if rcfg.Faults, err = parseFaultSpec(opt.faults); err != nil {
-		return nil, err
-	}
-	if opt.backend == "rt" {
-		// The rt backend emulates the same per-processor service costs by
-		// busy-spinning the receiving goroutine (ticks scale to wall time).
-		rcfg.RTService, err = serviceCost(opt.service, opt.svcDist)
-		if err != nil {
-			return nil, err
-		}
-	}
-	c, err := registry.NewWith(algo, opt.n, rcfg)
-	if err != nil {
-		return nil, err
-	}
-
-	// Scenarios are sized to the actual network (structured algorithms
-	// round n up).
-	wcfg := opt.wcfg
-	wcfg.N = c.N()
-	wcfg.MeanGap = opt.meanGap
-	var gen workload.Generator
-	if scenario == "adversarial" {
-		gen, err = adversarialReplay(algo, c.N(), opt.ops, opt.seed, opt.meanGap)
-	} else {
-		gen, err = workload.New(scenario, wcfg)
-	}
-	if err != nil {
-		return nil, err
-	}
-
-	ecfg := engine.Config{
-		Mode: opt.mode,
-		// The expected completion count preallocates the engine's per-op
-		// metric slices in one shot.
-		Ops:         genOps(scenario, opt.ops, c.N()),
-		InFlight:    opt.inflight,
-		QueueCap:    opt.queueCap,
-		Warmup:      opt.warmup,
-		SampleEvery: opt.sample,
-		KneeBuckets: opt.kneeBuckets,
-		Verify:      opt.verify,
-	}
-	if ecfg.Warmup < 0 {
-		ecfg.Warmup = genOps(scenario, opt.ops, c.N()) / 10
-	}
-	if r, ok := c.(*rt.Runtime); ok {
-		return engine.RunWall(r, gen, ecfg)
-	}
-	return engine.Run(c, gen, ecfg)
-}
-
-// serviceCost resolves the -service/-service-dist pair into a
-// per-processor cost function in ticks — the shape both backends consume
-// (the simulator as a sim.Option, the rt runtime as registry's RTService).
-// Nil (with no error) when service is 0 and the distribution is the
-// default flat shape.
-func serviceCost(service int64, dist string) (func(p sim.ProcID) int64, error) {
-	if service <= 0 {
-		if dist != "" && dist != "flat" {
-			return nil, fmt.Errorf("-service-dist %s needs -service > 0", dist)
-		}
-		return nil, nil
-	}
-	switch dist {
-	case "", "flat":
-		return func(sim.ProcID) int64 { return service }, nil
-	case "halfslow":
-		// Mixed hardware: every second processor runs at a quarter of the
-		// rate. Spreading the slow half across the id space hits leaf and
-		// internal roles alike in the structured algorithms.
-		return func(p sim.ProcID) int64 {
-			if p%2 == 0 {
-				return 4 * service
-			}
-			return service
-		}, nil
-	case "straggler":
-		// One badly provisioned machine. Processor 1 roots several of the
-		// structured schemes, so this is the adversarial placement.
-		return func(p sim.ProcID) int64 {
-			if p == 1 {
-				return 8 * service
-			}
-			return service
-		}, nil
-	}
-	return nil, fmt.Errorf("unknown -service-dist %q (have flat, halfslow, straggler)", dist)
-}
-
-// serviceSimOpt is serviceCost in the simulator's option form. The flat
-// shape stays on the uniform-cost fast path.
-func serviceSimOpt(service int64, dist string) (sim.Option, error) {
-	fn, err := serviceCost(service, dist)
-	if err != nil || fn == nil {
-		return nil, err
-	}
-	if dist == "" || dist == "flat" {
-		return sim.WithServiceTime(service), nil
-	}
-	return sim.WithServiceProfile(fn), nil
-}
-
-// distLabel is the ServiceDist value recorded on report rows: the named
-// distribution when a service cost is active, "" when the network has no
-// service model at all.
-func distLabel(service int64, dist string) string {
-	if service <= 0 {
-		return ""
-	}
-	if dist == "" {
-		return "flat"
-	}
-	return dist
-}
-
-// sweepCell is one grid coordinate of a sweep or study; idx fixes its
-// output slot so parallel execution keeps row order deterministic. inflight
-// is the closed-loop admission window; mwin the merge window the cell's
-// counter is built with. The remaining fields are per-cell overrides used
-// by the regression, simvsreal and faults studies (zero values inherit the
-// run's options): dist selects a -service-dist profile, qcap an
-// admission-queue bound, rateFrom/rateTo pin the ramprate sweep bounds,
-// backend overrides the execution backend, faults installs a fault plan
-// (same grammar as -faults), and verify forces value verification on.
-type sweepCell struct {
-	idx        int
-	algo, scen string
-	n          int
-	inflight   int
-	gap        int64
-	mwin       int64
-	epsilon    float64
-	dist       string
-	qcap       int
-	rateFrom   float64
-	rateTo     float64
-	backend    string
-	faults     string
-	verify     bool
-	// Keyed-cell overrides (the skew study): keys > 0 routes the cell
-	// through the sharded service layer with these knobs.
-	keys      int
-	keyDist   string
-	keyZipfS  float64
-	shards    int
-	shardAlgo string
-	migrate   string
-}
-
-// runSweep executes the grid — cells spread over a worker pool, each cell
-// owning an independent counter and network — and merges every run into one
-// report in grid order. A cell that fails is reported as a skipped row with
-// its reason, never silently dropped; the sweep itself errors only when no
-// cell at all could run.
-func runSweep(out io.Writer, opt options, format, algos, scens, windows, gaps string, nsList []int, parallel int) error {
-	algoList := expandAlgos(algos)
-	scenList := splitList(scens)
-	if len(scenList) == 1 && scenList[0] == "all" {
-		scenList = workload.Names()
-	}
-	if len(algoList) == 0 || len(scenList) == 0 {
-		return fmt.Errorf("-sweep needs non-empty -algos and -scenarios")
-	}
-	windowList := []int{opt.inflight}
-	if windows != "" {
-		var err error
-		if windowList, err = parseInts(windows, "-windows"); err != nil {
-			return err
-		}
-	}
-	if opt.mode == engine.Open {
-		// Open loop has no admission window; one pass per (algo, scenario,
-		// gap, n) cell. An explicit -windows list was already rejected.
-		windowList = windowList[:1]
-	}
-	gapList := []int64{opt.meanGap}
-	if gaps != "" {
-		ints, err := parseInts(gaps, "-gaps")
-		if err != nil {
-			return err
-		}
-		gapList = gapList[:0]
-		for _, g := range ints {
-			gapList = append(gapList, int64(g))
-		}
-	}
-
-	var cells []sweepCell
-	for _, algo := range algoList {
-		for _, scen := range scenList {
-			for _, window := range windowList {
-				for _, gap := range gapList {
-					for _, n := range nsList {
-						cells = append(cells, sweepCell{idx: len(cells), algo: algo, scen: scen,
-							n: n, inflight: window, gap: gap, mwin: opt.window})
-					}
-				}
-			}
-		}
-	}
-
-	rows, err := runCells(opt, cells, parallel)
-	if err != nil {
-		return fmt.Errorf("sweep: %w", err)
-	}
-
-	switch format {
-	case "csv":
-		err = report.WriteSweepCSV(out, rows)
-	case "text":
-		_, err = io.WriteString(out, report.RenderSweep(rows))
-	default:
-		err = report.WriteSweepJSON(out, rows)
-	}
-	if err != nil {
-		return err
-	}
-	return gateRows(rows)
-}
-
-// gateRows is the exit-status contract of sweeps and studies: after the
-// report has rendered, any skipped cell or verification violation still
-// fails the process, so CI can gate on the exit code instead of grepping
-// the output.
-func gateRows(rows []report.SweepRow) error {
-	skipped, violations := 0, 0
-	var first string
-	for _, r := range rows {
-		if r.Skipped != "" {
-			skipped++
-			if first == "" {
-				first = fmt.Sprintf("%s/%s n=%d: %s", r.Algorithm, r.Scenario, r.N, r.Skipped)
-			}
-		}
-		if v := r.Verification; v != nil && v.Violations > 0 {
-			violations += v.Violations
-			if first == "" {
-				first = fmt.Sprintf("%s/%s n=%d: %d %s violations", r.Algorithm, r.Scenario, r.N, v.Violations, v.Property)
-			}
-		}
-	}
-	switch {
-	case skipped > 0 && violations > 0:
-		return fmt.Errorf("%d of %d cells skipped and %d verification violations (first: %s)",
-			skipped, len(rows), violations, first)
-	case skipped > 0:
-		return fmt.Errorf("%d of %d cells skipped (first: %s)", skipped, len(rows), first)
-	case violations > 0:
-		return fmt.Errorf("verification failed: %d violations (first: %s)", violations, first)
-	}
-	return nil
-}
-
-// runCells spreads the cells over a worker pool — each cell owns an
-// independent counter and network — and returns one row per cell in cell
-// order, so parallel execution is indistinguishable from serial. A grid
-// where no cell at all could run is an error (single failed cells are
-// reported as skipped rows instead).
-func runCells(opt options, cells []sweepCell, parallel int) ([]report.SweepRow, error) {
-	rows := make([]report.SweepRow, len(cells))
-	sem := make(chan struct{}, parallel)
-	var wg sync.WaitGroup
-	for _, cl := range cells {
-		wg.Add(1)
-		go func(cl sweepCell) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			rows[cl.idx] = runCell(opt, cl)
-		}(cl)
-	}
-	wg.Wait()
-
-	skipped := 0
-	for _, r := range rows {
-		if r.Skipped != "" {
-			skipped++
-		}
-	}
-	if len(rows) > 0 && skipped == len(rows) {
-		return nil, fmt.Errorf("all %d cells failed; first: %s/%s: %s",
-			len(rows), rows[0].Algorithm, rows[0].Scenario, rows[0].Skipped)
-	}
-	return rows, nil
-}
-
-// runCell executes one sweep cell, converting any error — including a
-// protocol panic, so one broken cell cannot take down the whole sweep —
-// into a skipped row that keeps the cell's coordinates.
-func runCell(opt options, cl sweepCell) (row report.SweepRow) {
-	cell := opt
-	cell.n = cl.n
-	cell.inflight = cl.inflight
-	cell.meanGap = cl.gap
-	cell.window = cl.mwin
-	if cl.epsilon > 0 {
-		cell.epsilon = cl.epsilon
-	}
-	if cl.dist != "" {
-		cell.svcDist = cl.dist
-	}
-	if cl.qcap > 0 {
-		cell.queueCap = cl.qcap
-	}
-	if cl.rateFrom > 0 {
-		cell.wcfg.RateFrom = cl.rateFrom
-	}
-	if cl.rateTo > 0 {
-		cell.wcfg.RateTo = cl.rateTo
-	}
-	if cl.backend != "" {
-		cell.backend = cl.backend
-	}
-	if cl.faults != "" {
-		cell.faults = cl.faults
-	}
-	if cl.verify {
-		cell.verify = true
-	}
-	if cl.keys > 0 {
-		cell.keys = cl.keys
-		cell.keyDist = cl.keyDist
-		cell.keyZipfS = cl.keyZipfS
-		cell.shards = cl.shards
-		cell.shardAlgo = cl.shardAlgo
-		cell.migrate = cl.migrate
-	}
-	dist := distLabel(cell.service, cell.svcDist)
-	back := ""
-	if cell.backend == "rt" {
-		back = "rt"
-	}
-	// keyedRow stamps the keyed-cell coordinates on a row so the skew
-	// analysis can label the assignment policy even for skipped cells.
-	keyedRow := func(row *report.SweepRow) {
-		if cl.keys == 0 {
-			return
-		}
-		row.KeyDist = cell.keyDist
-		row.KeyZipfS = cell.keyZipfS
-		row.ShardAlgo = cell.shardAlgo
-		if cell.migrate != "" {
-			row.Migrate = migrateTarget(cell.migrate)
-		}
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			row = report.SkippedRow(cl.algo, cl.scen, opt.mode, cl.n, cl.inflight, cl.gap, opt.service, cl.mwin,
-				fmt.Errorf("panic: %v", r))
-			row.ServiceDist = dist
-			row.Backend = back
-			row.FaultSpec = cell.faults
-			keyedRow(&row)
-		}
-	}()
-	res, err := runOne(cell, cl.algo, cl.scen)
-	if err != nil {
-		row = report.SkippedRow(cl.algo, cl.scen, opt.mode, cl.n, cl.inflight, cl.gap, opt.service, cl.mwin, err)
-		row.ServiceDist = dist
-		row.Backend = back
-		row.FaultSpec = cell.faults
-		keyedRow(&row)
-		return row
-	}
-	row = report.SweepRow{MeanGap: cl.gap, MergeWindow: cl.mwin, ServiceTime: cell.service, ServiceDist: dist, Backend: back, FaultSpec: cell.faults, Result: res}
-	keyedRow(&row)
-	return row
-}
-
 // expandAlgos splits an -algos flag value, expanding the "all" sentinel to
 // every registered algorithm — the one place sweep and study agree on what
 // "all" means.
@@ -1011,8 +468,12 @@ func splitList(s string) []string {
 	return out
 }
 
-// parseInts parses a comma-separated list of positive integers.
-func parseInts(s, flagName string) ([]int, error) {
+// parseInts parses a comma-separated list of positive integers; an unset
+// (empty) flag value is the one-element list of its default.
+func parseInts(s, flagName string, def int) ([]int, error) {
+	if s == "" {
+		return []int{def}, nil
+	}
 	var out []int
 	for _, part := range splitList(s) {
 		v, err := strconv.Atoi(part)
@@ -1025,43 +486,4 @@ func parseInts(s, flagName string) ([]int, error) {
 		return nil, fmt.Errorf("%s: empty list", flagName)
 	}
 	return out, nil
-}
-
-// genOps returns the effective stream length: the adversarial replay is
-// bounded by the canonical workload (each processor once).
-func genOps(scenario string, ops, n int) int {
-	if scenario == "adversarial" && ops > n {
-		return n
-	}
-	return ops
-}
-
-// adversarialReplay runs the Lower Bound Theorem's constructive workload
-// sequentially against a traced instance of the algorithm and converts the
-// chosen initiator order into a replay scenario, truncated to at most ops
-// operations (the adversary's order is one per processor, so the stream is
-// also capped at n). The sampled adversary (subset of candidates per step)
-// keeps this affordable at CLI sizes.
-func adversarialReplay(algo string, n, ops int, seed uint64, gap int64) (workload.Generator, error) {
-	probe, err := registry.New(algo, n, sim.WithTracing())
-	if err != nil {
-		return nil, err
-	}
-	cl, ok := probe.(counter.Cloneable)
-	if !ok {
-		return nil, fmt.Errorf("scenario adversarial needs a cloneable algorithm, %q is not", algo)
-	}
-	sampleSize := 8
-	res, err := adversary.Run(cl, adversary.SampleSize(sampleSize), adversary.WithSeed(seed))
-	if err != nil {
-		return nil, fmt.Errorf("adversary against %s: %w", algo, err)
-	}
-	order := make([]sim.ProcID, len(res.Steps))
-	for i, st := range res.Steps {
-		order[i] = st.Chosen
-	}
-	if ops < len(order) {
-		order = order[:ops]
-	}
-	return workload.Replay("adversarial", order, gap), nil
 }

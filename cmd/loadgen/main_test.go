@@ -465,6 +465,28 @@ func TestRunStudyBadArgs(t *testing.T) {
 		{"-study", "scaling", "-ns", "0"},
 		{"-ns", "8,16", "-algo", "central"}, // n grid without -sweep/-study
 		{"-window", "-1"},
+		// A study reads an allow-list of flags; everything else it would
+		// silently ignore: -n where the grid has its own n axis or pin,
+		// the closed-loop window on open-loop studies, the knobs of
+		// scenarios the study never runs, the series stride where no output
+		// form carries a series, and open-loop knobs on the closed-loop
+		// skew study.
+		{"-study", "scaling", "-n", "200"},
+		{"-study", "simvsreal", "-n", "8"},
+		{"-study", "faults", "-n", "8"},
+		{"-study", "scaling", "-inflight", "3"},
+		{"-study", "faults", "-inflight", "3"},
+		{"-study", "accuracy", "-inflight", "3"},
+		{"-study", "scaling", "-zipf-s", "2"},
+		{"-study", "simvsreal", "-hot-frac", "0.3"},
+		{"-study", "faults", "-hot-prob", "0.5"},
+		{"-study", "skew", "-burst-len", "5"},
+		{"-study", "accuracy", "-zipf-s", "2"},
+		{"-study", "scaling", "-sample", "3"},
+		{"-study", "skew", "-epsilon", "0.1"},
+		{"-study", "skew", "-knee-buckets", "8"},
+		{"-study", "skew", "-rate-to", "3"},
+		{"-study", "skew", "-keys", "8"},
 	} {
 		var b strings.Builder
 		if err := run(args, &b); err == nil {

@@ -5,10 +5,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 
 	"distcount/internal/engine/report"
-	"distcount/internal/registry"
 )
 
 // The regression study measures each algorithm's multi-metric performance
@@ -87,101 +86,69 @@ const (
 // push.
 var fpScalingNs = []int{8, 16, 32}
 
-// runRegressionStudy measures the fingerprints and then records, checks,
-// or renders them. bmode is the -baseline mode ("", "record", "check"),
-// bpath the baseline file, artdir the optional artifacts directory.
-func runRegressionStudy(out io.Writer, opt options, format string, cfg studyConfig, bmode, bpath, artdir string) error {
-	algoList := expandAlgos(cfg.algos)
-	if !cfg.algosSet {
-		// The gate's default scope is every exact algorithm: the committed
-		// fingerprints assert exact value assignment, which the
-		// ε-approximate family deliberately trades away — those are covered
-		// by -study accuracy instead.
-		algoList = registry.ExactNames()
-	}
-	if len(algoList) == 0 {
-		return fmt.Errorf("-study needs a non-empty -algos")
-	}
-	sort.Strings(algoList)
-	// The saturating defaults of the scaling study apply here unchanged.
-	applyStudyDefaults(&opt, cfg)
+// fpWindows is the merge-window sub-sweep of the embedded curve (the
+// scaling study's default; pinned here and recorded in the baseline).
+var fpWindows = []int{1, 4, 64}
 
-	maxN := fpScalingNs[len(fpScalingNs)-1]
+// fpCells are the fingerprint cells every algorithm runs at fpN beyond the
+// embedded scaling curve: the role the digest reads them by and what each
+// changes on the base ramp. The fault cells verify (the study otherwise
+// leaves -verify off): Excused is a verification measurement, and running
+// the checker here also makes the gate assert, on every push, that no
+// algorithm fails *silently* under the pinned plans — a non-excusable
+// violation fails gateRows.
+var fpCells = []struct {
+	role string
+	set  func(*options)
+}{
+	{"steady", func(o *options) { o.rateFrom, o.rateTo = fpSteadyRate, fpSteadyRate }},
+	{"queue", func(o *options) { o.queueCap = fpQueueCap }},
+	{"hetero", func(o *options) { o.svcDist, o.rateTo = fpHeteroDist, fpHeteroRateTo }},
+	{"straggler", func(o *options) { o.svcDist, o.rateTo = fpStragglerDist, fpStragglerRateTo }},
+	{"loss", func(o *options) { o.faults, o.verify = fpLossSpec, true }},
+	{"crash", func(o *options) { o.faults, o.verify = fpCrashSpec, true }},
+}
 
-	// The cell grid. Scaling cells are deduplicated on the actual network
-	// size exactly like the scaling study; the fpN cell of each algorithm
-	// is remembered as its knee fingerprint source.
-	var cells []sweepCell
-	add := func(c sweepCell) int {
-		c.idx = len(cells)
-		cells = append(cells, c)
-		return c.idx
-	}
-	type fpCells struct{ knee, steady, queue, hetero, straggler, loss, crash int }
-	cellsOf := map[string]fpCells{}
-	var scalingIdx []int // cells feeding report.AnalyzeScaling
-	for _, algo := range algoList {
-		fc := fpCells{knee: -1}
-		seen := map[int]int{} // actual size -> cell idx
-		for _, n := range fpScalingNs {
-			actual := actualSize(algo, n)
-			idx, ok := seen[actual]
-			if !ok {
-				idx = add(sweepCell{algo: algo, scen: "ramprate", n: n,
-					inflight: opt.inflight, gap: opt.meanGap, mwin: opt.window})
-				seen[actual] = idx
-				scalingIdx = append(scalingIdx, idx)
-			}
-			if n == fpN {
-				fc.knee = idx
+// regressionGrid lays out, per algorithm in name order, the scaling curve
+// (size axis, then window axis at the largest n; the size-axis cell that
+// builds fpN's network doubles as the "knee" cell) and the fpCells.
+func regressionGrid(opt options, algos []string, _, _ []int) ([]cell, error) {
+	algos = slices.Clone(algos)
+	slices.Sort(algos)
+	var cells []cell
+	for _, algo := range algos {
+		axis := sizeAxis(opt, algo, fpScalingNs)
+		kneeSize := actualSize(algo, fpN)
+		for i := range axis {
+			if actualSize(algo, axis[i].opt.n) == kneeSize {
+				axis[i].role = "knee"
 			}
 		}
-		if registry.WindowSensitive(algo) {
-			for _, w := range subSweepWindows(studyDefaultWindows, opt.window) {
-				scalingIdx = append(scalingIdx, add(sweepCell{algo: algo, scen: "ramprate", n: maxN,
-					inflight: opt.inflight, gap: opt.meanGap, mwin: w}))
-			}
+		cells = append(cells, axis...)
+		cells = append(cells, windowAxis(opt, algo, slices.Max(fpScalingNs), fpWindows)...)
+		for _, fc := range fpCells {
+			c := opt
+			c.n = fpN
+			fc.set(&c)
+			cells = append(cells, cell{algo: algo, scen: "ramprate", role: fc.role, opt: c})
 		}
-		fc.steady = add(sweepCell{algo: algo, scen: "ramprate", n: fpN,
-			inflight: opt.inflight, gap: opt.meanGap, mwin: opt.window,
-			rateFrom: fpSteadyRate, rateTo: fpSteadyRate})
-		fc.queue = add(sweepCell{algo: algo, scen: "ramprate", n: fpN,
-			inflight: opt.inflight, gap: opt.meanGap, mwin: opt.window, qcap: fpQueueCap})
-		fc.hetero = add(sweepCell{algo: algo, scen: "ramprate", n: fpN,
-			inflight: opt.inflight, gap: opt.meanGap, mwin: opt.window,
-			dist: fpHeteroDist, rateTo: fpHeteroRateTo})
-		fc.straggler = add(sweepCell{algo: algo, scen: "ramprate", n: fpN,
-			inflight: opt.inflight, gap: opt.meanGap, mwin: opt.window,
-			dist: fpStragglerDist, rateTo: fpStragglerRateTo})
-		// The fault cells verify (the regression study otherwise leaves
-		// -verify off): Excused is a verification measurement, and running
-		// the checker here also makes the gate assert, on every push, that
-		// no algorithm fails *silently* under the pinned plans — a
-		// non-excusable violation skips the cell and gateRows fails.
-		fc.loss = add(sweepCell{algo: algo, scen: "ramprate", n: fpN,
-			inflight: opt.inflight, gap: opt.meanGap, mwin: opt.window,
-			faults: fpLossSpec, verify: true})
-		fc.crash = add(sweepCell{algo: algo, scen: "ramprate", n: fpN,
-			inflight: opt.inflight, gap: opt.meanGap, mwin: opt.window,
-			faults: fpCrashSpec, verify: true})
-		cellsOf[algo] = fc
 	}
+	return cells, nil
+}
 
-	rows, err := runCells(opt, cells, cfg.parallel)
-	if err != nil {
-		return fmt.Errorf("study: %w", err)
+// knee returns a row's saturation knee, zero when the run never saturated.
+func knee(r report.SweepRow) (rate float64, reason string) {
+	if r.Knee == nil {
+		return 0, ""
 	}
+	return r.Knee.OfferedRate, r.Knee.Reason
+}
 
-	scalingRows := make([]report.SweepRow, 0, len(scalingIdx))
-	for _, idx := range scalingIdx {
-		scalingRows = append(scalingRows, rows[idx])
-	}
-	sc := report.AnalyzeScaling(scalingRows, opt.window)
-	classOf := map[string]string{}
-	for _, a := range sc.Algorithms {
-		classOf[a.Algorithm] = a.Class
-	}
-
+// regressionDigest folds the rows into one fingerprint per algorithm and
+// then, by -baseline mode, renders them, records them to the baseline file
+// or checks them against it; -artifacts additionally writes the JSON/CSV
+// artifact files CI uploads.
+func regressionDigest(opt options, cells []cell, rows []report.SweepRow) (document, error) {
 	cur := &report.Baseline{
 		Schema:          report.BaselineSchema,
 		Study:           report.RegressionStudy,
@@ -189,7 +156,7 @@ func runRegressionStudy(out io.Writer, opt options, format string, cfg studyConf
 		Ops:             opt.ops,
 		BaseWindow:      opt.window,
 		Service:         opt.service,
-		RateTo:          opt.wcfg.RateTo,
+		RateTo:          opt.rateTo,
 		KneeBuckets:     opt.kneeBuckets,
 		SteadyRate:      fpSteadyRate,
 		QueueCap:        fpQueueCap,
@@ -199,162 +166,104 @@ func runRegressionStudy(out io.Writer, opt options, format string, cfg studyConf
 		StragglerRateTo: fpStragglerRateTo,
 		LossSpec:        fpLossSpec,
 		CrashSpec:       fpCrashSpec,
-		ScalingNs:       append([]int(nil), fpScalingNs...),
-		Windows:         append([]int(nil), studyDefaultWindows...),
+		ScalingNs:       slices.Clone(fpScalingNs),
+		Windows:         slices.Clone(fpWindows),
 	}
-	for _, algo := range algoList {
-		fc := cellsOf[algo]
-		f := report.Fingerprint{Algorithm: algo, ScalingClass: classOf[algo]}
-		if fc.knee >= 0 {
-			if r := rows[fc.knee]; r.Skipped == "" {
-				f.N = r.N
-				if r.Knee != nil {
-					f.KneeRate, f.KneeReason = r.Knee.OfferedRate, r.Knee.Reason
-				}
-			}
+	var curve []report.SweepRow // the cells feeding report.AnalyzeScaling
+	var f *report.Fingerprint
+	for i, r := range rows {
+		c := cells[i]
+		if f == nil || f.Algorithm != c.algo {
+			cur.Fingerprints = append(cur.Fingerprints, report.Fingerprint{Algorithm: c.algo})
+			f = &cur.Fingerprints[len(cur.Fingerprints)-1]
 		}
-		if r := rows[fc.steady]; r.Skipped == "" {
-			f.ServiceP50 = r.ServiceLatency.P50
-			f.ServiceP99 = r.ServiceLatency.P99
+		if c.role == "" || c.role == "knee" {
+			curve = append(curve, r)
+		}
+		if r.Skipped != "" {
+			continue
+		}
+		excused := 0
+		if r.Verification != nil {
+			excused = r.Verification.Excused
+		}
+		switch c.role {
+		case "knee":
+			f.N = r.N
+			f.KneeRate, f.KneeReason = knee(r)
+		case "steady":
+			// Sub-knee, so these are the algorithm's intrinsic costs, not
+			// queueing artifacts.
+			f.ServiceP50, f.ServiceP99 = r.ServiceLatency.P50, r.ServiceLatency.P99
 			f.MessagesPerOp = r.MessagesPerOp
 			if r.Loads.SumLoads > 0 {
 				f.BottleneckShare = float64(r.Loads.MaxLoad) / float64(r.Loads.SumLoads)
 			}
-		}
-		if r := rows[fc.queue]; r.Skipped == "" {
+		case "queue":
 			f.DropRate = r.DropRate
-			if r.Knee != nil {
-				f.QueueKneeRate, f.QueueKneeReason = r.Knee.OfferedRate, r.Knee.Reason
-			}
+			f.QueueKneeRate, f.QueueKneeReason = knee(r)
+		case "hetero":
+			f.HeteroKneeRate, f.HeteroKneeReason = knee(r)
+		case "straggler":
+			f.StragglerKneeRate, f.StragglerKneeReason = knee(r)
+		case "loss":
+			f.LossKneeRate, f.LossKneeReason = knee(r)
+			f.LossWedged, f.LossExcused = r.Result.Wedged, excused
+		case "crash":
+			f.CrashKneeRate, f.CrashKneeReason = knee(r)
+			f.CrashWedged, f.CrashExcused = r.Result.Wedged, excused
 		}
-		if r := rows[fc.hetero]; r.Skipped == "" {
-			if r.Knee != nil {
-				f.HeteroKneeRate, f.HeteroKneeReason = r.Knee.OfferedRate, r.Knee.Reason
-			}
+	}
+	for _, a := range report.AnalyzeScaling(curve, opt.window).Algorithms {
+		if f := cur.Fingerprint(a.Algorithm); f != nil {
+			f.ScalingClass = a.Class
 		}
-		if r := rows[fc.straggler]; r.Skipped == "" {
-			if r.Knee != nil {
-				f.StragglerKneeRate, f.StragglerKneeReason = r.Knee.OfferedRate, r.Knee.Reason
-			}
-		}
-		if r := rows[fc.loss]; r.Skipped == "" {
-			if r.Knee != nil {
-				f.LossKneeRate, f.LossKneeReason = r.Knee.OfferedRate, r.Knee.Reason
-			}
-			f.LossWedged = r.Result.Wedged
-			if r.Verification != nil {
-				f.LossExcused = r.Verification.Excused
-			}
-		}
-		if r := rows[fc.crash]; r.Skipped == "" {
-			if r.Knee != nil {
-				f.CrashKneeRate, f.CrashKneeReason = r.Knee.OfferedRate, r.Knee.Reason
-			}
-			f.CrashWedged = r.Result.Wedged
-			if r.Verification != nil {
-				f.CrashExcused = r.Verification.Excused
-			}
-		}
-		cur.Fingerprints = append(cur.Fingerprints, f)
 	}
 	cur.Sort()
-
-	if artdir != "" {
-		if err := writeArtifact(artdir, "regression-baseline.json", func(w io.Writer) error {
-			return report.WriteBaseline(w, cur)
-		}); err != nil {
-			return err
-		}
-		if err := writeArtifact(artdir, "regression-baseline.csv", func(w io.Writer) error {
-			return report.WriteBaselineCSV(w, cur)
-		}); err != nil {
-			return err
-		}
+	curDoc := render(cur, report.WriteBaselineCSV, report.RenderBaseline, report.WriteBaseline)
+	if err := writeArtifacts(opt.artifacts, "regression-baseline", curDoc); err != nil {
+		return document{}, err
 	}
 
-	switch bmode {
+	switch opt.baseline {
 	case "record":
 		// Gate first: a study with skipped cells would record zero-valued
 		// fingerprints, and truncating the existing baseline before
 		// noticing would clobber a good committed file with a corrupt one.
 		if err := gateRows(rows); err != nil {
-			return fmt.Errorf("refusing to record a baseline from an incomplete study: %w", err)
+			return document{}, fmt.Errorf("refusing to record a baseline from an incomplete study: %w", err)
 		}
-		fil, err := os.Create(bpath)
-		if err != nil {
-			return fmt.Errorf("recording baseline: %w", err)
+		if err := writeFile(opt.args[0], curDoc.json); err != nil {
+			return document{}, fmt.Errorf("recording baseline: %w", err)
 		}
-		if err := report.WriteBaseline(fil, cur); err != nil {
-			fil.Close()
-			return fmt.Errorf("recording baseline: %w", err)
+		line := fmt.Sprintf("recorded %d fingerprints to %s (schema %d)\n",
+			len(cur.Fingerprints), opt.args[0], report.BaselineSchema)
+		said := func(w io.Writer) error {
+			_, err := io.WriteString(w, line)
+			return err
 		}
-		if err := fil.Close(); err != nil {
-			return fmt.Errorf("recording baseline: %w", err)
-		}
-		fmt.Fprintf(out, "recorded %d fingerprints to %s (schema %d)\n",
-			len(cur.Fingerprints), bpath, report.BaselineSchema)
-		if format == "text" {
-			if _, err := io.WriteString(out, report.RenderBaseline(cur)); err != nil {
-				return err
-			}
-		}
-		return nil
+		return document{csv: said, json: said, text: func() string { return line + curDoc.text() }}, nil
 	case "check":
-		fil, err := os.Open(bpath)
+		base, err := loadBaseline(opt.args[0])
 		if err != nil {
-			return fmt.Errorf("loading baseline: %w", err)
+			return document{}, err
 		}
-		base, err := report.LoadBaseline(fil)
-		fil.Close()
-		if err != nil {
-			return err
-		}
-		cmp := report.CompareBaseline(base, cur, report.DefaultTolerances())
-		if artdir != "" {
-			if err := writeArtifact(artdir, "regression-gate.json", func(w io.Writer) error {
-				return report.WriteComparisonJSON(w, cmp)
-			}); err != nil {
-				return err
-			}
-			if err := writeArtifact(artdir, "regression-gate.csv", func(w io.Writer) error {
-				return report.WriteComparisonCSV(w, cmp)
-			}); err != nil {
-				return err
-			}
-		}
-		switch format {
-		case "csv":
-			err = report.WriteComparisonCSV(out, cmp)
-		case "text":
-			_, err = io.WriteString(out, report.RenderComparison(cmp))
-		default:
-			err = report.WriteComparisonJSON(out, cmp)
-		}
-		if err != nil {
-			return err
-		}
-		if err := gateRows(rows); err != nil {
-			return err
-		}
-		if !cmp.Pass {
-			return fmt.Errorf("baseline check failed: %d of %d metrics out of band (first: %s)",
-				cmp.Failures, len(cmp.Diffs), cmp.FirstFailure())
-		}
-		return nil
-	default: // plain measurement: render the fingerprints
-		switch format {
-		case "csv":
-			err = report.WriteBaselineCSV(out, cur)
-		case "text":
-			_, err = io.WriteString(out, report.RenderBaseline(cur))
-		default:
-			err = report.WriteBaseline(out, cur)
-		}
-		if err != nil {
-			return err
-		}
-		return gateRows(rows)
+		doc := comparisonDoc(base, cur, "baseline check failed")
+		return doc, writeArtifacts(opt.artifacts, "regression-gate", doc)
 	}
+	return curDoc, nil
+}
+
+// comparisonDoc diffs two baselines under the gate's tolerance bands; the
+// verdict fails when any metric is out of band.
+func comparisonDoc(base, cur *report.Baseline, what string) document {
+	cmp := report.CompareBaseline(base, cur, report.DefaultTolerances())
+	doc := render(cmp, report.WriteComparisonCSV, report.RenderComparison, report.WriteComparisonJSON)
+	if !cmp.Pass {
+		doc.verdict = fmt.Errorf("%s: %d of %d metrics out of band (first: %s)",
+			what, cmp.Failures, len(cmp.Diffs), cmp.FirstFailure())
+	}
+	return doc
 }
 
 // runBaselineDiff compares two already-recorded baseline files — base
@@ -364,59 +273,64 @@ func runRegressionStudy(out io.Writer, opt options, format string, cfg studyConf
 // which fingerprint metrics a change moved and by how much. Exits non-zero
 // when any metric is out of band, like -baseline check.
 func runBaselineDiff(out io.Writer, format, basePath, curPath string) error {
-	load := func(path string) (*report.Baseline, error) {
-		fil, err := os.Open(path)
-		if err != nil {
-			return nil, fmt.Errorf("loading baseline: %w", err)
-		}
-		defer fil.Close()
-		b, err := report.LoadBaseline(fil)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		return b, nil
-	}
-	base, err := load(basePath)
+	base, err := loadBaseline(basePath)
 	if err != nil {
 		return err
 	}
-	cur, err := load(curPath)
+	cur, err := loadBaseline(curPath)
 	if err != nil {
 		return err
 	}
-	cmp := report.CompareBaseline(base, cur, report.DefaultTolerances())
-	switch format {
-	case "csv":
-		err = report.WriteComparisonCSV(out, cmp)
-	case "text":
-		_, err = io.WriteString(out, report.RenderComparison(cmp))
-	default:
-		err = report.WriteComparisonJSON(out, cmp)
-	}
-	if err != nil {
+	doc := comparisonDoc(base, cur, "baseline diff")
+	if err := emit(out, format, doc); err != nil {
 		return err
 	}
-	if !cmp.Pass {
-		return fmt.Errorf("baseline diff: %d of %d metrics out of band (first: %s)",
-			cmp.Failures, len(cmp.Diffs), cmp.FirstFailure())
+	return doc.verdict
+}
+
+// loadBaseline reads one recorded baseline file.
+func loadBaseline(path string) (*report.Baseline, error) {
+	fil, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("loading baseline: %w", err)
+	}
+	defer fil.Close()
+	b, err := report.LoadBaseline(fil)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return b, nil
+}
+
+// writeArtifacts writes a document's JSON and CSV forms as stem.json and
+// stem.csv into the -artifacts directory (created if missing); a no-op
+// without one.
+func writeArtifacts(dir, stem string, doc document) error {
+	if dir == "" {
+		return nil
+	}
+	err := os.MkdirAll(dir, 0o755)
+	if err == nil {
+		err = writeFile(filepath.Join(dir, stem+".json"), doc.json)
+	}
+	if err == nil {
+		err = writeFile(filepath.Join(dir, stem+".csv"), doc.csv)
+	}
+	if err != nil {
+		return fmt.Errorf("artifacts: %w", err)
 	}
 	return nil
 }
 
-// writeArtifact writes one study artifact into dir, creating the directory
-// if needed.
-func writeArtifact(dir, name string, write func(io.Writer) error) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("artifacts: %w", err)
-	}
-	path := filepath.Join(dir, name)
+// writeFile creates path and fills it through write.
+func writeFile(path string, write func(io.Writer) error) error {
 	fil, err := os.Create(path)
 	if err != nil {
-		return fmt.Errorf("artifacts: %w", err)
+		return err
 	}
 	if err := write(fil); err != nil {
 		fil.Close()
-		return fmt.Errorf("artifacts: writing %s: %w", path, err)
+		return fmt.Errorf("writing %s: %w", path, err)
 	}
 	return fil.Close()
 }

@@ -210,6 +210,10 @@ func TestRunRegressionBadArgs(t *testing.T) {
 		{"-study", "regression", "-warmup", "100"},
 		{"-study", "regression", "-verify"},
 		{"-study", "regression", "-mode", "closed"},
+		{"-study", "regression", "-n", "200"},                    // the grid pins its own sizes
+		{"-study", "regression", "-inflight", "3"},               // open loop has no admission window
+		{"-study", "regression", "-zipf-s", "2"},                 // every cell runs ramprate
+		{"-study", "regression", "-sample", "3"},                 // fingerprints carry no series
 		{"-baseline", "record", "x.json"},                        // no study
 		{"-sweep", "-algos", "central", "-baseline", "check"},    // no study
 		{"-study", "regression", "-baseline", "maybe", "x.json"}, // unknown mode

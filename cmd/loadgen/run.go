@@ -1,0 +1,224 @@
+package main
+
+import (
+	"fmt"
+
+	"distcount/internal/adversary"
+	"distcount/internal/counter"
+	"distcount/internal/countersvc"
+	"distcount/internal/engine"
+	"distcount/internal/registry"
+	"distcount/internal/rt"
+	"distcount/internal/sim"
+	"distcount/internal/workload"
+)
+
+// runOne builds a fresh counter (or, for keyed options, a sharded service
+// of them: each shard an independent counter instance, keys hashed onto
+// home shards, an optional -migrate hot shard) and a fresh scenario, and
+// executes one engine run on the selected backend: the discrete-event
+// simulator or the goroutine-per-processor rt runtime.
+func runOne(opt options, algo, scenario string) (*engine.Result, error) {
+	if opt.keyed() {
+		// The service layer shares one fate across its shards; fault plans
+		// and the adversarial replay both assume a single counter instance.
+		if opt.faults != "" {
+			return nil, fmt.Errorf("-faults does not compose with -keys/-shards (the service layer does not inject faults)")
+		}
+		if scenario == "adversarial" {
+			return nil, fmt.Errorf("scenario adversarial drives a single counter; it does not compose with -keys/-shards")
+		}
+	}
+	rcfg, err := registryConfig(opt)
+	if err != nil {
+		return nil, err
+	}
+	wcfg := workload.Config{
+		Ops:      opt.ops,
+		Seed:     opt.seed,
+		MeanGap:  opt.meanGap,
+		ZipfS:    opt.zipfS,
+		HotFrac:  opt.hotFrac,
+		HotProb:  opt.hotProb,
+		BurstLen: opt.burstLen,
+		RateFrom: opt.rateFrom,
+		RateTo:   opt.rateTo,
+	}
+	if opt.keyed() {
+		scfg := countersvc.Config{Keys: opt.keys, N: opt.n, Shards: opt.shards, Registry: rcfg, Algo: algo}
+		if opt.shardAlgo != "" {
+			// One name sets every home shard; a list sets them individually.
+			if list := splitList(opt.shardAlgo); len(list) == 1 {
+				scfg.Algo = list[0]
+			} else {
+				scfg.Algo, scfg.ShardAlgos = "", list
+			}
+		}
+		if scfg.Migration, err = parseMigrateSpec(opt.migrate); err != nil {
+			return nil, err
+		}
+		svc, err := countersvc.New(scfg)
+		if err != nil {
+			return nil, err
+		}
+		wcfg.N, wcfg.Keys, wcfg.KeyDist, wcfg.KeyZipfS = svc.N(), opt.keys, opt.keyDist, opt.keyZipfS
+		gen, err := workload.New(scenario, wcfg)
+		if err != nil {
+			return nil, err
+		}
+		return engine.RunKeyed(svc, gen, engineConfig(opt, opt.ops))
+	}
+	c, err := registry.NewWith(algo, opt.n, rcfg)
+	if err != nil {
+		return nil, err
+	}
+	// Scenarios are sized to the actual network (structured algorithms
+	// round n up).
+	wcfg.N = c.N()
+	ops := opt.ops
+	var gen workload.Generator
+	if scenario == "adversarial" {
+		gen, err = adversarialReplay(algo, c.N(), opt.ops, opt.seed, opt.meanGap)
+		ops = min(ops, c.N()) // the replay is the canonical workload: each processor once
+	} else {
+		gen, err = workload.New(scenario, wcfg)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if r, ok := c.(*rt.Runtime); ok {
+		return engine.RunWall(r, gen, engineConfig(opt, ops))
+	}
+	return engine.Run(c, gen, engineConfig(opt, ops))
+}
+
+// registryConfig resolves the options into the counter construction config:
+// the service-cost profile in the form the selected backend consumes, the
+// merge window, the claimed ε and the fault plan.
+func registryConfig(opt options) (registry.Config, error) {
+	cost, err := serviceCost(opt.service, opt.svcDist)
+	if err != nil {
+		return registry.Config{}, err
+	}
+	var simOpts []sim.Option
+	switch {
+	case cost == nil:
+	case opt.svcDist == "" || opt.svcDist == "flat":
+		// The flat shape stays on the simulator's uniform-cost fast path.
+		simOpts = append(simOpts, sim.WithServiceTime(opt.service))
+	default:
+		simOpts = append(simOpts, sim.WithServiceProfile(cost))
+	}
+	rcfg := registry.Concurrent(simOpts...)
+	rcfg.Window = opt.window
+	rcfg.Epsilon = opt.epsilon
+	rcfg.Backend = opt.backend
+	if opt.backend == "rt" {
+		// The rt backend emulates the same per-processor service costs by
+		// busy-spinning the receiving goroutine (ticks scale to wall time).
+		rcfg.RTService = cost
+	}
+	rcfg.Faults, err = parseFaultSpec(opt.faults)
+	return rcfg, err
+}
+
+// engineConfig is the driver config of a run expected to complete ops
+// operations (the count preallocates the engine's per-op metric slices and
+// sizes the default warmup).
+func engineConfig(opt options, ops int) engine.Config {
+	cfg := engine.Config{
+		Mode:        opt.mode,
+		Ops:         ops,
+		InFlight:    opt.inflight,
+		QueueCap:    opt.queueCap,
+		Warmup:      opt.warmup,
+		SampleEvery: opt.sample,
+		KneeBuckets: opt.kneeBuckets,
+		Verify:      opt.verify,
+	}
+	if cfg.Warmup < 0 {
+		cfg.Warmup = ops / 10
+	}
+	return cfg
+}
+
+// serviceCost resolves the -service/-service-dist pair into a
+// per-processor cost function in ticks — the shape both backends consume
+// (the simulator as a sim.Option, the rt runtime as registry's RTService).
+// Nil (with no error) when service is 0 and the distribution is the
+// default flat shape.
+func serviceCost(service int64, dist string) (func(p sim.ProcID) int64, error) {
+	if service <= 0 {
+		if dist != "" && dist != "flat" {
+			return nil, fmt.Errorf("-service-dist %s needs -service > 0", dist)
+		}
+		return nil, nil
+	}
+	switch dist {
+	case "", "flat":
+		return func(sim.ProcID) int64 { return service }, nil
+	case "halfslow":
+		// Mixed hardware: every second processor runs at a quarter of the
+		// rate. Spreading the slow half across the id space hits leaf and
+		// internal roles alike in the structured algorithms.
+		return func(p sim.ProcID) int64 {
+			if p%2 == 0 {
+				return 4 * service
+			}
+			return service
+		}, nil
+	case "straggler":
+		// One badly provisioned machine. Processor 1 roots several of the
+		// structured schemes, so this is the adversarial placement.
+		return func(p sim.ProcID) int64 {
+			if p == 1 {
+				return 8 * service
+			}
+			return service
+		}, nil
+	}
+	return nil, fmt.Errorf("unknown -service-dist %q (have flat, halfslow, straggler)", dist)
+}
+
+// distLabel is the ServiceDist value recorded on report rows: the named
+// distribution when a service cost is active, "" when the network has no
+// service model at all.
+func distLabel(service int64, dist string) string {
+	if service <= 0 {
+		return ""
+	}
+	if dist == "" {
+		return "flat"
+	}
+	return dist
+}
+
+// adversarialReplay runs the Lower Bound Theorem's constructive workload
+// sequentially against a traced instance of the algorithm and converts the
+// chosen initiator order into a replay scenario, truncated to at most ops
+// operations (the adversary's order is one per processor, so the stream is
+// also capped at n). The sampled adversary (subset of candidates per step)
+// keeps this affordable at CLI sizes.
+func adversarialReplay(algo string, n, ops int, seed uint64, gap int64) (workload.Generator, error) {
+	probe, err := registry.New(algo, n, sim.WithTracing())
+	if err != nil {
+		return nil, err
+	}
+	cl, ok := probe.(counter.Cloneable)
+	if !ok {
+		return nil, fmt.Errorf("scenario adversarial needs a cloneable algorithm, %q is not", algo)
+	}
+	sampleSize := 8
+	res, err := adversary.Run(cl, adversary.SampleSize(sampleSize), adversary.WithSeed(seed))
+	if err != nil {
+		return nil, fmt.Errorf("adversary against %s: %w", algo, err)
+	}
+	order := make([]sim.ProcID, len(res.Steps))
+	for i, st := range res.Steps {
+		order[i] = st.Chosen
+	}
+	if ops < len(order) {
+		order = order[:ops]
+	}
+	return workload.Replay("adversarial", order, gap), nil
+}

@@ -1,10 +1,9 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 
 	"distcount/internal/engine"
@@ -22,17 +21,6 @@ import (
 // as tick_ns of real work. Where the ratio of measured to predicted leaves
 // [1/2, 2], the simulator's cost model and the hardware disagree — the
 // interesting rows.
-
-// simVsRealDefaultAlgos is the default comparison scope: the paper's
-// central bottleneck, a request-merging scheme, and a quorum scheme — one
-// representative per capacity class.
-var simVsRealDefaultAlgos = []string{"central", "combining", "quorum-majority"}
-
-// simVsRealDefaultNs keeps the default grid at one hardware-friendly size:
-// rt cells run their processors as goroutines on real cores, so n far
-// above the machine's core count measures the scheduler more than the
-// algorithm. -ns widens the axis explicitly.
-var simVsRealDefaultNs = []int{8}
 
 // simVsRealProbeOps sizes the calibration probe: long enough for a stable
 // throughput estimate, short enough that the merging schemes (which wait
@@ -68,117 +56,84 @@ type simVsRealRow struct {
 	Verdict string  `json:"verdict"`
 }
 
-// runSimVsRealStudy executes the grid on both backends and renders the
-// merged comparison.
-func runSimVsRealStudy(out io.Writer, opt options, format string, cfg studyConfig) error {
-	algoList := expandAlgos(cfg.algos)
-	if !cfg.algosSet {
-		algoList = simVsRealDefaultAlgos
+// simVsRealGrid is the sim side: one ramp cell per (algorithm, actual
+// size), algorithms in name order.
+func simVsRealGrid(opt options, algos []string, ns, _ []int) ([]cell, error) {
+	algos = slices.Clone(algos)
+	slices.Sort(algos)
+	var cells []cell
+	for _, algo := range algos {
+		cells = append(cells, sizeAxis(opt, algo, ns)...)
 	}
-	if len(algoList) == 0 {
-		return fmt.Errorf("-study needs a non-empty -algos")
-	}
-	sort.Strings(algoList)
-	nsList := cfg.ns
-	if !cfg.nsSet {
-		nsList = simVsRealDefaultNs
-	}
-	applyStudyDefaults(&opt, cfg)
+	return cells, nil
+}
 
-	// One sim cell and one rt cell per (algorithm, actual size), in the
-	// same order so simCells[i] and rtCells[i] are the same coordinate.
-	var simCells, rtCells []sweepCell
-	for _, algo := range algoList {
-		seen := map[int]bool{}
-		for _, n := range nsList {
-			actual := actualSize(algo, n)
-			if seen[actual] {
-				continue
-			}
-			seen[actual] = true
-			simCells = append(simCells, sweepCell{idx: len(simCells), algo: algo, scen: "ramprate",
-				n: n, inflight: opt.inflight, gap: opt.meanGap, mwin: opt.window})
-			rtCells = append(rtCells, sweepCell{idx: len(rtCells), algo: algo, scen: "ramprate",
-				n: n, inflight: opt.inflight, gap: opt.meanGap, mwin: opt.window, backend: "rt"})
-		}
-	}
-
-	simRows, err := runCells(opt, simCells, cfg.parallel)
-	if err != nil {
-		return fmt.Errorf("study: %w", err)
-	}
-	// Calibrate each rt ramp to the hardware before sweeping it: a short
-	// closed-loop probe measures the sustained ops/sec, and the ramp then
-	// brackets that capacity. The sim knee is no anchor here — when the
-	// cost model and the hardware disagree by an order of magnitude (timer
-	// and scheduler overhead the simulator does not charge for), a ramp
-	// anchored on the prediction parks the real knee inside the first rate
-	// bucket, where the detector has no pre-saturation reference.
-	probeThr := make([]float64, len(rtCells))
-	for i := range rtCells {
-		probe := opt
-		probe.backend = "rt"
-		probe.mode = engine.Closed
-		probe.ops = simVsRealProbeOps
-		probe.wcfg.Ops = simVsRealProbeOps
-		probe.warmup = -1
-		res, err := runOne(probe, rtCells[i].algo, "uniform")
+// simVsRealRT returns the rt twin of every sim cell, in the same order, so
+// rows[i] and rows[len(sim)+i] are the same coordinate. The rt cells
+// measure wall-clock capacity on real cores; running them concurrently
+// would have the runtimes contend for the same hardware and corrupt each
+// other's knees, so they are the study's serial phase.
+//
+// Each rt ramp is calibrated to the hardware before it is swept: a short
+// closed-loop probe measures the sustained ops/sec, and the ramp then
+// brackets that capacity. The sim knee is no anchor here — when the cost
+// model and the hardware disagree by an order of magnitude (timer and
+// scheduler overhead the simulator does not charge for), a ramp anchored
+// on the prediction parks the real knee inside the first rate bucket,
+// where the detector has no pre-saturation reference.
+func simVsRealRT(simCells []cell) []cell {
+	cells := slices.Clone(simCells)
+	for i := range cells {
+		c := &cells[i]
+		c.opt.backend = "rt"
+		probe := c.opt
+		probe.mode, probe.ops, probe.warmup = engine.Closed, simVsRealProbeOps, -1
+		res, err := runOne(probe, c.algo, "uniform")
 		if err != nil || res.Throughput <= 0 {
 			continue // uncalibrated: the cell ramps over the study default
 		}
-		probeThr[i] = res.Throughput
+		c.probe = res.Throughput
 		capTicks := res.Throughput * float64(res.TickNs) / 1e9
-		rtCells[i].rateFrom = capTicks / 4
-		rtCells[i].rateTo = capTicks * 4
+		c.opt.rateFrom, c.opt.rateTo = capTicks/4, capTicks*4
 	}
-	// The rt cells measure wall-clock capacity on real cores; running them
-	// concurrently would have the runtimes contend for the same hardware
-	// and corrupt each other's knees, so they run one at a time.
-	rtRows, err := runCells(opt, rtCells, 1)
-	if err != nil {
-		return fmt.Errorf("study: %w", err)
-	}
+	return cells
+}
 
-	comps := make([]simVsRealRow, len(simRows))
-	for i := range simRows {
-		comps[i] = compareSimVsReal(simRows[i], rtRows[i], probeThr[i])
+// simVsRealDigest merges each coordinate's sim and rt rows into a verdict.
+// The text form leads with the per-cell table; the JSON form carries every
+// cell row next to the comparison.
+func simVsRealDigest(_ options, cells []cell, rows []report.SweepRow) (document, error) {
+	half := len(rows) / 2
+	comps := make([]simVsRealRow, half)
+	for i := range comps {
+		comps[i] = compareSimVsReal(rows[i], rows[half+i], cells[half+i].probe)
 	}
-	allRows := make([]report.SweepRow, 0, len(simRows)+len(rtRows))
-	allRows = append(allRows, simRows...)
-	allRows = append(allRows, rtRows...)
-
-	switch format {
-	case "csv":
-		err = writeSimVsRealCSV(out, comps)
-	case "text":
-		_, err = io.WriteString(out, report.RenderSweep(allRows))
-		if err == nil {
-			_, err = io.WriteString(out, renderSimVsReal(comps))
-		}
-	default:
-		err = writeSimVsRealJSON(out, allRows, comps)
-	}
-	if err != nil {
-		return err
-	}
-	return gateRows(allRows)
+	return document{
+		csv:  func(w io.Writer) error { return writeSimVsRealCSV(w, comps) },
+		text: func() string { return report.RenderSweep(rows) + renderSimVsReal(comps) },
+		json: func(w io.Writer) error {
+			return writeJSON(w, struct {
+				Study      string            `json:"study"`
+				Cells      []report.SweepRow `json:"cells"`
+				Comparison []simVsRealRow    `json:"comparison"`
+			}{"simvsreal", rows, comps})
+		},
+	}, nil
 }
 
 // compareSimVsReal merges one coordinate's sim and rt rows into a verdict.
 func compareSimVsReal(simR, rtR report.SweepRow, probeThr float64) simVsRealRow {
 	row := simVsRealRow{Algorithm: simR.Algorithm, N: simR.N,
 		TickNs: int64(rt.DefaultTick), RTThroughput: probeThr}
-	if rtR.Skipped == "" && rtR.Result != nil {
+	if rtR.Skipped == "" {
 		if rtR.TickNs > 0 {
 			row.TickNs = rtR.TickNs
 		}
 		row.N = rtR.N
-		if rtR.Knee != nil {
-			row.RTKneeRate, row.RTKneeReason = rtR.Knee.OfferedRate, rtR.Knee.Reason
-		}
+		row.RTKneeRate, row.RTKneeReason = knee(rtR)
 	}
 	if simR.Skipped == "" && simR.Knee != nil {
-		row.SimKneeRate, row.SimKneeReason = simR.Knee.OfferedRate, simR.Knee.Reason
+		row.SimKneeRate, row.SimKneeReason = knee(simR)
 		row.PredictedRate = row.SimKneeRate * 1e9 / float64(row.TickNs)
 	}
 	switch {
@@ -223,19 +178,6 @@ func writeSimVsRealCSV(w io.Writer, comps []simVsRealRow) error {
 		}
 	}
 	return nil
-}
-
-// writeSimVsRealJSON writes the full study document: every cell row plus
-// the merged comparison.
-func writeSimVsRealJSON(w io.Writer, rows []report.SweepRow, comps []simVsRealRow) error {
-	doc := struct {
-		Study      string            `json:"study"`
-		Cells      []report.SweepRow `json:"cells"`
-		Comparison []simVsRealRow    `json:"comparison"`
-	}{Study: "simvsreal", Cells: rows, Comparison: comps}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
 }
 
 // renderSimVsReal returns the human-readable comparison table.
