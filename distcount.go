@@ -204,8 +204,7 @@ func WithTracing() Option {
 // increments may be injected while earlier ones are still in flight, as
 // RunWorkload does. Every initiator owns its operation state, so any
 // algorithm works; the combining and diffracting trees are built with
-// their merge windows open, and the paper's tree without its
-// sequential-only instrumentation.
+// their merge windows open.
 func InConcurrentRegime() Option {
 	return func(s *buildSpec) { s.concurrent = true }
 }
@@ -243,11 +242,11 @@ func WithBackend(name string) Option {
 
 // New builds the named counter over (at least) n processors. With no
 // options it is configured for the sequential regime of the paper's model
-// (each operation running to quiescence before the next, windows closed,
-// instrumentation on); pass InConcurrentRegime for workload-driven
-// concurrent operation. The returned counter always supports both Inc and
-// Start, and exposes its consistency contract via
-// ValuedCounter.Guarantee().
+// (each operation running to quiescence before the next, windows closed);
+// pass InConcurrentRegime for workload-driven concurrent operation. The
+// returned counter always supports both Inc and Start, and exposes its
+// consistency contract via ValuedCounter.Guarantee(). The paper's lemma
+// instrumentation lives on NewTreeCounter's handle, not here.
 func New(algorithm string, n int, opts ...Option) (AsyncCounter, error) {
 	var s buildSpec
 	for _, o := range opts {

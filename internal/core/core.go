@@ -287,16 +287,20 @@ func (t *Tree) HostedInner(p sim.ProcID) bool {
 	return false
 }
 
-// Counter is the paper's communication-tree distributed counter: the Tree
-// serving a counter as its root state.
+// Counter is the paper's communication-tree distributed counter in the
+// paper's own model: the Tree serving a counter as its root state, one
+// operation at a time, with the Section 4 lemma instrumentation on unless
+// built WithoutChecks. It is the handle the lemma experiments, the
+// visualizer and the adversary use; workload runs and the rt backend take
+// the protocol through NewMachine instead.
 type Counter struct {
 	*Tree
 }
 
-var (
-	_ counter.Cloneable = (*Counter)(nil)
-	_ counter.Valued    = (*Counter)(nil)
-)
+var _ counter.Cloneable = (*Counter)(nil)
+
+// algoName is the paper's counter in the registry and in reports.
+const algoName = "ctree"
 
 // New creates the counter for the tree of arity k over exactly n = k^(k+1)
 // processors.
@@ -311,17 +315,16 @@ func NewForSize(n int, opts ...Option) *Counter {
 	return New(KForSize(n), opts...)
 }
 
-// NewMachine returns the backend-independent protocol descriptor for at
-// least n processors (the size rounds up to k^(k+1); lemma instrumentation
-// stays off — its windows assume the sequential model). Serial: retirement
-// rewrites a node's current processor and the forwarding table that every
-// receiver's ensureRole consults, so the rt backend must serialize all
-// protocol callbacks rather than run receivers concurrently.
-func NewMachine(n int) counter.Machine {
-	k := KForSize(n)
-	pr := newProto(k, 4*k, &counterState{}, false)
+// Machine implements counter.Describer for a tree whose root state is the
+// counter. Serial: retirement rewrites a node's current processor and the
+// forwarding table that every receiver's ensureRole consults, so the rt
+// backend must serialize all protocol callbacks rather than run receivers
+// concurrently. Linearizable: the root applies operations in arrival order
+// and replies directly to initiators, so values respect real-time order
+// under every schedule (experiment E13).
+func (pr *proto) Machine() counter.Machine {
 	return counter.Machine{
-		Name:  "ctree",
+		Name:  algoName,
 		N:     pr.g.n,
 		Proto: pr,
 		Initiate: func(nw sim.Transport, p sim.ProcID) {
@@ -339,8 +342,17 @@ func NewMachine(n int) counter.Machine {
 	}
 }
 
+// NewMachine returns the backend-independent protocol descriptor for at
+// least n processors (the size rounds up to k^(k+1)) — what both backends
+// run. Lemma instrumentation stays off: its per-operation windows assume
+// the sequential model.
+func NewMachine(n int) counter.Machine {
+	k := KForSize(n)
+	return newProto(k, 4*k, &counterState{}, false).Machine()
+}
+
 // Name implements counter.Counter.
-func (c *Counter) Name() string { return "ctree" }
+func (c *Counter) Name() string { return algoName }
 
 // Value returns the root's current counter value (= operations completed).
 func (c *Counter) Value() int { return c.proto.root.(*counterState).val }
@@ -353,27 +365,6 @@ func (c *Counter) Inc(p sim.ProcID) (int, error) {
 	}
 	return reply.(int), nil
 }
-
-// Start implements counter.Async, shadowing the embedded Tree.Start with
-// the counter-shaped signature (the request of an inc is nil). Like
-// Tree.Start it requires a tree built WithoutChecks.
-func (c *Counter) Start(at int64, p sim.ProcID) sim.OpID {
-	return c.Tree.Start(at, p, nil)
-}
-
-// OpValue implements counter.Valued.
-func (c *Counter) OpValue(id sim.OpID) (int, bool) {
-	reply, ok := c.TakeReply(id)
-	if !ok {
-		return 0, false
-	}
-	return reply.(int), true
-}
-
-// Guarantee implements counter.Valued: the root applies operations in
-// arrival order and replies directly to initiators, so values respect
-// real-time order under every schedule (experiment E13).
-func (c *Counter) Guarantee() counter.Guarantee { return counter.Exact(counter.Linearizable) }
 
 // Clone implements counter.Cloneable.
 func (c *Counter) Clone() (counter.Counter, error) {

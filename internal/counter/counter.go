@@ -4,6 +4,13 @@
 // operation driver that reproduces the paper's execution model and canonical
 // workload.
 //
+// An algorithm is a Machine: its protocol plus the Initiate and Value hooks
+// that start an operation and read its result, with no execution substrate
+// baked in. Sim (built by OnSim) binds a Machine to the discrete-event
+// simulator and is the only simulator-backed Counter there is; internal/rt
+// binds the same Machine to goroutines. The interfaces below (Counter,
+// Async, Valued, Cloneable) are what drivers see of either.
+//
 // A distributed counter encapsulates an integer value val and supports inc:
 // inc returns the current counter value to the requesting processor and
 // increments the counter by one (test-and-increment). Operations are
@@ -18,8 +25,7 @@ import (
 	"distcount/internal/sim"
 )
 
-// Counter is a distributed counter implementation bound to a simulated
-// network.
+// Counter is a distributed counter bound to an execution backend.
 type Counter interface {
 	// Name identifies the algorithm (e.g. "ctree", "central").
 	Name() string

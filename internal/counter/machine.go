@@ -11,9 +11,9 @@ type Transport = sim.Transport
 
 // Machine is the backend-independent description of one counter algorithm:
 // the protocol state machine plus the hooks a runtime needs to drive and
-// read it. The simulator wraps a Machine in a sim.Network; the rt backend
-// wraps the same Machine in goroutines and channels. Both run the identical
-// protocol code.
+// read it. OnSim wraps a Machine in a sim.Network; rt.New wraps the same
+// Machine in goroutines and channels. Both run the identical protocol code,
+// and neither knows which algorithm it is running.
 type Machine struct {
 	// Name identifies the algorithm (e.g. "central", "combining").
 	Name string

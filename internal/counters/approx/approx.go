@@ -152,6 +152,21 @@ func (c *core) maybeBroadcast(nw sim.Transport, level uint, div int) {
 	}
 }
 
+// machine describes the protocol pr built on this core. Per-site state is
+// confined to each site's own execution context and coordinator state to
+// the coordinator's, so handlers may run concurrently per processor; values
+// are promised only to lie within ±ε of the true prefix count.
+func (c *core) machine(name string, pr sim.Protocol, initiate func(sim.Transport, sim.ProcID)) counter.Machine {
+	return counter.Machine{
+		Name:      name,
+		N:         c.n,
+		Proto:     pr,
+		Initiate:  initiate,
+		Value:     c.ops.Take,
+		Guarantee: counter.Approx(c.eps),
+	}
+}
+
 // clone deep-copies the core for network cloning.
 func (c *core) clone() core {
 	cp := *c

@@ -173,11 +173,10 @@ func TestConcurrentVerifiedWithinEpsilon(t *testing.T) {
 func TestCloneIndependent(t *testing.T) {
 	c := approx.NewSample(4, approx.WithWarmup(8))
 	runSequential(t, c, 100)
-	cl, err := c.Clone()
+	c2, err := c.Clone()
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2 := cl.(*approx.Counter)
 	// Same state, same streams: the next sequential values must agree.
 	for i := 0; i < 50; i++ {
 		p := sim.ProcID(i%4 + 1)

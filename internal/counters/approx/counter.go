@@ -51,82 +51,20 @@ func WithSeed(seed uint64) Option {
 	return func(c *config) { c.seed = seed }
 }
 
-// WithSimOptions forwards options to the underlying network.
+// WithSimOptions forwards options to the underlying network; the Machine
+// constructors ignore them (they configure a network, not the protocol).
 func WithSimOptions(opts ...sim.Option) Option {
 	return func(c *config) { c.simOpts = append(c.simOpts, opts...) }
 }
 
-// proto is what the sim-backed Counter wrapper needs from either protocol.
-type proto interface {
-	sim.Protocol
-	initiate(nw sim.Transport, p sim.ProcID)
-	table() *counter.Ops[struct{}, int]
-}
-
-func (c *core) table() *counter.Ops[struct{}, int] { return c.ops }
-
-// Counter binds either approximate protocol to a simulated network.
+// Counter is either approximate counter on the simulator.
 type Counter struct {
-	name  string
-	eps   float64
-	net   *sim.Network
-	pr    proto
-	start func(sim.Transport, sim.ProcID)
+	*counter.Sim
 }
 
-var (
-	_ counter.Cloneable = (*Counter)(nil)
-	_ counter.Valued    = (*Counter)(nil)
-)
-
-func newCounter(name string, cfg config, n int, pr proto) *Counter {
-	return &Counter{
-		name: name,
-		eps:  cfg.eps,
-		net:  sim.New(n, pr, cfg.simOpts...),
-		pr:   pr,
-	}
+func onSim(m counter.Machine, cfg config) *Counter {
+	return &Counter{counter.OnSim(m, cfg.simOpts...)}
 }
-
-// Name implements counter.Counter.
-func (c *Counter) Name() string { return c.name }
-
-// N implements counter.Counter.
-func (c *Counter) N() int { return c.net.N() }
-
-// Net implements counter.Counter.
-func (c *Counter) Net() *sim.Network { return c.net }
 
 // Epsilon returns the claimed relative error bound.
-func (c *Counter) Epsilon() float64 { return c.eps }
-
-// Inc implements counter.Counter.
-func (c *Counter) Inc(p sim.ProcID) (int, error) {
-	return counter.RunInc(c, p)
-}
-
-// Start implements counter.Async.
-func (c *Counter) Start(at int64, p sim.ProcID) sim.OpID {
-	if c.start == nil {
-		// Cache the bound method value: a fresh one per operation is a
-		// heap allocation on the hot path.
-		c.start = c.pr.initiate
-	}
-	return c.net.ScheduleOp(at, p, c.start)
-}
-
-// OpValue implements counter.Valued.
-func (c *Counter) OpValue(id sim.OpID) (int, bool) { return c.pr.table().Take(id) }
-
-// Guarantee implements counter.Valued: values are promised only to lie
-// within ±ε of the true prefix count.
-func (c *Counter) Guarantee() counter.Guarantee { return counter.Approx(c.eps) }
-
-// Clone implements counter.Cloneable.
-func (c *Counter) Clone() (counter.Counter, error) {
-	net, err := c.net.Clone()
-	if err != nil {
-		return nil, err
-	}
-	return &Counter{name: c.name, eps: c.eps, net: net, pr: net.Protocol().(proto)}, nil
-}
+func (c *Counter) Epsilon() float64 { return c.Guarantee().Epsilon }

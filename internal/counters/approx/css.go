@@ -140,25 +140,19 @@ func (pr *cssProto) CloneProtocol() sim.Protocol {
 	return cp
 }
 
-// NewSample creates a css-sample counter over n processors.
-func NewSample(n int, opts ...Option) *Counter {
-	cfg := newConfig(DefaultEpsilonSample, opts)
-	return newCounter("css-sample", cfg, n, newCSSProto(n, cfg))
+// Machine implements counter.Describer.
+func (pr *cssProto) Machine() counter.Machine {
+	return pr.machine("css-sample", pr, pr.initiate)
 }
 
 // NewSampleMachine returns the backend-independent descriptor of the
-// css-sample counter. Like the threshold scheme, every piece of mutable
-// state is confined to one processor's execution context, so handlers may
-// run concurrently per processor.
+// css-sample counter over n processors — what both backends run.
 func NewSampleMachine(n int, opts ...Option) counter.Machine {
+	return newCSSProto(n, newConfig(DefaultEpsilonSample, opts)).Machine()
+}
+
+// NewSample creates a css-sample counter over n simulated processors.
+func NewSample(n int, opts ...Option) *Counter {
 	cfg := newConfig(DefaultEpsilonSample, opts)
-	pr := newCSSProto(n, cfg)
-	return counter.Machine{
-		Name:      "css-sample",
-		N:         n,
-		Proto:     pr,
-		Initiate:  pr.initiate,
-		Value:     pr.ops.Take,
-		Guarantee: counter.Approx(cfg.eps),
-	}
+	return onSim(newCSSProto(n, cfg).Machine(), cfg)
 }

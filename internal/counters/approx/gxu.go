@@ -91,26 +91,23 @@ func (pr *gxuProto) CloneProtocol() sim.Protocol {
 	return &gxuProto{core: pr.clone()}
 }
 
-// NewThreshold creates a gxu-threshold counter over n processors.
-func NewThreshold(n int, opts ...Option) *Counter {
-	cfg := newConfig(DefaultEpsilonThreshold, opts)
-	pr := &gxuProto{core: newCore(n, cfg.eps, cfg.warmup)}
-	return newCounter("gxu-threshold", cfg, n, pr)
+// Machine implements counter.Describer.
+func (pr *gxuProto) Machine() counter.Machine {
+	return pr.machine("gxu-threshold", pr, pr.initiate)
+}
+
+func newGXUProto(n int, cfg config) *gxuProto {
+	return &gxuProto{core: newCore(n, cfg.eps, cfg.warmup)}
 }
 
 // NewThresholdMachine returns the backend-independent descriptor of the
-// gxu-threshold counter. Per-site state is confined to each site's own
-// execution context and coordinator state to the coordinator's, so
-// handlers may run concurrently per processor.
+// gxu-threshold counter over n processors — what both backends run.
 func NewThresholdMachine(n int, opts ...Option) counter.Machine {
+	return newGXUProto(n, newConfig(DefaultEpsilonThreshold, opts)).Machine()
+}
+
+// NewThreshold creates a gxu-threshold counter over n simulated processors.
+func NewThreshold(n int, opts ...Option) *Counter {
 	cfg := newConfig(DefaultEpsilonThreshold, opts)
-	pr := &gxuProto{core: newCore(n, cfg.eps, cfg.warmup)}
-	return counter.Machine{
-		Name:      "gxu-threshold",
-		N:         n,
-		Proto:     pr,
-		Initiate:  pr.initiate,
-		Value:     pr.ops.Take,
-		Guarantee: counter.Approx(cfg.eps),
-	}
+	return onSim(newGXUProto(n, cfg).Machine(), cfg)
 }

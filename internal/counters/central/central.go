@@ -30,6 +30,7 @@ func (valPayload) Kind() string { return "value" }
 // initiators keep only their in-flight operation entry in the shared op
 // table.
 type proto struct {
+	n      int
 	holder sim.ProcID
 	val    int
 
@@ -68,17 +69,26 @@ func (pr *proto) CloneProtocol() sim.Protocol {
 	return &cp
 }
 
-// Counter is the centralized counter.
-type Counter struct {
-	net   *sim.Network
-	proto *proto
-	start func(sim.Transport, sim.ProcID)
+// Machine implements counter.Describer. The counter value is confined to
+// the holder's execution context, so handlers may run concurrently per
+// processor; the holder is a single serialization point, so values respect
+// real-time order.
+func (pr *proto) Machine() counter.Machine {
+	return counter.Machine{
+		Name:      "central",
+		N:         pr.n,
+		Proto:     pr,
+		Initiate:  pr.initiate,
+		Value:     pr.ops.Take,
+		Guarantee: counter.Exact(counter.Linearizable),
+	}
 }
 
-var (
-	_ counter.Cloneable = (*Counter)(nil)
-	_ counter.Valued    = (*Counter)(nil)
-)
+// Counter is the centralized counter on the simulator.
+type Counter struct {
+	*counter.Sim
+	proto *proto
+}
 
 // Option configures the counter.
 type Option func(*config)
@@ -93,86 +103,32 @@ func WithHolder(p sim.ProcID) Option {
 	return func(c *config) { c.holder = p }
 }
 
-// WithSimOptions forwards options to the underlying network.
+// WithSimOptions forwards options to the underlying network; NewMachine
+// ignores them (they configure a network, not the protocol).
 func WithSimOptions(opts ...sim.Option) Option {
 	return func(c *config) { c.simOpts = append(c.simOpts, opts...) }
 }
 
-// New creates a centralized counter over n processors.
-func New(n int, opts ...Option) *Counter {
+func build(n int, opts []Option) (*proto, []sim.Option) {
 	cfg := config{holder: 1}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	pr := &proto{holder: cfg.holder, ops: counter.NewOps[struct{}, int]()}
-	return &Counter{
-		net:   sim.New(n, pr, cfg.simOpts...),
-		proto: pr,
-	}
+	return &proto{n: n, holder: cfg.holder, ops: counter.NewOps[struct{}, int]()}, cfg.simOpts
 }
 
 // NewMachine returns the backend-independent protocol descriptor for n
-// processors, for running the algorithm on a non-simulator transport
-// (internal/rt). The counter value is confined to the holder's execution
-// context, so handlers may run concurrently per processor.
+// processors — what both backends run.
 func NewMachine(n int, opts ...Option) counter.Machine {
-	cfg := config{holder: 1}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	pr := &proto{holder: cfg.holder, ops: counter.NewOps[struct{}, int]()}
-	return counter.Machine{
-		Name:      "central",
-		N:         n,
-		Proto:     pr,
-		Initiate:  pr.initiate,
-		Value:     pr.ops.Take,
-		Guarantee: counter.Exact(counter.Linearizable),
-	}
+	pr, _ := build(n, opts)
+	return pr.Machine()
 }
 
-// Name implements counter.Counter.
-func (c *Counter) Name() string { return "central" }
-
-// N implements counter.Counter.
-func (c *Counter) N() int { return c.net.N() }
-
-// Net implements counter.Counter.
-func (c *Counter) Net() *sim.Network { return c.net }
+// New creates a centralized counter over n simulated processors.
+func New(n int, opts ...Option) *Counter {
+	pr, simOpts := build(n, opts)
+	return &Counter{Sim: counter.OnSim(pr.Machine(), simOpts...), proto: pr}
+}
 
 // Holder returns the processor storing the counter value.
 func (c *Counter) Holder() sim.ProcID { return c.proto.holder }
-
-// Inc implements counter.Counter.
-func (c *Counter) Inc(p sim.ProcID) (int, error) {
-	return counter.RunInc(c, p)
-}
-
-// Start implements counter.Async: it schedules p's operation without
-// running the network. The holder serves each request independently and
-// assigns values atomically in request-arrival order, so the counter stays
-// linearizable under concurrency.
-func (c *Counter) Start(at int64, p sim.ProcID) sim.OpID {
-	if c.start == nil {
-		// Cache the bound method value: a fresh one per operation is a heap
-		// allocation on the hot path.
-		c.start = c.proto.initiate
-	}
-	return c.net.ScheduleOp(at, p, c.start)
-}
-
-// OpValue implements counter.Valued.
-func (c *Counter) OpValue(id sim.OpID) (int, bool) { return c.proto.ops.Take(id) }
-
-// Guarantee implements counter.Valued: the holder is a single
-// serialization point, so values respect real-time order.
-func (c *Counter) Guarantee() counter.Guarantee { return counter.Exact(counter.Linearizable) }
-
-// Clone implements counter.Cloneable.
-func (c *Counter) Clone() (counter.Counter, error) {
-	net, err := c.net.Clone()
-	if err != nil {
-		return nil, err
-	}
-	return &Counter{net: net, proto: net.Protocol().(*proto)}, nil
-}

@@ -61,8 +61,9 @@ type balancer struct {
 }
 
 type proto struct {
-	n, width  int
-	balancers []balancer
+	n, width     int
+	construction Construction
+	balancers    []balancer
 	// stageWire[s][w] is the balancer index handling wire w in stage s.
 	stageWire [][]int
 	// wireCount[w] is the next value output wire w will hand out.
@@ -106,10 +107,11 @@ func newProto(n, width int, construction Construction) *proto {
 		panic(fmt.Sprintf("cnet: width %d must be a power of two >= 2", width))
 	}
 	pr := &proto{
-		n:         n,
-		width:     width,
-		wireCount: make([]int, width),
-		ops:       counter.NewOps[struct{}, int](),
+		n:            n,
+		width:        width,
+		construction: construction,
+		wireCount:    make([]int, width),
+		ops:          counter.NewOps[struct{}, int](),
 	}
 	for w := 0; w < width; w++ {
 		pr.wireCount[w] = w
@@ -250,18 +252,26 @@ func (pr *proto) CloneProtocol() sim.Protocol {
 	return &cp
 }
 
-// Counter is the counting-network counter.
-type Counter struct {
-	net          *sim.Network
-	proto        *proto
-	start        func(sim.Transport, sim.ProcID)
-	construction Construction
+// Machine implements counter.Describer. Each balancer's toggle lives at its
+// host processor and each output wire's count at its owner, so handlers may
+// run concurrently per processor. Quiescent: the step property guarantees
+// exactly-once values under any schedule, but — famously — not real-time
+// order (Herlihy/Shavit/Waarts), which experiment E13 demonstrates against
+// the paper's tree counter.
+func (pr *proto) Machine() counter.Machine {
+	name := "cnet"
+	if pr.construction == Periodic {
+		name = "cnet-periodic"
+	}
+	return counter.Machine{
+		Name:      name,
+		N:         pr.n,
+		Proto:     pr,
+		Initiate:  pr.initiate,
+		Value:     pr.ops.Take,
+		Guarantee: counter.Exact(counter.Quiescent),
+	}
 }
-
-var (
-	_ counter.Cloneable = (*Counter)(nil)
-	_ counter.Valued    = (*Counter)(nil)
-)
 
 // Option configures the counter.
 type Option func(*cfg)
@@ -283,73 +293,47 @@ func WithConstruction(con Construction) Option {
 	return func(c *cfg) { c.construction = con }
 }
 
-// WithSimOptions forwards options to the underlying network.
+// WithSimOptions forwards options to the underlying network; NewMachine
+// ignores them (they configure a network, not the protocol).
 func WithSimOptions(opts ...sim.Option) Option {
 	return func(c *cfg) { c.simOpts = append(c.simOpts, opts...) }
 }
 
-// New creates a counting-network counter over n processors.
-func New(n int, opts ...Option) *Counter {
-	cfg := cfg{construction: Bitonic}
+func build(n int, opts []Option) (*proto, []sim.Option) {
+	c := cfg{construction: Bitonic}
 	for _, o := range opts {
-		o(&cfg)
+		o(&c)
 	}
-	if cfg.width == 0 {
-		cfg.width = 2
-		for cfg.width < n && cfg.width < 16 {
-			cfg.width <<= 1
+	if c.width == 0 {
+		c.width = 2
+		for c.width < n && c.width < 16 {
+			c.width <<= 1
 		}
 	}
-	pr := newProto(n, cfg.width, cfg.construction)
-	return &Counter{net: sim.New(n, pr, cfg.simOpts...), proto: pr, construction: cfg.construction}
+	return newProto(n, c.width, c.construction), c.simOpts
 }
 
 // NewMachine returns the backend-independent protocol descriptor for n
-// processors (sim options in opts are ignored). Each balancer's toggle lives
-// at its host processor and each output wire's count at its owner, so
-// handlers may run concurrently per processor.
+// processors — what both backends run.
 func NewMachine(n int, opts ...Option) counter.Machine {
-	cfg := cfg{construction: Bitonic}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.width == 0 {
-		cfg.width = 2
-		for cfg.width < n && cfg.width < 16 {
-			cfg.width <<= 1
-		}
-	}
-	pr := newProto(n, cfg.width, cfg.construction)
-	name := "cnet"
-	if cfg.construction == Periodic {
-		name = "cnet-periodic"
-	}
-	return counter.Machine{
-		Name:      name,
-		N:         n,
-		Proto:     pr,
-		Initiate:  pr.initiate,
-		Value:     pr.ops.Take,
-		Guarantee: counter.Exact(counter.Quiescent),
-	}
+	pr, _ := build(n, opts)
+	return pr.Machine()
 }
 
-// Name implements counter.Counter.
-func (c *Counter) Name() string {
-	if c.construction == Periodic {
-		return "cnet-periodic"
-	}
-	return "cnet"
+// Counter is the counting-network counter on the simulator.
+type Counter struct {
+	*counter.Sim
+	proto *proto
+}
+
+// New creates a counting-network counter over n simulated processors.
+func New(n int, opts ...Option) *Counter {
+	pr, simOpts := build(n, opts)
+	return &Counter{Sim: counter.OnSim(pr.Machine(), simOpts...), proto: pr}
 }
 
 // Construction returns the network topology in use.
-func (c *Counter) Construction() Construction { return c.construction }
-
-// N implements counter.Counter.
-func (c *Counter) N() int { return c.net.N() }
-
-// Net implements counter.Counter.
-func (c *Counter) Net() *sim.Network { return c.net }
+func (c *Counter) Construction() Construction { return c.proto.construction }
 
 // Width returns the network width.
 func (c *Counter) Width() int { return c.proto.width }
@@ -371,44 +355,9 @@ func (c *Counter) WireCounts() []int {
 	return out
 }
 
-// Inc implements counter.Counter (sequential mode).
-func (c *Counter) Inc(p sim.ProcID) (int, error) {
-	return counter.RunInc(c, p)
-}
-
-// Start begins p's operation without draining the network (the concurrent
-// regime); read the value with ValueOf after the network quiesces. The
-// counting network is quiescently consistent but — famously — NOT
-// linearizable under concurrency (Herlihy/Shavit/Waarts), which experiment
-// E13 demonstrates against the paper's tree counter.
-func (c *Counter) Start(at int64, p sim.ProcID) sim.OpID {
-	if c.start == nil {
-		// Cache the bound method value: a fresh one per operation is a heap
-		// allocation on the hot path.
-		c.start = c.proto.initiate
-	}
-	return c.net.ScheduleOp(at, p, c.start)
-}
-
 // ValueOf returns the value delivered to p's last *completed* operation;
 // ok is false between an operation's initiation and its completion. A
 // Start scheduled in the future resets the flag only when it initiates.
 func (c *Counter) ValueOf(p sim.ProcID) (int, bool) {
 	return c.proto.ops.Last(p)
-}
-
-// OpValue implements counter.Valued.
-func (c *Counter) OpValue(id sim.OpID) (int, bool) { return c.proto.ops.Take(id) }
-
-// Guarantee implements counter.Valued: the step property guarantees
-// exactly-once values under any schedule, but not real-time order [HSW].
-func (c *Counter) Guarantee() counter.Guarantee { return counter.Exact(counter.Quiescent) }
-
-// Clone implements counter.Cloneable.
-func (c *Counter) Clone() (counter.Counter, error) {
-	net, err := c.net.Clone()
-	if err != nil {
-		return nil, err
-	}
-	return &Counter{net: net, proto: net.Protocol().(*proto), construction: c.construction}, nil
 }

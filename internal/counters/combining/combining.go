@@ -284,17 +284,22 @@ func (pr *proto) CloneProtocol() sim.Protocol {
 	return &cp
 }
 
-// Counter is the combining-tree counter.
-type Counter struct {
-	net   *sim.Network
-	proto *proto
-	start func(sim.Transport, sim.ProcID)
+// Machine implements counter.Describer. Each inner node's batch state lives
+// at its host processor, so handlers may run concurrently per processor.
+// Linearizable: the root assigns value ranges to batches in arrival order,
+// and an operation joins only batches that close after it started, so values
+// respect real-time order — combining keeps linearizability while removing
+// the root's message hot spot.
+func (pr *proto) Machine() counter.Machine {
+	return counter.Machine{
+		Name:      "combining",
+		N:         pr.n,
+		Proto:     pr,
+		Initiate:  pr.initiate,
+		Value:     pr.ops.Take,
+		Guarantee: counter.Exact(counter.Linearizable),
+	}
 }
-
-var (
-	_ counter.Cloneable = (*Counter)(nil)
-	_ counter.Valued    = (*Counter)(nil)
-)
 
 // Option configures the counter.
 type Option func(*cfg)
@@ -313,49 +318,38 @@ func WithWindow(w int64) Option {
 	return func(c *cfg) { c.window = w }
 }
 
-// WithSimOptions forwards options to the underlying network.
+// WithSimOptions forwards options to the underlying network; NewMachine
+// ignores them (they configure a network, not the protocol).
 func WithSimOptions(opts ...sim.Option) Option {
 	return func(c *cfg) { c.simOpts = append(c.simOpts, opts...) }
 }
 
-// New creates a combining-tree counter over n processors.
-func New(n int, opts ...Option) *Counter {
+func build(n int, opts []Option) (*proto, []sim.Option) {
 	var c cfg
 	for _, o := range opts {
 		o(&c)
 	}
-	pr := newProto(n, c.window)
-	return &Counter{net: sim.New(n, pr, c.simOpts...), proto: pr}
+	return newProto(n, c.window), c.simOpts
 }
 
 // NewMachine returns the backend-independent protocol descriptor for n
-// processors (sim options in opts are ignored — they configure a network,
-// not the protocol). Each inner node's batch state lives at its host
-// processor, so handlers may run concurrently per processor.
+// processors — what both backends run.
 func NewMachine(n int, opts ...Option) counter.Machine {
-	var c cfg
-	for _, o := range opts {
-		o(&c)
-	}
-	pr := newProto(n, c.window)
-	return counter.Machine{
-		Name:      "combining",
-		N:         n,
-		Proto:     pr,
-		Initiate:  pr.initiate,
-		Value:     pr.ops.Take,
-		Guarantee: counter.Exact(counter.Linearizable),
-	}
+	pr, _ := build(n, opts)
+	return pr.Machine()
 }
 
-// Name implements counter.Counter.
-func (c *Counter) Name() string { return "combining" }
+// Counter is the combining-tree counter on the simulator.
+type Counter struct {
+	*counter.Sim
+	proto *proto
+}
 
-// N implements counter.Counter.
-func (c *Counter) N() int { return c.net.N() }
-
-// Net implements counter.Counter.
-func (c *Counter) Net() *sim.Network { return c.net }
+// New creates a combining-tree counter over n simulated processors.
+func New(n int, opts ...Option) *Counter {
+	pr, simOpts := build(n, opts)
+	return &Counter{Sim: counter.OnSim(pr.Machine(), simOpts...), proto: pr}
+}
 
 // Combined returns how many requests merged into an open window so far.
 func (c *Counter) Combined() int64 { return atomic.LoadInt64(&c.proto.combined) }
@@ -369,44 +363,9 @@ func (c *Counter) RootHost() sim.ProcID {
 	return c.proto.nodes[0].host
 }
 
-// Inc implements counter.Counter (sequential mode).
-func (c *Counter) Inc(p sim.ProcID) (int, error) {
-	return counter.RunInc(c, p)
-}
-
-// Start begins p's operation without running the network; used by the
-// concurrent experiments, which schedule many operations and then run the
-// network once. The assigned value is available from ValueOf after the
-// network quiesces.
-func (c *Counter) Start(at int64, p sim.ProcID) sim.OpID {
-	if c.start == nil {
-		// Cache the bound method value: a fresh one per operation is a heap
-		// allocation on the hot path.
-		c.start = c.proto.initiate
-	}
-	return c.net.ScheduleOp(at, p, c.start)
-}
-
 // ValueOf returns the value delivered to p's last operation; ok is false if
-// none was delivered.
+// none was delivered. The concurrent experiments schedule many operations
+// with Start, run the network once, and read the values back with it.
 func (c *Counter) ValueOf(p sim.ProcID) (int, bool) {
 	return c.proto.ops.Last(p)
-}
-
-// OpValue implements counter.Valued.
-func (c *Counter) OpValue(id sim.OpID) (int, bool) { return c.proto.ops.Take(id) }
-
-// Guarantee implements counter.Valued: the root assigns value ranges to
-// batches in arrival order, and an operation joins only batches that close
-// after it started, so values respect real-time order — combining keeps
-// linearizability while removing the root's message hot spot.
-func (c *Counter) Guarantee() counter.Guarantee { return counter.Exact(counter.Linearizable) }
-
-// Clone implements counter.Cloneable.
-func (c *Counter) Clone() (counter.Counter, error) {
-	net, err := c.net.Clone()
-	if err != nil {
-		return nil, err
-	}
-	return &Counter{net: net, proto: net.Protocol().(*proto)}, nil
 }

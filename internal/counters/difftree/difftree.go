@@ -231,17 +231,22 @@ func (pr *proto) CloneProtocol() sim.Protocol {
 	return &cp
 }
 
-// Counter is the diffracting-tree counter.
-type Counter struct {
-	net   *sim.Network
-	proto *proto
-	start func(sim.Transport, sim.ProcID)
+// Machine implements counter.Describer. Each inner node's toggle and prism
+// live at its host processor and each leaf counter at its owner, so handlers
+// may run concurrently per processor. Quiescent: like the counting network,
+// the tree of toggles (with or without diffraction) preserves the step
+// property under any schedule, but a token stalled before its leaf counter
+// can be overtaken, so real-time order is not guaranteed.
+func (pr *proto) Machine() counter.Machine {
+	return counter.Machine{
+		Name:      "difftree",
+		N:         pr.n,
+		Proto:     pr,
+		Initiate:  pr.initiate,
+		Value:     pr.ops.Take,
+		Guarantee: counter.Exact(counter.Quiescent),
+	}
 }
-
-var (
-	_ counter.Cloneable = (*Counter)(nil)
-	_ counter.Valued    = (*Counter)(nil)
-)
 
 // Option configures the counter.
 type Option func(*cfg)
@@ -267,13 +272,13 @@ func WithWindow(w int64) Option {
 	return func(c *cfg) { c.window = w }
 }
 
-// WithSimOptions forwards options to the underlying network.
+// WithSimOptions forwards options to the underlying network; NewMachine
+// ignores them (they configure a network, not the protocol).
 func WithSimOptions(opts ...sim.Option) Option {
 	return func(c *cfg) { c.simOpts = append(c.simOpts, opts...) }
 }
 
-// New creates a diffracting-tree counter over n processors.
-func New(n int, opts ...Option) *Counter {
+func build(n int, opts []Option) (*proto, []sim.Option) {
 	var c cfg
 	for _, o := range opts {
 		o(&c)
@@ -284,44 +289,27 @@ func New(n int, opts ...Option) *Counter {
 			c.width <<= 1
 		}
 	}
-	pr := newProto(n, c.width, c.window)
-	return &Counter{net: sim.New(n, pr, c.simOpts...), proto: pr}
+	return newProto(n, c.width, c.window), c.simOpts
 }
 
 // NewMachine returns the backend-independent protocol descriptor for n
-// processors (sim options in opts are ignored). Each inner node's toggle and
-// prism live at its host processor and each leaf counter at its owner, so
-// handlers may run concurrently per processor.
+// processors — what both backends run.
 func NewMachine(n int, opts ...Option) counter.Machine {
-	var c cfg
-	for _, o := range opts {
-		o(&c)
-	}
-	if c.width == 0 {
-		c.width = 2
-		for c.width < n && c.width < 8 {
-			c.width <<= 1
-		}
-	}
-	pr := newProto(n, c.width, c.window)
-	return counter.Machine{
-		Name:      "difftree",
-		N:         n,
-		Proto:     pr,
-		Initiate:  pr.initiate,
-		Value:     pr.ops.Take,
-		Guarantee: counter.Exact(counter.Quiescent),
-	}
+	pr, _ := build(n, opts)
+	return pr.Machine()
 }
 
-// Name implements counter.Counter.
-func (c *Counter) Name() string { return "difftree" }
+// Counter is the diffracting-tree counter on the simulator.
+type Counter struct {
+	*counter.Sim
+	proto *proto
+}
 
-// N implements counter.Counter.
-func (c *Counter) N() int { return c.net.N() }
-
-// Net implements counter.Counter.
-func (c *Counter) Net() *sim.Network { return c.net }
+// New creates a diffracting-tree counter over n simulated processors.
+func New(n int, opts ...Option) *Counter {
+	pr, simOpts := build(n, opts)
+	return &Counter{Sim: counter.OnSim(pr.Machine(), simOpts...), proto: pr}
+}
 
 // Width returns the number of leaf counters.
 func (c *Counter) Width() int { return c.proto.width }
@@ -336,41 +324,8 @@ func (c *Counter) RootToggles() int64 { return c.proto.toggles[1] }
 // RootHost returns the processor hosting the root node.
 func (c *Counter) RootHost() sim.ProcID { return c.proto.nodes[1].host }
 
-// Inc implements counter.Counter (sequential mode).
-func (c *Counter) Inc(p sim.ProcID) (int, error) {
-	return counter.RunInc(c, p)
-}
-
-// Start begins p's operation without draining the network (concurrent
-// experiments); read the result with ValueOf after the network quiesces.
-func (c *Counter) Start(at int64, p sim.ProcID) sim.OpID {
-	if c.start == nil {
-		// Cache the bound method value: a fresh one per operation is a heap
-		// allocation on the hot path.
-		c.start = c.proto.initiate
-	}
-	return c.net.ScheduleOp(at, p, c.start)
-}
-
-// ValueOf returns the value delivered to p's last operation.
+// ValueOf returns the value delivered to p's last operation; the concurrent
+// experiments read it after the network quiesces.
 func (c *Counter) ValueOf(p sim.ProcID) (int, bool) {
 	return c.proto.ops.Last(p)
-}
-
-// OpValue implements counter.Valued.
-func (c *Counter) OpValue(id sim.OpID) (int, bool) { return c.proto.ops.Take(id) }
-
-// Guarantee implements counter.Valued: like the counting network, the
-// tree of toggles (with or without diffraction) preserves the step property
-// under any schedule but a token stalled before its leaf counter can be
-// overtaken, so real-time order is not guaranteed.
-func (c *Counter) Guarantee() counter.Guarantee { return counter.Exact(counter.Quiescent) }
-
-// Clone implements counter.Cloneable.
-func (c *Counter) Clone() (counter.Counter, error) {
-	net, err := c.net.Clone()
-	if err != nil {
-		return nil, err
-	}
-	return &Counter{net: net, proto: net.Protocol().(*proto)}, nil
 }

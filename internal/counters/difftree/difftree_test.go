@@ -135,7 +135,7 @@ func TestParkedTokenSurvivesClone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, err := cl.(*Counter).Inc(4); err != nil || v != 1 {
+	if v, err := cl.Inc(4); err != nil || v != 1 {
 		t.Fatalf("clone Inc = (%d, %v), want (1, nil)", v, err)
 	}
 }

@@ -172,50 +172,15 @@ func (pr *proto) CloneProtocol() sim.Protocol {
 	return &cp
 }
 
-// Counter is the quorum-replicated counter.
-type Counter struct {
-	net   *sim.Network
-	proto *proto
-	start func(sim.Transport, sim.ProcID)
-	name  string
-}
-
-var (
-	_ counter.Cloneable = (*Counter)(nil)
-	_ counter.Valued    = (*Counter)(nil)
-)
-
-// New creates a counter over sys.N() processors using the given quorum
-// system. The replica of processor 1 starts at (0, 0); all replicas start
-// identical, so the first read observes version 0 everywhere.
-func New(sys quorum.System, simOpts ...sim.Option) *Counter {
-	pr := &proto{
-		sys:      sys,
-		replicas: make([]replica, sys.N()+1),
-		localOps: make([]int, sys.N()+1),
-		ops:      counter.NewOps[opState, int](),
-	}
-	return &Counter{
-		net:   sim.New(sys.N(), pr, simOpts...),
-		proto: pr,
-		name:  "quorum-" + sys.Name(),
-	}
-}
-
-// NewMachine returns the backend-independent protocol descriptor over the
-// given quorum system. Replica i and the rotation count of initiator i are
-// only ever touched in processor i's execution context, so handlers may run
-// concurrently per processor.
-func NewMachine(sys quorum.System) counter.Machine {
-	pr := &proto{
-		sys:      sys,
-		replicas: make([]replica, sys.N()+1),
-		localOps: make([]int, sys.N()+1),
-		ops:      counter.NewOps[opState, int](),
-	}
+// Machine implements counter.Describer. Replica i and the rotation count of
+// initiator i are only ever touched in processor i's execution context, so
+// handlers may run concurrently per processor. Sequential-only: replicated
+// read/write quorums cannot make the read-increment-write atomic, so
+// overlapping operations may duplicate values (see the package comment).
+func (pr *proto) Machine() counter.Machine {
 	return counter.Machine{
-		Name:      "quorum-" + sys.Name(),
-		N:         sys.N(),
+		Name:      "quorum-" + pr.sys.Name(),
+		N:         pr.sys.N(),
 		Proto:     pr,
 		Initiate:  pr.initiate,
 		Value:     pr.ops.Take,
@@ -223,49 +188,33 @@ func NewMachine(sys quorum.System) counter.Machine {
 	}
 }
 
-// Name implements counter.Counter.
-func (c *Counter) Name() string { return c.name }
+// newProto builds the replicas over sys.N() processors. All replicas start
+// identical at (0, 0), so the first read observes version 0 everywhere.
+func newProto(sys quorum.System) *proto {
+	return &proto{
+		sys:      sys,
+		replicas: make([]replica, sys.N()+1),
+		localOps: make([]int, sys.N()+1),
+		ops:      counter.NewOps[opState, int](),
+	}
+}
 
-// N implements counter.Counter.
-func (c *Counter) N() int { return c.net.N() }
+// NewMachine returns the backend-independent protocol descriptor over the
+// given quorum system — what both backends run.
+func NewMachine(sys quorum.System) counter.Machine { return newProto(sys).Machine() }
 
-// Net implements counter.Counter.
-func (c *Counter) Net() *sim.Network { return c.net }
+// Counter is the quorum-replicated counter on the simulator.
+type Counter struct {
+	*counter.Sim
+	proto *proto
+}
+
+// New creates a counter over sys.N() simulated processors using the given
+// quorum system.
+func New(sys quorum.System, simOpts ...sim.Option) *Counter {
+	pr := newProto(sys)
+	return &Counter{Sim: counter.OnSim(pr.Machine(), simOpts...), proto: pr}
+}
 
 // System returns the underlying quorum system.
 func (c *Counter) System() quorum.System { return c.proto.sys }
-
-// Inc implements counter.Counter.
-func (c *Counter) Inc(p sim.ProcID) (int, error) {
-	return counter.RunInc(c, p)
-}
-
-// Start implements counter.Async: it schedules p's operation without
-// running the network. Each initiator owns its probe state, so operations
-// from distinct initiators proceed independently; see the package comment
-// for what concurrency does to value uniqueness.
-func (c *Counter) Start(at int64, p sim.ProcID) sim.OpID {
-	if c.start == nil {
-		// Cache the bound method value: a fresh one per operation is a heap
-		// allocation on the hot path.
-		c.start = c.proto.initiate
-	}
-	return c.net.ScheduleOp(at, p, c.start)
-}
-
-// OpValue implements counter.Valued.
-func (c *Counter) OpValue(id sim.OpID) (int, bool) { return c.proto.ops.Take(id) }
-
-// Guarantee implements counter.Valued: replicated read/write quorums
-// cannot make the read-increment-write atomic, so overlapping operations
-// may duplicate values — the counter is sequentially correct only.
-func (c *Counter) Guarantee() counter.Guarantee { return counter.Exact(counter.SequentialOnly) }
-
-// Clone implements counter.Cloneable.
-func (c *Counter) Clone() (counter.Counter, error) {
-	net, err := c.net.Clone()
-	if err != nil {
-		return nil, err
-	}
-	return &Counter{net: net, proto: net.Protocol().(*proto), name: c.name}, nil
-}

@@ -101,33 +101,17 @@ func (pr *proto) CloneProtocol() sim.Protocol {
 	return &cp
 }
 
-// Counter is the token-ring counter.
-type Counter struct {
-	net   *sim.Network
-	proto *proto
-	start func(sim.Transport, sim.ProcID)
-}
-
-var (
-	_ counter.Cloneable = (*Counter)(nil)
-	_ counter.Valued    = (*Counter)(nil)
-)
-
-// New creates a token-ring counter over n processors; processor 1 initially
-// holds the token and the value 0.
-func New(n int, simOpts ...sim.Option) *Counter {
-	pr := &proto{n: n, holder: 1, ops: counter.NewOps[struct{}, int]()}
-	return &Counter{net: sim.New(n, pr, simOpts...), proto: pr}
-}
-
-// NewMachine returns the backend-independent protocol descriptor for n
-// processors. Serial: initiate reads the current holder, which every token
-// landing rewrites, so the rt backend must serialize all callbacks.
-func NewMachine(n int) counter.Machine {
-	pr := &proto{n: n, holder: 1, ops: counter.NewOps[struct{}, int]()}
+// Machine implements counter.Describer. Serial: initiate reads the current
+// holder, which every token landing rewrites, so the rt backend must
+// serialize all callbacks. Sequential-only: under concurrency the holder may
+// release the token toward several destinations before any of them lands, so
+// values can duplicate — every token copy still terminates at its
+// destination, and the hop-by-hop load profile remains the quantity of
+// interest for workload studies.
+func (pr *proto) Machine() counter.Machine {
 	return counter.Machine{
 		Name:      "tokenring",
-		N:         n,
+		N:         pr.n,
 		Proto:     pr,
 		Initiate:  pr.initiate,
 		Value:     pr.ops.Take,
@@ -136,51 +120,27 @@ func NewMachine(n int) counter.Machine {
 	}
 }
 
-// Name implements counter.Counter.
-func (c *Counter) Name() string { return "tokenring" }
+// newProto builds the ring: processor 1 initially holds the token and the
+// value 0.
+func newProto(n int) *proto {
+	return &proto{n: n, holder: 1, ops: counter.NewOps[struct{}, int]()}
+}
 
-// N implements counter.Counter.
-func (c *Counter) N() int { return c.net.N() }
+// NewMachine returns the backend-independent protocol descriptor for n
+// processors — what both backends run.
+func NewMachine(n int) counter.Machine { return newProto(n).Machine() }
 
-// Net implements counter.Counter.
-func (c *Counter) Net() *sim.Network { return c.net }
+// Counter is the token-ring counter on the simulator.
+type Counter struct {
+	*counter.Sim
+	proto *proto
+}
+
+// New creates a token-ring counter over n simulated processors.
+func New(n int, simOpts ...sim.Option) *Counter {
+	pr := newProto(n)
+	return &Counter{Sim: counter.OnSim(pr.Machine(), simOpts...), proto: pr}
+}
 
 // Holder returns the current token holder.
 func (c *Counter) Holder() sim.ProcID { return c.proto.holder }
-
-// Inc implements counter.Counter.
-func (c *Counter) Inc(p sim.ProcID) (int, error) {
-	return counter.RunInc(c, p)
-}
-
-// Start implements counter.Async: it schedules p's operation without
-// running the network. Under concurrency the holder may release the token
-// toward several destinations before any of them lands, so values can
-// duplicate — the ring is inherently sequential — but every token copy
-// still terminates at its destination and the hop-by-hop load profile
-// remains the quantity of interest for workload studies.
-func (c *Counter) Start(at int64, p sim.ProcID) sim.OpID {
-	if c.start == nil {
-		// Cache the bound method value: a fresh one per operation is a heap
-		// allocation on the hot path.
-		c.start = c.proto.initiate
-	}
-	return c.net.ScheduleOp(at, p, c.start)
-}
-
-// OpValue implements counter.Valued.
-func (c *Counter) OpValue(id sim.OpID) (int, bool) { return c.proto.ops.Take(id) }
-
-// Guarantee implements counter.Valued: the ring is correct only in the
-// sequential model — the engine's verification measures its duplicate
-// values under concurrency rather than claiming a property it lacks.
-func (c *Counter) Guarantee() counter.Guarantee { return counter.Exact(counter.SequentialOnly) }
-
-// Clone implements counter.Cloneable.
-func (c *Counter) Clone() (counter.Counter, error) {
-	net, err := c.net.Clone()
-	if err != nil {
-		return nil, err
-	}
-	return &Counter{net: net, proto: net.Protocol().(*proto)}, nil
-}

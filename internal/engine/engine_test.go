@@ -258,7 +258,9 @@ func TestLatencyIncludesQueueing(t *testing.T) {
 // for), and merged operations' latencies cover their real round trip —
 // they are not marked complete at the merge point.
 func TestCombiningActuallyCombines(t *testing.T) {
-	c := mustAsync(t, "combining", 16)
+	// Built directly, in the registry's concurrent regime: the Combined
+	// readout lives on the typed handle, not on a registry-built counter.
+	c := combining.New(16, combining.WithWindow(registry.DefaultWindow))
 	order := make([]sim.ProcID, 64)
 	for i := range order {
 		order[i] = sim.ProcID(i%16 + 1)
@@ -267,11 +269,7 @@ func TestCombiningActuallyCombines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cb, ok := c.(*combining.Counter)
-	if !ok {
-		t.Fatalf("combining counter has type %T", c)
-	}
-	if cb.Combined() == 0 {
+	if c.Combined() == 0 {
 		t.Fatal("no requests combined despite simultaneous arrivals and a window")
 	}
 	// A merged op still has to wait for the batch round trip: its latency
@@ -292,7 +290,7 @@ func TestCombiningActuallyCombines(t *testing.T) {
 // TestDifftreeActuallyDiffracts: the async diffracting tree pairs tokens
 // in its prisms under concurrent load.
 func TestDifftreeActuallyDiffracts(t *testing.T) {
-	c := mustAsync(t, "difftree", 16)
+	c := difftree.New(16, difftree.WithWindow(registry.DefaultWindow))
 	order := make([]sim.ProcID, 64)
 	for i := range order {
 		order[i] = sim.ProcID(i%16 + 1)
@@ -301,8 +299,7 @@ func TestDifftreeActuallyDiffracts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dt := c.(*difftree.Counter)
-	if dt.Diffracted() == 0 {
+	if c.Diffracted() == 0 {
 		t.Fatal("no tokens diffracted despite simultaneous arrivals and a window")
 	}
 	if res.Ops != 64 {

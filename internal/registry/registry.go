@@ -2,20 +2,21 @@
 // implementation in the repository, used by the command-line tools and the
 // experiment harness to iterate over algorithms uniformly.
 //
-// There is one factory path: every registered algorithm builds as a
-// counter.Async (all implementations keep per-initiator operation state via
-// counter.Ops), and a single Config selects the construction regime —
-// sequential (combining/diffraction windows closed, ctree lemma
-// instrumentation on) or concurrent (windows open so request merging
-// engages, instrumentation off because its per-operation accounting assumes
-// the paper's sequential model). NewWith(name, n, Concurrent()) and
-// NewWith(name, n, Sequential()) are the two idiomatic calls; New is the
-// sequential shorthand kept for the paper-model tools.
+// There is one construction path. Every registered algorithm is one table
+// row holding one closure that builds its counter.Machine — the
+// backend-independent protocol — and NewWith hands that machine to the
+// backend the Config names: counter.OnSim for the simulator, rt.New for the
+// goroutine runtime. A protocol on rt is therefore by construction the
+// protocol on sim. The Config selects the construction regime — sequential
+// (combining/diffraction windows closed) or concurrent (windows open so
+// request merging engages); NewWith(name, n, Concurrent()) and
+// NewWith(name, n, Sequential()) are the two idiomatic calls, and New is
+// the sequential shorthand kept for the paper-model tools. Either regime's
+// counter supports both Inc and Start.
 package registry
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"distcount/internal/core"
@@ -41,19 +42,14 @@ type Config struct {
 	// window). Zero keeps the windows closed — the sequential regime, in
 	// which nothing ever merges.
 	Window int64
-	// Checks enables the ctree lemma instrumentation, whose per-operation
-	// windows assume the sequential model; concurrent construction must
-	// leave it off.
-	Checks bool
 	// SimOpts are forwarded to the underlying network.
 	SimOpts []sim.Option
 	// Backend selects the execution backend: "" or "sim" builds the
 	// discrete-event simulator (deterministic, simulated time); "rt" builds
 	// the goroutine-per-processor real-hardware runtime (internal/rt),
 	// which runs the identical protocol state machine on real cores with
-	// wall-clock time. The rt backend ignores SimOpts and Checks (the ctree
-	// lemma instrumentation assumes the sequential simulated model); its
-	// analogs of the service-time options are RTService and RTTick.
+	// wall-clock time. The rt backend ignores SimOpts; its analogs of the
+	// service-time options are RTService and RTTick.
 	Backend string
 	// RTTick is the rt backend's wall-clock duration of one simulated tick
 	// (protocol delays and service costs are written in ticks on both
@@ -76,14 +72,16 @@ type Config struct {
 	Epsilon float64
 }
 
-// Sequential returns the construction regime of the paper's model: windows
-// closed, instrumentation on.
+// Sequential returns the construction regime of the paper's model: the zero
+// Config (windows closed) plus the given network options. The ctree lemma
+// instrumentation is not part of either regime — it only records, and its
+// readouts live on core.Counter, which the lemma experiments build directly.
 func Sequential(simOpts ...sim.Option) Config {
-	return Config{Checks: true, SimOpts: simOpts}
+	return Config{SimOpts: simOpts}
 }
 
 // Concurrent returns the construction regime of the workload engine:
-// combining/diffraction windows open at DefaultWindow, instrumentation off.
+// combining/diffraction windows open at DefaultWindow.
 func Concurrent(simOpts ...sim.Option) Config {
 	return Config{Window: DefaultWindow, SimOpts: simOpts}
 }
@@ -101,156 +99,118 @@ func Concurrent(simOpts ...sim.Option) Config {
 // measured sweet spot.
 const DefaultWindow = 16
 
-// Factory builds a counter for (at least) n processors in the regime the
-// config selects. The returned counter's N() may exceed n for algorithms
-// with structural size constraints (the paper's tree).
-type Factory func(n int, cfg Config) counter.Async
-
-// algorithm is one registry entry: the constructor plus the metadata the
-// study layer keys on.
+// algorithm is one registry row: the machine constructor plus the metadata
+// the study layer keys on.
 type algorithm struct {
-	build Factory
-	// machine builds the backend-independent protocol descriptor the rt
-	// backend wraps in goroutines — the same state machine build wires into
-	// a simulated network.
+	name string
+	// machine builds the backend-independent protocol for (at least) n
+	// processors; NewWith wraps it in the configured backend. The machine's
+	// N may exceed n for algorithms with structural size constraints (the
+	// paper's tree).
 	machine func(n int, cfg Config) counter.Machine
 	// windowed marks the constructions that consume Config.Window — the
 	// request-merging schemes, whose capacity is set by how many concurrent
 	// requests a node may merge rather than by a fixed per-op message count.
 	windowed bool
-	// approx marks ε-approximate algorithms (claimed guarantee is
-	// approximate(ε) rather than an exact level); defaultEps is the bound
-	// they claim when Config.Epsilon is zero.
-	approx     bool
+	// defaultEps is the bound an ε-approximate algorithm claims when
+	// Config.Epsilon is zero; exact algorithms leave it zero.
 	defaultEps float64
 }
 
-// algorithms maps names to registry entries. Keep in sync with the
-// documentation in the README's "algorithms" section.
-func algorithms() map[string]algorithm {
-	quorumEntry := func(sys func(n int) quorum.System) algorithm {
-		return algorithm{
-			build: func(n int, cfg Config) counter.Async {
-				return quorumctr.New(sys(n), cfg.SimOpts...)
-			},
-			machine: func(n int, cfg Config) counter.Machine {
-				return quorumctr.NewMachine(sys(n))
-			},
+func (a algorithm) approx() bool { return a.defaultEps > 0 }
+
+func quorumRow(name string, sys func(n int) quorum.System) algorithm {
+	return algorithm{name: name, machine: func(n int, _ Config) counter.Machine {
+		return quorumctr.NewMachine(sys(n))
+	}}
+}
+
+// algorithms is the registry, sorted by name. Keep in sync with the
+// README's "algorithms" section.
+var algorithms = []algorithm{
+	{name: "central", machine: func(n int, _ Config) counter.Machine {
+		return central.NewMachine(n)
+	}},
+	{name: "cnet", machine: func(n int, _ Config) counter.Machine {
+		return cnet.NewMachine(n)
+	}},
+	{name: "cnet-periodic", machine: func(n int, _ Config) counter.Machine {
+		return cnet.NewMachine(n, cnet.WithConstruction(cnet.Periodic))
+	}},
+	{name: "combining", windowed: true, machine: func(n int, cfg Config) counter.Machine {
+		return combining.NewMachine(n, combining.WithWindow(cfg.Window))
+	}},
+	{name: "css-sample", defaultEps: approx.DefaultEpsilonSample, machine: func(n int, cfg Config) counter.Machine {
+		return approx.NewSampleMachine(n, approx.WithEpsilon(cfg.Epsilon))
+	}},
+	{name: "ctree", machine: func(n int, _ Config) counter.Machine {
+		return core.NewMachine(n)
+	}},
+	{name: "difftree", windowed: true, machine: func(n int, cfg Config) counter.Machine {
+		return difftree.NewMachine(n, difftree.WithWindow(cfg.Window))
+	}},
+	{name: "gxu-threshold", defaultEps: approx.DefaultEpsilonThreshold, machine: func(n int, cfg Config) counter.Machine {
+		return approx.NewThresholdMachine(n, approx.WithEpsilon(cfg.Epsilon))
+	}},
+	quorumRow("quorum-grid", func(n int) quorum.System { return quorum.NewGrid(n) }),
+	quorumRow("quorum-majority", func(n int) quorum.System { return quorum.NewMajority(n) }),
+	quorumRow("quorum-singleton", func(n int) quorum.System { return quorum.NewSingleton(n) }),
+	quorumRow("quorum-tree", func(n int) quorum.System { return quorum.NewTree(n) }),
+	quorumRow("quorum-wall", func(n int) quorum.System { return quorum.NewWall(n) }),
+	{name: "tokenring", machine: func(n int, _ Config) counter.Machine {
+		return tokenring.NewMachine(n)
+	}},
+}
+
+// lookup finds the named row; ok is false for unknown names.
+func lookup(name string) (algorithm, bool) {
+	for _, a := range algorithms {
+		if a.name == name {
+			return a, true
 		}
 	}
-	return map[string]algorithm{
-		"central": {build: func(n int, cfg Config) counter.Async {
-			return central.New(n, central.WithSimOptions(cfg.SimOpts...))
-		}, machine: func(n int, cfg Config) counter.Machine {
-			return central.NewMachine(n)
-		}},
-		"tokenring": {build: func(n int, cfg Config) counter.Async {
-			return tokenring.New(n, cfg.SimOpts...)
-		}, machine: func(n int, cfg Config) counter.Machine {
-			return tokenring.NewMachine(n)
-		}},
-		"ctree": {build: func(n int, cfg Config) counter.Async {
-			opts := []core.Option{core.WithSimOptions(cfg.SimOpts...)}
-			if !cfg.Checks {
-				opts = append(opts, core.WithoutChecks())
-			}
-			return core.NewForSize(n, opts...)
-		}, machine: func(n int, cfg Config) counter.Machine {
-			return core.NewMachine(n)
-		}},
-		"combining": {windowed: true, build: func(n int, cfg Config) counter.Async {
-			return combining.New(n, combining.WithWindow(cfg.Window), combining.WithSimOptions(cfg.SimOpts...))
-		}, machine: func(n int, cfg Config) counter.Machine {
-			return combining.NewMachine(n, combining.WithWindow(cfg.Window))
-		}},
-		"cnet": {build: func(n int, cfg Config) counter.Async {
-			return cnet.New(n, cnet.WithSimOptions(cfg.SimOpts...))
-		}, machine: func(n int, cfg Config) counter.Machine {
-			return cnet.NewMachine(n)
-		}},
-		"cnet-periodic": {build: func(n int, cfg Config) counter.Async {
-			return cnet.New(n, cnet.WithConstruction(cnet.Periodic), cnet.WithSimOptions(cfg.SimOpts...))
-		}, machine: func(n int, cfg Config) counter.Machine {
-			return cnet.NewMachine(n, cnet.WithConstruction(cnet.Periodic))
-		}},
-		"difftree": {windowed: true, build: func(n int, cfg Config) counter.Async {
-			return difftree.New(n, difftree.WithWindow(cfg.Window), difftree.WithSimOptions(cfg.SimOpts...))
-		}, machine: func(n int, cfg Config) counter.Machine {
-			return difftree.NewMachine(n, difftree.WithWindow(cfg.Window))
-		}},
-		"gxu-threshold": {approx: true, defaultEps: approx.DefaultEpsilonThreshold,
-			build: func(n int, cfg Config) counter.Async {
-				return approx.NewThreshold(n, approx.WithEpsilon(cfg.Epsilon), approx.WithSimOptions(cfg.SimOpts...))
-			}, machine: func(n int, cfg Config) counter.Machine {
-				return approx.NewThresholdMachine(n, approx.WithEpsilon(cfg.Epsilon))
-			}},
-		"css-sample": {approx: true, defaultEps: approx.DefaultEpsilonSample,
-			build: func(n int, cfg Config) counter.Async {
-				return approx.NewSample(n, approx.WithEpsilon(cfg.Epsilon), approx.WithSimOptions(cfg.SimOpts...))
-			}, machine: func(n int, cfg Config) counter.Machine {
-				return approx.NewSampleMachine(n, approx.WithEpsilon(cfg.Epsilon))
-			}},
-		"quorum-singleton": quorumEntry(func(n int) quorum.System { return quorum.NewSingleton(n) }),
-		"quorum-majority":  quorumEntry(func(n int) quorum.System { return quorum.NewMajority(n) }),
-		"quorum-grid":      quorumEntry(func(n int) quorum.System { return quorum.NewGrid(n) }),
-		"quorum-tree":      quorumEntry(func(n int) quorum.System { return quorum.NewTree(n) }),
-		"quorum-wall":      quorumEntry(func(n int) quorum.System { return quorum.NewWall(n) }),
+	return algorithm{}, false
+}
+
+// names lists the rows keep accepts, in table (= sorted) order.
+func names(keep func(algorithm) bool) []string {
+	var out []string
+	for _, a := range algorithms {
+		if keep(a) {
+			out = append(out, a.name)
+		}
 	}
+	return out
 }
 
 // Backends returns the selectable execution backends.
 func Backends() []string { return []string{"sim", "rt"} }
 
 // Names returns all registered algorithm names, sorted.
-func Names() []string {
-	as := algorithms()
-	out := make([]string, 0, len(as))
-	for name := range as {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+func Names() []string { return names(func(algorithm) bool { return true }) }
 
 // ExactNames returns the registered algorithms with an exact consistency
 // claim (everything but the ε-approximate family), sorted. The regression
 // and fault studies default to this scope: their fingerprints assert exact
 // value assignment, which the approximate algorithms deliberately trade
 // away — those are covered by the accuracy study instead.
-func ExactNames() []string {
-	var out []string
-	for name, a := range algorithms() {
-		if !a.approx {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
+func ExactNames() []string { return names(func(a algorithm) bool { return !a.approx() }) }
 
 // ApproximateNames returns the registered ε-approximate algorithms, sorted.
-func ApproximateNames() []string {
-	var out []string
-	for name, a := range algorithms() {
-		if a.approx {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
+func ApproximateNames() []string { return names(algorithm.approx) }
 
 // Approximate reports whether the named algorithm claims an approximate
 // guarantee. Unknown names report false.
 func Approximate(name string) bool {
-	return algorithms()[name].approx
+	a, _ := lookup(name)
+	return a.approx()
 }
 
 // DefaultEpsilon returns the error bound the named algorithm claims when
 // Config.Epsilon is zero, and false for exact or unknown algorithms.
 func DefaultEpsilon(name string) (float64, bool) {
-	a := algorithms()[name]
-	return a.defaultEps, a.approx
+	a, _ := lookup(name)
+	return a.defaultEps, a.approx()
 }
 
 // WindowSensitive reports whether the named algorithm's construction
@@ -258,37 +218,33 @@ func DefaultEpsilon(name string) (float64, bool) {
 // (combining tree, diffracting tree) whose saturation knee the window can
 // move. Unknown names report false.
 func WindowSensitive(name string) bool {
-	return algorithms()[name].windowed
+	a, _ := lookup(name)
+	return a.windowed
 }
 
 // WindowSensitiveNames returns the window-sensitive subset of Names(),
 // sorted — the algorithms the scaling study widens windows for.
 func WindowSensitiveNames() []string {
-	var out []string
-	for name, a := range algorithms() {
-		if a.windowed {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
+	return names(func(a algorithm) bool { return a.windowed })
 }
 
 // NewWith builds the named counter over (at least) n processors in the
-// regime the config selects. This is the single construction path: pass
-// Concurrent() for workload-engine use (merging windows open,
-// instrumentation off) or Sequential() for the paper's model.
+// regime the config selects. This is the single construction path: the
+// algorithm's machine is built once and handed to the configured backend.
+// Pass Concurrent() for workload-engine use (merging windows open) or
+// Sequential() for the paper's model.
 func NewWith(name string, n int, cfg Config) (counter.Async, error) {
-	a, ok := algorithms()[name]
-	if !ok {
-		return nil, fmt.Errorf("registry: unknown algorithm %q (have %v)", name, Names())
+	m, err := NewMachine(name, n, cfg)
+	if err != nil {
+		return nil, err
 	}
 	switch cfg.Backend {
 	case "", "sim":
+		opts := cfg.SimOpts
 		if cfg.Faults != nil {
-			cfg.SimOpts = append(cfg.SimOpts[:len(cfg.SimOpts):len(cfg.SimOpts)], sim.WithFaults(*cfg.Faults))
+			opts = append(opts[:len(opts):len(opts)], sim.WithFaults(*cfg.Faults))
 		}
-		return a.build(n, cfg), nil
+		return counter.OnSim(m, opts...), nil
 	case "rt":
 		var opts []rt.Option
 		if cfg.RTTick > 0 {
@@ -300,24 +256,24 @@ func NewWith(name string, n int, cfg Config) (counter.Async, error) {
 		if cfg.Faults != nil {
 			opts = append(opts, rt.WithFaults(*cfg.Faults))
 		}
-		return rt.New(a.machine(n, cfg), opts...), nil
+		return rt.New(m, opts...), nil
 	}
 	return nil, fmt.Errorf("registry: unknown backend %q (have %v)", cfg.Backend, Backends())
 }
 
 // NewMachine builds the named algorithm's backend-independent protocol
 // descriptor — the state machine both backends wrap. Window-sensitive
-// algorithms consume cfg.Window exactly as in NewWith.
+// algorithms consume cfg.Window, approximate ones cfg.Epsilon.
 func NewMachine(name string, n int, cfg Config) (counter.Machine, error) {
-	a, ok := algorithms()[name]
+	a, ok := lookup(name)
 	if !ok {
 		return counter.Machine{}, fmt.Errorf("registry: unknown algorithm %q (have %v)", name, Names())
 	}
 	return a.machine(n, cfg), nil
 }
 
-// New builds the named counter in the sequential regime of the paper's
-// model (windows closed, ctree instrumentation on).
+// New builds the named counter on the simulator in the sequential regime
+// of the paper's model (windows closed).
 func New(name string, n int, simOpts ...sim.Option) (counter.Counter, error) {
 	return NewWith(name, n, Sequential(simOpts...))
 }

@@ -84,8 +84,8 @@ func TestAllNamesConcurrent(t *testing.T) {
 }
 
 // TestEveryNameValued: since the per-initiator op-state refactor, every
-// registered algorithm builds through the one Factory path as
-// counter.Valued — the registry has no separate async subset left.
+// registered algorithm builds as counter.Valued — the registry has no
+// separate async subset left.
 func TestEveryNameValued(t *testing.T) {
 	for _, name := range Names() {
 		a, err := NewWith(name, 9, Concurrent())
