@@ -349,6 +349,34 @@ func BenchmarkSimulatorEventThroughput(b *testing.B) {
 	}
 }
 
+// BenchmarkOpTable isolates the protocol-side bookkeeping every operation
+// pays whatever the algorithm: one Begin/Finish/Take cycle of counter.Ops
+// over 64 rotating initiators, outside any simulator (the stub transport
+// only names the current operation).
+func BenchmarkOpTable(b *testing.B) {
+	ops := counter.NewOps[struct{}, int]()
+	ctx := &opContext{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ctx.op = sim.OpID(i + 1)
+		p := sim.ProcID(i%64 + 1)
+		ops.Begin(ctx, p)
+		ops.Finish(ctx, p, i)
+		if _, ok := ops.Take(ctx.op); !ok {
+			b.Fatalf("operation %d left no value", ctx.op)
+		}
+	}
+}
+
+// opContext is the one Transport method the op table calls.
+type opContext struct {
+	sim.Transport
+	op sim.OpID
+}
+
+func (c *opContext) CurrentOp() sim.OpID { return c.op }
+
 // BenchmarkWorkloadEngine runs the closed-loop driver end to end —
 // scenario generation, concurrent injection, completion tracking, and
 // report assembly — across representative algorithm x scenario pairs. The

@@ -17,6 +17,17 @@
 // message, and central exchanges request + reply), so ns/event and
 // allocs/event are the per-op figures divided by three, with the divisor
 // recorded in the artifact.
+//
+// The second mode gates the trajectory:
+//
+//	benchjson -diff BENCH_15.json BENCH_16.json
+//
+// compares two artifacts benchmark by benchmark and exits 1 when a benchmark
+// present in both allocates more per op or sends a different number of
+// messages per op — the two figures that repeat exactly from run to run on
+// the simulator. ns/op and B/op are printed as new/old ratios and never
+// gated: a single-shot timing from a shared box moves ±30 % with no code
+// change (Inc/central read 1016/755/1220/931 ns over four points).
 package main
 
 import (
@@ -25,11 +36,13 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"sort"
 	"strconv"
 	"strings"
+	"text/tabwriter"
 )
 
 func main() {
@@ -75,8 +88,15 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	fs := flag.NewFlagSet("benchjson", flag.ContinueOnError)
 	pr := fs.Int("pr", 0, "PR number recorded in the artifact")
 	wallMs := fs.Int("wall-ms", 0, "regression-study wall time in milliseconds, measured by the caller")
+	diff := fs.Bool("diff", false, "compare two artifacts (old.json new.json) instead of reading benchmark text; exit 1 on higher allocs/op or different msgs/op")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *diff {
+		if fs.NArg() != 2 {
+			return fmt.Errorf("-diff takes two artifacts: old.json new.json")
+		}
+		return runDiff(fs.Arg(0), fs.Arg(1), out)
 	}
 	if fs.NArg() != 0 {
 		return fmt.Errorf("unexpected argument %q (benchmark text is read from stdin)", fs.Arg(0))
@@ -171,4 +191,114 @@ func parseBench(in io.Reader) ([]benchEntry, error) {
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Name < entries[j].Name })
 	return entries, nil
+}
+
+// rtPrefix marks the goroutine-backend benchmarks. Their allocation counts
+// follow the OS scheduler (how many mailbox batches a run happens to form),
+// so -diff prints them and gates only their msgs/op.
+const rtPrefix = "BenchmarkRT"
+
+// allocsMayRise is how far allocs/op may rise between two points before
+// -diff calls it a regression. The artifact stores go test's integer
+// allocs/op averaged over -count runs, and the engine benchmarks wobble by
+// one object in ~4000 from run to run on unchanged code; half an object (or
+// 0.05 %) is below any real per-operation regression — one more allocation
+// per simulated op is +1 on BenchmarkInc and +2000 on BenchmarkWorkloadEngine.
+func allocsMayRise(old float64) float64 { return math.Max(0.5, old*0.0005) }
+
+func loadArtifact(path string) (artifact, error) {
+	var art artifact
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return art, err
+	}
+	if err := json.Unmarshal(data, &art); err != nil {
+		return art, fmt.Errorf("%s: %w", path, err)
+	}
+	if len(art.Benchmarks) == 0 {
+		return art, fmt.Errorf("%s: no benchmarks in artifact", path)
+	}
+	return art, nil
+}
+
+// exact renders the old → new pair of a gated metric, "-" when a side lacks
+// it.
+func exact(o, n map[string]float64, unit string) string {
+	ov, ook := o[unit]
+	nv, nok := n[unit]
+	if !ook || !nok {
+		return "-"
+	}
+	return fmt.Sprintf("%.6g → %.6g", ov, nv)
+}
+
+// ratio renders new/old of a metric that is reported but not gated.
+func ratio(o, n map[string]float64, unit string) string {
+	if o[unit] <= 0 {
+		return "-"
+	}
+	return fmt.Sprintf("%.2f×", n[unit]/o[unit])
+}
+
+// runDiff prints the benchmarks the two artifacts share, one per line, and
+// returns an error naming the gated regressions when there are any.
+func runDiff(oldPath, newPath string, out io.Writer) error {
+	oldArt, err := loadArtifact(oldPath)
+	if err != nil {
+		return err
+	}
+	newArt, err := loadArtifact(newPath)
+	if err != nil {
+		return err
+	}
+	before := make(map[string]map[string]float64, len(oldArt.Benchmarks))
+	for _, e := range oldArt.Benchmarks {
+		before[e.Name] = e.Metrics
+	}
+
+	tw := tabwriter.NewWriter(out, 0, 8, 2, ' ', 0)
+	fmt.Fprintln(tw, "benchmark\tallocs/op\tmsgs/op\tns/op\tB/op\t")
+	var failed []string
+	shared := 0
+	for _, e := range newArt.Benchmarks {
+		o, ok := before[e.Name]
+		if !ok {
+			continue
+		}
+		shared++
+		n := e.Metrics
+		var problems []string
+		verdict := ""
+		if oa, na := o["allocs/op"], n["allocs/op"]; na > oa+allocsMayRise(oa) {
+			if strings.HasPrefix(e.Name, rtPrefix) {
+				verdict = "allocs/op higher (rt: not gated)"
+			} else {
+				problems = append(problems, "allocs/op higher")
+			}
+		}
+		om, ook := o["msgs/op"]
+		nm, nok := n["msgs/op"]
+		if ook && nok && math.Abs(nm-om) > 1e-9*math.Max(math.Abs(om), 1) {
+			problems = append(problems, "msgs/op differs")
+		}
+		if len(problems) > 0 {
+			verdict = "FAIL " + strings.Join(problems, ", ")
+			failed = append(failed, e.Name)
+		}
+		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\t%s\n", strings.TrimPrefix(e.Name, "Benchmark"),
+			exact(o, n, "allocs/op"), exact(o, n, "msgs/op"), ratio(o, n, "ns/op"), ratio(o, n, "B/op"), verdict)
+	}
+	if err := tw.Flush(); err != nil {
+		return err
+	}
+	if shared == 0 {
+		return fmt.Errorf("%s and %s share no benchmark", oldPath, newPath)
+	}
+	if len(failed) > 0 {
+		return fmt.Errorf("%d of %d shared benchmarks regressed on an exact metric: %s",
+			len(failed), shared, strings.Join(failed, ", "))
+	}
+	fmt.Fprintf(out, "%d shared benchmarks: no allocs/op above, no msgs/op different from %s (ns/op and B/op are reported, not gated)\n",
+		shared, oldPath)
+	return nil
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -77,5 +79,119 @@ func TestRunRejectsEmptyInput(t *testing.T) {
 	var out bytes.Buffer
 	if err := run(nil, strings.NewReader("no benchmarks here\n"), &out); err == nil {
 		t.Fatal("want error on benchmark-free input")
+	}
+}
+
+// writeArtifact stores an artifact with the given benchmarks under dir.
+func writeArtifact(t *testing.T, dir, name string, entries ...benchEntry) string {
+	t.Helper()
+	data, err := json.Marshal(artifact{Schema: "distcount-bench/v1", Benchmarks: entries})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, name)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+func entry(name string, allocs, msgs, ns float64) benchEntry {
+	m := map[string]float64{"allocs/op": allocs, "ns/op": ns, "B/op": 100}
+	if msgs >= 0 {
+		m["msgs/op"] = msgs
+	}
+	return benchEntry{Name: name, Runs: 3, Metrics: m}
+}
+
+// TestDiffGatesExactMetricsOnly: -diff fails on more allocations or a
+// different message count, and on nothing else — not on ns/op or B/op, not
+// on the ±1 wobble of a several-thousand-object engine benchmark, not on the
+// rt benchmarks' scheduler-dependent allocations, and not on benchmarks only
+// one side has.
+func TestDiffGatesExactMetricsOnly(t *testing.T) {
+	dir := t.TempDir()
+	old := writeArtifact(t, dir, "old.json",
+		entry("BenchmarkInc/central/n=81", 2, 1.96, 900),
+		entry("BenchmarkInc/ctree/n=81", 19, 9.61, 3000),
+		entry("BenchmarkWorkloadEngine/central/uniform/n=64", 4033, -1, 1e6),
+		entry("BenchmarkRTWall/central/n=8", 920.67, -1, 1.2e6),
+		entry("BenchmarkRTInc", 3, 2, 2500),
+		entry("BenchmarkGone", 1, 1, 1),
+	)
+	for _, tc := range []struct {
+		name    string
+		entries []benchEntry
+		fails   []string // substrings the error must carry; nil = exit 0
+	}{
+		{"improved and slower", []benchEntry{
+			entry("BenchmarkInc/central/n=81", 1, 1.96, 5000), // 5× slower: reported, not gated
+			entry("BenchmarkInc/ctree/n=81", 12, 9.61, 100),
+			entry("BenchmarkWorkloadEngine/central/uniform/n=64", 4033.33, -1, 1e6),
+			entry("BenchmarkRTWall/central/n=8", 990, -1, 1.2e6),
+			entry("BenchmarkRTInc", 3, 2, 2500),
+			entry("BenchmarkNew", 50, 50, 50),
+		}, nil},
+		{"one more alloc", []benchEntry{
+			entry("BenchmarkInc/central/n=81", 3, 1.96, 900),
+			entry("BenchmarkInc/ctree/n=81", 19, 9.61, 3000),
+		}, []string{"1 of 2", "BenchmarkInc/central/n=81"}},
+		{"engine per-op alloc", []benchEntry{
+			entry("BenchmarkWorkloadEngine/central/uniform/n=64", 6033, -1, 1e6),
+		}, []string{"BenchmarkWorkloadEngine/central/uniform/n=64"}},
+		{"message count moved either way", []benchEntry{
+			entry("BenchmarkInc/central/n=81", 2, 1.95, 900),
+			entry("BenchmarkRTInc", 3, 3, 2500),
+		}, []string{"2 of 2", "BenchmarkInc/central/n=81", "BenchmarkRTInc"}},
+		{"nothing shared", []benchEntry{entry("BenchmarkNew", 1, 1, 1)}, []string{"share no benchmark"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var out bytes.Buffer
+			err := run([]string{"-diff", old, writeArtifact(t, dir, "new.json", tc.entries...)}, nil, &out)
+			if tc.fails == nil {
+				if err != nil {
+					t.Fatalf("diff failed: %v\n%s", err, out.String())
+				}
+				for _, want := range []string{"Inc/central/n=81", "2 → 1", "5.56×", "rt: not gated"} {
+					if !strings.Contains(out.String(), want) {
+						t.Fatalf("report lacks %q:\n%s", want, out.String())
+					}
+				}
+				if strings.Contains(out.String(), "BenchmarkGone") || strings.Contains(out.String(), "BenchmarkNew") {
+					t.Fatalf("report lists a benchmark only one side has:\n%s", out.String())
+				}
+				return
+			}
+			if err == nil {
+				t.Fatalf("diff passed, want failure naming %v\n%s", tc.fails, out.String())
+			}
+			for _, want := range tc.fails {
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("error %q lacks %q", err, want)
+				}
+			}
+		})
+	}
+}
+
+func TestDiffBadArgs(t *testing.T) {
+	dir := t.TempDir()
+	good := writeArtifact(t, dir, "good.json", entry("BenchmarkX", 1, 1, 1))
+	empty := writeArtifact(t, dir, "empty.json")
+	notJSON := filepath.Join(dir, "bad.json")
+	if err := os.WriteFile(notJSON, []byte("Benchmark text, not an artifact"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-diff"},
+		{"-diff", good},
+		{"-diff", good, good, good},
+		{"-diff", good, filepath.Join(dir, "missing.json")},
+		{"-diff", notJSON, good},
+		{"-diff", good, empty},
+	} {
+		if err := run(args, nil, &bytes.Buffer{}); err == nil {
+			t.Fatalf("benchjson %v: want an error", args)
+		}
 	}
 }

@@ -202,7 +202,7 @@ func (pr *proto) initiateReq(nw sim.Transport, p sim.ProcID, req any) {
 func (pr *proto) Deliver(nw sim.Transport, msg sim.Message) {
 	switch pl := msg.Payload.(type) {
 	case incPayload:
-		if !pr.ensureRole(nw, msg.To, pl.Target, pl) {
+		if !pr.ensureRole(nw, msg.To, pl.Target, msg.Payload) {
 			return
 		}
 		pr.handleInc(nw, pl)
@@ -215,7 +215,7 @@ func (pr *proto) Deliver(nw sim.Transport, msg sim.Message) {
 			pr.leafParent[msg.To] = pl.NewProc
 			return
 		}
-		if !pr.ensureRole(nw, msg.To, pl.Target, pl) {
+		if !pr.ensureRole(nw, msg.To, pl.Target, msg.Payload) {
 			return
 		}
 		pr.handleNewID(nw, pl)
@@ -241,7 +241,10 @@ func (pr *proto) Deliver(nw sim.Transport, msg sim.Message) {
 // ensureRole checks that the receiving processor currently works for the
 // target node; if it retired from that role, the message is forwarded to the
 // successor (one extra message per stale hop — the paper's constant-overhead
-// handshake) and false is returned.
+// handshake) and false is returned. pl is the message's payload as it
+// arrived — already boxed — so forwarding it allocates nothing; passing the
+// type-switched value instead would box a second copy on every delivery,
+// forwarded or not.
 func (pr *proto) ensureRole(nw sim.Transport, proc sim.ProcID, target int, pl sim.Payload) bool {
 	nd := &pr.nodes[target]
 	if nd.cur == proc {
@@ -379,20 +382,20 @@ func (pr *proto) retire(nw sim.Transport, id int) {
 			NewProc: succ,
 		})
 	}
-	for c := 0; c < pr.g.k; c++ {
-		if nd.level < pr.g.k {
+	if nd.level < pr.g.k {
+		for c := 0; c < pr.g.k; c++ {
 			nw.Send(nd.childProc[c], newIDPayload{
 				Target:  pr.g.childNode(nd.level, nd.pos, c),
 				Changed: id,
 				NewProc: succ,
 			})
-		} else {
-			nw.Send(nd.childProc[c], newIDPayload{
-				Target:  leafTarget,
-				Changed: id,
-				NewProc: succ,
-			})
 		}
+		return
+	}
+	// Leaves all get the same note: one boxed payload serves the k of them.
+	var note sim.Payload = newIDPayload{Target: leafTarget, Changed: id, NewProc: succ}
+	for c := 0; c < pr.g.k; c++ {
+		nw.Send(nd.childProc[c], note)
 	}
 }
 

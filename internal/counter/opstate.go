@@ -24,7 +24,7 @@ import (
 // Finish, by contrast, tolerates staleness: under fault injection a
 // duplicated or crash-deferred reply legitimately arrives after its
 // operation already finished (or after the initiator moved on to its next
-// operation), so a Finish whose entry is missing or whose in-flight
+// operation), so a Finish whose initiator is idle or whose in-flight
 // operation is not the current delivery context is dropped and counted
 // (DroppedStale) rather than treated as fatal. Protocols that read state on
 // a reply path use GetFor, which makes the same discrimination explicit. In
@@ -37,42 +37,68 @@ import (
 // (the readout the concurrent experiments use). Take consumes the value so
 // long workload runs do not accumulate per-op state; the per-initiator slot
 // always keeps the most recent value.
+//
+// Layout: the table sits on every operation's path (Begin, Finish, Take, and
+// GetFor per reply on the quorum protocols), so it is dense rather than
+// hashed. Per-initiator state is one slot in a slice indexed by processor
+// id, allocated on the initiator's first Begin and reused — zeroed — by every
+// later one; delivered values wait for Take in a small ring indexed by the
+// sequential operation id (see valueTable). A steady-state operation
+// therefore allocates nothing here.
 type Ops[S, V any] struct {
-	// mu guards the maps. On the simulator every access runs on one
+	// mu guards the table. On the simulator every access runs on one
 	// goroutine and the lock is uncontended; on the rt backend distinct
 	// initiators' operations live on distinct goroutines, and the table is
 	// the one piece of protocol state they all touch. The *S returned by
 	// Begin/Get stays confined to its own operation's delivery contexts, so
-	// locking the map operations suffices.
+	// locking the table operations suffices.
 	mu sync.Mutex
-	// inflight holds each initiator's open operation; absent when idle.
-	inflight map[sim.ProcID]*opEntry[S]
+	// slots is indexed by initiator id and grown on demand; an entry is nil
+	// until that processor first initiates. Slots are held by pointer so the
+	// *S handed out by Begin/Get/GetFor survives the slice growing.
+	slots []*opSlot[S, V]
 	// values holds delivered values of completed operations until consumed.
-	values map[sim.OpID]V
-	// lastVal/lastOK expose the most recent value per initiator.
-	lastVal map[sim.ProcID]V
-	lastOK  map[sim.ProcID]bool
-	// droppedStale counts Finish calls discarded because their operation
-	// was no longer the initiator's current one (duplicated or late
-	// replies under fault injection).
+	values valueTable[V]
+	// droppedStale counts Finish/GetFor calls discarded because their
+	// operation was no longer the initiator's current one (duplicated or
+	// late replies under fault injection).
 	droppedStale int64
 }
 
-// opEntry pairs an operation's protocol state with its simulator id, so
-// Finish can assert it completes in its own delivery context.
-type opEntry[S any] struct {
-	op sim.OpID
-	st S
+// opSlot is one initiator's row: its open operation (op == 0 when idle) with
+// the protocol state, and the most recent value delivered to it. Keeping the
+// simulator id next to the state is what lets Finish and GetFor assert they
+// run in that operation's own delivery context.
+type opSlot[S, V any] struct {
+	op      sim.OpID
+	st      S
+	lastVal V
+	lastOK  bool
 }
 
 // NewOps creates an empty operation table.
 func NewOps[S, V any]() *Ops[S, V] {
-	return &Ops[S, V]{
-		inflight: make(map[sim.ProcID]*opEntry[S]),
-		values:   make(map[sim.OpID]V),
-		lastVal:  make(map[sim.ProcID]V),
-		lastOK:   make(map[sim.ProcID]bool),
+	return &Ops[S, V]{}
+}
+
+// slot returns initiator p's row, or nil when p has never initiated.
+func (o *Ops[S, V]) slot(p sim.ProcID) *opSlot[S, V] {
+	if uint(p) >= uint(len(o.slots)) {
+		return nil
 	}
+	return o.slots[p]
+}
+
+// current returns p's row when p has an operation in flight and that
+// operation is the current delivery context; otherwise the call is stale —
+// it is counted and nil is returned.
+func (o *Ops[S, V]) current(nw sim.Transport, p sim.ProcID) *opSlot[S, V] {
+	s := o.slot(p)
+	if s == nil || s.op == 0 || nw.CurrentOp() != s.op {
+		o.droppedStale++
+		return nil
+	}
+	return s
 }
 
 // Begin opens initiator p's operation and returns its zero-valued state for
@@ -89,13 +115,26 @@ func (o *Ops[S, V]) Begin(nw sim.Transport, p sim.ProcID) *S {
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if e, ok := o.inflight[p]; ok {
-		panic(fmt.Sprintf("counter: initiator %v already has operation %d in flight (starting %d)", p, e.op, id))
+	if int(p) >= len(o.slots) {
+		grown := make([]*opSlot[S, V], max(int(p)+1, 2*len(o.slots)))
+		copy(grown, o.slots)
+		o.slots = grown
 	}
-	e := &opEntry[S]{op: id}
-	o.inflight[p] = e
-	o.lastOK[p] = false
-	return &e.st
+	s := o.slots[p]
+	switch {
+	case s == nil:
+		s = new(opSlot[S, V])
+		o.slots[p] = s
+	case s.op != 0:
+		panic(fmt.Sprintf("counter: initiator %v already has operation %d in flight (starting %d)", p, s.op, id))
+	default:
+		// A reused slot must not leak the previous operation's state.
+		var zero S
+		s.st = zero
+	}
+	s.op = id
+	s.lastOK = false
+	return &s.st
 }
 
 // Get returns initiator p's in-flight operation state. It panics when p has
@@ -104,19 +143,19 @@ func (o *Ops[S, V]) Begin(nw sim.Transport, p sim.ProcID) *S {
 func (o *Ops[S, V]) Get(p sim.ProcID) *S {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	e, ok := o.inflight[p]
-	if !ok {
+	s := o.slot(p)
+	if s == nil || s.op == 0 {
 		panic(fmt.Sprintf("counter: initiator %v has no operation in flight", p))
 	}
-	return &e.st
+	return &s.st
 }
 
 // InFlight reports whether initiator p currently has an open operation.
 func (o *Ops[S, V]) InFlight(p sim.ProcID) bool {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	_, ok := o.inflight[p]
-	return ok
+	s := o.slot(p)
+	return s != nil && s.op != 0
 }
 
 // Finish completes initiator p's operation with the delivered value v,
@@ -131,15 +170,13 @@ func (o *Ops[S, V]) InFlight(p sim.ProcID) bool {
 func (o *Ops[S, V]) Finish(nw sim.Transport, p sim.ProcID, v V) bool {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	e, ok := o.inflight[p]
-	if !ok || nw.CurrentOp() != e.op {
-		o.droppedStale++
+	s := o.current(nw, p)
+	if s == nil {
 		return false
 	}
-	delete(o.inflight, p)
-	o.values[e.op] = v
-	o.lastVal[p] = v
-	o.lastOK[p] = true
+	o.values.put(s.op, v)
+	s.op = 0
+	s.lastVal, s.lastOK = v, true
 	return true
 }
 
@@ -152,12 +189,11 @@ func (o *Ops[S, V]) Finish(nw sim.Transport, p sim.ProcID, v V) bool {
 func (o *Ops[S, V]) GetFor(nw sim.Transport, p sim.ProcID) (*S, bool) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	e, ok := o.inflight[p]
-	if !ok || nw.CurrentOp() != e.op {
-		o.droppedStale++
+	s := o.current(nw, p)
+	if s == nil {
 		return nil, false
 	}
-	return &e.st, true
+	return &s.st, true
 }
 
 // DroppedStale returns the number of stale Finish/GetFor calls discarded so
@@ -175,11 +211,7 @@ func (o *Ops[S, V]) DroppedStale() int64 {
 func (o *Ops[S, V]) Take(id sim.OpID) (V, bool) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	v, ok := o.values[id]
-	if ok {
-		delete(o.values, id)
-	}
-	return v, ok
+	return o.values.take(id)
 }
 
 // Last returns the most recent value delivered to initiator p; ok is false
@@ -187,33 +219,101 @@ func (o *Ops[S, V]) Take(id sim.OpID) (V, bool) {
 func (o *Ops[S, V]) Last(p sim.ProcID) (V, bool) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return o.lastVal[p], o.lastOK[p]
+	if s := o.slot(p); s != nil {
+		return s.lastVal, s.lastOK
+	}
+	var zero V
+	return zero, false
 }
 
 // Clone returns an independent deep copy. deepState, when non-nil, deep-
-// copies one operation's protocol state (needed when S holds slices or
-// maps); nil keeps the shallow copy, sufficient for value-only states.
+// copies one in-flight operation's protocol state (needed when S holds
+// slices or maps); nil keeps the shallow copy, sufficient for value-only
+// states. An idle initiator's leftover state is not carried over: the next
+// Begin would zero it anyway.
 func (o *Ops[S, V]) Clone(deepState func(*S) S) *Ops[S, V] {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	cp := NewOps[S, V]()
-	for p, e := range o.inflight {
-		ne := &opEntry[S]{op: e.op, st: e.st}
-		if deepState != nil {
-			ne.st = deepState(&e.st)
+	cp := &Ops[S, V]{
+		slots:        make([]*opSlot[S, V], len(o.slots)),
+		values:       o.values.clone(),
+		droppedStale: o.droppedStale,
+	}
+	for p, s := range o.slots {
+		if s == nil {
+			continue
 		}
-		cp.inflight[p] = ne
+		ns := &opSlot[S, V]{op: s.op, lastVal: s.lastVal, lastOK: s.lastOK}
+		if s.op != 0 {
+			ns.st = s.st
+			if deepState != nil {
+				ns.st = deepState(&s.st)
+			}
+		}
+		cp.slots[p] = ns
 	}
-	for id, v := range o.values {
-		cp.values[id] = v
+	return cp
+}
+
+// valueRingSize is the number of delivered values the table holds without
+// hashing. Drivers consume a value within the completion that produced it
+// (the engine) or right after the run quiesces (RunInc), so only a handful
+// are ever unconsumed at once; the ring only has to be wide enough that
+// those few rarely collide.
+const valueRingSize = 64
+
+// valueTable stores delivered values until Take consumes them: a
+// power-of-two ring indexed by the sequential operation id — the
+// protocol-side twin of sim's op table — with a spill map behind it. A value
+// still unconsumed when a later operation id claims its cell moves to the
+// map, so nothing is ever lost: a caller that never Takes (the experiments
+// that only read Last) accumulates values there, one map insert per
+// operation, exactly as the map-only table did.
+type valueTable[V any] struct {
+	ring  [valueRingSize]valueCell[V]
+	spill map[sim.OpID]V
+}
+
+// valueCell is one ring entry; id == 0 marks it empty (operation ids start
+// at 1).
+type valueCell[V any] struct {
+	id sim.OpID
+	v  V
+}
+
+func (t *valueTable[V]) put(id sim.OpID, v V) {
+	c := &t.ring[int(id)&(valueRingSize-1)]
+	if c.id != 0 && c.id != id {
+		if t.spill == nil {
+			t.spill = make(map[sim.OpID]V)
+		}
+		t.spill[c.id] = c.v
 	}
-	for p, v := range o.lastVal {
-		cp.lastVal[p] = v
+	c.id, c.v = id, v
+}
+
+func (t *valueTable[V]) take(id sim.OpID) (V, bool) {
+	c := &t.ring[int(id)&(valueRingSize-1)]
+	if c.id == id && id != 0 {
+		v := c.v
+		*c = valueCell[V]{}
+		return v, true
 	}
-	for p, ok := range o.lastOK {
-		cp.lastOK[p] = ok
+	v, ok := t.spill[id]
+	if ok {
+		delete(t.spill, id)
 	}
-	cp.droppedStale = o.droppedStale
+	return v, ok
+}
+
+func (t *valueTable[V]) clone() valueTable[V] {
+	cp := valueTable[V]{ring: t.ring}
+	if len(t.spill) > 0 {
+		cp.spill = make(map[sim.OpID]V, len(t.spill))
+		for id, v := range t.spill {
+			cp.spill[id] = v
+		}
+	}
 	return cp
 }
 

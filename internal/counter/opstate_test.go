@@ -247,3 +247,221 @@ func (c *echoCounter) OpValue(id sim.OpID) (int, bool) { return c.pr.ops.Take(id
 func (c *echoCounter) Start(at int64, p sim.ProcID) sim.OpID {
 	return c.net.ScheduleOp(at, p, c.pr.initiate)
 }
+
+// opCtx is a Transport stub that only answers CurrentOp — all the table ever
+// asks of its transport — so the slot and value-table tests below can place
+// each call in an exact delivery context without scripting a protocol.
+type opCtx struct {
+	sim.Transport
+	op sim.OpID
+}
+
+func (c opCtx) CurrentOp() sim.OpID { return c.op }
+
+func in(op sim.OpID) sim.Transport { return opCtx{op: op} }
+
+// probeState mirrors quorumctr's opState: a slice plus counters, the shape
+// that would leak between operations if a reused slot were not zeroed.
+type probeState struct {
+	quorum []int
+	await  int
+}
+
+// TestOpsReusedSlotIsZeroed: an initiator's second Begin must not see the
+// first operation's state (quorumctr appends to nothing, but reads
+// awaitReads and quorum from a slot it assumes fresh).
+func TestOpsReusedSlotIsZeroed(t *testing.T) {
+	ops := NewOps[probeState, int]()
+	st := ops.Begin(in(1), 4)
+	st.quorum, st.await = []int{1, 2, 3}, 2
+	if !ops.Finish(in(1), 4, 10) {
+		t.Fatal("first operation's Finish not applied")
+	}
+	st2 := ops.Begin(in(2), 4)
+	if st2.quorum != nil || st2.await != 0 {
+		t.Fatalf("reused slot handed out stale state %+v", *st2)
+	}
+	if st2 != st {
+		t.Fatal("second operation got a fresh slot; the initiator's slot should be reused")
+	}
+	if _, ok := ops.Last(4); ok {
+		t.Fatal("Last still reports the previous value after the next Begin")
+	}
+}
+
+// TestOpsStaleAfterNextBegin: a duplicated or deferred reply of operation 1
+// lands after its initiator already began operation 2. Its delivery context
+// is still operation 1, so GetFor and Finish must refuse it — counted, never
+// applied — and operation 2's state and value stay untouched.
+func TestOpsStaleAfterNextBegin(t *testing.T) {
+	ops := NewOps[int, int]()
+	*ops.Begin(in(1), 5) = 11
+	if !ops.Finish(in(1), 5, 100) {
+		t.Fatal("operation 1 did not finish")
+	}
+	st2 := ops.Begin(in(2), 5)
+	*st2 = 22
+
+	if st, ok := ops.GetFor(in(1), 5); ok {
+		t.Fatalf("GetFor in operation 1's context returned operation 2's state (%d)", *st)
+	}
+	if ops.Finish(in(1), 5, 999) {
+		t.Fatal("stale Finish was applied to the initiator's next operation")
+	}
+	if got := ops.DroppedStale(); got != 2 {
+		t.Fatalf("dropped stale = %d, want 2", got)
+	}
+	if !ops.InFlight(5) || *ops.Get(5) != 22 {
+		t.Fatal("operation 2 disturbed by operation 1's late reply")
+	}
+	if v, ok := ops.Take(1); !ok || v != 100 {
+		t.Fatalf("operation 1's value = (%d,%v), want (100,true)", v, ok)
+	}
+	if _, ok := ops.Take(2); ok {
+		t.Fatal("operation 2 has a value before it finished")
+	}
+	if !ops.Finish(in(2), 5, 200) {
+		t.Fatal("operation 2's own Finish refused")
+	}
+	if v, ok := ops.Take(2); !ok || v != 200 {
+		t.Fatalf("operation 2's value = (%d,%v), want (200,true)", v, ok)
+	}
+	if v, ok := ops.Last(5); !ok || v != 200 {
+		t.Fatalf("Last(5) = (%d,%v), want (200,true)", v, ok)
+	}
+}
+
+// TestOpsTakeSurvivesRingWraparound: values nobody consumed are displaced
+// from the id-indexed ring by later completions and must still be there —
+// once — when Take finally asks, however many operations came in between.
+func TestOpsTakeSurvivesRingWraparound(t *testing.T) {
+	ops := NewOps[struct{}, int]()
+	const total = 3*valueRingSize + 5
+	for id := sim.OpID(1); id <= total; id++ {
+		p := sim.ProcID(id%7 + 1)
+		ops.Begin(in(id), p)
+		if !ops.Finish(in(id), p, int(id)*10) {
+			t.Fatalf("operation %d did not finish", id)
+		}
+	}
+	// Oldest first (spilled), newest last (still in the ring), and one in
+	// the middle twice.
+	for _, id := range []sim.OpID{1, 2, valueRingSize, valueRingSize + 1, 2 * valueRingSize, total - 1, total} {
+		if v, ok := ops.Take(id); !ok || v != int(id)*10 {
+			t.Fatalf("Take(%d) = (%d,%v), want (%d,true)", id, v, ok, int(id)*10)
+		}
+		if _, ok := ops.Take(id); ok {
+			t.Fatalf("Take(%d) returned a value twice", id)
+		}
+	}
+	// Everything not taken above is still retrievable.
+	left := 0
+	for id := sim.OpID(1); id <= total; id++ {
+		if v, ok := ops.Take(id); ok {
+			if v != int(id)*10 {
+				t.Fatalf("Take(%d) = %d, want %d", id, v, int(id)*10)
+			}
+			left++
+		}
+	}
+	if left != total-7 {
+		t.Fatalf("%d values left after taking 7 of %d", left, total)
+	}
+	if _, ok := ops.Take(0); ok {
+		t.Fatal("Take(0) produced a value")
+	}
+}
+
+// TestOpsCloneDeepStateBothDirections: with a deepState copier, an in-flight
+// operation's state, the recorded values (ring and spill) and the counters
+// of original and clone evolve independently, whichever side is mutated.
+func TestOpsCloneDeepStateBothDirections(t *testing.T) {
+	ops := NewOps[probeState, int]()
+	// Enough unconsumed completions that the clone has to copy a spill map.
+	for id := sim.OpID(1); id <= valueRingSize+2; id++ {
+		ops.Begin(in(id), 2)
+		ops.Finish(in(id), 2, int(id))
+	}
+	const live = valueRingSize + 3
+	st := ops.Begin(in(live), 3)
+	st.quorum, st.await = []int{7, 8, 9}, 3
+	ops.GetFor(in(1), 3) // one stale call, so the counter is non-zero
+
+	cp := ops.Clone(func(s *probeState) probeState {
+		d := *s
+		d.quorum = append([]int(nil), s.quorum...)
+		return d
+	})
+	cst := cp.Get(3)
+	if cst == st || &cst.quorum[0] == &st.quorum[0] {
+		t.Fatal("clone shares the in-flight operation's state with the original")
+	}
+	if cst.await != 3 || len(cst.quorum) != 3 || cst.quorum[2] != 9 {
+		t.Fatalf("clone lost in-flight state: %+v", *cst)
+	}
+
+	// Clone → original.
+	cst.quorum[0], cst.await = -1, 0
+	if !cp.Finish(in(live), 3, 500) {
+		t.Fatal("clone could not finish the copied operation")
+	}
+	if st.quorum[0] != 7 || st.await != 3 || !ops.InFlight(3) {
+		t.Fatal("mutating the clone changed the original")
+	}
+	if _, ok := ops.Take(live); ok {
+		t.Fatal("clone's completion recorded a value in the original")
+	}
+	// Original → clone.
+	st.quorum[1] = -2
+	if v, ok := ops.Take(1); !ok || v != 1 {
+		t.Fatalf("original lost a spilled value: (%d,%v)", v, ok)
+	}
+	if v, ok := cp.Take(1); !ok || v != 1 {
+		t.Fatalf("clone lost the spilled value the original consumed: (%d,%v)", v, ok)
+	}
+	if v, ok := cp.Take(valueRingSize + 2); !ok || v != valueRingSize+2 {
+		t.Fatalf("clone lost a ring value: (%d,%v)", v, ok)
+	}
+	if v, ok := ops.Take(valueRingSize + 2); !ok || v != valueRingSize+2 {
+		t.Fatalf("original lost the ring value the clone consumed: (%d,%v)", v, ok)
+	}
+	ops.Finish(in(1), 3, 0) // stale in the original only
+	if o, c := ops.DroppedStale(), cp.DroppedStale(); o != 2 || c != 1 {
+		t.Fatalf("dropped stale original=%d clone=%d, want 2 and 1", o, c)
+	}
+	if v, ok := cp.Last(3); !ok || v != 500 {
+		t.Fatalf("clone Last(3) = (%d,%v), want (500,true)", v, ok)
+	}
+	if _, ok := ops.Last(3); ok {
+		t.Fatal("original reports a value for its still-open operation")
+	}
+}
+
+// TestOpsGrowsForLargeInitiatorIDs: the slot slice starts empty and grows to
+// whatever initiator id shows up, and growing must not move state already
+// handed out.
+func TestOpsGrowsForLargeInitiatorIDs(t *testing.T) {
+	ops := NewOps[int, int]()
+	if ops.InFlight(9) {
+		t.Fatal("empty table reports an operation in flight")
+	}
+	if _, ok := ops.Last(9); ok {
+		t.Fatal("empty table reports a last value")
+	}
+	small := ops.Begin(in(1), 3)
+	*small = 33
+	big := ops.Begin(in(2), 15625)
+	*big = 44
+	if ops.Get(3) != small || *small != 33 {
+		t.Fatal("growing the table moved or clobbered an earlier initiator's state")
+	}
+	if !ops.InFlight(15625) || ops.InFlight(15624) {
+		t.Fatal("InFlight wrong around the grown slot")
+	}
+	if !ops.Finish(in(2), 15625, 1) || !ops.Finish(in(1), 3, 0) {
+		t.Fatal("operations on grown table did not finish")
+	}
+	if v, ok := ops.Last(15625); !ok || v != 1 {
+		t.Fatalf("Last(15625) = (%d,%v), want (1,true)", v, ok)
+	}
+}

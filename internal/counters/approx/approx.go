@@ -144,11 +144,13 @@ func (c *core) maybeBroadcast(nw sim.Transport, level uint, div int) {
 		return
 	}
 	c.lastBcast = c.total
+	// One boxed payload serves all n-1 sites (payloads are immutable).
+	var push sim.Payload = bcastPayload{Total: c.total, Level: level}
 	for q := 1; q <= c.n; q++ {
 		if sim.ProcID(q) == c.coord {
 			continue
 		}
-		nw.Send(sim.ProcID(q), bcastPayload{Total: c.total, Level: level})
+		nw.Send(sim.ProcID(q), push)
 	}
 }
 

@@ -88,6 +88,10 @@ type cnode struct {
 	inFlight map[int]*batch
 	nextID   int
 	val      int // root only
+	// free holds distributed batches for reuse, contribs backing array
+	// included, so a steady-state window costs no allocation. Like the rest
+	// of the node it is touched only in the host's execution context.
+	free []*batch
 }
 
 type proto struct {
@@ -184,7 +188,10 @@ func (pr *proto) handleReq(nw sim.Transport, pl reqPayload) {
 	c := contrib{fromLeaf: pl.FromLeaf, fromNode: pl.FromNode, childBatch: pl.ChildBatch, count: pl.Count}
 	if nd.pending == nil {
 		nd.seq++
-		nd.pending = &batch{seq: nd.seq, contribs: []contrib{c}, total: pl.Count}
+		b := nd.newBatch()
+		b.seq, b.total = nd.seq, pl.Count
+		b.contribs = append(b.contribs, c)
+		nd.pending = b
 		if pr.window > 0 {
 			nw.After(pr.window, windowTimer{Node: pl.Node, Seq: nd.seq})
 			return
@@ -201,6 +208,16 @@ func (pr *proto) handleReq(nw sim.Transport, pl reqPayload) {
 	atomic.AddInt64(&pr.combined, 1)
 }
 
+// newBatch returns an empty batch, recycled when the node has one.
+func (nd *cnode) newBatch() *batch {
+	if last := len(nd.free) - 1; last >= 0 {
+		b := nd.free[last]
+		nd.free = nd.free[:last]
+		return b
+	}
+	return &batch{}
+}
+
 // closeBatch forwards the pending batch upward, or applies it at the root.
 func (pr *proto) closeBatch(nw sim.Transport, node int) {
 	nd := &pr.nodes[node]
@@ -209,7 +226,7 @@ func (pr *proto) closeBatch(nw sim.Transport, node int) {
 	if nd.parent == -1 {
 		base := nd.val
 		nd.val += b.total
-		pr.distribute(nw, b, base)
+		pr.distribute(nw, nd, b, base)
 		return
 	}
 	id := nd.nextID
@@ -233,32 +250,35 @@ func (pr *proto) handleResp(nw sim.Transport, pl respPayload) {
 		return
 	}
 	delete(nd.inFlight, pl.Batch)
-	pr.distribute(nw, b, pl.Base)
+	pr.distribute(nw, nd, b, pl.Base)
 }
 
-// distribute splits a value range among the contributors of a batch.
-// Sends for merged contributors are attributed to their own operations via
-// the adopted tokens; the window opener's send rides the current delivery,
-// which is already on its causal chain.
-func (pr *proto) distribute(nw sim.Transport, b *batch, base int) {
+// distribute splits a value range among the contributors of node nd's batch
+// b and hands the spent batch back to the node for reuse. Sends for merged
+// contributors are attributed to their own operations via the adopted
+// tokens; the window opener's send rides the current delivery, which is
+// already on its causal chain.
+func (pr *proto) distribute(nw sim.Transport, nd *cnode, b *batch, base int) {
 	offset := base
 	for _, c := range b.contribs {
-		send := nw.Send
-		if c.tok.Valid() {
-			tok := c.tok
-			send = func(to sim.ProcID, pl sim.Payload) { nw.SendAs(tok, to, pl) }
-		}
+		var (
+			to sim.ProcID
+			pl sim.Payload
+		)
 		if c.fromNode == -1 {
-			send(c.fromLeaf, valuePayload{Val: offset})
+			to, pl = c.fromLeaf, valuePayload{Val: offset}
 		} else {
-			send(pr.nodes[c.fromNode].host, respPayload{
-				Node:  c.fromNode,
-				Batch: c.childBatch,
-				Base:  offset,
-			})
+			to, pl = pr.nodes[c.fromNode].host, respPayload{Node: c.fromNode, Batch: c.childBatch, Base: offset}
+		}
+		if c.tok.Valid() {
+			nw.SendAs(c.tok, to, pl)
+		} else {
+			nw.Send(to, pl)
 		}
 		offset += c.count
 	}
+	b.contribs = b.contribs[:0]
+	nd.free = append(nd.free, b)
 }
 
 func (pr *proto) CloneProtocol() sim.Protocol {
@@ -267,6 +287,7 @@ func (pr *proto) CloneProtocol() sim.Protocol {
 	copy(cp.nodes, pr.nodes)
 	for i := range cp.nodes {
 		src := &pr.nodes[i]
+		cp.nodes[i].free = nil // recycled batches are scratch, never shared
 		if src.pending != nil {
 			b := *src.pending
 			b.contribs = append([]contrib(nil), src.pending.contribs...)

@@ -83,6 +83,8 @@ func (pr *proto) initiate(nw sim.Transport, p sim.ProcID) {
 	st := pr.ops.Begin(nw, p)
 	st.quorum = pr.sys.Quorum(idx)
 	st.bestVal, st.ver = -1, -1
+	// One boxed request serves the whole quorum (payloads are immutable).
+	var req sim.Payload = readReq{Origin: p}
 	for _, member := range st.quorum {
 		if member == int(p) {
 			// Local replica: no messages needed to read your own memory.
@@ -90,7 +92,7 @@ func (pr *proto) initiate(nw sim.Transport, p sim.ProcID) {
 			continue
 		}
 		st.awaitReads++
-		nw.Send(sim.ProcID(member), readReq{Origin: p})
+		nw.Send(sim.ProcID(member), req)
 	}
 	if st.awaitReads == 0 {
 		pr.startWrite(nw, p, st)
@@ -106,13 +108,14 @@ func (pr *proto) observe(st *opState, r replica) {
 
 func (pr *proto) startWrite(nw sim.Transport, origin sim.ProcID, st *opState) {
 	val, ver := st.bestVal+1, st.ver+1
+	var req sim.Payload = writeReq{Origin: origin, Val: val, Ver: ver}
 	for _, member := range st.quorum {
 		if member == int(origin) {
 			pr.replicas[member] = replica{val: val, ver: ver}
 			continue
 		}
 		st.awaitAcks++
-		nw.Send(sim.ProcID(member), writeReq{Origin: origin, Val: val, Ver: ver})
+		nw.Send(sim.ProcID(member), req)
 	}
 	if st.awaitAcks == 0 {
 		pr.ops.Finish(nw, origin, st.bestVal)

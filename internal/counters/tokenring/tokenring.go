@@ -89,7 +89,9 @@ func (pr *proto) Deliver(nw sim.Transport, msg sim.Message) {
 			pr.val++
 			return
 		}
-		nw.Send(pr.next(msg.To), pl)
+		// Forward the payload as it arrived: re-sending pl would box a
+		// fresh copy at every hop of the ring.
+		nw.Send(pr.next(msg.To), msg.Payload)
 	default:
 		panic(fmt.Sprintf("tokenring: unexpected payload %T", msg.Payload))
 	}

@@ -10,16 +10,17 @@ import (
 // closed-loop run, counter construction included. Unlike the simulator's
 // Send/Step guard (exactly zero), a workload run legitimately allocates:
 // the counter and network are built fresh, the per-op metric slices are
-// preallocated once, the result and its digests are assembled, and the
-// counter's value table records one entry per operation. The ceiling is set
-// with >2× headroom over the measured cost (~440 objects for 200 ops at
-// n=16, i.e. ~2.2 objects per op); a regression that reintroduces per-op
-// allocation in the hot path (per-send map inserts, per-quantile sort
-// copies, append-growth of the metric slices) blows through it at once.
+// preallocated once, the result and its digests are assembled, and central
+// boxes one value payload per operation. The ceiling leaves headroom over
+// the measured cost (~220 objects for 200 ops at n=16: about one per op plus
+// construction) but sits below the 425 of the map-backed op table, so a
+// regression that reintroduces per-op allocation in the hot path (an op-table
+// entry, per-send map inserts, per-quantile sort copies, append-growth of the
+// metric slices) blows through it at once.
 func TestRunWorkloadAllocCeiling(t *testing.T) {
 	const (
 		ops     = 200
-		ceiling = 1000 // objects per whole run (~5 per op), measured ~440
+		ceiling = 400 // objects per whole run (2 per op), measured ~220
 	)
 	run := func() {
 		c := mustAsync(t, "central", 16)

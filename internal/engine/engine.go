@@ -196,6 +196,9 @@ type LatencyStats struct {
 	P90  float64 `json:"p90"`
 	P99  float64 `json:"p99"`
 	Max  int64   `json:"max"`
+	// Min is the smallest sample. It is left out of JSON so the committed
+	// report bytes (study goldens, baselines) stay as recorded.
+	Min int64 `json:"-"`
 }
 
 // Result is the workload report of one engine run.
@@ -316,10 +319,6 @@ type Result struct {
 	// cell (1 op/tick predicts 1e9/TickNs ops/sec).
 	Wall   bool  `json:"wall,omitempty"`
 	TickNs int64 `json:"tick_ns,omitempty"`
-
-	// Latencies holds the raw measured end-to-end latencies, for
-	// percentile re-binning and benchmarks; omitted from JSON.
-	Latencies []int64 `json:"-"`
 }
 
 // KeyStat is one key's aggregate outcome in a keyed run.

@@ -19,15 +19,19 @@ type metrics struct {
 	lastDone           int64
 	measureBegan       bool
 	baseSent, baseRecv []int64 // load snapshot at the warmup boundary
-	queueDelays        []int64
-	serviceLats        []int64
-	keyLatSum          []int64 // measured end-to-end latency sum per key; nil on unkeyed runs
-	keyMeasured        []int
+	// Per measured completion: end-to-end latency and its two parts. They
+	// live here, not on the Result, because only their digests are reported:
+	// a retained Result must not pin 8 bytes per operation.
+	latencies   []int64
+	queueDelays []int64
+	serviceLats []int64
+	keyLatSum   []int64 // measured end-to-end latency sum per key; nil on unkeyed runs
+	keyMeasured []int
 }
 
-// newMetrics sizes the accumulation slices (and the result's raw latency
-// vector) from the expected completion count (0 = grow by append), so a
-// hinted run's metric collection performs no mid-run reallocation.
+// newMetrics sizes the accumulation slices from the expected completion
+// count (0 = grow by append), so a hinted run's metric collection performs
+// no mid-run reallocation.
 func newMetrics(res *Result, warmup, hint int) *metrics {
 	// No warmup: measure from t=0 with a zero load baseline.
 	m := &metrics{warmup: warmup, measureBegan: warmup == 0}
@@ -39,7 +43,7 @@ func newMetrics(res *Result, warmup, hint int) *metrics {
 		m.opStarts = make([]int64, 0, hint)
 		m.opDones = make([]int64, 0, hint)
 		if meas := hint - warmup; meas > 0 {
-			res.Latencies = make([]int64, 0, meas)
+			m.latencies = make([]int64, 0, meas)
 			m.queueDelays = make([]int64, 0, meas)
 			m.serviceLats = make([]int64, 0, meas)
 		}
@@ -67,7 +71,7 @@ func (m *metrics) onDone(res *Result, s substrate, key int, arrival, start, done
 		res.MeasureStart = s.now()
 		m.baseSent, m.baseRecv = s.loads()
 	}
-	res.Latencies = append(res.Latencies, done-arrival)
+	m.latencies = append(m.latencies, done-arrival)
 	m.queueDelays = append(m.queueDelays, start-arrival)
 	m.serviceLats = append(m.serviceLats, done-start)
 	if m.keyLatSum != nil {
@@ -105,10 +109,12 @@ func scanPeak(sent, recv []int64) (proc int, load, sum int64) {
 	return proc, load, sum
 }
 
-// finalize derives the aggregate report fields once the run has drained.
+// finalize derives the aggregate report fields once the run has drained. It
+// consumes the per-completion vectors (they are sorted in place), so it runs
+// once, last.
 func (m *metrics) finalize(res *Result, s substrate, thinAfter bool) error {
 	res.Ops = m.completed
-	res.Measured = len(res.Latencies)
+	res.Measured = len(m.latencies)
 	if res.Measured == 0 && res.Wedged == 0 {
 		// A wedged run may legitimately complete nothing (every operation
 		// stalled on a destroyed event); its zero latency digests are part
@@ -156,7 +162,7 @@ func (m *metrics) finalize(res *Result, s substrate, thinAfter bool) error {
 			res.Knee.OfferedRate *= 1e9
 		}
 	}
-	res.Latency = summarizeLatencies(res.Latencies)
+	res.Latency = summarizeLatencies(m.latencies)
 	res.QueueDelay = summarizeLatencies(m.queueDelays)
 	res.ServiceLatency = summarizeLatencies(m.serviceLats)
 
@@ -172,24 +178,26 @@ func (m *metrics) finalize(res *Result, s substrate, thinAfter bool) error {
 	return nil
 }
 
-// summarizeLatencies computes the latency digest; it does not modify its
-// argument. The zero digest is returned for an empty vector.
+// summarizeLatencies computes the latency digest, sorting lats in place:
+// every caller hands over a vector it is done with, and a copy per digest
+// would put O(ops) transient bytes on every run's peak. The zero digest is
+// returned for an empty vector.
 func summarizeLatencies(lats []int64) LatencyStats {
 	if len(lats) == 0 {
 		return LatencyStats{}
 	}
-	sorted := append([]int64(nil), lats...)
-	slices.Sort(sorted)
+	slices.Sort(lats)
 	var sum float64
-	for _, l := range sorted {
+	for _, l := range lats {
 		sum += float64(l)
 	}
 	return LatencyStats{
-		Mean: sum / float64(len(sorted)),
-		P50:  percentile(sorted, 0.50),
-		P90:  percentile(sorted, 0.90),
-		P99:  percentile(sorted, 0.99),
-		Max:  sorted[len(sorted)-1],
+		Mean: sum / float64(len(lats)),
+		P50:  percentile(lats, 0.50),
+		P90:  percentile(lats, 0.90),
+		P99:  percentile(lats, 0.99),
+		Min:  lats[0],
+		Max:  lats[len(lats)-1],
 	}
 }
 
@@ -215,12 +223,10 @@ func percentile(sorted []int64, q float64) float64 {
 // and returns the maximum overlap. An operation completing at the same
 // tick another starts is not concurrent with it (the closed loop admits
 // the successor from the completion); a zero-duration operation — one that
-// completes within its own start event — occupies its start tick. The
-// argument slices are left untouched (the caller hands over its live
-// metrics arrays).
+// completes within its own start event — occupies its start tick. Both
+// slices are consumed: zero-duration completions are bumped and each slice is
+// sorted in place, so the start/done pairing is gone afterwards.
 func peakConcurrency(starts, dones []int64) int {
-	starts = append([]int64(nil), starts...)
-	dones = append([]int64(nil), dones...)
 	for i := range dones {
 		if dones[i] == starts[i] {
 			dones[i]++

@@ -5,13 +5,24 @@ import "math/bits"
 // event is a queued occurrence: either a message delivery or an operation
 // start (start != nil). Events are ordered by (at, seq); seq is a strictly
 // increasing tie-breaker that makes simulations fully deterministic.
+//
+// The layout is packed into one 64-byte cache line (event_test.go pins the
+// size): every send copies an event into its bucket and every delivery copies
+// it out again, so the struct's width is the simulator's per-message memory
+// traffic. The sim.Message a protocol sees is not stored; Step rebuilds it
+// from from/to/payload/local at Deliver. Processor ids and trace-node
+// indices fit 32 bits by a wide margin (the largest loaded run is n = 15625).
 type event struct {
-	at     int64
-	seq    uint64
-	msg    Message
-	op     OpID
-	parent int // trace node index of the sending event within op's DAG
-	start  func(nw Transport, p ProcID)
+	at      int64
+	seq     uint64
+	payload Payload
+	start   func(nw Transport, p ProcID)
+	op      OpID
+	from    int32
+	to      int32
+	parent  int32 // trace node index of the sending event within op's DAG
+	// local marks a timer/self-wakeup (Message.Local).
+	local bool
 	// reserved marks a delivery deferred by the service-time model: the
 	// event holds a reservation for its receiver's service slot at `at`
 	// and must not be deferred again.
@@ -35,8 +46,8 @@ func (h *eventHeap) less(i, j int) bool {
 	return a.seq < b.seq
 }
 
-func (h *eventHeap) push(e event) {
-	h.evs = append(h.evs, e)
+func (h *eventHeap) push(e *event) {
+	h.evs = append(h.evs, *e)
 	i := len(h.evs) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -111,9 +122,11 @@ type eventQueue struct {
 
 func (q *eventQueue) len() int { return q.nearLen + q.far.len() }
 
-// push enqueues e, routing it to the ring when its timestamp falls inside
-// the current window and to the heap otherwise.
-func (q *eventQueue) push(e event) {
+// push enqueues a copy of *e, routing it to the ring when its timestamp
+// falls inside the current window and to the heap otherwise. Taking a
+// pointer makes a send exactly one event copy: from the caller's frame into
+// its bucket.
+func (q *eventQueue) push(e *event) {
 	d := e.at - q.base
 	if uint64(d) >= ringWindow { // also catches a (never expected) past event
 		q.far.push(e)
@@ -124,7 +137,7 @@ func (q *eventQueue) push(e event) {
 	if n := len(bucket); n == q.heads[b] || bucket[n-1].seq < e.seq {
 		// The overwhelmingly common case: a fresh seq, larger than
 		// everything already queued for the tick.
-		q.near[b] = append(bucket, e)
+		q.near[b] = append(bucket, *e)
 	} else {
 		// A service-slot or freeze re-entry overtaken by newer sends to the
 		// same tick: binary-insert by seq behind the pop cursor.
@@ -139,7 +152,7 @@ func (q *eventQueue) push(e event) {
 		}
 		bucket = append(bucket, event{})
 		copy(bucket[lo+1:], bucket[lo:])
-		bucket[lo] = e
+		bucket[lo] = *e
 		q.near[b] = bucket
 	}
 	q.occ |= 1 << b

@@ -2,9 +2,19 @@ package sim
 
 import (
 	"testing"
+	"unsafe"
 
 	"distcount/internal/rng"
 )
+
+// TestEventFitsOneCacheLine pins the packed layout: a send copies one event
+// into its bucket and a delivery copies it out, so growing the struct past a
+// cache line is a per-message cost on every protocol.
+func TestEventFitsOneCacheLine(t *testing.T) {
+	if size := unsafe.Sizeof(event{}); size > 64 {
+		t.Fatalf("sizeof(event) = %d bytes, want <= 64", size)
+	}
+}
 
 // TestEventQueueMatchesHeapReference drives the bucket-ring queue and a
 // pure binary heap with the same randomized operation stream — fresh pushes
@@ -22,8 +32,8 @@ func TestEventQueueMatchesHeapReference(t *testing.T) {
 			now int64
 		)
 		push := func(e event) {
-			q.push(e)
-			ref.push(e)
+			q.push(&e)
+			ref.push(&e)
 		}
 		popBoth := func() event {
 			if q.len() != ref.len() {
@@ -36,6 +46,12 @@ func TestEventQueueMatchesHeapReference(t *testing.T) {
 			if got.at != want.at || got.seq != want.seq {
 				t.Fatalf("seed %d: pop = (at %d, seq %d), reference (at %d, seq %d)",
 					seed, got.at, got.seq, want.at, want.seq)
+			}
+			// The narrow fields ride along unchanged through both structures.
+			if got.from != want.from || got.to != want.to || got.parent != want.parent ||
+				got.local != want.local || got.reserved != want.reserved || got.op != want.op {
+				t.Fatalf("seed %d: event (at %d, seq %d) came back altered: %+v vs reference %+v",
+					seed, got.at, got.seq, got, want)
 			}
 			return got
 		}
@@ -50,7 +66,12 @@ func TestEventQueueMatchesHeapReference(t *testing.T) {
 					d = int64(r.Uint64() % 64)
 				}
 				seq++
-				push(event{at: now + d, seq: seq})
+				bits := r.Uint64()
+				push(event{
+					at: now + d, seq: seq, op: OpID(seq),
+					from: int32(bits >> 40), to: -int32(bits >> 41), parent: int32(bits),
+					local: bits&1 != 0,
+				})
 				continue
 			}
 			e := popBoth()
@@ -60,6 +81,7 @@ func TestEventQueueMatchesHeapReference(t *testing.T) {
 				// tick with its ORIGINAL seq — the one push pattern that is
 				// not append-in-seq-order within a bucket.
 				e.at = now + int64(r.Uint64()%32)
+				e.reserved = true
 				push(e)
 			}
 		}
@@ -77,10 +99,10 @@ func TestEventQueueMatchesHeapReference(t *testing.T) {
 // re-entry lands behind newer pushes.
 func TestEventQueueSameTickSeqOrder(t *testing.T) {
 	var q eventQueue
-	q.push(event{at: 5, seq: 10})
-	q.push(event{at: 5, seq: 12})
-	q.push(event{at: 5, seq: 11}) // binary-insert path: out-of-order seq
-	q.push(event{at: 3, seq: 13})
+	q.push(&event{at: 5, seq: 10})
+	q.push(&event{at: 5, seq: 12})
+	q.push(&event{at: 5, seq: 11}) // binary-insert path: out-of-order seq
+	q.push(&event{at: 3, seq: 13})
 	var got []uint64
 	for q.len() > 0 {
 		got = append(got, q.pop().seq)
@@ -99,15 +121,15 @@ func TestEventQueueSameTickSeqOrder(t *testing.T) {
 // structures must hold).
 func TestEventQueueFarToNearMigration(t *testing.T) {
 	var q eventQueue
-	q.push(event{at: 500, seq: 1}) // far: beyond the 64-tick window of base 0
-	q.push(event{at: 2, seq: 2})
-	q.push(event{at: 499, seq: 3}) // also far
+	q.push(&event{at: 500, seq: 1}) // far: beyond the 64-tick window of base 0
+	q.push(&event{at: 2, seq: 2})
+	q.push(&event{at: 499, seq: 3}) // also far
 	if e := q.pop(); e.seq != 2 {
 		t.Fatalf("first pop seq %d, want 2", e.seq)
 	}
 	// Window now starts at 2; 499 is still far, pushes land in the ring only
 	// within [2, 66).
-	q.push(event{at: 65, seq: 4})
+	q.push(&event{at: 65, seq: 4})
 	order := []uint64{4, 3, 1}
 	for _, want := range order {
 		if e := q.pop(); e.seq != want {
@@ -124,9 +146,9 @@ func TestEventQueueFarToNearMigration(t *testing.T) {
 func TestEventQueueClone(t *testing.T) {
 	var q eventQueue
 	for i := 1; i <= 10; i++ {
-		q.push(event{at: int64(i % 7), seq: uint64(i)})
+		q.push(&event{at: int64(i % 7), seq: uint64(i)})
 	}
-	q.push(event{at: 200, seq: 11})
+	q.push(&event{at: 200, seq: 11})
 	cl := q.clone()
 	for cl.len() > 0 {
 		cl.pop()

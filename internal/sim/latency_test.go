@@ -82,3 +82,126 @@ func TestSkewLatencyLowMax(t *testing.T) {
 		t.Fatalf("skew with max 1 = %d", d)
 	}
 }
+
+// countingLatency delegates to a model and counts how often it was asked.
+type countingLatency struct {
+	inner Latency
+	calls *int
+}
+
+func (l countingLatency) Delay(msg Message, r *rng.Source) int64 {
+	*l.calls++
+	return l.inner.Delay(msg, r)
+}
+
+// TestOnlyUnitLatencySkipsDelay: the send path consults the latency model
+// for every transmission unless the model is exactly UnitLatency — including
+// a foreign model that happens to return 1, a degenerate uniform range, and
+// the stateful stall model whose occurrence counting depends on seeing every
+// message.
+func TestOnlyUnitLatencySkipsDelay(t *testing.T) {
+	const sends = 3 // relayProto{hops: 3}: 1→2→3→4
+	run := func(t *testing.T, nw *Network) *OpStats {
+		t.Helper()
+		id := nw.StartOp(1, startRelay)
+		if err := nw.Run(); err != nil {
+			t.Fatal(err)
+		}
+		st := nw.OpStats(id)
+		if st.Messages != sends {
+			t.Fatalf("operation sent %d messages, want %d", st.Messages, sends)
+		}
+		return st
+	}
+
+	t.Run("default", func(t *testing.T) {
+		nw := New(8, &relayProto{hops: 3})
+		if !nw.unitLatency {
+			t.Fatal("default network does not take the UnitLatency fast path")
+		}
+		if st := run(t, nw); st.DoneAt-st.StartedAt != sends {
+			t.Fatalf("unit-latency relay took %d ticks, want %d", st.DoneAt-st.StartedAt, sends)
+		}
+	})
+	t.Run("wrapped-unit", func(t *testing.T) {
+		calls := 0
+		nw := New(8, &relayProto{hops: 3}, WithLatency(countingLatency{UnitLatency{}, &calls}))
+		run(t, nw)
+		if calls != sends {
+			t.Fatalf("Delay called %d times for %d sends", calls, sends)
+		}
+	})
+	t.Run("uniform", func(t *testing.T) {
+		nw := New(8, &relayProto{hops: 3}, WithSeed(7), WithLatency(UniformLatency{Min: 1, Max: 9}))
+		st := run(t, nw)
+		ref, want := rng.New(7), int64(0)
+		for i := 0; i < sends; i++ {
+			want += UniformLatency{Min: 1, Max: 9}.Delay(Message{}, ref)
+		}
+		if got := st.DoneAt - st.StartedAt; got != want {
+			t.Fatalf("uniform relay took %d ticks, want the %d of %d seeded draws", got, want, sends)
+		}
+		if a, b := nw.Rand().Uint64(), ref.Uint64(); a != b {
+			t.Fatal("network rng is not exactly one draw per send ahead of its seed")
+		}
+	})
+	t.Run("skew", func(t *testing.T) {
+		lat := SkewLatency{Max: 16}
+		nw := New(8, &relayProto{hops: 3}, WithLatency(lat))
+		st := run(t, nw)
+		var want int64
+		for from := ProcID(1); from <= sends; from++ {
+			want += lat.Delay(Message{From: from, To: from + 1}, nil)
+		}
+		if got := st.DoneAt - st.StartedAt; got != want || want == sends {
+			t.Fatalf("skew relay took %d ticks, want %d (and not the unit %d)", got, want, sends)
+		}
+	})
+	t.Run("stall-kind", func(t *testing.T) {
+		lat := NewStallKindLatency(50, map[string][]int{"zero": {1}})
+		nw := New(8, &relayProto{hops: 3}, WithLatency(lat))
+		st := run(t, nw)
+		if lat.seen["zero"] != sends {
+			t.Fatalf("stall model saw %d messages, want %d", lat.seen["zero"], sends)
+		}
+		if got := st.DoneAt - st.StartedAt; got != 1+50+1 {
+			t.Fatalf("relay with its second hop stalled took %d ticks, want 52", got)
+		}
+	})
+}
+
+// TestCloneCarriesLatencyFastPath: a clone keeps both the model and the
+// cached decision about it, so original and clone schedule identically.
+func TestCloneCarriesLatencyFastPath(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts []Option
+		unit bool
+		hop  int64
+	}{
+		{"unit", nil, true, 1},
+		{"uniform", []Option{WithLatency(UniformLatency{Min: 4, Max: 4})}, false, 4},
+	} {
+		nw := New(8, &cloneableRelay{relayProto{hops: 3}}, tc.opts...)
+		cl, err := nw.Clone()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if nw.unitLatency != tc.unit || cl.unitLatency != tc.unit {
+			t.Fatalf("%s: fast path original=%v clone=%v, want %v", tc.name, nw.unitLatency, cl.unitLatency, tc.unit)
+		}
+		for _, net := range []*Network{nw, cl} {
+			id := net.StartOp(1, startRelay)
+			if err := net.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if st := net.OpStats(id); st.DoneAt-st.StartedAt != 3*tc.hop {
+				t.Fatalf("%s: relay took %d ticks, want %d", tc.name, st.DoneAt-st.StartedAt, 3*tc.hop)
+			}
+		}
+	}
+}
+
+type cloneableRelay struct{ relayProto }
+
+func (c *cloneableRelay) CloneProtocol() Protocol { cp := *c; return &cp }

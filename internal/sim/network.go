@@ -36,7 +36,11 @@ type Network struct {
 	n       int
 	proto   Protocol
 	latency Latency
-	rand    *rng.Source
+	// unitLatency caches latency.(UnitLatency), fixed at construction: the
+	// default model returns 1 and draws no randomness, so pushSend skips the
+	// interface call and the Message it would have to build for it.
+	unitLatency bool
+	rand        *rng.Source
 
 	now   int64
 	seq   uint64
@@ -195,6 +199,7 @@ func New(n int, proto Protocol, opts ...Option) *Network {
 	for _, opt := range opts {
 		opt(nw)
 	}
+	_, nw.unitLatency = nw.latency.(UnitLatency)
 	return nw
 }
 
@@ -415,10 +420,11 @@ func (nw *Network) ScheduleOp(at int64, p ProcID, start func(nw Transport, p Pro
 		nw.ops.put(id, st)
 	}
 	nw.seq++
-	nw.queue.push(event{
+	nw.queue.push(&event{
 		at:    at,
 		seq:   nw.seq,
-		msg:   Message{From: p, To: p},
+		from:  int32(p),
+		to:    int32(p),
 		op:    id,
 		start: start,
 	})
@@ -464,15 +470,23 @@ func (nw *Network) accountSend(from, to ProcID, pl Payload, st *OpStats, countPe
 	}
 }
 
-// pushSend enqueues one transmission of msg with a fresh latency draw.
-func (nw *Network) pushSend(msg Message, op OpID, parent int) {
+// pushSend enqueues one transmission with a fresh latency draw. Under the
+// default UnitLatency the draw is the constant 1 and consumes no randomness,
+// so the model is not consulted; every other model sees the full message.
+func (nw *Network) pushSend(from, to ProcID, pl Payload, op OpID, parent int) {
+	delay := int64(1)
+	if !nw.unitLatency {
+		delay = nw.latency.Delay(Message{From: from, To: to, Payload: pl}, nw.rand)
+	}
 	nw.seq++
-	nw.queue.push(event{
-		at:     nw.now + nw.latency.Delay(msg, nw.rand),
-		seq:    nw.seq,
-		msg:    msg,
-		op:     op,
-		parent: parent,
+	nw.queue.push(&event{
+		at:      nw.now + delay,
+		seq:     nw.seq,
+		payload: pl,
+		op:      op,
+		from:    int32(from),
+		to:      int32(to),
+		parent:  int32(parent),
 	})
 }
 
@@ -499,13 +513,12 @@ func (nw *Network) enqueueSend(to ProcID, pl Payload, op OpID, parent int, count
 			return
 		}
 	}
-	msg := Message{From: from, To: to, Payload: pl}
-	nw.pushSend(msg, op, parent)
+	nw.pushSend(from, to, pl, op, parent)
 	if dup {
 		// A duplicated message repeats the whole accounting and gets its own
 		// latency draw. Duplicate copies are not fed back through SendFate.
 		nw.accountSend(from, to, pl, st, true)
-		nw.pushSend(msg, op, parent)
+		nw.pushSend(from, to, pl, op, parent)
 	}
 }
 
@@ -605,12 +618,15 @@ func (nw *Network) After(delay int64, pl Payload) {
 	}
 	p := nw.cur.proc
 	nw.seq++
-	nw.queue.push(event{
-		at:     nw.now + delay,
-		seq:    nw.seq,
-		msg:    Message{From: p, To: p, Payload: pl, Local: true},
-		op:     nw.cur.op,
-		parent: nw.cur.traceNode,
+	nw.queue.push(&event{
+		at:      nw.now + delay,
+		seq:     nw.seq,
+		payload: pl,
+		op:      nw.cur.op,
+		from:    int32(p),
+		to:      int32(p),
+		parent:  int32(nw.cur.traceNode),
+		local:   true,
 	})
 }
 
@@ -630,10 +646,13 @@ func (nw *Network) AfterDetached(delay int64, pl Payload) {
 	}
 	p := nw.cur.proc
 	nw.seq++
-	nw.queue.push(event{
-		at:  nw.now + delay,
-		seq: nw.seq,
-		msg: Message{From: p, To: p, Payload: pl, Local: true},
+	nw.queue.push(&event{
+		at:      nw.now + delay,
+		seq:     nw.seq,
+		payload: pl,
+		from:    int32(p),
+		to:      int32(p),
+		local:   true,
 	})
 }
 
@@ -668,8 +687,8 @@ func (nw *Network) Step() (bool, error) {
 	// outstanding slot defers rather than stealing it), so a backlog of k
 	// messages costs O(k) extra queue operations, not O(k²), and drains
 	// FIFO with no starvation.
-	if e.start == nil && !e.msg.Local && !e.reserved {
-		to := e.msg.To
+	to := ProcID(e.to)
+	if e.start == nil && !e.local && !e.reserved {
 		if svc := nw.svcOf(to); svc > 0 {
 			if free := nw.freeAt[to]; free > e.at || nw.nextSlot[to] > free {
 				slot := free
@@ -679,7 +698,7 @@ func (nw *Network) Step() (bool, error) {
 				nw.nextSlot[to] = slot + svc
 				e.at = slot
 				e.reserved = true
-				nw.queue.push(e)
+				nw.queue.push(&e)
 				return true, nil
 			}
 		}
@@ -691,7 +710,7 @@ func (nw *Network) Step() (bool, error) {
 		st.DoneAt = e.at
 	}
 
-	nw.cur = ctx{op: e.op, proc: e.msg.To}
+	nw.cur = ctx{op: e.op, proc: to}
 	nw.inCallback = true
 	defer func() { nw.inCallback = false }()
 
@@ -699,24 +718,24 @@ func (nw *Network) Step() (bool, error) {
 		// Operation initiation: the source node of the DAG already exists
 		// (index 0).
 		nw.cur.traceNode = 0
-		e.start(nw, e.msg.To)
+		e.start(nw, to)
 	} else {
-		if !e.msg.Local {
-			nw.recv[e.msg.To]++
-			nw.tracker.Add(int(e.msg.To), 1)
-			if svc := nw.svcOf(e.msg.To); svc > 0 {
-				nw.freeAt[e.msg.To] = e.at + svc
+		if !e.local {
+			nw.recv[to]++
+			nw.tracker.Add(int(to), 1)
+			if svc := nw.svcOf(to); svc > 0 {
+				nw.freeAt[to] = e.at + svc
 			}
 			if st != nil && st.DAG != nil {
-				nw.cur.traceNode = st.DAG.AddEvent(int(e.msg.To), e.parent)
+				nw.cur.traceNode = st.DAG.AddEvent(int(to), int(e.parent))
 			}
 		} else {
 			// Local wakeups keep the causal position of their scheduler so
 			// that messages sent from a timer remain attached to the DAG
 			// correctly.
-			nw.cur.traceNode = e.parent
+			nw.cur.traceNode = int(e.parent)
 		}
-		nw.proto.Deliver(nw, e.msg)
+		nw.proto.Deliver(nw, Message{From: ProcID(e.from), To: to, Payload: e.payload, Local: e.local})
 	}
 	nw.inCallback = false
 
@@ -745,12 +764,12 @@ func (nw *Network) Step() (bool, error) {
 // event. It returns true when the event was consumed (drained, cancelled,
 // or re-enqueued for after recovery) and must not be delivered.
 func (nw *Network) faultIntercept(e *event) bool {
-	down, until, forever := nw.faults.DownAt(e.msg.To, e.at)
+	down, until, forever := nw.faults.DownAt(ProcID(e.to), e.at)
 	if !down {
 		return false
 	}
 	st := nw.ops.get(e.op)
-	if e.msg.Local {
+	if e.local {
 		// A crash loses soft state: local timers at a down processor are
 		// cancelled outright, even under Freeze.
 		nw.faults.NoteTimerCancelled()
@@ -767,7 +786,7 @@ func (nw *Network) faultIntercept(e *event) bool {
 		e.at = until
 		e.seq = nw.seq
 		e.reserved = false
-		nw.queue.push(*e)
+		nw.queue.push(e)
 		return true
 	}
 	// Drained mailbox: the delivery is destroyed and its operation wedges.
@@ -808,29 +827,30 @@ func (nw *Network) Clone() (*Network, error) {
 		return nil, ErrNotCloneable
 	}
 	out := &Network{
-		n:          nw.n,
-		proto:      cp.CloneProtocol(),
-		latency:    nw.latency,
-		rand:       nw.rand.Clone(),
-		now:        nw.now,
-		seq:        nw.seq,
-		queue:      nw.queue.clone(),
-		sent:       make([]int64, len(nw.sent)),
-		recv:       make([]int64, len(nw.recv)),
-		tracker:    nw.tracker.Clone(),
-		msgTotal:   nw.msgTotal,
-		bitsTotal:  nw.bitsTotal,
-		maxMsgBits: nw.maxMsgBits,
-		events:     nw.events,
-		maxEvents:  nw.maxEvents,
-		service:    nw.service,
-		freeAt:     make([]int64, len(nw.freeAt)),
-		nextSlot:   make([]int64, len(nw.nextSlot)),
-		nextOp:     nw.nextOp,
-		ops:        opTable{floor: nw.nextOp, top: nw.nextOp},
-		trackOps:   nw.trackOps,
-		tracing:    nw.tracing,
-		faults:     nw.faults.Clone(),
+		n:           nw.n,
+		proto:       cp.CloneProtocol(),
+		latency:     nw.latency,
+		unitLatency: nw.unitLatency,
+		rand:        nw.rand.Clone(),
+		now:         nw.now,
+		seq:         nw.seq,
+		queue:       nw.queue.clone(),
+		sent:        make([]int64, len(nw.sent)),
+		recv:        make([]int64, len(nw.recv)),
+		tracker:     nw.tracker.Clone(),
+		msgTotal:    nw.msgTotal,
+		bitsTotal:   nw.bitsTotal,
+		maxMsgBits:  nw.maxMsgBits,
+		events:      nw.events,
+		maxEvents:   nw.maxEvents,
+		service:     nw.service,
+		freeAt:      make([]int64, len(nw.freeAt)),
+		nextSlot:    make([]int64, len(nw.nextSlot)),
+		nextOp:      nw.nextOp,
+		ops:         opTable{floor: nw.nextOp, top: nw.nextOp},
+		trackOps:    nw.trackOps,
+		tracing:     nw.tracing,
+		faults:      nw.faults.Clone(),
 	}
 	copy(out.sent, nw.sent)
 	copy(out.recv, nw.recv)

@@ -467,7 +467,7 @@ func TestOpDoneAt(t *testing.T) {
 func TestHeapOrdering(t *testing.T) {
 	var h eventHeap
 	for i, at := range []int64{5, 1, 3, 1, 9, 2} {
-		h.push(event{at: at, seq: uint64(i)})
+		h.push(&event{at: at, seq: uint64(i)})
 	}
 	var prevAt int64 = -1
 	var prevSeq uint64
