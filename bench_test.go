@@ -13,6 +13,7 @@ package distcount_test
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -449,10 +450,11 @@ func BenchmarkWorkloadEngineWindow(b *testing.B) {
 }
 
 // BenchmarkRTInc isolates the rt backend's substrate: one synchronous
-// operation end to end — a mailbox channel send, a real goroutine picking
-// it up, and the completion hop back — with zero emulated service cost, so
-// ns/op is the runtime's per-op channel and scheduling overhead (the cost
-// the discrete-event simulator does not charge for).
+// operation end to end — an append to a mutex-guarded mailbox, a real
+// goroutine woken to pick it up, and the completion hop back — with zero
+// emulated service cost, so ns/op is the runtime's per-op mailbox and
+// scheduling overhead (the cost the discrete-event simulator does not
+// charge for).
 func BenchmarkRTInc(b *testing.B) {
 	cfg := registry.Concurrent()
 	cfg.Backend = "rt"
@@ -557,6 +559,61 @@ func BenchmarkRTWall(b *testing.B) {
 			b.ReportMetric(res.Latency.P99, "p99_ns")
 		})
 	}
+}
+
+// BenchmarkRTClosed is the repository benchmark's rt_closed_central cell as a
+// root benchmark: central at n=8 on the goroutine backend, one closed-loop
+// client per processor, Verify on, 100 000 operations per run — long enough
+// that the figure is the steady per-op cost (RTWall's 300-op runs measure
+// mostly spawn and epilogue). Every per-op figure is over the run's own
+// operations: ns/op, B/op and allocs/op cover the whole engine.RunWall call
+// (runtime construction excluded), ops/sec is the measure window's
+// throughput as the result reports it.
+func BenchmarkRTClosed(b *testing.B) {
+	const ops = 100_000
+	b.Run("central/n=8", func(b *testing.B) {
+		var (
+			res            *engine.Result
+			before, after  runtime.MemStats
+			mallocs, bytes uint64
+			msgs           int64
+		)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			cfg := registry.Concurrent()
+			cfg.Backend = "rt"
+			c, err := registry.NewWith("central", 8, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			r := c.(*rt.Runtime)
+			sc, err := workload.New("uniform", workload.Config{N: r.N(), Ops: ops, Seed: 1, MeanGap: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			runtime.ReadMemStats(&before)
+			b.StartTimer()
+			res, err = engine.RunWall(r, sc, engine.Config{InFlight: r.N(), Warmup: ops / 10, Ops: ops, Verify: true})
+			b.StopTimer()
+			if err != nil {
+				b.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			mallocs += after.Mallocs - before.Mallocs
+			bytes += after.TotalAlloc - before.TotalAlloc
+			msgs += res.Messages
+			if v := res.Verification; v == nil || v.Violations != 0 {
+				b.Fatalf("verification: %+v", v)
+			}
+		}
+		total := float64(b.N) * ops
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/op")
+		b.ReportMetric(float64(mallocs)/total, "allocs/op")
+		b.ReportMetric(float64(bytes)/total, "B/op")
+		b.ReportMetric(float64(msgs)/total, "msgs/op")
+		b.ReportMetric(res.Throughput, "ops/sec")
+	})
 }
 
 // BenchmarkScenarioGeneration isolates the workload generators: requests

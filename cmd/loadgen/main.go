@@ -62,7 +62,7 @@
 //
 // With -backend rt the same protocol state machines run on the
 // goroutine-per-processor runtime instead of the simulator: one goroutine
-// per processor, channel messaging, one simulated tick of service cost
+// per processor, mailbox messaging, one simulated tick of service cost
 // emulated as 1 µs of real work, and the report in wall-clock nanoseconds
 // and ops/sec. -service-dist selects a heterogeneous per-processor
 // service-cost profile (flat, halfslow, straggler) on top of -service; it

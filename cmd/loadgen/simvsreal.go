@@ -143,7 +143,7 @@ func compareSimVsReal(simR, rtR report.SweepRow, probeThr float64) simVsRealRow 
 		row.Verdict = "unsaturated"
 	case row.SimKneeRate == 0:
 		// Real hardware saturated inside a ramp the model survived: a cost
-		// the simulator does not charge for (scheduling, channel overhead).
+		// the simulator does not charge for (scheduling, mailbox overhead).
 		row.Verdict = "hardware-only-knee"
 	case row.RTKneeRate == 0:
 		row.Verdict = "sim-only-knee"

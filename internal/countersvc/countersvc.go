@@ -107,9 +107,9 @@ type MigrationEvent struct {
 }
 
 // Service routes keyed increments to shards. It is driven the way a single
-// counter.Async is driven: Start injects, the merged event loop (sim) or
-// the completion channel (rt) delivers completions. Not safe for concurrent
-// use; the engine drivers own it from one goroutine.
+// counter.Async is driven: Start injects, the merged event loop (sim) or the
+// completion sink (rt, DeliverTo) delivers completions. Not safe for
+// concurrent use; the engine drivers own it from one goroutine.
 type Service struct {
 	keys   int
 	n      int
@@ -137,13 +137,6 @@ type Service struct {
 	now       int64 // merged simulated clock (max stepped event time)
 	done      func(shard, key, epoch int, st *sim.OpStats)
 	onMigrate func(MigrationEvent)
-	comp      chan RTDone // rt backend completion stream
-}
-
-// RTDone is one rt-backend completion, tagged with its shard.
-type RTDone struct {
-	Shard int
-	Done  rt.OpDone
 }
 
 // New builds the service: every home shard (plus the hot shard when
@@ -202,11 +195,6 @@ func New(cfg Config) (*Service, error) {
 		s.winCount = make([]int, cfg.Keys)
 	}
 	rtBackend := cfg.Registry.Backend == "rt"
-	if rtBackend {
-		// Buffer covers the max possible in-flight (one op per initiator
-		// per shard) so runtime callbacks never block on the service.
-		s.comp = make(chan RTDone, len(algos)*(cfg.N+1))
-	}
 	for i, name := range algos {
 		c, err := registry.NewWith(name, cfg.N, cfg.Registry)
 		if err != nil {
@@ -221,10 +209,7 @@ func New(cfg Config) (*Service, error) {
 		}
 		s.shards[i] = v
 		if rtBackend {
-			r := c.(*rt.Runtime)
-			s.rts[i] = r
-			shard := i
-			r.OnOpDone(func(d rt.OpDone) { s.comp <- RTDone{Shard: shard, Done: d} })
+			s.rts[i] = c.(*rt.Runtime)
 		} else {
 			nw := c.Net()
 			s.nets[i] = nw
@@ -290,10 +275,17 @@ func (s *Service) Net(shard int) *sim.Network { return s.nets[shard] }
 // RT returns a shard's runtime, nil on the sim backend.
 func (s *Service) RT(shard int) *rt.Runtime { return s.rts[shard] }
 
-// Completions returns the rt backend's merged completion stream; nil on
-// the sim backend. The consumer must call CompleteRT for every received
-// completion to keep the service's routing state current.
-func (s *Service) Completions() <-chan RTDone { return s.comp }
+// DeliverTo merges the rt backend's completion streams into sink: every
+// shard runtime delivers under its shard index. A no-op on the sim backend.
+// The consumer must call CompleteRT for every completion it takes out of the
+// sink to keep the service's routing state current.
+func (s *Service) DeliverTo(sink *rt.Sink) {
+	for shard, r := range s.rts {
+		if r != nil {
+			r.OnOpDone(func(d rt.OpDone) { sink.Put(shard, d) })
+		}
+	}
+}
 
 // RouteFor returns the shard a key currently routes to and whether the key
 // is open for admission (false while frozen for migration drain).
@@ -327,7 +319,7 @@ func (s *Service) OnOpDone(fn func(shard, key, epoch int, st *sim.OpStats)) { s.
 func (s *Service) OnMigrate(fn func(MigrationEvent)) { s.onMigrate = fn }
 
 // Start injects one increment for key by processor p at absolute simulated
-// time at (ignored on the rt backend) and returns the shard it routed to
+// time at (on the rt backend: right now) and returns the shard it routed to
 // plus the shard-local operation id. Callers must respect RouteFor: a
 // frozen key must not be started, and at most one operation per (shard,
 // initiator) may be in flight.
@@ -335,6 +327,11 @@ func (s *Service) Start(at int64, key int, p sim.ProcID) (shard int, id sim.OpID
 	shard = s.route[key]
 	if s.frozen[key] {
 		panic(fmt.Sprintf("countersvc: Start on frozen key %d", key))
+	}
+	if s.rts[shard] != nil {
+		// The shard stamps the operation on its own clock: at is on the merged
+		// one (NowNs), which carries the shards' construction offsets.
+		at = 0
 	}
 	id = s.shards[shard].Start(at, p)
 	// Shard-local op ids are sequential from 1 on both backends, so a
@@ -370,11 +367,11 @@ func (s *Service) noteDone(shard, id int, st *sim.OpStats) {
 }
 
 // CompleteRT performs the service bookkeeping for one rt-backend completion
-// drained from Completions, returning the op's key and the routing epoch it
-// ran at (pre-cutover, like OnOpDone's). Must be called from the single
-// driver goroutine.
-func (s *Service) CompleteRT(d RTDone) (key, epoch int) {
-	key = s.keyOf[d.Shard][int(d.Done.ID)-1]
+// taken out of the DeliverTo sink, returning the op's key and the routing
+// epoch it ran at (pre-cutover, like OnOpDone's). Must be called from the
+// single driver goroutine.
+func (s *Service) CompleteRT(d rt.Completion) (key, epoch int) {
+	key = s.keyOf[d.Shard][int(d.ID)-1]
 	epoch = s.epoch[key]
 	s.inflight[key]--
 	s.keyOps[key]++

@@ -370,7 +370,7 @@ func RunWall(r *rt.Runtime, gen workload.Generator, cfg Config) (*Result, error)
 		vf = &verifier{guarantee: r.Guarantee()}
 	}
 	res := &Result{Algorithm: r.Name(), N: r.N(), Wall: true, TickNs: r.Tick().Nanoseconds()}
-	return drive(&wallRuntime{r: r, wedgeIdle: cfg.WedgeIdle}, res, gen, cfg, vf)
+	return drive(&wallRuntime{r: r, stall: wallStall, wedgeIdle: cfg.WedgeIdle}, res, gen, cfg, vf)
 }
 
 // RunKeyed drives a multi-key counting service with a keyed scenario until

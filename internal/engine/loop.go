@@ -56,6 +56,9 @@ func drive(s substrate, res *Result, gen workload.Generator, cfg Config, vf *ver
 	}
 	hint := opsHint(cfg, gen)
 	r.m = newMetrics(res, cfg.Warmup, hint)
+	if vf != nil {
+		vf.expect(hint)
+	}
 	r.flights = make([]flight, res.N+1)
 	var thinAfter bool
 	r.sampleEvery, thinAfter = resolveStride(cfg, gen)

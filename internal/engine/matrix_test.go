@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -146,60 +147,160 @@ func TestLoopMatrix(t *testing.T) {
 	}
 }
 
+// silentWall binds a wallRuntime over a fresh central runtime on which nothing
+// ever starts, so the only completions are the ones a test puts into its
+// sink. done counts the completions the loop is handed.
+func silentWall(t *testing.T, stall, wedgeIdle time.Duration, plan *sim.FaultPlan) (w *wallRuntime, done *int) {
+	c, err := registry.NewWith("central", 2, registry.Config{Backend: "rt", Window: registry.DefaultWindow, Faults: plan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w = &wallRuntime{r: c.(*rt.Runtime), stall: stall, wedgeIdle: wedgeIdle}
+	done = new(int)
+	w.bind(func(completion) { *done++ }, nil)
+	t.Cleanup(w.close)
+	return w, done
+}
+
 // TestAwaitWallLeavesTimerStopped: every way out of the wall-clock wait — a
-// completion already there, one arriving during the far sleep, an arrival
-// coming due inside and beyond the spin horizon, the stall timeout — leaves
-// the substrate's reusable timer stopped and drained, and never returns
-// before the time it was asked to wait out.
+// completion already there, one arriving while the loop is parked, an arrival
+// coming due inside and beyond the spin horizon, the stall timeout — returns
+// what await's contract says, never before the time it was asked to wait out,
+// and leaves the sink's reusable arrival timer stopped: a fire left behind
+// would cut the next arrival wait short.
 func TestAwaitWallLeavesTimerStopped(t *testing.T) {
 	const far = time.Hour // a stall timeout that never expires
 	for _, tc := range []struct {
 		name       string
-		ready      bool          // a completion is buffered on entry
-		sendAfter  time.Duration // or arrives this much later
+		ready      int           // completions already in the sink on entry
+		sendAfter  time.Duration // or one arrives this much later
 		until      time.Duration // the pending arrival; negative = none
 		stall      time.Duration
 		want       bool
 		handled    int
 		atLeastFor time.Duration
 	}{
-		{name: "completion ready", ready: true, until: -1, stall: far, want: true, handled: 1},
+		{name: "completion ready", ready: 1, until: -1, stall: far, want: true, handled: 1},
 		{name: "completion during sleep", sendAfter: 5 * time.Millisecond, until: -1, stall: far, want: true, handled: 1, atLeastFor: 5 * time.Millisecond},
-		{name: "completion ready, arrival overdue", ready: true, until: 0, stall: far, want: true, handled: 1},
+		{name: "completion ready, arrival overdue", ready: 3, until: 0, stall: far, want: true, handled: 3},
 		{name: "arrival overdue", until: 0, stall: far, want: true},
 		{name: "arrival inside the horizon", until: 300 * time.Microsecond, stall: far, want: true, atLeastFor: 300 * time.Microsecond},
 		{name: "arrival beyond the horizon", until: 4 * time.Millisecond, stall: far, want: true, atLeastFor: 4 * time.Millisecond},
 		{name: "stall", until: -1, stall: 3 * time.Millisecond, want: false, atLeastFor: 3 * time.Millisecond},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			timer := newWallTimer()
-			comp := make(chan int, 1)
-			if tc.ready {
-				comp <- 1
+			w, handled := silentWall(t, tc.stall, far, nil)
+			for i := 0; i < tc.ready; i++ {
+				w.sink.Put(0, rt.OpDone{DoneNs: w.now()})
 			}
 			if tc.sendAfter > 0 {
 				go func() {
 					time.Sleep(tc.sendAfter)
-					comp <- 1
+					w.sink.Put(0, rt.OpDone{DoneNs: w.now()})
 				}()
 			}
-			handled := 0
+			until := int64(tc.until)
+			if until >= 0 {
+				until += w.now()
+			}
 			t0 := time.Now()
-			got := awaitWall(timer, comp, func(int) { handled++ }, int64(tc.until), 0, tc.stall)
-			if elapsed := time.Since(t0); got != tc.want || handled != tc.handled || elapsed < tc.atLeastFor {
-				t.Fatalf("awaitWall = %v after %v with %d completions handled, want %v after at least %v with %d",
-					got, elapsed, handled, tc.want, tc.atLeastFor, tc.handled)
+			got, err := w.await(until)
+			if elapsed := time.Since(t0); err != nil || got != tc.want || *handled != tc.handled || elapsed < tc.atLeastFor {
+				t.Fatalf("await = %v, %v after %v with %d completions handled, want %v after at least %v with %d",
+					got, err, elapsed, *handled, tc.want, tc.atLeastFor, tc.handled)
 			}
-			if timer.Stop() {
-				t.Fatal("timer left armed")
-			}
-			select {
-			case <-timer.C:
-				t.Fatal("timer left undrained")
-			default:
+			const next = 2 * time.Millisecond
+			t0 = time.Now()
+			if got, _ := w.await(w.now() + int64(next)); !got || time.Since(t0) < next || *handled != tc.handled {
+				t.Fatalf("the next arrival wait returned %v after %v with %d handled, want true after %v with %d",
+					got, time.Since(t0), *handled, next, tc.handled)
 			}
 		})
 	}
+}
+
+// TestWallStallWatchdog: stall detection lives in the sink's watchdog, off
+// the per-completion path, and keeps await's timeouts. A silent runtime is
+// reported no earlier than the stall timeout and within a small slop of it,
+// measured from the loop's last sign of life; completions arriving steadily,
+// each well inside the timeout, never trip it however long they go on; and a
+// fault firing mid-run shortens the timeout from wallStall to WedgeIdle.
+func TestWallStallWatchdog(t *testing.T) {
+	const slop = 250 * time.Millisecond // a loaded CI box delays a timer callback
+	// awaitStall drives await until it reports a stall and checks when: the
+	// last sign of life fell between lifeFrom and lifeTo.
+	awaitStall := func(t *testing.T, w *wallRuntime, lifeFrom, lifeTo time.Time, timeout time.Duration) {
+		t.Helper()
+		for {
+			ok, err := w.await(-1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+		}
+		if early, late := time.Since(lifeFrom), time.Since(lifeTo); early < timeout || late > timeout+slop {
+			t.Fatalf("stall reported %v–%v after the last sign of life, want %v and at most %v more", late, early, timeout, slop)
+		}
+	}
+
+	t.Run("silent", func(t *testing.T) {
+		const stall = 40 * time.Millisecond
+		before := time.Now()
+		w, _ := silentWall(t, stall, time.Hour, nil)
+		awaitStall(t, w, before, time.Now(), stall)
+	})
+
+	t.Run("steady completions", func(t *testing.T) {
+		const stall, beats, gap = 100 * time.Millisecond, 60, 5 * time.Millisecond
+		w, handled := silentWall(t, stall, time.Hour, nil)
+		var widest atomic.Int64 // the longest the producer went between two completions
+		last := make(chan [2]time.Time, 1)
+		go func() {
+			before := time.Now()
+			for i := 0; i < beats; i++ {
+				time.Sleep(gap)
+				widest.Store(max(widest.Load(), int64(time.Since(before))))
+				before = time.Now()
+				w.sink.Put(0, rt.OpDone{DoneNs: w.now()})
+			}
+			last <- [2]time.Time{before, time.Now()}
+		}()
+		// beats × gap is several stall timeouts: only the silence after the
+		// last completion may be reported.
+		for *handled < beats {
+			if ok, _ := w.await(-1); !ok {
+				early := *handled
+				<-last
+				if quiet := time.Duration(widest.Load()); quiet < stall/2 {
+					t.Fatalf("stall reported after %d of %d completions at most %v apart", early, beats, quiet)
+				}
+				t.Skipf("the machine held the producer itself up for %v", time.Duration(widest.Load()))
+			}
+		}
+		l := <-last
+		awaitStall(t, w, l[0], l[1], stall)
+	})
+
+	t.Run("fault switches to WedgeIdle", func(t *testing.T) {
+		const wedgeIdle = 40 * time.Millisecond
+		// Processor 2's first send — its request to the holder — is lost.
+		w, handled := silentWall(t, time.Hour, wedgeIdle, &sim.FaultPlan{DropNth: []sim.NthRule{{Proc: 2, Every: 1}}})
+		before := time.Now()
+		w.start(w.now(), 0, 1) // the holder's own increment: no message, completes
+		if ok, _ := w.await(-1); !ok || *handled != 1 {
+			t.Fatalf("await = %v with %d handled before any fault", ok, *handled)
+		}
+		w.start(w.now(), 0, 2)
+		for !w.r.FaultFired() {
+			runtime.Gosched()
+		}
+		awaitStall(t, w, before, time.Now(), wedgeIdle)
+		if *handled != 1 {
+			t.Fatalf("%d completions, want the wedged operation to stay open", *handled)
+		}
+	})
 }
 
 // TestReuseRejected: all three entry points refuse a substrate that has

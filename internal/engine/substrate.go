@@ -14,10 +14,10 @@ import (
 // times are in the substrate's own unit (simulated ticks, or wall-clock
 // nanoseconds when Result.Wall); the loops scale scenario arrivals into it.
 //
-//	adapter       now           due (open loop)        await                 loads
-//	simCounter    net.Now       no event precedes it   one net.Step          O(1) tracker
-//	wallRuntime   r.NowNs       now has reached it     channel or deadline   atomic snapshot
-//	keyedService  merged clock  as its backend         merged step/channel   summed over shards
+//	adapter       now           due (open loop)        await                   loads
+//	simCounter    net.Now       no event precedes it   one net.Step            O(1) tracker
+//	wallRuntime   r.NowNs       now has reached it     sink batch or deadline  atomic snapshot
+//	keyedService  merged clock  as its backend         merged step/sink        summed over shards
 type substrate interface {
 	// fresh reports whether nothing has run yet: the report's time axis,
 	// load baselines and series are all relative to an unused substrate, and
@@ -44,10 +44,11 @@ type substrate interface {
 	open(key int) bool
 	// start injects one increment for key by p at time at >= now.
 	start(at int64, key int, p sim.ProcID)
-	// await makes progress: it delivers the next completion, or returns once
-	// the clock reaches until (the next arrival; negative = none pending). It
-	// returns false when nothing happened and nothing will: the simulator ran
-	// out of events, or real time stayed silent for the stall timeout.
+	// await makes progress: it delivers the next completion (on real time:
+	// every completion already there), or returns once the clock reaches until
+	// (the next arrival; negative = none pending). It returns false when
+	// nothing happened and nothing will: the simulator ran out of events, or
+	// real time stayed silent for the stall timeout.
 	await(until int64) (bool, error)
 	// settle runs the substrate to quiescence after the last completion:
 	// trailing maintenance events (stale timers) still count toward the
@@ -131,80 +132,52 @@ func (s *simCounter) faults() (sim.FaultStats, bool) {
 	return s.net.FaultStats(), s.net.FaultsActive()
 }
 
-// wallStall bounds how long a wall-clock substrate waits for a completion
-// before reporting silence. The simulator detects a stalled protocol by
-// running out of events; real goroutines just stay silent, so real time
-// needs a timeout — generous enough that scheduler hiccups under a loaded
-// CI machine never trip it.
+// wallStall bounds how long a wall-clock substrate stays without a
+// completion before reporting silence. The simulator detects a stalled
+// protocol by running out of events; real goroutines just stay silent, so
+// real time needs a timeout — generous enough that scheduler hiccups under a
+// loaded CI machine never trip it. The wait itself is rt.Sink's: its watchdog
+// holds the timeout, so no await arms a timer for it.
 const wallStall = 30 * time.Second
-
-// newWallTimer returns the stopped timer a wall-clock substrate reuses for
-// every await: the far part of a wait (the stall timeout, an arrival
-// milliseconds away) sleeps on it, the near part is rt.WaitFor's yield-spin,
-// so an idle sub-millisecond arrival wait costs what it asks for.
-func newWallTimer() *time.Timer {
-	t := time.NewTimer(wallStall)
-	t.Stop()
-	return t
-}
-
-// awaitWall is await on real time: it hands the next completion on comp to
-// handle, waking at until (in now's clock) when an arrival is pending, or
-// giving up after stall when none is. It leaves t stopped and drained.
-func awaitWall[D any](t *time.Timer, comp <-chan D, handle func(D), until, now int64, stall time.Duration) bool {
-	wait := stall
-	if until >= 0 {
-		wait = time.Duration(until - now)
-	}
-	if d, ok := rt.WaitFor(t, comp, wait); ok {
-		handle(d)
-		return true
-	}
-	// The deadline passed: an arrival is due, or real time stayed silent.
-	return until >= 0
-}
 
 // wallRuntime adapts the goroutine-per-processor runtime.
 type wallRuntime struct {
 	r *rt.Runtime
-	// wedgeIdle replaces wallStall once a fault has fired: a silent system is
-	// then the expected shape of a wedged run (Config.WedgeIdle).
-	wedgeIdle time.Duration
-	comp      chan rt.OpDone
-	handle    func(rt.OpDone)
-	timer     *time.Timer
+	// stall is the silence that ends a run (wallStall); wedgeIdle replaces it
+	// once a fault has fired: a silent system is then the expected shape of a
+	// wedged run (Config.WedgeIdle).
+	stall, wedgeIdle time.Duration
+	wedging          bool
+	sink             *rt.Sink
+	handle           func(rt.Completion)
 }
 
 func (w *wallRuntime) fresh() bool { return w.r.Ops() == 0 }
 
 func (w *wallRuntime) bind(done func(completion), _ func()) {
-	// The buffer covers the maximum possible number of undrained completions
-	// (one in-flight operation per initiator), so a processor goroutine never
-	// blocks delivering a completion even while the loop sleeps.
-	w.comp = make(chan rt.OpDone, w.r.N()+8)
-	w.timer = newWallTimer()
-	w.r.OnOpDone(func(d rt.OpDone) { w.comp <- d })
-	w.handle = func(d rt.OpDone) {
+	w.sink = rt.NewSink(w.r.NowNs, w.stall)
+	w.r.OnOpDone(func(d rt.OpDone) { w.sink.Put(0, d) })
+	w.handle = func(d rt.Completion) {
 		done(completion{id: d.ID, proc: d.Initiator, start: d.StartNs, done: d.DoneNs})
 	}
 }
 
 func (w *wallRuntime) close() {
-	w.timer.Stop()
+	w.sink.Close()
 	w.r.Close()
 }
 
-func (w *wallRuntime) now() int64                         { return w.r.NowNs() }
-func (w *wallRuntime) due(at int64, _ bool) bool          { return at <= w.r.NowNs() }
-func (w *wallRuntime) open(int) bool                      { return true }
-func (w *wallRuntime) start(_ int64, _ int, p sim.ProcID) { w.r.StartNow(p) }
+func (w *wallRuntime) now() int64                          { return w.r.NowNs() }
+func (w *wallRuntime) due(at int64, _ bool) bool           { return at <= w.r.NowNs() }
+func (w *wallRuntime) open(int) bool                       { return true }
+func (w *wallRuntime) start(at int64, _ int, p sim.ProcID) { w.r.Start(at, p) }
 
 func (w *wallRuntime) await(until int64) (bool, error) {
-	stall := wallStall
-	if w.r.FaultStats().Any() {
-		stall = w.wedgeIdle
+	if !w.wedging && w.r.FaultFired() {
+		w.wedging = true
+		w.sink.SetStall(w.wedgeIdle)
 	}
-	return awaitWall(w.timer, w.comp, w.handle, until, w.r.NowNs(), stall), nil
+	return w.sink.Await(until, w.handle), nil
 }
 
 func (w *wallRuntime) settle() error                  { return nil }
@@ -215,14 +188,15 @@ func (w *wallRuntime) messages() int64                { return w.r.MessagesTotal
 func (w *wallRuntime) faults() (sim.FaultStats, bool) { return w.r.FaultStats(), w.r.FaultsActive() }
 
 // keyedService adapts the sharded multi-key service on either backend: the
-// merged deterministic event loop over sim shards, or (wall) the merged
-// completion channel of rt shards. The service layer rejects fault plans, so
+// merged deterministic event loop over sim shards, or (wall) the one sink
+// every rt shard completes into. The service layer rejects fault plans, so
 // it never reports faults and a silent service is always a stall.
 type keyedService struct {
-	svc    *countersvc.Service
-	wall   bool
-	handle func(countersvc.RTDone)
-	timer  *time.Timer // wall only
+	svc  *countersvc.Service
+	wall bool
+	// Wall only.
+	sink   *rt.Sink
+	handle func(rt.Completion)
 }
 
 func (k *keyedService) fresh() bool {
@@ -243,11 +217,12 @@ func (k *keyedService) bind(done func(completion), reopened func()) {
 	// synchronization.
 	k.svc.OnMigrate(func(countersvc.MigrationEvent) { reopened() })
 	if k.wall {
-		k.timer = newWallTimer()
-		k.handle = func(d countersvc.RTDone) {
+		k.sink = rt.NewSink(k.svc.NowNs, wallStall)
+		k.svc.DeliverTo(k.sink)
+		k.handle = func(d rt.Completion) {
 			key, epoch := k.svc.CompleteRT(d)
-			done(completion{shard: d.Shard, id: d.Done.ID, key: key, epoch: epoch,
-				proc: d.Done.Initiator, start: d.Done.StartNs, done: d.Done.DoneNs})
+			done(completion{shard: d.Shard, id: d.ID, key: key, epoch: epoch,
+				proc: d.Initiator, start: d.StartNs, done: d.DoneNs})
 		}
 		return
 	}
@@ -259,7 +234,7 @@ func (k *keyedService) bind(done func(completion), reopened func()) {
 
 func (k *keyedService) close() {
 	if k.wall {
-		k.timer.Stop()
+		k.sink.Close()
 	}
 	k.svc.OnMigrate(nil)
 	k.svc.OnOpDone(nil)
@@ -293,7 +268,7 @@ func (k *keyedService) start(at int64, key int, p sim.ProcID) { k.svc.Start(at, 
 
 func (k *keyedService) await(until int64) (bool, error) {
 	if k.wall {
-		return awaitWall(k.timer, k.svc.Completions(), k.handle, until, k.svc.NowNs(), wallStall), nil
+		return k.sink.Await(until, k.handle), nil
 	}
 	return k.svc.Step()
 }

@@ -22,6 +22,17 @@ type verifier struct {
 	missing   int
 }
 
+// expect sizes the history for hint completions (0 = grow by append), as
+// newMetrics sizes its vectors, so a hinted run's collection never
+// reallocates mid-run.
+func (v *verifier) expect(hint int) {
+	if v.svc != nil {
+		v.keyed = make([]verify.KeyedValue, 0, hint)
+	} else {
+		v.vals = make([]verify.TimedValue, 0, hint)
+	}
+}
+
 // observe records the value the substrate delivered for a completion.
 func (v *verifier) observe(c completion, value int, ok bool) {
 	switch {

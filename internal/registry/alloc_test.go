@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"distcount/internal/counter"
+	"distcount/internal/rt"
 	"distcount/internal/sim"
 )
 
@@ -88,5 +89,46 @@ func TestIncAllocCeilings(t *testing.T) {
 				t.Fatalf("%.2f allocs per Inc, ceiling %.0f", got, ceiling)
 			}
 		})
+	}
+}
+
+// rtIncAllocCeiling is the rt backend's row of the same budget: one
+// synchronous Inc on central at n = 8 allocates its operation record, its
+// reply channel and central's one boxed reply value (the ceiling above); the
+// runtime's mailboxes, completion path and load counters add nothing per
+// operation. BenchmarkRTInc reports the same quantity rounded down (2.98
+// reads as 2 allocs/op).
+const rtIncAllocCeiling = 3
+
+func TestRTIncAllocCeiling(t *testing.T) {
+	cfg := Concurrent()
+	cfg.Backend = "rt"
+	c, err := NewWith("central", 8, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := c.(*rt.Runtime)
+	defer r.Close()
+	n, i := r.N(), 0
+	inc := func() {
+		// Never the holder: every operation crosses both mailbox hops.
+		if _, err := r.Inc(sim.ProcID(i%(n-1) + 2)); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	// Warm up past mailbox growth and the first 256 values, which the
+	// runtime boxes for free.
+	for i < 300 {
+		inc()
+	}
+	const rounds = 400
+	got := testing.AllocsPerRun(1, func() {
+		for k := 0; k < rounds; k++ {
+			inc()
+		}
+	}) / rounds
+	if got > rtIncAllocCeiling+allocSlack {
+		t.Fatalf("%.2f allocs per rt Inc, ceiling %d", got, rtIncAllocCeiling)
 	}
 }

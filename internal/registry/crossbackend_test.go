@@ -84,6 +84,17 @@ func TestCrossBackendEquivalence(t *testing.T) {
 					t.Errorf("%s: %d violations of %s (first: %s)", backend, v.Violations, v.Property, v.First)
 				}
 			}
+			// The runtime keeps no total of its own: it is the sum of the
+			// per-processor sent counts, and the report's figure is that sum.
+			sent, _ := r.Loads()
+			var sum int64
+			for _, s := range sent {
+				sum += s
+			}
+			if r.MessagesTotal() != sum || rtRes.Messages != sum {
+				t.Errorf("rt messages: MessagesTotal %d, report %d, per-processor sent counts sum to %d",
+					r.MessagesTotal(), rtRes.Messages, sum)
+			}
 			// Both backends claim the same property for the same machine.
 			if simRes.Verification.Property != rtRes.Verification.Property {
 				t.Errorf("claimed property differs: sim %q, rt %q",

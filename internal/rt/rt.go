@@ -7,8 +7,8 @@
 // a counter.Machine (its sim.Protocol, initiation callback and value
 // reader); the simulator wraps the machine in a single-threaded event queue
 // with simulated time, while this package wraps the identical machine in
-// goroutines and channels. The sim.Transport interface is the seam: a
-// delivery callback cannot tell which backend it runs on, so consistency
+// goroutines and mutex-guarded mailboxes. The sim.Transport interface is the
+// seam: a delivery callback cannot tell which backend it runs on, so consistency
 // properties verified on simulated interleavings (internal/verify) can be
 // re-checked on real ones — under the race detector — and the simulator's
 // predicted saturation knees can be compared against knees measured in
@@ -145,8 +145,12 @@ type opRec struct {
 	startNs   int64
 	doneNs    int64
 	pending   int32
-	msgs      int64
-	waiter    chan<- OpDone // synchronous Inc; nil otherwise
+	// adopted is set once the record is in Runtime.ops, which happens at the
+	// operation's first Adopt and for no other reason: a message carries its
+	// *opRec, so only a token (an id) ever needs the lookup.
+	adopted atomic.Bool
+	msgs    int64
+	waiter  chan<- OpDone // synchronous Inc; nil otherwise
 }
 
 // item is one mailbox entry: an initiation callback (start) or a message
@@ -156,6 +160,17 @@ type item struct {
 	rec   *opRec
 	start bool
 }
+
+// procLoad is one processor's message counters, written only by that
+// processor's goroutine (Send and deliver both run on it) and padded to a
+// cache line of their own, so counting a message contends with nobody.
+type procLoad struct {
+	sent, recv atomic.Int64
+	_          [cacheLine - 16]byte
+}
+
+// cacheLine is the coherence granule procLoad pads to.
+const cacheLine = 64
 
 // processor is one mailbox + goroutine pair.
 type processor struct {
@@ -195,13 +210,15 @@ type Runtime struct {
 	started int64
 	closed  int32
 
+	// ops resolves an OpToken back to its operation. It holds adopted
+	// operations only (see opRec.adopted), so a protocol that never calls
+	// Adopt never takes opsMu.
 	opsMu sync.Mutex
 	ops   map[sim.OpID]*opRec
 
 	onDone func(OpDone)
 
-	sent, recv []int64 // per-processor message loads, updated atomically
-	msgTotal   int64
+	loads []procLoad // per-processor message loads, 1..n
 
 	// clock holds the pending timers (After, AfterDetached, frozen-crash
 	// redeliveries); its goroutine is counted in wg.
@@ -211,6 +228,9 @@ type Runtime struct {
 	// guarded by faultMu (processor goroutines consult it concurrently).
 	faultMu sync.Mutex
 	faults  *sim.FaultInjector
+	// faultFired latches once the plan has fired anything at all — the one
+	// bit a driver needs per wait, readable without faultMu.
+	faultFired atomic.Bool
 }
 
 var _ counter.Valued = (*Runtime)(nil)
@@ -225,8 +245,7 @@ func New(m counter.Machine, opts ...Option) *Runtime {
 		n:     m.N,
 		tick:  DefaultTick,
 		ops:   make(map[sim.OpID]*opRec),
-		sent:  make([]int64, m.N+1),
-		recv:  make([]int64, m.N+1),
+		loads: make([]procLoad, m.N+1),
 		clock: clock{wake: make(chan struct{}, 1)},
 	}
 	for _, opt := range opts {
@@ -277,8 +296,15 @@ func (r *Runtime) NowNs() int64 { return time.Since(r.start).Nanoseconds() }
 // Ops returns the number of operations started so far.
 func (r *Runtime) Ops() int { return int(atomic.LoadInt64(&r.started)) }
 
-// MessagesTotal returns the total number of network messages sent so far.
-func (r *Runtime) MessagesTotal() int64 { return atomic.LoadInt64(&r.msgTotal) }
+// MessagesTotal returns the total number of network messages sent so far:
+// the sum of the per-processor sent counts.
+func (r *Runtime) MessagesTotal() int64 {
+	var total int64
+	for p := 1; p <= r.n; p++ {
+		total += r.loads[p].sent.Load()
+	}
+	return total
+}
 
 // Loads returns a snapshot of the per-processor sent and received message
 // counts (1-indexed, length n+1) — the paper's m_p split into its two
@@ -287,8 +313,8 @@ func (r *Runtime) Loads() (sent, recv []int64) {
 	sent = make([]int64, r.n+1)
 	recv = make([]int64, r.n+1)
 	for p := 1; p <= r.n; p++ {
-		sent[p] = atomic.LoadInt64(&r.sent[p])
-		recv[p] = atomic.LoadInt64(&r.recv[p])
+		sent[p] = r.loads[p].sent.Load()
+		recv[p] = r.loads[p].recv.Load()
 	}
 	return sent, recv
 }
@@ -307,12 +333,20 @@ func (r *Runtime) FaultStats() sim.FaultStats {
 	return r.faults.Stats()
 }
 
+// FaultFired reports whether the installed plan has fired at least one
+// fault event — FaultStats().Any() without the injector's lock.
+func (r *Runtime) FaultFired() bool { return r.faultFired.Load() }
+
 // sendFate serializes the injector's per-send decision across processor
 // goroutines.
 func (r *Runtime) sendFate(from sim.ProcID) (drop, dup bool) {
 	r.faultMu.Lock()
-	defer r.faultMu.Unlock()
-	return r.faults.SendFate(from)
+	drop, dup = r.faults.SendFate(from)
+	r.faultMu.Unlock()
+	if drop || dup {
+		r.faultFired.Store(true)
+	}
+	return drop, dup
 }
 
 // faultIntercept enforces crash/churn windows on a mailbox item about to be
@@ -330,6 +364,8 @@ func (r *Runtime) faultIntercept(p sim.ProcID, it item) bool {
 		r.faultMu.Unlock()
 		return false
 	}
+	// Every branch below counts one fault event.
+	r.faultFired.Store(true)
 	if it.msg.Local && !it.start {
 		r.faults.NoteTimerCancelled()
 		r.faultMu.Unlock()
@@ -351,7 +387,7 @@ func (r *Runtime) faultIntercept(p sim.ProcID, it item) bool {
 // OnOpDone registers the completion callback. It must be set before the
 // first Start and not changed while operations are in flight; the callback
 // runs on processor goroutines and must not block for long (the engine's
-// drivers hand the event to a buffered channel).
+// drivers hand the event to a Sink).
 func (r *Runtime) OnOpDone(fn func(OpDone)) { r.onDone = fn }
 
 // StartNow injects one increment by p and returns its operation id without
@@ -359,14 +395,18 @@ func (r *Runtime) OnOpDone(fn func(OpDone)) { r.onDone = fn }
 // one operation per initiator in flight (counter.Ops.Begin panics on
 // overlap, as on the sim backend).
 func (r *Runtime) StartNow(p sim.ProcID) sim.OpID {
-	return r.startWith(p, nil)
+	return r.startWith(p, 0, nil)
 }
 
 // Start implements counter.Async. Real time cannot be scheduled ahead, so
-// the at argument is ignored and the operation starts immediately; the
-// wall-clock engine drivers pace their Start calls in real time instead.
+// the operation starts immediately whatever at says; the wall-clock engine
+// drivers pace their Start calls in real time instead. A positive at is taken
+// as the NowNs reading the caller made for this admission and becomes the
+// operation's StartNs, so a driver that stamps its own records with that
+// reading pays for one clock read per admission, not two; otherwise the
+// runtime reads the clock itself.
 func (r *Runtime) Start(at int64, p sim.ProcID) sim.OpID {
-	return r.startWith(p, nil)
+	return r.startWith(p, at, nil)
 }
 
 // Inc implements counter.Counter: it runs one increment synchronously and
@@ -377,7 +417,7 @@ func (r *Runtime) Inc(p sim.ProcID) (int, error) {
 		return 0, fmt.Errorf("rt: processor %v outside [1,%d]", p, r.n)
 	}
 	ch := make(chan OpDone, 1)
-	id := r.startWith(p, ch)
+	id := r.startWith(p, 0, ch)
 	<-ch
 	if r.m.Value == nil {
 		return 0, fmt.Errorf("rt: machine %q records no values", r.m.Name)
@@ -400,18 +440,20 @@ func (r *Runtime) OpValue(id sim.OpID) (int, bool) {
 // Guarantee implements counter.Valued: the machine's claimed level.
 func (r *Runtime) Guarantee() counter.Guarantee { return r.m.Guarantee }
 
-func (r *Runtime) startWith(p sim.ProcID, waiter chan<- OpDone) sim.OpID {
+// startWith injects one operation stamped startNs; a non-positive startNs
+// means the caller has no clock reading of its own to offer.
+func (r *Runtime) startWith(p sim.ProcID, startNs int64, waiter chan<- OpDone) sim.OpID {
 	if atomic.LoadInt32(&r.closed) != 0 {
 		panic("rt: Start after Close")
 	}
 	if p < 1 || int(p) > r.n {
 		panic(fmt.Sprintf("rt: processor %v outside [1,%d]", p, r.n))
 	}
+	if startNs <= 0 {
+		startNs = r.NowNs()
+	}
 	id := sim.OpID(atomic.AddInt64(&r.nextOp, 1))
-	rec := &opRec{id: id, initiator: p, startNs: r.NowNs(), pending: 1, waiter: waiter}
-	r.opsMu.Lock()
-	r.ops[id] = rec
-	r.opsMu.Unlock()
+	rec := &opRec{id: id, initiator: p, startNs: startNs, pending: 1, waiter: waiter}
 	atomic.AddInt64(&r.started, 1)
 	r.enqueue(p, item{rec: rec, start: true})
 	return id
@@ -484,7 +526,7 @@ func (r *Runtime) deliver(view *procView, it item) {
 	}
 	network := !it.start && !it.msg.Local
 	if network {
-		atomic.AddInt64(&r.recv[view.p], 1)
+		r.loads[view.p].recv.Add(1)
 		if c := r.svc[view.p]; c > 0 {
 			spin(time.Duration(c) * r.tick)
 		}
@@ -514,9 +556,11 @@ func (r *Runtime) opRelease(rec *opRec) {
 		return
 	}
 	rec.doneNs = r.NowNs()
-	r.opsMu.Lock()
-	delete(r.ops, rec.id)
-	r.opsMu.Unlock()
+	if rec.adopted.Load() {
+		r.opsMu.Lock()
+		delete(r.ops, rec.id)
+		r.opsMu.Unlock()
+	}
 	d := OpDone{
 		ID:        rec.id,
 		Initiator: rec.initiator,
@@ -532,6 +576,8 @@ func (r *Runtime) opRelease(rec *opRec) {
 	}
 }
 
+// lookup resolves a token's operation: nil once the operation completed (a
+// spent token) or when no Adopt ever issued a token for it.
 func (r *Runtime) lookup(id sim.OpID) *opRec {
 	r.opsMu.Lock()
 	rec := r.ops[id]
@@ -600,8 +646,8 @@ func (v *procView) Send(to sim.ProcID, pl sim.Payload) {
 		atomic.AddInt32(&rec.pending, 1)
 		atomic.AddInt64(&rec.msgs, 1)
 	}
-	atomic.AddInt64(&v.r.sent[v.p], 1)
-	atomic.AddInt64(&v.r.msgTotal, 1)
+	sent := &v.r.loads[v.p].sent
+	sent.Add(1)
 	if v.r.faults != nil {
 		drop, dup := v.r.sendFate(v.p)
 		if drop {
@@ -615,8 +661,7 @@ func (v *procView) Send(to sim.ProcID, pl sim.Payload) {
 				atomic.AddInt32(&rec.pending, 1)
 				atomic.AddInt64(&rec.msgs, 1)
 			}
-			atomic.AddInt64(&v.r.sent[v.p], 1)
-			atomic.AddInt64(&v.r.msgTotal, 1)
+			sent.Add(1)
 			v.r.enqueue(to, item{msg: sim.Message{From: v.p, To: to, Payload: pl}, rec: rec})
 		}
 	}
@@ -625,13 +670,23 @@ func (v *procView) Send(to sim.ProcID, pl sim.Payload) {
 
 // Adopt implements sim.Transport: it takes an extra pending unit on the
 // current operation, keeping it open until SendAs transfers the unit to a
-// message or Release discards it.
+// message or Release discards it. The operation's first Adopt registers it
+// in Runtime.ops, so that the token resolves from any processor.
 func (v *procView) Adopt() sim.OpToken {
-	if v.cur == nil {
+	rec := v.cur
+	if rec == nil {
 		panic("rt: Adopt outside an operation")
 	}
-	atomic.AddInt32(&v.cur.pending, 1)
-	return sim.TokenFor(v.cur.id)
+	atomic.AddInt32(&rec.pending, 1)
+	if !rec.adopted.Load() {
+		// The hold just taken keeps the operation open, so the record cannot
+		// be deleted before it is registered.
+		v.r.opsMu.Lock()
+		v.r.ops[rec.id] = rec
+		v.r.opsMu.Unlock()
+		rec.adopted.Store(true)
+	}
+	return sim.TokenFor(rec.id)
 }
 
 // SendAs implements sim.Transport: Send attributed to the adopted
@@ -646,8 +701,8 @@ func (v *procView) SendAs(tok sim.OpToken, to sim.ProcID, pl sim.Payload) {
 		panic(fmt.Sprintf("rt: SendAs with spent or unknown token (op %d)", tok.Op()))
 	}
 	atomic.AddInt64(&rec.msgs, 1)
-	atomic.AddInt64(&v.r.sent[v.p], 1)
-	atomic.AddInt64(&v.r.msgTotal, 1)
+	sent := &v.r.loads[v.p].sent
+	sent.Add(1)
 	if v.r.faults != nil {
 		drop, dup := v.r.sendFate(v.p)
 		if drop {
@@ -658,8 +713,7 @@ func (v *procView) SendAs(tok sim.OpToken, to sim.ProcID, pl sim.Payload) {
 		if dup {
 			atomic.AddInt32(&rec.pending, 1)
 			atomic.AddInt64(&rec.msgs, 1)
-			atomic.AddInt64(&v.r.sent[v.p], 1)
-			atomic.AddInt64(&v.r.msgTotal, 1)
+			sent.Add(1)
 			v.r.enqueue(to, item{msg: sim.Message{From: v.p, To: to, Payload: pl}, rec: rec})
 		}
 	}

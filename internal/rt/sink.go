@@ -1,0 +1,187 @@
+package rt
+
+import (
+	"sync"
+	"sync/atomic"
+	"time"
+)
+
+// Completion is one finished operation as a Sink hands it to the driving
+// loop: the runtime's report plus the index its producer delivers under (the
+// shard of a sharded service; 0 for a single runtime).
+type Completion struct {
+	Shard int
+	OpDone
+}
+
+// Sink is the completion stream between processor goroutines and the one
+// loop that drives them: an unbounded mailbox (mutex, slice and a one-slot
+// wake token — the shape processors already use) plus the stall watchdog.
+// Any number of runtimes deliver into it with Put; one goroutine consumes it
+// with Await, which swaps the whole pending batch out per call, so a
+// completion costs one uncontended lock on each side and no timer is touched
+// while completions flow.
+//
+// Real goroutines that stop making progress just stay silent, so "nothing
+// will happen" needs a timeout. It lives off the hot path: a watchdog timer
+// compares the clock with the loop's last sign of life and wakes the loop
+// only after a full stall of silence.
+type Sink struct {
+	mu    sync.Mutex
+	queue []Completion
+	// wake carries one token per empty→non-empty edge of queue, and the
+	// watchdog's stall report. One slot suffices: a pending token already
+	// makes the loop look at the queue.
+	wake chan struct{}
+
+	// Owned by the awaiting goroutine.
+	batch   []Completion
+	arrival *time.Timer // reusable timer of the until >= 0 waits (WaitFor)
+
+	now func() int64
+	// life is the latest instant, on now's clock, at which the loop was seen
+	// alive: the newest handled completion's DoneNs or the newest arrival
+	// waited out. Written by the awaiting goroutine, read by the watchdog.
+	life atomic.Int64
+	// stalled asks the loop to check for a stall; the loop re-checks the
+	// silence itself, so a completion racing the watchdog is never lost.
+	stalled atomic.Bool
+
+	// dogMu guards the watchdog: its timeout, its timer's re-arming and
+	// closed, which keeps a callback that raced Close from re-arming.
+	dogMu  sync.Mutex
+	stall  time.Duration
+	dog    *time.Timer
+	closed bool
+}
+
+// NewSink returns a sink whose Await reports a stall once now's clock
+// (nanoseconds, the clock of the OpDone stamps delivered into it) has moved
+// stall past the loop's last sign of life. The watchdog starts counting
+// immediately; Close stops it.
+func NewSink(now func() int64, stall time.Duration) *Sink {
+	s := &Sink{wake: make(chan struct{}, 1), now: now, stall: stall}
+	s.arrival = time.NewTimer(time.Hour)
+	s.arrival.Stop()
+	s.life.Store(now())
+	s.dogMu.Lock()
+	s.dog = time.AfterFunc(stall, s.watch)
+	s.dogMu.Unlock()
+	return s
+}
+
+// Put delivers one completion. It never blocks on the consumer, so it is
+// safe as a Runtime's OnOpDone callback.
+func (s *Sink) Put(shard int, d OpDone) {
+	s.mu.Lock()
+	s.queue = append(s.queue, Completion{Shard: shard, OpDone: d})
+	first := len(s.queue) == 1
+	s.mu.Unlock()
+	if first {
+		s.post()
+	}
+}
+
+func (s *Sink) post() {
+	select {
+	case s.wake <- struct{}{}:
+	default:
+	}
+}
+
+// Await makes progress on the driving goroutine: it hands every pending
+// completion to handle, in arrival order, and returns true; with none
+// pending it waits for one, or — when until >= 0, an arrival due at that
+// instant of now's clock — returns true once the clock reaches until. It
+// returns false when nothing happened and nothing will: the sink stayed
+// silent for the stall timeout with no arrival pending.
+func (s *Sink) Await(until int64, handle func(Completion)) bool {
+	for {
+		s.mu.Lock()
+		s.batch, s.queue = s.queue, s.batch[:0]
+		s.mu.Unlock()
+		if n := len(s.batch); n > 0 {
+			s.life.Store(s.batch[n-1].DoneNs)
+			for _, c := range s.batch {
+				handle(c)
+			}
+			return true
+		}
+		if until >= 0 {
+			if _, woken := WaitFor(s.arrival, s.wake, time.Duration(until-s.now())); !woken {
+				s.life.Store(until)
+				return true
+			}
+			continue
+		}
+		<-s.wake
+		// The token is a completion's (possibly one an earlier call already
+		// handled: look again) or the watchdog's.
+		if s.stalled.Load() && s.silent() {
+			return false
+		}
+	}
+}
+
+// SetStall replaces the stall timeout (a fault fired: a silent system is now
+// the expected shape of a wedged run) and re-aims the watchdog at it.
+func (s *Sink) SetStall(d time.Duration) {
+	s.dogMu.Lock()
+	defer s.dogMu.Unlock()
+	s.stall = d
+	s.aim()
+}
+
+// silent re-checks a stall report on the awaiting goroutine: nothing is
+// queued and the silence has run the whole timeout.
+func (s *Sink) silent() bool {
+	s.stalled.Store(false)
+	s.mu.Lock()
+	queued := len(s.queue)
+	s.mu.Unlock()
+	if queued > 0 {
+		return false
+	}
+	s.dogMu.Lock()
+	defer s.dogMu.Unlock()
+	return s.quietLeft() <= 0
+}
+
+// quietLeft is how much of the stall timeout the current silence has yet to
+// run. The caller holds dogMu.
+func (s *Sink) quietLeft() time.Duration {
+	return s.stall - time.Duration(s.now()-s.life.Load())
+}
+
+// watch is the watchdog timer's callback.
+func (s *Sink) watch() {
+	s.dogMu.Lock()
+	defer s.dogMu.Unlock()
+	s.aim()
+}
+
+// aim re-arms the watchdog for the remainder of the timeout while the loop
+// shows life; after a full timeout of silence it posts the wake token and
+// starts over. The caller holds dogMu.
+func (s *Sink) aim() {
+	if s.closed {
+		return
+	}
+	rest := s.quietLeft()
+	if rest <= 0 {
+		s.stalled.Store(true)
+		s.post()
+		rest = s.stall
+	}
+	s.dog.Reset(rest)
+}
+
+// Close stops the sink's timers. Completions delivered afterwards are kept
+// and never consumed.
+func (s *Sink) Close() {
+	s.dogMu.Lock()
+	s.closed = true
+	s.dog.Stop()
+	s.dogMu.Unlock()
+	s.arrival.Stop()
+}

@@ -1,8 +1,10 @@
 package verify
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"distcount/internal/counter"
@@ -105,19 +107,17 @@ func EvaluateWithFaults(g counter.Guarantee, vals []TimedValue, missing int, fc 
 	// Exactly-once accounting: duplicates and gaps relative to {0..Ops-1}.
 	// For approximate guarantees these stay measurements (repeated values
 	// are the point of not paying for exactness), never violations.
-	seen := make(map[int]bool, len(vals))
+	seen := newValueSet(len(vals))
 	for _, v := range vals {
-		if seen[v.Value] {
+		if seen.add(v.Value) {
 			rep.Duplicates++
 			if rep.First == "" && exactClaim {
 				rep.First = fmt.Sprintf("value %d handed out more than once", v.Value)
 			}
-			continue
 		}
-		seen[v.Value] = true
 	}
 	for v := 0; v < len(vals); v++ {
-		if !seen[v] {
+		if !seen.has(v) {
 			rep.Gaps++
 			if rep.First == "" && exactClaim {
 				rep.First = fmt.Sprintf("value %d never handed out", v)
@@ -125,29 +125,13 @@ func EvaluateWithFaults(g counter.Guarantee, vals []TimedValue, missing int, fc 
 		}
 	}
 
-	// Real-time order: scan operations by start time, tracking the largest
-	// value among operations completed strictly before each start (the same
-	// sweep as Linearizable, counting instead of stopping).
-	byEnd := append([]TimedValue(nil), vals...)
-	sort.Slice(byEnd, func(i, j int) bool { return byEnd[i].End < byEnd[j].End })
-	byStart := append([]TimedValue(nil), vals...)
-	sort.Slice(byStart, func(i, j int) bool { return byStart[i].Start < byStart[j].Start })
-	maxDone, ei := -1, 0
-	for _, b := range byStart {
-		for ei < len(byEnd) && byEnd[ei].End < b.Start {
-			if byEnd[ei].Value > maxDone {
-				maxDone = byEnd[ei].Value
-			}
-			ei++
+	realTimeOrder(vals, func(b TimedValue, maxDone int) {
+		rep.OrderViolations++
+		if rep.First == "" && level == counter.Linearizable {
+			rep.First = fmt.Sprintf("op %d got value %d although an operation with value >= %d completed before it started",
+				b.Op, b.Value, maxDone)
 		}
-		if maxDone >= b.Value {
-			rep.OrderViolations++
-			if rep.First == "" && level == counter.Linearizable {
-				rep.First = fmt.Sprintf("op %d got value %d although an operation with value >= %d completed before it started",
-					b.Op, b.Value, maxDone)
-			}
-		}
-	}
+	})
 
 	switch level {
 	case counter.Linearizable:
@@ -169,6 +153,73 @@ func EvaluateWithFaults(g counter.Guarantee, vals []TimedValue, missing int, fc 
 		rep.First = fmt.Sprintf("%d operations completed without delivering a value", rep.Missing)
 	}
 	return rep
+}
+
+// valueSet records which values have been handed out. A correct run of n
+// operations hands out exactly 0..n-1, so values in [0, n) live in a dense
+// table and only the strays a faulty or broken run produces go to a map.
+// Entries carry the generation that added them: next forgets the whole set
+// in O(1), which lets one table serve every (key, epoch) segment of a shard.
+type valueSet struct {
+	gen   int32
+	dense []int32 // per value in [0, len): the last generation that added it
+	rest  map[int]int32
+}
+
+func newValueSet(n int) *valueSet { return &valueSet{gen: 1, dense: make([]int32, n)} }
+
+func (s *valueSet) next() { s.gen++ }
+
+// add records v and reports whether the set already had it.
+func (s *valueSet) add(v int) (dup bool) {
+	if v >= 0 && v < len(s.dense) {
+		dup = s.dense[v] == s.gen
+		s.dense[v] = s.gen
+		return dup
+	}
+	dup = s.rest[v] == s.gen
+	if s.rest == nil {
+		s.rest = map[int]int32{}
+	}
+	s.rest[v] = s.gen
+	return dup
+}
+
+func (s *valueSet) has(v int) bool {
+	if v >= 0 && v < len(s.dense) {
+		return s.dense[v] == s.gen
+	}
+	return s.rest[v] == s.gen
+}
+
+// realTimeOrder is the real-time order sweep of linearizability: it scans the
+// operations by start time, tracking the largest value among operations
+// completed strictly before each start, and reports every operation b whose
+// value does not exceed it — some operation with a value >= b's (maxDone)
+// completed before b started. The sorts are stable, so among operations
+// starting together the first reported is the first in vals.
+func realTimeOrder(vals []TimedValue, inverted func(b TimedValue, maxDone int)) {
+	// Both orders are permutations of vals kept as indices: 8 bytes per
+	// operation next to a history of 32, where two sorted copies would triple
+	// the run's peak.
+	byEnd := make([]int32, len(vals))
+	for i := range byEnd {
+		byEnd[i] = int32(i)
+	}
+	byStart := slices.Clone(byEnd)
+	slices.SortStableFunc(byEnd, func(a, b int32) int { return cmp.Compare(vals[a].End, vals[b].End) })
+	slices.SortStableFunc(byStart, func(a, b int32) int { return cmp.Compare(vals[a].Start, vals[b].Start) })
+	maxDone, ei := -1, 0
+	for _, bi := range byStart {
+		b := &vals[bi]
+		for ei < len(byEnd) && vals[byEnd[ei]].End < b.Start {
+			maxDone = max(maxDone, vals[byEnd[ei]].Value)
+			ei++
+		}
+		if maxDone >= b.Value {
+			inverted(*b, maxDone)
+		}
+	}
 }
 
 // approxTolerance absorbs float rounding in the ε bound comparison so a
@@ -194,8 +245,8 @@ func evaluateApproximate(rep *Report, eps float64, vals []TimedValue) {
 		starts[i] = v.Start
 		ends[i] = v.End
 	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-	sort.Slice(ends, func(i, j int) bool { return ends[i] < ends[j] })
+	slices.Sort(starts)
+	slices.Sort(ends)
 
 	for _, v := range vals {
 		// Count of operations that ended strictly before this one started.

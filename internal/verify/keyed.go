@@ -2,7 +2,6 @@ package verify
 
 import (
 	"fmt"
-	"sort"
 
 	"distcount/internal/counter"
 	"distcount/internal/sim"
@@ -92,27 +91,35 @@ func EvaluateKeyed(guarantees []counter.Guarantee, algos []string, vals []KeyedV
 	// (key, epoch) segments: group, then run the duplicate + real-time
 	// order sweeps within each, at the owning shard's level.
 	type segKey struct{ key, epoch int }
-	segs := map[segKey][]KeyedValue{}
-	keysSeen := map[int]bool{}
-	epochsOf := map[int]map[int]bool{}
+	type segment struct {
+		shard int
+		vals  []TimedValue
+	}
+	segs := map[segKey]*segment{}
 	for _, v := range vals {
 		sk := segKey{v.Key, v.Epoch}
-		segs[sk] = append(segs[sk], v)
-		keysSeen[v.Key] = true
-		if epochsOf[v.Key] == nil {
-			epochsOf[v.Key] = map[int]bool{}
+		seg := segs[sk]
+		if seg == nil {
+			seg = &segment{shard: v.Shard}
+			segs[sk] = seg
 		}
-		epochsOf[v.Key][v.Epoch] = true
+		seg.vals = append(seg.vals, TimedValue{Op: v.Op, Value: v.Value, Start: v.Start, End: v.End})
 	}
-	rep.Keys = len(keysSeen)
 	rep.Segments = len(segs)
-	for _, es := range epochsOf {
-		if len(es) > 1 {
+	epochsOf := map[int]int{}
+	for sk := range segs {
+		epochsOf[sk.key]++
+	}
+	rep.Keys = len(epochsOf)
+	for _, epochs := range epochsOf {
+		if epochs > 1 {
 			rep.MigratedKeys++
 		}
 	}
+	// One value table per shard serves all of its segments, a generation each.
+	seen := make([]*valueSet, len(guarantees))
 	for _, seg := range segs {
-		level := guarantees[seg[0].Shard].Level
+		level := guarantees[seg.shard].Level
 		// Sequential-only shards make no concurrent claim; approximate
 		// shards legitimately repeat values within a key (the whole-shard ε
 		// bracket is the claim, checked above), so neither gets the
@@ -120,15 +127,18 @@ func EvaluateKeyed(guarantees []counter.Guarantee, algos []string, vals []KeyedV
 		if level == counter.SequentialOnly || level == counter.Approximate {
 			continue
 		}
-		seen := make(map[int]bool, len(seg))
-		for _, v := range seg {
-			if seen[v.Value] {
+		if seen[seg.shard] == nil {
+			seen[seg.shard] = newValueSet(len(perShard[seg.shard]))
+		}
+		set := seen[seg.shard]
+		set.next()
+		for _, v := range seg.vals {
+			if set.add(v.Value) {
 				rep.KeyDuplicates++
 			}
-			seen[v.Value] = true
 		}
 		if level == counter.Linearizable {
-			rep.KeyOrderViolations += segmentOrderViolations(seg)
+			realTimeOrder(seg.vals, func(TimedValue, int) { rep.KeyOrderViolations++ })
 		}
 	}
 
@@ -164,27 +174,4 @@ func EvaluateKeyed(guarantees []counter.Guarantee, algos []string, vals []KeyedV
 		sum.Property = "mixed/sharded"
 	}
 	return rep
-}
-
-// segmentOrderViolations runs the real-time order sweep of Evaluate within
-// one (key, epoch) segment: an operation whose value is not larger than
-// that of some segment operation completed before it started.
-func segmentOrderViolations(seg []KeyedValue) int {
-	byEnd := append([]KeyedValue(nil), seg...)
-	sort.Slice(byEnd, func(i, j int) bool { return byEnd[i].End < byEnd[j].End })
-	byStart := append([]KeyedValue(nil), seg...)
-	sort.Slice(byStart, func(i, j int) bool { return byStart[i].Start < byStart[j].Start })
-	violations, maxDone, ei := 0, -1, 0
-	for _, b := range byStart {
-		for ei < len(byEnd) && byEnd[ei].End < b.Start {
-			if byEnd[ei].Value > maxDone {
-				maxDone = byEnd[ei].Value
-			}
-			ei++
-		}
-		if maxDone >= b.Value {
-			violations++
-		}
-	}
-	return violations
 }

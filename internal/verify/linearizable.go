@@ -2,7 +2,6 @@ package verify
 
 import (
 	"fmt"
-	"sort"
 
 	"distcount/internal/sim"
 )
@@ -67,29 +66,13 @@ func Linearizable(vals []TimedValue) error {
 	if err := QuiescentConsistent(vals); err != nil {
 		return err
 	}
-	// Sort by completion time and compare against everything that starts
-	// strictly later.
-	byEnd := append([]TimedValue(nil), vals...)
-	sort.Slice(byEnd, func(i, j int) bool { return byEnd[i].End < byEnd[j].End })
-	byStart := append([]TimedValue(nil), vals...)
-	sort.Slice(byStart, func(i, j int) bool { return byStart[i].Start < byStart[j].Start })
-
 	// For every pair (a, b) with a.End < b.Start, require a.Value < b.Value.
-	// O(n log n): scan starts in order, maintaining the max value among
-	// operations already completed before the current start.
-	maxDone := -1
-	ei := 0
-	for _, b := range byStart {
-		for ei < len(byEnd) && byEnd[ei].End < b.Start {
-			if byEnd[ei].Value > maxDone {
-				maxDone = byEnd[ei].Value
-			}
-			ei++
-		}
-		if maxDone >= b.Value {
-			return fmt.Errorf("verify: linearizability violation: op %d got value %d although an operation with value >= %d completed before it started",
+	var err error
+	realTimeOrder(vals, func(b TimedValue, maxDone int) {
+		if err == nil {
+			err = fmt.Errorf("verify: linearizability violation: op %d got value %d although an operation with value >= %d completed before it started",
 				b.Op, b.Value, maxDone)
 		}
-	}
-	return nil
+	})
+	return err
 }
