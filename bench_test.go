@@ -1,10 +1,7 @@
-// Benchmark harness: one benchmark per experiment of EXPERIMENTS.md, plus
-// per-operation microbenchmarks. Custom metrics report the quantities the
-// paper's theorems bound:
-//
-//	m_b        bottleneck message load over the canonical workload
-//	m_b/k      the upper-bound constant (Bottleneck Theorem: O(k))
-//	msgs/op    average messages per operation
+// Benchmark harness: one benchmark over the paper experiments of
+// EXPERIMENTS.md (their reports carry the quantities the theorems bound),
+// plus per-operation and per-layer microbenchmarks with custom metrics such
+// as msgs/op, the average messages per operation.
 //
 // Run with:
 //
@@ -18,221 +15,26 @@ import (
 	"testing"
 
 	"distcount"
-	"distcount/internal/adversary"
-	"distcount/internal/bound"
-	"distcount/internal/core"
 	"distcount/internal/counter"
 	"distcount/internal/countersvc"
 	"distcount/internal/engine"
 	"distcount/internal/experiments"
-	"distcount/internal/loadstat"
 	"distcount/internal/registry"
 	"distcount/internal/rt"
 	"distcount/internal/sim"
 	"distcount/internal/workload"
 )
 
-// BenchmarkE1_TraceDAG measures a fully traced canonical workload at k=2
-// (Figures 1-2 regeneration path).
-func BenchmarkE1_TraceDAG(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		c := core.New(2, core.WithSimOptions(sim.WithTracing()))
-		if _, err := counter.RunSequence(c, counter.SequentialOrder(c.N())); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE4_Adversary runs the Lower Bound Theorem's constructive
-// workload (full mode) against representative algorithms.
-func BenchmarkE4_Adversary(b *testing.B) {
-	for _, cfg := range []struct {
-		algo string
-		n    int
-	}{
-		{"central", 8}, {"ctree", 8}, {"central", 81}, {"ctree", 81},
-	} {
-		cfg := cfg
-		b.Run(fmt.Sprintf("%s/n=%d", cfg.algo, cfg.n), func(b *testing.B) {
-			var mb int64
+// BenchmarkExperiments times every paper experiment at full size (what
+// `paper exp -all` runs; E4 at n=1024 is ≈16 of its ≈17 s).
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range experiments.All() {
+		b.Run(e.ID, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				c, err := registry.New(cfg.algo, cfg.n, sim.WithTracing())
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := adversary.Run(c.(counter.Cloneable))
-				if err != nil {
-					b.Fatal(err)
-				}
-				mb = res.Summary.MaxLoad
-			}
-			b.ReportMetric(float64(mb), "m_b")
-			b.ReportMetric(float64(bound.SolveK(cfg.n)), "bound_k")
-		})
-	}
-}
-
-// BenchmarkE5_TreeCounter sweeps the arity of the paper's counter over the
-// canonical workload — the Bottleneck Theorem series. n grows from 8 to
-// 279936 while m_b/k stays flat.
-func BenchmarkE5_TreeCounter(b *testing.B) {
-	for _, k := range []int{2, 3, 4, 5, 6} {
-		k := k
-		b.Run(fmt.Sprintf("k=%d/n=%d", k, core.SizeForK(k)), func(b *testing.B) {
-			var st experiments.E5Stats
-			for i := 0; i < b.N; i++ {
-				var err error
-				st, err = experiments.E5Point(k)
-				if err != nil {
+				if _, err := e.Run(experiments.Config{}); err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(st.MaxLoad), "m_b")
-			b.ReportMetric(float64(st.MaxLoad)/float64(k), "m_b/k")
-			b.ReportMetric(float64(st.Retirements), "retirements")
-		})
-	}
-}
-
-// BenchmarkE6_Bottleneck compares every algorithm at n=81 over the
-// canonical workload (the introduction's comparison).
-func BenchmarkE6_Bottleneck(b *testing.B) {
-	for _, algo := range registry.Names() {
-		algo := algo
-		b.Run(algo+"/n=81", func(b *testing.B) {
-			var mb int64
-			var msgs int64
-			for i := 0; i < b.N; i++ {
-				c, err := registry.New(algo, 81)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := counter.RunSequence(c, counter.RandomOrder(c.N(), 0xE6)); err != nil {
-					b.Fatal(err)
-				}
-				mb = loadstat.SummarizeLoads(c.Net().Loads()).MaxLoad
-				msgs = c.Net().MessagesTotal()
-			}
-			b.ReportMetric(float64(mb), "m_b")
-			b.ReportMetric(float64(msgs)/81, "msgs/op")
-		})
-	}
-}
-
-// BenchmarkE9_Ablation sweeps the retirement threshold at k=3.
-func BenchmarkE9_Ablation(b *testing.B) {
-	k := 3
-	for _, cfg := range []struct {
-		label string
-		age   int
-	}{
-		{"2k", 2 * k}, {"4k-paper", 4 * k}, {"8k", 8 * k}, {"off", 0},
-	} {
-		cfg := cfg
-		b.Run(cfg.label, func(b *testing.B) {
-			var row experiments.E9Row
-			for i := 0; i < b.N; i++ {
-				var err error
-				row, err = experiments.E9Point(k, cfg.age)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(row.MaxLoad), "m_b")
-			b.ReportMetric(float64(row.Retirements), "retirements")
-		})
-	}
-}
-
-// BenchmarkE10_Concurrency measures the concurrent regime: 64 simultaneous
-// operations with and without combining/diffraction windows.
-func BenchmarkE10_Concurrency(b *testing.B) {
-	for _, cfg := range []struct {
-		kind   string
-		window int64
-	}{
-		{"combining", 0}, {"combining", 16}, {"difftree", 0}, {"difftree", 16},
-	} {
-		cfg := cfg
-		b.Run(fmt.Sprintf("%s/window=%d", cfg.kind, cfg.window), func(b *testing.B) {
-			var row experiments.E10Row
-			for i := 0; i < b.N; i++ {
-				var err error
-				if cfg.kind == "combining" {
-					row, err = experiments.E10Combining(64, cfg.window)
-				} else {
-					row, err = experiments.E10Difftree(64, cfg.window)
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(row.RootLoad), "root_load")
-			b.ReportMetric(float64(row.Merged), "merged")
-		})
-	}
-}
-
-// BenchmarkE11_Quorum measures quorum-system load profiles at n=100.
-func BenchmarkE11_Quorum(b *testing.B) {
-	out, err := experiments.E11(experiments.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	_ = out
-	b.Run("all-systems/n=100", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := experiments.E11(experiments.Config{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkE12_MessageBits measures the message-size profile of the tree
-// counter (the paper's O(log n) bits remark).
-func BenchmarkE12_MessageBits(b *testing.B) {
-	for _, k := range []int{2, 3, 4} {
-		k := k
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			var row experiments.E12Row
-			for i := 0; i < b.N; i++ {
-				var err error
-				row, err = experiments.E12Point(k)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(row.MaxBits), "max_bits")
-			b.ReportMetric(float64(row.Log2N), "log2_n")
-		})
-	}
-}
-
-// BenchmarkE13_Linearizability runs the scripted HSW schedule plus the
-// randomized sweep.
-func BenchmarkE13_Linearizability(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.E13(experiments.Config{Quick: true}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE14_Trajectory measures the running-bottleneck series.
-func BenchmarkE14_Trajectory(b *testing.B) {
-	for _, algo := range []string{"central", "ctree"} {
-		algo := algo
-		b.Run(algo, func(b *testing.B) {
-			var final int64
-			for i := 0; i < b.N; i++ {
-				tr, err := experiments.E14Trajectory(algo, 81, []int{20, 81})
-				if err != nil {
-					b.Fatal(err)
-				}
-				final = tr[len(tr)-1]
-			}
-			b.ReportMetric(float64(final), "m_b_final")
 		})
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"distcount/internal/adversary"
-	"distcount/internal/counter"
 	"distcount/internal/countersvc"
 	"distcount/internal/engine"
 	"distcount/internal/registry"
@@ -204,12 +203,8 @@ func adversarialReplay(algo string, n, ops int, seed uint64, gap int64) (workloa
 	if err != nil {
 		return nil, err
 	}
-	cl, ok := probe.(counter.Cloneable)
-	if !ok {
-		return nil, fmt.Errorf("scenario adversarial needs a cloneable algorithm, %q is not", algo)
-	}
 	sampleSize := 8
-	res, err := adversary.Run(cl, adversary.SampleSize(sampleSize), adversary.WithSeed(seed))
+	res, err := adversary.Run(probe, adversary.SampleSize(sampleSize), adversary.WithSeed(seed))
 	if err != nil {
 		return nil, fmt.Errorf("adversary against %s: %w", algo, err)
 	}

@@ -214,7 +214,7 @@ func New(cfg Config) (*Service, error) {
 			nw := c.Net()
 			s.nets[i] = nw
 			shard := i
-			nw.OnOpDone(func(st *sim.OpStats) { s.noteDone(shard, int(st.ID), st) })
+			nw.OnOpDone(func(st *sim.OpStats) { s.noteDone(shard, st) })
 		}
 	}
 
@@ -347,31 +347,11 @@ func (s *Service) Start(at int64, key int, p sim.ProcID) (shard int, id sim.OpID
 // KeyOfOp returns the key of a shard-local operation id.
 func (s *Service) KeyOfOp(shard int, id sim.OpID) int { return s.keyOf[shard][int(id)-1] }
 
-// noteDone is the per-completion bookkeeping shared by both backends:
+// complete is the per-completion bookkeeping shared by both backends:
 // in-flight accounting, hotspot detection, and the drain-triggered cutover.
-func (s *Service) noteDone(shard, id int, st *sim.OpStats) {
-	key := s.keyOf[shard][id-1]
-	epoch := s.epoch[key] // the epoch the op ran at, pre-cutover
-	s.inflight[key]--
-	s.keyOps[key]++
-	s.completed++
-	if s.mig != nil {
-		s.observe(key)
-	}
-	if s.frozen[key] && s.inflight[key] == 0 {
-		s.cutover(key)
-	}
-	if s.done != nil {
-		s.done(shard, key, epoch, st)
-	}
-}
-
-// CompleteRT performs the service bookkeeping for one rt-backend completion
-// taken out of the DeliverTo sink, returning the op's key and the routing
-// epoch it ran at (pre-cutover, like OnOpDone's). Must be called from the
-// single driver goroutine.
-func (s *Service) CompleteRT(d rt.Completion) (key, epoch int) {
-	key = s.keyOf[d.Shard][int(d.ID)-1]
+// It returns the op's key and the routing epoch it ran at (pre-cutover).
+func (s *Service) complete(shard int, id sim.OpID) (key, epoch int) {
+	key = s.keyOf[shard][int(id)-1]
 	epoch = s.epoch[key]
 	s.inflight[key]--
 	s.keyOps[key]++
@@ -383,6 +363,23 @@ func (s *Service) CompleteRT(d rt.Completion) (key, epoch int) {
 		s.cutover(key)
 	}
 	return key, epoch
+}
+
+// noteDone is the sim backend's completion hook: the bookkeeping, then the
+// OnOpDone observer.
+func (s *Service) noteDone(shard int, st *sim.OpStats) {
+	key, epoch := s.complete(shard, st.ID)
+	if s.done != nil {
+		s.done(shard, key, epoch, st)
+	}
+}
+
+// CompleteRT performs the service bookkeeping for one rt-backend completion
+// taken out of the DeliverTo sink, returning the op's key and the routing
+// epoch it ran at (pre-cutover, like OnOpDone's). Must be called from the
+// single driver goroutine.
+func (s *Service) CompleteRT(d rt.Completion) (key, epoch int) {
+	return s.complete(d.Shard, d.ID)
 }
 
 // observe feeds hotspot detection: per-key completion counts over a window

@@ -120,10 +120,6 @@ type Config struct {
 	// KneeBuckets is the number of arrival-ordered buckets the open-loop
 	// saturation analysis divides the run into (default 16).
 	KneeBuckets int
-	// KneeFactor is the saturation threshold: a bucket whose p99 latency
-	// reaches KneeFactor times the baseline bucket's p99 marks the knee
-	// (default 4).
-	KneeFactor float64
 	// Verify enables post-run value-correctness checking: every completed
 	// operation's delivered value is collected and evaluated against the
 	// algorithm's claimed consistency level (linearizability for
@@ -156,9 +152,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.KneeBuckets < 2 {
 		cfg.KneeBuckets = 16
-	}
-	if cfg.KneeFactor <= 1 {
-		cfg.KneeFactor = 4
 	}
 	if cfg.WedgeIdle <= 0 {
 		cfg.WedgeIdle = 2 * time.Second

@@ -89,7 +89,7 @@ func drive(s substrate, res *Result, gen workload.Generator, cfg Config, vf *ver
 	}
 	if cfg.Mode == Open {
 		res.Buckets = bucketize(r.recs, cfg.KneeBuckets)
-		res.Knee = detectKnee(res.Buckets, cfg.KneeFactor)
+		res.Knee = detectKnee(res.Buckets)
 	}
 	if err := r.m.finalize(res, s, thinAfter); err != nil {
 		return nil, err

@@ -37,7 +37,7 @@ type RateBucket struct {
 
 // Knee is the detected saturation point of an open-loop run: the first
 // rate bucket where the system diverges. Divergence means either end-to-end
-// p99 latency reaching Config.KneeFactor times the baseline bucket's p99
+// p99 latency reaching kneeFactor (4) times the baseline bucket's p99
 // ("latency"), or the bounded admission queue overflowing into drops
 // ("queue"). The baseline is the first bucket with enough completions to
 // yield a stable p99.
@@ -137,12 +137,16 @@ func bucketize(recs []opRec, buckets int) []RateBucket {
 // (as baseline or as knee evidence).
 const minKneeOps = 8
 
+// kneeFactor is the saturation threshold: a bucket whose p99 latency
+// reaches kneeFactor times the baseline bucket's p99 marks the knee.
+const kneeFactor = 4
+
 // detectKnee scans the buckets for the saturation point. The baseline is
 // the first bucket with at least minKneeOps completions; the knee is the
 // first later bucket that drops requests (the admission queue overflowed)
-// or whose p99 reaches factor times the baseline p99. Returns nil when the
+// or whose p99 reaches kneeFactor times the baseline p99. Returns nil when the
 // run never saturates.
-func detectKnee(buckets []RateBucket, factor float64) *Knee {
+func detectKnee(buckets []RateBucket) *Knee {
 	base := -1
 	for i, b := range buckets {
 		if b.Completed >= minKneeOps {
@@ -153,9 +157,9 @@ func detectKnee(buckets []RateBucket, factor float64) *Knee {
 	if base < 0 {
 		return nil
 	}
-	threshold := factor * buckets[base].P99
-	if threshold < factor {
-		threshold = factor // all-zero baseline: any measurable p99 blowup counts
+	threshold := kneeFactor * buckets[base].P99
+	if threshold < kneeFactor {
+		threshold = kneeFactor // all-zero baseline: any measurable p99 blowup counts
 	}
 	for i := base + 1; i < len(buckets); i++ {
 		b := buckets[i]

@@ -407,26 +407,26 @@ func TestDetectKnee(t *testing.T) {
 		{Index: 1, Completed: 20, P99: 5, OfferedRate: 0.2},
 		{Index: 2, Completed: 20, P99: 4, OfferedRate: 0.3},
 	}
-	if k := detectKnee(flat, 4); k != nil {
+	if k := detectKnee(flat); k != nil {
 		t.Fatalf("flat profile produced a knee: %+v", k)
 	}
 
 	diverging := append(append([]RateBucket(nil), flat...),
 		RateBucket{Index: 3, Completed: 20, P99: 40, OfferedRate: 0.4, StartTime: 900})
-	k := detectKnee(diverging, 4)
+	k := detectKnee(diverging)
 	if k == nil || k.Bucket != 3 || k.Reason != "latency" || k.OfferedRate != 0.4 || k.SimTime != 900 {
 		t.Fatalf("latency knee wrong: %+v", k)
 	}
 
 	overflow := append(append([]RateBucket(nil), flat...),
 		RateBucket{Index: 3, Completed: 2, Dropped: 7, P99: 6, OfferedRate: 0.5})
-	k = detectKnee(overflow, 4)
+	k = detectKnee(overflow)
 	if k == nil || k.Reason != "queue" || k.Bucket != 3 {
 		t.Fatalf("queue knee wrong: %+v", k)
 	}
 
 	// No bucket ever reaches minKneeOps: no baseline, no knee.
-	if k := detectKnee([]RateBucket{{Completed: 2, P99: 1}, {Completed: 3, P99: 99}}, 4); k != nil {
+	if k := detectKnee([]RateBucket{{Completed: 2, P99: 1}, {Completed: 3, P99: 99}}); k != nil {
 		t.Fatalf("knee without baseline: %+v", k)
 	}
 }

@@ -2,12 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"distcount/internal/counters/combining"
 	"distcount/internal/counters/difftree"
-	"distcount/internal/loadstat"
-	"distcount/internal/sim"
+	"distcount/internal/verify"
 )
 
 // E10 leaves the paper's sequential regime to reproduce what the related
@@ -21,42 +19,34 @@ import (
 // load, merge/diffraction counts, and total messages per window setting,
 // plus a correctness check (all assigned values distinct).
 func E10(cfg Config) (string, error) {
-	n := 64
-	if cfg.Quick {
-		n = 16
+	n := pick(cfg, 64, 16)
+	table := func(intro string, header []string, run func(n int, window int64) (E10Row, error)) (string, error) {
+		return sweep[int64]{
+			intro:  intro,
+			header: header,
+			over:   []int64{0, 4, 16, 64},
+			point: func(window int64, row func(...any)) error {
+				r, err := run(n, window)
+				if err != nil {
+					return err
+				}
+				row(window, r.RootLoad, r.Merged, r.Total, r.Distinct)
+				return nil
+			},
+		}.render()
 	}
-	windows := []int64{0, 4, 16, 64}
-
-	var b strings.Builder
-	fmt.Fprintf(&b, "concurrent regime: %d simultaneous operations, varying window\n\n", n)
-
-	ctb := loadstat.NewTable("combining window", "root-host load", "combined", "total msgs", "values distinct")
-	for _, w := range windows {
-		row, err := E10Combining(n, w)
-		if err != nil {
-			return "", err
-		}
-		ctb.AddRow(w, row.RootLoad, row.Merged, row.Total, row.Distinct)
+	comb, err := table(fmt.Sprintf("concurrent regime: %d simultaneous operations, varying window\n\ncombining tree:\n", n),
+		[]string{"combining window", "root-host load", "combined", "total msgs", "values distinct"}, E10Combining)
+	if err != nil {
+		return "", err
 	}
-	b.WriteString("combining tree:\n")
-	b.WriteString(ctb.String())
-
-	dtb := loadstat.NewTable("prism window", "root toggles", "diffracted pairs", "total msgs", "values distinct")
-	for _, w := range windows {
-		row, err := E10Difftree(n, w)
-		if err != nil {
-			return "", err
-		}
-		dtb.AddRow(w, row.RootLoad, row.Merged, row.Total, row.Distinct)
-	}
-	b.WriteString("\ndiffracting tree (width 8):\n")
-	b.WriteString(dtb.String())
-	return b.String(), nil
+	diff, err := table("\ndiffracting tree (width 8):\n",
+		[]string{"prism window", "root toggles", "diffracted pairs", "total msgs", "values distinct"}, E10Difftree)
+	return comb + diff, err
 }
 
 // E10Row is one concurrency measurement.
 type E10Row struct {
-	Window   int64
 	RootLoad int64
 	Merged   int64
 	Total    int64
@@ -67,59 +57,31 @@ type E10Row struct {
 // given window.
 func E10Combining(n int, window int64) (E10Row, error) {
 	c := combining.New(n, combining.WithWindow(window))
-	for p := 1; p <= n; p++ {
-		c.Start(0, sim.ProcID(p))
-	}
-	if err := c.Net().Run(); err != nil {
-		return E10Row{}, err
-	}
-	distinct, err := distinctValues(n, func(p sim.ProcID) (int, bool) { return c.ValueOf(p) })
-	if err != nil {
-		return E10Row{}, err
-	}
+	distinct, err := burst(c, n)
 	return E10Row{
-		Window:   window,
 		RootLoad: c.Net().Load(c.RootHost()),
 		Merged:   c.Combined(),
 		Total:    c.Net().MessagesTotal(),
 		Distinct: distinct,
-	}, nil
+	}, err
 }
 
 // E10Difftree runs n simultaneous operations on a diffracting tree with the
 // given prism window.
 func E10Difftree(n int, window int64) (E10Row, error) {
 	c := difftree.New(n, difftree.WithWidth(8), difftree.WithWindow(window))
-	for p := 1; p <= n; p++ {
-		c.Start(0, sim.ProcID(p))
-	}
-	if err := c.Net().Run(); err != nil {
-		return E10Row{}, err
-	}
-	distinct, err := distinctValues(n, func(p sim.ProcID) (int, bool) { return c.ValueOf(p) })
-	if err != nil {
-		return E10Row{}, err
-	}
+	distinct, err := burst(c, n)
 	return E10Row{
-		Window:   window,
 		RootLoad: c.RootToggles(),
 		Merged:   c.Diffracted(),
 		Total:    c.Net().MessagesTotal(),
 		Distinct: distinct,
-	}, nil
+	}, err
 }
 
-func distinctValues(n int, valueOf func(sim.ProcID) (int, bool)) (bool, error) {
-	seen := make([]bool, n)
-	for p := 1; p <= n; p++ {
-		v, ok := valueOf(sim.ProcID(p))
-		if !ok {
-			return false, fmt.Errorf("processor %d received no value", p)
-		}
-		if v < 0 || v >= n || seen[v] {
-			return false, nil
-		}
-		seen[v] = true
-	}
-	return true, nil
+// burst has processors 1..n all start an operation at t=0 and reports
+// whether the values handed out are distinct (exactly 0..n-1).
+func burst(c startable, n int) (bool, error) {
+	tv, err := timedRun(c, make([]int64, n))
+	return err == nil && verify.QuiescentConsistent(tv) == nil, err
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"distcount/internal/loadstat"
 	"distcount/internal/quorum"
@@ -18,32 +17,31 @@ import (
 // messages for near-flat load, and none of the static systems can reach the
 // paper's O(k): that needs the dynamic processor rotation of Section 4.
 func E11(cfg Config) (string, error) {
-	n := 100
-	if cfg.Quick {
-		n = 36
-	}
-	systems := []quorum.System{
-		quorum.NewSingleton(n),
-		quorum.NewMajority(n),
-		quorum.NewGrid(n),
-		quorum.NewFPP(n),
-		quorum.NewTree(n),
-		quorum.NewWall(n),
-	}
-	tb := loadstat.NewTable("system", "max |Q|", "bottleneck element load", "mean load", "gini", "intersection")
-	for _, s := range systems {
-		row, err := E11Point(s, n)
-		if err != nil {
-			return "", err
-		}
-		tb.AddRow(s.Name(), row.MaxQuorum, row.MaxLoad, row.Mean, row.Gini, row.Intersect)
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "quorum systems over n=%d elements, %d rotated accesses\n\n", n, n)
-	b.WriteString(tb.String())
-	b.WriteString("\nsmall quorums != small bottleneck: tree quorums are smallest but root-heavy;\n")
-	b.WriteString("the paper's dynamic scheme (E5) beats all static systems on bottleneck load.\n")
-	return b.String(), nil
+	n := pick(cfg, 100, 36)
+	return sweep[quorum.System]{
+		intro:  fmt.Sprintf("quorum systems over n=%d elements, %d rotated accesses\n\n", n, n),
+		header: []string{"system", "max |Q|", "bottleneck element load", "mean load", "gini", "intersection"},
+		over: []quorum.System{
+			quorum.NewSingleton(n),
+			quorum.NewMajority(n),
+			quorum.NewGrid(n),
+			quorum.NewFPP(n),
+			quorum.NewTree(n),
+			quorum.NewWall(n),
+		},
+		point: func(s quorum.System, row func(...any)) error {
+			r, err := E11Point(s, n)
+			if err != nil {
+				return err
+			}
+			row(s.Name(), r.MaxQuorum, r.MaxLoad, r.Mean, r.Gini, r.Intersect)
+			return nil
+		},
+		outro: func([][]any) (string, error) {
+			return "\nsmall quorums != small bottleneck: tree quorums are smallest but root-heavy;\n" +
+				"the paper's dynamic scheme (E5) beats all static systems on bottleneck load.\n", nil
+		},
+	}.render()
 }
 
 // E11Row is one quorum-system measurement.
@@ -68,11 +66,4 @@ func E11Point(s quorum.System, ops int) (E11Row, error) {
 		Gini:      sum.Gini,
 		Intersect: "ok",
 	}, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

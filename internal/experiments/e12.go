@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"distcount/internal/core"
-	"distcount/internal/counter"
 	"distcount/internal/sim"
 )
 
@@ -15,52 +14,18 @@ import (
 // value; the experiment runs the canonical workload across arities and
 // reports the largest and average message size against log2(n).
 func E12(cfg Config) (string, error) {
-	ks := []int{2, 3, 4}
-	if cfg.Quick {
-		ks = []int{2, 3}
-	}
 	var b strings.Builder
 	b.WriteString("message sizes of the tree counter: O(log n) bits per message\n\n")
 	fmt.Fprintf(&b, "%-3s %-9s %-9s %-16s %-16s %-12s\n", "k", "n", "log2(n)", "max msg bits", "avg msg bits", "total bits")
-	for _, k := range ks {
-		row, err := E12Point(k)
+	for _, k := range pick(cfg, []int{2, 3, 4}, []int{2, 3}) {
+		t, err := RunTree(core.New(k), nil)
 		if err != nil {
 			return "", err
 		}
-		fmt.Fprintf(&b, "%-3d %-9d %-9d %-16d %-16.1f %-12d\n",
-			k, row.N, row.Log2N, row.MaxBits, row.AvgBits, row.TotalBits)
+		total := t.Net().BitsTotal()
+		fmt.Fprintf(&b, "%-3d %-9d %-9d %-16d %-16.1f %-12d\n", k, t.N(), sim.BitsFor(t.N()),
+			t.Net().MaxMessageBits(), float64(total)/float64(t.Net().MessagesTotal()), total)
 	}
 	b.WriteString("\nmax message bits grow with log n (a constant number of identifiers), not with n.\n")
 	return b.String(), nil
-}
-
-// E12Row is one message-size measurement.
-type E12Row struct {
-	K, N      int
-	Log2N     int
-	MaxBits   int
-	AvgBits   float64
-	TotalBits int64
-}
-
-// E12Point runs the canonical workload at arity k and returns the size
-// profile.
-func E12Point(k int) (E12Row, error) {
-	c := core.New(k)
-	if _, err := counter.RunSequence(c, counter.SequentialOrder(c.N())); err != nil {
-		return E12Row{}, err
-	}
-	total := c.Net().BitsTotal()
-	msgs := c.Net().MessagesTotal()
-	row := E12Row{
-		K:         k,
-		N:         c.N(),
-		Log2N:     sim.BitsFor(c.N()),
-		MaxBits:   c.Net().MaxMessageBits(),
-		TotalBits: total,
-	}
-	if msgs > 0 {
-		row.AvgBits = float64(total) / float64(msgs)
-	}
-	return row, nil
 }

@@ -47,17 +47,16 @@ func E13(cfg Config) (string, error) {
 	b.WriteString("  the tree counter's root serialization is immune to the same schedule.\n\n")
 
 	// Part 2: randomized control sweep.
-	n := 32
-	seeds := 12
-	if cfg.Quick {
-		n = 16
-		seeds = 6
-	}
-	treeViol, treeQuiesce, err := e13TreeSweep(n, seeds)
+	n, seeds := pick(cfg, 32, 16), pick(cfg, 12, 6)
+	treeViol, treeQuiesce, err := e13Sweep(n, seeds, func(opts ...sim.Option) startable {
+		return concurrentTree{core.New(core.KForSize(n), core.WithoutChecks(), core.WithSimOptions(opts...))}
+	})
 	if err != nil {
 		return "", err
 	}
-	cnetViol, cnetQuiesce, err := e13CNetSweep(n, seeds)
+	cnetViol, cnetQuiesce, err := e13Sweep(n, seeds, func(opts ...sim.Option) startable {
+		return cnet.New(n, cnet.WithWidth(8), cnet.WithSimOptions(opts...))
+	})
 	if err != nil {
 		return "", err
 	}
@@ -85,26 +84,14 @@ func E13ScriptedCNet() (violated bool, values []int, err error) {
 	// wire-counter reads happen long after E completes.
 	lat := sim.NewStallKindLatency(100, map[string][]int{"exit": {0, 2}})
 	c := cnet.New(5, cnet.WithWidth(2), cnet.WithSimOptions(sim.WithLatency(lat)))
-	ops, procs := scheduleABCDE(func(at int64, p sim.ProcID) sim.OpID { return c.Start(at, p) })
-	if err := c.Net().Run(); err != nil {
-		return false, nil, err
-	}
-	values = make([]int, len(procs))
-	for i, p := range procs {
-		v, ok := c.ValueOf(p)
-		if !ok {
-			return false, nil, fmt.Errorf("cnet scripted: processor %d got no value", p)
-		}
-		values[i] = v
-	}
-	tv, err := verify.CollectTimedValues(c.Net(), ops, values)
+	tv, err := timedRun(c, scheduleABCDE)
 	if err != nil {
-		return false, nil, err
+		return false, nil, fmt.Errorf("cnet scripted: %w", err)
 	}
 	if err := verify.QuiescentConsistent(tv); err != nil {
-		return false, values, fmt.Errorf("cnet scripted: quiescent consistency broken: %w", err)
+		return false, valuesOf(tv), fmt.Errorf("cnet scripted: quiescent consistency broken: %w", err)
 	}
-	return verify.Linearizable(tv) != nil, values, nil
+	return verify.Linearizable(tv) != nil, valuesOf(tv), nil
 }
 
 // E13ScriptedTree runs the analogous stalled schedule against the tree
@@ -112,67 +99,38 @@ func E13ScriptedCNet() (violated bool, values []int, err error) {
 // delay could plausibly reorder completions).
 func E13ScriptedTree() (violated bool, values []int, err error) {
 	lat := sim.NewStallKindLatency(100, map[string][]int{"value": {0, 2}})
-	tree := core.NewTree(2, &treeCounterState{}, core.WithoutChecks(),
-		core.WithSimOptions(sim.WithLatency(lat)))
-	ops, procs := scheduleABCDE(func(at int64, p sim.ProcID) sim.OpID { return tree.Start(at, p, nil) })
-	if err := tree.Net().Run(); err != nil {
-		return false, nil, err
-	}
-	values = make([]int, len(procs))
-	for i, p := range procs {
-		reply, ok := tree.ReplyOf(p)
-		if !ok {
-			return false, nil, fmt.Errorf("tree scripted: processor %d got no value", p)
-		}
-		values[i] = reply.(int)
-	}
-	tv, err := verify.CollectTimedValues(tree.Net(), ops, values)
+	tree := concurrentTree{core.New(2, core.WithoutChecks(), core.WithSimOptions(sim.WithLatency(lat)))}
+	tv, err := timedRun(tree, scheduleABCDE)
 	if err != nil {
-		return false, nil, err
+		return false, nil, fmt.Errorf("tree scripted: %w", err)
 	}
-	return verify.Linearizable(tv) != nil, values, nil
+	return verify.Linearizable(tv) != nil, valuesOf(tv), nil
 }
 
-// scheduleABCDE starts five operations: A..D in quick succession, E well
-// after D completed.
-func scheduleABCDE(start func(at int64, p sim.ProcID) sim.OpID) ([]sim.OpID, []sim.ProcID) {
-	starts := []int64{0, 4, 8, 12, 30}
-	ops := make([]sim.OpID, 0, len(starts))
-	procs := make([]sim.ProcID, 0, len(starts))
-	for i, at := range starts {
-		p := sim.ProcID(i + 1)
-		ops = append(ops, start(at, p))
-		procs = append(procs, p)
+// scheduleABCDE is the start times of the five scripted operations: A..D in
+// quick succession, E well after D completed.
+var scheduleABCDE = []int64{0, 4, 8, 12, 30}
+
+func valuesOf(tv []verify.TimedValue) []int {
+	values := make([]int, len(tv))
+	for i, v := range tv {
+		values[i] = v.Value
 	}
-	return ops, procs
+	return values
 }
 
-// e13TreeSweep runs the randomized concurrent workload on the tree counter
-// across seeds and returns (linearizability violations, quiescent seeds).
-func e13TreeSweep(n, seeds int) (violations, quiescent int, err error) {
+// e13Sweep runs the randomized concurrent workload — n increments staggered
+// 3 ticks apart under UniformLatency[1,9] — on the counter build returns,
+// once per seed, and returns (linearizability violations, quiescent seeds).
+func e13Sweep(n, seeds int, build func(opts ...sim.Option) startable) (violations, quiescent int, err error) {
+	starts := make([]int64, n)
+	for i := range starts {
+		starts[i] = int64(i) * 3
+	}
 	for seed := uint64(1); seed <= uint64(seeds); seed++ {
-		tree := core.NewTree(core.KForSize(n), &treeCounterState{}, core.WithoutChecks(),
-			core.WithSimOptions(sim.WithSeed(seed), sim.WithLatency(sim.UniformLatency{Min: 1, Max: 9})))
-		ops := make([]sim.OpID, 0, n)
-		procs := make([]sim.ProcID, 0, n)
-		for p := 1; p <= n; p++ {
-			ops = append(ops, tree.Start(int64(p-1)*3, sim.ProcID(p), nil))
-			procs = append(procs, sim.ProcID(p))
-		}
-		if err := tree.Net().Run(); err != nil {
-			return 0, 0, err
-		}
-		values := make([]int, len(procs))
-		for i, p := range procs {
-			reply, ok := tree.ReplyOf(p)
-			if !ok {
-				return 0, 0, fmt.Errorf("tree: processor %d got no value (seed %d)", p, seed)
-			}
-			values[i] = reply.(int)
-		}
-		tv, err := verify.CollectTimedValues(tree.Net(), ops, values)
+		tv, err := timedRun(build(sim.WithSeed(seed), sim.WithLatency(sim.UniformLatency{Min: 1, Max: 9})), starts)
 		if err != nil {
-			return 0, 0, err
+			return 0, 0, fmt.Errorf("seed %d: %w", seed, err)
 		}
 		if verify.QuiescentConsistent(tv) == nil {
 			quiescent++
@@ -184,56 +142,17 @@ func e13TreeSweep(n, seeds int) (violations, quiescent int, err error) {
 	return violations, quiescent, nil
 }
 
-// e13CNetSweep is the counting-network counterpart.
-func e13CNetSweep(n, seeds int) (violations, quiescent int, err error) {
-	for seed := uint64(1); seed <= uint64(seeds); seed++ {
-		c := cnet.New(n, cnet.WithWidth(8), cnet.WithSimOptions(
-			sim.WithSeed(seed), sim.WithLatency(sim.UniformLatency{Min: 1, Max: 9})))
-		ops := make([]sim.OpID, 0, n)
-		procs := make([]sim.ProcID, 0, n)
-		for p := 1; p <= n; p++ {
-			ops = append(ops, c.Start(int64(p-1)*3, sim.ProcID(p)))
-			procs = append(procs, sim.ProcID(p))
-		}
-		if err := c.Net().Run(); err != nil {
-			return 0, 0, err
-		}
-		values := make([]int, len(procs))
-		for i, p := range procs {
-			v, ok := c.ValueOf(p)
-			if !ok {
-				return 0, 0, fmt.Errorf("cnet: processor %d got no value (seed %d)", p, seed)
-			}
-			values[i] = v
-		}
-		tv, err := verify.CollectTimedValues(c.Net(), ops, values)
-		if err != nil {
-			return 0, 0, err
-		}
-		if verify.QuiescentConsistent(tv) == nil {
-			quiescent++
-		}
-		if verify.Linearizable(tv) != nil {
-			violations++
-		}
+// concurrentTree is the paper's counter in the concurrent (pipelined) mode
+// of core.Tree.Start, which needs a tree built WithoutChecks; its replies
+// are the counter's ints.
+type concurrentTree struct{ *core.Counter }
+
+func (t concurrentTree) Start(at int64, p sim.ProcID) sim.OpID { return t.Tree.Start(at, p, nil) }
+
+func (t concurrentTree) ValueOf(p sim.ProcID) (int, bool) {
+	reply, ok := t.ReplyOf(p)
+	if !ok {
+		return 0, false
 	}
-	return violations, quiescent, nil
-}
-
-// treeCounterState duplicates the counter root state for the concurrent
-// experiments (core's counterState is unexported by design; replies are
-// ints).
-type treeCounterState struct {
-	val int
-}
-
-func (s *treeCounterState) Apply(any) any {
-	v := s.val
-	s.val++
-	return v
-}
-
-func (s *treeCounterState) CloneState() core.RootState {
-	cp := *s
-	return &cp
+	return reply.(int), true
 }

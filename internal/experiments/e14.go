@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"distcount/internal/bound"
@@ -17,14 +18,10 @@ import (
 // (the holder touches all of them), while the tree counter's flattens out
 // after the first retirements spread the root's role across its pool: the
 // plateau IS the O(k) bound forming.
-func E14(cfg Config) (string, error) {
-	n := 81
-	if cfg.Quick {
-		n = 81 // the smallest size where the plateau is visible; quick too
-	}
+func E14(Config) (string, error) {
+	const n = 81 // the smallest size where the plateau is visible; quick too
 	algos := []string{"central", "quorum-grid", "ctree"}
 	checkpoints := []int{5, 10, 20, 40, 60, n}
-
 	series := make(map[string][]int64, len(algos))
 	for _, algo := range algos {
 		tr, err := E14Trajectory(algo, n, checkpoints)
@@ -34,17 +31,13 @@ func E14(cfg Config) (string, error) {
 		series[algo] = tr
 	}
 
-	header := []string{"ops completed"}
-	header = append(header, algos...)
-	header = append(header, "bound k(n)")
-	tb := loadstat.NewTable(header...)
+	tb := loadstat.NewTable(slices.Concat([]string{"ops completed"}, algos, []string{"bound k(n)"})...)
 	for i, cp := range checkpoints {
 		row := []any{cp}
 		for _, algo := range algos {
 			row = append(row, series[algo][i])
 		}
-		row = append(row, bound.SolveK(n))
-		tb.AddRow(row...)
+		tb.AddRow(append(row, bound.SolveK(n))...)
 	}
 
 	var b strings.Builder

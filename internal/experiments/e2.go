@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 
 	"distcount/internal/adversary"
@@ -31,15 +33,15 @@ func E2(Config) (string, error) {
 		"ctree", c.N(), res.Last, res.BoundK)
 	for i, st := range res.Steps {
 		fmt.Fprintf(&b, "step %d: candidate list lengths: ", i+1)
-		for _, p := range sortedKeys(toIntKeys(st.CandidateLens)) {
+		for _, p := range slices.Sorted(maps.Keys(st.CandidateLens)) {
 			marker := ""
-			if sim.ProcID(p) == st.Chosen {
+			if p == st.Chosen {
 				marker = "*" // chosen: the longest list
 			}
-			if sim.ProcID(p) == res.Last {
+			if p == res.Last {
 				marker += "q"
 			}
-			fmt.Fprintf(&b, "p%d:%d%s ", p, st.CandidateLens[sim.ProcID(p)], marker)
+			fmt.Fprintf(&b, "p%d:%d%s ", p, st.CandidateLens[p], marker)
 		}
 		fmt.Fprintf(&b, "-> executed p%d (L_%d=%d, l_%d=%d, f_%d=%d)\n",
 			st.Chosen, i+1, st.ListLen, i+1, st.LastListLen, i+1, st.FirstAffected)
@@ -53,14 +55,6 @@ func E2(Config) (string, error) {
 	fmt.Fprintf(&b, "final loads: bottleneck p%d with m_b = %d >= k = %d\n",
 		res.Summary.Bottleneck, res.Summary.MaxLoad, res.BoundK)
 	return b.String(), nil
-}
-
-func toIntKeys(m map[sim.ProcID]int) map[int]int {
-	out := make(map[int]int, len(m))
-	for k, v := range m {
-		out[int(k)] = v
-	}
-	return out
 }
 
 func formatFloats(vals []float64) string {

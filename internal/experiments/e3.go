@@ -5,8 +5,6 @@ import (
 	"strings"
 
 	"distcount/internal/core"
-	"distcount/internal/counter"
-	"distcount/internal/loadstat"
 )
 
 // E3 reproduces Figure 4 — the communication tree structure — together with
@@ -14,67 +12,34 @@ import (
 // workload to annotate each level with its observed retirement counts
 // (Number of Retirements Lemma in action).
 func E3(cfg Config) (string, error) {
-	ks := []int{2, 3}
-	if cfg.Quick {
-		ks = []int{2}
-	}
 	var b strings.Builder
-	for _, k := range ks {
-		out, err := e3ForK(k)
+	for _, k := range pick(cfg, []int{2, 3}, []int{2}) {
+		c := core.New(k)
+		fmt.Fprintf(&b, "Figure 4 — communication tree for k=%d: n = k·k^k = %d leaves, levels 0..%d inner\n", k, c.N(), k)
+
+		// Structure before the run: initial processors and pools per level.
+		for level, l := range Levels(c.Nodes()) {
+			fmt.Fprintf(&b, "  level %d: %d node(s), pool size %d each; initial ids: ", level, len(l.Nodes), l.Nodes[0].PoolSize)
+			for _, nd := range l.Nodes[:min(len(l.Nodes), 8)] {
+				fmt.Fprintf(&b, "%d ", nd.Cur)
+			}
+			if len(l.Nodes) > 8 {
+				fmt.Fprintf(&b, "... (last %d)", l.Nodes[len(l.Nodes)-1].Cur)
+			}
+			b.WriteByte('\n')
+		}
+
+		// Run the canonical workload and annotate retirements.
+		t, err := RunTree(c, nil)
 		if err != nil {
 			return "", err
 		}
-		b.WriteString(out)
-		b.WriteByte('\n')
-	}
-	return b.String(), nil
-}
-
-func e3ForK(k int) (string, error) {
-	c := core.New(k)
-	n := c.N()
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 4 — communication tree for k=%d: n = k·k^k = %d leaves, levels 0..%d inner\n", k, n, k)
-
-	// Structure before the run: initial processors and pools per level.
-	byLevel := make(map[int][]core.NodeInfo)
-	for _, nd := range c.Nodes() {
-		byLevel[nd.Level] = append(byLevel[nd.Level], nd)
-	}
-	for _, level := range sortedKeys(byLevel) {
-		nodes := byLevel[level]
-		fmt.Fprintf(&b, "  level %d: %d node(s), pool size %d each; initial ids: ", level, len(nodes), nodes[0].PoolSize)
-		shown := nodes
-		if len(shown) > 8 {
-			shown = shown[:8]
-		}
-		for _, nd := range shown {
-			fmt.Fprintf(&b, "%d ", nd.Cur)
-		}
-		if len(nodes) > 8 {
-			fmt.Fprintf(&b, "... (last %d)", nodes[len(nodes)-1].Cur)
+		fmt.Fprintf(&b, "after %d ops: %d retirements (budget per level-i node: k^(k-i)-1), %d forwarded, bottleneck p%d load %d\n",
+			c.N(), t.Stats().Retirements, t.Stats().Forwarded, t.Load.Bottleneck, t.Load.MaxLoad)
+		for level, l := range Levels(c.Nodes()) {
+			fmt.Fprintf(&b, "  level %d: total retirements %d, max per node %d\n", level, l.Retired, l.MaxRetired)
 		}
 		b.WriteByte('\n')
-	}
-
-	// Run the canonical workload and annotate retirements.
-	if _, err := counter.RunSequence(c, counter.SequentialOrder(n)); err != nil {
-		return "", err
-	}
-	s := loadstat.SummarizeLoads(c.Net().Loads())
-	fmt.Fprintf(&b, "after %d ops: %d retirements (budget per level-i node: k^(k-i)-1), %d forwarded, bottleneck p%d load %d\n",
-		n, c.Stats().Retirements, c.Stats().Forwarded, s.Bottleneck, s.MaxLoad)
-	retiredByLevel := make(map[int]int)
-	maxByLevel := make(map[int]int)
-	for _, nd := range c.Nodes() {
-		retiredByLevel[nd.Level] += nd.Retired
-		if nd.Retired > maxByLevel[nd.Level] {
-			maxByLevel[nd.Level] = nd.Retired
-		}
-	}
-	for _, level := range sortedKeys(retiredByLevel) {
-		fmt.Fprintf(&b, "  level %d: total retirements %d, max per node %d\n",
-			level, retiredByLevel[level], maxByLevel[level])
 	}
 	return b.String(), nil
 }

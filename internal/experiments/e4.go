@@ -6,8 +6,6 @@ import (
 
 	"distcount/internal/adversary"
 	"distcount/internal/bound"
-	"distcount/internal/counter"
-	"distcount/internal/loadstat"
 	"distcount/internal/registry"
 	"distcount/internal/sim"
 )
@@ -24,69 +22,54 @@ import (
 // O(k·polylog) territory for the counting network, and O(k) for the
 // paper's tree.
 func E4(cfg Config) (string, error) {
-	sizes := []struct {
-		n      int
-		sample int // 0 = full adversary
-	}{
-		{n: 8}, {n: 81},
-	}
-	if !cfg.Quick {
-		sizes = append(sizes, struct {
-			n      int
-			sample int
-		}{n: 1024, sample: 8})
-	}
-
-	tb := loadstat.NewTable("algorithm", "n", "k(n)", "bottleneck m_b", "m_b/k", "mode", "proof-checks")
 	var failures []string
-	for _, size := range sizes {
-		for _, name := range registry.Names() {
-			c, err := registry.New(name, size.n, sim.WithTracing())
-			if err != nil {
-				return "", err
-			}
-			cl, ok := c.(counter.Cloneable)
-			if !ok {
-				return "", fmt.Errorf("E4: %s not cloneable", name)
-			}
+	return sweep[int]{
+		intro: "Lower Bound Theorem: every algorithm's bottleneck >= k(n) under the adversarial canonical workload\n" +
+			fmt.Sprintf("(closed form: k(81)=%d, k(1024)=%d, k(15625)=%d, k(279936)=%d; k(n) ~ ln n/ln ln n: k_real(10^6)=%.2f)\n\n",
+				bound.SolveK(81), bound.SolveK(1024), bound.SolveK(15625), bound.SolveK(279936), bound.KReal(1e6)),
+		header: []string{"algorithm", "n", "k(n)", "bottleneck m_b", "m_b/k", "mode", "proof-checks"},
+		over:   pick(cfg, []int{8, 81, 1024}, []int{8, 81}),
+		point: func(n int, row func(...any)) error {
+			// The full adversary probes every remaining candidate at every
+			// step; beyond the small sizes only the sampled one is affordable.
 			var opts []adversary.Option
 			mode := "full"
-			if size.sample > 0 {
-				opts = append(opts, adversary.SampleSize(size.sample))
-				mode = fmt.Sprintf("sampled(%d)", size.sample)
+			if n > 81 {
+				opts = append(opts, adversary.SampleSize(8))
+				mode = "sampled(8)"
 			}
-			res, err := adversary.Run(cl, opts...)
-			if err != nil {
-				return "", fmt.Errorf("E4: %s n=%d: %w", name, size.n, err)
-			}
-			checks := "-"
-			if res.Full {
-				if err := adversary.VerifyProofStructure(res); err != nil {
-					checks = "FAIL"
-					failures = append(failures, fmt.Sprintf("%s n=%d: %v", name, size.n, err))
-				} else {
+			for _, name := range registry.Names() {
+				c, err := registry.New(name, n, sim.WithTracing())
+				if err != nil {
+					return err
+				}
+				res, err := adversary.Run(c, opts...)
+				if err != nil {
+					return fmt.Errorf("E4: %s n=%d: %w", name, n, err)
+				}
+				checks := "-"
+				if res.Full {
 					checks = "ok"
+					if err := adversary.VerifyProofStructure(res); err != nil {
+						checks = "FAIL"
+						failures = append(failures, fmt.Sprintf("%s n=%d: %v", name, n, err))
+					}
+				}
+				k := res.BoundK
+				row(name, c.N(), k, res.Summary.MaxLoad, float64(res.Summary.MaxLoad)/float64(k), mode, checks)
+				if res.Summary.MaxLoad < int64(k) {
+					failures = append(failures,
+						fmt.Sprintf("%s n=%d: bottleneck %d below bound %d", name, n, res.Summary.MaxLoad, k))
 				}
 			}
-			k := res.BoundK
-			tb.AddRow(name, c.N(), k, res.Summary.MaxLoad,
-				float64(res.Summary.MaxLoad)/float64(k), mode, checks)
-			if res.Summary.MaxLoad < int64(k) {
-				failures = append(failures,
-					fmt.Sprintf("%s n=%d: bottleneck %d below bound %d", name, size.n, res.Summary.MaxLoad, k))
+			return nil
+		},
+		outro: func([][]any) (string, error) {
+			if len(failures) > 0 {
+				return fmt.Sprintf("\nFAILURES:\n  %s\n", strings.Join(failures, "\n  ")),
+					fmt.Errorf("E4: %d bound violations", len(failures))
 			}
-		}
-	}
-
-	var b strings.Builder
-	b.WriteString("Lower Bound Theorem: every algorithm's bottleneck >= k(n) under the adversarial canonical workload\n")
-	fmt.Fprintf(&b, "(closed form: k(81)=%d, k(1024)=%d, k(15625)=%d, k(279936)=%d; k(n) ~ ln n/ln ln n: k_real(10^6)=%.2f)\n\n",
-		bound.SolveK(81), bound.SolveK(1024), bound.SolveK(15625), bound.SolveK(279936), bound.KReal(1e6))
-	b.WriteString(tb.String())
-	if len(failures) > 0 {
-		fmt.Fprintf(&b, "\nFAILURES:\n  %s\n", strings.Join(failures, "\n  "))
-		return b.String(), fmt.Errorf("E4: %d bound violations", len(failures))
-	}
-	b.WriteString("\nall algorithms meet the bound; proof structure verified on all full-mode runs\n")
-	return b.String(), nil
+			return "\nall algorithms meet the bound; proof structure verified on all full-mode runs\n", nil
+		},
+	}.render()
 }

@@ -2,13 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
+	"slices"
 
 	"distcount/internal/bound"
 	"distcount/internal/core"
-	"distcount/internal/counter"
-	"distcount/internal/loadstat"
-	"distcount/internal/sim"
 )
 
 // E5 measures the Bottleneck Theorem — the matching upper bound: over the
@@ -17,87 +14,24 @@ import (
 // its ratio to k (the implementation constant, which must stay flat as n
 // grows by orders of magnitude), and the lower bound it matches.
 func E5(cfg Config) (string, error) {
-	ks := []int{2, 3, 4, 5}
-	if cfg.Quick {
-		ks = []int{2, 3}
-	}
-	tb := loadstat.NewTable("k", "n=k^(k+1)", "lower bound k", "bottleneck m_b", "m_b/k", "mean load", "gini", "retirements", "forwarded")
-	ratios := make([]float64, 0, len(ks))
-	for _, k := range ks {
-		st, err := E5Point(k)
-		if err != nil {
-			return "", err
-		}
-		ratio := float64(st.MaxLoad) / float64(k)
-		ratios = append(ratios, ratio)
-		tb.AddRow(k, st.N, bound.SolveK(st.N), st.MaxLoad, ratio, st.Mean, st.Gini, st.Retirements, st.Forwarded)
-	}
-
-	var b strings.Builder
-	b.WriteString("Bottleneck Theorem: tree-counter bottleneck is O(k) — m_b/k must stay bounded while n explodes\n\n")
-	b.WriteString(tb.String())
-	fmt.Fprintf(&b, "\nm_b/k across the sweep: min %.1f, max %.1f (flat ratio = the theorem's O(k); n grew %dx)\n",
-		minF(ratios), maxF(ratios), bound.SizeFor(ks[len(ks)-1])/bound.SizeFor(ks[0]))
-	return b.String(), nil
-}
-
-// E5Stats is one point of the E5 series.
-type E5Stats struct {
-	K, N         int
-	MaxLoad      int64
-	Mean, Gini   float64
-	Retirements  int64
-	Forwarded    int64
-	GrowOldMax   int
-	LemmaBroken  int64
-	PoolExhausts int64
-}
-
-// E5Point runs the canonical workload on the tree counter of arity k and
-// returns the measured statistics. Shared by E5, E8 and the benchmarks.
-func E5Point(k int) (E5Stats, error) {
-	opts := []core.Option{}
-	if core.SizeForK(k) > 100_000 {
-		// Keep the biggest runs lean: no per-op stats needed here.
-		opts = append(opts, core.WithSimOptions(sim.WithoutOpStats()))
-	}
-	c := core.New(k, opts...)
-	n := c.N()
-	if _, err := counter.RunSequence(c, counter.SequentialOrder(n)); err != nil {
-		return E5Stats{}, err
-	}
-	s := loadstat.SummarizeLoads(c.Net().Loads())
-	_, violations := c.Violations()
-	return E5Stats{
-		K:            k,
-		N:            n,
-		MaxLoad:      s.MaxLoad,
-		Mean:         s.Mean,
-		Gini:         s.Gini,
-		Retirements:  c.Stats().Retirements,
-		Forwarded:    c.Stats().Forwarded,
-		GrowOldMax:   c.GrowOldMax(),
-		LemmaBroken:  violations,
-		PoolExhausts: c.Stats().PoolExhausted,
-	}, nil
-}
-
-func minF(vals []float64) float64 {
-	out := vals[0]
-	for _, v := range vals[1:] {
-		if v < out {
-			out = v
-		}
-	}
-	return out
-}
-
-func maxF(vals []float64) float64 {
-	out := vals[0]
-	for _, v := range vals[1:] {
-		if v > out {
-			out = v
-		}
-	}
-	return out
+	ks := pick(cfg, []int{2, 3, 4, 5}, []int{2, 3})
+	return sweep[int]{
+		intro:  "Bottleneck Theorem: tree-counter bottleneck is O(k) — m_b/k must stay bounded while n explodes\n\n",
+		header: []string{"k", "n=k^(k+1)", "lower bound k", "bottleneck m_b", "m_b/k", "mean load", "gini", "retirements", "forwarded"},
+		over:   ks,
+		point: func(k int, row func(...any)) error {
+			t, err := RunTree(core.New(k), nil)
+			if err != nil {
+				return err
+			}
+			row(k, t.N(), bound.SolveK(t.N()), t.Load.MaxLoad, float64(t.Load.MaxLoad)/float64(k),
+				t.Load.Mean, t.Load.Gini, t.Stats().Retirements, t.Stats().Forwarded)
+			return nil
+		},
+		outro: func(rows [][]any) (string, error) {
+			ratios := column[float64](rows, 4)
+			return fmt.Sprintf("\nm_b/k across the sweep: min %.1f, max %.1f (flat ratio = the theorem's O(k); n grew %dx)\n",
+				slices.Min(ratios), slices.Max(ratios), bound.SizeFor(ks[len(ks)-1])/bound.SizeFor(ks[0])), nil
+		},
+	}.render()
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"distcount/internal/bound"
 	"distcount/internal/counter"
@@ -21,53 +20,38 @@ import (
 //   - ctree (the paper): O(k) = O(log n / log log n) — the eventual winner,
 //     crossing below everything as n grows.
 func E6(cfg Config) (string, error) {
-	sizes := []int{8, 81, 1024}
-	if cfg.Quick {
-		sizes = []int{8, 81}
+	sizes := pick(cfg, []int{8, 81, 1024}, []int{8, 81})
+	lastN := sizes[len(sizes)-1]
+	header := []string{"algorithm"}
+	boundRow := []any{"[lower bound k(n)]"} // the reference row
+	for _, n := range sizes {
+		header = append(header, fmt.Sprintf("m_b @ n=%d", n))
+		boundRow = append(boundRow, bound.SolveK(n))
 	}
-	header := append([]string{"algorithm"}, nColumns(sizes)...)
-	header = append(header, fmt.Sprintf("msgs/op @ n=%d", sizes[len(sizes)-1]))
-	tb := loadstat.NewTable(header...)
-	results := make(map[string]map[int]int64)
+	tb := loadstat.NewTable(append(header, fmt.Sprintf("msgs/op @ n=%d", lastN))...)
+	atLast := make(map[string]int64) // m_b at the largest size, for the narrative
 	for _, name := range registry.Names() {
-		row := make([]any, 0, len(sizes)+2)
-		row = append(row, name)
-		results[name] = make(map[int]int64)
-		var lastMsgsPerOp float64
+		row := []any{name}
+		var msgsPerOp float64
 		for _, n := range sizes {
-			mb, msgsPerOp, err := E6Point(name, n)
+			mb, perOp, err := E6Point(name, n)
 			if err != nil {
 				return "", err
 			}
-			results[name][n] = mb
 			row = append(row, mb)
-			lastMsgsPerOp = msgsPerOp
+			atLast[name], msgsPerOp = mb, perOp
 		}
 		// The trade-off column: message-optimal schemes (central: ~2) sit
 		// at the top of the bottleneck column; the paper's counter pays a
 		// few more messages per op to erase the bottleneck.
-		row = append(row, lastMsgsPerOp)
-		tb.AddRow(row...)
-	}
-	// Reference rows.
-	boundRow := make([]any, 0, len(sizes)+1)
-	boundRow = append(boundRow, "[lower bound k(n)]")
-	for _, n := range sizes {
-		boundRow = append(boundRow, bound.SolveK(n))
+		tb.AddRow(append(row, msgsPerOp)...)
 	}
 	tb.AddRow(boundRow...)
 
-	var b strings.Builder
-	b.WriteString("bottleneck message load m_b over the canonical workload (random order), by algorithm and n\n\n")
-	b.WriteString(tb.String())
-
 	// Narrate the crossover against the centralized counter.
-	lastN := sizes[len(sizes)-1]
-	fmt.Fprintf(&b, "\nat n=%d: ctree m_b = %d vs central m_b = %d (%.1fx lower); grid quorum m_b = %d\n",
-		lastN, results["ctree"][lastN], results["central"][lastN],
-		float64(results["central"][lastN])/float64(results["ctree"][lastN]),
-		results["quorum-grid"][lastN])
-	return b.String(), nil
+	return "bottleneck message load m_b over the canonical workload (random order), by algorithm and n\n\n" + tb.String() +
+		fmt.Sprintf("\nat n=%d: ctree m_b = %d vs central m_b = %d (%.1fx lower); grid quorum m_b = %d\n",
+			lastN, atLast["ctree"], atLast["central"], float64(atLast["central"])/float64(atLast["ctree"]), atLast["quorum-grid"]), nil
 }
 
 // E6Point returns the bottleneck load and the average messages per
@@ -83,12 +67,4 @@ func E6Point(name string, n int) (int64, float64, error) {
 	}
 	mb := loadstat.SummarizeLoads(c.Net().Loads()).MaxLoad
 	return mb, float64(c.Net().MessagesTotal()) / float64(c.N()), nil
-}
-
-func nColumns(sizes []int) []string {
-	out := make([]string, len(sizes))
-	for i, n := range sizes {
-		out[i] = fmt.Sprintf("m_b @ n=%d", n)
-	}
-	return out
 }

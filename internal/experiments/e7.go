@@ -1,10 +1,7 @@
 package experiments
 
 import (
-	"strings"
-
 	"distcount/internal/counter"
-	"distcount/internal/loadstat"
 	"distcount/internal/registry"
 	"distcount/internal/sim"
 	"distcount/internal/verify"
@@ -18,35 +15,33 @@ import (
 // broken counter semantics), and the experiment reports the minimum
 // observed intersection breadth as a bonus diagnostic.
 func E7(cfg Config) (string, error) {
-	n := 64
-	if cfg.Quick {
-		n = 16
-	}
-	tb := loadstat.NewTable("algorithm", "ops", "hot-spot", "min |I_i ∩ I_{i+1}|")
-	for _, name := range registry.Names() {
-		c, err := registry.New(name, n, sim.WithTracing())
-		if err != nil {
-			return "", err
-		}
-		order := counter.RandomOrder(c.N(), 0xE7)
-		res, err := counter.RunSequence(c, order)
-		if err != nil {
-			return "", err
-		}
-		status := "ok"
-		if err := verify.HotSpot(c.Net(), res); err != nil {
-			status = "VIOLATED: " + err.Error()
-		}
-		tb.AddRow(name, len(order), status, minIntersection(c, res))
-	}
-	var b strings.Builder
-	b.WriteString("Hot Spot Lemma: consecutive operations' participant sets intersect (I_p ∩ I_q != ∅)\n\n")
-	b.WriteString(tb.String())
-	return b.String(), nil
+	n := pick(cfg, 64, 16)
+	return sweep[string]{
+		intro:  "Hot Spot Lemma: consecutive operations' participant sets intersect (I_p ∩ I_q != ∅)\n\n",
+		header: []string{"algorithm", "ops", "hot-spot", "min |I_i ∩ I_{i+1}|"},
+		over:   registry.Names(),
+		point: func(name string, row func(...any)) error {
+			c, err := registry.New(name, n, sim.WithTracing())
+			if err != nil {
+				return err
+			}
+			order := counter.RandomOrder(c.N(), 0xE7)
+			res, err := counter.RunSequence(c, order)
+			if err != nil {
+				return err
+			}
+			status := "ok"
+			if err := verify.HotSpot(c.Net(), res); err != nil {
+				status = "VIOLATED: " + err.Error()
+			}
+			row(name, len(order), status, minIntersection(c, res))
+			return nil
+		},
+	}.render()
 }
 
 func minIntersection(c counter.Counter, res *counter.RunResult) int {
-	min := -1
+	least := -1
 	for i := 1; i < len(res.OpIDs); i++ {
 		prev := c.Net().OpStats(res.OpIDs[i-1])
 		cur := c.Net().OpStats(res.OpIDs[i])
@@ -60,9 +55,9 @@ func minIntersection(c counter.Counter, res *counter.RunResult) int {
 				count++
 			}
 		}
-		if min == -1 || count < min {
-			min = count
+		if least == -1 || count < least {
+			least = count
 		}
 	}
-	return min
+	return least
 }

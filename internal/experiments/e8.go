@@ -2,11 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"distcount/internal/core"
 	"distcount/internal/counter"
-	"distcount/internal/loadstat"
 	"distcount/internal/sim"
 )
 
@@ -19,59 +17,48 @@ import (
 //	Inner Node Work Lemma     max per-processor load                 O(k)
 //	Leaf Node Work Lemma      max leaf-role load                     = 2
 func E8(cfg Config) (string, error) {
-	ks := []int{2, 3, 4}
-	if cfg.Quick {
-		ks = []int{2, 3}
-	}
-	var b strings.Builder
-	b.WriteString("Section 4 lemmas: measured maxima vs stated bounds\n\n")
-	tb := loadstat.NewTable("k", "retire/op (<=1)", "grow-old msgs (<=4)", "max m_p", "m_p budget 2(8k+10)+2", "max leaf load (=2)", "violations")
-	for _, k := range ks {
-		c := core.New(k, core.WithSimOptions(sim.WithTracing()))
-		if _, err := counter.RunSequence(c, counter.RandomOrder(c.N(), 0xE8)); err != nil {
-			return "", err
-		}
-		s := loadstat.SummarizeLoads(c.Net().Loads())
-		maxLeaf := int64(0)
-		for p := 1; p <= c.N(); p++ {
-			if l := c.LeafLoad(sim.ProcID(p)); l > maxLeaf {
-				maxLeaf = l
+	ks := pick(cfg, []int{2, 3, 4}, []int{2, 3})
+	return sweep[int]{
+		intro:  "Section 4 lemmas: measured maxima vs stated bounds\n\n",
+		header: []string{"k", "retire/op (<=1)", "grow-old msgs (<=4)", "max m_p", "m_p budget 2(8k+10)+2", "max leaf load (=2)", "violations"},
+		over:   ks,
+		point: func(k int, row func(...any)) error {
+			c := core.New(k, core.WithSimOptions(sim.WithTracing()))
+			t, err := RunTree(c, counter.RandomOrder(c.N(), 0xE8))
+			if err != nil {
+				return err
 			}
-		}
-		_, violations := c.Violations()
-		tb.AddRow(k, c.RetirePerOpMax(), c.GrowOldMax(), s.MaxLoad, 2*(8*k+10)+2, maxLeaf, violations)
-	}
-	b.WriteString(tb.String())
-
-	// Per-level retirement budgets for the largest k in the sweep.
-	k := ks[len(ks)-1]
-	c := core.New(k)
-	if _, err := counter.RunSequence(c, counter.SequentialOrder(c.N())); err != nil {
-		return "", err
-	}
-	maxByLevel := make(map[int]int)
-	for _, nd := range c.Nodes() {
-		if nd.Retired > maxByLevel[nd.Level] {
-			maxByLevel[nd.Level] = nd.Retired
-		}
-	}
-	fmt.Fprintf(&b, "\nNumber of Retirements Lemma at k=%d (budget k^(k-i)-1 per level-i node):\n", k)
-	ltb := loadstat.NewTable("level i", "max retirements", "budget")
-	for _, level := range sortedKeys(maxByLevel) {
-		budget := 1
-		for j := 0; j < k-level; j++ {
-			budget *= k
-		}
-		budget--
-		if level == 0 {
-			budget = 1
-			for j := 0; j < k; j++ {
-				budget *= k
+			maxLeaf := int64(0)
+			for p := 1; p <= c.N(); p++ {
+				maxLeaf = max(maxLeaf, c.LeafLoad(sim.ProcID(p)))
 			}
-			budget--
-		}
-		ltb.AddRow(level, maxByLevel[level], budget)
-	}
-	b.WriteString(ltb.String())
-	return b.String(), nil
+			row(k, c.RetirePerOpMax(), c.GrowOldMax(), t.Load.MaxLoad, 2*(8*k+10)+2, maxLeaf, t.Violations)
+			return nil
+		},
+		// Per-level retirement budgets for the largest k in the sweep.
+		outro: func([][]any) (string, error) {
+			k := ks[len(ks)-1]
+			t, err := RunTree(core.New(k), nil)
+			if err != nil {
+				return "", err
+			}
+			return sweep[Level]{
+				intro:  fmt.Sprintf("\nNumber of Retirements Lemma at k=%d (budget k^(k-i)-1 per level-i node):\n", k),
+				header: []string{"level i", "max retirements", "budget"},
+				over:   Levels(t.Nodes()),
+				point: func(l Level, row func(...any)) error {
+					if l.MaxRetired == 0 {
+						return nil // the level-k nodes (budget 0): nothing to tabulate
+					}
+					level := l.Nodes[0].Level
+					budget := 1
+					for range k - level {
+						budget *= k
+					}
+					row(level, l.MaxRetired, budget-1)
+					return nil
+				},
+			}.render()
+		},
+	}.render()
 }

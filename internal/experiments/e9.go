@@ -2,11 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"distcount/internal/core"
-	"distcount/internal/counter"
-	"distcount/internal/loadstat"
 )
 
 // E9 ablates the tree counter's one tunable design choice: the retirement
@@ -22,69 +19,36 @@ import (
 //     slightly higher bottleneck for fewer retirements (less handoff
 //     traffic), with 4k the paper-faithful middle.
 func E9(cfg Config) (string, error) {
-	k := 3
-	if cfg.Quick {
-		k = 2
-	}
+	k := pick(cfg, 3, 2)
 	type setting struct {
 		label string
 		age   int
 	}
-	settings := []setting{
-		{label: "2 (reckless)", age: 2},
-		{label: "k", age: k},
-		{label: "2k", age: 2 * k},
-		{label: "4k (paper)", age: 4 * k},
-		{label: "8k", age: 8 * k},
-		{label: "off", age: 0},
-	}
-	tb := loadstat.NewTable("threshold", "bottleneck m_b", "m_b/k", "retirements", "forwarded", "pool exhaustions", "lemma violations")
-	var rows []E9Row
-	for _, s := range settings {
-		row, err := E9Point(k, s.age)
-		if err != nil {
-			return "", err
-		}
-		rows = append(rows, row)
-		tb.AddRow(s.label, row.MaxLoad, float64(row.MaxLoad)/float64(k),
-			row.Retirements, row.Forwarded, row.PoolExhausted, row.Violations)
-	}
-
-	var b strings.Builder
-	fmt.Fprintf(&b, "retirement-threshold ablation at k=%d (n=%d)\n\n", k, core.SizeForK(k))
-	b.WriteString(tb.String())
-	off := rows[len(rows)-1]
-	paper := rows[3]
-	fmt.Fprintf(&b, "\nretirement off: bottleneck %d (Θ(n)); paper threshold 4k: %d (%.1fx lower)\n",
-		off.MaxLoad, paper.MaxLoad, float64(off.MaxLoad)/float64(paper.MaxLoad))
-	return b.String(), nil
-}
-
-// E9Row is one ablation measurement.
-type E9Row struct {
-	Age           int
-	MaxLoad       int64
-	Retirements   int64
-	Forwarded     int64
-	PoolExhausted int64
-	Violations    int64
-}
-
-// E9Point runs the canonical workload at arity k with the given retirement
-// threshold (0 = off) and returns the measurements.
-func E9Point(k, age int) (E9Row, error) {
-	opts := []core.Option{core.WithRetireAge(age)}
-	c := core.New(k, opts...)
-	if _, err := counter.RunSequence(c, counter.SequentialOrder(c.N())); err != nil {
-		return E9Row{}, err
-	}
-	_, violations := c.Violations()
-	return E9Row{
-		Age:           age,
-		MaxLoad:       loadstat.SummarizeLoads(c.Net().Loads()).MaxLoad,
-		Retirements:   c.Stats().Retirements,
-		Forwarded:     c.Stats().Forwarded,
-		PoolExhausted: c.Stats().PoolExhausted,
-		Violations:    violations,
-	}, nil
+	return sweep[setting]{
+		intro:  fmt.Sprintf("retirement-threshold ablation at k=%d (n=%d)\n\n", k, core.SizeForK(k)),
+		header: []string{"threshold", "bottleneck m_b", "m_b/k", "retirements", "forwarded", "pool exhaustions", "lemma violations"},
+		over: []setting{
+			{label: "2 (reckless)", age: 2},
+			{label: "k", age: k},
+			{label: "2k", age: 2 * k},
+			{label: "4k (paper)", age: 4 * k},
+			{label: "8k", age: 8 * k},
+			{label: "off", age: 0},
+		},
+		point: func(s setting, row func(...any)) error {
+			t, err := RunTree(core.New(k, core.WithRetireAge(s.age)), nil)
+			if err != nil {
+				return err
+			}
+			row(s.label, t.Load.MaxLoad, float64(t.Load.MaxLoad)/float64(k),
+				t.Stats().Retirements, t.Stats().Forwarded, t.Stats().PoolExhausted, t.Violations)
+			return nil
+		},
+		outro: func(rows [][]any) (string, error) {
+			loads := column[int64](rows, 1)
+			off, paper := loads[len(loads)-1], loads[3]
+			return fmt.Sprintf("\nretirement off: bottleneck %d (Θ(n)); paper threshold 4k: %d (%.1fx lower)\n",
+				off, paper, float64(off)/float64(paper)), nil
+		},
+	}.render()
 }

@@ -4,17 +4,23 @@
 // Sections 3 and 4 — so each experiment either re-renders a figure from a
 // real simulated execution or measures the quantity a theorem bounds and
 // prints it next to the bound. Each entry's Artifact field names the
-// paper figure or theorem it reproduces (cmd/experiments -list prints the
-// index; docs/EXPERIMENTS.md shows how to run them); bench_test.go exposes
-// each experiment as a benchmark.
+// paper figure or theorem it reproduces (`paper exp -list` prints the
+// index; docs/EXPERIMENTS.md shows how to run them); bench_test.go's
+// BenchmarkExperiments times each one.
+//
+// The tabulated experiments are rows of one shape (sweep.go: intro, column
+// headers, swept values, a point function, outro) rendered by one function;
+// the narrative ones (E1, E2, E3, E13) and the tables the row form does not
+// shorten (E6, E12, E14) are plain functions. Both reports — every
+// experiment, quick and full — are pinned byte for byte by
+// TestExperimentGoldens.
 //
 // Every experiment supports a Quick mode (reduced sizes) used by the test
-// suite; the full mode is what cmd/experiments and the benchmarks run.
+// suite; the full mode is what `paper exp` and the benchmark run.
 package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -78,14 +84,4 @@ func RunAll(cfg Config) (string, error) {
 		fmt.Fprintf(&b, "=== %s: %s (%s) ===\n%s\n", e.ID, e.Title, e.Artifact, out)
 	}
 	return b.String(), nil
-}
-
-// sortedKeys returns the sorted keys of an int-keyed map (render helper).
-func sortedKeys[M ~map[int]V, V any](m M) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
 }

@@ -1,11 +1,59 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 
+	"distcount/internal/core"
 	"distcount/internal/quorum"
+	"distcount/internal/sim"
 )
+
+// allFullSHA256 is the sha256 of RunAll(Config{}) — `paper exp -all`, 38 KB
+// — as the fourteen hand-rolled experiment files printed it at PR 17.
+const allFullSHA256 = "6b6deeb5dd91398998d5326fa761e8781fcefe16ce45456a32923740eaf649d7"
+
+// TestExperimentGoldens: every experiment is a pure function of the code
+// (deterministic simulator, fixed seeds), so both reports are pinned byte
+// for byte — the quick one against testdata/all_quick.txt, taken from the
+// PR 17 binaries before the experiments moved onto the shared sweep kernel,
+// and the full one (≈17 s, skipped under -short) by hash. After an
+// intentional output change, refresh with
+//
+//	go run ./cmd/paper exp -all -quick > internal/experiments/testdata/all_quick.txt
+//
+// and paste the hash this test prints.
+func TestExperimentGoldens(t *testing.T) {
+	t.Run("quick", func(t *testing.T) {
+		want, err := os.ReadFile("testdata/all_quick.txt")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := RunAll(Config{Quick: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != string(want) {
+			t.Errorf("RunAll(quick) differs from testdata/all_quick.txt:\n%s", got)
+		}
+	})
+	t.Run("full", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("runs every experiment at full size")
+		}
+		t.Parallel()
+		got, err := RunAll(Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := fmt.Sprintf("%x", sha256.Sum256([]byte(got))); sum != allFullSHA256 {
+			t.Errorf("RunAll(full) hashes to %s, want %s", sum, allFullSHA256)
+		}
+	})
+}
 
 func TestAllHaveUniqueIDs(t *testing.T) {
 	seen := make(map[string]bool)
@@ -96,23 +144,23 @@ func TestE4BoundHolds(t *testing.T) {
 // stays within a tight band as n grows 10x (k=2 -> 3), the empirical form
 // of O(k).
 func TestE5RatioFlat(t *testing.T) {
-	p2, err := E5Point(2)
+	p2, err := RunTree(core.New(2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p3, err := E5Point(3)
+	p3, err := RunTree(core.New(3), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2 := float64(p2.MaxLoad) / 2
-	r3 := float64(p3.MaxLoad) / 3
+	r2 := float64(p2.Load.MaxLoad) / 2
+	r3 := float64(p3.Load.MaxLoad) / 3
 	if r2 > 25 || r3 > 25 {
 		t.Fatalf("implementation constant too large: %v, %v", r2, r3)
 	}
 	if r3 > 1.5*r2 {
 		t.Fatalf("ratio not flat: %v -> %v", r2, r3)
 	}
-	if p2.LemmaBroken != 0 || p3.LemmaBroken != 0 {
+	if p2.Violations != 0 || p3.Violations != 0 {
 		t.Fatal("lemma violations in E5 points")
 	}
 }
@@ -166,25 +214,22 @@ func TestE8WithinBounds(t *testing.T) {
 // lemmas.
 func TestE9AblationShape(t *testing.T) {
 	const k = 3
-	paper, err := E9Point(k, 4*k)
-	if err != nil {
-		t.Fatal(err)
+	at := func(age int) TreeRun {
+		t.Helper()
+		r, err := RunTree(core.New(k, core.WithRetireAge(age)), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
 	}
-	off, err := E9Point(k, 0)
-	if err != nil {
-		t.Fatal(err)
+	paper, off, reckless := at(4*k), at(0), at(2)
+	if off.Load.MaxLoad <= 2*paper.Load.MaxLoad {
+		t.Fatalf("retirement off (%d) not clearly above paper threshold (%d)", off.Load.MaxLoad, paper.Load.MaxLoad)
 	}
-	reckless, err := E9Point(k, 2)
-	if err != nil {
-		t.Fatal(err)
+	if paper.Violations != 0 || paper.Stats().PoolExhausted != 0 {
+		t.Fatalf("paper threshold broke lemmas: %d violations, %+v", paper.Violations, paper.Stats())
 	}
-	if off.MaxLoad <= 2*paper.MaxLoad {
-		t.Fatalf("retirement off (%d) not clearly above paper threshold (%d)", off.MaxLoad, paper.MaxLoad)
-	}
-	if paper.Violations != 0 || paper.PoolExhausted != 0 {
-		t.Fatalf("paper threshold broke lemmas: %+v", paper)
-	}
-	if reckless.Violations == 0 && reckless.PoolExhausted == 0 {
+	if reckless.Violations == 0 && reckless.Stats().PoolExhausted == 0 {
 		t.Fatal("reckless threshold broke nothing; ablation not discriminating")
 	}
 }
@@ -228,24 +273,25 @@ func TestE10ConcurrencyHelps(t *testing.T) {
 
 // TestE12LogarithmicSizes: max message bits track log2(n), not n.
 func TestE12LogarithmicSizes(t *testing.T) {
-	p2, err := E12Point(2)
+	p2, err := RunTree(core.New(2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p4, err := E12Point(4)
+	p4, err := RunTree(core.New(4), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p2.MaxBits == 0 || p4.MaxBits == 0 {
+	bits2, bits4 := p2.Net().MaxMessageBits(), p4.Net().MaxMessageBits()
+	if bits2 == 0 || bits4 == 0 {
 		t.Fatal("no size accounting")
 	}
-	nGrowth := float64(p4.N) / float64(p2.N) // 128x
-	bitGrowth := float64(p4.MaxBits) / float64(p2.MaxBits)
+	nGrowth := float64(p4.N()) / float64(p2.N()) // 128x
+	bitGrowth := float64(bits4) / float64(bits2)
 	if bitGrowth > nGrowth/8 {
 		t.Fatalf("message size grew %vx for %vx more processors", bitGrowth, nGrowth)
 	}
-	if p4.MaxBits > 5*p4.Log2N {
-		t.Fatalf("max message %d bits not within 5·log2(n) = %d", p4.MaxBits, 5*p4.Log2N)
+	if log2N := sim.BitsFor(p4.N()); bits4 > 5*log2N {
+		t.Fatalf("max message %d bits not within 5·log2(n) = %d", bits4, 5*log2N)
 	}
 }
 

@@ -11,13 +11,13 @@
 // (combining/diffraction windows closed) or concurrent (windows open so
 // request merging engages); NewWith(name, n, Concurrent()) and
 // NewWith(name, n, Sequential()) are the two idiomatic calls, and New is
-// the sequential shorthand kept for the paper-model tools. Either regime's
+// the sequential shorthand kept for the paper-model tools (the same machine
+// on counter.OnSim, returned as the concrete *counter.Sim). Either regime's
 // counter supports both Inc and Start.
 package registry
 
 import (
 	"fmt"
-	"time"
 
 	"distcount/internal/core"
 	"distcount/internal/counter"
@@ -48,13 +48,9 @@ type Config struct {
 	// discrete-event simulator (deterministic, simulated time); "rt" builds
 	// the goroutine-per-processor real-hardware runtime (internal/rt),
 	// which runs the identical protocol state machine on real cores with
-	// wall-clock time. The rt backend ignores SimOpts; its analogs of the
-	// service-time options are RTService and RTTick.
+	// wall-clock time. The rt backend ignores SimOpts; its analog of the
+	// service-time options is RTService.
 	Backend string
-	// RTTick is the rt backend's wall-clock duration of one simulated tick
-	// (protocol delays and service costs are written in ticks on both
-	// backends). Zero keeps the backend default, 1 microsecond.
-	RTTick time.Duration
 	// RTService is the rt backend's per-processor service cost in ticks —
 	// the analog of sim.WithServiceProfile, emulated by busy-spinning the
 	// receiving goroutine per network message. Nil means no emulated cost.
@@ -247,9 +243,6 @@ func NewWith(name string, n int, cfg Config) (counter.Async, error) {
 		return counter.OnSim(m, opts...), nil
 	case "rt":
 		var opts []rt.Option
-		if cfg.RTTick > 0 {
-			opts = append(opts, rt.WithTick(cfg.RTTick))
-		}
 		if cfg.RTService != nil {
 			opts = append(opts, rt.WithServiceProfile(cfg.RTService))
 		}
@@ -273,7 +266,13 @@ func NewMachine(name string, n int, cfg Config) (counter.Machine, error) {
 }
 
 // New builds the named counter on the simulator in the sequential regime
-// of the paper's model (windows closed).
-func New(name string, n int, simOpts ...sim.Option) (counter.Counter, error) {
-	return NewWith(name, n, Sequential(simOpts...))
+// of the paper's model (windows closed). The result is the concrete
+// *counter.Sim, so it is Cloneable without an assertion (the adversary
+// clones its subject).
+func New(name string, n int, simOpts ...sim.Option) (*counter.Sim, error) {
+	m, err := NewMachine(name, n, Config{})
+	if err != nil {
+		return nil, err
+	}
+	return counter.OnSim(m, simOpts...), nil
 }

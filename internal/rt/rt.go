@@ -85,17 +85,12 @@ func WithTick(d time.Duration) Option {
 	}
 }
 
-// WithService sets a uniform per-message service cost in ticks: every
-// network message occupies its receiving goroutine for cost x tick of wall
-// time (busy-spun, so the core is genuinely consumed). Zero means messages
-// are handled as fast as the hardware allows.
-func WithService(cost int64) Option {
-	return WithServiceProfile(func(sim.ProcID) int64 { return cost })
-}
-
 // WithServiceProfile sets a per-processor service cost in ticks, the rt
-// analog of sim.WithServiceProfile: heterogeneous profiles (a straggler, a
-// slow half) move the bottleneck exactly as they do in the simulator.
+// analog of sim.WithServiceProfile: every network message occupies its
+// receiving goroutine for cost x tick of wall time (busy-spun, so the core
+// is genuinely consumed), and heterogeneous profiles (a straggler, a slow
+// half) move the bottleneck exactly as they do in the simulator. A zero
+// cost handles messages as fast as the hardware allows.
 func WithServiceProfile(cost func(p sim.ProcID) int64) Option {
 	return func(r *Runtime) { r.svcProfile = cost }
 }

@@ -12,8 +12,8 @@ import (
 
 // Report quantifies the value correctness of one concurrent run against the
 // guarantee the algorithm claims (counter.Guarantee). Unlike the
-// boolean checks (Linearizable, QuiescentConsistent), which stop at the
-// first problem, the report counts everything, so the workload engine can
+// boolean checks (Linearizable, QuiescentConsistent), which are views of it
+// that name only the first problem, the report counts everything, so the workload engine can
 // attach it to a result and a sweep can compare algorithms: tokenring's
 // duplicate count under load is a measurement, not a test failure.
 type Report struct {

@@ -3,6 +3,7 @@ package verify
 import (
 	"fmt"
 
+	"distcount/internal/counter"
 	"distcount/internal/sim"
 )
 
@@ -44,17 +45,7 @@ func CollectTimedValues(net *sim.Network, ops []sim.OpID, values []int) ([]Timed
 // are exactly {0, ..., len-1}: no duplicates, no gaps. Counting networks
 // and diffracting trees guarantee this.
 func QuiescentConsistent(vals []TimedValue) error {
-	seen := make([]bool, len(vals))
-	for _, v := range vals {
-		if v.Value < 0 || v.Value >= len(vals) {
-			return fmt.Errorf("verify: value %d out of range [0,%d)", v.Value, len(vals))
-		}
-		if seen[v.Value] {
-			return fmt.Errorf("verify: value %d handed out twice", v.Value)
-		}
-		seen[v.Value] = true
-	}
-	return nil
+	return firstViolation(counter.Quiescent, "quiescent consistency", vals)
 }
 
 // Linearizable checks the real-time order condition for counters: if
@@ -63,16 +54,14 @@ func QuiescentConsistent(vals []TimedValue) error {
 // response consistent with the values. For a counter this condition
 // (together with QuiescentConsistent) is equivalent to linearizability.
 func Linearizable(vals []TimedValue) error {
-	if err := QuiescentConsistent(vals); err != nil {
-		return err
+	return firstViolation(counter.Linearizable, "linearizability", vals)
+}
+
+// firstViolation is the boolean view of Evaluate: nil exactly when the
+// report at the given level counts no violation, otherwise the first one.
+func firstViolation(level counter.Consistency, what string, vals []TimedValue) error {
+	if rep := Evaluate(counter.Exact(level), vals, 0); rep.Violations > 0 {
+		return fmt.Errorf("verify: %s violation: %s", what, rep.First)
 	}
-	// For every pair (a, b) with a.End < b.Start, require a.Value < b.Value.
-	var err error
-	realTimeOrder(vals, func(b TimedValue, maxDone int) {
-		if err == nil {
-			err = fmt.Errorf("verify: linearizability violation: op %d got value %d although an operation with value >= %d completed before it started",
-				b.Op, b.Value, maxDone)
-		}
-	})
-	return err
+	return nil
 }
