@@ -252,8 +252,8 @@ func BenchmarkWorkloadEngineWindow(b *testing.B) {
 }
 
 // BenchmarkRTInc isolates the rt backend's substrate: one synchronous
-// operation end to end — an append to a mutex-guarded mailbox, a real
-// goroutine woken to pick it up, and the completion hop back — with zero
+// operation end to end — an append to a mutex-guarded mailbox, a parked
+// worker woken to drain it, and the completion hop back — with zero
 // emulated service cost, so ns/op is the runtime's per-op mailbox and
 // scheduling overhead (the cost the discrete-event simulator does not
 // charge for).
@@ -287,7 +287,7 @@ func (afterWake) Kind() string { return "wake" }
 
 // afterLateness records how long after its deadline each wakeup arrives.
 // Only processor 1 initiates, and the benchmark reads between synchronous
-// Incs, so its goroutine is the only writer.
+// Incs, so one worker at a time is the only writer.
 type afterLateness struct{ ns []float64 }
 
 func (l *afterLateness) Deliver(nw sim.Transport, msg sim.Message) {
@@ -328,7 +328,7 @@ func BenchmarkRTAfter(b *testing.B) {
 }
 
 // BenchmarkRTWall runs the wall-clock driver end to end per algorithm at
-// n=8 — goroutine processors on real cores, closed loop — and reports the
+// n=8 — processor mailboxes on real cores, closed loop — and reports the
 // sustained real-hardware ops/sec next to the per-op message count. The
 // merge-window schemes (combining, difftree) pay one real window of
 // registry.DefaultWindow ticks per tree level here, delivered on time by
@@ -364,7 +364,7 @@ func BenchmarkRTWall(b *testing.B) {
 }
 
 // BenchmarkRTClosed is the repository benchmark's rt_closed_central cell as a
-// root benchmark: central at n=8 on the goroutine backend, one closed-loop
+// root benchmark: central at n=8 on the rt backend, one closed-loop
 // client per processor, Verify on, 100 000 operations per run — long enough
 // that the figure is the steady per-op cost (RTWall's 300-op runs measure
 // mostly spawn and epilogue). Every per-op figure is over the run's own

@@ -193,7 +193,7 @@ func parseBench(in io.Reader) ([]benchEntry, error) {
 	return entries, nil
 }
 
-// rtPrefix marks the goroutine-backend benchmarks. Their allocation counts
+// rtPrefix marks the rt-backend benchmarks. Their allocation counts
 // follow the OS scheduler (how many mailbox batches a run happens to form),
 // so -diff prints them and gates only their msgs/op.
 const rtPrefix = "BenchmarkRT"

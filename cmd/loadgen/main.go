@@ -60,11 +60,10 @@
 // measured while a completed operation without a value stays a hard
 // violation.
 //
-// With -backend rt the same protocol state machines run on the
-// goroutine-per-processor runtime instead of the simulator: one goroutine
-// per processor, mailbox messaging, one simulated tick of service cost
-// emulated as 1 µs of real work, and the report in wall-clock nanoseconds
-// and ops/sec. -service-dist selects a heterogeneous per-processor
+// With -backend rt the same protocol state machines run on the rt runtime
+// instead of the simulator: a mailbox per processor, drained by one worker
+// goroutine per core, one simulated tick of service cost emulated as 1 µs
+// of real work, and the report in wall-clock nanoseconds and ops/sec. -service-dist selects a heterogeneous per-processor
 // service-cost profile (flat, halfslow, straggler) on top of -service; it
 // applies on both backends.
 //
@@ -84,9 +83,10 @@
 // gives unset flags, a grid function that copies the options once per cell
 // and changes what that cell varies, and a digest function that turns the
 // cells' rows into a document with a CSV, a text and a JSON form plus the
-// study's verdict. One runner does the rest: cells spread over a -parallel
-// worker pool (each owns an independent network; output order stays
-// deterministic), a failed cell is reported as a skipped row with its
+// study's verdict. One runner does the rest: simulator cells spread over a
+// -parallel worker pool (each owns an independent network; output order
+// stays deterministic), wall-clock cells one at a time after them (they
+// measure this machine's cores and must not share them), a failed cell is reported as a skipped row with its
 // reason instead of aborting the grid, the document is written in the
 // selected -format, and the exit status is gated. -sweep is the row whose
 // grid is -algos x -scenarios x -windows x -gaps x -ns ("all" expands
@@ -138,7 +138,7 @@ func main() {
 // fields that cell varies changed — the second the invocation around it.
 type options struct {
 	mode        engine.Mode
-	backend     string // execution backend: "sim" (discrete event) or "rt" (goroutine per processor)
+	backend     string // execution backend: "sim" (discrete event) or "rt" (mailboxes on a worker pool, real cores)
 	n           int
 	ops         int
 	seed        uint64
@@ -190,7 +190,7 @@ func run(args []string, out io.Writer) error {
 	fs.IntVar(&opt.n, "n", 81, "number of processors (rounded up for structured algorithms)")
 	fs.IntVar(&opt.ops, "ops", 2000, "number of operations")
 	fs.Uint64Var(&opt.seed, "seed", 1, "scenario seed (runs are deterministic per seed)")
-	fs.StringVar(&opt.backend, "backend", "sim", "execution backend: sim (discrete-event simulator, ticks) or rt (goroutine-per-processor runtime on real cores, wall-clock ns and ops/sec)")
+	fs.StringVar(&opt.backend, "backend", "sim", "execution backend: sim (discrete-event simulator, ticks) or rt (processor mailboxes drained by one worker per core, wall-clock ns and ops/sec)")
 	fs.IntVar(&opt.inflight, "inflight", 8, "closed-loop window: max operations concurrently in flight")
 	fs.IntVar(&opt.queueCap, "queue-cap", 4096, "open-loop admission queue bound; overflow is dropped")
 	fs.IntVar(&opt.warmup, "warmup", -1, "completions excluded from measurement (default ops/10)")
@@ -223,7 +223,7 @@ func run(args []string, out io.Writer) error {
 	fs.StringVar(&opt.windows, "windows", "", "comma-separated closed-loop admission windows for -sweep (default: -inflight); merge-window sub-sweep for -study (default: 1,4,64)")
 	fs.StringVar(&opt.gaps, "gaps", "", "comma-separated mean interarrival gaps for -sweep (default: -mean-gap)")
 	fs.StringVar(&opt.ns, "ns", "", "comma-separated processor counts: the n grid dimension for -sweep and -study (default: -n)")
-	fs.IntVar(&opt.parallel, "parallel", runtime.GOMAXPROCS(0), "worker goroutines for -sweep/-study cells (each cell owns an independent network)")
+	fs.IntVar(&opt.parallel, "parallel", runtime.GOMAXPROCS(0), "worker goroutines for the simulator cells of -sweep/-study (each cell owns an independent network); wall-clock cells (-backend rt, the rt half of -study simvsreal) measure this machine and always run one at a time")
 	var (
 		mode      = fs.String("mode", "closed", "admission mode: closed (window throttles) or open (admit at arrival time)")
 		sweep     = fs.Bool("sweep", false, "run the -algos x -scenarios x -windows x -gaps x -ns grid into one merged report")

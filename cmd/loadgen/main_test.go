@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+	"time"
 
 	"distcount/internal/engine"
 	"distcount/internal/engine/report"
@@ -300,6 +301,45 @@ func TestRunSweepReportsSkippedCells(t *testing.T) {
 	b.Reset()
 	if err := run([]string{"-sweep", "-algos", "central", "-scenarios", "nope", "-format", "csv"}, &b); err == nil {
 		t.Fatal("all-skipped sweep did not error")
+	}
+}
+
+// TestRunSweepWallCellsRunOneAtATime: rt cells measure this machine's cores,
+// so -parallel must not let two of them run together. Each row's makespan is
+// wall time spent inside its own cell; cells that ran one after the other sum
+// to no more than the whole sweep took, cells that overlapped to more. A
+// service cost makes both cells long (≥ 60 ms) and of similar length, so an
+// overlap cannot hide inside the sweep's overhead.
+func TestRunSweepWallCellsRunOneAtATime(t *testing.T) {
+	args := []string{"-sweep", "-backend", "rt", "-parallel", "2",
+		"-algos", "central,quorum-singleton", "-scenarios", "uniform",
+		"-n", "4", "-ops", "300", "-inflight", "4", "-mean-gap", "1", "-service", "200", "-format", "json"}
+	var b strings.Builder
+	t0 := time.Now()
+	if err := run(args, &b); err != nil {
+		t.Fatal(err)
+	}
+	elapsed := time.Since(t0)
+	var rows []struct {
+		Algorithm  string `json:"algorithm"`
+		Backend    string `json:"backend"`
+		MakespanNs int64  `json:"sim_time"`
+	}
+	if err := json.Unmarshal([]byte(b.String()), &rows); err != nil {
+		t.Fatalf("invalid sweep JSON: %v", err)
+	}
+	if len(rows) != 2 {
+		t.Fatalf("sweep produced %d rows, want 2", len(rows))
+	}
+	var inCells time.Duration
+	for _, r := range rows {
+		if r.Backend != "rt" || r.MakespanNs < (60*time.Millisecond).Nanoseconds() {
+			t.Fatalf("row %+v: want an rt cell of at least 60 ms", r)
+		}
+		inCells += time.Duration(r.MakespanNs)
+	}
+	if inCells > elapsed {
+		t.Fatalf("the cells ran for %v in total inside a sweep of %v: they shared the machine", inCells, elapsed)
 	}
 }
 

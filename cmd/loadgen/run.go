@@ -16,7 +16,7 @@ import (
 // of them: each shard an independent counter instance, keys hashed onto
 // home shards, an optional -migrate hot shard) and a fresh scenario, and
 // executes one engine run on the selected backend: the discrete-event
-// simulator or the goroutine-per-processor rt runtime.
+// simulator or the rt runtime on real cores.
 func runOne(opt options, algo, scenario string) (*engine.Result, error) {
 	if opt.keyed() {
 		// The service layer shares one fate across its shards; fault plans
@@ -114,7 +114,8 @@ func registryConfig(opt options) (registry.Config, error) {
 	rcfg.Backend = opt.backend
 	if opt.backend == "rt" {
 		// The rt backend emulates the same per-processor service costs by
-		// busy-spinning the receiving goroutine (ticks scale to wall time).
+		// busy-spinning the worker that holds the receiving processor (ticks
+		// scale to wall time).
 		rcfg.RTService = cost
 	}
 	rcfg.Faults, err = parseFaultSpec(opt.faults)

@@ -13,8 +13,8 @@ import (
 
 // The simvsreal study is the calibration experiment for the rt backend
 // (docs/EXPERIMENTS.md §8): the same open-loop ramprate grid runs once on
-// the discrete-event simulator and once on the goroutine-per-processor
-// runtime, and the study reports, per (algorithm, n) cell, whether the
+// the discrete-event simulator and once on the rt runtime (real cores,
+// wall clock), and the study reports, per (algorithm, n) cell, whether the
 // simulator's saturation knee predicts the hardware knee. The conversion
 // is the tick scale: a sim knee of k ops/tick predicts k * 1e9 / tick_ns
 // ops/sec on hardware where one simulated tick of service cost is emulated
@@ -56,8 +56,11 @@ type simVsRealRow struct {
 	Verdict string  `json:"verdict"`
 }
 
-// simVsRealGrid is the sim side: one ramp cell per (algorithm, actual
-// size), algorithms in name order.
+// simVsRealGrid is one ramp cell per (algorithm, actual size), algorithms in
+// name order, on the simulator, followed by the rt twin of each in the same
+// order — so rows[i] and rows[len(rows)/2+i] are the same coordinate. The rt
+// cells measure wall-clock capacity on real cores, so the runner takes them
+// one at a time once the sim cells are done.
 func simVsRealGrid(opt options, algos []string, ns, _ []int) ([]cell, error) {
 	algos = slices.Clone(algos)
 	slices.Sort(algos)
@@ -65,38 +68,31 @@ func simVsRealGrid(opt options, algos []string, ns, _ []int) ([]cell, error) {
 	for _, algo := range algos {
 		cells = append(cells, sizeAxis(opt, algo, ns)...)
 	}
+	for _, c := range slices.Clone(cells) {
+		c.opt.backend, c.calibrate = "rt", true
+		cells = append(cells, c)
+	}
 	return cells, nil
 }
 
-// simVsRealRT returns the rt twin of every sim cell, in the same order, so
-// rows[i] and rows[len(sim)+i] are the same coordinate. The rt cells
-// measure wall-clock capacity on real cores; running them concurrently
-// would have the runtimes contend for the same hardware and corrupt each
-// other's knees, so they are the study's serial phase.
-//
-// Each rt ramp is calibrated to the hardware before it is swept: a short
-// closed-loop probe measures the sustained ops/sec, and the ramp then
-// brackets that capacity. The sim knee is no anchor here — when the cost
-// model and the hardware disagree by an order of magnitude (timer and
+// calibrateRamp fits an rt cell's ramp to the hardware before it is swept:
+// a short closed-loop probe measures the sustained ops/sec, and the ramp
+// then brackets that capacity. The sim knee is no anchor here — when the
+// cost model and the hardware disagree by an order of magnitude (timer and
 // scheduler overhead the simulator does not charge for), a ramp anchored
 // on the prediction parks the real knee inside the first rate bucket,
-// where the detector has no pre-saturation reference.
-func simVsRealRT(simCells []cell) []cell {
-	cells := slices.Clone(simCells)
-	for i := range cells {
-		c := &cells[i]
-		c.opt.backend = "rt"
-		probe := c.opt
-		probe.mode, probe.ops, probe.warmup = engine.Closed, simVsRealProbeOps, -1
-		res, err := runOne(probe, c.algo, "uniform")
-		if err != nil || res.Throughput <= 0 {
-			continue // uncalibrated: the cell ramps over the study default
-		}
-		c.probe = res.Throughput
-		capTicks := res.Throughput * float64(res.TickNs) / 1e9
-		c.opt.rateFrom, c.opt.rateTo = capTicks/4, capTicks*4
+// where the detector has no pre-saturation reference. A probe that fails
+// leaves the cell uncalibrated: it ramps over the study default.
+func calibrateRamp(c *cell) {
+	probe := c.opt
+	probe.mode, probe.ops, probe.warmup = engine.Closed, simVsRealProbeOps, -1
+	res, err := runOne(probe, c.algo, "uniform")
+	if err != nil || res.Throughput <= 0 {
+		return
 	}
-	return cells
+	c.probe = res.Throughput
+	capTicks := res.Throughput * float64(res.TickNs) / 1e9
+	c.opt.rateFrom, c.opt.rateTo = capTicks/4, capTicks*4
 }
 
 // simVsRealDigest merges each coordinate's sim and rt rows into a verdict.

@@ -29,10 +29,16 @@ type cell struct {
 	// role names what the cell measures, for digests that read different
 	// metrics off different cells (regression.go).
 	role string
-	// probe is the closed-loop throughput that calibrated the cell's ramp
+	// calibrate asks for the cell's ramp to be bracketed around a closed-loop
+	// probe's throughput before it is swept; probe is what the probe measured
 	// (simvsreal.go); 0 = uncalibrated.
-	probe float64
+	calibrate bool
+	probe     float64
 }
+
+// wall reports whether the cell measures wall-clock time on this machine's
+// cores rather than simulated ticks.
+func (c *cell) wall() bool { return c.opt.backend == "rt" }
 
 // study is one row of the table below.
 type study struct {
@@ -50,9 +56,6 @@ type study struct {
 	// grid lays out the cells from the options and the parsed -algos, -ns
 	// and -windows lists.
 	grid func(opt options, algos []string, ns, windows []int) ([]cell, error)
-	// serial, when set, returns further cells that run one at a time after
-	// the grid's (wall-clock cells must not share cores).
-	serial func(cells []cell) []cell
 	// digest turns the rows (one per cell, in cell order) into the study's
 	// document and verdict.
 	digest func(opt options, cells []cell, rows []report.SweepRow) (document, error)
@@ -125,16 +128,15 @@ var studies = []study{
 		// sim and rt cells are the identical protocol configuration. The
 		// default scope is one representative per capacity class (the
 		// paper's central bottleneck, a request-merging scheme, a quorum
-		// scheme) at one hardware-friendly size: rt cells run their
-		// processors as goroutines on real cores, so n far above the core
-		// count measures the scheduler more than the algorithm.
+		// scheme) at one hardware-friendly size: rt cells serve their
+		// processors from one worker per real core, so n far above the core
+		// count measures the run queue more than the algorithm.
 		name:     "simvsreal",
 		about:    "runs the same ramprate grid on the sim and rt backends, reporting where the simulator's knee predicts the hardware knee",
 		loop:     engine.Open,
 		reads:    "algos ns inflight warmup mean-gap service epsilon knee-buckets verify rate-to sample",
 		defaults: "algos=central,combining,quorum-majority ns=8" + rampDefaults,
 		grid:     simVsRealGrid,
-		serial:   simVsRealRT,
 		digest:   simVsRealDigest,
 	},
 	{
@@ -412,8 +414,8 @@ func (st *study) admit(fs *flag.FlagSet, set []string, opt *options) error {
 }
 
 // runStudy is the one grid runner: lay out the study's cells, run them —
-// spread over the worker pool, each cell owning an independent counter and
-// network — digest the rows, write the document, and gate the exit status.
+// each cell owning an independent counter and network — digest the rows,
+// write the document, and gate the exit status.
 // A cell that fails is reported as a skipped row with its reason, never
 // silently dropped; the run itself errors only when no cell at all could
 // run.
@@ -435,12 +437,6 @@ func runStudy(out io.Writer, st *study, opt options) error {
 		return err
 	}
 	rows, err := runCells(cells, opt.parallel)
-	if err == nil && st.serial != nil {
-		more := st.serial(cells)
-		var moreRows []report.SweepRow
-		moreRows, err = runCells(more, 1)
-		cells, rows = append(cells, more...), append(rows, moreRows...)
-	}
 	if err != nil {
 		return fmt.Errorf("%s: %w", st.kind(), err)
 	}
@@ -544,24 +540,35 @@ func actualSize(algo string, n int) (size int) {
 	return size
 }
 
-// runCells spreads the cells over a worker pool and returns one row per
-// cell in cell order, so parallel execution is indistinguishable from
-// serial. A grid where no cell at all could run is an error (single failed
-// cells are reported as skipped rows instead).
+// runCells runs the cells and returns one row per cell in cell order.
+// Simulator cells are spread over a pool of parallel workers, which is
+// indistinguishable from running them serially. Wall-clock cells measure
+// this machine's cores, and two of them running together would measure each
+// other: they run one at a time, after the pool has drained, whatever
+// parallel says. A grid where no cell at all could run is an error (single
+// failed cells are reported as skipped rows instead).
 func runCells(cells []cell, parallel int) ([]report.SweepRow, error) {
 	rows := make([]report.SweepRow, len(cells))
 	sem := make(chan struct{}, parallel)
 	var wg sync.WaitGroup
 	for i := range cells {
+		if cells[i].wall() {
+			continue
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			rows[i] = runCell(cells[i])
+			rows[i] = runCell(&cells[i])
 		}()
 	}
 	wg.Wait()
+	for i := range cells {
+		if cells[i].wall() {
+			rows[i] = runCell(&cells[i])
+		}
+	}
 
 	skipped := 0
 	for _, r := range rows {
@@ -576,12 +583,12 @@ func runCells(cells []cell, parallel int) ([]report.SweepRow, error) {
 	return rows, nil
 }
 
-// runCell executes one cell and stamps the grid coordinates engine.Result
-// does not record. Any error — including a protocol panic, so one broken
-// cell cannot take down the whole grid — becomes a skipped row that keeps
-// the cell's coordinates.
-func runCell(c cell) (row report.SweepRow) {
-	o := c.opt
+// runCell executes one cell (calibrating it first when it asks for that) and
+// stamps the grid coordinates engine.Result does not record. Any error —
+// including a protocol panic, so one broken cell cannot take down the whole
+// grid — becomes a skipped row that keeps the cell's coordinates.
+func runCell(c *cell) (row report.SweepRow) {
+	o := &c.opt
 	stamp := func(row report.SweepRow) report.SweepRow {
 		row.ServiceDist = distLabel(o.service, o.svcDist)
 		if o.backend == "rt" {
@@ -602,7 +609,10 @@ func runCell(c cell) (row report.SweepRow) {
 			row = skip(fmt.Errorf("panic: %v", r))
 		}
 	}()
-	res, err := runOne(o, c.algo, c.scen)
+	if c.calibrate {
+		calibrateRamp(c)
+	}
+	res, err := runOne(*o, c.algo, c.scen)
 	if err != nil {
 		return skip(err)
 	}

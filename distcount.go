@@ -234,8 +234,8 @@ func WithWindow(ticks int64) Option {
 }
 
 // WithBackend selects the execution backend: "sim" (the default) runs on
-// the deterministic simulated network, "rt" on real goroutines passing
-// messages through mailboxes in wall-clock time.
+// the deterministic simulated network, "rt" on real cores — processor
+// mailboxes drained by a worker pool — in wall-clock time.
 func WithBackend(name string) Option {
 	return func(s *buildSpec) { s.backend = name }
 }

@@ -8,7 +8,7 @@
 // that start an operation and read its result, with no execution substrate
 // baked in. Sim (built by OnSim) binds a Machine to the discrete-event
 // simulator and is the only simulator-backed Counter there is; internal/rt
-// binds the same Machine to goroutines. The interfaces below (Counter,
+// binds the same Machine to real cores. The interfaces below (Counter,
 // Async, Valued, Cloneable) are what drivers see of either.
 //
 // A distributed counter encapsulates an integer value val and supports inc:

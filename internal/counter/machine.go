@@ -6,13 +6,13 @@ import "distcount/internal/sim"
 // an alias of sim.Transport, re-exported here so the counter abstraction
 // names its own dependency: implementations speak Transport, and whether the
 // transport is the discrete-event simulator (internal/sim) or the
-// goroutine-per-processor runtime (internal/rt) is the backend's business.
+// real-hardware runtime (internal/rt) is the backend's business.
 type Transport = sim.Transport
 
 // Machine is the backend-independent description of one counter algorithm:
 // the protocol state machine plus the hooks a runtime needs to drive and
 // read it. OnSim wraps a Machine in a sim.Network; rt.New wraps the same
-// Machine in goroutines and channels. Both run the identical protocol code,
+// Machine in mailboxes and a worker pool. Both run the identical protocol code,
 // and neither knows which algorithm it is running.
 type Machine struct {
 	// Name identifies the algorithm (e.g. "central", "combining").

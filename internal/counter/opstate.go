@@ -48,7 +48,7 @@ import (
 type Ops[S, V any] struct {
 	// mu guards the table. On the simulator every access runs on one
 	// goroutine and the lock is uncontended; on the rt backend distinct
-	// initiators' operations live on distinct goroutines, and the table is
+	// initiators' operations run on different workers at once, and the table is
 	// the one piece of protocol state they all touch. The *S returned by
 	// Begin/Get stays confined to its own operation's delivery contexts, so
 	// locking the table operations suffices.

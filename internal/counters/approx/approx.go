@@ -78,9 +78,9 @@ func (bcastPayload) Kind() string   { return "broadcast" }
 // core is the state shared by both protocols. Concurrency discipline (what
 // makes the rt backend race-free without serializing): base[p] and
 // unreported[p] are touched only in site p's initiate and in deliveries
-// addressed to p, both of which run on p's goroutine; total and lastBcast
-// are touched only in the coordinator's initiate and deliveries, which run
-// on the coordinator's goroutine. The op table locks internally.
+// addressed to p, which the runtime never runs two at a time; total and
+// lastBcast are touched only in the coordinator's initiate and deliveries,
+// likewise. The op table locks internally.
 type core struct {
 	coord sim.ProcID
 	n     int

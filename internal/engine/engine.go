@@ -28,7 +28,7 @@
 //
 // Each loop is written once (loop.go) against the substrate interface
 // (substrate.go), with three adapters: a simulator-backed counter (Run —
-// ticks, exactly reproducible per scenario seed), the goroutine-per-processor
+// ticks, exactly reproducible per scenario seed), the real-hardware
 // rt.Runtime (RunWall — wall-clock ns and ops/sec) and the sharded
 // countersvc.Service on either backend (RunKeyed). One metrics type derives
 // every report field from the substrate's clock and loads.

@@ -128,10 +128,11 @@ func (r *run) admit() (until int64) {
 	for r.inFlight < r.cfg.InFlight && r.src.have &&
 		!r.flights[r.src.head.Proc].busy && r.s.open(r.src.head.Key) {
 		at := r.src.arrival * r.scale
-		if !r.s.due(at, true) {
+		now, due := r.s.due(at, true)
+		if !due {
 			return at
 		}
-		r.launch(at, -1, r.src.head.Key, r.src.head.Proc)
+		r.launch(at, now, -1, r.src.head.Key, r.src.head.Proc)
 		r.src.pull()
 	}
 	return -1
@@ -144,8 +145,12 @@ func (r *run) admit() (until int64) {
 // open-loop frontend would see it.
 func (r *run) openLoop() error {
 	for {
-		for r.src.have && r.s.due(r.src.arrival*r.scale, false) {
-			r.arrive()
+		for r.src.have {
+			now, due := r.s.due(r.src.arrival*r.scale, false)
+			if !due {
+				break
+			}
+			r.arrive(now)
 			r.src.pull()
 		}
 		if r.src.err != nil || (!r.src.have && r.inFlight == 0 && r.totalQueued == 0) {
@@ -161,14 +166,15 @@ func (r *run) openLoop() error {
 	}
 }
 
-// arrive decides the head request's fate at its arrival instant. A frozen
+// arrive decides the head request's fate at its arrival instant (now is the
+// clock reading that found it due). A frozen
 // key queues exactly like a busy initiator (the hold is the migration
 // protocol's admission cost, charged as queueing delay). The recorded
 // arrival is the scheduled one, not the instant the loop got around to it:
 // offered rate is a property of the scenario, and charging lateness to the
 // operation's latency rather than silently re-timing the arrival is what
 // keeps an overloaded wall run honest — the coordinated-omission rule.
-func (r *run) arrive() {
+func (r *run) arrive(now int64) {
 	p, key := r.src.head.Proc, r.src.head.Key
 	idx := len(r.recs)
 	r.recs = append(r.recs, opRec{
@@ -181,7 +187,7 @@ func (r *run) arrive() {
 	})
 	switch {
 	case !r.flights[p].busy && r.s.open(key):
-		r.launch(r.recs[idx].arrival, idx, key, p)
+		r.launch(r.recs[idx].arrival, now, idx, key, p)
 	case r.totalQueued >= r.cfg.QueueCap:
 		r.recs[idx].dropped = true
 		r.res.Dropped++
@@ -208,7 +214,7 @@ func (r *run) feed(p sim.ProcID) {
 	}
 	r.queued[p] = q[1:]
 	r.totalQueued--
-	r.launch(head.arrival, q[0], head.key, p)
+	r.launch(head.arrival, r.s.now(), q[0], head.key, p)
 }
 
 // reopened runs when a cutover reopens a migrated key: initiators holding
@@ -222,12 +228,10 @@ func (r *run) reopened() {
 
 // launch injects the request that arrived at arrival (recs[rec], when the
 // loop keeps records) for key by p, at its arrival time or now, whichever
-// is later.
-func (r *run) launch(arrival int64, rec, key int, p sim.ProcID) {
-	at := arrival
-	if now := r.s.now(); at < now {
-		at = now
-	}
+// is later. now is the caller's clock reading — the one that found the
+// arrival due, where there was one — so an admission reads the clock once.
+func (r *run) launch(arrival, now int64, rec, key int, p sim.ProcID) {
+	at := max(arrival, now)
 	if rec >= 0 {
 		r.recs[rec].start = at
 	}

@@ -80,7 +80,7 @@ func matrixCells() []cell {
 // TestLoopMatrix: every cell of {closed, open} × {sim, rt} × {single, keyed}
 // runs through the same two loops and one metrics type, so they all share
 // the report's structural invariants. The rt cells also check that nothing
-// survives the substrate's close: processor, clock and service goroutines
+// survives the substrate's close: worker, clock and service goroutines
 // have all exited when the run returns.
 func TestLoopMatrix(t *testing.T) {
 	for _, c := range matrixCells() {

@@ -53,7 +53,7 @@ func Render(res *engine.Result) string {
 	}
 	fmt.Fprintf(&b, "workload %s on %s, n=%d, %s loop\n", res.Scenario, res.Algorithm, res.N, res.Mode)
 	if res.Wall {
-		fmt.Fprintf(&b, "  backend    rt (goroutine per processor, wall clock; 1 tick = %d ns)\n", res.TickNs)
+		fmt.Fprintf(&b, "  backend    rt (mailboxes on a worker pool, wall clock; 1 tick = %d ns)\n", res.TickNs)
 	}
 	fmt.Fprintf(&b, "  ops        %d (%d warmup + %d measured), window %d (peak in flight %d)\n",
 		res.Ops, res.Warmup, res.Measured, res.InFlight, res.PeakInFlight)
@@ -152,8 +152,8 @@ type SweepRow struct {
 	ServiceTime int64  `json:"service_time"`
 	ServiceDist string `json:"service_dist,omitempty"`
 	// Backend is the execution backend the cell ran on: "" for the
-	// discrete-event simulator (the default), "rt" for the goroutine-per-
-	// processor wall-clock runtime. rt rows carry ns-valued time fields and
+	// discrete-event simulator (the default), "rt" for the wall-clock
+	// runtime on real cores. rt rows carry ns-valued time fields and
 	// ops/sec rates (Result.Wall is set).
 	Backend string `json:"backend,omitempty"`
 	// FaultSpec is the fault-injection spec the cell ran under, in the

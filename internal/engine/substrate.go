@@ -33,12 +33,12 @@ type substrate interface {
 	close()
 
 	now() int64
-	// due reports whether an arrival at time at may be handed to start. With
-	// ahead set (the closed loop, which injects at max(arrival, now)) a
-	// substrate that can schedule into the future — the simulator — accepts
-	// every arrival; otherwise an arrival is due once nothing can happen
-	// before it.
-	due(at int64, ahead bool) bool
+	// due reports whether an arrival at time at may be handed to start, next
+	// to the clock reading it decided on (what now would return). With ahead
+	// set (the closed loop, which injects at max(arrival, now)) a substrate
+	// that can schedule into the future — the simulator — accepts every
+	// arrival; otherwise an arrival is due once nothing can happen before it.
+	due(at int64, ahead bool) (now int64, due bool)
 	// open reports whether key is admissible (false while frozen for
 	// migration drain; always true on a single counter).
 	open(key int) bool
@@ -99,12 +99,13 @@ func (s *simCounter) close()        { s.net.OnOpDone(nil) }
 func (s *simCounter) now() int64    { return s.net.Now() }
 func (s *simCounter) open(int) bool { return true }
 
-func (s *simCounter) due(at int64, ahead bool) bool {
+func (s *simCounter) due(at int64, ahead bool) (int64, bool) {
+	now := s.net.Now()
 	if ahead {
-		return true
+		return now, true
 	}
 	next, ok := s.net.NextAt()
-	return !ok || next >= at
+	return now, !ok || next >= at
 }
 
 func (s *simCounter) start(at int64, _ int, p sim.ProcID) { s.c.Start(at, p) }
@@ -140,7 +141,7 @@ func (s *simCounter) faults() (sim.FaultStats, bool) {
 // holds the timeout, so no await arms a timer for it.
 const wallStall = 30 * time.Second
 
-// wallRuntime adapts the goroutine-per-processor runtime.
+// wallRuntime adapts the real-hardware runtime.
 type wallRuntime struct {
 	r *rt.Runtime
 	// stall is the silence that ends a run (wallStall); wedgeIdle replaces it
@@ -168,9 +169,13 @@ func (w *wallRuntime) close() {
 }
 
 func (w *wallRuntime) now() int64                          { return w.r.NowNs() }
-func (w *wallRuntime) due(at int64, _ bool) bool           { return at <= w.r.NowNs() }
 func (w *wallRuntime) open(int) bool                       { return true }
 func (w *wallRuntime) start(at int64, _ int, p sim.ProcID) { w.r.Start(at, p) }
+
+func (w *wallRuntime) due(at int64, _ bool) (int64, bool) {
+	now := w.r.NowNs()
+	return now, at <= now
+}
 
 func (w *wallRuntime) await(until int64) (bool, error) {
 	if !w.wedging && w.r.FaultFired() {
@@ -248,15 +253,16 @@ func (k *keyedService) now() int64 {
 	return k.svc.Now()
 }
 
-func (k *keyedService) due(at int64, ahead bool) bool {
+func (k *keyedService) due(at int64, ahead bool) (int64, bool) {
+	now := k.now()
 	if k.wall {
-		return at <= k.svc.NowNs()
+		return now, at <= now
 	}
 	if ahead {
-		return true
+		return now, true
 	}
 	next, ok := k.svc.NextAt()
-	return !ok || next >= at
+	return now, !ok || next >= at
 }
 
 func (k *keyedService) open(key int) bool {

@@ -13,8 +13,8 @@ import (
 )
 
 // TestCrossBackendEquivalence runs every registered algorithm on both
-// execution backends — the discrete-event simulator and the goroutine-per-
-// processor rt runtime — under the same per-initiator operation sequence
+// execution backends — the discrete-event simulator and the rt runtime on
+// real cores — under the same per-initiator operation sequence
 // (same scenario, same seed), and checks that both complete every operation
 // and that verify.Evaluate passes at the algorithm's claimed consistency
 // level on both. The sim run checks the property on a simulated

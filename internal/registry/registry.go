@@ -6,7 +6,7 @@
 // row holding one closure that builds its counter.Machine — the
 // backend-independent protocol — and NewWith hands that machine to the
 // backend the Config names: counter.OnSim for the simulator, rt.New for the
-// goroutine runtime. A protocol on rt is therefore by construction the
+// real-hardware runtime. A protocol on rt is therefore by construction the
 // protocol on sim. The Config selects the construction regime — sequential
 // (combining/diffraction windows closed) or concurrent (windows open so
 // request merging engages); NewWith(name, n, Concurrent()) and
@@ -46,14 +46,14 @@ type Config struct {
 	SimOpts []sim.Option
 	// Backend selects the execution backend: "" or "sim" builds the
 	// discrete-event simulator (deterministic, simulated time); "rt" builds
-	// the goroutine-per-processor real-hardware runtime (internal/rt),
+	// the real-hardware runtime (internal/rt: mailboxes on a worker pool),
 	// which runs the identical protocol state machine on real cores with
 	// wall-clock time. The rt backend ignores SimOpts; its analog of the
 	// service-time options is RTService.
 	Backend string
 	// RTService is the rt backend's per-processor service cost in ticks —
 	// the analog of sim.WithServiceProfile, emulated by busy-spinning the
-	// receiving goroutine per network message. Nil means no emulated cost.
+	// worker holding the receiving processor per network message. Nil means no emulated cost.
 	RTService func(p sim.ProcID) int64
 	// Faults installs a fault-injection plan on whichever backend builds:
 	// sim.WithFaults on the simulator, rt.WithFaults on the runtime. Both

@@ -1,13 +1,13 @@
 // Package rt is the real-hardware execution backend: it runs the same
 // counter protocols as the discrete-event simulator (internal/sim), but on
-// real cores — one goroutine per processor, messages passed through
-// per-processor mailboxes, time measured by the wall clock.
+// real cores — processors are mailboxes drained by a pool of worker
+// goroutines, one per core, and time is measured by the wall clock.
 //
 // The protocol code is shared, not ported. Every algorithm is described by
 // a counter.Machine (its sim.Protocol, initiation callback and value
 // reader); the simulator wraps the machine in a single-threaded event queue
 // with simulated time, while this package wraps the identical machine in
-// goroutines and mutex-guarded mailboxes. The sim.Transport interface is the
+// mutex-guarded mailboxes and a worker pool. The sim.Transport interface is the
 // seam: a delivery callback cannot tell which backend it runs on, so consistency
 // properties verified on simulated interleavings (internal/verify) can be
 // re-checked on real ones — under the race detector — and the simulator's
@@ -16,25 +16,32 @@
 //
 // # Execution model
 //
-// Each processor p in 1..n owns one goroutine and one unbounded FIFO
-// mailbox. Send appends to the destination's mailbox; the destination's
-// goroutine delivers messages in arrival order by calling the protocol's
-// Deliver with a Transport view whose CurrentOp is the operation the
-// message is attributed to. Mailboxes are unbounded deliberately: the
-// protocols exchange cyclic request/reply patterns, and a bounded channel
-// could deadlock two processors sending to each other's full queues. The
-// paper's model (Section 2) promises unbounded local memory and finite but
-// unbounded message delay, which is exactly what an unbounded mailbox plus
-// the Go scheduler provides.
+// Each processor p in 1..n owns one unbounded FIFO mailbox. Send appends to
+// the destination's mailbox; a processor whose mailbox turns non-empty joins
+// the runtime's ready list, a FIFO drained by min(n, GOMAXPROCS) worker
+// goroutines. A worker pops a processor, swaps its whole mailbox out and
+// delivers the batch in arrival order by calling the protocol's Deliver with
+// that processor's Transport view, whose CurrentOp is the operation the
+// message is attributed to; a processor that received more mail meanwhile
+// goes back to the tail of the list. A processor is on the list or inside a
+// worker at most once, so its handlers never run concurrently with each
+// other and its protocol state needs no lock. A message to an idle processor
+// thus costs two appends, and parks or wakes a goroutine only when a worker
+// was idle — not once per hop, as a goroutine per processor would. Mailboxes
+// are unbounded deliberately: the protocols exchange cyclic request/reply
+// patterns, and a bounded channel could deadlock two processors sending to
+// each other's full queues. The paper's model (Section 2) promises unbounded
+// local memory and finite but unbounded message delay, which is exactly what
+// an unbounded mailbox plus a work-conserving pool provides.
 //
 // Operation accounting mirrors the simulator event for event: an operation
 // is open while it has pending attributed work (its initiation callback,
 // in-flight attributed messages and timers, and Adopt holds); when the
 // count reaches zero the operation is complete and the OnOpDone callback
 // fires. The per-message service cost of sim.WithServiceTime is emulated by
-// busy-spinning the receiving goroutine for cost x tick per network
-// message, which reproduces the serial-server bottleneck — the paper's
-// hot-spot — on real cores.
+// busy-spinning the worker that holds the receiving processor for cost x
+// tick per network message, which reproduces the serial-server bottleneck —
+// the paper's hot-spot — on real cores.
 //
 // Machines flagged Serial (token ring, the paper's tree) have handlers
 // that touch state owned by other processors; the simulator's single thread
@@ -60,6 +67,7 @@ package rt
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -103,7 +111,7 @@ func WithServiceProfile(cost func(p sim.ProcID) int64) Option {
 // (sim.FaultInjector) is shared with the simulator, so a plan built from
 // deterministic Nth rules fires on the identical per-sender send indices on
 // both backends; probabilistic rules draw from the same seeded stream but
-// in goroutine-scheduling order, so only their statistics carry over.
+// in the order the workers reach them, so only their statistics carry over.
 func WithFaults(plan sim.FaultPlan) Option {
 	return func(r *Runtime) {
 		if plan.Empty() {
@@ -157,8 +165,9 @@ type item struct {
 }
 
 // procLoad is one processor's message counters, written only by that
-// processor's goroutine (Send and deliver both run on it) and padded to a
-// cache line of their own, so counting a message contends with nobody.
+// worker currently holding that processor (Send and deliver both run on it)
+// and padded to a cache line of their own, so counting a message contends
+// with nobody.
 type procLoad struct {
 	sent, recv atomic.Int64
 	_          [cacheLine - 16]byte
@@ -167,24 +176,94 @@ type procLoad struct {
 // cacheLine is the coherence granule procLoad pads to.
 const cacheLine = 64
 
-// processor is one mailbox + goroutine pair.
+// processor is one mailbox and the Transport view its handlers run under.
+// scheduled is the processor's claim on execution: set by the enqueue that
+// finds it clear (which then puts the processor on the ready list), cleared by
+// the worker that finds the mailbox empty after a batch. While it is set the
+// processor is on the ready list or inside a worker exactly once, so view
+// belongs to whichever worker popped it.
 type processor struct {
-	p       sim.ProcID
-	mu      sync.Mutex
-	cond    *sync.Cond
-	queue   []item
-	stopped bool
+	view      procView
+	mu        sync.Mutex
+	queue     []item
+	scheduled bool
+	stopped   bool
 }
 
-// Runtime executes one counter.Machine on real goroutines. It implements
+// readyList is the run queue: processors with pending mail, in the order
+// they became ready, and the workers waiting for one. Each processor is on it
+// at most once, so a ring of n slots never fills. Its mutex is never held
+// together with a mailbox's.
+type readyList struct {
+	mu         sync.Mutex
+	ring       []*processor
+	head, size int
+	// idle counts workers parked on work and not yet signalled: whoever makes
+	// a processor ready signals one and takes it off the count, so no worker
+	// sleeps while a processor waits and none is woken for nothing twice.
+	idle   int
+	work   sync.Cond
+	closed bool
+}
+
+// push appends a processor that just became ready.
+func (q *readyList) push(pr *processor) {
+	q.mu.Lock()
+	q.add(pr)
+	q.mu.Unlock()
+}
+
+// add appends pr and wakes an idle worker for it. The caller holds q.mu.
+func (q *readyList) add(pr *processor) {
+	q.ring[(q.head+q.size)%len(q.ring)] = pr
+	q.size++
+	if q.idle > 0 {
+		q.idle--
+		q.work.Signal()
+	}
+}
+
+// next hands a worker the processor at the head of the list, parking it
+// while the list is empty; again, when non-nil, is the processor the worker
+// just ran and found with more mail, which goes to the tail first, behind
+// every processor already waiting. It returns nil once the list is closed.
+func (q *readyList) next(again *processor) *processor {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if again != nil {
+		q.add(again)
+	}
+	for q.size == 0 && !q.closed {
+		q.idle++
+		q.work.Wait()
+	}
+	if q.closed {
+		return nil
+	}
+	pr := q.ring[q.head]
+	q.ring[q.head] = nil
+	q.head = (q.head + 1) % len(q.ring)
+	q.size--
+	return pr
+}
+
+// close releases every worker; processors still on the list are abandoned.
+func (q *readyList) close() {
+	q.mu.Lock()
+	q.closed = true
+	q.mu.Unlock()
+	q.work.Broadcast()
+}
+
+// Runtime executes one counter.Machine on real cores. It implements
 // counter.Valued, so the workload engine's wall-clock drivers and the
 // verification layer use it like any simulator-backed counter — except that
 // Net returns nil (there is no simulated network to introspect) and Start
 // ignores its scheduling time (real time cannot be fast-forwarded; the
 // wall-clock drivers pace admission themselves).
 //
-// A Runtime is live from New until Close: its goroutines exist even while
-// no operation is in flight. Close must be called at quiescence (every
+// A Runtime is live from New until Close: its goroutines — the workers and
+// the clock — exist even while no operation is in flight. Close must be called at quiescence (every
 // started operation completed); operations still open at Close never
 // complete.
 type Runtime struct {
@@ -194,7 +273,8 @@ type Runtime struct {
 	svcProfile func(p sim.ProcID) int64
 	svc        []int64 // resolved per-processor service cost in ticks
 
-	procs []*processor // 1..n
+	procs []processor // 1..n
+	ready readyList
 	wg    sync.WaitGroup
 	// serial, when non-nil, is held around every protocol callback
 	// (Machine.Serial).
@@ -220,7 +300,7 @@ type Runtime struct {
 	clock clock
 
 	// faults, when non-nil, is the installed fault plan's decision core,
-	// guarded by faultMu (processor goroutines consult it concurrently).
+	// guarded by faultMu (workers consult it concurrently).
 	faultMu sync.Mutex
 	faults  *sim.FaultInjector
 	// faultFired latches once the plan has fired anything at all — the one
@@ -230,7 +310,8 @@ type Runtime struct {
 
 var _ counter.Valued = (*Runtime)(nil)
 
-// New builds a runtime for the machine and starts its processor goroutines.
+// New builds a runtime for the machine and starts its goroutines: one worker
+// per core the Go scheduler may use, at most one per processor, and the clock.
 func New(m counter.Machine, opts ...Option) *Runtime {
 	if m.Proto == nil || m.Initiate == nil || m.N < 1 {
 		panic("rt: incomplete machine (need Proto, Initiate, N >= 1)")
@@ -257,16 +338,18 @@ func New(m counter.Machine, opts ...Option) *Runtime {
 	if m.Serial {
 		r.serial = &sync.Mutex{}
 	}
-	r.procs = make([]*processor, r.n+1)
-	r.start = time.Now()
+	r.procs = make([]processor, r.n+1)
 	for p := 1; p <= r.n; p++ {
-		pr := &processor{p: sim.ProcID(p)}
-		pr.cond = sync.NewCond(&pr.mu)
-		r.procs[p] = pr
-		r.wg.Add(1)
-		go r.loop(pr)
+		r.procs[p].view = procView{r: r, p: sim.ProcID(p)}
 	}
-	r.wg.Add(1)
+	r.ready.ring = make([]*processor, r.n)
+	r.ready.work.L = &r.ready.mu
+	r.start = time.Now()
+	workers := min(r.n, runtime.GOMAXPROCS(0))
+	r.wg.Add(workers + 1)
+	for i := 0; i < workers; i++ {
+		go r.work()
+	}
 	go r.runClock()
 	return r
 }
@@ -332,8 +415,7 @@ func (r *Runtime) FaultStats() sim.FaultStats {
 // fault event — FaultStats().Any() without the injector's lock.
 func (r *Runtime) FaultFired() bool { return r.faultFired.Load() }
 
-// sendFate serializes the injector's per-send decision across processor
-// goroutines.
+// sendFate serializes the injector's per-send decision across workers.
 func (r *Runtime) sendFate(from sim.ProcID) (drop, dup bool) {
 	r.faultMu.Lock()
 	drop, dup = r.faults.SendFate(from)
@@ -381,8 +463,8 @@ func (r *Runtime) faultIntercept(p sim.ProcID, it item) bool {
 
 // OnOpDone registers the completion callback. It must be set before the
 // first Start and not changed while operations are in flight; the callback
-// runs on processor goroutines and must not block for long (the engine's
-// drivers hand the event to a Sink).
+// runs on the workers and must not block for long (the engine's drivers hand
+// the event to a Sink).
 func (r *Runtime) OnOpDone(fn func(OpDone)) { r.onDone = fn }
 
 // StartNow injects one increment by p and returns its operation id without
@@ -456,59 +538,73 @@ func (r *Runtime) startWith(p sim.ProcID, startNs int64, waiter chan<- OpDone) s
 
 // Close stops every goroutine of the runtime and cancels pending timers. It
 // must be called at quiescence: operations still in flight never complete
-// (their remaining messages are dropped at the stopped mailboxes).
+// (their remaining messages are dropped at the stopped mailboxes, and
+// processors still waiting on the ready list are never run).
 func (r *Runtime) Close() {
 	if !atomic.CompareAndSwapInt32(&r.closed, 0, 1) {
 		return
 	}
 	r.clock.close()
 	for p := 1; p <= r.n; p++ {
-		pr := r.procs[p]
+		pr := &r.procs[p]
 		pr.mu.Lock()
 		pr.stopped = true
-		pr.cond.Broadcast()
 		pr.mu.Unlock()
 	}
+	r.ready.close()
 	r.wg.Wait()
 }
 
-// enqueue appends an item to processor p's mailbox. After Close the item is
-// dropped — only detached maintenance work can still be in motion then.
+// enqueue appends an item to processor p's mailbox and, when the processor is
+// neither waiting for a worker nor inside one, puts it on the ready list.
+// After Close the item is dropped — only detached maintenance work can still
+// be in motion then.
 func (r *Runtime) enqueue(p sim.ProcID, it item) {
-	pr := r.procs[p]
+	pr := &r.procs[p]
 	pr.mu.Lock()
 	if pr.stopped {
 		pr.mu.Unlock()
 		return
 	}
 	pr.queue = append(pr.queue, it)
-	if len(pr.queue) == 1 {
-		pr.cond.Signal()
-	}
+	idle := !pr.scheduled
+	pr.scheduled = true
 	pr.mu.Unlock()
+	if idle {
+		r.ready.push(pr)
+	}
 }
 
-// loop is one processor's goroutine: drain the mailbox in arrival order,
-// delivering each item through a Transport view bound to this processor.
-func (r *Runtime) loop(pr *processor) {
+// work is one worker: take the next ready processor, drain the mailbox it
+// has now in arrival order, and give the processor up — back to the ready
+// list when mail arrived meanwhile, so that one busy processor cannot keep a
+// worker from the others.
+func (r *Runtime) work() {
 	defer r.wg.Done()
-	view := &procView{r: r, p: pr.p}
-	var batch []item
+	var (
+		again *processor
+		batch []item // the mailbox being drained, recycled as the next one's queue
+	)
 	for {
-		pr.mu.Lock()
-		for len(pr.queue) == 0 && !pr.stopped {
-			pr.cond.Wait()
-		}
-		if len(pr.queue) == 0 && pr.stopped {
-			pr.mu.Unlock()
+		pr := r.ready.next(again)
+		if pr == nil {
 			return
 		}
+		pr.mu.Lock()
 		batch, pr.queue = pr.queue, batch[:0]
 		pr.mu.Unlock()
 		for i := range batch {
-			r.deliver(view, batch[i])
+			r.deliver(&pr.view, batch[i])
 			batch[i] = item{} // drop the opRec reference
 		}
+		again = nil
+		pr.mu.Lock()
+		if len(pr.queue) > 0 {
+			again = pr
+		} else {
+			pr.scheduled = false
+		}
+		pr.mu.Unlock()
 	}
 }
 
@@ -591,7 +687,7 @@ func (r *Runtime) scheduleTimer(p sim.ProcID, delay int64, pl sim.Payload, rec *
 		item{msg: sim.Message{From: p, To: p, Payload: pl, Local: true}, rec: rec})
 }
 
-// spin busy-waits for d, consuming the goroutine's core — the emulated
+// spin busy-waits for d, consuming the calling worker's core — the emulated
 // per-message processing cost. Sleeping would free the core and let the
 // scheduler hide the serial-server bottleneck the emulation exists to
 // expose; at microsecond scale the sleep granularity would also swamp the
@@ -602,9 +698,10 @@ func spin(d time.Duration) {
 }
 
 // procView is the sim.Transport implementation handed to protocol
-// callbacks: it is owned by one processor's goroutine and carries the
-// operation the current delivery is attributed to. All Transport methods
-// are called from that goroutine only (the interface's calling discipline).
+// callbacks: it belongs to one processor, is used by the worker currently
+// holding that processor, and carries the operation the current delivery is
+// attributed to. All Transport methods are called from inside a callback
+// only (the interface's calling discipline).
 type procView struct {
 	r   *Runtime
 	p   sim.ProcID

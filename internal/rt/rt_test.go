@@ -450,6 +450,44 @@ func TestAfterAllocs(t *testing.T) {
 	}
 }
 
+// bounce is a payload two processors pass back and forth until no hops are
+// left; passed by pointer, like relay.
+type bounce struct{ left int }
+
+func (*bounce) Kind() string { return "bounce" }
+
+type bounceProto struct{}
+
+func (bounceProto) Deliver(nw sim.Transport, msg sim.Message) {
+	if c := msg.Payload.(*bounce); c.left > 0 {
+		c.left--
+		nw.Send(msg.From, c)
+	}
+}
+
+// TestSchedReadyEdgeAllocs guards the steady-state message to an idle processor:
+// the mailbox's empty→non-empty edge puts the processor on the ready list
+// and a worker takes it off, in a ring and two recycled batch slices — no
+// list node, channel or closure per edge.
+func TestSchedReadyEdgeAllocs(t *testing.T) {
+	const hops = 1000
+	c := &bounce{}
+	r := rt.New(timerMachine(2, bounceProto{}, func(nw counter.Transport, _ sim.ProcID) {
+		c.left = hops - 1
+		nw.Send(2, c)
+	}))
+	defer r.Close()
+	run := func() {
+		if _, err := r.Inc(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // grow both mailboxes once
+	if perHop := testing.AllocsPerRun(10, run) / hops; perHop > 0.05 {
+		t.Fatalf("a message to an idle processor allocates %.3f objects, want ~0", perHop)
+	}
+}
+
 // TestCloseCancelsPendingTimers: Close with attributed and detached timers
 // pending — one pair near enough that the clock is awake for it, one far
 // enough that it sleeps — returns promptly, delivers nothing afterwards and

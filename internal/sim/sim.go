@@ -83,14 +83,16 @@ type Message struct {
 // Transport is the messaging surface a protocol runs against: everything a
 // Deliver or operation-start callback may do, and nothing more. The
 // discrete-event Network is one implementation (simulated time, single
-// thread); internal/rt's goroutine-per-processor runtime is the second
-// (wall-clock time, real concurrency). Protocols written against Transport
+// thread); internal/rt's worker-pool runtime is the second (wall-clock
+// time, real concurrency). Protocols written against Transport
 // run unchanged on either.
 //
 // All methods except N, Now and CurrentOp must be called from within a
 // delivery or start callback, in the execution context of one processor.
-// On the rt backend that context is the receiving processor's goroutine,
-// so the single-threaded calling discipline carries over per processor.
+// On the rt backend that context is the one worker holding the receiving
+// processor — a processor's callbacks never overlap, though successive ones
+// may run on different goroutines — so the single-threaded calling
+// discipline carries over per processor.
 type Transport interface {
 	// N returns the number of processors.
 	N() int
