@@ -1,22 +1,26 @@
 package engine
 
 import (
+	"runtime"
 	"testing"
 
+	"distcount/internal/countersvc"
+	"distcount/internal/registry"
 	"distcount/internal/workload"
 )
 
 // TestRunWorkloadAllocCeiling pins an allocation budget on a small
 // closed-loop run, counter construction included. Unlike the simulator's
 // Send/Step guard (exactly zero), a workload run legitimately allocates:
-// the counter and network are built fresh, the per-op metric slices are
-// preallocated once, the result and its digests are assembled, and central
-// boxes one value payload per operation. The ceiling leaves headroom over
-// the measured cost (~220 objects for 200 ops at n=16: about one per op plus
+// the counter and network are built fresh, the latency digests grow their
+// counting tables to the largest latency seen, the in-flight sweep buffers
+// one chunk of intervals, the result is assembled, and central boxes one
+// value payload per operation. The ceiling leaves headroom over the measured
+// cost (~220 objects for 200 ops at n=16: about one per op plus
 // construction) but sits below the 425 of the map-backed op table, so a
 // regression that reintroduces per-op allocation in the hot path (an op-table
-// entry, per-send map inserts, per-quantile sort copies, append-growth of the
-// metric slices) blows through it at once.
+// entry, per-send map inserts, per-quantile sort copies) blows through it at
+// once.
 func TestRunWorkloadAllocCeiling(t *testing.T) {
 	const (
 		ops     = 200
@@ -32,5 +36,66 @@ func TestRunWorkloadAllocCeiling(t *testing.T) {
 	run() // warm lazy runtime state out of the measurement
 	if avg := testing.AllocsPerRun(10, run); avg > ceiling {
 		t.Fatalf("RunWorkload allocates %.0f objects per %d-op run, ceiling %d", avg, ops, ceiling)
+	}
+}
+
+// TestRunFootprintPerOp pins the bytes a run allocates per operation, and
+// that the figure does not rise with the operation count: what the harness
+// keeps per completion is digests and a sweep chunk, so quadrupling a run
+// must only amortize its fixed costs further. The ceilings leave headroom
+// over the measured cost and sit well below what per-op bookkeeping costs:
+//
+//	central, n=64, closed loop    10 B/op at 200k ops (the boxed value
+//	                              payload), 15 at 50k; with five int64
+//	                              vectors sized by ops it was 49
+//	4 central shards, Verify on   128 B/op at 200k ops: the verifier's
+//	                              history (44), its index orders and value
+//	                              tables (~40), the service's own op table
+//	                              (37). A copy of the history per shard and
+//	                              per (key, epoch) segment made it 472
+func TestRunFootprintPerOp(t *testing.T) {
+	for _, row := range []struct {
+		name    string
+		ceiling float64 // bytes per operation
+		run     func(t *testing.T, ops int)
+	}{
+		{"central closed loop", 30, func(t *testing.T, ops int) {
+			c := mustAsync(t, "central", 64)
+			gen := mustScenario(t, "uniform", workload.Config{N: 64, Ops: ops, Seed: 1})
+			if _, err := Run(c, gen, Config{InFlight: 8, Ops: ops}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"keyed, verified", 170, func(t *testing.T, ops int) {
+			svc := keyedSvc(t, countersvc.Config{Keys: 64, N: 64, Shards: 4,
+				Registry: registry.Config{Window: registry.DefaultWindow}})
+			gen := keyedGen(t, workload.Config{N: 64, Ops: ops, Seed: 1, Keys: 64, KeyZipfS: 1.2}, "uniform")
+			res, err := RunKeyed(svc, gen, Config{InFlight: 8, Ops: ops, Verify: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Verification.Violations != 0 {
+				t.Fatalf("verification found %d violations: %s", res.Verification.Violations, res.Verification.First)
+			}
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			perOp := func(ops int) float64 {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				row.run(t, ops)
+				runtime.ReadMemStats(&after)
+				return float64(after.TotalAlloc-before.TotalAlloc) / float64(ops)
+			}
+			perOp(1000) // warm lazy runtime state out of the measurement
+			short, long := perOp(50_000), perOp(200_000)
+			t.Logf("%.1f B/op at 50k ops, %.1f B/op at 200k", short, long)
+			if short > row.ceiling || long > row.ceiling {
+				t.Errorf("run allocates %.1f B/op at 50k ops and %.1f at 200k, ceiling %.0f", short, long, row.ceiling)
+			}
+			if long > short+1 {
+				t.Errorf("bytes per op rise with the run's length: %.1f at 50k ops, %.1f at 200k", short, long)
+			}
+		})
 	}
 }

@@ -96,11 +96,13 @@ type Config struct {
 	// number of processors.
 	InFlight int
 	// Ops is a capacity hint: the number of completions the run is expected
-	// to produce, used to preallocate the per-op metric slices (latencies,
-	// queue delays, activity intervals) in one shot instead of growing them
-	// by doubling mid-run. When 0 the engine falls back to the scenario's
-	// length hint (generators implementing Len() int). Purely a performance
-	// hint: a wrong value changes allocation behavior, never results.
+	// to produce. It sizes the two per-operation records a run still keeps —
+	// the verifier's history (Verify) and the open loop's request records —
+	// in one shot instead of growing them by doubling mid-run; the metrics
+	// keep nothing per operation and ignore it. When 0 the engine falls back
+	// to the scenario's length hint (generators implementing Len() int).
+	// Purely a performance hint: a wrong value changes allocation behavior,
+	// never results.
 	Ops int
 	// QueueCap bounds the open-loop admission queue: requests that arrive
 	// while their initiator is busy wait here; a request arriving when the
@@ -210,7 +212,10 @@ type Result struct {
 	// mode); PeakInFlight is the largest number of operations
 	// simultaneously in flight in simulated time (an operation is in
 	// flight from its start event to its completion, so queued or
-	// not-yet-arrived requests do not count).
+	// not-yet-arrived requests do not count). On a shared tick a completion
+	// and a start are not concurrent — the closed loop admits the successor
+	// from the completion — and an operation that completes within its own
+	// start event occupies that tick.
 	InFlight     int `json:"in_flight"`
 	PeakInFlight int `json:"peak_in_flight"`
 	// QueueCap echoes the open-loop admission-queue bound; PeakQueueDepth
@@ -486,9 +491,9 @@ func (s *source) pull() {
 	s.head, s.have = req, true
 }
 
-// opsHint resolves the expected completion count used to size the per-op
-// metric slices: Config.Ops when set, else the scenario's length hint, else
-// 0 (grow-by-append).
+// opsHint resolves the expected completion count used to size the
+// verifier's history and the open loop's request records: Config.Ops when
+// set, else the scenario's length hint, else 0 (grow-by-append).
 func opsHint(cfg Config, gen workload.Generator) int {
 	if cfg.Ops > 0 {
 		return cfg.Ops

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"encoding/json"
-	"slices"
 	"testing"
 
 	"distcount/internal/counter"
@@ -360,8 +359,11 @@ func TestPeakConcurrency(t *testing.T) {
 		{[]int64{5}, []int64{5}, 1},
 		{[]int64{5, 5}, []int64{5, 5}, 2},
 	} {
+		if got := sweepAll(tc.starts, tc.dones); got != tc.want {
+			t.Fatalf("sweep of (%v, %v) = %d, want %d", tc.starts, tc.dones, got, tc.want)
+		}
 		if got := peakConcurrency(tc.starts, tc.dones); got != tc.want {
-			t.Fatalf("peakConcurrency(%v, %v) = %d, want %d", tc.starts, tc.dones, got, tc.want)
+			t.Fatalf("oracle peakConcurrency(%v, %v) = %d, want %d", tc.starts, tc.dones, got, tc.want)
 		}
 	}
 }
@@ -402,9 +404,8 @@ func TestPercentile(t *testing.T) {
 
 // TestPercentileType7 pins the estimator to R/NumPy's default "type 7":
 // linear interpolation between the order statistics at rank q·(len−1) —
-// checked against numpy.percentile reference values — and verifies the
-// digest computes every quantile from one shared sorted copy without
-// touching the caller's slice.
+// checked against numpy.percentile reference values, on the sort oracle and
+// on the streaming digest.
 func TestPercentileType7(t *testing.T) {
 	// numpy.percentile([15, 20, 35, 40, 50], q) for q in {5, 30, 40, 90, 99}.
 	sorted := []int64{15, 20, 35, 40, 50}
@@ -423,23 +424,22 @@ func TestPercentileType7(t *testing.T) {
 		if got := percentile(sorted, c.q); got != c.want {
 			t.Fatalf("p%v = %v, want %v", c.q*100, got, c.want)
 		}
+		var d digest
+		for _, v := range sorted {
+			d.add(v)
+		}
+		if got := d.quantile(c.q); got != c.want {
+			t.Fatalf("digest p%v = %v, want %v", c.q*100, got, c.want)
+		}
 	}
 
-	// The digest takes the vector unsorted and sorts it in place (callers
-	// hand over vectors they are done with).
-	lats := []int64{50, 15, 40, 20, 35}
-	s := summarizeLatencies(lats)
-	if !slices.IsSorted(lats) {
-		t.Fatalf("summarizeLatencies left its argument unsorted: %v", lats)
-	}
+	s := digestOf([]int64{50, 15, 40, 20, 35})
 	if s.P50 != 35 || s.Min != 15 || s.Max != 50 {
 		t.Fatalf("digest wrong: %+v", s)
 	}
 	if want := (15.0 + 20 + 35 + 40 + 50) / 5; s.Mean != want {
 		t.Fatalf("mean = %v, want %v", s.Mean, want)
 	}
-	// p90/p99 agree with percentile() on the sorted vector: one sort feeds
-	// every quantile.
 	if s.P90 != 46.0 || s.P99 != 49.6 {
 		t.Fatalf("p90/p99 = %v/%v, want 46/49.6", s.P90, s.P99)
 	}
@@ -463,16 +463,19 @@ func TestThinSeries(t *testing.T) {
 	}
 }
 
-// TestPeakConcurrencyTakesCompletionOrder: the engine hands over its
-// metrics arrays in completion order, not time order, with zero-duration
-// operations in the mix; the sweep sorts both in place (they are dead after
-// finalize) and must still pair nothing wrongly.
+// TestPeakConcurrencyTakesCompletionOrder: the engine reports intervals in
+// completion order, not time order, with zero-duration operations in the
+// mix; the sweep drops the start/done pairing and must still pair nothing
+// wrongly.
 func TestPeakConcurrencyTakesCompletionOrder(t *testing.T) {
 	// Intervals [5,5], [3,9), [7,8), [2,4): ops 1 and 2 overlap at t=7 and
 	// op 0 occupies its start tick inside op 1's interval — peak 2.
 	starts := []int64{5, 3, 7, 2}
 	dones := []int64{5, 9, 8, 4}
+	if got := sweepAll(starts, dones); got != 2 {
+		t.Fatalf("sweep = %d, want 2", got)
+	}
 	if got := peakConcurrency(starts, dones); got != 2 {
-		t.Fatalf("peakConcurrency = %d, want 2", got)
+		t.Fatalf("oracle peakConcurrency = %d, want 2", got)
 	}
 }

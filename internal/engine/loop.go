@@ -55,7 +55,7 @@ func drive(s substrate, res *Result, gen workload.Generator, cfg Config, vf *ver
 		return nil, r.src.err
 	}
 	hint := opsHint(cfg, gen)
-	r.m = newMetrics(res, cfg.Warmup, hint)
+	r.m = newMetrics(res, cfg.Warmup)
 	if vf != nil {
 		vf.expect(hint)
 	}
@@ -257,6 +257,9 @@ func (r *run) complete(c completion) {
 		r.recs[f.rec].done = c.done
 	}
 	r.m.onDone(r.res, r.s, c.key, f.arrival, f.start, c.done)
+	if r.m.inFlight.due() {
+		r.m.inFlight.advance(r.frontier())
+	}
 	if r.m.completed%r.sampleEvery == 0 {
 		r.res.Series = append(r.res.Series, r.m.sample(r.res, r.s, r.inFlight, r.totalQueued))
 	}
@@ -265,6 +268,20 @@ func (r *run) complete(c completion) {
 	} else {
 		r.admit()
 	}
+}
+
+// frontier returns a time no operation still to be reported starts before:
+// the ones in flight have started, and whatever starts later starts at the
+// clock or after it. A completion may be reported late and out of done
+// order (rt), but it completes an operation that was in flight until now.
+func (r *run) frontier() int64 {
+	f := r.s.now()
+	for i := range r.flights {
+		if fl := &r.flights[i]; fl.busy && fl.start < f {
+			f = fl.start
+		}
+	}
+	return f
 }
 
 // epilogue accounts for whatever the loop left behind. Without faults a run

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"distcount/internal/loadstat"
 )
@@ -12,41 +11,35 @@ import (
 // result's aggregate fields. Both loops on every substrate report through
 // it, so no cell can drift in what it reports; the only substrate-dependent
 // inputs are the clock, the loads and the rate unit (Result.Wall).
+//
+// Only digests and a peak are reported, so neither a retained Result nor the
+// run that produces it holds 8 bytes per operation: each latency kind
+// streams into an exact digest and the activity intervals into an online
+// sweep (stream.go), and the state is sized by the values seen and the
+// operations in flight.
 type metrics struct {
 	warmup             int
 	completed          int
-	opStarts, opDones  []int64 // activity intervals, for PeakInFlight
+	inFlight           inFlightSweep // activity intervals, for PeakInFlight
 	lastDone           int64
 	measureBegan       bool
 	baseSent, baseRecv []int64 // load snapshot at the warmup boundary
-	// Per measured completion: end-to-end latency and its two parts. They
-	// live here, not on the Result, because only their digests are reported:
-	// a retained Result must not pin 8 bytes per operation.
-	latencies   []int64
-	queueDelays []int64
-	serviceLats []int64
-	keyLatSum   []int64 // measured end-to-end latency sum per key; nil on unkeyed runs
-	keyMeasured []int
+	// Per measured completion: end-to-end latency and its two parts.
+	latency, queueDelay, serviceLat digest
+	keyLatSum                       []int64 // measured end-to-end latency sum per key; nil on unkeyed runs
+	keyMeasured                     []int
 }
 
-// newMetrics sizes the accumulation slices from the expected completion
-// count (0 = grow by append), so a hinted run's metric collection performs
-// no mid-run reallocation.
-func newMetrics(res *Result, warmup, hint int) *metrics {
+func newMetrics(res *Result, warmup int) *metrics {
 	// No warmup: measure from t=0 with a zero load baseline.
 	m := &metrics{warmup: warmup, measureBegan: warmup == 0}
+	// One chunk up front: growing to it by append would cost any run of a
+	// thousand operations twenty allocations.
+	m.inFlight.starts = make([]int64, 0, sweepChunk)
+	m.inFlight.dones = make([]int64, 0, sweepChunk)
 	if res.Keys > 0 {
 		m.keyLatSum = make([]int64, res.Keys)
 		m.keyMeasured = make([]int, res.Keys)
-	}
-	if hint > 0 {
-		m.opStarts = make([]int64, 0, hint)
-		m.opDones = make([]int64, 0, hint)
-		if meas := hint - warmup; meas > 0 {
-			m.latencies = make([]int64, 0, meas)
-			m.queueDelays = make([]int64, 0, meas)
-			m.serviceLats = make([]int64, 0, meas)
-		}
 	}
 	return m
 }
@@ -57,8 +50,7 @@ func newMetrics(res *Result, warmup, hint int) *metrics {
 // attributed to its key on keyed runs.
 func (m *metrics) onDone(res *Result, s substrate, key int, arrival, start, done int64) {
 	m.completed++
-	m.opStarts = append(m.opStarts, start)
-	m.opDones = append(m.opDones, done)
+	m.inFlight.add(start, done)
 	if done > m.lastDone {
 		m.lastDone = done
 	}
@@ -71,9 +63,9 @@ func (m *metrics) onDone(res *Result, s substrate, key int, arrival, start, done
 		res.MeasureStart = s.now()
 		m.baseSent, m.baseRecv = s.loads()
 	}
-	m.latencies = append(m.latencies, done-arrival)
-	m.queueDelays = append(m.queueDelays, start-arrival)
-	m.serviceLats = append(m.serviceLats, done-start)
+	m.latency.add(done - arrival)
+	m.queueDelay.add(start - arrival)
+	m.serviceLat.add(done - start)
 	if m.keyLatSum != nil {
 		m.keyLatSum[key] += done - arrival
 		m.keyMeasured[key]++
@@ -109,12 +101,10 @@ func scanPeak(sent, recv []int64) (proc int, load, sum int64) {
 	return proc, load, sum
 }
 
-// finalize derives the aggregate report fields once the run has drained. It
-// consumes the per-completion vectors (they are sorted in place), so it runs
-// once, last.
+// finalize derives the aggregate report fields once the run has drained.
 func (m *metrics) finalize(res *Result, s substrate, thinAfter bool) error {
 	res.Ops = m.completed
-	res.Measured = len(m.latencies)
+	res.Measured = m.latency.n
 	if res.Measured == 0 && res.Wedged == 0 {
 		// A wedged run may legitimately complete nothing (every operation
 		// stalled on a destroyed event); its zero latency digests are part
@@ -124,7 +114,7 @@ func (m *metrics) finalize(res *Result, s substrate, thinAfter bool) error {
 	}
 	res.SimTime = m.lastDone
 	res.Messages = s.messages()
-	res.PeakInFlight = peakConcurrency(m.opStarts, m.opDones)
+	res.PeakInFlight = m.inFlight.finish()
 	if thinAfter {
 		res.Series = thinSeries(res.Series, 64)
 	}
@@ -162,9 +152,9 @@ func (m *metrics) finalize(res *Result, s substrate, thinAfter bool) error {
 			res.Knee.OfferedRate *= 1e9
 		}
 	}
-	res.Latency = summarizeLatencies(m.latencies)
-	res.QueueDelay = summarizeLatencies(m.queueDelays)
-	res.ServiceLatency = summarizeLatencies(m.serviceLats)
+	res.Latency = m.latency.stats()
+	res.QueueDelay = m.queueDelay.stats()
+	res.ServiceLatency = m.serviceLat.stats()
 
 	if m.keyLatSum != nil {
 		res.PerKey = make([]KeyStat, len(m.keyLatSum))
@@ -176,76 +166,6 @@ func (m *metrics) finalize(res *Result, s substrate, thinAfter bool) error {
 		}
 	}
 	return nil
-}
-
-// summarizeLatencies computes the latency digest, sorting lats in place:
-// every caller hands over a vector it is done with, and a copy per digest
-// would put O(ops) transient bytes on every run's peak. The zero digest is
-// returned for an empty vector.
-func summarizeLatencies(lats []int64) LatencyStats {
-	if len(lats) == 0 {
-		return LatencyStats{}
-	}
-	slices.Sort(lats)
-	var sum float64
-	for _, l := range lats {
-		sum += float64(l)
-	}
-	return LatencyStats{
-		Mean: sum / float64(len(lats)),
-		P50:  percentile(lats, 0.50),
-		P90:  percentile(lats, 0.90),
-		P99:  percentile(lats, 0.99),
-		Min:  lats[0],
-		Max:  lats[len(lats)-1],
-	}
-}
-
-// percentile interpolates the q-quantile of a sorted vector: the "type 7"
-// estimator (linear interpolation between the order statistics at the two
-// ranks bracketing q·(len−1), the default of R and NumPy) — not the
-// nearest-rank method, which never interpolates.
-func percentile(sorted []int64, q float64) float64 {
-	if len(sorted) == 1 {
-		return float64(sorted[0])
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return float64(sorted[lo])
-	}
-	frac := pos - float64(lo)
-	return float64(sorted[lo])*(1-frac) + float64(sorted[hi])*frac
-}
-
-// peakConcurrency sweeps the operations' [start, done] activity intervals
-// and returns the maximum overlap. An operation completing at the same
-// tick another starts is not concurrent with it (the closed loop admits
-// the successor from the completion); a zero-duration operation — one that
-// completes within its own start event — occupies its start tick. Both
-// slices are consumed: zero-duration completions are bumped and each slice is
-// sorted in place, so the start/done pairing is gone afterwards.
-func peakConcurrency(starts, dones []int64) int {
-	for i := range dones {
-		if dones[i] == starts[i] {
-			dones[i]++
-		}
-	}
-	slices.Sort(starts)
-	slices.Sort(dones)
-	peak, cur, j := 0, 0, 0
-	for _, s := range starts {
-		for j < len(dones) && dones[j] <= s {
-			cur--
-			j++
-		}
-		cur++
-		if cur > peak {
-			peak = cur
-		}
-	}
-	return peak
 }
 
 // thinSeries keeps at most target points, evenly spaced, always retaining

@@ -86,6 +86,7 @@ func bucketize(recs []opRec, buckets int) []RateBucket {
 		buckets = len(recs)
 	}
 	out := make([]RateBucket, 0, buckets)
+	var lats digest
 	for i := 0; i < buckets; i++ {
 		lo := i * len(recs) / buckets
 		hi := (i + 1) * len(recs) / buckets
@@ -103,14 +104,14 @@ func bucketize(recs []opRec, buckets int) []RateBucket {
 			EndTime:   end,
 			Arrivals:  len(group),
 		}
-		var lats []int64
+		lats.reset()
 		for _, r := range group {
 			switch {
 			case r.dropped:
 				b.Dropped++
 			case r.done >= 0:
 				b.Completed++
-				lats = append(lats, r.done-r.arrival)
+				lats.add(r.done - r.arrival)
 			}
 			if r.queueDepth > b.MaxQueueDepth {
 				b.MaxQueueDepth = r.queueDepth
@@ -124,10 +125,8 @@ func bucketize(recs []opRec, buckets int) []RateBucket {
 			span = 1
 		}
 		b.OfferedRate = float64(b.Arrivals) / float64(span)
-		if len(lats) > 0 {
-			s := summarizeLatencies(lats)
-			b.P50, b.P99 = s.P50, s.P99
-		}
+		s := lats.stats()
+		b.P50, b.P99 = s.P50, s.P99
 		out = append(out, b)
 	}
 	return out

@@ -11,40 +11,35 @@ import (
 // Collection happens in the completion handler and costs O(1) per op; the
 // engine's default runs skip it entirely (Config.Verify). A single counter
 // is evaluated at its own guarantee (verify.EvaluateWithFaults); a keyed run
-// (svc set) files every value under its (shard, key, epoch) so
+// (svc set) records next to every value its (shard, key, epoch) so
 // verify.EvaluateKeyed can check each shard history at its own claimed level
 // and every (key, epoch) segment across migration.
 type verifier struct {
 	guarantee counter.Guarantee
 	svc       *countersvc.Service
 	vals      []verify.TimedValue
-	keyed     []verify.KeyedValue
+	at        []verify.Placement // keyed runs: where vals[i] executed
 	missing   int
 }
 
-// expect sizes the history for hint completions (0 = grow by append), as
-// newMetrics sizes its vectors, so a hinted run's collection never
-// reallocates mid-run.
+// expect sizes the history for hint completions (0 = grow by append), so a
+// hinted run's collection never reallocates mid-run.
 func (v *verifier) expect(hint int) {
+	v.vals = make([]verify.TimedValue, 0, hint)
 	if v.svc != nil {
-		v.keyed = make([]verify.KeyedValue, 0, hint)
-	} else {
-		v.vals = make([]verify.TimedValue, 0, hint)
+		v.at = make([]verify.Placement, 0, hint)
 	}
 }
 
 // observe records the value the substrate delivered for a completion.
 func (v *verifier) observe(c completion, value int, ok bool) {
-	switch {
-	case !ok:
+	if !ok {
 		v.missing++
-	case v.svc != nil:
-		v.keyed = append(v.keyed, verify.KeyedValue{
-			Op: c.id, Shard: c.shard, Key: c.key, Epoch: c.epoch,
-			Value: value, Start: c.start, End: c.done,
-		})
-	default:
-		v.vals = append(v.vals, verify.TimedValue{Op: c.id, Value: value, Start: c.start, End: c.done})
+		return
+	}
+	v.vals = append(v.vals, verify.TimedValue{Op: c.id, Value: value, Start: c.start, End: c.done})
+	if v.svc != nil {
+		v.at = append(v.at, verify.Placement{Shard: int32(c.shard), Key: int32(c.key), Epoch: int32(c.epoch)})
 	}
 }
 
@@ -68,7 +63,7 @@ func (v *verifier) attach(res *Result) {
 	for s := range guarantees {
 		guarantees[s] = v.svc.Counter(s).Guarantee()
 	}
-	rep := verify.EvaluateKeyed(guarantees, res.ShardAlgos, v.keyed, v.missing, fc)
+	rep := verify.EvaluateKeyed(guarantees, res.ShardAlgos, v.vals, v.at, v.missing, fc)
 	res.KeyedVerification = &rep
 	res.Verification = &rep.Summary
 }

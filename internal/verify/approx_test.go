@@ -158,17 +158,17 @@ func TestGuaranteeString(t *testing.T) {
 // keyed verification with the ε bound at shard level, and its repeated
 // values within a key are not flagged as key duplicates.
 func TestEvaluateKeyedApproximateShard(t *testing.T) {
-	vals := []KeyedValue{
-		{Op: 1, Shard: 0, Key: 0, Value: 0, Start: 0, End: 5},
-		{Op: 2, Shard: 0, Key: 1, Value: 0, Start: 0, End: 5},
+	vals := []keyedOp{
+		kv(1, 0, 0, 0, 0, 0, 5),
+		kv(2, 0, 1, 0, 0, 0, 5),
 		// Two concurrent key-0 operations share the stale estimate 2 —
 		// in bound (bracket [2, 3] at ε=0.25), and legitimately equal.
-		{Op: 3, Shard: 0, Key: 0, Value: 2, Start: 10, End: 15},
-		{Op: 6, Shard: 0, Key: 0, Value: 2, Start: 10, End: 15},
-		{Op: 4, Shard: 1, Key: 2, Value: 0, Start: 0, End: 5},
-		{Op: 5, Shard: 1, Key: 2, Value: 1, Start: 10, End: 15},
+		kv(3, 0, 0, 0, 2, 10, 15),
+		kv(6, 0, 0, 0, 2, 10, 15),
+		kv(4, 1, 2, 0, 0, 0, 5),
+		kv(5, 1, 2, 0, 1, 10, 15),
 	}
-	rep := EvaluateKeyed(
+	rep := evaluateKeyed(
 		[]counter.Guarantee{counter.Approx(0.25), counter.Exact(counter.Linearizable)},
 		[]string{"css-sample", "central"}, vals, 0, FaultContext{})
 	if rep.Summary.Violations != 0 {

@@ -100,15 +100,56 @@ func Evaluate(g counter.Guarantee, vals []TimedValue, missing int) Report {
 // therefore satisfies "stay correct or visibly stall" exactly when its
 // report shows Violations == 0.
 func EvaluateWithFaults(g counter.Guarantee, vals []TimedValue, missing int, fc FaultContext) Report {
+	return evaluate(g, history{vals: vals}, missing, fc)
+}
+
+// history is a run's completed operations, or a subsequence of them, in
+// completion order: vals[idx[0]], vals[idx[1]], … — all of vals when idx is
+// nil. The shard and segment histories of a keyed run are index lists into
+// the one recorded history, not copies of it.
+type history struct {
+	vals []TimedValue
+	idx  []int32
+}
+
+func (h history) len() int {
+	if h.idx != nil {
+		return len(h.idx)
+	}
+	return len(h.vals)
+}
+
+func (h history) at(i int) *TimedValue {
+	if h.idx != nil {
+		return &h.vals[h.idx[i]]
+	}
+	return &h.vals[i]
+}
+
+// indices returns a fresh copy of the history's index list.
+func (h history) indices() []int32 {
+	if h.idx != nil {
+		return slices.Clone(h.idx)
+	}
+	all := make([]int32, len(h.vals))
+	for i := range all {
+		all[i] = int32(i)
+	}
+	return all
+}
+
+func evaluate(g counter.Guarantee, h history, missing int, fc FaultContext) Report {
 	level := g.Level
 	exactClaim := level == counter.Quiescent || level == counter.Linearizable
-	rep := Report{Property: g.String(), Ops: len(vals), Missing: missing, Wedged: fc.Wedged, FaultsFired: fc.Fired}
+	n := h.len()
+	rep := Report{Property: g.String(), Ops: n, Missing: missing, Wedged: fc.Wedged, FaultsFired: fc.Fired}
 
 	// Exactly-once accounting: duplicates and gaps relative to {0..Ops-1}.
 	// For approximate guarantees these stay measurements (repeated values
 	// are the point of not paying for exactness), never violations.
-	seen := newValueSet(len(vals))
-	for _, v := range vals {
+	seen := newValueSet(n)
+	for i := 0; i < n; i++ {
+		v := h.at(i)
 		if seen.add(v.Value) {
 			rep.Duplicates++
 			if rep.First == "" && exactClaim {
@@ -116,7 +157,7 @@ func EvaluateWithFaults(g counter.Guarantee, vals []TimedValue, missing int, fc 
 			}
 		}
 	}
-	for v := 0; v < len(vals); v++ {
+	for v := 0; v < n; v++ {
 		if !seen.has(v) {
 			rep.Gaps++
 			if rep.First == "" && exactClaim {
@@ -125,7 +166,7 @@ func EvaluateWithFaults(g counter.Guarantee, vals []TimedValue, missing int, fc 
 		}
 	}
 
-	realTimeOrder(vals, func(b TimedValue, maxDone int) {
+	realTimeOrder(h, func(b TimedValue, maxDone int) {
 		rep.OrderViolations++
 		if rep.First == "" && level == counter.Linearizable {
 			rep.First = fmt.Sprintf("op %d got value %d although an operation with value >= %d completed before it started",
@@ -140,7 +181,7 @@ func EvaluateWithFaults(g counter.Guarantee, vals []TimedValue, missing int, fc 
 		rep.Violations = rep.Duplicates + rep.Gaps
 	case counter.Approximate:
 		rep.Epsilon = g.Epsilon
-		evaluateApproximate(&rep, g.Epsilon, vals)
+		evaluateApproximate(&rep, g.Epsilon, h)
 		rep.Violations = rep.OutOfBound
 	}
 	if fc.Fired {
@@ -197,15 +238,13 @@ func (s *valueSet) has(v int) bool {
 // completed strictly before each start, and reports every operation b whose
 // value does not exceed it — some operation with a value >= b's (maxDone)
 // completed before b started. The sorts are stable, so among operations
-// starting together the first reported is the first in vals.
-func realTimeOrder(vals []TimedValue, inverted func(b TimedValue, maxDone int)) {
-	// Both orders are permutations of vals kept as indices: 8 bytes per
-	// operation next to a history of 32, where two sorted copies would triple
-	// the run's peak.
-	byEnd := make([]int32, len(vals))
-	for i := range byEnd {
-		byEnd[i] = int32(i)
-	}
+// starting together the first reported is the first in the history.
+func realTimeOrder(h history, inverted func(b TimedValue, maxDone int)) {
+	// Both orders are permutations of the history kept as indices: 8 bytes
+	// per operation next to a history of 32, where two sorted copies would
+	// triple the run's peak.
+	vals := h.vals
+	byEnd := h.indices()
 	byStart := slices.Clone(byEnd)
 	slices.SortStableFunc(byEnd, func(a, b int32) int { return cmp.Compare(vals[a].End, vals[b].End) })
 	slices.SortStableFunc(byStart, func(a, b int32) int { return cmp.Compare(vals[a].Start, vals[b].Start) })
@@ -238,17 +277,18 @@ const approxTolerance = 1e-9
 // violation. MaxRelError records the worst relative excursion beyond the
 // [lo, hi] bracket itself (ε plays no part in the measurement, so the
 // report shows the margin to the claim).
-func evaluateApproximate(rep *Report, eps float64, vals []TimedValue) {
-	starts := make([]int64, len(vals))
-	ends := make([]int64, len(vals))
-	for i, v := range vals {
-		starts[i] = v.Start
-		ends[i] = v.End
+func evaluateApproximate(rep *Report, eps float64, h history) {
+	starts := make([]int64, h.len())
+	ends := make([]int64, h.len())
+	for i := range starts {
+		starts[i] = h.at(i).Start
+		ends[i] = h.at(i).End
 	}
 	slices.Sort(starts)
 	slices.Sort(ends)
 
-	for _, v := range vals {
+	for i := range starts {
+		v := h.at(i)
 		// Count of operations that ended strictly before this one started.
 		lo := sort.Search(len(ends), func(i int) bool { return ends[i] >= v.Start })
 		// Count of operations started by the time this one ended, minus

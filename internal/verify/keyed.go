@@ -2,22 +2,17 @@ package verify
 
 import (
 	"fmt"
+	"slices"
 
 	"distcount/internal/counter"
-	"distcount/internal/sim"
 )
 
-// KeyedValue is one completed operation of a keyed (multi-counter) run:
-// which shard executed it, which key it addressed, and the key's routing
+// Placement says where one completed operation of a keyed (multi-counter)
+// run executed: which shard, which key it addressed, and the key's routing
 // epoch when it started. The drain-before-cutover migration protocol
 // guarantees every operation ran entirely within one (key, epoch) segment.
-type KeyedValue struct {
-	Op         sim.OpID
-	Shard      int
-	Key        int
-	Epoch      int
-	Value      int
-	Start, End int64
+type Placement struct {
+	Shard, Key, Epoch int32
 }
 
 // ShardReport is one shard's history evaluated at its algorithm's claimed
@@ -67,18 +62,21 @@ type KeyedReport struct {
 
 // EvaluateKeyed checks a keyed run: each shard's history against its own
 // claimed guarantee (guarantees and algos are indexed by shard), plus
-// the per-(key, epoch) segment checks. missing is the number of completed
-// operations whose value could not be read back (counted in the summary).
-func EvaluateKeyed(guarantees []counter.Guarantee, algos []string, vals []KeyedValue, missing int, fc FaultContext) KeyedReport {
+// the per-(key, epoch) segment checks. vals is the run's history in
+// completion order and at[i] where vals[i] executed; missing is the number
+// of completed operations whose value could not be read back (counted in
+// the summary).
+func EvaluateKeyed(guarantees []counter.Guarantee, algos []string, vals []TimedValue, at []Placement, missing int, fc FaultContext) KeyedReport {
 	rep := KeyedReport{}
 
-	perShard := make([][]TimedValue, len(guarantees))
-	for _, v := range vals {
-		perShard[v.Shard] = append(perShard[v.Shard], TimedValue{Op: v.Op, Value: v.Value, Start: v.Start, End: v.End})
-	}
+	// The shard histories, then the segments, are one index list over vals
+	// grouped two ways — 8 transient bytes per operation, where a copy per
+	// shard and another per segment would triple the history.
+	order := make([]int32, len(vals))
+	shards := groupStable(order, len(guarantees), func(i int) int { return int(at[i].Shard) })
 	allSame := true
 	for s, g := range guarantees {
-		sr := ShardReport{Shard: s, Report: EvaluateWithFaults(g, perShard[s], 0, fc)}
+		sr := ShardReport{Shard: s, Report: evaluate(g, history{vals, order[shards[s]:shards[s+1]]}, 0, fc)}
 		if s < len(algos) {
 			sr.Algorithm = algos[s]
 		}
@@ -90,36 +88,35 @@ func EvaluateKeyed(guarantees []counter.Guarantee, algos []string, vals []KeyedV
 
 	// (key, epoch) segments: group, then run the duplicate + real-time
 	// order sweeps within each, at the owning shard's level.
-	type segKey struct{ key, epoch int }
-	type segment struct {
-		shard int
-		vals  []TimedValue
-	}
-	segs := map[segKey]*segment{}
-	for _, v := range vals {
-		sk := segKey{v.Key, v.Epoch}
-		seg := segs[sk]
-		if seg == nil {
-			seg = &segment{shard: v.Shard}
-			segs[sk] = seg
+	type segKey struct{ key, epoch int32 }
+	segOf := map[segKey]int32{}
+	var segShard []int32 // per segment: the shard its first operation ran on
+	seg := make([]int32, len(vals))
+	epochsOf := map[int32]int{}
+	for i, p := range at {
+		sk := segKey{p.Key, p.Epoch}
+		id, ok := segOf[sk]
+		if !ok {
+			id = int32(len(segShard))
+			segOf[sk] = id
+			segShard = append(segShard, p.Shard)
+			epochsOf[p.Key]++
 		}
-		seg.vals = append(seg.vals, TimedValue{Op: v.Op, Value: v.Value, Start: v.Start, End: v.End})
+		seg[i] = id
 	}
-	rep.Segments = len(segs)
-	epochsOf := map[int]int{}
-	for sk := range segs {
-		epochsOf[sk.key]++
-	}
+	rep.Segments = len(segShard)
 	rep.Keys = len(epochsOf)
 	for _, epochs := range epochsOf {
 		if epochs > 1 {
 			rep.MigratedKeys++
 		}
 	}
+	segs := groupStable(order, len(segShard), func(i int) int { return int(seg[i]) })
 	// One value table per shard serves all of its segments, a generation each.
 	seen := make([]*valueSet, len(guarantees))
-	for _, seg := range segs {
-		level := guarantees[seg.shard].Level
+	for id, shard := range segShard {
+		members := order[segs[id]:segs[id+1]]
+		level := guarantees[shard].Level
 		// Sequential-only shards make no concurrent claim; approximate
 		// shards legitimately repeat values within a key (the whole-shard ε
 		// bracket is the claim, checked above), so neither gets the
@@ -127,18 +124,18 @@ func EvaluateKeyed(guarantees []counter.Guarantee, algos []string, vals []KeyedV
 		if level == counter.SequentialOnly || level == counter.Approximate {
 			continue
 		}
-		if seen[seg.shard] == nil {
-			seen[seg.shard] = newValueSet(len(perShard[seg.shard]))
+		if seen[shard] == nil {
+			seen[shard] = newValueSet(shards[shard+1] - shards[shard])
 		}
-		set := seen[seg.shard]
+		set := seen[shard]
 		set.next()
-		for _, v := range seg.vals {
-			if set.add(v.Value) {
+		for _, i := range members {
+			if set.add(vals[i].Value) {
 				rep.KeyDuplicates++
 			}
 		}
 		if level == counter.Linearizable {
-			realTimeOrder(seg.vals, func(TimedValue, int) { rep.KeyOrderViolations++ })
+			realTimeOrder(history{vals, members}, func(TimedValue, int) { rep.KeyOrderViolations++ })
 		}
 	}
 
@@ -174,4 +171,24 @@ func EvaluateKeyed(guarantees []counter.Guarantee, algos []string, vals []KeyedV
 		sum.Property = "mixed/sharded"
 	}
 	return rep
+}
+
+// groupStable fills order with the indices 0..len(order)-1 grouped by
+// group(i) in [0, groups), each group in index order, and returns the
+// groups' bounds: group g is order[bounds[g]:bounds[g+1]].
+func groupStable(order []int32, groups int, group func(i int) int) (bounds []int) {
+	bounds = make([]int, groups+1)
+	for i := range order {
+		bounds[group(i)+1]++
+	}
+	for g := 0; g < groups; g++ {
+		bounds[g+1] += bounds[g]
+	}
+	next := slices.Clone(bounds[:groups])
+	for i := range order {
+		g := group(i)
+		order[next[g]] = int32(i)
+		next[g]++
+	}
+	return bounds
 }
