@@ -347,12 +347,11 @@ func BenchmarkRTWall(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				r := c.(*rt.Runtime)
-				sc, err := workload.New("uniform", workload.Config{N: r.N(), Ops: ops, Seed: 1})
+				sc, err := workload.New("uniform", workload.Config{N: c.N(), Ops: ops, Seed: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err = engine.RunWall(r, sc, engine.Config{InFlight: r.N(), Warmup: ops / 10})
+				res, err = engine.Run(c, sc, engine.Config{InFlight: c.N(), Warmup: ops / 10})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -368,7 +367,7 @@ func BenchmarkRTWall(b *testing.B) {
 // client per processor, Verify on, 100 000 operations per run — long enough
 // that the figure is the steady per-op cost (RTWall's 300-op runs measure
 // mostly spawn and epilogue). Every per-op figure is over the run's own
-// operations: ns/op, B/op and allocs/op cover the whole engine.RunWall call
+// operations: ns/op, B/op and allocs/op cover the whole engine.Run call
 // (runtime construction excluded), ops/sec is the measure window's
 // throughput as the result reports it.
 func BenchmarkRTClosed(b *testing.B) {
@@ -389,14 +388,13 @@ func BenchmarkRTClosed(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			r := c.(*rt.Runtime)
-			sc, err := workload.New("uniform", workload.Config{N: r.N(), Ops: ops, Seed: 1, MeanGap: 1})
+			sc, err := workload.New("uniform", workload.Config{N: c.N(), Ops: ops, Seed: 1, MeanGap: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
 			runtime.ReadMemStats(&before)
 			b.StartTimer()
-			res, err = engine.RunWall(r, sc, engine.Config{InFlight: r.N(), Warmup: ops / 10, Ops: ops, Verify: true})
+			res, err = engine.Run(c, sc, engine.Config{InFlight: c.N(), Warmup: ops / 10, Ops: ops, Verify: true})
 			b.StopTimer()
 			if err != nil {
 				b.Fatal(err)

@@ -195,3 +195,44 @@ func TestDiffBadArgs(t *testing.T) {
 		}
 	}
 }
+
+// bench23Excerpt is `go test -bench` output in the shape BENCH_23.json was
+// aggregated from: custom metrics before the -benchmem pair, names with
+// brackets and '=' in them, repeated -count lines, a GOMAXPROCS suffix.
+const bench23Excerpt = `goos: linux
+goarch: amd64
+pkg: distcount
+cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
+BenchmarkRTAfter-2                                 	     100	    265285 ns/op	         1.002 late_us_p50	       192.9 late_us_p99	     241 B/op	       3 allocs/op
+BenchmarkRTClosed/central/n=8-2                    	       3	      1682 ns/op	         1.751 msgs/op	    671313 ops/sec	     203 B/op	       1 allocs/op
+BenchmarkRTClosed/central/n=8-2                    	       3	      1702 ns/op	         1.751 msgs/op	    660114 ops/sec	     203 B/op	       1 allocs/op
+BenchmarkWorkloadEngine/ctree/bursty/n=256-2       	     100	   5937519 ns/op	       398.0 m_b	         0.2054 ops/tick	         9.000 p99_ticks	 1463371 B/op	   25562 allocs/op
+BenchmarkWorkloadEngineKeyed/central[4]/keys=64/n=64-2 	     100	   2412007 ns/op	 1291 B/op	      17 allocs/op
+--- FAIL: BenchmarkIncSharded/central/shards=4/n=64
+PASS
+ok  	distcount	12.345s
+`
+
+// FuzzParseBench: the `go test -bench` reader never panics, and whatever it
+// accepts is an artifact-shaped aggregate — entries in strictly ascending
+// name order (one per benchmark), each with at least one run and one metric,
+// no name keeping a GOMAXPROCS suffix the aggregation is meant to strip.
+func FuzzParseBench(f *testing.F) {
+	f.Add(sampleBench)
+	f.Add(bench23Excerpt)
+	f.Add("BenchmarkX-8 10 NaN ns/op\nBenchmarkX-8 x 1 ns/op\nBenchmarkX 1 1e999 ns/op 7")
+	f.Fuzz(func(t *testing.T, in string) {
+		entries, err := parseBench(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		for i, e := range entries {
+			if i > 0 && entries[i-1].Name >= e.Name {
+				t.Fatalf("entries out of order or repeated: %q then %q", entries[i-1].Name, e.Name)
+			}
+			if !strings.HasPrefix(e.Name, "Benchmark") || e.Runs < 1 || len(e.Metrics) == 0 {
+				t.Fatalf("malformed entry %+v", e)
+			}
+		}
+	})
+}

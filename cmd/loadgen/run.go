@@ -7,7 +7,6 @@ import (
 	"distcount/internal/countersvc"
 	"distcount/internal/engine"
 	"distcount/internal/registry"
-	"distcount/internal/rt"
 	"distcount/internal/sim"
 	"distcount/internal/workload"
 )
@@ -85,38 +84,15 @@ func runOne(opt options, algo, scenario string) (*engine.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if r, ok := c.(*rt.Runtime); ok {
-		return engine.RunWall(r, gen, engineConfig(opt, ops))
-	}
 	return engine.Run(c, gen, engineConfig(opt, ops))
 }
 
 // registryConfig resolves the options into the counter construction config:
-// the service-cost profile in the form the selected backend consumes, the
-// merge window, the claimed ε and the fault plan.
-func registryConfig(opt options) (registry.Config, error) {
-	cost, err := serviceCost(opt.service, opt.svcDist)
-	if err != nil {
-		return registry.Config{}, err
-	}
-	var simOpts []sim.Option
-	switch {
-	case cost == nil:
-	case opt.svcDist == "" || opt.svcDist == "flat":
-		// The flat shape stays on the simulator's uniform-cost fast path.
-		simOpts = append(simOpts, sim.WithServiceTime(opt.service))
-	default:
-		simOpts = append(simOpts, sim.WithServiceProfile(cost))
-	}
-	rcfg := registry.Concurrent(simOpts...)
-	rcfg.Window = opt.window
-	rcfg.Epsilon = opt.epsilon
-	rcfg.Backend = opt.backend
-	if opt.backend == "rt" {
-		// The rt backend emulates the same per-processor service costs by
-		// busy-spinning the worker that holds the receiving processor (ticks
-		// scale to wall time).
-		rcfg.RTService = cost
+// backend, merge window, claimed ε, service-cost profile and fault plan.
+func registryConfig(opt options) (rcfg registry.Config, err error) {
+	rcfg = registry.Config{Window: opt.window, Epsilon: opt.epsilon, Backend: opt.backend}
+	if rcfg.Service, err = serviceCost(opt.service, opt.svcDist); err != nil {
+		return rcfg, err
 	}
 	rcfg.Faults, err = parseFaultSpec(opt.faults)
 	return rcfg, err
@@ -143,10 +119,8 @@ func engineConfig(opt options, ops int) engine.Config {
 }
 
 // serviceCost resolves the -service/-service-dist pair into a
-// per-processor cost function in ticks — the shape both backends consume
-// (the simulator as a sim.Option, the rt runtime as registry's RTService).
-// Nil (with no error) when service is 0 and the distribution is the
-// default flat shape.
+// per-processor cost function in ticks (registry.Config.Service). Nil (with
+// no error) when service is 0 and the distribution is the default flat shape.
 func serviceCost(service int64, dist string) (func(p sim.ProcID) int64, error) {
 	if service <= 0 {
 		if dist != "" && dist != "flat" {

@@ -198,7 +198,7 @@ var studies = []study{
 		},
 		digest: func(_ options, _ []cell, rows []report.SweepRow) (document, error) {
 			a := report.AnalyzeSkew(rows)
-			return analysisDoc(a, report.RenderSkew(a, "ops/tick"), rows), nil
+			return analysisDoc(a, report.RenderSkew(a), rows), nil
 		},
 	},
 	{
@@ -242,7 +242,7 @@ var studies = []study{
 				defaults[algo], _ = registry.DefaultEpsilon(algo)
 			}
 			a := report.AnalyzeAccuracy(rows, defaults)
-			doc := analysisDoc(a, report.RenderAccuracy(a, "ops/tick"), rows)
+			doc := analysisDoc(a, report.RenderAccuracy(a), rows)
 			if !a.Pass {
 				doc.verdict = fmt.Errorf("accuracy study verdict failed: %s", a.Verdict)
 			}

@@ -1,6 +1,8 @@
 package distcount
 
 import (
+	"fmt"
+
 	"distcount/internal/adversary"
 	"distcount/internal/bound"
 	"distcount/internal/core"
@@ -191,6 +193,7 @@ type buildSpec struct {
 	window     int64
 	epsilon    float64
 	backend    string
+	service    int64
 	simOpts    []sim.Option
 }
 
@@ -209,14 +212,15 @@ func InConcurrentRegime() Option {
 	return func(s *buildSpec) { s.concurrent = true }
 }
 
-// WithServiceTime makes every processor take service simulated ticks to
-// process each incoming message. Under this model a processor's message
-// load m_p is also time spent, so the paper's bottleneck caps throughput —
-// combine with InConcurrentRegime and an open-loop ramp (scenario
-// "ramprate", WorkloadConfig.Mode = OpenLoop) to measure the resulting
-// saturation knee.
+// WithServiceTime makes every processor take service ticks to process each
+// incoming message, on either backend (simulated ticks on "sim"; on "rt" the
+// worker holding the processor is kept busy for that many ticks of wall
+// time). Under this model a processor's message load m_p is also time
+// spent, so the paper's bottleneck caps throughput — combine with
+// InConcurrentRegime and an open-loop ramp (scenario "ramprate",
+// WorkloadConfig.Mode = OpenLoop) to measure the resulting saturation knee.
 func WithServiceTime(service int64) Option {
-	return func(s *buildSpec) { s.simOpts = append(s.simOpts, sim.WithServiceTime(service)) }
+	return func(s *buildSpec) { s.service = service }
 }
 
 // WithEpsilon overrides the relative error bound claimed — and exploited —
@@ -263,6 +267,12 @@ func New(algorithm string, n int, opts ...Option) (AsyncCounter, error) {
 	}
 	cfg.Epsilon = s.epsilon
 	cfg.Backend = s.backend
+	if s.service < 0 {
+		return nil, fmt.Errorf("distcount: negative service time %d", s.service)
+	}
+	if service := s.service; service > 0 {
+		cfg.Service = func(sim.ProcID) int64 { return service }
+	}
 	return registry.NewWith(algorithm, n, cfg)
 }
 
@@ -281,8 +291,10 @@ func NewScenario(name string, cfg ScenarioConfig) (Scenario, error) {
 // engine in the configured admission mode (closed loop by default) and
 // reports throughput, latency percentiles split into queueing delay and
 // service latency, the measured-window load summary, and the
-// bottleneck-load time series, all in simulated time. Open-loop runs
-// additionally report per-rate-bucket statistics and the saturation knee.
+// bottleneck-load time series — in simulated time, or for a counter built
+// WithBackend("rt") in wall-clock nanoseconds and operations per second
+// (WorkloadReport.Wall). Open-loop runs additionally report per-rate-bucket
+// statistics and the saturation knee.
 // With WorkloadConfig.Verify set, every completed operation's value is
 // checked against the algorithm's claimed consistency level and the
 // VerificationReport is attached to the result.
@@ -335,8 +347,7 @@ func Loads(c Counter) LoadSummary {
 }
 
 // VerifyCounter runs the given workload on a fresh counter and checks
-// test-and-increment semantics plus the Hot Spot Lemma. The counter must
-// have been built with tracing or default op tracking.
+// test-and-increment semantics plus the Hot Spot Lemma.
 func VerifyCounter(c Counter, order []ProcID) error {
 	return verify.Counter(c, order)
 }

@@ -199,3 +199,65 @@ func TestWorkloadFacade(t *testing.T) {
 		t.Fatal("bogus scenario accepted")
 	}
 }
+
+// TestRTBackendThroughFacade: a counter built WithBackend("rt") runs through
+// the same RunWorkload call, reports in wall units and verifies — and
+// WithServiceTime reaches it. Central's holder handles one message per
+// remote operation, one at a time, so the run cannot finish sooner than that
+// many service times; without the cost it takes a fraction of a millisecond.
+func TestRTBackendThroughFacade(t *testing.T) {
+	const service = 20 // ticks of 1 µs
+	c, err := distcount.New("central", 8, distcount.InConcurrentRegime(),
+		distcount.WithBackend("rt"), distcount.WithServiceTime(service))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := distcount.NewScenario("uniform", distcount.ScenarioConfig{N: c.N(), Ops: 200, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := distcount.RunWorkload(c, sc, distcount.WorkloadConfig{InFlight: 8, Verify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Wall || rep.TickNs != 1000 || rep.Ops != 200 {
+		t.Fatalf("wall/tick_ns/ops = %v/%d/%d, want true/1000/200", rep.Wall, rep.TickNs, rep.Ops)
+	}
+	if v := rep.Verification; v == nil || v.Ops != 200 || v.Violations != 0 {
+		t.Fatalf("verification: %+v", v)
+	}
+	if floor := rep.Messages / 2 * service * rep.TickNs; rep.SimTime < floor {
+		t.Fatalf("run took %d ns, below the holder's %d ns of service: WithServiceTime was dropped", rep.SimTime, floor)
+	}
+
+	if _, err := distcount.New("central", 8, distcount.WithBackend("bogus")); err == nil {
+		t.Fatal("bogus backend accepted")
+	}
+	if _, err := distcount.New("central", 8, distcount.WithServiceTime(-1)); err == nil {
+		t.Fatal("negative service time accepted")
+	}
+}
+
+func TestKeyedFacade(t *testing.T) {
+	svc, err := distcount.NewCountingService(distcount.ServiceConfig{Keys: 8, N: 8, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := distcount.NewScenario("uniform", distcount.ScenarioConfig{N: svc.N(), Ops: 120, Seed: 3, Keys: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := distcount.RunKeyedWorkload(svc, sc, distcount.WorkloadConfig{InFlight: 4, Verify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Ops != 120 || rep.Keys != 8 || rep.Shards != 2 || len(rep.PerKey) != 8 {
+		t.Fatalf("ops/keys/shards/per-key = %d/%d/%d/%d, want 120/8/2/8", rep.Ops, rep.Keys, rep.Shards, len(rep.PerKey))
+	}
+	if v := rep.KeyedVerification; v == nil || rep.Verification.Violations != 0 {
+		t.Fatalf("keyed verification: %+v / %+v", v, rep.Verification)
+	}
+	if _, err := distcount.NewCountingService(distcount.ServiceConfig{N: 8}); err == nil {
+		t.Fatal("service without keys accepted")
+	}
+}

@@ -13,7 +13,7 @@ import (
 )
 
 // Factory builds a fresh counter for (at least) n processors with tracing
-// and op tracking enabled.
+// enabled.
 type Factory func(n int) counter.Counter
 
 // Conformance runs the full suite against counters built by factory for the

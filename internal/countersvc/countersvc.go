@@ -122,9 +122,11 @@ type Service struct {
 	route    []int // key -> shard
 	epoch    []int // key -> routing epoch, bumped at cutover
 	frozen   []bool
-	inflight []int   // in-flight ops per key
-	keyOps   []int   // completed ops per key, lifetime
-	keyOf    [][]int // per shard: op id (1-based) -> key
+	inflight []int // in-flight ops per key
+	keyOps   []int // completed ops per key, lifetime
+	// keyOf[shard][p] is the key of the one operation processor p may have
+	// in flight on that shard.
+	keyOf [][]int
 
 	mig       *Migration
 	hot       int // hot shard index, -1 without migration
@@ -208,6 +210,7 @@ func New(cfg Config) (*Service, error) {
 			return nil, fmt.Errorf("countersvc: shard %d algorithm %q built %d < %d processors", i, name, c.N(), cfg.N)
 		}
 		s.shards[i] = v
+		s.keyOf[i] = make([]int, c.N()+1)
 		if rtBackend {
 			s.rts[i] = c.(*rt.Runtime)
 		} else {
@@ -334,24 +337,16 @@ func (s *Service) Start(at int64, key int, p sim.ProcID) (shard int, id sim.OpID
 		at = 0
 	}
 	id = s.shards[shard].Start(at, p)
-	// Shard-local op ids are sequential from 1 on both backends, so a
-	// plain append keeps keyOf[shard][id-1] == key.
-	if int(id) != len(s.keyOf[shard])+1 {
-		panic(fmt.Sprintf("countersvc: shard %d op id %d out of sequence (have %d)", shard, id, len(s.keyOf[shard])))
-	}
-	s.keyOf[shard] = append(s.keyOf[shard], key)
+	s.keyOf[shard][p] = key
 	s.inflight[key]++
 	return shard, id
 }
 
-// KeyOfOp returns the key of a shard-local operation id.
-func (s *Service) KeyOfOp(shard int, id sim.OpID) int { return s.keyOf[shard][int(id)-1] }
-
 // complete is the per-completion bookkeeping shared by both backends:
 // in-flight accounting, hotspot detection, and the drain-triggered cutover.
 // It returns the op's key and the routing epoch it ran at (pre-cutover).
-func (s *Service) complete(shard int, id sim.OpID) (key, epoch int) {
-	key = s.keyOf[shard][int(id)-1]
+func (s *Service) complete(shard int, initiator sim.ProcID) (key, epoch int) {
+	key = s.keyOf[shard][initiator]
 	epoch = s.epoch[key]
 	s.inflight[key]--
 	s.keyOps[key]++
@@ -368,7 +363,7 @@ func (s *Service) complete(shard int, id sim.OpID) (key, epoch int) {
 // noteDone is the sim backend's completion hook: the bookkeeping, then the
 // OnOpDone observer.
 func (s *Service) noteDone(shard int, st *sim.OpStats) {
-	key, epoch := s.complete(shard, st.ID)
+	key, epoch := s.complete(shard, st.Initiator)
 	if s.done != nil {
 		s.done(shard, key, epoch, st)
 	}
@@ -379,7 +374,7 @@ func (s *Service) noteDone(shard int, st *sim.OpStats) {
 // epoch it ran at (pre-cutover, like OnOpDone's). Must be called from the
 // single driver goroutine.
 func (s *Service) CompleteRT(d rt.Completion) (key, epoch int) {
-	return s.complete(d.Shard, d.ID)
+	return s.complete(d.Shard, d.Initiator)
 }
 
 // observe feeds hotspot detection: per-key completion counts over a window

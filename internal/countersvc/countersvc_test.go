@@ -48,6 +48,8 @@ func TestHomeShardDeterministic(t *testing.T) {
 func TestShardValueSequences(t *testing.T) {
 	s := mustService(t, Config{Keys: 8, N: 4, Shards: 2, Algo: "central"})
 	next := make([]int, s.Shards())
+	doneKey := -1
+	s.OnOpDone(func(_, key, _ int, _ *sim.OpStats) { doneKey = key })
 	for i := 0; i < 32; i++ {
 		key := i % s.Keys()
 		shard, id := s.Start(s.Now(), key, sim.ProcID(1+i%s.N()))
@@ -62,8 +64,8 @@ func TestShardValueSequences(t *testing.T) {
 			t.Fatalf("shard %d handed out %d, want %d", shard, v, next[shard])
 		}
 		next[shard]++
-		if got := s.KeyOfOp(shard, id); got != key {
-			t.Fatalf("KeyOfOp(%d,%d) = %d, want %d", shard, id, got, key)
+		if doneKey != key {
+			t.Fatalf("op %d on shard %d completed under key %d, want %d", id, shard, doneKey, key)
 		}
 	}
 	for k := 0; k < s.Keys(); k++ {

@@ -48,11 +48,12 @@ func TestRunWorkloadAllocCeiling(t *testing.T) {
 //	central, n=64, closed loop    10 B/op at 200k ops (the boxed value
 //	                              payload), 15 at 50k; with five int64
 //	                              vectors sized by ops it was 49
-//	4 central shards, Verify on   128 B/op at 200k ops: the verifier's
-//	                              history (44), its index orders and value
-//	                              tables (~40), the service's own op table
-//	                              (37). A copy of the history per shard and
-//	                              per (key, epoch) segment made it 472
+//	4 central shards, Verify on   88 B/op at 200k ops, 97 at 50k: the
+//	                              verifier's history (44) and its index
+//	                              orders and value tables (~40). The
+//	                              service's id -> key log added 37, a copy of
+//	                              the history per shard and per (key, epoch)
+//	                              segment made it 472
 func TestRunFootprintPerOp(t *testing.T) {
 	for _, row := range []struct {
 		name    string
@@ -66,7 +67,7 @@ func TestRunFootprintPerOp(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"keyed, verified", 170, func(t *testing.T, ops int) {
+		{"keyed, verified", 125, func(t *testing.T, ops int) {
 			svc := keyedSvc(t, countersvc.Config{Keys: 64, N: 64, Shards: 4,
 				Registry: registry.Config{Window: registry.DefaultWindow}})
 			gen := keyedGen(t, workload.Config{N: 64, Ops: ops, Seed: 1, Keys: 64, KeyZipfS: 1.2}, "uniform")

@@ -27,11 +27,12 @@
 // the paper's prediction observable as a saturation point.
 //
 // Each loop is written once (loop.go) against the substrate interface
-// (substrate.go), with three adapters: a simulator-backed counter (Run —
-// ticks, exactly reproducible per scenario seed), the real-hardware
-// rt.Runtime (RunWall — wall-clock ns and ops/sec) and the sharded
-// countersvc.Service on either backend (RunKeyed). One metrics type derives
-// every report field from the substrate's clock and loads.
+// (substrate.go), with three adapters. Run drives a single counter on the
+// backend it was built on: a simulator-backed one in ticks, exactly
+// reproducible per scenario seed, the real-hardware rt.Runtime in wall-clock
+// ns and ops/sec (RunWall is that path's typed entry). RunKeyed drives the
+// sharded countersvc.Service on either backend. One metrics type derives every
+// report field from the substrate's clock and loads.
 //
 // See docs/ARCHITECTURE.md for where the engine sits between internal/workload
 // and internal/engine/report, and docs/EXPERIMENTS.md for a runnable cookbook.
@@ -333,12 +334,17 @@ type KeyStat struct {
 
 // Run drives the counter with the scenario until the generator is
 // exhausted and every admitted operation has completed, in the mode
-// selected by cfg.
+// selected by cfg, on whichever backend the counter was built on: a
+// simulator-backed counter runs in simulated ticks, an *rt.Runtime in wall
+// time (see RunWall).
 func Run(c counter.Async, gen workload.Generator, cfg Config) (*Result, error) {
+	if r, ok := c.(*rt.Runtime); ok {
+		return RunWall(r, gen, cfg)
+	}
 	cfg = cfg.withDefaults()
 	net := c.Net()
 	if net == nil {
-		return nil, fmt.Errorf("engine: counter %q has no simulated network (an rt-backend counter); drive it with RunWall", c.Name())
+		return nil, fmt.Errorf("engine: counter %q has no simulated network to drive", c.Name())
 	}
 	valued, _ := c.(counter.Valued)
 	var vf *verifier
@@ -355,12 +361,11 @@ func Run(c counter.Async, gen workload.Generator, cfg Config) (*Result, error) {
 	return drive(&simCounter{c: c, net: net, valued: valued}, res, gen, cfg, vf)
 }
 
-// RunWall drives an rt-backend counter with the scenario in the mode
-// selected by cfg — the wall-clock analog of Run. The scenario's tick-
-// denominated arrival times are scaled by the runtime's tick duration and
-// paced in real time, so the same generator offers the same logical load to
-// both backends; the result reports wall-clock nanoseconds and operations
-// per second (Result.Wall).
+// RunWall is Run for a counter already known to be an rt runtime — the
+// wall-clock path. The scenario's tick-denominated arrival times are scaled
+// by the runtime's tick duration and paced in real time, so the same
+// generator offers the same logical load to both backends; the result
+// reports wall-clock nanoseconds and operations per second (Result.Wall).
 func RunWall(r *rt.Runtime, gen workload.Generator, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	var vf *verifier

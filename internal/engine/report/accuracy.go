@@ -153,9 +153,9 @@ func sustainedRate(r SweepRow) (rate float64, saturated bool) {
 // RenderAccuracy returns the study's text digest: one line per cell plus
 // the verdict. The verdict line is the study's machine-checkable claim
 // (CI greps "exact-vs-approx"), so its prefix is stable.
-func RenderAccuracy(a AccuracyAnalysis, rateU string) string {
+func RenderAccuracy(a AccuracyAnalysis) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "accuracy study: sustained offered rate (%s) by algorithm and claimed ε\n", rateU)
+	b.WriteString("accuracy study: sustained offered rate (ops/tick) by algorithm and claimed ε\n")
 	fmt.Fprintf(&b, "  %-16s %-12s %10s %10s %8s %7s %8s %12s\n",
 		"algo", "guarantee", "sustained", "saturated", "msg/op", "viol", "speedup", "max_rel_err")
 	for _, c := range a.Cells {

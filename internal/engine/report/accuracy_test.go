@@ -64,7 +64,7 @@ func TestAnalyzeAccuracyPass(t *testing.T) {
 		t.Fatalf("verdict prefix drifted: %q", a.Verdict)
 	}
 
-	out := RenderAccuracy(a, "ops/tick")
+	out := RenderAccuracy(a)
 	for _, frag := range []string{"ε=0.05*", "verdict exact-vs-approx: PASS", "best exact knee (cnet 1.5000)"} {
 		if !strings.Contains(out, frag) {
 			t.Fatalf("accuracy digest missing %q:\n%s", frag, out)

@@ -1,6 +1,9 @@
 package report
 
 import (
+	"bytes"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -259,4 +262,43 @@ func TestBandWithin(t *testing.T) {
 	if !exact.Within(3, 3) {
 		t.Fatal("zero band rejected equality")
 	}
+}
+
+// FuzzLoadBaseline: the committed-baseline reader never panics, and a
+// document it accepts is one the gate can work with — current schema, at
+// least one fingerprint — that survives a write and a re-read unchanged, so
+// `-baseline record` after `-baseline check` can never drift a file.
+func FuzzLoadBaseline(f *testing.F) {
+	committed, err := os.ReadFile("../../../baselines/default.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(committed)
+	var small bytes.Buffer
+	if err := WriteBaseline(&small, testBaseline()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(small.Bytes())
+	f.Add([]byte(`{"schema":1,"fingerprints":[{"algorithm":"b"},{"algorithm":"a","knee_rate":1e400}]}`))
+	f.Add([]byte(`{"schema":2,"fingerprints":null}`))
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		b, err := LoadBaseline(bytes.NewReader(doc))
+		if err != nil {
+			return
+		}
+		if b.Schema != BaselineSchema || len(b.Fingerprints) == 0 {
+			t.Fatalf("accepted schema %d with %d fingerprints", b.Schema, len(b.Fingerprints))
+		}
+		var out bytes.Buffer
+		if err := WriteBaseline(&out, b); err != nil {
+			t.Fatalf("accepted baseline does not serialize: %v", err)
+		}
+		again, err := LoadBaseline(bytes.NewReader(out.Bytes()))
+		if err != nil {
+			t.Fatalf("written baseline does not load: %v\n%s", err, out.Bytes())
+		}
+		if !reflect.DeepEqual(b, again) {
+			t.Fatalf("round trip changed the baseline:\n%+v\n%+v", b, again)
+		}
+	})
 }

@@ -108,9 +108,9 @@ func AnalyzeSkew(rows []SweepRow) SkewAnalysis {
 // machine-checkable claim (CI greps it), so its shape is stable:
 // "verdict s=<s>: adaptive wins (<adaptive> >= best static <static>)" or
 // "verdict s=<s>: static wins (...)".
-func RenderSkew(a SkewAnalysis, rateU string) string {
+func RenderSkew(a SkewAnalysis) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "key-skew study: aggregate throughput (%s) by zipf exponent and shard assignment\n", rateU)
+	b.WriteString("key-skew study: aggregate throughput (ops/tick) by zipf exponent and shard assignment\n")
 	for _, p := range a.Points {
 		fmt.Fprintf(&b, "  s=%.1f\n", p.ZipfS)
 		for _, as := range p.Assignments {

@@ -58,7 +58,7 @@ func TestAnalyzeSkew(t *testing.T) {
 		t.Fatalf("high-skew verdict wrong: %+v", high)
 	}
 
-	out := RenderSkew(a, "ops/tick")
+	out := RenderSkew(a)
 	for _, frag := range []string{"verdict s=1.2: adaptive wins", "static:central", "adaptive(central->combining)", "1 migration"} {
 		if !strings.Contains(out, frag) {
 			t.Fatalf("skew digest missing %q:\n%s", frag, out)

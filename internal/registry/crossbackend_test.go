@@ -307,3 +307,78 @@ func TestCrossBackendFaultEquivalence(t *testing.T) {
 		})
 	}
 }
+
+// TestCrossBackendServiceProfile builds central on both backends from one
+// Config.Service straggler profile — processor 5 a few hundred times slower
+// than its peers — and checks that the profile moves the bottleneck to that
+// processor on both. Central's message load sits on the holder (processor 1
+// receives every remote request), but time is messages x cost, and there the
+// straggler dominates: its service time must explain the makespan
+// (utilization near 1) on either substrate. A backend that dropped the
+// profile finishes far too early for the time the straggler supposedly
+// spent, and its utilization reads far above 1.
+func TestCrossBackendServiceProfile(t *testing.T) {
+	const (
+		ops       = 160
+		straggler = sim.ProcID(5)
+		slow      = 512 // ticks; with the 1 µs tick a straggler message costs 0.5 ms
+	)
+	cost := func(p sim.ProcID) int64 {
+		if p == straggler {
+			return slow
+		}
+		return 1
+	}
+	for _, backend := range registry.Backends() {
+		t.Run(backend, func(t *testing.T) {
+			cfg := registry.Concurrent()
+			cfg.Backend, cfg.Service = backend, cost
+			c, err := registry.NewWith("central", 8, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gen, err := workload.New("uniform", workload.Config{N: c.N(), Ops: ops, Seed: 7, MeanGap: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := engine.Run(c, gen, engine.Config{InFlight: c.N(), Verify: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Ops != ops || res.Verification.Violations != 0 {
+				t.Fatalf("ops %d, want %d; verification %+v", res.Ops, ops, res.Verification)
+			}
+			if res.Wall != (backend == "rt") {
+				t.Fatalf("Wall = %v on backend %q", res.Wall, backend)
+			}
+			var recv []int64
+			if r, ok := c.(*rt.Runtime); ok {
+				_, recv = r.Loads()
+			} else {
+				recv = c.Net().Recv()
+			}
+			if recv[straggler] < 8 {
+				t.Fatalf("straggler received only %d messages — the check is vacuous", recv[straggler])
+			}
+			busiest, busy := sim.ProcID(0), int64(0)
+			for p := 1; p <= c.N(); p++ {
+				if b := recv[p] * cost(sim.ProcID(p)); b > busy {
+					busiest, busy = sim.ProcID(p), b
+				}
+			}
+			if busiest != straggler || res.Loads.Bottleneck == int(straggler) {
+				t.Fatalf("busiest processor %d (message-load bottleneck %d), want the straggler %d apart from the holder",
+					busiest, res.Loads.Bottleneck, straggler)
+			}
+			makespan := float64(res.SimTime) // ticks, or ns on rt
+			if res.Wall {
+				makespan /= float64(res.TickNs)
+			}
+			// The simulator charges a message's cost after handling it, so the
+			// last service may outlast the run: allow one message over 1.
+			if u := float64(busy) / makespan; u < 0.5 || u > 1+1/float64(recv[straggler]-1)+0.01 {
+				t.Errorf("straggler utilization %.2f (%d ticks busy of %.0f), want the bottleneck's ~1", u, busy, makespan)
+			}
+		})
+	}
+}

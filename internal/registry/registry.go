@@ -42,19 +42,23 @@ type Config struct {
 	// window). Zero keeps the windows closed — the sequential regime, in
 	// which nothing ever merges.
 	Window int64
-	// SimOpts are forwarded to the underlying network.
+	// SimOpts are forwarded to the simulated network (seed, latency model,
+	// tracing, event budget); the rt backend has no such knobs and ignores
+	// them. What both backends share — service cost, faults — has its own
+	// field below.
 	SimOpts []sim.Option
 	// Backend selects the execution backend: "" or "sim" builds the
 	// discrete-event simulator (deterministic, simulated time); "rt" builds
 	// the real-hardware runtime (internal/rt: mailboxes on a worker pool),
 	// which runs the identical protocol state machine on real cores with
-	// wall-clock time. The rt backend ignores SimOpts; its analog of the
-	// service-time options is RTService.
+	// wall-clock time.
 	Backend string
-	// RTService is the rt backend's per-processor service cost in ticks —
-	// the analog of sim.WithServiceProfile, emulated by busy-spinning the
-	// worker holding the receiving processor per network message. Nil means no emulated cost.
-	RTService func(p sim.ProcID) int64
+	// Service is the per-processor cost, in ticks, of handling one network
+	// message, on whichever backend builds: sim.WithServiceProfile on the
+	// simulator (applied after SimOpts, so it wins over a service option
+	// there), rt.WithServiceProfile on the runtime, which busy-spins the
+	// worker holding the receiving processor. Nil means no service cost.
+	Service func(p sim.ProcID) int64
 	// Faults installs a fault-injection plan on whichever backend builds:
 	// sim.WithFaults on the simulator, rt.WithFaults on the runtime. Both
 	// backends share the decision core (sim.FaultInjector), so a plan made
@@ -236,15 +240,18 @@ func NewWith(name string, n int, cfg Config) (counter.Async, error) {
 	}
 	switch cfg.Backend {
 	case "", "sim":
-		opts := cfg.SimOpts
+		opts := cfg.SimOpts[:len(cfg.SimOpts):len(cfg.SimOpts)]
+		if cfg.Service != nil {
+			opts = append(opts, sim.WithServiceProfile(cfg.Service))
+		}
 		if cfg.Faults != nil {
-			opts = append(opts[:len(opts):len(opts)], sim.WithFaults(*cfg.Faults))
+			opts = append(opts, sim.WithFaults(*cfg.Faults))
 		}
 		return counter.OnSim(m, opts...), nil
 	case "rt":
 		var opts []rt.Option
-		if cfg.RTService != nil {
-			opts = append(opts, rt.WithServiceProfile(cfg.RTService))
+		if cfg.Service != nil {
+			opts = append(opts, rt.WithServiceProfile(cfg.Service))
 		}
 		if cfg.Faults != nil {
 			opts = append(opts, rt.WithFaults(*cfg.Faults))

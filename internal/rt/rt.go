@@ -100,7 +100,11 @@ func WithTick(d time.Duration) Option {
 // half) move the bottleneck exactly as they do in the simulator. A zero
 // cost handles messages as fast as the hardware allows.
 func WithServiceProfile(cost func(p sim.ProcID) int64) Option {
-	return func(r *Runtime) { r.svcProfile = cost }
+	return func(r *Runtime) {
+		for p := 1; p <= r.n; p++ {
+			r.svc[p] = max(cost(sim.ProcID(p)), 0)
+		}
+	}
 }
 
 // WithFaults installs a fault-injection plan, the rt analog of
@@ -267,11 +271,10 @@ func (q *readyList) close() {
 // started operation completed); operations still open at Close never
 // complete.
 type Runtime struct {
-	m          counter.Machine
-	n          int
-	tick       time.Duration
-	svcProfile func(p sim.ProcID) int64
-	svc        []int64 // resolved per-processor service cost in ticks
+	m    counter.Machine
+	n    int
+	tick time.Duration
+	svc  []int64 // per-processor service cost in ticks, 1..n
 
 	procs []processor // 1..n
 	ready readyList
@@ -320,20 +323,13 @@ func New(m counter.Machine, opts ...Option) *Runtime {
 		m:     m,
 		n:     m.N,
 		tick:  DefaultTick,
+		svc:   make([]int64, m.N+1),
 		ops:   make(map[sim.OpID]*opRec),
 		loads: make([]procLoad, m.N+1),
 		clock: clock{wake: make(chan struct{}, 1)},
 	}
 	for _, opt := range opts {
 		opt(r)
-	}
-	r.svc = make([]int64, r.n+1)
-	if r.svcProfile != nil {
-		for p := 1; p <= r.n; p++ {
-			if c := r.svcProfile(sim.ProcID(p)); c > 0 {
-				r.svc[p] = c
-			}
-		}
 	}
 	if m.Serial {
 		r.serial = &sync.Mutex{}
@@ -730,34 +726,48 @@ func (v *procView) CurrentOp() sim.OpID {
 // operation, attributed to it (one pending unit, released when the
 // delivery returns — the simulator's accounting exactly).
 func (v *procView) Send(to sim.ProcID, pl sim.Payload) {
+	v.send(to, pl, v.cur, true)
+}
+
+// send is the shared body of Send and SendAs, as Network.enqueueSend is on
+// the simulator: accounting, the fault plan's verdict and the mailbox append,
+// attributed to rec (nil = detached). countPending takes a pending unit for
+// the queued delivery (Send); SendAs instead converts the token's hold.
+func (v *procView) send(to sim.ProcID, pl sim.Payload, rec *opRec, countPending bool) {
 	if to < 1 || int(to) > v.r.n {
 		panic(fmt.Sprintf("rt: send to processor %v outside [1,%d]", to, v.r.n))
 	}
-	rec := v.cur
-	if rec != nil {
-		atomic.AddInt32(&rec.pending, 1)
-		atomic.AddInt64(&rec.msgs, 1)
-	}
-	sent := &v.r.loads[v.p].sent
-	sent.Add(1)
+	v.accountSend(rec, countPending)
+	it := item{msg: sim.Message{From: v.p, To: to, Payload: pl}, rec: rec}
 	if v.r.faults != nil {
 		drop, dup := v.r.sendFate(v.p)
 		if drop {
-			// Destroyed in flight after the sender paid: the pending unit is
-			// never released, so the operation wedges — the simulator's loss
-			// semantics exactly.
+			// Destroyed in flight after the sender paid: the pending unit (or
+			// the adopted hold) is never released, so the operation wedges —
+			// the simulator's loss semantics exactly.
 			return
 		}
 		if dup {
-			if rec != nil {
-				atomic.AddInt32(&rec.pending, 1)
-				atomic.AddInt64(&rec.msgs, 1)
-			}
-			sent.Add(1)
-			v.r.enqueue(to, item{msg: sim.Message{From: v.p, To: to, Payload: pl}, rec: rec})
+			// A genuine second transmission with its own pending delivery,
+			// taken before the first copy is out: that copy's delivery may
+			// release the operation's last other unit on another worker.
+			v.accountSend(rec, true)
+			v.r.enqueue(to, it)
 		}
 	}
-	v.r.enqueue(to, item{msg: sim.Message{From: v.p, To: to, Payload: pl}, rec: rec})
+	v.r.enqueue(to, it)
+}
+
+// accountSend charges one physical transmission to the sender's load and,
+// when attributed, to the operation.
+func (v *procView) accountSend(rec *opRec, countPending bool) {
+	v.r.loads[v.p].sent.Add(1)
+	if rec != nil {
+		atomic.AddInt64(&rec.msgs, 1)
+		if countPending {
+			atomic.AddInt32(&rec.pending, 1)
+		}
+	}
 }
 
 // Adopt implements sim.Transport: it takes an extra pending unit on the
@@ -785,31 +795,11 @@ func (v *procView) Adopt() sim.OpToken {
 // operation. The token's pending hold transfers to the in-flight message
 // (no new unit taken; the delivery's return releases it).
 func (v *procView) SendAs(tok sim.OpToken, to sim.ProcID, pl sim.Payload) {
-	if to < 1 || int(to) > v.r.n {
-		panic(fmt.Sprintf("rt: send to processor %v outside [1,%d]", to, v.r.n))
-	}
 	rec := v.r.lookup(tok.Op())
 	if rec == nil {
 		panic(fmt.Sprintf("rt: SendAs with spent or unknown token (op %d)", tok.Op()))
 	}
-	atomic.AddInt64(&rec.msgs, 1)
-	sent := &v.r.loads[v.p].sent
-	sent.Add(1)
-	if v.r.faults != nil {
-		drop, dup := v.r.sendFate(v.p)
-		if drop {
-			// The adopted hold converts into nothing: it is never released,
-			// so the operation wedges.
-			return
-		}
-		if dup {
-			atomic.AddInt32(&rec.pending, 1)
-			atomic.AddInt64(&rec.msgs, 1)
-			sent.Add(1)
-			v.r.enqueue(to, item{msg: sim.Message{From: v.p, To: to, Payload: pl}, rec: rec})
-		}
-	}
-	v.r.enqueue(to, item{msg: sim.Message{From: v.p, To: to, Payload: pl}, rec: rec})
+	v.send(to, pl, rec, false)
 }
 
 // Release implements sim.Transport: it discards an adopted hold, possibly

@@ -56,22 +56,12 @@ type Network struct {
 	events     int64
 	maxEvents  int64
 
-	// service is the receiver-side processing cost in ticks (0 = messages
-	// are processed instantly, the paper's pure latency model); freeAt[p]
-	// is the first tick at which processor p may process its next network
-	// message, and nextSlot[p] the next unreserved service slot (deferred
-	// deliveries each reserve one, so a message is deferred at most once).
-	// svcProfile, when non-nil, overrides the uniform cost with a
-	// per-processor one (indexed by ProcID, slot 0 unused) — heterogeneous
-	// hardware, where a slow processor saturates before its peers.
-	service    int64
-	svcProfile []int64
-	freeAt     []int64
-	nextSlot   []int64
+	// servers is the receiver-side service model, indexed by ProcID (slot 0
+	// unused).
+	servers []server
 
 	nextOp   OpID
 	ops      opTable
-	trackOps bool
 	tracing  bool
 	onOpDone func(*OpStats)
 	// doneQ holds operations completed by Release during a delivery that
@@ -84,6 +74,17 @@ type Network struct {
 
 	cur        ctx
 	inCallback bool
+}
+
+// server is one processor's receiver-side service state. cost is its
+// processing cost per network message in ticks (0 = messages are processed
+// instantly, the paper's pure latency model; a heterogeneous profile models
+// mixed hardware, where a slow processor saturates before its peers); freeAt
+// is the first tick at which it may process its next network message, and
+// nextSlot the next unreserved service slot (deferred deliveries each
+// reserve one, so a message is deferred at most once).
+type server struct {
+	cost, freeAt, nextSlot int64
 }
 
 // Option configures a Network.
@@ -102,13 +103,6 @@ func WithLatency(l Latency) Option {
 // WithTracing enables communication-DAG capture for every operation.
 func WithTracing() Option {
 	return func(nw *Network) { nw.tracing = true }
-}
-
-// WithoutOpStats disables per-operation bookkeeping (participant sets and
-// message counts). Cumulative per-processor loads are always tracked. Use
-// for the largest benchmark runs.
-func WithoutOpStats() Option {
-	return func(nw *Network) { nw.trackOps = false }
 }
 
 // WithMaxEvents overrides the event budget (default 500 million).
@@ -130,10 +124,7 @@ func WithMaxEvents(budget int64) Option {
 // throughput at 1/(f·s) operations per tick, so the bottleneck's message
 // load sets the saturation knee the open-loop engine measures.
 func WithServiceTime(s int64) Option {
-	if s < 0 {
-		panic(fmt.Sprintf("sim: negative service time %d", s))
-	}
-	return func(nw *Network) { nw.service, nw.svcProfile = s, nil }
+	return WithServiceProfile(func(ProcID) int64 { return s })
 }
 
 // WithFaults installs a deterministic, seeded fault-injection plan: message
@@ -166,15 +157,13 @@ func WithFaults(plan FaultPlan) Option {
 // option replaces an earlier one.
 func WithServiceProfile(cost func(p ProcID) int64) Option {
 	return func(nw *Network) {
-		profile := make([]int64, nw.n+1)
 		for p := 1; p <= nw.n; p++ {
 			c := cost(ProcID(p))
 			if c < 0 {
 				panic(fmt.Sprintf("sim: negative service time %d for processor %d", c, p))
 			}
-			profile[p] = c
+			nw.servers[p].cost = c
 		}
-		nw.service, nw.svcProfile = 0, profile
 	}
 }
 
@@ -191,10 +180,8 @@ func New(n int, proto Protocol, opts ...Option) *Network {
 		sent:      make([]int64, n+1),
 		recv:      make([]int64, n+1),
 		tracker:   loadstat.NewMaxTracker(n),
-		freeAt:    make([]int64, n+1),
-		nextSlot:  make([]int64, n+1),
+		servers:   make([]server, n+1),
 		maxEvents: 500_000_000,
-		trackOps:  true,
 	}
 	for _, opt := range opts {
 		opt(nw)
@@ -289,26 +276,11 @@ func (nw *Network) MaxLoad() (ProcID, int64) {
 // SumLoads/n is the true mean per-processor load mid-run.
 func (nw *Network) SumLoads() int64 { return nw.tracker.Sum() }
 
-// ServiceTime returns the uniform per-message processing cost configured
-// with WithServiceTime (0 = instantaneous processing, or a heterogeneous
-// profile — see ServiceTimeOf).
-func (nw *Network) ServiceTime() int64 { return nw.service }
-
-// ServiceTimeOf returns the per-message processing cost of processor p:
-// its WithServiceProfile entry when a profile is configured, the uniform
-// WithServiceTime cost otherwise.
+// ServiceTimeOf returns the per-message processing cost of processor p, as
+// configured by WithServiceTime or WithServiceProfile (0 = instantaneous).
 func (nw *Network) ServiceTimeOf(p ProcID) int64 {
 	nw.checkProc(p, "ServiceTimeOf")
-	return nw.svcOf(p)
-}
-
-// svcOf is ServiceTimeOf without the range check, for the delivery hot
-// path.
-func (nw *Network) svcOf(p ProcID) int64 {
-	if nw.svcProfile != nil {
-		return nw.svcProfile[p]
-	}
-	return nw.service
+	return nw.servers[p].cost
 }
 
 // NextAt returns the simulated time of the earliest queued event; ok is
@@ -318,8 +290,8 @@ func (nw *Network) NextAt() (int64, bool) {
 	return nw.queue.peekAt()
 }
 
-// OpStats returns the statistics of an operation, or nil if unknown (or if
-// op tracking is disabled).
+// OpStats returns the statistics of an operation, or nil if unknown (never
+// started, or dropped with ForgetOp).
 func (nw *Network) OpStats(id OpID) *OpStats { return nw.ops.get(id) }
 
 // FaultsActive reports whether a fault plan is installed.
@@ -332,14 +304,6 @@ func (nw *Network) FaultStats() FaultStats {
 		return FaultStats{}
 	}
 	return nw.faults.Stats()
-}
-
-// FaultPlanInstalled returns the installed plan and whether one exists.
-func (nw *Network) FaultPlanInstalled() (FaultPlan, bool) {
-	if nw.faults == nil {
-		return FaultPlan{}, false
-	}
-	return nw.faults.Plan(), true
 }
 
 // CurrentOp returns the id of the operation the currently executing delivery
@@ -360,13 +324,8 @@ func (nw *Network) CurrentOp() OpID {
 // busy with other operations. The handler runs outside any delivery
 // context, so it may call ScheduleOp (the closed-loop workload engine
 // admits its next request from here) but not Send. Passing nil removes the
-// handler. Requires op tracking (the default); panics under WithoutOpStats.
-func (nw *Network) OnOpDone(fn func(*OpStats)) {
-	if fn != nil && !nw.trackOps {
-		panic("sim: OnOpDone requires op tracking (remove WithoutOpStats)")
-	}
-	nw.onOpDone = fn
-}
+// handler.
+func (nw *Network) OnOpDone(fn func(*OpStats)) { nw.onOpDone = fn }
 
 // ForgetOp drops the bookkeeping of a finished operation so that long
 // workload runs do not accumulate per-op state. Forgetting an operation
@@ -411,14 +370,12 @@ func (nw *Network) ScheduleOp(at int64, p ProcID, start func(nw Transport, p Pro
 	}
 	nw.nextOp++
 	id := nw.nextOp
-	if nw.trackOps {
-		st := nw.ops.alloc(id, p, at, nw.n)
-		st.participants.add(int(p))
-		if nw.tracing {
-			st.DAG = trace.NewDAG(int(p))
-		}
-		nw.ops.put(id, st)
+	st := nw.ops.alloc(id, p, at, nw.n)
+	st.participants.add(int(p))
+	if nw.tracing {
+		st.DAG = trace.NewDAG(int(p))
 	}
+	nw.ops.put(id, st)
 	nw.seq++
 	nw.queue.push(&event{
 		at:    at,
@@ -689,13 +646,10 @@ func (nw *Network) Step() (bool, error) {
 	// FIFO with no starvation.
 	to := ProcID(e.to)
 	if e.start == nil && !e.local && !e.reserved {
-		if svc := nw.svcOf(to); svc > 0 {
-			if free := nw.freeAt[to]; free > e.at || nw.nextSlot[to] > free {
-				slot := free
-				if nw.nextSlot[to] > slot {
-					slot = nw.nextSlot[to]
-				}
-				nw.nextSlot[to] = slot + svc
+		if sv := &nw.servers[to]; sv.cost > 0 {
+			if free := sv.freeAt; free > e.at || sv.nextSlot > free {
+				slot := max(free, sv.nextSlot)
+				sv.nextSlot = slot + sv.cost
 				e.at = slot
 				e.reserved = true
 				nw.queue.push(&e)
@@ -723,8 +677,8 @@ func (nw *Network) Step() (bool, error) {
 		if !e.local {
 			nw.recv[to]++
 			nw.tracker.Add(int(to), 1)
-			if svc := nw.svcOf(to); svc > 0 {
-				nw.freeAt[to] = e.at + svc
+			if sv := &nw.servers[to]; sv.cost > 0 {
+				sv.freeAt = e.at + sv.cost
 			}
 			if st != nil && st.DAG != nil {
 				nw.cur.traceNode = st.DAG.AddEvent(int(to), int(e.parent))
@@ -843,22 +797,14 @@ func (nw *Network) Clone() (*Network, error) {
 		maxMsgBits:  nw.maxMsgBits,
 		events:      nw.events,
 		maxEvents:   nw.maxEvents,
-		service:     nw.service,
-		freeAt:      make([]int64, len(nw.freeAt)),
-		nextSlot:    make([]int64, len(nw.nextSlot)),
+		servers:     append([]server(nil), nw.servers...),
 		nextOp:      nw.nextOp,
 		ops:         opTable{floor: nw.nextOp, top: nw.nextOp},
-		trackOps:    nw.trackOps,
 		tracing:     nw.tracing,
 		faults:      nw.faults.Clone(),
 	}
 	copy(out.sent, nw.sent)
 	copy(out.recv, nw.recv)
-	copy(out.freeAt, nw.freeAt)
-	copy(out.nextSlot, nw.nextSlot)
-	if nw.svcProfile != nil {
-		out.svcProfile = append([]int64(nil), nw.svcProfile...)
-	}
 	return out, nil
 }
 

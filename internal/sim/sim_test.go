@@ -433,21 +433,6 @@ func TestStepAndPending(t *testing.T) {
 	}
 }
 
-func TestWithoutOpStats(t *testing.T) {
-	pp := &pingPong{}
-	nw := New(3, pp, WithoutOpStats())
-	id := nw.StartOp(1, startPing(2))
-	if err := nw.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if nw.OpStats(id) != nil {
-		t.Fatal("op stats present despite WithoutOpStats")
-	}
-	if nw.MessagesTotal() == 0 {
-		t.Fatal("cumulative accounting must still work")
-	}
-}
-
 func TestOpDoneAt(t *testing.T) {
 	pp := &pingPong{}
 	nw := New(3, pp)
@@ -647,16 +632,6 @@ func TestOnOpDoneClosedLoop(t *testing.T) {
 	if nw.Ops() != 5 {
 		t.Fatalf("Ops() = %d, want 5", nw.Ops())
 	}
-}
-
-func TestOnOpDoneRequiresOpTracking(t *testing.T) {
-	nw := New(2, &pingPong{}, WithoutOpStats())
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	nw.OnOpDone(func(*OpStats) {})
 }
 
 func TestForgetOp(t *testing.T) {

@@ -34,7 +34,7 @@ func CollectTimedValues(net *sim.Network, ops []sim.OpID, values []int) ([]Timed
 	for i, id := range ops {
 		st := net.OpStats(id)
 		if st == nil {
-			return nil, fmt.Errorf("verify: missing stats for op %d (op tracking disabled?)", id)
+			return nil, fmt.Errorf("verify: missing stats for op %d (operation forgotten?)", id)
 		}
 		out[i] = TimedValue{Op: id, Value: values[i], Start: st.StartedAt, End: st.DoneAt}
 	}

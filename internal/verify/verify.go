@@ -50,12 +50,12 @@ func Bijection(res *counter.RunResult) error {
 
 // HotSpot checks the Hot Spot Lemma over a run: every two operations
 // executed in direct succession have intersecting participant sets.
-// It requires the network to have op tracking enabled.
+// It needs every operation's stats still on the network (none forgotten).
 func HotSpot(net *sim.Network, res *counter.RunResult) error {
 	for i := 1; i < len(res.OpIDs); i++ {
 		prev, cur := net.OpStats(res.OpIDs[i-1]), net.OpStats(res.OpIDs[i])
 		if prev == nil || cur == nil {
-			return fmt.Errorf("verify: op stats missing (op tracking disabled?)")
+			return fmt.Errorf("verify: op stats missing (operation forgotten?)")
 		}
 		if !prev.SharesParticipant(cur) {
 			return fmt.Errorf("verify: hot spot violation between op %d (initiator %v, I=%v) and op %d (initiator %v, I=%v)",

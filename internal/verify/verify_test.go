@@ -70,11 +70,12 @@ func TestHotSpotOnRealRun(t *testing.T) {
 }
 
 func TestHotSpotNeedsOpTracking(t *testing.T) {
-	c := central.New(4, central.WithSimOptions(sim.WithoutOpStats()))
+	c := central.New(4)
 	res, err := counter.RunSequence(c, counter.SequentialOrder(4))
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.Net().ForgetOp(res.OpIDs[1])
 	if err := HotSpot(c.Net(), res); err == nil {
 		t.Fatal("HotSpot passed without op stats")
 	}
