@@ -50,6 +50,34 @@ func TestRunKeyedMigrationCLI(t *testing.T) {
 	}
 }
 
+// TestRunKeyedFaultsCLI: -faults composes with the keyed flags — every shard
+// runs under the plan, the lost messages wedge operations visibly, and the
+// keyed verification excuses what the faults explain.
+func TestRunKeyedFaultsCLI(t *testing.T) {
+	var b strings.Builder
+	err := run([]string{"-algo", "central", "-keys", "8", "-shards", "2", "-n", "8",
+		"-ops", "300", "-faults", "loss:0.1", "-verify"}, &b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res engine.Result
+	if err := json.Unmarshal([]byte(b.String()), &res); err != nil {
+		t.Fatalf("invalid JSON: %v", err)
+	}
+	for _, key := range []string{`"faults"`, `"wedged"`} {
+		if !strings.Contains(b.String(), key) {
+			t.Fatalf("keyed fault run's JSON carries no %s:\n%s", key, b.String())
+		}
+	}
+	if res.Faults == nil || res.Faults.Lost == 0 || res.Wedged == 0 {
+		t.Fatalf("faults %+v, wedged %d: want lost messages and wedged operations", res.Faults, res.Wedged)
+	}
+	if res.Ops+res.Wedged+res.Unserved != 300 || res.KeyedVerification == nil || res.Verification.Violations != 0 {
+		t.Fatalf("ops %d + wedged %d + unserved %d of 300, verification %+v",
+			res.Ops, res.Wedged, res.Unserved, res.Verification)
+	}
+}
+
 // TestKeyedFlagValidation: the keyed flag family's incompatibilities are
 // rejected before any simulation runs.
 func TestKeyedFlagValidation(t *testing.T) {
@@ -59,7 +87,6 @@ func TestKeyedFlagValidation(t *testing.T) {
 	}{
 		{[]string{"-keys", "0"}, "need -keys >= 1"},
 		{[]string{"-shards", "0"}, "need -shards >= 1"},
-		{[]string{"-keys", "8", "-faults", "loss:0.1"}, "does not compose"},
 		{[]string{"-keys", "8", "-scenario", "adversarial"}, "adversarial"},
 		{[]string{"-sweep", "-keys", "8"}, "-keys does not compose with -sweep"},
 		{[]string{"-study", "scaling", "-keys", "8"}, "does not compose with -study"},

@@ -74,7 +74,8 @@
 // and -migrate adds a dedicated hot shard of the given algorithm that a
 // detected hot key drains to and cuts over to mid-run. The report gains
 // per-key stats, migration events, and a per-shard keyed verification
-// that partitions each key's history by routing epoch.
+// that partitions each key's history by routing epoch. -faults composes:
+// every shard runs under the plan as given.
 //
 // -sweep and -study run a grid of such runs instead of one. Every grid is
 // one row of the study table in study.go: its name, the loop mode it pins,

@@ -17,15 +17,8 @@ import (
 // executes one engine run on the selected backend: the discrete-event
 // simulator or the rt runtime on real cores.
 func runOne(opt options, algo, scenario string) (*engine.Result, error) {
-	if opt.keyed() {
-		// The service layer shares one fate across its shards; fault plans
-		// and the adversarial replay both assume a single counter instance.
-		if opt.faults != "" {
-			return nil, fmt.Errorf("-faults does not compose with -keys/-shards (the service layer does not inject faults)")
-		}
-		if scenario == "adversarial" {
-			return nil, fmt.Errorf("scenario adversarial drives a single counter; it does not compose with -keys/-shards")
-		}
+	if opt.keyed() && scenario == "adversarial" {
+		return nil, fmt.Errorf("scenario adversarial drives a single counter; it does not compose with -keys/-shards")
 	}
 	rcfg, err := registryConfig(opt)
 	if err != nil {

@@ -12,6 +12,13 @@
 // completions by key, which is also how verification partitions histories
 // (internal/verify.EvaluateKeyed).
 //
+// A single counter is the degenerate service: Single wraps one counter as
+// one key on one shard, and the workload engine drives every run — one
+// counter or many — through a Service, so the backend is decided here and
+// nowhere downstream. Fault plans (registry.Config.Faults) reach every shard
+// as given: crash windows and churn name machines, and processor p is the
+// same machine in every shard (see Loads).
+//
 // Batching falls out of the shard abstraction rather than being a separate
 // queue: concurrent increments for different keys that share a
 // window-sensitive shard (combining, difftree) arrive at the same instance
@@ -90,8 +97,7 @@ type Config struct {
 	// set its length must equal Shards.
 	ShardAlgos []string
 	// Registry is the construction regime every shard is built with
-	// (window, sim options, backend, rt tuning). Faults are not supported
-	// through the service layer.
+	// (window, sim options, backend, service cost, fault plan).
 	Registry registry.Config
 	// Migration enables hotspot detection and the dedicated hot shard;
 	// nil disables migration.
@@ -111,26 +117,24 @@ type MigrationEvent struct {
 // completion sink (rt, DeliverTo) delivers completions. Not safe for
 // concurrent use; the engine drivers own it from one goroutine.
 type Service struct {
-	keys   int
 	n      int
 	base   int // home shard count (hot shard, if any, is shard index base)
-	shards []counter.Valued
-	algos  []string
-	nets   []*sim.Network // per shard; nil entries on the rt backend
-	rts    []*rt.Runtime  // per shard; nil entries on the sim backend
+	shards []shard
+	// Every shard runs on the one backend, so exactly one of these holds a
+	// handle per shard and the other is empty.
+	nets []*sim.Network
+	rts  []*rt.Runtime
+	// rtSent, rtRecv are the scratch one rt shard's loads are snapshotted
+	// into on their way into a Loads sum.
+	rtSent, rtRecv []int64
 
-	route    []int // key -> shard
-	epoch    []int // key -> routing epoch, bumped at cutover
-	frozen   []bool
-	inflight []int // in-flight ops per key
-	keyOps   []int // completed ops per key, lifetime
-	// keyOf[shard][p] is the key of the one operation processor p may have
-	// in flight on that shard.
-	keyOf [][]int
+	keys []keyState
+	// keyOf[shard*(n+1)+p] is the key of the one operation processor p may
+	// have in flight on that shard.
+	keyOf []int
 
 	mig       *Migration
 	hot       int // hot shard index, -1 without migration
-	winCount  []int
 	winTotal  int
 	moves     int
 	completed int
@@ -139,6 +143,22 @@ type Service struct {
 	now       int64 // merged simulated clock (max stepped event time)
 	done      func(shard, key, epoch int, st *sim.OpStats)
 	onMigrate func(MigrationEvent)
+}
+
+// shard is one counter instance of the service.
+type shard struct {
+	c    counter.Valued
+	algo string
+}
+
+// keyState is one key's routing and accounting.
+type keyState struct {
+	shard    int // the shard the key routes to
+	epoch    int // routing epoch, bumped at cutover
+	frozen   bool
+	inflight int // in-flight ops
+	ops      int // completed ops, lifetime
+	win      int // completions in the current hotspot window
 }
 
 // New builds the service: every home shard (plus the hot shard when
@@ -167,9 +187,6 @@ func New(cfg Config) (*Service, error) {
 		}
 		copy(algos, cfg.ShardAlgos)
 	}
-	if cfg.Registry.Faults != nil {
-		return nil, fmt.Errorf("countersvc: fault injection is not supported through the service layer")
-	}
 	var mig *Migration
 	if cfg.Migration != nil {
 		m, err := cfg.Migration.withDefaults()
@@ -180,56 +197,81 @@ func New(cfg Config) (*Service, error) {
 		algos = append(algos, m.To)
 	}
 
-	s := &Service{
-		keys:   cfg.Keys,
-		n:      cfg.N,
-		base:   cfg.Shards,
-		algos:  algos,
-		mig:    mig,
-		hot:    -1,
-		shards: make([]counter.Valued, len(algos)),
-		nets:   make([]*sim.Network, len(algos)),
-		rts:    make([]*rt.Runtime, len(algos)),
-		keyOf:  make([][]int, len(algos)),
-	}
-	if mig != nil {
-		s.hot = len(algos) - 1
-		s.winCount = make([]int, cfg.Keys)
-	}
-	rtBackend := cfg.Registry.Backend == "rt"
+	s := newService(cfg.Keys, cfg.N, cfg.Shards, len(algos), mig)
 	for i, name := range algos {
 		c, err := registry.NewWith(name, cfg.N, cfg.Registry)
 		if err != nil {
 			return nil, fmt.Errorf("countersvc: shard %d: %w", i, err)
 		}
-		v, ok := c.(counter.Valued)
-		if !ok {
-			return nil, fmt.Errorf("countersvc: shard %d algorithm %q is not value-readable", i, name)
+		if err := s.attach(i, name, c); err != nil {
+			return nil, err
 		}
-		if c.N() < cfg.N {
-			return nil, fmt.Errorf("countersvc: shard %d algorithm %q built %d < %d processors", i, name, c.N(), cfg.N)
-		}
-		s.shards[i] = v
-		s.keyOf[i] = make([]int, c.N()+1)
-		if rtBackend {
-			s.rts[i] = c.(*rt.Runtime)
-		} else {
-			nw := c.Net()
-			s.nets[i] = nw
-			shard := i
-			nw.OnOpDone(func(st *sim.OpStats) { s.noteDone(shard, st) })
-		}
-	}
-
-	s.route = make([]int, cfg.Keys)
-	s.epoch = make([]int, cfg.Keys)
-	s.frozen = make([]bool, cfg.Keys)
-	s.inflight = make([]int, cfg.Keys)
-	s.keyOps = make([]int, cfg.Keys)
-	for k := range s.route {
-		s.route[k] = s.HomeShard(k)
 	}
 	return s, nil
+}
+
+// Single wraps one counter, built on either backend, as a service of one key
+// on one shard — the form the engine drives a single counter in. The
+// counter must be fresh: the service's clock, loads and completions all
+// start from an unused one (and an rt runtime that has run is closed).
+func Single(c counter.Async) (*Service, error) {
+	s := newService(1, c.N(), 1, 1, nil)
+	if err := s.attach(0, c.Name(), c); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// newService lays out the routing state of a service of the given number of
+// shards, every key on its home shard; attach fills in the shards.
+func newService(keys, n, base, shards int, mig *Migration) *Service {
+	s := &Service{
+		n:      n,
+		base:   base,
+		mig:    mig,
+		hot:    -1,
+		shards: make([]shard, shards),
+		keys:   make([]keyState, keys),
+		keyOf:  make([]int, shards*(n+1)),
+	}
+	if mig != nil {
+		s.hot = shards - 1
+	}
+	for k := range s.keys {
+		s.keys[k].shard = s.HomeShard(k)
+	}
+	return s
+}
+
+// attach installs c, built as algorithm algo, as shard i — shards are
+// attached in index order — and hooks its completions on the sim backend.
+func (s *Service) attach(i int, algo string, c counter.Async) error {
+	v, ok := c.(counter.Valued)
+	if !ok {
+		return fmt.Errorf("countersvc: shard %d algorithm %q does not expose per-operation values (counter.Valued)", i, c.Name())
+	}
+	if c.N() < s.n {
+		return fmt.Errorf("countersvc: shard %d algorithm %q built %d < %d processors", i, c.Name(), c.N(), s.n)
+	}
+	r, isRT := c.(*rt.Runtime)
+	nw := c.Net()
+	switch {
+	case !isRT && nw == nil:
+		return fmt.Errorf("countersvc: counter %q has no simulated network to drive", c.Name())
+	case isRT && r.Ops() != 0, !isRT && (nw.Now() != 0 || nw.Ops() != 0):
+		return fmt.Errorf("countersvc: %s has already run; build a fresh counter, runtime or service per run", c.Name())
+	}
+	s.shards[i] = shard{c: v, algo: algo}
+	if isRT {
+		s.rts = append(s.rts, r)
+	} else {
+		if s.nets == nil {
+			s.nets = make([]*sim.Network, 0, len(s.shards))
+		}
+		s.nets = append(s.nets, nw)
+		nw.OnOpDone(func(st *sim.OpStats) { s.noteDone(i, st) })
+	}
+	return nil
 }
 
 // splitmix64 is the SplitMix64 finalizer — a deterministic, well-mixed
@@ -251,7 +293,7 @@ func (s *Service) HomeShard(key int) int {
 }
 
 // Keys returns the number of keys the service serves.
-func (s *Service) Keys() int { return s.keys }
+func (s *Service) Keys() int { return len(s.keys) }
 
 // N returns the per-shard processor count requests may target.
 func (s *Service) N() int { return s.n }
@@ -267,16 +309,10 @@ func (s *Service) BaseShards() int { return s.base }
 func (s *Service) HotShard() int { return s.hot }
 
 // Algo returns the algorithm name of a shard.
-func (s *Service) Algo(shard int) string { return s.algos[shard] }
+func (s *Service) Algo(shard int) string { return s.shards[shard].algo }
 
 // Counter returns a shard's counter instance.
-func (s *Service) Counter(shard int) counter.Valued { return s.shards[shard] }
-
-// Net returns a shard's simulated network, nil on the rt backend.
-func (s *Service) Net(shard int) *sim.Network { return s.nets[shard] }
-
-// RT returns a shard's runtime, nil on the sim backend.
-func (s *Service) RT(shard int) *rt.Runtime { return s.rts[shard] }
+func (s *Service) Counter(shard int) counter.Valued { return s.shards[shard].c }
 
 // DeliverTo merges the rt backend's completion streams into sink: every
 // shard runtime delivers under its shard index. A no-op on the sim backend.
@@ -284,29 +320,27 @@ func (s *Service) RT(shard int) *rt.Runtime { return s.rts[shard] }
 // sink to keep the service's routing state current.
 func (s *Service) DeliverTo(sink *rt.Sink) {
 	for shard, r := range s.rts {
-		if r != nil {
-			r.OnOpDone(func(d rt.OpDone) { sink.Put(shard, d) })
-		}
+		r.OnOpDone(func(d rt.OpDone) { sink.Put(shard, d) })
 	}
 }
 
 // RouteFor returns the shard a key currently routes to and whether the key
 // is open for admission (false while frozen for migration drain).
 func (s *Service) RouteFor(key int) (shard int, open bool) {
-	return s.route[key], !s.frozen[key]
+	return s.keys[key].shard, !s.keys[key].frozen
 }
 
 // Epoch returns a key's routing epoch: 0 until its first migration. An
 // operation's (key, epoch) recorded at Start identifies the one shard the
 // operation ran on — the drain protocol guarantees no op straddles a
 // cutover.
-func (s *Service) Epoch(key int) int { return s.epoch[key] }
+func (s *Service) Epoch(key int) int { return s.keys[key].epoch }
 
 // InFlight returns the number of in-flight operations of a key.
-func (s *Service) InFlight(key int) int { return s.inflight[key] }
+func (s *Service) InFlight(key int) int { return s.keys[key].inflight }
 
 // KeyOps returns the completed-operation count of a key.
-func (s *Service) KeyOps(key int) int { return s.keyOps[key] }
+func (s *Service) KeyOps(key int) int { return s.keys[key].ops }
 
 // Migrations returns the completed cutovers, in order.
 func (s *Service) Migrations() []MigrationEvent { return s.events }
@@ -315,7 +349,10 @@ func (s *Service) Migrations() []MigrationEvent { return s.events }
 // service's own bookkeeping (routing, migration) for the completed op.
 // epoch is the key's routing epoch the operation RAN at — captured before
 // any cutover its own completion triggered, so a verifier always files the
-// op under the shard that actually executed it.
+// op under the shard that actually executed it. The shard network has
+// already forgotten the operation (Network.ForgetOp), so a long run keeps no
+// per-operation record: read st before the handler starts another operation,
+// which may recycle it.
 func (s *Service) OnOpDone(fn func(shard, key, epoch int, st *sim.OpStats)) { s.done = fn }
 
 // OnMigrate registers a cutover observer (both backends).
@@ -324,21 +361,27 @@ func (s *Service) OnMigrate(fn func(MigrationEvent)) { s.onMigrate = fn }
 // Start injects one increment for key by processor p at absolute simulated
 // time at (on the rt backend: right now) and returns the shard it routed to
 // plus the shard-local operation id. Callers must respect RouteFor: a
-// frozen key must not be started, and at most one operation per (shard,
-// initiator) may be in flight.
+// frozen key must not be started, p must be one of the N() processors
+// requests may target, and at most one operation per (shard, initiator) may
+// be in flight.
 func (s *Service) Start(at int64, key int, p sim.ProcID) (shard int, id sim.OpID) {
-	shard = s.route[key]
-	if s.frozen[key] {
+	k := &s.keys[key]
+	if k.frozen {
 		panic(fmt.Sprintf("countersvc: Start on frozen key %d", key))
 	}
-	if s.rts[shard] != nil {
+	if p < 1 || int(p) > s.n {
+		panic(fmt.Sprintf("countersvc: Start by processor %d outside [1,%d]", p, s.n))
+	}
+	shard = k.shard
+	if len(s.rts) > 1 {
 		// The shard stamps the operation on its own clock: at is on the merged
-		// one (NowNs), which carries the shards' construction offsets.
+		// one (Now), which carries the shards' construction offsets. A lone
+		// runtime's clock is the merged one, so its caller's reading stands.
 		at = 0
 	}
-	id = s.shards[shard].Start(at, p)
-	s.keyOf[shard][p] = key
-	s.inflight[key]++
+	id = s.shards[shard].c.Start(at, p)
+	s.keyOf[shard*(s.n+1)+int(p)] = key
+	k.inflight++
 	return shard, id
 }
 
@@ -346,24 +389,27 @@ func (s *Service) Start(at int64, key int, p sim.ProcID) (shard int, id sim.OpID
 // in-flight accounting, hotspot detection, and the drain-triggered cutover.
 // It returns the op's key and the routing epoch it ran at (pre-cutover).
 func (s *Service) complete(shard int, initiator sim.ProcID) (key, epoch int) {
-	key = s.keyOf[shard][initiator]
-	epoch = s.epoch[key]
-	s.inflight[key]--
-	s.keyOps[key]++
+	key = s.keyOf[shard*(s.n+1)+int(initiator)]
+	k := &s.keys[key]
+	epoch = k.epoch
+	k.inflight--
+	k.ops++
 	s.completed++
 	if s.mig != nil {
 		s.observe(key)
 	}
-	if s.frozen[key] && s.inflight[key] == 0 {
+	if k.frozen && k.inflight == 0 {
 		s.cutover(key)
 	}
 	return key, epoch
 }
 
 // noteDone is the sim backend's completion hook: the bookkeeping, then the
-// OnOpDone observer.
+// OnOpDone observer. The shard network forgets the op first, so its record
+// is recycled by the next start — the handler's, if it starts one.
 func (s *Service) noteDone(shard int, st *sim.OpStats) {
 	key, epoch := s.complete(shard, st.Initiator)
+	s.nets[shard].ForgetOp(st.ID)
 	if s.done != nil {
 		s.done(shard, key, epoch, st)
 	}
@@ -381,17 +427,17 @@ func (s *Service) CompleteRT(d rt.Completion) (key, epoch int) {
 // of CheckEvery completions; at each window boundary the hottest key
 // migrates if its share clears HotShare.
 func (s *Service) observe(key int) {
-	s.winCount[key]++
+	s.keys[key].win++
 	s.winTotal++
 	if s.winTotal < s.mig.CheckEvery {
 		return
 	}
 	hotKey, hotCount := 0, 0
-	for k, c := range s.winCount {
-		if c > hotCount {
+	for k := range s.keys {
+		if c := s.keys[k].win; c > hotCount {
 			hotKey, hotCount = k, c
 		}
-		s.winCount[k] = 0
+		s.keys[k].win = 0
 	}
 	total := s.winTotal
 	s.winTotal = 0
@@ -401,24 +447,26 @@ func (s *Service) observe(key int) {
 	if float64(hotCount) < s.mig.HotShare*float64(total) {
 		return
 	}
-	if s.route[hotKey] == s.hot || s.frozen[hotKey] {
+	hk := &s.keys[hotKey]
+	if hk.shard == s.hot || hk.frozen {
 		return
 	}
-	s.frozen[hotKey] = true
-	if s.inflight[hotKey] == 0 {
+	hk.frozen = true
+	if hk.inflight == 0 {
 		s.cutover(hotKey)
 	}
 }
 
 // cutover flips a drained, frozen key to the hot shard and bumps its epoch.
 func (s *Service) cutover(key int) {
-	if s.inflight[key] != 0 {
-		panic(fmt.Sprintf("countersvc: cutover of key %d with %d ops in flight", key, s.inflight[key]))
+	k := &s.keys[key]
+	if k.inflight != 0 {
+		panic(fmt.Sprintf("countersvc: cutover of key %d with %d ops in flight", key, k.inflight))
 	}
-	ev := MigrationEvent{Key: key, From: s.route[key], To: s.hot, AtCompleted: s.completed}
-	s.route[key] = s.hot
-	s.epoch[key]++
-	s.frozen[key] = false
+	ev := MigrationEvent{Key: key, From: k.shard, To: s.hot, AtCompleted: s.completed}
+	k.shard = s.hot
+	k.epoch++
+	k.frozen = false
 	s.moves++
 	s.events = append(s.events, ev)
 	if s.onMigrate != nil {
@@ -429,26 +477,20 @@ func (s *Service) cutover(key int) {
 // NextAt returns the earliest queued event time across all shard networks
 // (sim backend); ok is false at global quiescence.
 func (s *Service) NextAt() (int64, bool) {
-	best, ok := int64(0), false
-	for _, nw := range s.nets {
-		if at, have := nw.NextAt(); have && (!ok || at < best) {
-			best, ok = at, true
-		}
+	if len(s.nets) == 1 {
+		return s.nets[0].NextAt()
 	}
-	return best, ok
+	shard, at := s.earliest()
+	return at, shard >= 0
 }
 
-// Step delivers the globally earliest queued event (ties broken by lowest
-// shard index, keeping the merged schedule deterministic); ok is false at
-// global quiescence.
+// Step delivers the globally earliest queued event; ok is false at global
+// quiescence. One network needs no merge and steps directly.
 func (s *Service) Step() (bool, error) {
-	shard := -1
-	var at int64
-	for i, nw := range s.nets {
-		if t, have := nw.NextAt(); have && (shard < 0 || t < at) {
-			shard, at = i, t
-		}
+	if len(s.nets) == 1 {
+		return s.nets[0].Step()
 	}
+	shard, at := s.earliest()
 	if shard < 0 {
 		return false, nil
 	}
@@ -464,6 +506,19 @@ func (s *Service) Step() (bool, error) {
 	return true, nil
 }
 
+// earliest returns the shard holding the globally earliest queued event and
+// that event's time, ties broken by lowest shard index to keep the merged
+// schedule deterministic; shard is -1 at global quiescence.
+func (s *Service) earliest() (shard int, at int64) {
+	shard = -1
+	for i, nw := range s.nets {
+		if t, have := nw.NextAt(); have && (shard < 0 || t < at) {
+			shard, at = i, t
+		}
+	}
+	return shard, at
+}
+
 // Run steps the merged event loop to global quiescence.
 func (s *Service) Run() error {
 	for {
@@ -477,71 +532,110 @@ func (s *Service) Run() error {
 	}
 }
 
-// Now returns the merged simulated clock: the time of the latest delivered
-// event across all shards (never decreasing).
-func (s *Service) Now() int64 { return s.now }
-
-// NowNs returns the rt backend's merged wall clock: the max of the shard
-// runtimes' NowNs. Each runtime's clock is relative to its own start, so
-// the merged clock carries the (microsecond-scale) construction offsets —
-// fine for measure-window bookkeeping, and verification never compares
-// timestamps across shards (shard and (key, epoch) partitions are both
-// within one runtime).
-func (s *Service) NowNs() int64 {
-	var max int64
-	for _, r := range s.rts {
-		if r != nil {
-			if t := r.NowNs(); t > max {
-				max = t
-			}
-		}
+// Now returns the service's clock on its backend. On the simulator it is
+// the merged clock, the time of the latest delivered event across all
+// shards (never decreasing). On rt it is wall-clock nanoseconds, the max of
+// the shard runtimes' NowNs: each runtime's clock is relative to its own
+// start, so the merged clock carries the (microsecond-scale) construction
+// offsets — fine for measure-window bookkeeping, and verification never
+// compares timestamps across shards (shard and (key, epoch) partitions are
+// both within one runtime).
+func (s *Service) Now() int64 {
+	if len(s.nets) == 1 {
+		return s.nets[0].Now()
 	}
-	return max
+	return s.mergedNow()
+}
+
+// mergedNow is Now past its one-network case, split off so that case
+// inlines into the engine's loop, which reads the clock per event.
+func (s *Service) mergedNow() int64 {
+	now := s.now
+	for _, r := range s.rts {
+		now = max(now, r.NowNs())
+	}
+	return now
 }
 
 // MessagesTotal sums network messages across all shards.
 func (s *Service) MessagesTotal() int64 {
 	var total int64
-	for i := range s.shards {
-		if s.rts[i] != nil {
-			total += s.rts[i].MessagesTotal()
-		} else {
-			total += s.nets[i].MessagesTotal()
-		}
+	for _, nw := range s.nets {
+		total += nw.MessagesTotal()
+	}
+	for _, r := range s.rts {
+		total += r.MessagesTotal()
 	}
 	return total
 }
 
-// Loads returns per-processor sent and received message counts summed
-// across shards: processor p is the same machine in every shard's network,
-// so its load is its total traffic over all protocols it participates in.
-func (s *Service) Loads() (sent, recv []int64) {
-	sent = make([]int64, s.n+1)
-	recv = make([]int64, s.n+1)
-	add := func(dst []int64, src []int64) {
-		for p := 0; p < len(src) && p < len(dst); p++ {
-			dst[p] += src[p]
-		}
+// Loads writes the per-processor sent and received message counts summed
+// across shards into sent and recv, replacing a slice shorter than N()+1
+// (nil) with a fresh one, and returns them: processor p is the same machine
+// in every shard's network, so its load is its total traffic over all
+// protocols it participates in. A sampler that passes its previous result
+// back allocates nothing.
+func (s *Service) Loads(sent, recv []int64) ([]int64, []int64) {
+	sent, recv = zeroed(sent, s.n+1), zeroed(recv, s.n+1)
+	for _, nw := range s.nets {
+		add(sent, nw.Sent())
+		add(recv, nw.Recv())
 	}
-	for i := range s.shards {
-		if s.rts[i] != nil {
-			sSent, sRecv := s.rts[i].Loads()
-			add(sent, sSent)
-			add(recv, sRecv)
-		} else {
-			add(sent, s.nets[i].Sent())
-			add(recv, s.nets[i].Recv())
-		}
+	for _, r := range s.rts {
+		s.rtSent, s.rtRecv = r.Loads(s.rtSent, s.rtRecv)
+		add(sent, s.rtSent)
+		add(recv, s.rtRecv)
 	}
 	return sent, recv
 }
 
-// Close shuts down rt-backend runtimes; a no-op on the sim backend. Must be
-// called at quiescence.
-func (s *Service) Close() {
+// zeroed returns v cleared to length n, or a fresh slice when v is shorter.
+func zeroed(v []int64, n int) []int64 {
+	if len(v) < n {
+		return make([]int64, n)
+	}
+	v = v[:n]
+	clear(v)
+	return v
+}
+
+// add accumulates src into dst over the processors both cover.
+func add(dst, src []int64) {
+	for p := range min(len(dst), len(src)) {
+		dst[p] += src[p]
+	}
+}
+
+// FaultStats sums the fault events fired so far over all shards, and reports
+// whether any shard has a fault plan installed.
+func (s *Service) FaultStats() (stats sim.FaultStats, active bool) {
+	sum := func(st sim.FaultStats) {
+		stats.Lost += st.Lost
+		stats.Duplicated += st.Duplicated
+		stats.CrashDropped += st.CrashDropped
+		stats.CrashDeferred += st.CrashDeferred
+		stats.TimersCancelled += st.TimersCancelled
+	}
+	for _, nw := range s.nets {
+		active = active || nw.FaultsActive()
+		sum(nw.FaultStats())
+	}
 	for _, r := range s.rts {
-		if r != nil {
-			r.Close()
+		active = active || r.FaultsActive()
+		if r.FaultFired() { // the lock-free latch: no injector lock until something fired
+			sum(r.FaultStats())
 		}
+	}
+	return stats, active
+}
+
+// Close detaches the service from its shard networks and shuts down the
+// shard runtimes. Must be called at quiescence.
+func (s *Service) Close() {
+	for _, nw := range s.nets {
+		nw.OnOpDone(nil)
+	}
+	for _, r := range s.rts {
+		r.Close()
 	}
 }

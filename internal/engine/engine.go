@@ -26,13 +26,13 @@
 // message load becomes a throughput ceiling, and the open-loop ramp makes
 // the paper's prediction observable as a saturation point.
 //
-// Each loop is written once (loop.go) against the substrate interface
-// (substrate.go), with three adapters. Run drives a single counter on the
-// backend it was built on: a simulator-backed one in ticks, exactly
-// reproducible per scenario seed, the real-hardware rt.Runtime in wall-clock
-// ns and ops/sec (RunWall is that path's typed entry). RunKeyed drives the
-// sharded countersvc.Service on either backend. One metrics type derives every
-// report field from the substrate's clock and loads.
+// Each loop is written once (loop.go) against one adapter (service.go) over
+// the sharded countersvc.Service: RunKeyed drives a service, and Run drives a
+// single counter as the service's one-key, one-shard case
+// (countersvc.Single), on the backend it was built on — a simulator-backed
+// counter in ticks, exactly reproducible per scenario seed, the
+// real-hardware rt.Runtime in wall-clock ns and ops/sec. One metrics type
+// derives every report field from the service's clock and loads.
 //
 // See docs/ARCHITECTURE.md for where the engine sits between internal/workload
 // and internal/engine/report, and docs/EXPERIMENTS.md for a runnable cookbook.
@@ -164,8 +164,8 @@ func (cfg Config) withDefaults() Config {
 
 // Sample is one point of the bottleneck-load time series, taken after a
 // completion. Loads are cumulative since the start of the run (the paper's
-// m_p is monotone); sampling costs O(1) via the simulator's incremental
-// max-load tracker.
+// m_p is monotone); a sample is one allocation-free O(n) scan of them, at the
+// stride Config.SampleEvery sets.
 type Sample struct {
 	// SimTime is the simulated time of the completion that triggered the
 	// sample.
@@ -336,72 +336,40 @@ type KeyStat struct {
 // exhausted and every admitted operation has completed, in the mode
 // selected by cfg, on whichever backend the counter was built on: a
 // simulator-backed counter runs in simulated ticks, an *rt.Runtime in wall
-// time (see RunWall).
+// time. The scenario's tick-denominated arrival times are then scaled by the
+// runtime's tick duration and paced in real time, so the same generator
+// offers the same logical load to both backends, and the result reports
+// wall-clock nanoseconds and operations per second (Result.Wall).
 func Run(c counter.Async, gen workload.Generator, cfg Config) (*Result, error) {
-	if r, ok := c.(*rt.Runtime); ok {
-		return RunWall(r, gen, cfg)
+	svc, err := countersvc.Single(c)
+	if err != nil {
+		return nil, fmt.Errorf("engine: %w", err)
 	}
-	cfg = cfg.withDefaults()
-	net := c.Net()
-	if net == nil {
-		return nil, fmt.Errorf("engine: counter %q has no simulated network to drive", c.Name())
-	}
-	valued, _ := c.(counter.Valued)
-	var vf *verifier
-	if cfg.Verify {
-		// Every implementation in this repository is counter.Valued; the
-		// error guards external implementations driven through the public
-		// API.
-		if valued == nil {
-			return nil, fmt.Errorf("engine: verification needs per-operation values, which %q does not expose (counter.Valued)", c.Name())
-		}
-		vf = &verifier{guarantee: valued.Guarantee()}
-	}
-	res := &Result{Algorithm: c.Name(), N: c.N()}
-	return drive(&simCounter{c: c, net: net, valued: valued}, res, gen, cfg, vf)
+	return drive(svc, &Result{Algorithm: c.Name(), N: c.N()}, gen, cfg)
 }
 
-// RunWall is Run for a counter already known to be an rt runtime — the
-// wall-clock path. The scenario's tick-denominated arrival times are scaled
-// by the runtime's tick duration and paced in real time, so the same
-// generator offers the same logical load to both backends; the result
-// reports wall-clock nanoseconds and operations per second (Result.Wall).
+// RunWall is Run for a counter already known to be an rt runtime.
 func RunWall(r *rt.Runtime, gen workload.Generator, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	var vf *verifier
-	if cfg.Verify {
-		vf = &verifier{guarantee: r.Guarantee()}
-	}
-	res := &Result{Algorithm: r.Name(), N: r.N(), Wall: true, TickNs: r.Tick().Nanoseconds()}
-	return drive(&wallRuntime{r: r, stall: wallStall, wedgeIdle: cfg.WedgeIdle}, res, gen, cfg, vf)
+	return Run(r, gen, cfg)
 }
 
 // RunKeyed drives a multi-key counting service with a keyed scenario until
 // the generator is exhausted and every admitted operation has completed —
-// the service-layer analog of Run/RunWall. The admission discipline is
-// cfg.Mode's, with one addition: a key frozen for migration drain is held
-// at admission (closed loop: head-of-line; open loop: in its initiator's
-// queue) until the cutover reopens it. The backend follows the service's:
-// shards built on the rt backend are driven in real time and the result is
-// reported in wall units (Result.Wall), sim-backed shards run on the merged
-// deterministic event loop.
+// the service-layer analog of Run. The admission discipline is cfg.Mode's,
+// with one addition: a key frozen for migration drain is held at admission
+// (closed loop: head-of-line; open loop: in its initiator's queue) until the
+// cutover reopens it. The backend follows the service's: shards built on
+// the rt backend are driven in real time and the result is reported in wall
+// units (Result.Wall), sim-backed shards run on the merged deterministic
+// event loop.
 func RunKeyed(svc *countersvc.Service, gen workload.Generator, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	var vf *verifier
-	if cfg.Verify {
-		vf = &verifier{svc: svc}
-	}
-	res := &Result{
+	res, err := drive(svc, &Result{
 		Algorithm:  serviceLabel(svc),
 		N:          svc.N(),
 		Keys:       svc.Keys(),
 		Shards:     svc.Shards(),
 		ShardAlgos: shardAlgoList(svc),
-	}
-	if r := svc.RT(0); r != nil {
-		res.Wall, res.TickNs = true, r.Tick().Nanoseconds()
-	}
-	res, err := drive(&keyedService{svc: svc, wall: res.Wall}, res, gen, cfg, vf)
+	}, gen, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -461,7 +429,7 @@ func shardAlgoList(svc *countersvc.Service) []string {
 type source struct {
 	gen     workload.Generator
 	n       int
-	keys    int // key-space bound for keyed runs; 0 = unkeyed, keys ignored
+	keys    int // key-space bound for keyed runs; 0 = a single counter, every request on key 0
 	head    workload.Request
 	have    bool
 	arrival int64 // absolute arrival time of head, in scenario ticks
@@ -486,7 +454,9 @@ func (s *source) pull() {
 		s.have = false
 		return
 	}
-	if s.keys > 0 && (req.Key < 0 || req.Key >= s.keys) {
+	if s.keys == 0 {
+		req.Key = 0
+	} else if req.Key < 0 || req.Key >= s.keys {
 		s.err = fmt.Errorf("engine: scenario %q addresses key %d outside [0,%d)",
 			s.gen.Name(), req.Key, s.keys)
 		s.have = false

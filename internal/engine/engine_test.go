@@ -7,7 +7,9 @@ import (
 	"distcount/internal/counter"
 	"distcount/internal/counters/combining"
 	"distcount/internal/counters/difftree"
+	"distcount/internal/loadstat"
 	"distcount/internal/registry"
+	"distcount/internal/rng"
 	"distcount/internal/sim"
 	"distcount/internal/workload"
 )
@@ -442,6 +444,29 @@ func TestPercentileType7(t *testing.T) {
 	}
 	if s.P90 != 46.0 || s.P99 != 49.6 {
 		t.Fatalf("p90/p99 = %v/%v, want 46/49.6", s.P90, s.P99)
+	}
+}
+
+// TestScanPeakMatchesSummarize: the series' one-pass bottleneck scan agrees
+// with loadstat.Summarize on (bottleneck, max load, load sum) for random
+// sent/received vectors — small values, so ties are the common case, and the
+// all-zero vector, which reads processor 1.
+func TestScanPeakMatchesSummarize(t *testing.T) {
+	r := rng.New(7)
+	for i := 0; i < 2000; i++ {
+		n := 1 + r.Intn(12)
+		sent, recv := make([]int64, n+1), make([]int64, n+1)
+		if i > 0 {
+			for p := 1; p <= n; p++ {
+				sent[p], recv[p] = int64(r.Intn(3)), int64(r.Intn(3))
+			}
+		}
+		proc, load, sum := scanPeak(sent, recv)
+		want := loadstat.Summarize(sent, recv)
+		if proc != want.Bottleneck || load != want.MaxLoad || sum != want.SumLoads {
+			t.Fatalf("sent %v recv %v: scan = (p%d, %d, sum %d), Summarize = (p%d, %d, sum %d)",
+				sent, recv, proc, load, sum, want.Bottleneck, want.MaxLoad, want.SumLoads)
+		}
 	}
 }
 

@@ -3,6 +3,8 @@ package engine
 import (
 	"fmt"
 
+	"distcount/internal/countersvc"
+	"distcount/internal/rt"
 	"distcount/internal/sim"
 	"distcount/internal/workload"
 )
@@ -19,17 +21,18 @@ type flight struct {
 
 // run is the state of one engine run, shared by the two loops.
 type run struct {
-	s     substrate
+	s     service
 	cfg   Config
 	res   *Result
 	src   *source
-	scale int64 // substrate time units per scenario tick
+	scale int64 // service time units per scenario tick
 	vf    *verifier
 	m     *metrics
 
 	flights     []flight // per initiator
 	inFlight    int
 	sampleEvery int
+	seriesCap   int // the series' expected length, from the ops hint (0: unknown)
 
 	// Open loop only: every request in arrival order, and the record indices
 	// waiting per initiator (busy initiator or frozen key).
@@ -38,30 +41,37 @@ type run struct {
 	totalQueued int
 }
 
-// drive runs the scenario against the substrate in cfg.Mode and assembles
-// the report into res, whose identity fields (Algorithm, N, Keys, Wall, …)
-// the entry point has filled in.
-func drive(s substrate, res *Result, gen workload.Generator, cfg Config, vf *verifier) (*Result, error) {
+// drive runs the scenario against the service in cfg.Mode and assembles the
+// report into res, whose identity fields (Algorithm, N, and on a keyed run
+// Keys, Shards, ShardAlgos) the entry point has filled in; a run with no Keys
+// is a single counter's and reports as one.
+func drive(svc *countersvc.Service, res *Result, gen workload.Generator, cfg Config) (*Result, error) {
+	cfg = cfg.withDefaults()
+	r := &run{s: service{Service: svc, stall: wallStall, wedgeIdle: cfg.WedgeIdle}, cfg: cfg, res: res, scale: 1}
+	s := &r.s
 	if !s.fresh() {
 		return nil, fmt.Errorf("engine: %s has already run; build a fresh counter, runtime or service per run", res.Algorithm)
 	}
-	res.Scenario, res.Mode, res.Warmup = gen.Name(), cfg.Mode.String(), cfg.Warmup
-	r := &run{s: s, cfg: cfg, res: res, vf: vf, scale: 1}
-	if res.Wall {
+	if rtr, ok := svc.Counter(0).(*rt.Runtime); ok {
+		s.wall, res.Wall, res.TickNs = true, true, rtr.Tick().Nanoseconds()
 		r.scale = res.TickNs
 	}
+	res.Scenario, res.Mode, res.Warmup = gen.Name(), cfg.Mode.String(), cfg.Warmup
 	r.src = newSource(gen, res.N, res.Keys)
 	if r.src.err != nil {
 		return nil, r.src.err
 	}
 	hint := opsHint(cfg, gen)
 	r.m = newMetrics(res, cfg.Warmup)
-	if vf != nil {
-		vf.expect(hint)
+	if cfg.Verify {
+		r.vf = newVerifier(svc, res.Keys > 0, hint)
 	}
 	r.flights = make([]flight, res.N+1)
 	var thinAfter bool
 	r.sampleEvery, thinAfter = resolveStride(cfg, gen)
+	if !thinAfter {
+		r.seriesCap = hint/r.sampleEvery + 1
+	}
 
 	loop := r.closedLoop
 	if cfg.Mode == Open {
@@ -94,8 +104,8 @@ func drive(s substrate, res *Result, gen workload.Generator, cfg Config, vf *ver
 	if err := r.m.finalize(res, s, thinAfter); err != nil {
 		return nil, err
 	}
-	if vf != nil {
-		vf.attach(res)
+	if r.vf != nil {
+		r.vf.attach(res)
 	}
 	return res, nil
 }
@@ -139,7 +149,7 @@ func (r *run) admit() (until int64) {
 }
 
 // openLoop merges two timestamp-ordered streams: scenario arrivals and the
-// substrate's completions. Arrivals win ties, so each request's fate
+// service's completions. Arrivals win ties, so each request's fate
 // (inject, queue or drop) is decided with the pre-completion state of its
 // arrival instant — deterministically on the simulator, and as a real
 // open-loop frontend would see it.
@@ -214,13 +224,13 @@ func (r *run) feed(p sim.ProcID) {
 	}
 	r.queued[p] = q[1:]
 	r.totalQueued--
-	r.launch(head.arrival, r.s.now(), q[0], head.key, p)
+	r.launch(head.arrival, r.s.Now(), q[0], head.key, p)
 }
 
 // reopened runs when a cutover reopens a migrated key: initiators holding
 // its requests at their queue heads can move again. The closed loop needs
 // nothing — the completion that triggered the cutover re-admits.
-func (r *run) reopened() {
+func (r *run) reopened(countersvc.MigrationEvent) {
 	for p := 1; p < len(r.queued); p++ {
 		r.feed(sim.ProcID(p))
 	}
@@ -237,7 +247,7 @@ func (r *run) launch(arrival, now int64, rec, key int, p sim.ProcID) {
 	}
 	r.flights[p] = flight{busy: true, arrival: arrival, start: at, rec: rec}
 	r.inFlight++
-	r.s.start(at, key, p)
+	r.s.Start(at, key, p)
 }
 
 // complete is the completion handler of both loops. On the simulator it
@@ -256,12 +266,15 @@ func (r *run) complete(c completion) {
 	if f.rec >= 0 {
 		r.recs[f.rec].done = c.done
 	}
-	r.m.onDone(r.res, r.s, c.key, f.arrival, f.start, c.done)
+	r.m.onDone(r.res, &r.s, c.key, f.arrival, f.start, c.done)
 	if r.m.inFlight.due() {
 		r.m.inFlight.advance(r.frontier())
 	}
 	if r.m.completed%r.sampleEvery == 0 {
-		r.res.Series = append(r.res.Series, r.m.sample(r.res, r.s, r.inFlight, r.totalQueued))
+		if r.res.Series == nil {
+			r.res.Series = make([]Sample, 0, r.seriesCap)
+		}
+		r.res.Series = append(r.res.Series, r.m.sample(r.res, &r.s, r.inFlight, r.totalQueued))
 	}
 	if r.cfg.Mode == Open {
 		r.feed(c.proc)
@@ -275,7 +288,7 @@ func (r *run) complete(c completion) {
 // clock or after it. A completion may be reported late and out of done
 // order (rt), but it completes an operation that was in flight until now.
 func (r *run) frontier() int64 {
-	f := r.s.now()
+	f := r.s.Now()
 	for i := range r.flights {
 		if fl := &r.flights[i]; fl.busy && fl.start < f {
 			f = fl.start
@@ -290,7 +303,7 @@ func (r *run) frontier() int64 {
 // destroyed one of their events) and the requests behind them — queued, or
 // never pulled from the scenario — were never served.
 func (r *run) epilogue() error {
-	stats, active := r.s.faults()
+	stats, active := r.s.FaultStats()
 	if active {
 		r.res.Faults = &stats
 	}

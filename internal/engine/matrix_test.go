@@ -16,12 +16,20 @@ import (
 )
 
 // cell is one {backend} × {single, keyed} combination. build makes a fresh
-// substrate and returns the function that runs a scenario on it, so calling
-// that function twice is a reuse.
+// counter or service and returns the function that runs a scenario on it, so
+// calling that function twice is a reuse.
 type cell struct {
 	name        string
 	wall, keyed bool
-	build       func(t *testing.T) func(cfg Config) (*Result, error)
+	build       func(t *testing.T) func(gen workload.Generator, cfg Config) (*Result, error)
+}
+
+// gen is the matrix scenario, keyed on the keyed cells.
+func (c cell) gen(t *testing.T) workload.Generator {
+	if c.keyed {
+		return matrixGen(t, matrixKeys)
+	}
+	return matrixGen(t, 0)
 }
 
 const (
@@ -55,46 +63,46 @@ func matrixSvc(t *testing.T, backend string) *countersvc.Service {
 
 func matrixCells() []cell {
 	return []cell{
-		{name: "sim/single", build: func(t *testing.T) func(Config) (*Result, error) {
+		{name: "sim/single", build: func(t *testing.T) func(workload.Generator, Config) (*Result, error) {
 			c := mustAsync(t, "central", matrixN)
-			return func(cfg Config) (*Result, error) { return Run(c, matrixGen(t, 0), cfg) }
+			return func(gen workload.Generator, cfg Config) (*Result, error) { return Run(c, gen, cfg) }
 		}},
-		{name: "sim/keyed", keyed: true, build: func(t *testing.T) func(Config) (*Result, error) {
+		{name: "sim/keyed", keyed: true, build: func(t *testing.T) func(workload.Generator, Config) (*Result, error) {
 			svc := matrixSvc(t, "sim")
-			return func(cfg Config) (*Result, error) { return RunKeyed(svc, matrixGen(t, matrixKeys), cfg) }
+			return func(gen workload.Generator, cfg Config) (*Result, error) { return RunKeyed(svc, gen, cfg) }
 		}},
-		{name: "rt/single", wall: true, build: func(t *testing.T) func(Config) (*Result, error) {
+		{name: "rt/single", wall: true, build: func(t *testing.T) func(workload.Generator, Config) (*Result, error) {
 			c, err := registry.NewWith("central", matrixN, registry.Config{Backend: "rt", Window: registry.DefaultWindow})
 			if err != nil {
 				t.Fatal(err)
 			}
-			return func(cfg Config) (*Result, error) { return RunWall(c.(*rt.Runtime), matrixGen(t, 0), cfg) }
+			return func(gen workload.Generator, cfg Config) (*Result, error) { return RunWall(c.(*rt.Runtime), gen, cfg) }
 		}},
-		{name: "rt/keyed", wall: true, keyed: true, build: func(t *testing.T) func(Config) (*Result, error) {
+		{name: "rt/keyed", wall: true, keyed: true, build: func(t *testing.T) func(workload.Generator, Config) (*Result, error) {
 			svc := matrixSvc(t, "rt")
-			return func(cfg Config) (*Result, error) { return RunKeyed(svc, matrixGen(t, matrixKeys), cfg) }
+			return func(gen workload.Generator, cfg Config) (*Result, error) { return RunKeyed(svc, gen, cfg) }
 		}},
 	}
 }
 
 // TestLoopMatrix: every cell of {closed, open} × {sim, rt} × {single, keyed}
-// runs through the same two loops and one metrics type, so they all share
-// the report's structural invariants. The rt cells also check that nothing
-// survives the substrate's close: worker, clock and service goroutines
-// have all exited when the run returns.
+// runs through the same two loops, one adapter and one metrics type, so they
+// all share the report's structural invariants. The rt cells also check that
+// nothing survives the run's close: worker, clock and sink goroutines have
+// all exited when the run returns.
 func TestLoopMatrix(t *testing.T) {
 	for _, c := range matrixCells() {
 		for _, mode := range []Mode{Closed, Open} {
 			t.Run(c.name+"/"+mode.String(), func(t *testing.T) {
 				goroutines := runtime.NumGoroutine()
-				res, err := c.build(t)(Config{Mode: mode, InFlight: 3, Warmup: 10, Verify: true})
+				res, err := c.build(t)(c.gen(t), Config{Mode: mode, InFlight: 3, Warmup: 10, Verify: true})
 				if err != nil {
 					t.Fatal(err)
 				}
 				if c.wall {
 					for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; {
 						if time.Now().After(deadline) {
-							t.Fatalf("%d goroutines after the run, %d before the substrate was built", runtime.NumGoroutine(), goroutines)
+							t.Fatalf("%d goroutines after the run, %d before the runtime was built", runtime.NumGoroutine(), goroutines)
 						}
 						time.Sleep(time.Millisecond)
 					}
@@ -147,15 +155,20 @@ func TestLoopMatrix(t *testing.T) {
 	}
 }
 
-// silentWall binds a wallRuntime over a fresh central runtime on which nothing
-// ever starts, so the only completions are the ones a test puts into its
-// sink. done counts the completions the loop is handed.
-func silentWall(t *testing.T, stall, wedgeIdle time.Duration, plan *sim.FaultPlan) (w *wallRuntime, done *int) {
+// silentWall binds the engine's adapter over a fresh central runtime, wrapped
+// as the one-shard service a single run drives, on which nothing ever starts
+// unless the test starts it, so the only other completions are the ones a
+// test puts into its sink. done counts the completions the loop is handed.
+func silentWall(t *testing.T, stall, wedgeIdle time.Duration, plan *sim.FaultPlan) (w *service, done *int) {
 	c, err := registry.NewWith("central", 2, registry.Config{Backend: "rt", Window: registry.DefaultWindow, Faults: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w = &wallRuntime{r: c.(*rt.Runtime), stall: stall, wedgeIdle: wedgeIdle}
+	svc, err := countersvc.Single(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w = &service{Service: svc, wall: true, stall: stall, wedgeIdle: wedgeIdle}
 	done = new(int)
 	w.bind(func(completion) { *done++ }, nil)
 	t.Cleanup(w.close)
@@ -191,17 +204,17 @@ func TestAwaitWallLeavesTimerStopped(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			w, handled := silentWall(t, tc.stall, far, nil)
 			for i := 0; i < tc.ready; i++ {
-				w.sink.Put(0, rt.OpDone{DoneNs: w.now()})
+				w.sink.Put(0, rt.OpDone{DoneNs: w.Now()})
 			}
 			if tc.sendAfter > 0 {
 				go func() {
 					time.Sleep(tc.sendAfter)
-					w.sink.Put(0, rt.OpDone{DoneNs: w.now()})
+					w.sink.Put(0, rt.OpDone{DoneNs: w.Now()})
 				}()
 			}
 			until := int64(tc.until)
 			if until >= 0 {
-				until += w.now()
+				until += w.Now()
 			}
 			t0 := time.Now()
 			got, err := w.await(until)
@@ -211,7 +224,7 @@ func TestAwaitWallLeavesTimerStopped(t *testing.T) {
 			}
 			const next = 2 * time.Millisecond
 			t0 = time.Now()
-			if got, _ := w.await(w.now() + int64(next)); !got || time.Since(t0) < next || *handled != tc.handled {
+			if got, _ := w.await(w.Now() + int64(next)); !got || time.Since(t0) < next || *handled != tc.handled {
 				t.Fatalf("the next arrival wait returned %v after %v with %d handled, want true after %v with %d",
 					got, time.Since(t0), *handled, next, tc.handled)
 			}
@@ -229,7 +242,7 @@ func TestWallStallWatchdog(t *testing.T) {
 	const slop = 250 * time.Millisecond // a loaded CI box delays a timer callback
 	// awaitStall drives await until it reports a stall and checks when: the
 	// last sign of life fell between lifeFrom and lifeTo.
-	awaitStall := func(t *testing.T, w *wallRuntime, lifeFrom, lifeTo time.Time, timeout time.Duration) {
+	awaitStall := func(t *testing.T, w *service, lifeFrom, lifeTo time.Time, timeout time.Duration) {
 		t.Helper()
 		for {
 			ok, err := w.await(-1)
@@ -263,7 +276,7 @@ func TestWallStallWatchdog(t *testing.T) {
 				time.Sleep(gap)
 				widest.Store(max(widest.Load(), int64(time.Since(before))))
 				before = time.Now()
-				w.sink.Put(0, rt.OpDone{DoneNs: w.now()})
+				w.sink.Put(0, rt.OpDone{DoneNs: w.Now()})
 			}
 			last <- [2]time.Time{before, time.Now()}
 		}()
@@ -288,12 +301,12 @@ func TestWallStallWatchdog(t *testing.T) {
 		// Processor 2's first send — its request to the holder — is lost.
 		w, handled := silentWall(t, time.Hour, wedgeIdle, &sim.FaultPlan{DropNth: []sim.NthRule{{Proc: 2, Every: 1}}})
 		before := time.Now()
-		w.start(w.now(), 0, 1) // the holder's own increment: no message, completes
+		w.Start(w.Now(), 0, 1) // the holder's own increment: no message, completes
 		if ok, _ := w.await(-1); !ok || *handled != 1 {
 			t.Fatalf("await = %v with %d handled before any fault", ok, *handled)
 		}
-		w.start(w.now(), 0, 2)
-		for !w.r.FaultFired() {
+		w.Start(w.Now(), 0, 2)
+		for st, _ := w.FaultStats(); !st.Any(); st, _ = w.FaultStats() {
 			runtime.Gosched()
 		}
 		awaitStall(t, w, before, time.Now(), wedgeIdle)
@@ -303,28 +316,50 @@ func TestWallStallWatchdog(t *testing.T) {
 	})
 }
 
-// TestReuseRejected: all three entry points refuse a substrate that has
-// already run, with an error. The rt-backed service is the regression case:
-// its first run closes the shard runtimes, and before the shared freshness
-// check a second RunKeyed panicked with "rt: Start after Close".
+// TestReuseRejected: every entry point refuses a counter, runtime or service
+// that has already run, with an error. The rt-backed service is the
+// regression case: its first run closes the shard runtimes, and before the
+// shared freshness check a second RunKeyed panicked with "rt: Start after
+// Close".
 func TestReuseRejected(t *testing.T) {
 	for _, c := range matrixCells() {
 		t.Run(c.name, func(t *testing.T) {
 			run := c.build(t)
-			if _, err := run(Config{}); err != nil {
+			if _, err := run(c.gen(t), Config{}); err != nil {
 				t.Fatalf("first run: %v", err)
 			}
-			if _, err := run(Config{}); err == nil {
-				t.Fatal("reused substrate accepted")
+			if _, err := run(c.gen(t), Config{}); err == nil {
+				t.Fatal("reused counter or service accepted")
 			}
 		})
 	}
 }
 
-// TestSingleCounterIsOneKeyService pins the claim the substrate interface
-// rests on: a single counter is the degenerate 1-key, 1-shard, always-open
-// service. The same seeded scenario through Run on central and through
-// RunKeyed on a 1-key/1-shard central service yields the same report.
+// TestZeroLoadSampleReadsProcessorOne: a series sample taken while every load
+// is still zero names processor 1, loadstat.Summarize's rule, on every cell.
+// The first operation is central's holder incrementing locally, which sends
+// no message.
+func TestZeroLoadSampleReadsProcessorOne(t *testing.T) {
+	for _, c := range matrixCells() {
+		t.Run(c.name, func(t *testing.T) {
+			gen := workload.Replay("holder first", []sim.ProcID{1, 2, 3}, 1)
+			res, err := c.build(t)(gen, Config{InFlight: 1, SampleEvery: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first := res.Series[0]; first.BottleneckLoad != 0 || first.Bottleneck != 1 {
+				t.Fatalf("first sample %+v, want the all-zero loads to read bottleneck 1", first)
+			}
+		})
+	}
+}
+
+// TestSingleCounterIsOneKeyService pins the claim the one adapter rests on:
+// a single counter is the degenerate 1-key, 1-shard, always-open service.
+// The same seeded scenario through Run on central and through RunKeyed on a
+// 1-key/1-shard central service yields the same report, while the single
+// run keeps its own identity: its algorithm's name, no keyed fields, and
+// the single-counter verification.
 func TestSingleCounterIsOneKeyService(t *testing.T) {
 	for _, mode := range []Mode{Closed, Open} {
 		const n = 8
@@ -351,6 +386,12 @@ func TestSingleCounterIsOneKeyService(t *testing.T) {
 			t.Fatalf("mode %v: single ops %d t=%d thr %v msgs %d, keyed ops %d t=%d thr %v msgs %d", mode,
 				single.Ops, single.SimTime, single.Throughput, single.Messages,
 				keyed.Ops, keyed.SimTime, keyed.Throughput, keyed.Messages)
+		}
+		if single.Algorithm != "central" || single.Keys != 0 || single.Shards != 0 || single.ShardAlgos != nil ||
+			single.PerKey != nil || single.KeyedVerification != nil || single.Verification.Property != "linearizable" {
+			t.Fatalf("mode %v: single run reports as a service: algorithm %q keys %d shards %d %v per-key %d keyed verification %v, property %q",
+				mode, single.Algorithm, single.Keys, single.Shards, single.ShardAlgos, len(single.PerKey),
+				single.KeyedVerification != nil, single.Verification.Property)
 		}
 		for _, f := range []struct {
 			name string

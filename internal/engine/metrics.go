@@ -8,8 +8,8 @@ import (
 )
 
 // metrics accumulates the per-completion measurements and derives the
-// result's aggregate fields. Both loops on every substrate report through
-// it, so no cell can drift in what it reports; the only substrate-dependent
+// result's aggregate fields. Both loops on either backend report through
+// it, so no cell can drift in what it reports; the only backend-dependent
 // inputs are the clock, the loads and the rate unit (Result.Wall).
 //
 // Only digests and a peak are reported, so neither a retained Result nor the
@@ -48,7 +48,7 @@ func newMetrics(res *Result, warmup int) *metrics {
 // the warmup boundary its end-to-end latency split into queueing delay
 // (arrival to injection) and service latency (injection to completion),
 // attributed to its key on keyed runs.
-func (m *metrics) onDone(res *Result, s substrate, key int, arrival, start, done int64) {
+func (m *metrics) onDone(res *Result, s *service, key int, arrival, start, done int64) {
 	m.completed++
 	m.inFlight.add(start, done)
 	if done > m.lastDone {
@@ -60,8 +60,8 @@ func (m *metrics) onDone(res *Result, s substrate, key int, arrival, start, done
 	if !m.measureBegan {
 		// The op crossing the boundary is the first measured one.
 		m.measureBegan = true
-		res.MeasureStart = s.now()
-		m.baseSent, m.baseRecv = s.loads()
+		res.MeasureStart = s.Now()
+		m.baseSent, m.baseRecv = s.Loads(nil, nil)
 	}
 	m.latency.add(done - arrival)
 	m.queueDelay.add(start - arrival)
@@ -73,10 +73,10 @@ func (m *metrics) onDone(res *Result, s substrate, key int, arrival, start, done
 }
 
 // sample takes one bottleneck-series point.
-func (m *metrics) sample(res *Result, s substrate, inFlight, queueDepth int) Sample {
+func (m *metrics) sample(res *Result, s *service, inFlight, queueDepth int) Sample {
 	proc, load, sum := s.peak()
 	return Sample{
-		SimTime:        s.now(),
+		SimTime:        s.Now(),
 		Completed:      m.completed,
 		Bottleneck:     proc,
 		BottleneckLoad: load,
@@ -86,11 +86,12 @@ func (m *metrics) sample(res *Result, s substrate, inFlight, queueDepth int) Sam
 	}
 }
 
-// scanPeak finds the bottleneck of a load snapshot in O(n) — the fallback
-// for substrates without the simulator's O(1) incremental tracker; series
-// points are taken at a thinned stride, so the scan stays off the per-op
-// path.
+// scanPeak finds the bottleneck of a load snapshot in O(n), by
+// loadstat.Summarize's rule: the smallest processor id at the maximum load,
+// processor 1 when every load is zero. Series points are taken at a thinned
+// stride, so the scan stays off the per-op path.
 func scanPeak(sent, recv []int64) (proc int, load, sum int64) {
+	proc = 1
 	for p := 1; p < len(sent); p++ {
 		l := sent[p] + recv[p]
 		sum += l
@@ -102,7 +103,7 @@ func scanPeak(sent, recv []int64) (proc int, load, sum int64) {
 }
 
 // finalize derives the aggregate report fields once the run has drained.
-func (m *metrics) finalize(res *Result, s substrate, thinAfter bool) error {
+func (m *metrics) finalize(res *Result, s *service, thinAfter bool) error {
 	res.Ops = m.completed
 	res.Measured = m.latency.n
 	if res.Measured == 0 && res.Wedged == 0 {
@@ -113,14 +114,14 @@ func (m *metrics) finalize(res *Result, s substrate, thinAfter bool) error {
 		return fmt.Errorf("engine: warmup %d consumed all %d operations", m.warmup, m.completed)
 	}
 	res.SimTime = m.lastDone
-	res.Messages = s.messages()
+	res.Messages = s.MessagesTotal()
 	res.PeakInFlight = m.inFlight.finish()
 	if thinAfter {
 		res.Series = thinSeries(res.Series, 64)
 	}
 	// Measure-window loads: final loads minus the snapshot at the warmup
 	// boundary (no snapshot when there was no warmup).
-	sent, recv := s.loads()
+	sent, recv := s.Loads(nil, nil)
 	if m.baseSent != nil {
 		for p := range sent {
 			sent[p] -= m.baseSent[p]

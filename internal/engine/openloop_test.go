@@ -292,8 +292,8 @@ func TestOpenLoopAllAsyncAlgos(t *testing.T) {
 }
 
 // TestSeriesTrackerMatchesSummarize: the series' final bottleneck sample —
-// produced by the incremental tracker — agrees with a full SummarizeLoads
-// rescan of the network's final load vector.
+// produced by the service's load scan — agrees with a full SummarizeLoads of
+// the network's final load vector.
 func TestSeriesTrackerMatchesSummarize(t *testing.T) {
 	c := mustAsync(t, "central", 12)
 	gen := mustScenario(t, "hotspot", workload.Config{N: 12, Ops: 240, Seed: 6})

@@ -86,7 +86,7 @@ func TestCrossBackendEquivalence(t *testing.T) {
 			}
 			// The runtime keeps no total of its own: it is the sum of the
 			// per-processor sent counts, and the report's figure is that sum.
-			sent, _ := r.Loads()
+			sent, _ := r.Loads(nil, nil)
 			var sum int64
 			for _, s := range sent {
 				sum += s
@@ -353,7 +353,7 @@ func TestCrossBackendServiceProfile(t *testing.T) {
 			}
 			var recv []int64
 			if r, ok := c.(*rt.Runtime); ok {
-				_, recv = r.Loads()
+				_, recv = r.Loads(nil, nil)
 			} else {
 				recv = c.Net().Recv()
 			}

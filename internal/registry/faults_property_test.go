@@ -2,7 +2,9 @@ package registry_test
 
 import (
 	"testing"
+	"time"
 
+	"distcount/internal/countersvc"
 	"distcount/internal/engine"
 	"distcount/internal/registry"
 	"distcount/internal/rng"
@@ -85,25 +87,109 @@ func TestFaultPropertyNoSilentFailures(t *testing.T) {
 					t.Fatalf("run under %+v: %v", plan, err)
 				}
 
-				v := res.Verification
-				if v == nil {
-					t.Fatal("no verification report")
-				}
-				if v.Violations != 0 {
-					t.Errorf("plan %+v: %d violations (first: %s) — a fault-injected run must stay correct or stall visibly",
-						plan, v.Violations, v.First)
-				}
-				if v.Excused > 0 && !v.FaultsFired {
-					t.Errorf("plan %+v: %d anomalies excused but no fault on record", plan, v.Excused)
-				}
-				if got := res.Ops + res.Wedged + res.Unserved; got != ops {
-					t.Errorf("plan %+v: ops %d + wedged %d + unserved %d = %d, want %d — operations leaked",
-						plan, res.Ops, res.Wedged, res.Unserved, got, ops)
-				}
-				if res.Wedged > 0 && (res.Faults == nil || !res.Faults.Any()) {
-					t.Errorf("plan %+v: %d operations wedged with no fault on record", plan, res.Wedged)
-				}
+				checkNoSilentFailures(t, plan, res, ops)
 			})
 		}
 	}
+}
+
+// checkNoSilentFailures asserts the fault layer's four invariants on one run:
+// no violation, anomalies excused only with faults on record, every request
+// completed, wedged or unserved, and wedged operations only with faults on
+// record.
+func checkNoSilentFailures(t *testing.T, plan sim.FaultPlan, res *engine.Result, ops int) {
+	t.Helper()
+	v := res.Verification
+	if v == nil {
+		t.Fatal("no verification report")
+	}
+	if v.Violations != 0 {
+		t.Errorf("plan %+v: %d violations (first: %s) — a fault-injected run must stay correct or stall visibly",
+			plan, v.Violations, v.First)
+	}
+	if v.Excused > 0 && !v.FaultsFired {
+		t.Errorf("plan %+v: %d anomalies excused but no fault on record", plan, v.Excused)
+	}
+	if got := res.Ops + res.Wedged + res.Unserved; got != ops {
+		t.Errorf("plan %+v: ops %d + wedged %d + unserved %d = %d, want %d — operations leaked",
+			plan, res.Ops, res.Wedged, res.Unserved, got, ops)
+	}
+	if res.Wedged > 0 && (res.Faults == nil || !res.Faults.Any()) {
+		t.Errorf("plan %+v: %d operations wedged with no fault on record", plan, res.Wedged)
+	}
+}
+
+// keyedFaultService is the service the keyed fault tests drive: 8 keys over 2
+// central home shards with a combining hot shard, the detector tuned low
+// enough that a skewed stream migrates its hottest key within the first few
+// dozen completions — while the plan is already firing.
+func keyedFaultService(t *testing.T, backend string, plan sim.FaultPlan) *countersvc.Service {
+	t.Helper()
+	cfg := registry.Concurrent()
+	cfg.Backend, cfg.Faults = backend, &plan
+	svc, err := countersvc.New(countersvc.Config{Keys: 8, N: 8, Shards: 2, Registry: cfg,
+		Migration: &countersvc.Migration{To: "combining", HotShare: 0.2, CheckEvery: 16}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return svc
+}
+
+// TestKeyedFaultPropertyNoSilentFailures is the property above through the
+// service layer, judged by the keyed verifier: the same three plan families,
+// every shard under the plan, and a hot-key migration whose freeze, drain and
+// cutover run while the faults fire. A key frozen behind a wedged operation
+// never drains, so its held requests end unserved, not lost.
+func TestKeyedFaultPropertyNoSilentFailures(t *testing.T) {
+	const ops = 240
+	migrated := 0
+	for _, family := range []string{"lossdup", "crash", "churn"} {
+		for seed := uint64(0); seed < 4; seed++ {
+			plan := randomPlan(family, rng.New(2000+seed))
+			svc := keyedFaultService(t, "sim", plan)
+			gen, err := workload.New("uniform", workload.Config{
+				N: 8, Ops: ops, Seed: 7 + seed, MeanGap: 4, Keys: 8, KeyDist: "zipf", KeyZipfS: 1.5,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := engine.RunKeyed(svc, gen, engine.Config{InFlight: 8, Verify: true})
+			if err != nil {
+				t.Fatalf("%s: run under %+v: %v", family, plan, err)
+			}
+			if res.KeyedVerification == nil {
+				t.Fatalf("%s: no keyed verification report", family)
+			}
+			checkNoSilentFailures(t, plan, res, ops)
+			migrated += len(res.Migrations)
+		}
+	}
+	if migrated == 0 {
+		t.Fatal("no run migrated a key: the cutover never ran under faults")
+	}
+}
+
+// TestKeyedFaultWedgeEndsWithinWedgeIdle: a keyed run on rt whose holder
+// crashes for good wedges, and the service's fault record switches the wait
+// for further completions from the 30 s stall timeout to WedgeIdle.
+func TestKeyedFaultWedgeEndsWithinWedgeIdle(t *testing.T) {
+	const ops, wedgeIdle = 200, 100 * time.Millisecond
+	plan := sim.FaultPlan{Crashes: []sim.Downtime{{Proc: 1, From: 0}}}
+	svc := keyedFaultService(t, "rt", plan)
+	gen, err := workload.New("uniform", workload.Config{N: 8, Ops: ops, Seed: 3, MeanGap: 1, Keys: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t0 := time.Now()
+	res, err := engine.RunKeyed(svc, gen, engine.Config{InFlight: 8, Verify: true, WedgeIdle: wedgeIdle})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(t0); took > 10*wedgeIdle+2*time.Second {
+		t.Fatalf("wedged keyed run took %v to end, want about WedgeIdle %v", took, wedgeIdle)
+	}
+	if res.Wedged == 0 || res.Faults == nil || res.Faults.CrashDropped == 0 {
+		t.Fatalf("wedged %d, faults %+v: want the crashed holder to wedge operations", res.Wedged, res.Faults)
+	}
+	checkNoSilentFailures(t, plan, res, ops)
 }

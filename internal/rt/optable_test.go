@@ -148,7 +148,7 @@ func TestRegistryHoldsAdoptedOpsOnly(t *testing.T) {
 				t.Fatalf("%d operations registered at once, want none ever: %s never adopts", peak, m.Name)
 			}
 			// The counters: every message is counted once, by its sender.
-			sent, _ := r.Loads()
+			sent, _ := r.Loads(nil, nil)
 			var sum int64
 			for _, s := range sent {
 				sum += s

@@ -380,12 +380,18 @@ func (r *Runtime) MessagesTotal() int64 {
 	return total
 }
 
-// Loads returns a snapshot of the per-processor sent and received message
-// counts (1-indexed, length n+1) — the paper's m_p split into its two
-// halves, as Network.Sent/Recv report for the sim backend.
-func (r *Runtime) Loads() (sent, recv []int64) {
-	sent = make([]int64, r.n+1)
-	recv = make([]int64, r.n+1)
+// Loads snapshots the per-processor sent and received message counts
+// (1-indexed, length n+1) — the paper's m_p split into its two halves, as
+// Network.Sent/Recv report for the sim backend — into sent and recv, and
+// returns them. A slice shorter than n+1 (nil) is replaced by a fresh one,
+// so a sampler that passes its previous snapshot back allocates nothing.
+func (r *Runtime) Loads(sent, recv []int64) ([]int64, []int64) {
+	if len(sent) < r.n+1 {
+		sent = make([]int64, r.n+1)
+	}
+	if len(recv) < r.n+1 {
+		recv = make([]int64, r.n+1)
+	}
 	for p := 1; p <= r.n; p++ {
 		sent[p] = r.loads[p].sent.Load()
 		recv[p] = r.loads[p].recv.Load()

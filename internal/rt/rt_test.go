@@ -125,7 +125,7 @@ func TestLoadsAccounting(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sent, recv := r.Loads()
+	sent, recv := r.Loads(nil, nil)
 	if recv[1] != ops {
 		t.Errorf("holder recv = %d, want %d", recv[1], ops)
 	}

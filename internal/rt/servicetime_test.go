@@ -123,7 +123,7 @@ func TestServiceTimeHeterogeneousProfile(t *testing.T) {
 	if served >= 2*burst {
 		t.Errorf("the free processor finished only after the slow one had served all %d of its messages", 2*burst)
 	}
-	if _, recv := r.Loads(); recv[1] != 2*burst || recv[2] != 2*burst {
+	if _, recv := r.Loads(nil, nil); recv[1] != 2*burst || recv[2] != 2*burst {
 		t.Errorf("recv loads = %v, want %d at processors 1 and 2", recv, 2*burst)
 	}
 }

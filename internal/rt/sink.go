@@ -38,7 +38,8 @@ type Sink struct {
 	batch   []Completion
 	arrival *time.Timer // reusable timer of the until >= 0 waits (WaitFor)
 
-	now func() int64
+	now   func() int64
+	stall time.Duration
 	// life is the latest instant, on now's clock, at which the loop was seen
 	// alive: the newest handled completion's DoneNs or the newest arrival
 	// waited out. Written by the awaiting goroutine, read by the watchdog.
@@ -47,10 +48,9 @@ type Sink struct {
 	// silence itself, so a completion racing the watchdog is never lost.
 	stalled atomic.Bool
 
-	// dogMu guards the watchdog: its timeout, its timer's re-arming and
-	// closed, which keeps a callback that raced Close from re-arming.
+	// dogMu guards the watchdog: its timer's re-arming and closed, which
+	// keeps a callback that raced Close from re-arming.
 	dogMu  sync.Mutex
-	stall  time.Duration
 	dog    *time.Timer
 	closed bool
 }
@@ -94,7 +94,8 @@ func (s *Sink) post() {
 // pending it waits for one, or — when until >= 0, an arrival due at that
 // instant of now's clock — returns true once the clock reaches until. It
 // returns false when nothing happened and nothing will: the sink stayed
-// silent for the stall timeout with no arrival pending.
+// silent for the stall timeout with no arrival pending. A caller that waits on
+// through the silence gets the next report one stall timeout later.
 func (s *Sink) Await(until int64, handle func(Completion)) bool {
 	for {
 		s.mu.Lock()
@@ -121,15 +122,6 @@ func (s *Sink) Await(until int64, handle func(Completion)) bool {
 			return false
 		}
 	}
-}
-
-// SetStall replaces the stall timeout (a fault fired: a silent system is now
-// the expected shape of a wedged run) and re-aims the watchdog at it.
-func (s *Sink) SetStall(d time.Duration) {
-	s.dogMu.Lock()
-	defer s.dogMu.Unlock()
-	s.stall = d
-	s.aim()
 }
 
 // silent re-checks a stall report on the awaiting goroutine: nothing is

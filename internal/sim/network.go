@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"distcount/internal/loadstat"
 	"distcount/internal/rng"
 	"distcount/internal/trace"
 )
@@ -47,9 +46,6 @@ type Network struct {
 	queue eventQueue
 
 	sent, recv []int64 // indexed by ProcID; slot 0 unused
-	// tracker maintains the running maximum load (the paper's bottleneck
-	// m_b) incrementally, so samplers never have to rescan the load vector.
-	tracker    *loadstat.MaxTracker
 	msgTotal   int64
 	bitsTotal  int64
 	maxMsgBits int
@@ -179,7 +175,6 @@ func New(n int, proto Protocol, opts ...Option) *Network {
 		rand:      rng.New(1),
 		sent:      make([]int64, n+1),
 		recv:      make([]int64, n+1),
-		tracker:   loadstat.NewMaxTracker(n),
 		servers:   make([]server, n+1),
 		maxEvents: 500_000_000,
 	}
@@ -230,20 +225,15 @@ func (nw *Network) BitsTotal() int64 { return nw.bitsTotal }
 // this at O(log n).
 func (nw *Network) MaxMessageBits() int { return nw.maxMsgBits }
 
-// Sent returns a copy of the per-processor sent counters (index = ProcID,
-// slot 0 unused).
-func (nw *Network) Sent() []int64 {
-	out := make([]int64, len(nw.sent))
-	copy(out, nw.sent)
-	return out
-}
+// Sent returns the per-processor sent counters (index = ProcID, slot 0
+// unused). The slice is the network's own, so reading it allocates nothing
+// — the engine samples it after completions — and it keeps counting: do not
+// modify it, and copy it to keep a snapshot.
+func (nw *Network) Sent() []int64 { return nw.sent }
 
-// Recv returns a copy of the per-processor received counters.
-func (nw *Network) Recv() []int64 {
-	out := make([]int64, len(nw.recv))
-	copy(out, nw.recv)
-	return out
-}
+// Recv returns the per-processor received counters, the network's own like
+// Sent's.
+func (nw *Network) Recv() []int64 { return nw.recv }
 
 // Load returns the message load m_p = sent + received of processor p.
 func (nw *Network) Load(p ProcID) int64 {
@@ -259,22 +249,6 @@ func (nw *Network) Loads() []int64 {
 	}
 	return out
 }
-
-// MaxLoad returns the current bottleneck processor b and its message load
-// m_b, maintained incrementally in O(1) per message (smallest id wins
-// ties, matching loadstat.SummarizeLoads). The workload engine's
-// bottleneck time series samples this once per completion instead of
-// rescanning the load vector.
-func (nw *Network) MaxLoad() (ProcID, int64) {
-	p, l := nw.tracker.Max()
-	return ProcID(p), l
-}
-
-// SumLoads returns the exact sum of all message loads m_p accumulated so
-// far (sends plus completed receives) in O(1). Unlike 2·MessagesTotal it
-// does not count the receive half of messages still in flight, so
-// SumLoads/n is the true mean per-processor load mid-run.
-func (nw *Network) SumLoads() int64 { return nw.tracker.Sum() }
 
 // ServiceTimeOf returns the per-message processing cost of processor p, as
 // configured by WithServiceTime or WithServiceProfile (0 = instantaneous).
@@ -408,7 +382,6 @@ func (nw *Network) Send(to ProcID, pl Payload) {
 // accounting and its own pending delivery).
 func (nw *Network) accountSend(from, to ProcID, pl Payload, st *OpStats, countPending bool) {
 	nw.sent[from]++
-	nw.tracker.Add(int(from), 1)
 	nw.msgTotal++
 	if sized, ok := pl.(BitSized); ok {
 		bits := sized.Bits()
@@ -676,7 +649,6 @@ func (nw *Network) Step() (bool, error) {
 	} else {
 		if !e.local {
 			nw.recv[to]++
-			nw.tracker.Add(int(to), 1)
 			if sv := &nw.servers[to]; sv.cost > 0 {
 				sv.freeAt = e.at + sv.cost
 			}
@@ -791,7 +763,6 @@ func (nw *Network) Clone() (*Network, error) {
 		queue:       nw.queue.clone(),
 		sent:        make([]int64, len(nw.sent)),
 		recv:        make([]int64, len(nw.recv)),
-		tracker:     nw.tracker.Clone(),
 		msgTotal:    nw.msgTotal,
 		bitsTotal:   nw.bitsTotal,
 		maxMsgBits:  nw.maxMsgBits,

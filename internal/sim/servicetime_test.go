@@ -239,32 +239,32 @@ func TestServiceTimeCloneCarriesState(t *testing.T) {
 	}
 }
 
-// TestMaxLoadMatchesSummarize: the O(1) incremental bottleneck equals the
-// full O(n log n) summary at every quiescent point of a run.
+// TestMaxLoadMatchesSummarize: the bottleneck read from Loads() is the one
+// Summarize finds in the sent/received halves at every quiescent point, and
+// the halves are live: the vectors taken before the run keep counting.
 func TestMaxLoadMatchesSummarize(t *testing.T) {
 	pp := &pingPong{}
 	nw := New(7, pp)
+	sent, recv := nw.Sent(), nw.Recv()
 	for i := 0; i < 25; i++ {
 		nw.StartOp(ProcID(i%7+1), startPing(i%5))
 		if err := nw.Run(); err != nil {
 			t.Fatal(err)
 		}
-		want := loadstat.SummarizeLoads(nw.Loads())
-		proc, load := nw.MaxLoad()
-		if int(proc) != want.Bottleneck || load != want.MaxLoad {
-			t.Fatalf("op %d: MaxLoad = (p%d, %d), SummarizeLoads = (p%d, %d)",
-				i, proc, load, want.Bottleneck, want.MaxLoad)
+		got, want := loadstat.SummarizeLoads(nw.Loads()), loadstat.Summarize(sent, recv)
+		if got.Bottleneck != want.Bottleneck || got.MaxLoad != want.MaxLoad || got.SumLoads != want.SumLoads {
+			t.Fatalf("op %d: Loads() bottleneck (p%d, %d, sum %d), Summarize (p%d, %d, sum %d)",
+				i, got.Bottleneck, got.MaxLoad, got.SumLoads, want.Bottleneck, want.MaxLoad, want.SumLoads)
 		}
 	}
 }
 
-// TestMaxLoadZero: a fresh network reports processor 1 with load 0, the
-// SummarizeLoads convention.
+// TestMaxLoadZero: a fresh network's Loads() reads processor 1 with load 0,
+// the Summarize convention.
 func TestMaxLoadZero(t *testing.T) {
-	nw := New(3, &pingPong{})
-	p, l := nw.MaxLoad()
-	if p != 1 || l != 0 {
-		t.Fatalf("MaxLoad on fresh network = (p%d, %d), want (p1, 0)", p, l)
+	s := loadstat.SummarizeLoads(New(3, &pingPong{}).Loads())
+	if s.Bottleneck != 1 || s.MaxLoad != 0 {
+		t.Fatalf("fresh network bottleneck = (p%d, %d), want (p1, 0)", s.Bottleneck, s.MaxLoad)
 	}
 }
 
