@@ -39,8 +39,8 @@
 // observe the paper's message-load bottleneck as a throughput ceiling —
 // the "ramprate" scenario sweeps the offered rate through it.
 //
-// With -verify the engine additionally collects every operation's
-// delivered value and checks it against the algorithm's claimed
+// With -verify the engine additionally checks every operation's delivered
+// value, as the run goes, against the algorithm's claimed
 // consistency guarantee: linearizability for central/ctree/combining,
 // quiescent consistency for the counting and diffracting networks,
 // duplicate-value accounting for the protocols that are only sequentially

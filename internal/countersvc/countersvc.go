@@ -41,6 +41,8 @@ package countersvc
 
 import (
 	"fmt"
+	"math"
+	"time"
 
 	"distcount/internal/counter"
 	"distcount/internal/registry"
@@ -124,6 +126,12 @@ type Service struct {
 	// handle per shard and the other is empty.
 	nets []*sim.Network
 	rts  []*rt.Runtime
+	// next caches each shard network's earliest queued event time
+	// (math.MaxInt64: none) for the merged loop, refreshed after the shard
+	// steps and after Start routes to it: nothing else queues events on a
+	// shard, so the loop need not peek every queue per event. Built by the
+	// first merge; nil until then and on one network, which needs no merge.
+	next []int64
 	// rtSent, rtRecv are the scratch one rt shard's loads are snapshotted
 	// into on their way into a Loads sum.
 	rtSent, rtRecv []int64
@@ -315,12 +323,25 @@ func (s *Service) Algo(shard int) string { return s.shards[shard].algo }
 func (s *Service) Counter(shard int) counter.Valued { return s.shards[shard].c }
 
 // DeliverTo merges the rt backend's completion streams into sink: every
-// shard runtime delivers under its shard index. A no-op on the sim backend.
-// The consumer must call CompleteRT for every completion it takes out of the
+// shard runtime delivers under its shard index, its stamps moved onto the
+// service's clock (Now) — each runtime counts from its own start, and the
+// service's clock from the earliest. A no-op on the sim backend. The
+// consumer must call CompleteRT for every completion it takes out of the
 // sink to keep the service's routing state current.
 func (s *Service) DeliverTo(sink *rt.Sink) {
+	var origin time.Time
+	for i, r := range s.rts {
+		if i == 0 || r.Origin().Before(origin) {
+			origin = r.Origin()
+		}
+	}
 	for shard, r := range s.rts {
-		r.OnOpDone(func(d rt.OpDone) { sink.Put(shard, d) })
+		lag := r.Origin().Sub(origin).Nanoseconds()
+		r.OnOpDone(func(d rt.OpDone) {
+			d.StartNs += lag
+			d.DoneNs += lag
+			sink.Put(shard, d)
+		})
 	}
 }
 
@@ -380,6 +401,9 @@ func (s *Service) Start(at int64, key int, p sim.ProcID) (shard int, id sim.OpID
 		at = 0
 	}
 	id = s.shards[shard].c.Start(at, p)
+	if s.next != nil {
+		s.refresh(shard)
+	}
 	s.keyOf[shard*(s.n+1)+int(p)] = key
 	k.inflight++
 	return shard, id
@@ -500,7 +524,9 @@ func (s *Service) Step() (bool, error) {
 	if at > s.now {
 		s.now = at
 	}
-	if _, err := s.nets[shard].Step(); err != nil {
+	_, err := s.nets[shard].Step()
+	s.refresh(shard)
+	if err != nil {
 		return false, err
 	}
 	return true, nil
@@ -510,13 +536,29 @@ func (s *Service) Step() (bool, error) {
 // that event's time, ties broken by lowest shard index to keep the merged
 // schedule deterministic; shard is -1 at global quiescence.
 func (s *Service) earliest() (shard int, at int64) {
-	shard = -1
-	for i, nw := range s.nets {
-		if t, have := nw.NextAt(); have && (shard < 0 || t < at) {
+	if s.next == nil {
+		s.next = make([]int64, len(s.nets))
+		for i := range s.nets {
+			s.refresh(i)
+		}
+	}
+	shard, at = -1, math.MaxInt64
+	for i, t := range s.next {
+		if t < at {
 			shard, at = i, t
 		}
 	}
 	return shard, at
+}
+
+// refresh re-reads one shard network's earliest queued event time into the
+// merge cache.
+func (s *Service) refresh(shard int) {
+	t, ok := s.nets[shard].NextAt()
+	if !ok {
+		t = math.MaxInt64
+	}
+	s.next[shard] = t
 }
 
 // Run steps the merged event loop to global quiescence.
@@ -536,10 +578,8 @@ func (s *Service) Run() error {
 // the merged clock, the time of the latest delivered event across all
 // shards (never decreasing). On rt it is wall-clock nanoseconds, the max of
 // the shard runtimes' NowNs: each runtime's clock is relative to its own
-// start, so the merged clock carries the (microsecond-scale) construction
-// offsets — fine for measure-window bookkeeping, and verification never
-// compares timestamps across shards (shard and (key, epoch) partitions are
-// both within one runtime).
+// start, so the merged clock is the earliest-built runtime's, and DeliverTo
+// moves every shard's completion stamps onto it.
 func (s *Service) Now() int64 {
 	if len(s.nets) == 1 {
 		return s.nets[0].Now()

@@ -2,8 +2,10 @@ package countersvc
 
 import (
 	"testing"
+	"time"
 
 	"distcount/internal/registry"
+	"distcount/internal/rt"
 	"distcount/internal/sim"
 )
 
@@ -105,6 +107,53 @@ func TestMergedLoopDeterministic(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("completion order diverges at %d: %d vs %d", i, a[i], b[i])
+		}
+	}
+}
+
+// TestDeliverToStampsOnServiceClock: on rt every shard runtime counts from
+// its own start, later than the first shard's, so its own stamps run behind
+// the service's clock. DeliverTo moves them onto it: an operation started
+// after a Now reading and taken out of the sink before the next one is
+// stamped between the two, on every shard. The streaming verifier's
+// frontier, read on the service clock, depends on it.
+func TestDeliverToStampsOnServiceClock(t *testing.T) {
+	s := mustService(t, Config{Keys: 32, N: 2, Shards: 4, Algo: "central",
+		Registry: registry.Config{Backend: "rt", Window: registry.DefaultWindow}})
+	defer s.Close()
+	sink := rt.NewSink(s.Now, time.Minute)
+	defer sink.Close()
+	s.DeliverTo(sink)
+	for shard := range s.Shards() {
+		key := -1
+		for k := range s.Keys() {
+			if s.HomeShard(k) == shard {
+				key = k
+				break
+			}
+		}
+		if key < 0 {
+			t.Fatalf("no key homes on shard %d", shard)
+		}
+		for range 20 {
+			before := s.Now()
+			s.Start(before, key, 1)
+			var got []rt.Completion
+			for len(got) == 0 {
+				if !sink.Await(-1, func(c rt.Completion) { got = append(got, c) }) {
+					t.Fatalf("shard %d: no completion", shard)
+				}
+			}
+			after := s.Now()
+			d := got[0]
+			s.CompleteRT(d)
+			if len(got) != 1 || d.Shard != shard {
+				t.Fatalf("shard %d: completions %+v", shard, got)
+			}
+			if !(before <= d.StartNs && d.StartNs <= d.DoneNs && d.DoneNs <= after) {
+				t.Fatalf("shard %d: op stamped [%d, %d], outside the service clock's [%d, %d]",
+					shard, d.StartNs, d.DoneNs, before, after)
+			}
 		}
 	}
 }

@@ -41,19 +41,25 @@ func TestRunWorkloadAllocCeiling(t *testing.T) {
 
 // TestRunFootprintPerOp pins the bytes a run allocates per operation, and
 // that the figure does not rise with the operation count: what the harness
-// keeps per completion is digests and a sweep chunk, so quadrupling a run
-// must only amortize its fixed costs further. The ceilings leave headroom
-// over the measured cost and sit well below what per-op bookkeeping costs:
+// keeps per completion is digests, a sweep chunk and the verifier's
+// unresolved operations, so quadrupling a run must only amortize its fixed
+// costs further. The ceilings leave headroom over the measured cost, enough
+// for the ~8 B/op the race detector adds to every row, and sit well below
+// what per-op bookkeeping costs:
 //
-//	central, n=64, closed loop    10 B/op at 200k ops (the boxed value
-//	                              payload), 15 at 50k; with five int64
+//	central, n=64, closed loop    8 B/op at 200k ops (the boxed value
+//	                              payload), 10 at 50k; with five int64
 //	                              vectors sized by ops it was 49
-//	4 central shards, Verify on   88 B/op at 200k ops, 97 at 50k: the
-//	                              verifier's history (44) and its index
-//	                              orders and value tables (~40). The
-//	                              service's id -> key log added 37, a copy of
-//	                              the history per shard and per (key, epoch)
-//	                              segment made it 472
+//	central, n=64, Verify on      9 B/op at 200k ops, 13 at 50k: the same
+//	                              plus the verifier's first pending chunk; a
+//	                              history of every value checked post hoc
+//	                              made it 52
+//	4 central shards, Verify on   15 B/op at 200k ops, 20 at 50k: each (key,
+//	                              epoch) segment's value bitset (~5: which
+//	                              segment held a value is needed for as long
+//	                              as a duplicate of it may come). A history
+//	                              checked post hoc made it 88, a copy of it
+//	                              per shard and per segment 472
 func TestRunFootprintPerOp(t *testing.T) {
 	for _, row := range []struct {
 		name    string
@@ -67,7 +73,18 @@ func TestRunFootprintPerOp(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"keyed, verified", 125, func(t *testing.T, ops int) {
+		{"single counter, verified", 25, func(t *testing.T, ops int) {
+			c := mustAsync(t, "central", 64)
+			gen := mustScenario(t, "uniform", workload.Config{N: 64, Ops: ops, Seed: 1})
+			res, err := Run(c, gen, Config{InFlight: 8, Ops: ops, Verify: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Verification.Violations != 0 || res.Verification.Ops != ops {
+				t.Fatalf("verification: %+v", res.Verification)
+			}
+		}},
+		{"keyed, verified", 30, func(t *testing.T, ops int) {
 			svc := keyedSvc(t, countersvc.Config{Keys: 64, N: 64, Shards: 4,
 				Registry: registry.Config{Window: registry.DefaultWindow}})
 			gen := keyedGen(t, workload.Config{N: 64, Ops: ops, Seed: 1, Keys: 64, KeyZipfS: 1.2}, "uniform")

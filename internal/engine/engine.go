@@ -97,13 +97,13 @@ type Config struct {
 	// number of processors.
 	InFlight int
 	// Ops is a capacity hint: the number of completions the run is expected
-	// to produce. It sizes the two per-operation records a run still keeps —
-	// the verifier's history (Verify) and the open loop's request records —
-	// in one shot instead of growing them by doubling mid-run; the metrics
-	// keep nothing per operation and ignore it. When 0 the engine falls back
-	// to the scenario's length hint (generators implementing Len() int).
-	// Purely a performance hint: a wrong value changes allocation behavior,
-	// never results.
+	// to produce. It sizes the one per-operation record a run still keeps —
+	// the open loop's request records — in one shot instead of growing it by
+	// doubling mid-run, and the bottleneck series; the metrics and the
+	// verifier keep nothing per operation and ignore it. When 0 the engine
+	// falls back to the scenario's length hint (generators implementing
+	// Len() int). Purely a performance hint: a wrong value changes
+	// allocation behavior, never results.
 	Ops int
 	// QueueCap bounds the open-loop admission queue: requests that arrive
 	// while their initiator is busy wait here; a request arriving when the
@@ -123,8 +123,8 @@ type Config struct {
 	// KneeBuckets is the number of arrival-ordered buckets the open-loop
 	// saturation analysis divides the run into (default 16).
 	KneeBuckets int
-	// Verify enables post-run value-correctness checking: every completed
-	// operation's delivered value is collected and evaluated against the
+	// Verify enables value-correctness checking: every completed
+	// operation's delivered value is checked, as the run goes, against the
 	// algorithm's claimed consistency level (linearizability for
 	// central/ctree/combining, quiescent consistency for the counting and
 	// diffracting networks, duplicate-value accounting for the protocols
@@ -466,9 +466,9 @@ func (s *source) pull() {
 	s.head, s.have = req, true
 }
 
-// opsHint resolves the expected completion count used to size the
-// verifier's history and the open loop's request records: Config.Ops when
-// set, else the scenario's length hint, else 0 (grow-by-append).
+// opsHint resolves the expected completion count used to size the open
+// loop's request records and the series: Config.Ops when set, else the
+// scenario's length hint, else 0 (grow-by-append).
 func opsHint(cfg Config, gen workload.Generator) int {
 	if cfg.Ops > 0 {
 		return cfg.Ops

@@ -168,6 +168,26 @@ func TestRunKeyedWall(t *testing.T) {
 	}
 }
 
+// TestRunKeyedWallStreamsVerification: a verified rt run over four shards,
+// long enough for the verifier to advance many times on the frontier the
+// engine reads off the service clock. Each shard runtime stamps its
+// operations on its own clock; were they not moved onto the service's, an
+// operation reported after an advance would start below the frontier and
+// the stream would refuse it.
+func TestRunKeyedWallStreamsVerification(t *testing.T) {
+	const ops = 12_000
+	svc := keyedSvc(t, countersvc.Config{Keys: 64, N: 8, Shards: 4,
+		Registry: registry.Config{Backend: "rt", Window: registry.DefaultWindow}})
+	gen := keyedGen(t, workload.Config{N: 8, Ops: ops, Seed: 4, Keys: 64, KeyZipfS: 1.2}, "uniform")
+	res, err := RunKeyed(svc, gen, Config{InFlight: 8, Verify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Ops != ops || res.Verification.Ops != ops || res.Verification.Violations != 0 {
+		t.Fatalf("%d ops, verification %+v", res.Ops, res.Verification)
+	}
+}
+
 // TestRunKeyedRejectsBadKey: a request addressing a key outside the
 // service's key space is a sticky source error, not a panic.
 func TestRunKeyedRejectsBadKey(t *testing.T) {

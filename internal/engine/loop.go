@@ -64,7 +64,7 @@ func drive(svc *countersvc.Service, res *Result, gen workload.Generator, cfg Con
 	hint := opsHint(cfg, gen)
 	r.m = newMetrics(res, cfg.Warmup)
 	if cfg.Verify {
-		r.vf = newVerifier(svc, res.Keys > 0, hint)
+		r.vf = newVerifier(svc, res.Keys > 0)
 	}
 	r.flights = make([]flight, res.N+1)
 	var thinAfter bool
@@ -188,12 +188,11 @@ func (r *run) arrive(now int64) {
 	p, key := r.src.head.Proc, r.src.head.Key
 	idx := len(r.recs)
 	r.recs = append(r.recs, opRec{
-		key:        key,
 		arrival:    r.src.arrival * r.scale,
-		start:      -1,
 		done:       -1,
-		queueDepth: r.totalQueued,
-		backlog:    r.inFlight + r.totalQueued,
+		key:        int32(key),
+		queueDepth: int32(r.totalQueued),
+		backlog:    int32(r.inFlight + r.totalQueued),
 	})
 	switch {
 	case !r.flights[p].busy && r.s.open(key):
@@ -219,12 +218,12 @@ func (r *run) feed(p sim.ProcID) {
 		return
 	}
 	head := &r.recs[q[0]]
-	if !r.s.open(head.key) {
+	if !r.s.open(int(head.key)) {
 		return
 	}
 	r.queued[p] = q[1:]
 	r.totalQueued--
-	r.launch(head.arrival, r.s.Now(), q[0], head.key, p)
+	r.launch(head.arrival, r.s.Now(), q[0], int(head.key), p)
 }
 
 // reopened runs when a cutover reopens a migrated key: initiators holding
@@ -242,9 +241,6 @@ func (r *run) reopened(countersvc.MigrationEvent) {
 // arrival due, where there was one — so an admission reads the clock once.
 func (r *run) launch(arrival, now int64, rec, key int, p sim.ProcID) {
 	at := max(arrival, now)
-	if rec >= 0 {
-		r.recs[rec].start = at
-	}
 	r.flights[p] = flight{busy: true, arrival: arrival, start: at, rec: rec}
 	r.inFlight++
 	r.s.Start(at, key, p)
@@ -268,7 +264,11 @@ func (r *run) complete(c completion) {
 	}
 	r.m.onDone(r.res, &r.s, c.key, f.arrival, f.start, c.done)
 	if r.m.inFlight.due() {
-		r.m.inFlight.advance(r.frontier())
+		frontier := r.frontier()
+		r.m.inFlight.advance(frontier)
+		if r.vf != nil {
+			r.vf.stream.Advance(frontier)
+		}
 	}
 	if r.m.completed%r.sampleEvery == 0 {
 		if r.res.Series == nil {

@@ -57,15 +57,16 @@ type Knee struct {
 	P99         float64 `json:"p99"`
 }
 
-// opRec tracks one open-loop request through its lifecycle. Times are -1
-// until reached.
+// opRec tracks one open-loop request through its lifecycle: 32 bytes per
+// arrival, the one record the engine keeps per request (bucket boundaries
+// need the final arrival count). The injection time lives in the
+// initiator's flight while the request runs, and nothing reads it after.
 type opRec struct {
-	key        int
 	arrival    int64
-	start      int64 // injection time; -1 while queued
 	done       int64 // completion time; -1 while outstanding
-	queueDepth int   // admission-queue depth observed at arrival
-	backlog    int   // in flight + queued at arrival
+	key        int32
+	queueDepth int32 // admission-queue depth observed at arrival
+	backlog    int32 // in flight + queued at arrival
 	dropped    bool
 }
 
@@ -113,12 +114,8 @@ func bucketize(recs []opRec, buckets int) []RateBucket {
 				b.Completed++
 				lats.add(r.done - r.arrival)
 			}
-			if r.queueDepth > b.MaxQueueDepth {
-				b.MaxQueueDepth = r.queueDepth
-			}
-			if r.backlog > b.MaxBacklog {
-				b.MaxBacklog = r.backlog
-			}
+			b.MaxQueueDepth = max(b.MaxQueueDepth, int(r.queueDepth))
+			b.MaxBacklog = max(b.MaxBacklog, int(r.backlog))
 		}
 		span := b.EndTime - b.StartTime
 		if span < 1 {

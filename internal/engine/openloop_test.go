@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"testing"
+	"unsafe"
 
 	"distcount/internal/counter"
 	"distcount/internal/loadstat"
@@ -315,6 +316,14 @@ func TestSeriesTrackerMatchesSummarize(t *testing.T) {
 	}
 }
 
+// TestOpRecSize pins the open loop's per-arrival record: the one record the
+// engine keeps per request, so every byte here is a byte per arrival.
+func TestOpRecSize(t *testing.T) {
+	if size := unsafe.Sizeof(opRec{}); size != 32 {
+		t.Fatalf("sizeof(opRec) = %d bytes, want 32", size)
+	}
+}
+
 // TestBucketize: synthetic records split into even buckets with correct
 // per-bucket accounting.
 func TestBucketize(t *testing.T) {
@@ -322,10 +331,9 @@ func TestBucketize(t *testing.T) {
 	for i := range recs {
 		recs[i] = opRec{
 			arrival:    int64(i * 10),
-			start:      int64(i * 10),
 			done:       int64(i*10 + 5),
-			queueDepth: i % 3,
-			backlog:    i % 5,
+			queueDepth: int32(i % 3),
+			backlog:    int32(i % 5),
 		}
 	}
 	recs[39].done = -1 // one still outstanding
@@ -370,7 +378,7 @@ func TestBucketizeSpansIncludeInterBucketGaps(t *testing.T) {
 	for _, base := range []int64{0, 100} {
 		for i := int64(0); i < 4; i++ {
 			at := base + 10*i
-			recs = append(recs, opRec{arrival: at, start: at, done: at + 2})
+			recs = append(recs, opRec{arrival: at, done: at + 2})
 		}
 	}
 	bs := bucketize(recs, 2)

@@ -29,6 +29,7 @@ const digestFirst = 1 << 10
 // per sample.
 type digest struct {
 	counts []uint32 // counts[v] samples equal v (of those that arrived once the table covered v)
+	span   int      // counts[:span] holds every counted sample: rank and reset stop there
 	over   []int64  // the other samples, sorted by stats
 	n      int
 	sum    int64
@@ -46,6 +47,7 @@ func (d *digest) add(v int64) {
 		d.over = append(d.over, v)
 		return
 	}
+	d.span = max(d.span, int(v)+1)
 	d.counts[v]++
 }
 
@@ -71,7 +73,8 @@ func (d *digest) cover(v int64) bool {
 
 // reset empties the digest, keeping its table for the next population.
 func (d *digest) reset() {
-	clear(d.counts)
+	clear(d.counts[:d.span])
+	d.span = 0
 	d.over = d.over[:0]
 	d.n, d.sum = 0, 0
 }
@@ -109,10 +112,11 @@ func (d *digest) quantile(q float64) float64 {
 }
 
 // rank returns the k-th smallest sample (0-based), merging the table with
-// the raw samples. over must be sorted.
+// the raw samples. over must be sorted. The walk ends at the largest
+// counted value; the raw samples it has not passed are the ranks above.
 func (d *digest) rank(k int) int64 {
 	j := 0
-	for v, c := range d.counts {
+	for v, c := range d.counts[:d.span] {
 		for ; j < len(d.over) && d.over[j] < int64(v); j++ {
 			if k == 0 {
 				return d.over[j]

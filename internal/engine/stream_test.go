@@ -176,10 +176,11 @@ func TestDigestReset(t *testing.T) {
 }
 
 // FuzzDigestMatchesSort: whatever the samples, the digest reports what
-// sorting them reports, bit for bit. Samples are decoded as 5-byte values
-// offset below zero and capped in number, so the corpus reaches both sides
-// of the dense bound and the stray negatives while every partial sum stays
-// exact in a float64 (the oracle sums in floating point).
+// sorting them reports, bit for bit, fresh or reset after another
+// population. Samples are decoded as 5-byte values offset below zero and
+// capped in number, so the corpus reaches both sides of the dense bound and
+// the stray negatives while every partial sum stays exact in a float64 (the
+// oracle sums in floating point).
 func FuzzDigestMatchesSort(f *testing.F) {
 	enc := func(vals ...int64) []byte {
 		var data []byte
@@ -198,9 +199,22 @@ func FuzzDigestMatchesSort(f *testing.F) {
 			v := binary.LittleEndian.Uint64(append(data[:5:5], 0, 0, 0))
 			vals = append(vals, int64(v)-256)
 		}
-		got := digestOf(vals)
-		if want := sortedStats(slices.Clone(vals)); got != want {
+		want := sortedStats(slices.Clone(vals))
+		if got := digestOf(vals); got != want {
 			t.Fatalf("digest %+v, sort %+v over %v", got, want, vals)
+		}
+		// A reused digest (the open loop's buckets share one) forgets an
+		// earlier population, here the reversed second half.
+		var d digest
+		for i := len(vals) - 1; i >= len(vals)/2; i-- {
+			d.add(vals[i] + 7)
+		}
+		d.reset()
+		for _, v := range vals {
+			d.add(v)
+		}
+		if got := d.stats(); got != want {
+			t.Fatalf("reused digest %+v, sort %+v over %v", got, want, vals)
 		}
 	})
 }

@@ -367,6 +367,10 @@ func (r *Runtime) Tick() time.Duration { return r.tick }
 // NowNs returns wall-clock nanoseconds since the runtime started.
 func (r *Runtime) NowNs() int64 { return time.Since(r.start).Nanoseconds() }
 
+// Origin returns the instant the runtime started: the zero of NowNs and of
+// its operations' stamps.
+func (r *Runtime) Origin() time.Time { return r.start }
+
 // Ops returns the number of operations started so far.
 func (r *Runtime) Ops() int { return int(atomic.LoadInt64(&r.started)) }
 

@@ -1,9 +1,6 @@
 package verify
 
 import (
-	"fmt"
-	"slices"
-
 	"distcount/internal/counter"
 )
 
@@ -65,130 +62,9 @@ type KeyedReport struct {
 // the per-(key, epoch) segment checks. vals is the run's history in
 // completion order and at[i] where vals[i] executed; missing is the number
 // of completed operations whose value could not be read back (counted in
-// the summary).
+// the summary). It is the keyed Stream's report after observing all of it.
 func EvaluateKeyed(guarantees []counter.Guarantee, algos []string, vals []TimedValue, at []Placement, missing int, fc FaultContext) KeyedReport {
-	rep := KeyedReport{}
-
-	// The shard histories, then the segments, are one index list over vals
-	// grouped two ways — 8 transient bytes per operation, where a copy per
-	// shard and another per segment would triple the history.
-	order := make([]int32, len(vals))
-	shards := groupStable(order, len(guarantees), func(i int) int { return int(at[i].Shard) })
-	allSame := true
-	for s, g := range guarantees {
-		sr := ShardReport{Shard: s, Report: evaluate(g, history{vals, order[shards[s]:shards[s+1]]}, 0, fc)}
-		if s < len(algos) {
-			sr.Algorithm = algos[s]
-		}
-		rep.Shards = append(rep.Shards, sr)
-		if g != guarantees[0] {
-			allSame = false
-		}
-	}
-
-	// (key, epoch) segments: group, then run the duplicate + real-time
-	// order sweeps within each, at the owning shard's level.
-	type segKey struct{ key, epoch int32 }
-	segOf := map[segKey]int32{}
-	var segShard []int32 // per segment: the shard its first operation ran on
-	seg := make([]int32, len(vals))
-	epochsOf := map[int32]int{}
-	for i, p := range at {
-		sk := segKey{p.Key, p.Epoch}
-		id, ok := segOf[sk]
-		if !ok {
-			id = int32(len(segShard))
-			segOf[sk] = id
-			segShard = append(segShard, p.Shard)
-			epochsOf[p.Key]++
-		}
-		seg[i] = id
-	}
-	rep.Segments = len(segShard)
-	rep.Keys = len(epochsOf)
-	for _, epochs := range epochsOf {
-		if epochs > 1 {
-			rep.MigratedKeys++
-		}
-	}
-	segs := groupStable(order, len(segShard), func(i int) int { return int(seg[i]) })
-	// One value table per shard serves all of its segments, a generation each.
-	seen := make([]*valueSet, len(guarantees))
-	for id, shard := range segShard {
-		members := order[segs[id]:segs[id+1]]
-		level := guarantees[shard].Level
-		// Sequential-only shards make no concurrent claim; approximate
-		// shards legitimately repeat values within a key (the whole-shard ε
-		// bracket is the claim, checked above), so neither gets the
-		// exactness segment sweeps.
-		if level == counter.SequentialOnly || level == counter.Approximate {
-			continue
-		}
-		if seen[shard] == nil {
-			seen[shard] = newValueSet(shards[shard+1] - shards[shard])
-		}
-		set := seen[shard]
-		set.next()
-		for _, i := range members {
-			if set.add(vals[i].Value) {
-				rep.KeyDuplicates++
-			}
-		}
-		if level == counter.Linearizable {
-			realTimeOrder(history{vals, members}, func(TimedValue, int) { rep.KeyOrderViolations++ })
-		}
-	}
-
-	// Summary: shard reports aggregated into one Report so keyed results
-	// render and gate through the single-counter paths unchanged.
-	sum := &rep.Summary
-	sum.Missing = missing
-	sum.Wedged = fc.Wedged
-	sum.FaultsFired = fc.Fired
-	for _, sr := range rep.Shards {
-		sum.Ops += sr.Ops
-		sum.Duplicates += sr.Duplicates
-		sum.Gaps += sr.Gaps
-		sum.OrderViolations += sr.OrderViolations
-		sum.Violations += sr.Violations
-		sum.Excused += sr.Excused
-		sum.OutOfBound += sr.OutOfBound
-		if sr.MaxRelError > sum.MaxRelError {
-			sum.MaxRelError = sr.MaxRelError
-		}
-		if sum.First == "" && sr.First != "" {
-			sum.First = fmt.Sprintf("shard %d (%s): %s", sr.Shard, sr.Algorithm, sr.First)
-		}
-	}
-	sum.Violations += missing
-	if missing > 0 && sum.First == "" {
-		sum.First = fmt.Sprintf("%d operations completed without delivering a value", missing)
-	}
-	if allSame && len(guarantees) > 0 {
-		sum.Property = guarantees[0].String() + "/sharded"
-		sum.Epsilon = guarantees[0].Epsilon
-	} else {
-		sum.Property = "mixed/sharded"
-	}
-	return rep
-}
-
-// groupStable fills order with the indices 0..len(order)-1 grouped by
-// group(i) in [0, groups), each group in index order, and returns the
-// groups' bounds: group g is order[bounds[g]:bounds[g+1]].
-func groupStable(order []int32, groups int, group func(i int) int) (bounds []int) {
-	bounds = make([]int, groups+1)
-	for i := range order {
-		bounds[group(i)+1]++
-	}
-	for g := 0; g < groups; g++ {
-		bounds[g+1] += bounds[g]
-	}
-	next := slices.Clone(bounds[:groups])
-	for i := range order {
-		g := group(i)
-		order[next[g]] = int32(i)
-		next[g]++
-	}
-	return bounds
+	s := NewKeyedStream(guarantees)
+	s.observeAll(vals, at)
+	return s.KeyedReport(algos, missing, fc)
 }
