@@ -14,10 +14,13 @@
 //
 // A single counter is the degenerate service: Single wraps one counter as
 // one key on one shard, and the workload engine drives every run — one
-// counter or many — through a Service, so the backend is decided here and
-// nowhere downstream. Fault plans (registry.Config.Faults) reach every shard
-// as given: crash windows and churn name machines, and processor p is the
-// same machine in every shard (see Loads).
+// counter or many — through a Service, so the backend is known here and
+// nowhere downstream. A driver sees one surface on both backends: Start,
+// Due, Await and Run, with every finished operation reported as one
+// Completion to the one OnComplete handler. Fault plans
+// (registry.Config.Faults) reach every shard as given: crash windows and
+// churn name machines, and processor p is the same machine in every shard
+// (see Loads).
 //
 // Batching falls out of the shard abstraction rather than being a separate
 // queue: concurrent increments for different keys that share a
@@ -114,10 +117,12 @@ type MigrationEvent struct {
 	AtCompleted int
 }
 
-// Service routes keyed increments to shards. It is driven the way a single
-// counter.Async is driven: Start injects, the merged event loop (sim) or the
-// completion sink (rt, DeliverTo) delivers completions. Not safe for
-// concurrent use; the engine drivers own it from one goroutine.
+// Service routes keyed increments to shards. A driver starts operations
+// with Start and makes progress with Await, which steps the merged event
+// loop on the simulator and waits on the completion sink on rt; either way
+// each finished operation reaches the OnComplete handler on the driving
+// goroutine. Not safe for concurrent use; the engine owns it from one
+// goroutine.
 type Service struct {
 	n      int
 	base   int // home shard count (hot shard, if any, is shard index base)
@@ -149,8 +154,39 @@ type Service struct {
 	events    []MigrationEvent
 
 	now       int64 // merged simulated clock (max stepped event time)
-	done      func(shard, key, epoch int, st *sim.OpStats)
+	done      func(Completion)
 	onMigrate func(MigrationEvent)
+
+	// rt only. The service clock counts from origin, the first shard
+	// runtime's start (shards are built in index order), and lag[shard] is
+	// how much later that shard's runtime started: its own stamps run lag
+	// behind the service clock. sink is where the runtimes complete into
+	// once OnComplete is set; it reports silence every period, and Await
+	// gives up after stall of it, or at the first report once a fault fired.
+	origin        time.Time
+	lag           []int64
+	sink          *rt.Sink
+	stall, period time.Duration
+}
+
+// stallTimeout bounds how long an rt wait stays without a completion before
+// reporting silence. The simulator detects a stalled protocol by running out
+// of events; real goroutines just stay silent, so real time needs a timeout —
+// generous enough that scheduler hiccups under a loaded machine never trip
+// it. The sink's watchdog holds it, so no wait arms a timer for it.
+const stallTimeout = 30 * time.Second
+
+// Completion is one finished operation as the service reports it on either
+// backend: the backend's record, stamped on the service's clock (Now), and
+// where the operation ran.
+type Completion struct {
+	sim.OpDone
+	Shard int // 0 on a single counter
+	Key   int
+	// Epoch is the key's routing epoch the operation ran at, captured before
+	// any cutover its own completion triggered, so a verifier files the
+	// operation under the shard that executed it.
+	Epoch int
 }
 
 // shard is one counter instance of the service.
@@ -238,6 +274,7 @@ func newService(keys, n, base, shards int, mig *Migration) *Service {
 		base:   base,
 		mig:    mig,
 		hot:    -1,
+		stall:  stallTimeout,
 		shards: make([]shard, shards),
 		keys:   make([]keyState, keys),
 		keyOf:  make([]int, shards*(n+1)),
@@ -253,6 +290,7 @@ func newService(keys, n, base, shards int, mig *Migration) *Service {
 
 // attach installs c, built as algorithm algo, as shard i — shards are
 // attached in index order — and hooks its completions on the sim backend.
+// On rt, OnComplete hooks them.
 func (s *Service) attach(i int, algo string, c counter.Async) error {
 	v, ok := c.(counter.Valued)
 	if !ok {
@@ -271,7 +309,11 @@ func (s *Service) attach(i int, algo string, c counter.Async) error {
 	}
 	s.shards[i] = shard{c: v, algo: algo}
 	if isRT {
+		if len(s.rts) == 0 {
+			s.origin = r.Origin()
+		}
 		s.rts = append(s.rts, r)
+		s.lag = append(s.lag, r.Origin().Sub(s.origin).Nanoseconds())
 	} else {
 		if s.nets == nil {
 			s.nets = make([]*sim.Network, 0, len(s.shards))
@@ -322,29 +364,6 @@ func (s *Service) Algo(shard int) string { return s.shards[shard].algo }
 // Counter returns a shard's counter instance.
 func (s *Service) Counter(shard int) counter.Valued { return s.shards[shard].c }
 
-// DeliverTo merges the rt backend's completion streams into sink: every
-// shard runtime delivers under its shard index, its stamps moved onto the
-// service's clock (Now) — each runtime counts from its own start, and the
-// service's clock from the earliest. A no-op on the sim backend. The
-// consumer must call CompleteRT for every completion it takes out of the
-// sink to keep the service's routing state current.
-func (s *Service) DeliverTo(sink *rt.Sink) {
-	var origin time.Time
-	for i, r := range s.rts {
-		if i == 0 || r.Origin().Before(origin) {
-			origin = r.Origin()
-		}
-	}
-	for shard, r := range s.rts {
-		lag := r.Origin().Sub(origin).Nanoseconds()
-		r.OnOpDone(func(d rt.OpDone) {
-			d.StartNs += lag
-			d.DoneNs += lag
-			sink.Put(shard, d)
-		})
-	}
-}
-
 // RouteFor returns the shard a key currently routes to and whether the key
 // is open for admission (false while frozen for migration drain).
 func (s *Service) RouteFor(key int) (shard int, open bool) {
@@ -366,25 +385,45 @@ func (s *Service) KeyOps(key int) int { return s.keys[key].ops }
 // Migrations returns the completed cutovers, in order.
 func (s *Service) Migrations() []MigrationEvent { return s.events }
 
-// OnOpDone registers the sim-backend completion handler, invoked after the
-// service's own bookkeeping (routing, migration) for the completed op.
-// epoch is the key's routing epoch the operation RAN at — captured before
-// any cutover its own completion triggered, so a verifier always files the
-// op under the shard that actually executed it. The shard network has
-// already forgotten the operation (Network.ForgetOp), so a long run keeps no
-// per-operation record: read st before the handler starts another operation,
-// which may recycle it.
-func (s *Service) OnOpDone(fn func(shard, key, epoch int, st *sim.OpStats)) { s.done = fn }
+// OnComplete registers the completion handler, invoked on the driving
+// goroutine after the service's own bookkeeping (routing, migration) for
+// each finished operation: inside Step on the simulator, at the
+// completion's point in the event order, so whatever the handler starts is
+// scheduled before any later completion of the same event is handled; inside
+// Await on rt. wedgeIdle is how long an rt wait stays silent once a fault
+// has fired before it gives up (see Await); the simulator ignores it. Set it
+// before the first Start.
+func (s *Service) OnComplete(fn func(Completion), wedgeIdle time.Duration) {
+	s.done = fn
+	if len(s.rts) == 0 {
+		return
+	}
+	s.period = s.stall
+	if _, active := s.FaultStats(); active {
+		s.period = min(wedgeIdle, s.stall)
+	}
+	s.sink = rt.NewSink(s.Now, s.period)
+	for shard, r := range s.rts {
+		lag := s.lag[shard]
+		r.OnOpDone(func(d sim.OpDone) {
+			d.Start += lag
+			d.End += lag
+			s.sink.Put(shard, d)
+		})
+	}
+}
 
-// OnMigrate registers a cutover observer (both backends).
+// OnMigrate registers a cutover observer (both backends). Cutovers happen
+// inside the service's completion bookkeeping, on the driving goroutine.
 func (s *Service) OnMigrate(fn func(MigrationEvent)) { s.onMigrate = fn }
 
 // Start injects one increment for key by processor p at absolute simulated
-// time at (on the rt backend: right now) and returns the shard it routed to
-// plus the shard-local operation id. Callers must respect RouteFor: a
-// frozen key must not be started, p must be one of the N() processors
-// requests may target, and at most one operation per (shard, initiator) may
-// be in flight.
+// time at (on the rt backend: right now, at being the caller's reading of
+// Now, which becomes the operation's start stamp) and returns the shard it
+// routed to plus the shard-local operation id. Callers must respect
+// RouteFor: a frozen key must not be started, p must be one of the N()
+// processors requests may target, and at most one operation per (shard,
+// initiator) may be in flight.
 func (s *Service) Start(at int64, key int, p sim.ProcID) (shard int, id sim.OpID) {
 	k := &s.keys[key]
 	if k.frozen {
@@ -394,11 +433,8 @@ func (s *Service) Start(at int64, key int, p sim.ProcID) (shard int, id sim.OpID
 		panic(fmt.Sprintf("countersvc: Start by processor %d outside [1,%d]", p, s.n))
 	}
 	shard = k.shard
-	if len(s.rts) > 1 {
-		// The shard stamps the operation on its own clock: at is on the merged
-		// one (Now), which carries the shards' construction offsets. A lone
-		// runtime's clock is the merged one, so its caller's reading stands.
-		at = 0
+	if s.lag != nil {
+		at -= s.lag[shard] // onto the shard runtime's clock; OnComplete's hook adds it back
 	}
 	id = s.shards[shard].c.Start(at, p)
 	if s.next != nil {
@@ -409,13 +445,22 @@ func (s *Service) Start(at int64, key int, p sim.ProcID) (shard int, id sim.OpID
 	return shard, id
 }
 
-// complete is the per-completion bookkeeping shared by both backends:
-// in-flight accounting, hotspot detection, and the drain-triggered cutover.
-// It returns the op's key and the routing epoch it ran at (pre-cutover).
-func (s *Service) complete(shard int, initiator sim.ProcID) (key, epoch int) {
-	key = s.keyOf[shard*(s.n+1)+int(initiator)]
+// noteDone is the sim backend's completion hook. The record is copied out
+// and the shard network forgets the operation, so a long run keeps no
+// per-operation record and the next start may recycle it.
+func (s *Service) noteDone(shard int, st *sim.OpStats) {
+	d := sim.OpDone{ID: st.ID, Initiator: st.Initiator, Start: st.StartedAt, End: st.DoneAt, Messages: st.Messages}
+	s.nets[shard].ForgetOp(st.ID)
+	s.finish(shard, d)
+}
+
+// finish is the per-completion step shared by both backends: in-flight
+// accounting, hotspot detection and the drain-triggered cutover, then the
+// OnComplete handler.
+func (s *Service) finish(shard int, d sim.OpDone) {
+	key := s.keyOf[shard*(s.n+1)+int(d.Initiator)]
 	k := &s.keys[key]
-	epoch = k.epoch
+	c := Completion{OpDone: d, Shard: shard, Key: key, Epoch: k.epoch}
 	k.inflight--
 	k.ops++
 	s.completed++
@@ -425,26 +470,9 @@ func (s *Service) complete(shard int, initiator sim.ProcID) (key, epoch int) {
 	if k.frozen && k.inflight == 0 {
 		s.cutover(key)
 	}
-	return key, epoch
-}
-
-// noteDone is the sim backend's completion hook: the bookkeeping, then the
-// OnOpDone observer. The shard network forgets the op first, so its record
-// is recycled by the next start — the handler's, if it starts one.
-func (s *Service) noteDone(shard int, st *sim.OpStats) {
-	key, epoch := s.complete(shard, st.Initiator)
-	s.nets[shard].ForgetOp(st.ID)
 	if s.done != nil {
-		s.done(shard, key, epoch, st)
+		s.done(c)
 	}
-}
-
-// CompleteRT performs the service bookkeeping for one rt-backend completion
-// taken out of the DeliverTo sink, returning the op's key and the routing
-// epoch it ran at (pre-cutover, like OnOpDone's). Must be called from the
-// single driver goroutine.
-func (s *Service) CompleteRT(d rt.Completion) (key, epoch int) {
-	return s.complete(d.Shard, d.Initiator)
 }
 
 // observe feeds hotspot detection: per-key completion counts over a window
@@ -561,25 +589,66 @@ func (s *Service) refresh(shard int) {
 	s.next[shard] = t
 }
 
-// Run steps the merged event loop to global quiescence.
+// Due reports whether an operation arriving at at may be started, next to
+// the clock reading it decided on (what Now returns). On rt the clock must
+// have reached it. The simulator schedules into the future: an arrival is
+// due once no event can happen before it, and always when early is set —
+// the caller starts it at max(at, now) (the engine's closed loop).
+func (s *Service) Due(at int64, early bool) (now int64, due bool) {
+	now = s.Now()
+	if s.rts != nil {
+		return now, at <= now
+	}
+	if early {
+		return now, true
+	}
+	next, ok := s.NextAt()
+	return now, !ok || next >= at
+}
+
+// Await makes progress on the driving goroutine: it delivers the next
+// completion to the OnComplete handler, or returns once the clock reaches
+// until (the next arrival; negative: none pending). On the simulator that is
+// one Step — until is the caller's to honour through Due. On rt it hands
+// over every completion the sink holds, or parks until one arrives, until
+// comes due, or the sink reports silence. It returns false when nothing
+// happened and nothing will: the simulator ran out of events, or real time
+// stayed silent for the stall timeout (30 s) — once a fault has fired, for
+// OnComplete's wedgeIdle.
+func (s *Service) Await(until int64) (bool, error) {
+	if s.sink == nil {
+		return s.Step()
+	}
+	return s.wait(until), nil
+}
+
+// wait is Await on rt, a function of its own so that the simulator's
+// per-event step does not run under its larger frame: with the two in one
+// body the regression study took ≈20 % more CPU on a 2-vCPU x86-64 machine.
+func (s *Service) wait(until int64) bool {
+	for quiet := s.period; !s.sink.Await(until, s.finish); quiet += s.period {
+		if st, _ := s.FaultStats(); quiet >= s.stall || st.Any() {
+			return false
+		}
+	}
+	return true
+}
+
+// Run steps the merged event loop to global quiescence — at once on rt,
+// which has no events to step: a driver that saw every completion is done.
 func (s *Service) Run() error {
 	for {
-		ok, err := s.Step()
-		if err != nil {
+		if ok, err := s.Step(); err != nil || !ok {
 			return err
-		}
-		if !ok {
-			return nil
 		}
 	}
 }
 
 // Now returns the service's clock on its backend. On the simulator it is
 // the merged clock, the time of the latest delivered event across all
-// shards (never decreasing). On rt it is wall-clock nanoseconds, the max of
-// the shard runtimes' NowNs: each runtime's clock is relative to its own
-// start, so the merged clock is the earliest-built runtime's, and DeliverTo
-// moves every shard's completion stamps onto it.
+// shards (never decreasing). On rt it is wall-clock nanoseconds since the
+// first shard runtime started; Start and the completion stamps move each
+// shard runtime's own clock onto it.
 func (s *Service) Now() int64 {
 	if len(s.nets) == 1 {
 		return s.nets[0].Now()
@@ -587,14 +656,26 @@ func (s *Service) Now() int64 {
 	return s.mergedNow()
 }
 
-// mergedNow is Now past its one-network case, split off so that case
-// inlines into the engine's loop, which reads the clock per event.
+// mergedNow is Now past its one-network case, split off and kept out of
+// line so that case inlines into the engine's loop, which reads the clock
+// per event.
+//
+//go:noinline
 func (s *Service) mergedNow() int64 {
-	now := s.now
-	for _, r := range s.rts {
-		now = max(now, r.NowNs())
+	if s.rts != nil {
+		return time.Since(s.origin).Nanoseconds()
 	}
-	return now
+	return s.now
+}
+
+// TickNs returns the wall duration of one protocol tick in nanoseconds on
+// rt, whose clock reads nanoseconds, and 0 on the simulator, whose clock
+// reads ticks.
+func (s *Service) TickNs() int64 {
+	if s.rts == nil {
+		return 0
+	}
+	return s.rts[0].Tick().Nanoseconds()
 }
 
 // MessagesTotal sums network messages across all shards.
@@ -669,8 +750,8 @@ func (s *Service) FaultStats() (stats sim.FaultStats, active bool) {
 	return stats, active
 }
 
-// Close detaches the service from its shard networks and shuts down the
-// shard runtimes. Must be called at quiescence.
+// Close detaches the service from its shard networks and its handlers, and
+// shuts down the shard runtimes and the sink. Must be called at quiescence.
 func (s *Service) Close() {
 	for _, nw := range s.nets {
 		nw.OnOpDone(nil)
@@ -678,4 +759,8 @@ func (s *Service) Close() {
 	for _, r := range s.rts {
 		r.Close()
 	}
+	if s.sink != nil {
+		s.sink.Close()
+	}
+	s.done, s.onMigrate = nil, nil
 }

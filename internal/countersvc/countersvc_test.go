@@ -1,11 +1,12 @@
 package countersvc
 
 import (
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"distcount/internal/registry"
-	"distcount/internal/rt"
 	"distcount/internal/sim"
 )
 
@@ -51,7 +52,7 @@ func TestShardValueSequences(t *testing.T) {
 	s := mustService(t, Config{Keys: 8, N: 4, Shards: 2, Algo: "central"})
 	next := make([]int, s.Shards())
 	doneKey := -1
-	s.OnOpDone(func(_, key, _ int, _ *sim.OpStats) { doneKey = key })
+	s.OnComplete(func(c Completion) { doneKey = c.Key }, 0)
 	for i := 0; i < 32; i++ {
 		key := i % s.Keys()
 		shard, id := s.Start(s.Now(), key, sim.ProcID(1+i%s.N()))
@@ -84,9 +85,9 @@ func TestMergedLoopDeterministic(t *testing.T) {
 		s := mustService(t, Config{Keys: 16, N: 8, Shards: 3, Algo: "central",
 			Registry: registry.Config{Window: registry.DefaultWindow}})
 		var order []int
-		s.OnOpDone(func(shard, key, epoch int, st *sim.OpStats) {
-			order = append(order, shard*1000+key)
-		})
+		s.OnComplete(func(c Completion) {
+			order = append(order, c.Shard*1000+c.Key)
+		}, 0)
 		for round := 0; round < 4; round++ {
 			for p := 1; p <= 8; p++ {
 				key := (round*8 + p) % 16
@@ -111,19 +112,18 @@ func TestMergedLoopDeterministic(t *testing.T) {
 	}
 }
 
-// TestDeliverToStampsOnServiceClock: on rt every shard runtime counts from
+// TestCompletionsStampOnServiceClock: on rt every shard runtime counts from
 // its own start, later than the first shard's, so its own stamps run behind
-// the service's clock. DeliverTo moves them onto it: an operation started
-// after a Now reading and taken out of the sink before the next one is
-// stamped between the two, on every shard. The streaming verifier's
-// frontier, read on the service clock, depends on it.
-func TestDeliverToStampsOnServiceClock(t *testing.T) {
+// the service's clock. The service moves them onto it: an operation started
+// at a Now reading and handed over before the next one is stamped between
+// the two, on every shard. The streaming verifier's frontier, read on the
+// service clock, depends on it.
+func TestCompletionsStampOnServiceClock(t *testing.T) {
 	s := mustService(t, Config{Keys: 32, N: 2, Shards: 4, Algo: "central",
 		Registry: registry.Config{Backend: "rt", Window: registry.DefaultWindow}})
 	defer s.Close()
-	sink := rt.NewSink(s.Now, time.Minute)
-	defer sink.Close()
-	s.DeliverTo(sink)
+	var got []Completion
+	s.OnComplete(func(c Completion) { got = append(got, c) }, time.Minute)
 	for shard := range s.Shards() {
 		key := -1
 		for k := range s.Keys() {
@@ -138,21 +138,19 @@ func TestDeliverToStampsOnServiceClock(t *testing.T) {
 		for range 20 {
 			before := s.Now()
 			s.Start(before, key, 1)
-			var got []rt.Completion
-			for len(got) == 0 {
-				if !sink.Await(-1, func(c rt.Completion) { got = append(got, c) }) {
-					t.Fatalf("shard %d: no completion", shard)
+			for got = got[:0]; len(got) == 0; {
+				if ok, err := s.Await(-1); !ok || err != nil {
+					t.Fatalf("shard %d: no completion (%v)", shard, err)
 				}
 			}
 			after := s.Now()
-			d := got[0]
-			s.CompleteRT(d)
-			if len(got) != 1 || d.Shard != shard {
-				t.Fatalf("shard %d: completions %+v", shard, got)
+			c := got[0]
+			if len(got) != 1 || c.Shard != shard || c.Key != key {
+				t.Fatalf("shard %d key %d: completions %+v", shard, key, got)
 			}
-			if !(before <= d.StartNs && d.StartNs <= d.DoneNs && d.DoneNs <= after) {
+			if !(before <= c.Start && c.Start <= c.End && c.End <= after) {
 				t.Fatalf("shard %d: op stamped [%d, %d], outside the service clock's [%d, %d]",
-					shard, d.StartNs, d.DoneNs, before, after)
+					shard, c.Start, c.End, before, after)
 			}
 		}
 	}
@@ -185,19 +183,19 @@ func TestMigrationDrain(t *testing.T) {
 	// Keep every processor busy on the hot key so the scan window fills
 	// while ops are genuinely concurrent; respect the freeze when it lands.
 	busyUntil := make(map[sim.ProcID]bool)
-	s.OnOpDone(func(shard, key, epoch int, st *sim.OpStats) {
-		busyUntil[st.Initiator] = false
+	s.OnComplete(func(c Completion) {
+		busyUntil[c.Initiator] = false
 		// The reported epoch is the one the op RAN at: 0 on a home
 		// shard, 1 on the hot shard — even for the drain-completing op
 		// whose own completion triggers the cutover.
-		if want := 0; shard == s.HotShard() {
-			if epoch != 1 {
-				t.Errorf("op on hot shard reported epoch %d, want 1", epoch)
+		if want := 0; c.Shard == s.HotShard() {
+			if c.Epoch != 1 {
+				t.Errorf("op on hot shard reported epoch %d, want 1", c.Epoch)
 			}
-		} else if epoch != want {
-			t.Errorf("op on home shard %d reported epoch %d, want 0", shard, epoch)
+		} else if c.Epoch != want {
+			t.Errorf("op on home shard %d reported epoch %d, want 0", c.Shard, c.Epoch)
 		}
-	})
+	}, 0)
 	started := 0
 	for started < 200 {
 		if _, open := s.RouteFor(hotKey); open {
@@ -309,4 +307,166 @@ func TestBatchingAmortizesMessages(t *testing.T) {
 	if open*10 >= closed*9 {
 		t.Fatalf("window open used %d messages vs %d closed — no cross-key amortization", open, closed)
 	}
+}
+
+// silentWall binds a handler over a fresh central runtime, wrapped as the
+// one-shard service a single run drives, on which nothing ever starts unless
+// the test starts it, so the only other completions are the ones a test puts
+// into its sink. done counts the completions the handler is handed.
+func silentWall(t *testing.T, stall, wedgeIdle time.Duration, plan *sim.FaultPlan) (s *Service, done *int) {
+	c, err := registry.NewWith("central", 2, registry.Config{Backend: "rt", Window: registry.DefaultWindow, Faults: plan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err = Single(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.stall = stall
+	done = new(int)
+	s.OnComplete(func(Completion) { *done++ }, wedgeIdle)
+	t.Cleanup(s.Close)
+	return s, done
+}
+
+// TestAwaitWallLeavesTimerStopped: every way out of the rt wait — a
+// completion already there, one arriving while the driver is parked, an
+// arrival coming due inside and beyond the spin horizon, the stall timeout —
+// returns what Await's contract says, never before the time it was asked to
+// wait out, and leaves the sink's reusable arrival timer stopped: a fire
+// left behind would cut the next arrival wait short.
+func TestAwaitWallLeavesTimerStopped(t *testing.T) {
+	const far = time.Hour // a stall timeout that never expires
+	for _, tc := range []struct {
+		name       string
+		ready      int           // completions already in the sink on entry
+		sendAfter  time.Duration // or one arrives this much later
+		until      time.Duration // the pending arrival; negative = none
+		stall      time.Duration
+		want       bool
+		handled    int
+		atLeastFor time.Duration
+	}{
+		{name: "completion ready", ready: 1, until: -1, stall: far, want: true, handled: 1},
+		{name: "completion during sleep", sendAfter: 5 * time.Millisecond, until: -1, stall: far, want: true, handled: 1, atLeastFor: 5 * time.Millisecond},
+		{name: "completion ready, arrival overdue", ready: 3, until: 0, stall: far, want: true, handled: 3},
+		{name: "arrival overdue", until: 0, stall: far, want: true},
+		{name: "arrival inside the horizon", until: 300 * time.Microsecond, stall: far, want: true, atLeastFor: 300 * time.Microsecond},
+		{name: "arrival beyond the horizon", until: 4 * time.Millisecond, stall: far, want: true, atLeastFor: 4 * time.Millisecond},
+		{name: "stall", until: -1, stall: 3 * time.Millisecond, want: false, atLeastFor: 3 * time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, handled := silentWall(t, tc.stall, far, nil)
+			for i := 0; i < tc.ready; i++ {
+				s.sink.Put(0, sim.OpDone{End: s.Now()})
+			}
+			if tc.sendAfter > 0 {
+				go func() {
+					time.Sleep(tc.sendAfter)
+					s.sink.Put(0, sim.OpDone{End: s.Now()})
+				}()
+			}
+			until := int64(tc.until)
+			if until >= 0 {
+				until += s.Now()
+			}
+			t0 := time.Now()
+			got, err := s.Await(until)
+			if elapsed := time.Since(t0); err != nil || got != tc.want || *handled != tc.handled || elapsed < tc.atLeastFor {
+				t.Fatalf("Await = %v, %v after %v with %d completions handled, want %v after at least %v with %d",
+					got, err, elapsed, *handled, tc.want, tc.atLeastFor, tc.handled)
+			}
+			const next = 2 * time.Millisecond
+			t0 = time.Now()
+			if got, _ := s.Await(s.Now() + int64(next)); !got || time.Since(t0) < next || *handled != tc.handled {
+				t.Fatalf("the next arrival wait returned %v after %v with %d handled, want true after %v with %d",
+					got, time.Since(t0), *handled, next, tc.handled)
+			}
+		})
+	}
+}
+
+// TestWallStallWatchdog: stall detection lives in the sink's watchdog, off
+// the per-completion path, and keeps Await's timeouts. A silent runtime is
+// reported no earlier than the stall timeout and within a small slop of it,
+// measured from the driver's last sign of life; completions arriving
+// steadily, each well inside the timeout, never trip it however long they go
+// on; and a fault firing mid-run shortens the timeout from the stall timeout
+// to wedgeIdle.
+func TestWallStallWatchdog(t *testing.T) {
+	const slop = 250 * time.Millisecond // a loaded CI box delays a timer callback
+	// awaitStall drives Await until it reports a stall and checks when: the
+	// last sign of life fell between lifeFrom and lifeTo.
+	awaitStall := func(t *testing.T, s *Service, lifeFrom, lifeTo time.Time, timeout time.Duration) {
+		t.Helper()
+		for {
+			ok, err := s.Await(-1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+		}
+		if early, late := time.Since(lifeFrom), time.Since(lifeTo); early < timeout || late > timeout+slop {
+			t.Fatalf("stall reported %v–%v after the last sign of life, want %v and at most %v more", late, early, timeout, slop)
+		}
+	}
+
+	t.Run("silent", func(t *testing.T) {
+		const stall = 40 * time.Millisecond
+		before := time.Now()
+		s, _ := silentWall(t, stall, time.Hour, nil)
+		awaitStall(t, s, before, time.Now(), stall)
+	})
+
+	t.Run("steady completions", func(t *testing.T) {
+		const stall, beats, gap = 100 * time.Millisecond, 60, 5 * time.Millisecond
+		s, handled := silentWall(t, stall, time.Hour, nil)
+		var widest atomic.Int64 // the longest the producer went between two completions
+		last := make(chan [2]time.Time, 1)
+		go func() {
+			before := time.Now()
+			for i := 0; i < beats; i++ {
+				time.Sleep(gap)
+				widest.Store(max(widest.Load(), int64(time.Since(before))))
+				before = time.Now()
+				s.sink.Put(0, sim.OpDone{End: s.Now()})
+			}
+			last <- [2]time.Time{before, time.Now()}
+		}()
+		// beats × gap is several stall timeouts: only the silence after the
+		// last completion may be reported.
+		for *handled < beats {
+			if ok, _ := s.Await(-1); !ok {
+				early := *handled
+				<-last
+				if quiet := time.Duration(widest.Load()); quiet < stall/2 {
+					t.Fatalf("stall reported after %d of %d completions at most %v apart", early, beats, quiet)
+				}
+				t.Skipf("the machine held the producer itself up for %v", time.Duration(widest.Load()))
+			}
+		}
+		l := <-last
+		awaitStall(t, s, l[0], l[1], stall)
+	})
+
+	t.Run("fault switches to WedgeIdle", func(t *testing.T) {
+		const wedgeIdle = 40 * time.Millisecond
+		// Processor 2's first send — its request to the holder — is lost.
+		s, handled := silentWall(t, time.Hour, wedgeIdle, &sim.FaultPlan{DropNth: []sim.NthRule{{Proc: 2, Every: 1}}})
+		before := time.Now()
+		s.Start(s.Now(), 0, 1) // the holder's own increment: no message, completes
+		if ok, _ := s.Await(-1); !ok || *handled != 1 {
+			t.Fatalf("Await = %v with %d handled before any fault", ok, *handled)
+		}
+		s.Start(s.Now(), 0, 2)
+		for st, _ := s.FaultStats(); !st.Any(); st, _ = s.FaultStats() {
+			runtime.Gosched()
+		}
+		awaitStall(t, s, before, time.Now(), wedgeIdle)
+		if *handled != 1 {
+			t.Fatalf("%d completions, want the wedged operation to stay open", *handled)
+		}
+	})
 }

@@ -26,13 +26,15 @@
 // message load becomes a throughput ceiling, and the open-loop ramp makes
 // the paper's prediction observable as a saturation point.
 //
-// Each loop is written once (loop.go) against one adapter (service.go) over
-// the sharded countersvc.Service: RunKeyed drives a service, and Run drives a
-// single counter as the service's one-key, one-shard case
-// (countersvc.Single), on the backend it was built on — a simulator-backed
-// counter in ticks, exactly reproducible per scenario seed, the
-// real-hardware rt.Runtime in wall-clock ns and ops/sec. One metrics type
-// derives every report field from the service's clock and loads.
+// Each loop is written once (loop.go) against countersvc.Service, the only
+// layer that knows which backend runs: RunKeyed drives a sharded service,
+// and Run drives a single counter as the service's one-key, one-shard case
+// (countersvc.Single). The loops start operations, ask the service whether
+// an arrival is due, wait on it and take its completions, one record shape
+// on either backend — a simulator-backed service in ticks, exactly
+// reproducible per scenario seed, a real-hardware one in wall-clock ns and
+// ops/sec. One metrics type derives every report field from the service's
+// clock and loads.
 //
 // See docs/ARCHITECTURE.md for where the engine sits between internal/workload
 // and internal/engine/report, and docs/EXPERIMENTS.md for a runnable cookbook.
@@ -308,14 +310,14 @@ type Result struct {
 	// renderers treat keyed runs uniformly.
 	KeyedVerification *verify.KeyedReport `json:"keyed_verification,omitempty"`
 	// Wall reports that the run executed on the real-hardware rt backend
-	// (RunWall). In wall mode every time-valued field — SimTime,
-	// MeasureStart, the latency digests, Series times, bucket spans — is in
-	// wall-clock nanoseconds instead of simulated ticks, and every rate —
-	// Throughput, the buckets' and knee's OfferedRate — is in operations
-	// per second instead of operations per tick. TickNs records the wall
-	// duration of one simulated tick the backend was configured with, the
-	// conversion factor for comparing against a sim-backend run of the same
-	// cell (1 op/tick predicts 1e9/TickNs ops/sec).
+	// (the service reported a nonzero TickNs). Then every time-valued field
+	// — SimTime, MeasureStart, the latency digests, Series times, bucket
+	// spans — is in wall-clock nanoseconds instead of simulated ticks, and
+	// every rate — Throughput, the buckets' and knee's OfferedRate — is in
+	// operations per second instead of operations per tick. TickNs records
+	// the wall duration of one simulated tick the backend was configured
+	// with, the conversion factor for comparing against a sim-backend run of
+	// the same cell (1 op/tick predicts 1e9/TickNs ops/sec).
 	Wall   bool  `json:"wall,omitempty"`
 	TickNs int64 `json:"tick_ns,omitempty"`
 }
@@ -335,11 +337,12 @@ type KeyStat struct {
 // Run drives the counter with the scenario until the generator is
 // exhausted and every admitted operation has completed, in the mode
 // selected by cfg, on whichever backend the counter was built on: a
-// simulator-backed counter runs in simulated ticks, an *rt.Runtime in wall
-// time. The scenario's tick-denominated arrival times are then scaled by the
-// runtime's tick duration and paced in real time, so the same generator
-// offers the same logical load to both backends, and the result reports
-// wall-clock nanoseconds and operations per second (Result.Wall).
+// simulator-backed counter runs in simulated ticks, a runtime of the rt
+// backend in wall time. The scenario's tick-denominated arrival times are
+// then scaled by the runtime's tick duration and paced in real time, so the
+// same generator offers the same logical load to both backends, and the
+// result reports wall-clock nanoseconds and operations per second
+// (Result.Wall).
 func Run(c counter.Async, gen workload.Generator, cfg Config) (*Result, error) {
 	svc, err := countersvc.Single(c)
 	if err != nil {
@@ -348,7 +351,8 @@ func Run(c counter.Async, gen workload.Generator, cfg Config) (*Result, error) {
 	return drive(svc, &Result{Algorithm: c.Name(), N: c.N()}, gen, cfg)
 }
 
-// RunWall is Run for a counter already known to be an rt runtime.
+// RunWall is Run. It is kept only for the benchmark harness under bench/,
+// whose sources are frozen; ROADMAP item 8 deletes it.
 func RunWall(r *rt.Runtime, gen workload.Generator, cfg Config) (*Result, error) {
 	return Run(r, gen, cfg)
 }

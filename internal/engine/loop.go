@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"distcount/internal/countersvc"
-	"distcount/internal/rt"
 	"distcount/internal/sim"
 	"distcount/internal/workload"
 )
@@ -19,13 +18,15 @@ type flight struct {
 	rec            int   // its index in run.recs; -1 in the closed loop, which keeps no per-request records
 }
 
-// run is the state of one engine run, shared by the two loops.
+// run is the state of one engine run, shared by the two loops. Its times
+// are on the service's clock: simulated ticks, or wall-clock nanoseconds on
+// rt, into which the loops scale scenario arrivals.
 type run struct {
-	s     service
+	svc   *countersvc.Service
 	cfg   Config
 	res   *Result
 	src   *source
-	scale int64 // service time units per scenario tick
+	scale int64 // service clock units per scenario tick
 	vf    *verifier
 	m     *metrics
 
@@ -47,14 +48,12 @@ type run struct {
 // is a single counter's and reports as one.
 func drive(svc *countersvc.Service, res *Result, gen workload.Generator, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	r := &run{s: service{Service: svc, stall: wallStall, wedgeIdle: cfg.WedgeIdle}, cfg: cfg, res: res, scale: 1}
-	s := &r.s
-	if !s.fresh() {
+	r := &run{svc: svc, cfg: cfg, res: res, scale: 1}
+	if !fresh(svc) {
 		return nil, fmt.Errorf("engine: %s has already run; build a fresh counter, runtime or service per run", res.Algorithm)
 	}
-	if rtr, ok := svc.Counter(0).(*rt.Runtime); ok {
-		s.wall, res.Wall, res.TickNs = true, true, rtr.Tick().Nanoseconds()
-		r.scale = res.TickNs
+	if tick := svc.TickNs(); tick > 0 {
+		res.Wall, res.TickNs, r.scale = true, tick, tick
 	}
 	res.Scenario, res.Mode, res.Warmup = gen.Name(), cfg.Mode.String(), cfg.Warmup
 	r.src = newSource(gen, res.N, res.Keys)
@@ -82,11 +81,14 @@ func drive(svc *countersvc.Service, res *Result, gen workload.Generator, cfg Con
 	} else {
 		res.InFlight = cfg.InFlight
 	}
-	s.bind(r.complete, r.reopened)
-	defer s.close()
+	svc.OnMigrate(r.reopened)
+	svc.OnComplete(r.complete, cfg.WedgeIdle)
+	defer svc.Close()
 	err := loop()
 	if err == nil {
-		err = s.settle()
+		// Trailing maintenance events (stale timers) still count toward the
+		// simulator's message totals.
+		err = svc.Run()
 	}
 	if err != nil {
 		return nil, fmt.Errorf("engine: %s/%s: %w", res.Algorithm, res.Scenario, err)
@@ -101,13 +103,27 @@ func drive(svc *countersvc.Service, res *Result, gen workload.Generator, cfg Con
 		res.Buckets = bucketize(r.recs, cfg.KneeBuckets)
 		res.Knee = detectKnee(res.Buckets)
 	}
-	if err := r.m.finalize(res, s, thinAfter); err != nil {
+	if err := r.m.finalize(res, svc, thinAfter); err != nil {
 		return nil, err
 	}
 	if r.vf != nil {
 		r.vf.attach(res)
 	}
 	return res, nil
+}
+
+// fresh reports whether the service has never started an operation: the
+// report's time axis, load baselines and series are all relative to an
+// unused service, and a reused one would silently fold its previous traffic
+// into every metric (or, on rt, is already closed). countersvc.Single has
+// already refused a counter that ran before it was wrapped.
+func fresh(svc *countersvc.Service) bool {
+	for k := range svc.Keys() {
+		if svc.KeyOps(k) != 0 || svc.InFlight(k) != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // closedLoop keeps at most cfg.InFlight operations in flight, admitting the
@@ -118,7 +134,7 @@ func (r *run) closedLoop() error {
 		if r.src.err != nil || (!r.src.have && r.inFlight == 0) {
 			return nil
 		}
-		if ok, err := r.s.await(until); err != nil || !ok {
+		if ok, err := r.svc.Await(until); err != nil || !ok {
 			return err
 		}
 	}
@@ -136,9 +152,9 @@ func (r *run) closedLoop() error {
 // for, and -1 when only a completion can unblock it.
 func (r *run) admit() (until int64) {
 	for r.inFlight < r.cfg.InFlight && r.src.have &&
-		!r.flights[r.src.head.Proc].busy && r.s.open(r.src.head.Key) {
+		!r.flights[r.src.head.Proc].busy && r.open(r.src.head.Key) {
 		at := r.src.arrival * r.scale
-		now, due := r.s.due(at, true)
+		now, due := r.svc.Due(at, true)
 		if !due {
 			return at
 		}
@@ -156,7 +172,7 @@ func (r *run) admit() (until int64) {
 func (r *run) openLoop() error {
 	for {
 		for r.src.have {
-			now, due := r.s.due(r.src.arrival*r.scale, false)
+			now, due := r.svc.Due(r.src.arrival*r.scale, false)
 			if !due {
 				break
 			}
@@ -170,7 +186,7 @@ func (r *run) openLoop() error {
 		if r.src.have {
 			until = r.src.arrival * r.scale
 		}
-		if ok, err := r.s.await(until); err != nil || (!ok && !r.src.have) {
+		if ok, err := r.svc.Await(until); err != nil || (!ok && !r.src.have) {
 			return err
 		}
 	}
@@ -195,7 +211,7 @@ func (r *run) arrive(now int64) {
 		backlog:    int32(r.inFlight + r.totalQueued),
 	})
 	switch {
-	case !r.flights[p].busy && r.s.open(key):
+	case !r.flights[p].busy && r.open(key):
 		r.launch(r.recs[idx].arrival, now, idx, key, p)
 	case r.totalQueued >= r.cfg.QueueCap:
 		r.recs[idx].dropped = true
@@ -218,12 +234,19 @@ func (r *run) feed(p sim.ProcID) {
 		return
 	}
 	head := &r.recs[q[0]]
-	if !r.s.open(int(head.key)) {
+	if !r.open(int(head.key)) {
 		return
 	}
 	r.queued[p] = q[1:]
 	r.totalQueued--
-	r.launch(head.arrival, r.s.Now(), q[0], int(head.key), p)
+	r.launch(head.arrival, r.svc.Now(), q[0], int(head.key), p)
+}
+
+// open reports whether key is admissible (false while frozen for migration
+// drain; always true on a single counter).
+func (r *run) open(key int) bool {
+	_, open := r.svc.RouteFor(key)
+	return open
 }
 
 // reopened runs when a cutover reopens a migrated key: initiators holding
@@ -243,7 +266,7 @@ func (r *run) launch(arrival, now int64, rec, key int, p sim.ProcID) {
 	at := max(arrival, now)
 	r.flights[p] = flight{busy: true, arrival: arrival, start: at, rec: rec}
 	r.inFlight++
-	r.s.Start(at, key, p)
+	r.svc.Start(at, key, p)
 }
 
 // complete is the completion handler of both loops. On the simulator it
@@ -251,18 +274,21 @@ func (r *run) launch(arrival, now int64, rec, key int, p sim.ProcID) {
 // scheduled before any later completion of the same event is handled —
 // the (time, sequence) event order, and with it every report, depends on
 // that.
-func (r *run) complete(c completion) {
-	f := r.flights[c.proc]
-	r.flights[c.proc].busy = false
+func (r *run) complete(c countersvc.Completion) {
+	f := r.flights[c.Initiator]
+	r.flights[c.Initiator].busy = false
 	r.inFlight--
-	value, ok := r.s.take(c)
+	// Every counter.Ops table records a value per completion until someone
+	// reads it, so the loops take each one — verifying or not — or an
+	// unbounded run accumulates one entry per op.
+	value, ok := r.svc.Counter(c.Shard).OpValue(c.ID)
 	if r.vf != nil {
 		r.vf.observe(c, value, ok)
 	}
 	if f.rec >= 0 {
-		r.recs[f.rec].done = c.done
+		r.recs[f.rec].done = c.End
 	}
-	r.m.onDone(r.res, &r.s, c.key, f.arrival, f.start, c.done)
+	r.m.onDone(r.res, r.svc, c.Key, f.arrival, f.start, c.End)
 	if r.m.inFlight.due() {
 		frontier := r.frontier()
 		r.m.inFlight.advance(frontier)
@@ -274,10 +300,10 @@ func (r *run) complete(c completion) {
 		if r.res.Series == nil {
 			r.res.Series = make([]Sample, 0, r.seriesCap)
 		}
-		r.res.Series = append(r.res.Series, r.m.sample(r.res, &r.s, r.inFlight, r.totalQueued))
+		r.res.Series = append(r.res.Series, r.m.sample(r.res, r.svc, r.inFlight, r.totalQueued))
 	}
 	if r.cfg.Mode == Open {
-		r.feed(c.proc)
+		r.feed(c.Initiator)
 	} else {
 		r.admit()
 	}
@@ -288,7 +314,7 @@ func (r *run) complete(c completion) {
 // clock or after it. A completion may be reported late and out of done
 // order (rt), but it completes an operation that was in flight until now.
 func (r *run) frontier() int64 {
-	f := r.s.Now()
+	f := r.svc.Now()
 	for i := range r.flights {
 		if fl := &r.flights[i]; fl.busy && fl.start < f {
 			f = fl.start
@@ -303,7 +329,7 @@ func (r *run) frontier() int64 {
 // destroyed one of their events) and the requests behind them — queued, or
 // never pulled from the scenario — were never served.
 func (r *run) epilogue() error {
-	stats, active := r.s.FaultStats()
+	stats, active := r.svc.FaultStats()
 	if active {
 		r.res.Faults = &stats
 	}

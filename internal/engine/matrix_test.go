@@ -4,13 +4,11 @@ import (
 	"math"
 	"reflect"
 	"runtime"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"distcount/internal/countersvc"
 	"distcount/internal/registry"
-	"distcount/internal/rt"
 	"distcount/internal/sim"
 	"distcount/internal/workload"
 )
@@ -76,7 +74,7 @@ func matrixCells() []cell {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return func(gen workload.Generator, cfg Config) (*Result, error) { return RunWall(c.(*rt.Runtime), gen, cfg) }
+			return func(gen workload.Generator, cfg Config) (*Result, error) { return Run(c, gen, cfg) }
 		}},
 		{name: "rt/keyed", wall: true, keyed: true, build: func(t *testing.T) func(workload.Generator, Config) (*Result, error) {
 			svc := matrixSvc(t, "rt")
@@ -86,7 +84,7 @@ func matrixCells() []cell {
 }
 
 // TestLoopMatrix: every cell of {closed, open} × {sim, rt} × {single, keyed}
-// runs through the same two loops, one adapter and one metrics type, so they
+// runs through the same two loops, one service and one metrics type, so they
 // all share the report's structural invariants. The rt cells also check that
 // nothing survives the run's close: worker, clock and sink goroutines have
 // all exited when the run returns.
@@ -155,167 +153,6 @@ func TestLoopMatrix(t *testing.T) {
 	}
 }
 
-// silentWall binds the engine's adapter over a fresh central runtime, wrapped
-// as the one-shard service a single run drives, on which nothing ever starts
-// unless the test starts it, so the only other completions are the ones a
-// test puts into its sink. done counts the completions the loop is handed.
-func silentWall(t *testing.T, stall, wedgeIdle time.Duration, plan *sim.FaultPlan) (w *service, done *int) {
-	c, err := registry.NewWith("central", 2, registry.Config{Backend: "rt", Window: registry.DefaultWindow, Faults: plan})
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc, err := countersvc.Single(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w = &service{Service: svc, wall: true, stall: stall, wedgeIdle: wedgeIdle}
-	done = new(int)
-	w.bind(func(completion) { *done++ }, nil)
-	t.Cleanup(w.close)
-	return w, done
-}
-
-// TestAwaitWallLeavesTimerStopped: every way out of the wall-clock wait — a
-// completion already there, one arriving while the loop is parked, an arrival
-// coming due inside and beyond the spin horizon, the stall timeout — returns
-// what await's contract says, never before the time it was asked to wait out,
-// and leaves the sink's reusable arrival timer stopped: a fire left behind
-// would cut the next arrival wait short.
-func TestAwaitWallLeavesTimerStopped(t *testing.T) {
-	const far = time.Hour // a stall timeout that never expires
-	for _, tc := range []struct {
-		name       string
-		ready      int           // completions already in the sink on entry
-		sendAfter  time.Duration // or one arrives this much later
-		until      time.Duration // the pending arrival; negative = none
-		stall      time.Duration
-		want       bool
-		handled    int
-		atLeastFor time.Duration
-	}{
-		{name: "completion ready", ready: 1, until: -1, stall: far, want: true, handled: 1},
-		{name: "completion during sleep", sendAfter: 5 * time.Millisecond, until: -1, stall: far, want: true, handled: 1, atLeastFor: 5 * time.Millisecond},
-		{name: "completion ready, arrival overdue", ready: 3, until: 0, stall: far, want: true, handled: 3},
-		{name: "arrival overdue", until: 0, stall: far, want: true},
-		{name: "arrival inside the horizon", until: 300 * time.Microsecond, stall: far, want: true, atLeastFor: 300 * time.Microsecond},
-		{name: "arrival beyond the horizon", until: 4 * time.Millisecond, stall: far, want: true, atLeastFor: 4 * time.Millisecond},
-		{name: "stall", until: -1, stall: 3 * time.Millisecond, want: false, atLeastFor: 3 * time.Millisecond},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			w, handled := silentWall(t, tc.stall, far, nil)
-			for i := 0; i < tc.ready; i++ {
-				w.sink.Put(0, rt.OpDone{DoneNs: w.Now()})
-			}
-			if tc.sendAfter > 0 {
-				go func() {
-					time.Sleep(tc.sendAfter)
-					w.sink.Put(0, rt.OpDone{DoneNs: w.Now()})
-				}()
-			}
-			until := int64(tc.until)
-			if until >= 0 {
-				until += w.Now()
-			}
-			t0 := time.Now()
-			got, err := w.await(until)
-			if elapsed := time.Since(t0); err != nil || got != tc.want || *handled != tc.handled || elapsed < tc.atLeastFor {
-				t.Fatalf("await = %v, %v after %v with %d completions handled, want %v after at least %v with %d",
-					got, err, elapsed, *handled, tc.want, tc.atLeastFor, tc.handled)
-			}
-			const next = 2 * time.Millisecond
-			t0 = time.Now()
-			if got, _ := w.await(w.Now() + int64(next)); !got || time.Since(t0) < next || *handled != tc.handled {
-				t.Fatalf("the next arrival wait returned %v after %v with %d handled, want true after %v with %d",
-					got, time.Since(t0), *handled, next, tc.handled)
-			}
-		})
-	}
-}
-
-// TestWallStallWatchdog: stall detection lives in the sink's watchdog, off
-// the per-completion path, and keeps await's timeouts. A silent runtime is
-// reported no earlier than the stall timeout and within a small slop of it,
-// measured from the loop's last sign of life; completions arriving steadily,
-// each well inside the timeout, never trip it however long they go on; and a
-// fault firing mid-run shortens the timeout from wallStall to WedgeIdle.
-func TestWallStallWatchdog(t *testing.T) {
-	const slop = 250 * time.Millisecond // a loaded CI box delays a timer callback
-	// awaitStall drives await until it reports a stall and checks when: the
-	// last sign of life fell between lifeFrom and lifeTo.
-	awaitStall := func(t *testing.T, w *service, lifeFrom, lifeTo time.Time, timeout time.Duration) {
-		t.Helper()
-		for {
-			ok, err := w.await(-1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				break
-			}
-		}
-		if early, late := time.Since(lifeFrom), time.Since(lifeTo); early < timeout || late > timeout+slop {
-			t.Fatalf("stall reported %v–%v after the last sign of life, want %v and at most %v more", late, early, timeout, slop)
-		}
-	}
-
-	t.Run("silent", func(t *testing.T) {
-		const stall = 40 * time.Millisecond
-		before := time.Now()
-		w, _ := silentWall(t, stall, time.Hour, nil)
-		awaitStall(t, w, before, time.Now(), stall)
-	})
-
-	t.Run("steady completions", func(t *testing.T) {
-		const stall, beats, gap = 100 * time.Millisecond, 60, 5 * time.Millisecond
-		w, handled := silentWall(t, stall, time.Hour, nil)
-		var widest atomic.Int64 // the longest the producer went between two completions
-		last := make(chan [2]time.Time, 1)
-		go func() {
-			before := time.Now()
-			for i := 0; i < beats; i++ {
-				time.Sleep(gap)
-				widest.Store(max(widest.Load(), int64(time.Since(before))))
-				before = time.Now()
-				w.sink.Put(0, rt.OpDone{DoneNs: w.Now()})
-			}
-			last <- [2]time.Time{before, time.Now()}
-		}()
-		// beats × gap is several stall timeouts: only the silence after the
-		// last completion may be reported.
-		for *handled < beats {
-			if ok, _ := w.await(-1); !ok {
-				early := *handled
-				<-last
-				if quiet := time.Duration(widest.Load()); quiet < stall/2 {
-					t.Fatalf("stall reported after %d of %d completions at most %v apart", early, beats, quiet)
-				}
-				t.Skipf("the machine held the producer itself up for %v", time.Duration(widest.Load()))
-			}
-		}
-		l := <-last
-		awaitStall(t, w, l[0], l[1], stall)
-	})
-
-	t.Run("fault switches to WedgeIdle", func(t *testing.T) {
-		const wedgeIdle = 40 * time.Millisecond
-		// Processor 2's first send — its request to the holder — is lost.
-		w, handled := silentWall(t, time.Hour, wedgeIdle, &sim.FaultPlan{DropNth: []sim.NthRule{{Proc: 2, Every: 1}}})
-		before := time.Now()
-		w.Start(w.Now(), 0, 1) // the holder's own increment: no message, completes
-		if ok, _ := w.await(-1); !ok || *handled != 1 {
-			t.Fatalf("await = %v with %d handled before any fault", ok, *handled)
-		}
-		w.Start(w.Now(), 0, 2)
-		for st, _ := w.FaultStats(); !st.Any(); st, _ = w.FaultStats() {
-			runtime.Gosched()
-		}
-		awaitStall(t, w, before, time.Now(), wedgeIdle)
-		if *handled != 1 {
-			t.Fatalf("%d completions, want the wedged operation to stay open", *handled)
-		}
-	})
-}
-
 // TestReuseRejected: every entry point refuses a counter, runtime or service
 // that has already run, with an error. The rt-backed service is the
 // regression case: its first run closes the shard runtimes, and before the
@@ -354,7 +191,7 @@ func TestZeroLoadSampleReadsProcessorOne(t *testing.T) {
 	}
 }
 
-// TestSingleCounterIsOneKeyService pins the claim the one adapter rests on:
+// TestSingleCounterIsOneKeyService pins the claim the one drive path rests on:
 // a single counter is the degenerate 1-key, 1-shard, always-open service.
 // The same seeded scenario through Run on central and through RunKeyed on a
 // 1-key/1-shard central service yields the same report, while the single

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"distcount/internal/countersvc"
 	"distcount/internal/loadstat"
 )
 
@@ -28,6 +29,9 @@ type metrics struct {
 	latency, queueDelay, serviceLat digest
 	keyLatSum                       []int64 // measured end-to-end latency sum per key; nil on unkeyed runs
 	keyMeasured                     []int
+	// sent and recv hold the loads of the latest series sample; the next
+	// sample reuses them, so sampling allocates nothing.
+	sent, recv []int64
 }
 
 func newMetrics(res *Result, warmup int) *metrics {
@@ -48,7 +52,7 @@ func newMetrics(res *Result, warmup int) *metrics {
 // the warmup boundary its end-to-end latency split into queueing delay
 // (arrival to injection) and service latency (injection to completion),
 // attributed to its key on keyed runs.
-func (m *metrics) onDone(res *Result, s *service, key int, arrival, start, done int64) {
+func (m *metrics) onDone(res *Result, s *countersvc.Service, key int, arrival, start, done int64) {
 	m.completed++
 	m.inFlight.add(start, done)
 	if done > m.lastDone {
@@ -73,8 +77,9 @@ func (m *metrics) onDone(res *Result, s *service, key int, arrival, start, done 
 }
 
 // sample takes one bottleneck-series point.
-func (m *metrics) sample(res *Result, s *service, inFlight, queueDepth int) Sample {
-	proc, load, sum := s.peak()
+func (m *metrics) sample(res *Result, s *countersvc.Service, inFlight, queueDepth int) Sample {
+	m.sent, m.recv = s.Loads(m.sent, m.recv)
+	proc, load, sum := scanPeak(m.sent, m.recv)
 	return Sample{
 		SimTime:        s.Now(),
 		Completed:      m.completed,
@@ -103,7 +108,7 @@ func scanPeak(sent, recv []int64) (proc int, load, sum int64) {
 }
 
 // finalize derives the aggregate report fields once the run has drained.
-func (m *metrics) finalize(res *Result, s *service, thinAfter bool) error {
+func (m *metrics) finalize(res *Result, s *countersvc.Service, thinAfter bool) error {
 	res.Ops = m.completed
 	res.Measured = m.latency.n
 	if res.Measured == 0 && res.Wedged == 0 {

@@ -34,13 +34,13 @@ func newVerifier(svc *countersvc.Service, keyed bool) *verifier {
 }
 
 // observe checks the value the service delivered for a completion.
-func (v *verifier) observe(c completion, value int, ok bool) {
+func (v *verifier) observe(c countersvc.Completion, value int, ok bool) {
 	if !ok {
 		v.missing++
 		return
 	}
-	v.stream.Observe(verify.TimedValue{Op: c.id, Value: value, Start: c.start, End: c.done},
-		verify.Placement{Shard: int32(c.shard), Key: int32(c.key), Epoch: int32(c.epoch)})
+	v.stream.Observe(verify.TimedValue{Op: c.ID, Value: value, Start: c.Start, End: c.End},
+		verify.Placement{Shard: int32(c.Shard), Key: int32(c.Key), Epoch: int32(c.Epoch)})
 }
 
 // attach finishes the check into the result. Fault-attributable anomalies

@@ -1,6 +1,8 @@
 package registry_test
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -61,7 +63,7 @@ func TestCrossBackendEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rtRes, err := engine.RunWall(r, rtGen, ecfg)
+			rtRes, err := engine.Run(r, rtGen, ecfg)
 			if err != nil {
 				t.Fatalf("rt run: %v", err)
 			}
@@ -113,6 +115,11 @@ func TestCrossBackendEquivalence(t *testing.T) {
 // on both. The sim run fixes the expected values on a deterministic
 // interleaving; the rt run must reproduce them under real concurrency
 // (run under -race in CI's rt smoke job).
+//
+// It also pins the one completion shape both backends report through: the
+// same sequence driven one operation at a time straight through the
+// service's OnComplete and Await yields the same multiset of (shard, key,
+// epoch, initiator, messages) records and the same per-key values on both.
 func TestCrossBackendKeyedEquivalence(t *testing.T) {
 	const (
 		ops    = 160
@@ -122,7 +129,7 @@ func TestCrossBackendKeyedEquivalence(t *testing.T) {
 	)
 	for _, name := range registry.Names() {
 		t.Run(name, func(t *testing.T) {
-			runOnce := func(backend string) *engine.Result {
+			build := func(backend string) (*countersvc.Service, workload.Generator) {
 				rcfg := registry.Concurrent()
 				rcfg.Backend = backend
 				svc, err := countersvc.New(countersvc.Config{
@@ -140,6 +147,10 @@ func TestCrossBackendKeyedEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				return svc, gen
+			}
+			runOnce := func(backend string) *engine.Result {
+				svc, gen := build(backend)
 				res, err := engine.RunKeyed(svc, gen, engine.Config{InFlight: svc.N(), Verify: true})
 				if err != nil {
 					t.Fatalf("%q run: %v", backend, err)
@@ -183,6 +194,56 @@ func TestCrossBackendKeyedEquivalence(t *testing.T) {
 			if simRes.Verification.Property != rtRes.Verification.Property {
 				t.Errorf("claimed property differs: sim %q, rt %q",
 					simRes.Verification.Property, rtRes.Verification.Property)
+			}
+
+			// stream drives the sequence one operation at a time, so each
+			// operation's message count is the protocol's, not the
+			// interleaving's, and returns the completion records as a
+			// multiset plus the value each key was last handed.
+			stream := func(backend string) (map[string]int, []int) {
+				svc, gen := build(backend)
+				defer svc.Close()
+				records := map[string]int{}
+				last := make([]int, keys)
+				done := false
+				svc.OnComplete(func(c countersvc.Completion) {
+					records[fmt.Sprintf("shard %d key %d epoch %d by %d: %d msgs", c.Shard, c.Key, c.Epoch, c.Initiator, c.Messages)]++
+					v, ok := svc.Counter(c.Shard).OpValue(c.ID)
+					if !ok {
+						t.Errorf("%s: op %d on shard %d has no value", backend, c.ID, c.Shard)
+					}
+					last[c.Key] = v
+					done = true
+				}, time.Second)
+				for req, more := gen.Next(); more; req, more = gen.Next() {
+					svc.Start(svc.Now(), req.Key, req.Proc)
+					for done = false; !done; {
+						if ok, err := svc.Await(-1); err != nil || !ok {
+							t.Fatalf("%s: operation never completed (%v)", backend, err)
+						}
+					}
+				}
+				return records, last
+			}
+			simRecs, simLast := stream("")
+			rtRecs, rtLast := stream("rt")
+			var diff []string
+			for rec, n := range simRecs {
+				if m := rtRecs[rec]; m != n {
+					diff = append(diff, fmt.Sprintf("%s: %d on sim, %d on rt", rec, n, m))
+				}
+			}
+			for rec, m := range rtRecs {
+				if simRecs[rec] == 0 {
+					diff = append(diff, fmt.Sprintf("%s: 0 on sim, %d on rt", rec, m))
+				}
+			}
+			if len(diff) > 0 {
+				slices.Sort(diff)
+				t.Errorf("%d completion records differ, first %s", len(diff), diff[0])
+			}
+			if fmt.Sprint(simLast) != fmt.Sprint(rtLast) {
+				t.Errorf("per-key values differ: sim %v, rt %v", simLast, rtLast)
 			}
 		})
 	}
@@ -263,7 +324,7 @@ func TestCrossBackendFaultEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rtRes, err := engine.RunWall(r, rtGen, ecfg)
+			rtRes, err := engine.Run(r, rtGen, ecfg)
 			if err != nil {
 				t.Fatalf("rt run: %v", err)
 			}

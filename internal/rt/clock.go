@@ -20,7 +20,7 @@ const spinHorizon = 1500 * time.Microsecond
 
 // WaitFor receives from ch for at most d of wall time and reports whether a
 // value arrived. It is the one wall-clock wait of the rt backend, shared by
-// the runtime's clock goroutine and the engine's wall-clock substrates:
+// the runtime's clock goroutine and Sink.Await's wait for an arrival:
 // beyond spinHorizon it sleeps on t, inside it it polls ch between
 // runtime.Gosched calls, so the deadline is met within microseconds without
 // starving runnable goroutines. t is the caller's reusable timer, stopped

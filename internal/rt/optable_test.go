@@ -130,11 +130,11 @@ func TestRegistryHoldsAdoptedOpsOnly(t *testing.T) {
 				return len(r.ops)
 			}
 			done := make(chan struct{}, r.N())
-			r.OnOpDone(func(OpDone) { done <- struct{}{} })
+			r.OnOpDone(func(sim.OpDone) { done <- struct{}{} })
 			peak := 0
 			for i := 0; i < rounds; i++ {
 				for p := 1; p <= r.N(); p++ {
-					r.StartNow(sim.ProcID(p))
+					r.Start(0, sim.ProcID(p))
 				}
 				for p := 1; p <= r.N(); p++ {
 					peak = max(peak, registered())

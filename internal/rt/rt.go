@@ -126,19 +126,6 @@ func WithFaults(plan sim.FaultPlan) Option {
 	}
 }
 
-// OpDone reports one completed operation to the OnOpDone callback. Times
-// are wall-clock nanoseconds since the runtime started.
-type OpDone struct {
-	ID        sim.OpID
-	Initiator sim.ProcID
-	// StartNs is when the operation was injected (Start called), DoneNs
-	// when its last attributed work finished.
-	StartNs, DoneNs int64
-	// Messages is the number of network messages attributed to the
-	// operation.
-	Messages int64
-}
-
 // opRec is the runtime's record of one in-flight operation. pending counts
 // open attributed work exactly like the simulator's per-op event count:
 // +1 at injection (released when the initiation callback returns), +1 per
@@ -150,14 +137,13 @@ type opRec struct {
 	id        sim.OpID
 	initiator sim.ProcID
 	startNs   int64
-	doneNs    int64
 	pending   int32
 	// adopted is set once the record is in Runtime.ops, which happens at the
 	// operation's first Adopt and for no other reason: a message carries its
 	// *opRec, so only a token (an id) ever needs the lookup.
 	adopted atomic.Bool
 	msgs    int64
-	waiter  chan<- OpDone // synchronous Inc; nil otherwise
+	waiter  chan<- sim.OpDone // synchronous Inc; nil otherwise
 }
 
 // item is one mailbox entry: an initiation callback (start) or a message
@@ -260,11 +246,11 @@ func (q *readyList) close() {
 }
 
 // Runtime executes one counter.Machine on real cores. It implements
-// counter.Valued, so the workload engine's wall-clock drivers and the
-// verification layer use it like any simulator-backed counter — except that
-// Net returns nil (there is no simulated network to introspect) and Start
-// ignores its scheduling time (real time cannot be fast-forwarded; the
-// wall-clock drivers pace admission themselves).
+// counter.Valued, so countersvc serves it as a shard and the verification
+// layer reads it like any simulator-backed counter — except that Net returns
+// nil (there is no simulated network to introspect) and Start ignores its
+// scheduling time (real time cannot be fast-forwarded; the driver paces
+// admission itself).
 //
 // A Runtime is live from New until Close: its goroutines — the workers and
 // the clock — exist even while no operation is in flight. Close must be called at quiescence (every
@@ -294,7 +280,7 @@ type Runtime struct {
 	opsMu sync.Mutex
 	ops   map[sim.OpID]*opRec
 
-	onDone func(OpDone)
+	onDone func(sim.OpDone)
 
 	loads []procLoad // per-processor message loads, 1..n
 
@@ -467,27 +453,22 @@ func (r *Runtime) faultIntercept(p sim.ProcID, it item) bool {
 	return true
 }
 
-// OnOpDone registers the completion callback. It must be set before the
-// first Start and not changed while operations are in flight; the callback
-// runs on the workers and must not block for long (the engine's drivers hand
-// the event to a Sink).
-func (r *Runtime) OnOpDone(fn func(OpDone)) { r.onDone = fn }
+// OnOpDone registers the completion callback, which receives each finished
+// operation stamped in NowNs. It must be set before the first Start and not
+// changed while operations are in flight; the callback runs on the workers
+// and must not block for long (countersvc hands the record to a Sink).
+func (r *Runtime) OnOpDone(fn func(sim.OpDone)) { r.onDone = fn }
 
-// StartNow injects one increment by p and returns its operation id without
-// waiting. Completion is observable via OnOpDone. Callers must keep at most
-// one operation per initiator in flight (counter.Ops.Begin panics on
-// overlap, as on the sim backend).
-func (r *Runtime) StartNow(p sim.ProcID) sim.OpID {
-	return r.startWith(p, 0, nil)
-}
-
-// Start implements counter.Async. Real time cannot be scheduled ahead, so
-// the operation starts immediately whatever at says; the wall-clock engine
-// drivers pace their Start calls in real time instead. A positive at is taken
-// as the NowNs reading the caller made for this admission and becomes the
-// operation's StartNs, so a driver that stamps its own records with that
-// reading pays for one clock read per admission, not two; otherwise the
-// runtime reads the clock itself.
+// Start implements counter.Async: it injects one increment by p and returns
+// its operation id without waiting. Real time cannot be scheduled ahead, so
+// the operation starts immediately whatever at says; a driver paces its
+// Start calls in real time instead. A positive at is taken as the NowNs
+// reading the caller made for this admission and becomes the operation's
+// start stamp, so a driver that stamps its own records with that reading
+// pays for one clock read per admission, not two; otherwise the runtime
+// reads the clock itself. Callers must keep at most one operation per
+// initiator in flight (counter.Ops.Begin panics on overlap, as on the sim
+// backend).
 func (r *Runtime) Start(at int64, p sim.ProcID) sim.OpID {
 	return r.startWith(p, at, nil)
 }
@@ -499,7 +480,7 @@ func (r *Runtime) Inc(p sim.ProcID) (int, error) {
 	if p < 1 || int(p) > r.n {
 		return 0, fmt.Errorf("rt: processor %v outside [1,%d]", p, r.n)
 	}
-	ch := make(chan OpDone, 1)
+	ch := make(chan sim.OpDone, 1)
 	id := r.startWith(p, 0, ch)
 	<-ch
 	if r.m.Value == nil {
@@ -525,7 +506,7 @@ func (r *Runtime) Guarantee() counter.Guarantee { return r.m.Guarantee }
 
 // startWith injects one operation stamped startNs; a non-positive startNs
 // means the caller has no clock reading of its own to offer.
-func (r *Runtime) startWith(p sim.ProcID, startNs int64, waiter chan<- OpDone) sim.OpID {
+func (r *Runtime) startWith(p sim.ProcID, startNs int64, waiter chan<- sim.OpDone) sim.OpID {
 	if atomic.LoadInt32(&r.closed) != 0 {
 		panic("rt: Start after Close")
 	}
@@ -652,17 +633,17 @@ func (r *Runtime) opRelease(rec *opRec) {
 	if atomic.AddInt32(&rec.pending, -1) > 0 {
 		return
 	}
-	rec.doneNs = r.NowNs()
+	end := r.NowNs()
 	if rec.adopted.Load() {
 		r.opsMu.Lock()
 		delete(r.ops, rec.id)
 		r.opsMu.Unlock()
 	}
-	d := OpDone{
+	d := sim.OpDone{
 		ID:        rec.id,
 		Initiator: rec.initiator,
-		StartNs:   rec.startNs,
-		DoneNs:    rec.doneNs,
+		Start:     rec.startNs,
+		End:       end,
 		Messages:  atomic.LoadInt64(&rec.msgs),
 	}
 	if rec.waiter != nil {

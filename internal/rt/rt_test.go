@@ -74,7 +74,7 @@ func TestConcurrentOps(t *testing.T) {
 				done = make(chan struct{})
 				ids  []sim.OpID
 			)
-			r.OnOpDone(func(d rt.OpDone) {
+			r.OnOpDone(func(d sim.OpDone) {
 				mu.Lock()
 				ids = append(ids, d.ID)
 				if len(ids) == r.N() {
@@ -83,7 +83,7 @@ func TestConcurrentOps(t *testing.T) {
 				mu.Unlock()
 			})
 			for p := 1; p <= r.N(); p++ {
-				r.StartNow(sim.ProcID(p))
+				r.Start(0, sim.ProcID(p))
 			}
 			<-done
 			mu.Lock()
@@ -262,9 +262,9 @@ func TestEarlierDeadlinePreemptsSleepingClock(t *testing.T) {
 		}
 	}))
 	defer r.Close()
-	r.StartNow(1)
+	r.Start(0, 1)
 	time.Sleep(10 * time.Millisecond) // let the clock go to sleep on the far deadline
-	r.StartNow(2)
+	r.Start(0, 2)
 	for i := 0; i < 2; i++ {
 		select {
 		case <-log.notify:
@@ -352,7 +352,7 @@ func TestFrozenDeliveriesReturnAfterRecovery(t *testing.T) {
 func TestCrashCancelsLocalTimer(t *testing.T) {
 	const tick = time.Millisecond
 	log := &wakeLog{}
-	done := make(chan rt.OpDone, 1)
+	done := make(chan sim.OpDone, 1)
 	r := rt.New(timerMachine(2, log, func(nw counter.Transport, _ sim.ProcID) {
 		after(nw, tick, 200, 0) // due inside the crash window
 	}), rt.WithTick(tick), rt.WithFaults(sim.FaultPlan{
@@ -360,8 +360,8 @@ func TestCrashCancelsLocalTimer(t *testing.T) {
 		Freeze:  true,
 	}))
 	defer r.Close()
-	r.OnOpDone(func(d rt.OpDone) { done <- d })
-	r.StartNow(1)
+	r.OnOpDone(func(d sim.OpDone) { done <- d })
+	r.Start(0, 1)
 	for deadline := time.Now().Add(10 * time.Second); r.FaultStats().TimersCancelled == 0; {
 		if time.Now().After(deadline) {
 			t.Fatalf("timer never cancelled: %+v", r.FaultStats())
@@ -505,8 +505,8 @@ func TestCloseCancelsPendingTimers(t *testing.T) {
 		nw.AfterDetached(delay, wake{id: -int(p)})
 		armed <- struct{}{}
 	}))
-	r.StartNow(1)
-	r.StartNow(2)
+	r.Start(0, 1)
+	r.Start(0, 2)
 	<-armed
 	<-armed
 	t0 := time.Now()

@@ -194,9 +194,9 @@ func TestSchedWorkConserving(t *testing.T) {
 			return 0
 		}))
 	defer r.Close()
-	r.StartNow(1)
+	r.Start(0, 1)
 	<-first // a worker is inside the slow processor, four messages to go
-	r.StartNow(4)
+	r.Start(0, 4)
 	select {
 	case done := <-seen:
 		if done >= batch {
@@ -228,12 +228,12 @@ func TestSchedFairWithOneWorker(t *testing.T) {
 			}
 		}))
 	defer r.Close()
-	r.OnOpDone(func(d OpDone) {
+	r.OnOpDone(func(d sim.OpDone) {
 		if d.Initiator == 1 {
 			close(hogDone)
 		}
 	})
-	r.StartNow(1)
+	r.Start(0, 1)
 	other := make(chan error, 1)
 	go func() {
 		_, err := r.Inc(2)
@@ -311,10 +311,10 @@ func TestSchedCloseWithReadyProcessors(t *testing.T) {
 			}
 		},
 		func(sim.Transport, sim.Message) {}))
-	r.StartNow(1)
+	r.Start(0, 1)
 	<-entered
-	r.StartNow(2)
-	r.StartNow(3)
+	r.Start(0, 2)
+	r.Start(0, 3)
 	closed := make(chan struct{})
 	go func() {
 		r.Close()

@@ -4,23 +4,18 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-)
 
-// Completion is one finished operation as a Sink hands it to the driving
-// loop: the runtime's report plus the index its producer delivers under (the
-// shard of a sharded service; 0 for a single runtime).
-type Completion struct {
-	Shard int
-	OpDone
-}
+	"distcount/internal/sim"
+)
 
 // Sink is the completion stream between processor goroutines and the one
 // loop that drives them: an unbounded mailbox (mutex, slice and a one-slot
 // wake token — the shape processors already use) plus the stall watchdog.
-// Any number of runtimes deliver into it with Put; one goroutine consumes it
-// with Await, which swaps the whole pending batch out per call, so a
-// completion costs one uncontended lock on each side and no timer is touched
-// while completions flow.
+// Any number of runtimes deliver into it with Put, each record under the
+// index of its producer (the shard of a sharded service); one goroutine
+// consumes it with Await, which swaps the whole pending batch out per call,
+// so a completion costs one uncontended lock on each side and no timer is
+// touched while completions flow.
 //
 // Real goroutines that stop making progress just stay silent, so "nothing
 // will happen" needs a timeout. It lives off the hot path: a watchdog timer
@@ -28,21 +23,21 @@ type Completion struct {
 // only after a full stall of silence.
 type Sink struct {
 	mu    sync.Mutex
-	queue []Completion
+	queue []put
 	// wake carries one token per empty→non-empty edge of queue, and the
 	// watchdog's stall report. One slot suffices: a pending token already
 	// makes the loop look at the queue.
 	wake chan struct{}
 
 	// Owned by the awaiting goroutine.
-	batch   []Completion
+	batch   []put
 	arrival *time.Timer // reusable timer of the until >= 0 waits (WaitFor)
 
 	now   func() int64
 	stall time.Duration
 	// life is the latest instant, on now's clock, at which the loop was seen
-	// alive: the newest handled completion's DoneNs or the newest arrival
-	// waited out. Written by the awaiting goroutine, read by the watchdog.
+	// alive: the newest handled completion's End or the newest arrival waited
+	// out. Written by the awaiting goroutine, read by the watchdog.
 	life atomic.Int64
 	// stalled asks the loop to check for a stall; the loop re-checks the
 	// silence itself, so a completion racing the watchdog is never lost.
@@ -55,8 +50,14 @@ type Sink struct {
 	closed bool
 }
 
+// put is one delivered record and the index it was delivered under.
+type put struct {
+	from int
+	d    sim.OpDone
+}
+
 // NewSink returns a sink whose Await reports a stall once now's clock
-// (nanoseconds, the clock of the OpDone stamps delivered into it) has moved
+// (nanoseconds, the clock of the records delivered into it) has moved
 // stall past the loop's last sign of life. The watchdog starts counting
 // immediately; Close stops it.
 func NewSink(now func() int64, stall time.Duration) *Sink {
@@ -70,11 +71,11 @@ func NewSink(now func() int64, stall time.Duration) *Sink {
 	return s
 }
 
-// Put delivers one completion. It never blocks on the consumer, so it is
-// safe as a Runtime's OnOpDone callback.
-func (s *Sink) Put(shard int, d OpDone) {
+// Put delivers one completion under index from. It never blocks on the
+// consumer, so it is safe inside a Runtime's OnOpDone callback.
+func (s *Sink) Put(from int, d sim.OpDone) {
 	s.mu.Lock()
-	s.queue = append(s.queue, Completion{Shard: shard, OpDone: d})
+	s.queue = append(s.queue, put{from, d})
 	first := len(s.queue) == 1
 	s.mu.Unlock()
 	if first {
@@ -90,21 +91,22 @@ func (s *Sink) post() {
 }
 
 // Await makes progress on the driving goroutine: it hands every pending
-// completion to handle, in arrival order, and returns true; with none
-// pending it waits for one, or — when until >= 0, an arrival due at that
-// instant of now's clock — returns true once the clock reaches until. It
-// returns false when nothing happened and nothing will: the sink stayed
-// silent for the stall timeout with no arrival pending. A caller that waits on
-// through the silence gets the next report one stall timeout later.
-func (s *Sink) Await(until int64, handle func(Completion)) bool {
+// completion to handle with the index it was put under, in arrival order,
+// and returns true; with none pending it waits for one, or — when until >=
+// 0, an arrival due at that instant of now's clock — returns true once the
+// clock reaches until. It returns false when nothing happened and nothing
+// will: the sink stayed silent for the stall timeout with no arrival
+// pending. A caller that waits on through the silence gets the next report
+// one stall timeout later.
+func (s *Sink) Await(until int64, handle func(from int, d sim.OpDone)) bool {
 	for {
 		s.mu.Lock()
 		s.batch, s.queue = s.queue, s.batch[:0]
 		s.mu.Unlock()
 		if n := len(s.batch); n > 0 {
-			s.life.Store(s.batch[n-1].DoneNs)
+			s.life.Store(s.batch[n-1].d.End)
 			for _, c := range s.batch {
-				handle(c)
+				handle(c.from, c.d)
 			}
 			return true
 		}

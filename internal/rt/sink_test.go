@@ -29,18 +29,18 @@ func TestSinkExactlyOnceInProducerOrder(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 1; i <= each; i++ {
-				s.Put(p, OpDone{ID: sim.OpID(i)})
+				s.Put(p, sim.OpDone{ID: sim.OpID(i)})
 			}
 		}()
 	}
 	next := make([]sim.OpID, producers) // the last id seen per producer
 	for got := 0; got < producers*each; {
-		if !s.Await(-1, func(c Completion) {
+		if !s.Await(-1, func(from int, d sim.OpDone) {
 			got++
-			if c.ID != next[c.Shard]+1 {
-				t.Errorf("producer %d: completion %d after %d", c.Shard, c.ID, next[c.Shard])
+			if d.ID != next[from]+1 {
+				t.Errorf("producer %d: completion %d after %d", from, d.ID, next[from])
 			}
-			next[c.Shard] = c.ID
+			next[from] = d.ID
 		}) {
 			t.Fatalf("stall reported with %d of %d completions delivered", got, producers*each)
 		}
@@ -59,24 +59,24 @@ func TestSinkExactlyOnceInProducerOrder(t *testing.T) {
 // one empty look, not a lost completion.
 func TestSinkWakeTokenPerEdge(t *testing.T) {
 	s := farSink(t)
-	s.Put(0, OpDone{ID: 1})
+	s.Put(0, sim.OpDone{ID: 1})
 	if len(s.wake) != 1 {
 		t.Fatal("no token for the empty→non-empty edge")
 	}
 	<-s.wake
-	s.Put(0, OpDone{ID: 2})
-	s.Put(0, OpDone{ID: 3})
+	s.Put(0, sim.OpDone{ID: 2})
+	s.Put(0, sim.OpDone{ID: 3})
 	if len(s.wake) != 0 {
 		t.Fatal("token posted for a queue that was already non-empty")
 	}
 	var got []sim.OpID
-	handle := func(c Completion) { got = append(got, c.ID) }
+	handle := func(_ int, d sim.OpDone) { got = append(got, d.ID) }
 	if !s.Await(-1, handle) || fmt.Sprint(got) != "[1 2 3]" {
 		t.Fatalf("first batch %v, want [1 2 3]", got)
 	}
 	// A new edge while the loop is away leaves a token behind; the next batch
 	// is taken without consuming it...
-	s.Put(0, OpDone{ID: 4})
+	s.Put(0, sim.OpDone{ID: 4})
 	if !s.Await(-1, handle) || len(s.wake) != 1 {
 		t.Fatalf("batch %v with %d tokens pending, want the stale token kept", got, len(s.wake))
 	}
@@ -84,7 +84,7 @@ func TestSinkWakeTokenPerEdge(t *testing.T) {
 	// the real completion.
 	go func() {
 		time.Sleep(2 * time.Millisecond)
-		s.Put(0, OpDone{ID: 5})
+		s.Put(0, sim.OpDone{ID: 5})
 	}()
 	if !s.Await(-1, handle) || fmt.Sprint(got) != "[1 2 3 4 5]" {
 		t.Fatalf("delivered %v, want [1 2 3 4 5]", got)

@@ -6,6 +6,17 @@ import (
 	"distcount/internal/trace"
 )
 
+// OpDone is one finished operation as a backend reports it: the interval
+// from the operation's initiation to its last attributed event, on the
+// backend's clock (simulated ticks, or wall-clock nanoseconds on rt), and
+// the network messages attributed to it.
+type OpDone struct {
+	ID         OpID
+	Initiator  ProcID
+	Start, End int64
+	Messages   int64
+}
+
 // OpStats aggregates what happened during one operation.
 type OpStats struct {
 	ID        OpID
