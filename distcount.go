@@ -56,7 +56,9 @@ type (
 	// communication tree — the second extension example.
 	PriorityQueue = distpq.Queue
 	// AsyncCounter is a Counter that supports concurrent in-flight
-	// operations, as driven by the workload engine.
+	// operations, as driven by the workload engine: Start schedules one,
+	// OpValue reads its value back by operation id, and Guarantee names the
+	// contract the engine's verification checks.
 	AsyncCounter = counter.Async
 	// Scenario is a deterministic, seeded stream of operation requests
 	// with simulated arrival times.
@@ -88,10 +90,6 @@ type (
 	// RateBucket is one arrival-ordered slice of an open-loop run, the
 	// unit of the saturation analysis.
 	RateBucket = engine.RateBucket
-	// ValuedCounter is an AsyncCounter whose delivered values can be read
-	// back per operation, enabling workload-integrated correctness
-	// verification; every algorithm in this repository qualifies.
-	ValuedCounter = counter.Valued
 	// ConsistencyLevel is the strongest value-correctness guarantee an
 	// algorithm claims under concurrent operation (sequential-only,
 	// quiescent, linearizable, or approximate); the engine's verification
@@ -101,7 +99,7 @@ type (
 	// plus — for ε-approximate algorithms — the claimed relative error
 	// bound. Exact algorithms carry Epsilon 0 and render as the bare level
 	// name; approximate ones render as "approximate(ε)". Read it from any
-	// built counter via ValuedCounter.Guarantee().
+	// built counter via AsyncCounter.Guarantee().
 	Guarantee = counter.Guarantee
 	// VerificationReport quantifies the value correctness of one
 	// concurrent run: duplicates, gaps, real-time order violations, and
@@ -244,13 +242,16 @@ func WithBackend(name string) Option {
 	return func(s *buildSpec) { s.backend = name }
 }
 
-// New builds the named counter over (at least) n processors. With no
-// options it is configured for the sequential regime of the paper's model
-// (each operation running to quiescence before the next, windows closed);
-// pass InConcurrentRegime for workload-driven concurrent operation. The
-// returned counter always supports both Inc and Start, and exposes its
-// consistency contract via ValuedCounter.Guarantee(). The paper's lemma
-// instrumentation lives on NewTreeCounter's handle, not here.
+// New builds the named counter over (at least) n processors. It is the one
+// way to build an algorithm: every name is a protocol description handed to
+// the backend WithBackend selects. With no options it is configured for the
+// sequential regime of the paper's model (each operation running to
+// quiescence before the next, windows closed); pass InConcurrentRegime for
+// workload-driven concurrent operation. The returned counter always
+// supports both Inc and Start, reads each started operation's value back
+// with OpValue(id), and exposes its consistency contract via Guarantee().
+// The paper's lemma instrumentation lives on NewTreeCounter's handle, not
+// here.
 func New(algorithm string, n int, opts ...Option) (AsyncCounter, error) {
 	var s buildSpec
 	for _, o := range opts {
@@ -340,9 +341,15 @@ func SequentialOrder(n int) []ProcID { return counter.SequentialOrder(n) }
 // RandomOrder returns a seeded random permutation of 1..n.
 func RandomOrder(n int, seed uint64) []ProcID { return counter.RandomOrder(n, seed) }
 
-// Loads summarizes the per-processor message loads m_p accumulated by the
-// counter's network so far.
+// Loads summarizes the per-processor message loads m_p accumulated so far:
+// by the counter's simulated network, or — on the rt backend, which has
+// none — by the runtime's own per-processor send and receive counts.
 func Loads(c Counter) LoadSummary {
+	if r, ok := c.(interface {
+		Loads(sent, recv []int64) ([]int64, []int64)
+	}); ok {
+		return loadstat.Summarize(r.Loads(nil, nil))
+	}
 	return loadstat.Summarize(c.Net().Sent(), c.Net().Recv())
 }
 

@@ -65,7 +65,7 @@ func TestNewOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := c.(distcount.ValuedCounter).Guarantee()
+	g := c.Guarantee()
 	if g.Epsilon != 0.2 || g.String() != "approximate(0.2)" {
 		t.Fatalf("guarantee = %v, want approximate(0.2)", g)
 	}
@@ -78,7 +78,7 @@ func TestNewOptions(t *testing.T) {
 	if !ok || eps <= 0 {
 		t.Fatalf("DefaultEpsilon(css-sample) = %v, %v", eps, ok)
 	}
-	if g := d.(distcount.ValuedCounter).Guarantee(); g.Epsilon != eps {
+	if g := d.Guarantee(); g.Epsilon != eps {
 		t.Fatalf("default guarantee = %v, want ε=%v", g, eps)
 	}
 
@@ -87,7 +87,7 @@ func TestNewOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g := e.(distcount.ValuedCounter).Guarantee(); g.Epsilon != 0 || g.String() != "linearizable" {
+	if g := e.Guarantee(); g.Epsilon != 0 || g.String() != "linearizable" {
 		t.Fatalf("central guarantee = %v, want linearizable", g)
 	}
 
@@ -259,5 +259,54 @@ func TestKeyedFacade(t *testing.T) {
 	}
 	if _, err := distcount.NewCountingService(distcount.ServiceConfig{N: 8}); err == nil {
 		t.Fatal("service without keys accepted")
+	}
+}
+
+// rtCentral builds the central counter on the rt backend, closed when the
+// test ends.
+func rtCentral(t *testing.T) distcount.AsyncCounter {
+	t.Helper()
+	c, err := distcount.New("central", 8, distcount.WithBackend("rt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.(interface{ Close() }).Close)
+	return c
+}
+
+// TestRunSequenceOnRT: the sequential helpers number operations on the
+// simulated network, which an rt counter does not have — an error, not a
+// nil dereference.
+func TestRunSequenceOnRT(t *testing.T) {
+	c := rtCentral(t)
+	_, err := distcount.RunSequence(c, distcount.SequentialOrder(c.N()))
+	if err == nil || !strings.Contains(err.Error(), "no simulated network") {
+		t.Fatalf("RunSequence on rt: err = %v, want a no-simulated-network error", err)
+	}
+}
+
+// TestVerifyCounterOnRT: VerifyCounter runs its workload through
+// RunSequence and reports the same error.
+func TestVerifyCounterOnRT(t *testing.T) {
+	c := rtCentral(t)
+	err := distcount.VerifyCounter(c, distcount.SequentialOrder(c.N()))
+	if err == nil || !strings.Contains(err.Error(), "no simulated network") {
+		t.Fatalf("VerifyCounter on rt: err = %v, want a no-simulated-network error", err)
+	}
+}
+
+// TestLoadsOnRT: Loads summarizes an rt counter from the runtime's own
+// per-processor counts. Seven remote increments on central cost the holder
+// p1 one request and one reply each.
+func TestLoadsOnRT(t *testing.T) {
+	c := rtCentral(t)
+	for p := 2; p <= c.N(); p++ {
+		if _, err := c.Inc(distcount.ProcID(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := distcount.Loads(c)
+	if s.Bottleneck != 1 || s.MaxLoad != 14 || s.TotalMessages != 14 {
+		t.Fatalf("rt loads: bottleneck p%d, max %d, total %d; want p1, 14, 14", s.Bottleneck, s.MaxLoad, s.TotalMessages)
 	}
 }

@@ -50,7 +50,7 @@
 //	sum := distcount.Loads(c)
 //	fmt.Println(sum.MaxLoad, "messages at processor", sum.Bottleneck)
 //
-// See the examples/ directory for runnable programs, docs/ARCHITECTURE.md
-// for the package map and the operation lifecycle, and docs/EXPERIMENTS.md
-// for a runnable cookbook of paper reproductions and saturation sweeps.
+// See the package examples for checked programs, docs/ARCHITECTURE.md for
+// the package map and the operation lifecycle, and docs/EXPERIMENTS.md for
+// a runnable cookbook of paper reproductions and saturation sweeps.
 package distcount

@@ -1,38 +1,48 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
+	"distcount/internal/counter"
 	"distcount/internal/sim"
 )
 
-// Tests of the concurrent (pipelined) mode added on top of the paper's
-// sequential model: Start/ReplyOf, and the guard that keeps the lemma
-// instrumentation sequential-only.
+// Tests of the concurrent (pipelined) mode outside the paper's sequential
+// model: the counter's Machine on a simulated network, operations started
+// with Start and read back by id with OpValue. The lemma instrumentation
+// stays on the sequential Tree handle.
 
-func TestConcurrentPipelinedCounting(t *testing.T) {
-	tr := NewTree(2, &counterState{}, WithoutChecks())
-	n := tr.N()
-	for p := 1; p <= n; p++ {
-		tr.Start(0, sim.ProcID(p), nil)
+// pipelined starts one operation per processor of c at starts[p-1], runs the
+// network to quiescence and checks that the values handed out are exactly
+// 0..n-1.
+func pipelined(t *testing.T, c *counter.Sim, starts []int64) {
+	t.Helper()
+	ids := make([]sim.OpID, len(starts))
+	for i, at := range starts {
+		ids[i] = c.Start(at, sim.ProcID(i+1))
 	}
-	if err := tr.Net().Run(); err != nil {
+	if err := c.Net().Run(); err != nil {
 		t.Fatal(err)
 	}
-	seen := make([]bool, n)
-	for p := 1; p <= n; p++ {
-		reply, ok := tr.ReplyOf(sim.ProcID(p))
+	seen := make([]bool, len(ids))
+	for i, id := range ids {
+		v, ok := c.OpValue(id)
 		if !ok {
-			t.Fatalf("processor %d got no reply", p)
+			t.Fatalf("processor %d got no reply", i+1)
 		}
-		v := reply.(int)
-		if v < 0 || v >= n || seen[v] {
-			t.Fatalf("processor %d got invalid/duplicate value %d", p, v)
+		if v < 0 || v >= len(ids) || seen[v] {
+			t.Fatalf("processor %d got invalid/duplicate value %d", i+1, v)
 		}
 		seen[v] = true
 	}
-	if got := tr.State().(*counterState).val; got != n {
-		t.Fatalf("final value %d, want %d", got, n)
+}
+
+func TestConcurrentPipelinedCounting(t *testing.T) {
+	m := NewMachine(SizeForK(2))
+	pipelined(t, counter.OnSim(m), make([]int64, m.N))
+	if got := m.Proto.(*proto).root.(*counterState).val; got != m.N {
+		t.Fatalf("final value %d, want %d", got, m.N)
 	}
 }
 
@@ -43,13 +53,8 @@ func TestConcurrentPipelinedIsFasterThanSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	conc := NewTree(2, &counterState{}, WithoutChecks())
-	for p := 1; p <= conc.N(); p++ {
-		conc.Start(0, sim.ProcID(p), nil)
-	}
-	if err := conc.Net().Run(); err != nil {
-		t.Fatal(err)
-	}
+	conc := counter.OnSim(NewMachine(seq.N()))
+	pipelined(t, conc, make([]int64, conc.N()))
 	if conc.Net().Now() >= seq.Net().Now() {
 		t.Fatalf("pipelining not faster: %d vs %d ticks", conc.Net().Now(), seq.Net().Now())
 	}
@@ -57,57 +62,15 @@ func TestConcurrentPipelinedIsFasterThanSequential(t *testing.T) {
 
 func TestConcurrentUnderReordering(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
-		tr := NewTree(2, &counterState{}, WithoutChecks(),
-			WithSimOptions(sim.WithSeed(seed), sim.WithLatency(sim.UniformLatency{Min: 1, Max: 11})))
-		n := tr.N()
-		for p := 1; p <= n; p++ {
-			tr.Start(int64(p), sim.ProcID(p), nil)
-		}
-		if err := tr.Net().Run(); err != nil {
-			t.Fatal(err)
-		}
-		seen := make([]bool, n)
-		for p := 1; p <= n; p++ {
-			reply, ok := tr.ReplyOf(sim.ProcID(p))
-			if !ok {
-				t.Fatalf("seed %d: processor %d got no reply", seed, p)
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			c := counter.OnSim(NewMachine(SizeForK(2)),
+				sim.WithSeed(seed), sim.WithLatency(sim.UniformLatency{Min: 1, Max: 11}))
+			starts := make([]int64, c.N())
+			for i := range starts {
+				starts[i] = int64(i + 1)
 			}
-			v := reply.(int)
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("seed %d: invalid/duplicate value %d", seed, v)
-			}
-			seen[v] = true
-		}
-	}
-}
-
-func TestStartRequiresWithoutChecks(t *testing.T) {
-	tr := NewTree(2, &counterState{}) // checks on
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Start with checks enabled did not panic")
-		}
-	}()
-	tr.Start(0, 1, nil)
-}
-
-func TestReplyOfBeforeAnyOp(t *testing.T) {
-	tr := NewTree(2, &counterState{}, WithoutChecks())
-	if _, ok := tr.ReplyOf(3); ok {
-		t.Fatal("reply reported before any operation")
-	}
-}
-
-func TestWithoutChecksDisablesInstrumentation(t *testing.T) {
-	c := New(2, WithoutChecks())
-	if _, err := c.Inc(1); err != nil {
-		t.Fatal(err)
-	}
-	if v, count := c.Violations(); v != nil || count != 0 {
-		t.Fatal("violations reported with checks off")
-	}
-	if c.GrowOldMax() != 0 || c.RetirePerOpMax() != 0 {
-		t.Fatal("lemma metrics reported with checks off")
+			pipelined(t, c, starts)
+		})
 	}
 }
 

@@ -78,7 +78,6 @@ type Option func(*config)
 
 type config struct {
 	retireAge int // -1: default 4k; 0: retirement disabled
-	checks    bool
 	simOpts   []sim.Option
 }
 
@@ -97,12 +96,6 @@ func WithoutRetirement() Option {
 	return func(c *config) { c.retireAge = 0 }
 }
 
-// WithoutChecks disables the lemma instrumentation (for the largest
-// benchmark runs).
-func WithoutChecks() Option {
-	return func(c *config) { c.checks = false }
-}
-
 // WithSimOptions forwards options to the underlying network.
 func WithSimOptions(opts ...sim.Option) Option {
 	return func(c *config) { c.simOpts = append(c.simOpts, opts...) }
@@ -111,14 +104,14 @@ func WithSimOptions(opts ...sim.Option) Option {
 // NewTree creates a communication tree of arity k (n = k^(k+1) processors)
 // serving the given root state.
 func NewTree(k int, state RootState, opts ...Option) *Tree {
-	cfg := config{retireAge: -1, checks: true}
+	cfg := config{retireAge: -1}
 	for _, o := range opts {
 		o(&cfg)
 	}
 	if cfg.retireAge == -1 {
 		cfg.retireAge = 4 * k
 	}
-	pr := newProto(k, cfg.retireAge, state, cfg.checks)
+	pr := newProto(k, cfg.retireAge, state, true)
 	return &Tree{
 		net:   sim.New(pr.g.n, pr, cfg.simOpts...),
 		proto: pr,
@@ -134,43 +127,12 @@ func (t *Tree) Do(p sim.ProcID, req any) (any, error) {
 	if err := t.net.Run(); err != nil {
 		return nil, err
 	}
-	if t.proto.checks != nil {
-		t.proto.checks.endOp()
-	}
+	t.proto.checks.endOp()
 	reply, ok := t.TakeReply(id)
 	if !ok {
 		return nil, fmt.Errorf("core: operation by %v terminated without a reply", p)
 	}
 	return reply, nil
-}
-
-// Start schedules an operation by p at the given simulated time WITHOUT
-// draining the network: the concurrent (pipelined) mode, in which many
-// operations climb the tree at once and the root serializes them. Because
-// the Section 4 lemma instrumentation assumes the paper's sequential model
-// (its per-operation windows would overlap), Start requires a tree built
-// WithoutChecks. Read results with ReplyOf after Net().Run().
-//
-// Concurrency is outside the paper's model — "let us therefore assume that
-// enough time elapses in between any two inc requests" — but the tree
-// remains correct under it: requests pipeline, the root applies them in
-// arrival order, and replies go directly to initiators, which also makes
-// the counter linearizable (experiment E13).
-func (t *Tree) Start(at int64, p sim.ProcID, req any) sim.OpID {
-	if t.proto.checks != nil {
-		panic("core: concurrent Start requires WithoutChecks (lemma windows assume sequential operations)")
-	}
-	return t.net.ScheduleOp(at, p, func(nw sim.Transport, p sim.ProcID) {
-		t.proto.initiateReq(nw, p, req)
-	})
-}
-
-// ReplyOf returns the last reply delivered to processor p; ok is false if
-// none arrived since p's last operation *began*. A Start scheduled in the
-// future resets the flag at its initiation time, not at schedule time, so
-// polling between the two still reads the previous operation's reply.
-func (t *Tree) ReplyOf(p sim.ProcID) (any, bool) {
-	return t.proto.ops.Last(p)
 }
 
 // TakeReply returns the reply delivered to the completed operation id and
@@ -213,28 +175,19 @@ func (t *Tree) CloneTree() (*Tree, error) {
 // configuration — the test suite asserts this; ablation configurations
 // use them as measurements.
 func (t *Tree) Violations() ([]string, int64) {
-	if t.proto.checks == nil {
-		return nil, 0
-	}
 	return append([]string(nil), t.proto.checks.violations...), t.proto.checks.violationCount
 }
 
 // GrowOldMax returns the largest per-operation message count observed at an
 // inner node that did not retire during that operation (the Grow Old Lemma
-// bounds it by 4). Zero if checking is disabled.
+// bounds it by 4).
 func (t *Tree) GrowOldMax() int {
-	if t.proto.checks == nil {
-		return 0
-	}
 	return t.proto.checks.growOldMax
 }
 
 // RetirePerOpMax returns the largest number of retirements of a single node
 // within one operation (the Retirement Lemma bounds it by 1).
 func (t *Tree) RetirePerOpMax() int {
-	if t.proto.checks == nil {
-		return 0
-	}
 	return t.proto.checks.retirePerOpMax
 }
 
@@ -289,10 +242,10 @@ func (t *Tree) HostedInner(p sim.ProcID) bool {
 
 // Counter is the paper's communication-tree distributed counter in the
 // paper's own model: the Tree serving a counter as its root state, one
-// operation at a time, with the Section 4 lemma instrumentation on unless
-// built WithoutChecks. It is the handle the lemma experiments, the
-// visualizer and the adversary use; workload runs and the rt backend take
-// the protocol through NewMachine instead.
+// operation at a time, with the Section 4 lemma instrumentation on. It is
+// the handle the lemma experiments, the visualizer and the adversary use;
+// concurrent runs and the rt backend take the protocol through NewMachine
+// instead.
 type Counter struct {
 	*Tree
 }

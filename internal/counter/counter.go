@@ -9,7 +9,8 @@
 // baked in. Sim (built by OnSim) binds a Machine to the discrete-event
 // simulator and is the only simulator-backed Counter there is; internal/rt
 // binds the same Machine to real cores. The interfaces below (Counter,
-// Async, Valued, Cloneable) are what drivers see of either.
+// Async, Cloneable) are what drivers see of either, and a caller reads each
+// operation's value by its id with Async.OpValue.
 //
 // A distributed counter encapsulates an integer value val and supports inc:
 // inc returns the current counter value to the requesting processor and
@@ -60,7 +61,8 @@ type Cloneable interface {
 // (E13) and the engine's opt-in verification study. Every implementation in
 // this repository is Async: per-initiator operation state is kept in the
 // shared Ops table, so operations from distinct initiators never share
-// mutable protocol state.
+// mutable protocol state, and each operation's delivered value is recorded
+// under its id for OpValue.
 //
 // Callers must keep at most one operation per initiator in flight; the
 // shared op table enforces this by panicking on overlap (Ops.Begin).
@@ -70,6 +72,14 @@ type Async interface {
 	// (>= Net().Now()) and returns its operation id without running the
 	// network. Completion is observable via the network's OnOpDone handler.
 	Start(at int64, p sim.ProcID) sim.OpID
+	// OpValue returns the value delivered to the completed operation id and
+	// forgets it (long workload runs must not accumulate per-op state). ok
+	// is false when the operation is unknown, unfinished, or already read.
+	OpValue(id sim.OpID) (int, bool)
+	// Guarantee is the strongest contract the algorithm claims under
+	// concurrent operation — consistency level plus error bound for
+	// approximate protocols; the engine verifies the claimed property.
+	Guarantee() Guarantee
 }
 
 // Consistency is the strongest value-correctness guarantee a counter claims
@@ -149,20 +159,4 @@ func (g Guarantee) String() string {
 		return fmt.Sprintf("approximate(%g)", g.Epsilon)
 	}
 	return g.Level.String()
-}
-
-// Valued is an Async counter whose delivered values can be read back per
-// operation, enabling engine-integrated correctness verification and the
-// shared sequential driver (RunInc). Every implementation in this
-// repository is Valued via the shared Ops table.
-type Valued interface {
-	Async
-	// OpValue returns the value delivered to the completed operation id and
-	// forgets it (long workload runs must not accumulate per-op state). ok
-	// is false when the operation is unknown, unfinished, or already read.
-	OpValue(id sim.OpID) (int, bool)
-	// Guarantee is the strongest contract the algorithm claims under
-	// concurrent operation — consistency level plus error bound for
-	// approximate protocols; the engine verifies the claimed property.
-	Guarantee() Guarantee
 }

@@ -32,11 +32,10 @@ import (
 // without a value and verification reports it as missing — so the bug class
 // the old panic caught remains visible, just as data instead of a crash.
 //
-// Values are read either per operation with Take (the engine's verification
-// path and the shared sequential driver RunInc) or per initiator with Last
-// (the readout the concurrent experiments use). Take consumes the value so
-// long workload runs do not accumulate per-op state; the per-initiator slot
-// always keeps the most recent value.
+// Values are read per operation with Take — the Machine's Value hook, behind
+// Async.OpValue for the engine, the experiments and the shared sequential
+// driver RunInc. Take consumes the value so long workload runs do not
+// accumulate per-op state.
 //
 // Layout: the table sits on every operation's path (Begin, Finish, Take, and
 // GetFor per reply on the quorum protocols), so it is dense rather than
@@ -56,7 +55,7 @@ type Ops[S, V any] struct {
 	// slots is indexed by initiator id and grown on demand; an entry is nil
 	// until that processor first initiates. Slots are held by pointer so the
 	// *S handed out by Begin/Get/GetFor survives the slice growing.
-	slots []*opSlot[S, V]
+	slots []*opSlot[S]
 	// values holds delivered values of completed operations until consumed.
 	values valueTable[V]
 	// droppedStale counts Finish/GetFor calls discarded because their
@@ -66,14 +65,12 @@ type Ops[S, V any] struct {
 }
 
 // opSlot is one initiator's row: its open operation (op == 0 when idle) with
-// the protocol state, and the most recent value delivered to it. Keeping the
-// simulator id next to the state is what lets Finish and GetFor assert they
-// run in that operation's own delivery context.
-type opSlot[S, V any] struct {
-	op      sim.OpID
-	st      S
-	lastVal V
-	lastOK  bool
+// the protocol state. Keeping the simulator id next to the state is what
+// lets Finish and GetFor assert they run in that operation's own delivery
+// context.
+type opSlot[S any] struct {
+	op sim.OpID
+	st S
 }
 
 // NewOps creates an empty operation table.
@@ -82,7 +79,7 @@ func NewOps[S, V any]() *Ops[S, V] {
 }
 
 // slot returns initiator p's row, or nil when p has never initiated.
-func (o *Ops[S, V]) slot(p sim.ProcID) *opSlot[S, V] {
+func (o *Ops[S, V]) slot(p sim.ProcID) *opSlot[S] {
 	if uint(p) >= uint(len(o.slots)) {
 		return nil
 	}
@@ -92,7 +89,7 @@ func (o *Ops[S, V]) slot(p sim.ProcID) *opSlot[S, V] {
 // current returns p's row when p has an operation in flight and that
 // operation is the current delivery context; otherwise the call is stale —
 // it is counted and nil is returned.
-func (o *Ops[S, V]) current(nw sim.Transport, p sim.ProcID) *opSlot[S, V] {
+func (o *Ops[S, V]) current(nw sim.Transport, p sim.ProcID) *opSlot[S] {
 	s := o.slot(p)
 	if s == nil || s.op == 0 || nw.CurrentOp() != s.op {
 		o.droppedStale++
@@ -116,14 +113,14 @@ func (o *Ops[S, V]) Begin(nw sim.Transport, p sim.ProcID) *S {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if int(p) >= len(o.slots) {
-		grown := make([]*opSlot[S, V], max(int(p)+1, 2*len(o.slots)))
+		grown := make([]*opSlot[S], max(int(p)+1, 2*len(o.slots)))
 		copy(grown, o.slots)
 		o.slots = grown
 	}
 	s := o.slots[p]
 	switch {
 	case s == nil:
-		s = new(opSlot[S, V])
+		s = new(opSlot[S])
 		o.slots[p] = s
 	case s.op != 0:
 		panic(fmt.Sprintf("counter: initiator %v already has operation %d in flight (starting %d)", p, s.op, id))
@@ -133,7 +130,6 @@ func (o *Ops[S, V]) Begin(nw sim.Transport, p sim.ProcID) *S {
 		s.st = zero
 	}
 	s.op = id
-	s.lastOK = false
 	return &s.st
 }
 
@@ -159,8 +155,8 @@ func (o *Ops[S, V]) InFlight(p sim.ProcID) bool {
 }
 
 // Finish completes initiator p's operation with the delivered value v,
-// recording it under the operation's id and as p's most recent value, and
-// frees p for its next operation. It must run in the completing operation's
+// recording it under the operation's id, and frees p for its next
+// operation. It must run in the completing operation's
 // own delivery context: when p has no operation in flight, or the in-flight
 // operation differs from the current delivery context, the call is a stale
 // completion — a duplicated or crash-deferred reply outliving its
@@ -176,7 +172,6 @@ func (o *Ops[S, V]) Finish(nw sim.Transport, p sim.ProcID, v V) bool {
 	}
 	o.values.put(s.op, v)
 	s.op = 0
-	s.lastVal, s.lastOK = v, true
 	return true
 }
 
@@ -214,18 +209,6 @@ func (o *Ops[S, V]) Take(id sim.OpID) (V, bool) {
 	return o.values.take(id)
 }
 
-// Last returns the most recent value delivered to initiator p; ok is false
-// when none arrived since p's last Begin.
-func (o *Ops[S, V]) Last(p sim.ProcID) (V, bool) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if s := o.slot(p); s != nil {
-		return s.lastVal, s.lastOK
-	}
-	var zero V
-	return zero, false
-}
-
 // Clone returns an independent deep copy. deepState, when non-nil, deep-
 // copies one in-flight operation's protocol state (needed when S holds
 // slices or maps); nil keeps the shallow copy, sufficient for value-only
@@ -235,7 +218,7 @@ func (o *Ops[S, V]) Clone(deepState func(*S) S) *Ops[S, V] {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	cp := &Ops[S, V]{
-		slots:        make([]*opSlot[S, V], len(o.slots)),
+		slots:        make([]*opSlot[S], len(o.slots)),
 		values:       o.values.clone(),
 		droppedStale: o.droppedStale,
 	}
@@ -243,7 +226,7 @@ func (o *Ops[S, V]) Clone(deepState func(*S) S) *Ops[S, V] {
 		if s == nil {
 			continue
 		}
-		ns := &opSlot[S, V]{op: s.op, lastVal: s.lastVal, lastOK: s.lastOK}
+		ns := &opSlot[S]{op: s.op}
 		if s.op != 0 {
 			ns.st = s.st
 			if deepState != nil {
@@ -266,9 +249,8 @@ const valueRingSize = 64
 // power-of-two ring indexed by the sequential operation id — the
 // protocol-side twin of sim's op table — with a spill map behind it. A value
 // still unconsumed when a later operation id claims its cell moves to the
-// map, so nothing is ever lost: a caller that never Takes (the experiments
-// that only read Last) accumulates values there, one map insert per
-// operation, exactly as the map-only table did.
+// map, so nothing is ever lost: a caller that never Takes accumulates values
+// there, one map insert per operation, exactly as the map-only table did.
 type valueTable[V any] struct {
 	ring  [valueRingSize]valueCell[V]
 	spill map[sim.OpID]V
@@ -321,7 +303,7 @@ func (t *valueTable[V]) clone() valueTable[V] {
 // runs the network to quiescence — the shared body of every
 // implementation's sequential Inc method (the paper's execution model:
 // "enough time elapses in between any two inc requests").
-func RunInc(c Valued, p sim.ProcID) (int, error) {
+func RunInc(c Async, p sim.ProcID) (int, error) {
 	net := c.Net()
 	id := c.Start(net.Now(), p)
 	if err := net.Run(); err != nil {

@@ -74,10 +74,6 @@ func TestOpsLifecycle(t *testing.T) {
 	if _, ok := pr.ops.Take(id2); ok {
 		t.Fatal("Take did not consume the value")
 	}
-	// Last keeps the most recent per-initiator value.
-	if lv, ok := pr.ops.Last(2); !ok || lv != v2 {
-		t.Fatalf("Last(2) = (%d,%v), want (%d,true)", lv, ok, v2)
-	}
 }
 
 func TestOpsBeginRejectsOverlap(t *testing.T) {
@@ -216,7 +212,7 @@ func TestOpsGetForRejectsStaleReplies(t *testing.T) {
 }
 
 // TestRunIncSequence: the shared sequential driver produces 0, 1, 2, ...
-// through a Valued wrapper.
+// through an Async wrapper.
 func TestRunIncSequence(t *testing.T) {
 	net, pr := newEcho(4)
 	c := &echoCounter{net: net, pr: pr}
@@ -232,7 +228,7 @@ func TestRunIncSequence(t *testing.T) {
 	}
 }
 
-// echoCounter adapts echoProto to the Valued interface for RunInc.
+// echoCounter adapts echoProto to the Async interface for RunInc.
 type echoCounter struct {
 	net *sim.Network
 	pr  *echoProto
@@ -284,8 +280,8 @@ func TestOpsReusedSlotIsZeroed(t *testing.T) {
 	if st2 != st {
 		t.Fatal("second operation got a fresh slot; the initiator's slot should be reused")
 	}
-	if _, ok := ops.Last(4); ok {
-		t.Fatal("Last still reports the previous value after the next Begin")
+	if _, ok := ops.Take(2); ok {
+		t.Fatal("the second operation has a value before it finished")
 	}
 }
 
@@ -325,9 +321,6 @@ func TestOpsStaleAfterNextBegin(t *testing.T) {
 	}
 	if v, ok := ops.Take(2); !ok || v != 200 {
 		t.Fatalf("operation 2's value = (%d,%v), want (200,true)", v, ok)
-	}
-	if v, ok := ops.Last(5); !ok || v != 200 {
-		t.Fatalf("Last(5) = (%d,%v), want (200,true)", v, ok)
 	}
 }
 
@@ -429,11 +422,8 @@ func TestOpsCloneDeepStateBothDirections(t *testing.T) {
 	if o, c := ops.DroppedStale(), cp.DroppedStale(); o != 2 || c != 1 {
 		t.Fatalf("dropped stale original=%d clone=%d, want 2 and 1", o, c)
 	}
-	if v, ok := cp.Last(3); !ok || v != 500 {
-		t.Fatalf("clone Last(3) = (%d,%v), want (500,true)", v, ok)
-	}
-	if _, ok := ops.Last(3); ok {
-		t.Fatal("original reports a value for its still-open operation")
+	if v, ok := cp.Take(live); !ok || v != 500 {
+		t.Fatalf("clone's value for the copied operation = (%d,%v), want (500,true)", v, ok)
 	}
 }
 
@@ -445,8 +435,8 @@ func TestOpsGrowsForLargeInitiatorIDs(t *testing.T) {
 	if ops.InFlight(9) {
 		t.Fatal("empty table reports an operation in flight")
 	}
-	if _, ok := ops.Last(9); ok {
-		t.Fatal("empty table reports a last value")
+	if _, ok := ops.Take(1); ok {
+		t.Fatal("empty table reports a value")
 	}
 	small := ops.Begin(in(1), 3)
 	*small = 33
@@ -461,7 +451,7 @@ func TestOpsGrowsForLargeInitiatorIDs(t *testing.T) {
 	if !ops.Finish(in(2), 15625, 1) || !ops.Finish(in(1), 3, 0) {
 		t.Fatal("operations on grown table did not finish")
 	}
-	if v, ok := ops.Last(15625); !ok || v != 1 {
-		t.Fatalf("Last(15625) = (%d,%v), want (1,true)", v, ok)
+	if v, ok := ops.Take(2); !ok || v != 1 {
+		t.Fatalf("grown initiator's value = (%d,%v), want (1,true)", v, ok)
 	}
 }

@@ -20,14 +20,19 @@ type RunResult struct {
 }
 
 // RunSequence executes the operations in order, sequentially (each runs to
-// quiescence before the next starts, per the paper's model).
+// quiescence before the next starts, per the paper's model). It needs the
+// counter's simulated network to number the operations, so a counter on
+// the rt backend is an error.
 func RunSequence(c Counter, order []sim.ProcID) (*RunResult, error) {
+	net := c.Net()
+	if net == nil {
+		return nil, fmt.Errorf("counter %q has no simulated network: run sequences on the sim backend", c.Name())
+	}
 	res := &RunResult{
 		Order:  append([]sim.ProcID(nil), order...),
 		Values: make([]int, 0, len(order)),
 		OpIDs:  make([]sim.OpID, 0, len(order)),
 	}
-	net := c.Net()
 	for i, p := range order {
 		before := net.Ops()
 		v, err := c.Inc(p)

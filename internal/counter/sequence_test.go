@@ -67,7 +67,7 @@ func TestRepeatedOrder(t *testing.T) {
 }
 
 func TestRunSequenceRecordsOpIDs(t *testing.T) {
-	c := central.New(4, central.WithSimOptions(sim.WithTracing()))
+	c := counter.OnSim(central.NewMachine(4), sim.WithTracing())
 	res, err := counter.RunSequence(c, counter.SequentialOrder(4))
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +96,7 @@ func TestRunSequenceRecordsOpIDs(t *testing.T) {
 }
 
 func TestRunSequenceCopiesOrder(t *testing.T) {
-	c := central.New(2)
+	c := counter.OnSim(central.NewMachine(2))
 	order := []sim.ProcID{1, 2}
 	res, err := counter.RunSequence(c, order)
 	if err != nil {

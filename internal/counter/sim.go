@@ -15,19 +15,15 @@ type Describer interface {
 }
 
 // Sim binds a Machine to a simulated network — the simulator twin of
-// rt.New. It is the only sim-backed counter in the repository: every
-// algorithm package returns it (behind a typed handle when the algorithm
-// has readouts of its own) and the registry builds nothing else on the sim
-// backend.
+// rt.New. It is the only sim-backed counter in the repository: an algorithm
+// package exports its Machine, never a simulator handle, and the registry
+// builds nothing else on the sim backend.
 type Sim struct {
 	m   Machine
 	net *sim.Network
 }
 
-var (
-	_ Cloneable = (*Sim)(nil)
-	_ Valued    = (*Sim)(nil)
-)
+var _ Cloneable = (*Sim)(nil)
 
 // OnSim wraps m in a fresh simulated network configured by opts.
 func OnSim(m Machine, opts ...sim.Option) *Sim {
@@ -53,10 +49,10 @@ func (s *Sim) Start(at int64, p sim.ProcID) sim.OpID {
 	return s.net.ScheduleOp(at, p, s.m.Initiate)
 }
 
-// OpValue implements Valued.
+// OpValue implements Async.
 func (s *Sim) OpValue(id sim.OpID) (int, bool) { return s.m.Value(id) }
 
-// Guarantee implements Valued.
+// Guarantee implements Async.
 func (s *Sim) Guarantee() Guarantee { return s.m.Guarantee }
 
 // Clone implements Cloneable: it deep-copies the network and re-describes

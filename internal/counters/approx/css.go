@@ -150,9 +150,3 @@ func (pr *cssProto) Machine() counter.Machine {
 func NewSampleMachine(n int, opts ...Option) counter.Machine {
 	return newCSSProto(n, newConfig(DefaultEpsilonSample, opts)).Machine()
 }
-
-// NewSample creates a css-sample counter over n simulated processors.
-func NewSample(n int, opts ...Option) *Counter {
-	cfg := newConfig(DefaultEpsilonSample, opts)
-	return onSim(newCSSProto(n, cfg).Machine(), cfg)
-}

@@ -105,9 +105,3 @@ func newGXUProto(n int, cfg config) *gxuProto {
 func NewThresholdMachine(n int, opts ...Option) counter.Machine {
 	return newGXUProto(n, newConfig(DefaultEpsilonThreshold, opts)).Machine()
 }
-
-// NewThreshold creates a gxu-threshold counter over n simulated processors.
-func NewThreshold(n int, opts ...Option) *Counter {
-	cfg := newConfig(DefaultEpsilonThreshold, opts)
-	return onSim(newGXUProto(n, cfg).Machine(), cfg)
-}

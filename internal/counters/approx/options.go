@@ -1,10 +1,5 @@
 package approx
 
-import (
-	"distcount/internal/counter"
-	"distcount/internal/sim"
-)
-
 // defaultSeed seeds the css sampling streams when the caller does not
 // choose one: a fixed constant, so two identical runs are byte-identical —
 // the determinism the accuracy study's double-run CI check pins.
@@ -14,10 +9,9 @@ const defaultSeed = 0x6a09e667f3bcc909
 type Option func(*config)
 
 type config struct {
-	eps     float64
-	warmup  int
-	seed    uint64
-	simOpts []sim.Option
+	eps    float64
+	warmup int
+	seed   uint64
 }
 
 func newConfig(defaultEps float64, opts []Option) config {
@@ -50,21 +44,3 @@ func WithWarmup(count int) Option {
 func WithSeed(seed uint64) Option {
 	return func(c *config) { c.seed = seed }
 }
-
-// WithSimOptions forwards options to the underlying network; the Machine
-// constructors ignore them (they configure a network, not the protocol).
-func WithSimOptions(opts ...sim.Option) Option {
-	return func(c *config) { c.simOpts = append(c.simOpts, opts...) }
-}
-
-// Counter is either approximate counter on the simulator.
-type Counter struct {
-	*counter.Sim
-}
-
-func onSim(m counter.Machine, cfg config) *Counter {
-	return &Counter{counter.OnSim(m, cfg.simOpts...)}
-}
-
-// Epsilon returns the claimed relative error bound.
-func (c *Counter) Epsilon() float64 { return c.Guarantee().Epsilon }

@@ -26,13 +26,15 @@ type (
 func (reqPayload) Kind() string { return "inc-request" }
 func (valPayload) Kind() string { return "value" }
 
+// holder is the processor storing the counter value.
+const holder sim.ProcID = 1
+
 // proto is the protocol: all state lives at the holder (the counter value);
 // initiators keep only their in-flight operation entry in the shared op
 // table.
 type proto struct {
-	n      int
-	holder sim.ProcID
-	val    int
+	n   int
+	val int
 
 	ops *counter.Ops[struct{}, int]
 }
@@ -41,14 +43,14 @@ var _ sim.CloneableProtocol = (*proto)(nil)
 
 func (pr *proto) initiate(nw sim.Transport, p sim.ProcID) {
 	pr.ops.Begin(nw, p)
-	if p == pr.holder {
+	if p == holder {
 		// The holder increments locally: accessing your own memory costs no
 		// messages in the paper's model.
 		pr.ops.Finish(nw, p, pr.val)
 		pr.val++
 		return
 	}
-	nw.Send(pr.holder, reqPayload{Origin: p})
+	nw.Send(holder, reqPayload{Origin: p})
 }
 
 func (pr *proto) Deliver(nw sim.Transport, msg sim.Message) {
@@ -84,51 +86,9 @@ func (pr *proto) Machine() counter.Machine {
 	}
 }
 
-// Counter is the centralized counter on the simulator.
-type Counter struct {
-	*counter.Sim
-	proto *proto
-}
-
-// Option configures the counter.
-type Option func(*config)
-
-type config struct {
-	holder  sim.ProcID
-	simOpts []sim.Option
-}
-
-// WithHolder selects which processor stores the counter value (default 1).
-func WithHolder(p sim.ProcID) Option {
-	return func(c *config) { c.holder = p }
-}
-
-// WithSimOptions forwards options to the underlying network; NewMachine
-// ignores them (they configure a network, not the protocol).
-func WithSimOptions(opts ...sim.Option) Option {
-	return func(c *config) { c.simOpts = append(c.simOpts, opts...) }
-}
-
-func build(n int, opts []Option) (*proto, []sim.Option) {
-	cfg := config{holder: 1}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return &proto{n: n, holder: cfg.holder, ops: counter.NewOps[struct{}, int]()}, cfg.simOpts
-}
-
 // NewMachine returns the backend-independent protocol descriptor for n
 // processors — what both backends run.
-func NewMachine(n int, opts ...Option) counter.Machine {
-	pr, _ := build(n, opts)
+func NewMachine(n int) counter.Machine {
+	pr := &proto{n: n, ops: counter.NewOps[struct{}, int]()}
 	return pr.Machine()
 }
-
-// New creates a centralized counter over n simulated processors.
-func New(n int, opts ...Option) *Counter {
-	pr, simOpts := build(n, opts)
-	return &Counter{Sim: counter.OnSim(pr.Machine(), simOpts...), proto: pr}
-}
-
-// Holder returns the processor storing the counter value.
-func (c *Counter) Holder() sim.ProcID { return c.proto.holder }

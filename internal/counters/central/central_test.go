@@ -10,7 +10,7 @@ import (
 )
 
 func factory(n int) counter.Counter {
-	return New(n, WithSimOptions(sim.WithTracing()))
+	return counter.OnSim(NewMachine(n), sim.WithTracing())
 }
 
 func TestConformance(t *testing.T) {
@@ -25,7 +25,7 @@ func TestHolderIsBottleneck(t *testing.T) {
 	// The paper's motivating example: over the canonical workload the holder
 	// exchanges 2(n-1) messages while everyone else exchanges 2.
 	const n = 64
-	c := New(n)
+	c := counter.OnSim(NewMachine(n))
 	if _, err := counter.RunSequence(c, counter.SequentialOrder(n)); err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestHolderIsBottleneck(t *testing.T) {
 }
 
 func TestTwoMessagesPerRemoteOp(t *testing.T) {
-	c := New(8)
+	c := counter.OnSim(NewMachine(8))
 	if _, err := c.Inc(5); err != nil {
 		t.Fatal(err)
 	}
@@ -54,8 +54,8 @@ func TestTwoMessagesPerRemoteOp(t *testing.T) {
 }
 
 func TestHolderIncIsFree(t *testing.T) {
-	c := New(8)
-	v, err := c.Inc(c.Holder())
+	c := counter.OnSim(NewMachine(8))
+	v, err := c.Inc(holder)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,19 +67,8 @@ func TestHolderIncIsFree(t *testing.T) {
 	}
 }
 
-func TestCustomHolder(t *testing.T) {
-	c := New(8, WithHolder(5))
-	if _, err := counter.RunSequence(c, counter.SequentialOrder(8)); err != nil {
-		t.Fatal(err)
-	}
-	s := loadstat.Summarize(c.Net().Sent(), c.Net().Recv())
-	if s.Bottleneck != 5 {
-		t.Fatalf("bottleneck = p%d, want p5", s.Bottleneck)
-	}
-}
-
 func TestName(t *testing.T) {
-	if New(2).Name() != "central" {
+	if NewMachine(2).Name != "central" {
 		t.Fatal("wrong name")
 	}
 }

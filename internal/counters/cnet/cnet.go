@@ -279,7 +279,6 @@ type Option func(*cfg)
 type cfg struct {
 	width        int
 	construction Construction
-	simOpts      []sim.Option
 }
 
 // WithWidth sets the network width (a power of two >= 2). The default is
@@ -293,13 +292,7 @@ func WithConstruction(con Construction) Option {
 	return func(c *cfg) { c.construction = con }
 }
 
-// WithSimOptions forwards options to the underlying network; NewMachine
-// ignores them (they configure a network, not the protocol).
-func WithSimOptions(opts ...sim.Option) Option {
-	return func(c *cfg) { c.simOpts = append(c.simOpts, opts...) }
-}
-
-func build(n int, opts []Option) (*proto, []sim.Option) {
+func build(n int, opts []Option) *proto {
 	c := cfg{construction: Bitonic}
 	for _, o := range opts {
 		o(&c)
@@ -310,54 +303,11 @@ func build(n int, opts []Option) (*proto, []sim.Option) {
 			c.width <<= 1
 		}
 	}
-	return newProto(n, c.width, c.construction), c.simOpts
+	return newProto(n, c.width, c.construction)
 }
 
 // NewMachine returns the backend-independent protocol descriptor for n
 // processors — what both backends run.
 func NewMachine(n int, opts ...Option) counter.Machine {
-	pr, _ := build(n, opts)
-	return pr.Machine()
-}
-
-// Counter is the counting-network counter on the simulator.
-type Counter struct {
-	*counter.Sim
-	proto *proto
-}
-
-// New creates a counting-network counter over n simulated processors.
-func New(n int, opts ...Option) *Counter {
-	pr, simOpts := build(n, opts)
-	return &Counter{Sim: counter.OnSim(pr.Machine(), simOpts...), proto: pr}
-}
-
-// Construction returns the network topology in use.
-func (c *Counter) Construction() Construction { return c.proto.construction }
-
-// Width returns the network width.
-func (c *Counter) Width() int { return c.proto.width }
-
-// Depth returns the number of balancer stages.
-func (c *Counter) Depth() int { return c.proto.depth() }
-
-// Balancers returns the total number of balancers: w/2 per stage.
-func (c *Counter) Balancers() int { return len(c.proto.balancers) }
-
-// WireCounts returns a copy of the per-output-wire token counts handed out
-// so far, for step-property checks: counts[w] = number of tokens that left
-// on wire w.
-func (c *Counter) WireCounts() []int {
-	out := make([]int, c.proto.width)
-	for w, next := range c.proto.wireCount {
-		out[w] = (next - w) / c.proto.width
-	}
-	return out
-}
-
-// ValueOf returns the value delivered to p's last *completed* operation;
-// ok is false between an operation's initiation and its completion. A
-// Start scheduled in the future resets the flag only when it initiates.
-func (c *Counter) ValueOf(p sim.ProcID) (int, bool) {
-	return c.proto.ops.Last(p)
+	return build(n, opts).Machine()
 }

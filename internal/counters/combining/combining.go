@@ -326,8 +326,7 @@ func (pr *proto) Machine() counter.Machine {
 type Option func(*cfg)
 
 type cfg struct {
-	window  int64
-	simOpts []sim.Option
+	window int64
 }
 
 // WithWindow sets the combining window in simulated time units (default 0:
@@ -339,54 +338,26 @@ func WithWindow(w int64) Option {
 	return func(c *cfg) { c.window = w }
 }
 
-// WithSimOptions forwards options to the underlying network; NewMachine
-// ignores them (they configure a network, not the protocol).
-func WithSimOptions(opts ...sim.Option) Option {
-	return func(c *cfg) { c.simOpts = append(c.simOpts, opts...) }
-}
-
-func build(n int, opts []Option) (*proto, []sim.Option) {
+// NewMachine returns the backend-independent protocol descriptor for n
+// processors — what both backends run.
+func NewMachine(n int, opts ...Option) counter.Machine {
 	var c cfg
 	for _, o := range opts {
 		o(&c)
 	}
-	return newProto(n, c.window), c.simOpts
+	return newProto(n, c.window).Machine()
 }
 
-// NewMachine returns the backend-independent protocol descriptor for n
-// processors — what both backends run.
-func NewMachine(n int, opts ...Option) counter.Machine {
-	pr, _ := build(n, opts)
-	return pr.Machine()
-}
+// Combined returns how many requests merged into an open window so far on
+// the combining tree m describes (m must come from NewMachine).
+func Combined(m counter.Machine) int64 { return atomic.LoadInt64(&m.Proto.(*proto).combined) }
 
-// Counter is the combining-tree counter on the simulator.
-type Counter struct {
-	*counter.Sim
-	proto *proto
-}
-
-// New creates a combining-tree counter over n simulated processors.
-func New(n int, opts ...Option) *Counter {
-	pr, simOpts := build(n, opts)
-	return &Counter{Sim: counter.OnSim(pr.Machine(), simOpts...), proto: pr}
-}
-
-// Combined returns how many requests merged into an open window so far.
-func (c *Counter) Combined() int64 { return atomic.LoadInt64(&c.proto.combined) }
-
-// RootHost returns the processor hosting the tree root (the sequential
-// bottleneck).
-func (c *Counter) RootHost() sim.ProcID {
-	if c.proto.n == 1 {
+// RootHost returns the processor hosting the root of the combining tree m
+// describes — the sequential bottleneck.
+func RootHost(m counter.Machine) sim.ProcID {
+	pr := m.Proto.(*proto)
+	if pr.n == 1 {
 		return 1
 	}
-	return c.proto.nodes[0].host
-}
-
-// ValueOf returns the value delivered to p's last operation; ok is false if
-// none was delivered. The concurrent experiments schedule many operations
-// with Start, run the network once, and read the values back with it.
-func (c *Counter) ValueOf(p sim.ProcID) (int, bool) {
-	return c.proto.ops.Last(p)
+	return pr.nodes[0].host
 }

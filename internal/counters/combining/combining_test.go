@@ -10,7 +10,42 @@ import (
 )
 
 func factory(n int) counter.Counter {
-	return New(n, WithSimOptions(sim.WithTracing()))
+	return counter.OnSim(NewMachine(n), sim.WithTracing())
+}
+
+// burst starts one operation per processor at starts[p-1], runs the
+// network to quiescence and returns each operation's value, failing the
+// test on a missing one.
+func burst(t *testing.T, c *counter.Sim, starts []int64) []int {
+	t.Helper()
+	ids := make([]sim.OpID, len(starts))
+	for i, at := range starts {
+		ids[i] = c.Start(at, sim.ProcID(i+1))
+	}
+	if err := c.Net().Run(); err != nil {
+		t.Fatal(err)
+	}
+	values := make([]int, len(ids))
+	for i, id := range ids {
+		v, ok := c.OpValue(id)
+		if !ok {
+			t.Fatalf("processor %d got no value", i+1)
+		}
+		values[i] = v
+	}
+	return values
+}
+
+// distinct fails the test unless values are exactly 0..len(values)-1.
+func distinct(t *testing.T, values []int) {
+	t.Helper()
+	seen := make([]bool, len(values))
+	for i, v := range values {
+		if v < 0 || v >= len(values) || seen[v] {
+			t.Fatalf("processor %d got invalid/duplicate value %d", i+1, v)
+		}
+		seen[v] = true
+	}
 }
 
 func TestConformance(t *testing.T) {
@@ -22,24 +57,25 @@ func TestCloneIndependence(t *testing.T) {
 }
 
 func TestSequentialNeverCombines(t *testing.T) {
-	c := New(16)
-	if _, err := counter.RunSequence(c, counter.SequentialOrder(16)); err != nil {
+	m := NewMachine(16)
+	if _, err := counter.RunSequence(counter.OnSim(m), counter.SequentialOrder(16)); err != nil {
 		t.Fatal(err)
 	}
-	if c.Combined() != 0 {
-		t.Fatalf("sequential run combined %d requests", c.Combined())
+	if Combined(m) != 0 {
+		t.Fatalf("sequential run combined %d requests", Combined(m))
 	}
 }
 
 func TestRootHostIsSequentialBottleneck(t *testing.T) {
 	const n = 32
-	c := New(n)
+	m := NewMachine(n)
+	c := counter.OnSim(m)
 	if _, err := counter.RunSequence(c, counter.SequentialOrder(n)); err != nil {
 		t.Fatal(err)
 	}
 	s := loadstat.SummarizeLoads(c.Net().Loads())
-	if s.Bottleneck != int(c.RootHost()) {
-		t.Fatalf("bottleneck = p%d, want root host p%d", s.Bottleneck, c.RootHost())
+	if s.Bottleneck != int(RootHost(m)) {
+		t.Fatalf("bottleneck = p%d, want root host p%d", s.Bottleneck, RootHost(m))
 	}
 	// The root host sees >= 2 messages per operation it does not initiate.
 	if s.MaxLoad < int64(2*(n-2)) {
@@ -51,40 +87,21 @@ func TestConcurrentCombining(t *testing.T) {
 	// All processors fire at t=0 with a combining window: requests must
 	// merge, and every processor still gets a distinct value.
 	const n = 16
-	c := New(n, WithWindow(8))
-	for p := 1; p <= n; p++ {
-		c.Start(0, sim.ProcID(p))
-	}
-	if err := c.Net().Run(); err != nil {
-		t.Fatal(err)
-	}
-	if c.Combined() == 0 {
+	m := NewMachine(n, WithWindow(8))
+	values := burst(t, counter.OnSim(m), make([]int64, n))
+	if Combined(m) == 0 {
 		t.Fatal("no combining despite simultaneous requests and open window")
 	}
-	seen := make([]bool, n)
-	for p := 1; p <= n; p++ {
-		v, ok := c.ValueOf(sim.ProcID(p))
-		if !ok {
-			t.Fatalf("processor %d got no value", p)
-		}
-		if v < 0 || v >= n || seen[v] {
-			t.Fatalf("processor %d got invalid/duplicate value %d", p, v)
-		}
-		seen[v] = true
-	}
+	distinct(t, values)
 }
 
 func TestConcurrentCombiningCutsRootTraffic(t *testing.T) {
 	const n = 32
 	run := func(window int64) int64 {
-		c := New(n, WithWindow(window))
-		for p := 1; p <= n; p++ {
-			c.Start(0, sim.ProcID(p))
-		}
-		if err := c.Net().Run(); err != nil {
-			t.Fatal(err)
-		}
-		return c.Net().Load(c.RootHost())
+		m := NewMachine(n, WithWindow(window))
+		c := counter.OnSim(m)
+		burst(t, c, make([]int64, n))
+		return c.Net().Load(RootHost(m))
 	}
 	without := run(0)
 	with := run(16)
@@ -98,37 +115,22 @@ func TestConcurrentCombiningCutsRootTraffic(t *testing.T) {
 // responses straight and every operation gets a distinct value.
 func TestPipelinedBatches(t *testing.T) {
 	const n = 16
-	c := New(n, WithWindow(2))
+	m := NewMachine(n, WithWindow(2))
 	// Wave 1 at t=0, wave 2 well after wave 1's windows closed but (at
 	// depth 4 with unit latency) before its responses returned.
-	for p := 1; p <= 8; p++ {
-		c.Start(0, sim.ProcID(p))
-	}
+	starts := make([]int64, n)
 	for p := 9; p <= n; p++ {
-		c.Start(5, sim.ProcID(p))
+		starts[p-1] = 5
 	}
-	if err := c.Net().Run(); err != nil {
-		t.Fatal(err)
-	}
-	seen := make([]bool, n)
-	for p := 1; p <= n; p++ {
-		v, ok := c.ValueOf(sim.ProcID(p))
-		if !ok {
-			t.Fatalf("processor %d got no value", p)
-		}
-		if v < 0 || v >= n || seen[v] {
-			t.Fatalf("processor %d got invalid/duplicate value %d", p, v)
-		}
-		seen[v] = true
-	}
-	if c.Combined() == 0 {
+	distinct(t, burst(t, counter.OnSim(m), starts))
+	if Combined(m) == 0 {
 		t.Fatal("waves did not combine at all")
 	}
 }
 
 func TestWindowTimerExpiresAlone(t *testing.T) {
 	// A single request with a window must still complete (via the timer).
-	c := New(8, WithWindow(5))
+	c := counter.OnSim(NewMachine(8, WithWindow(5)))
 	v, err := c.Inc(3)
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +141,7 @@ func TestWindowTimerExpiresAlone(t *testing.T) {
 }
 
 func TestSingleProcessorLocal(t *testing.T) {
-	c := New(1)
+	c := counter.OnSim(NewMachine(1))
 	for i := 0; i < 3; i++ {
 		v, err := c.Inc(1)
 		if err != nil {
@@ -164,7 +166,7 @@ func TestNegativeWindowPanics(t *testing.T) {
 }
 
 func TestName(t *testing.T) {
-	if New(2).Name() != "combining" {
+	if NewMachine(2).Name != "combining" {
 		t.Fatal("wrong name")
 	}
 }

@@ -252,9 +252,8 @@ func (pr *proto) Machine() counter.Machine {
 type Option func(*cfg)
 
 type cfg struct {
-	width   int
-	window  int64
-	simOpts []sim.Option
+	width  int
+	window int64
 }
 
 // WithWidth sets the number of leaf counters (a power of two >= 2); the
@@ -272,13 +271,9 @@ func WithWindow(w int64) Option {
 	return func(c *cfg) { c.window = w }
 }
 
-// WithSimOptions forwards options to the underlying network; NewMachine
-// ignores them (they configure a network, not the protocol).
-func WithSimOptions(opts ...sim.Option) Option {
-	return func(c *cfg) { c.simOpts = append(c.simOpts, opts...) }
-}
-
-func build(n int, opts []Option) (*proto, []sim.Option) {
+// NewMachine returns the backend-independent protocol descriptor for n
+// processors — what both backends run.
+func NewMachine(n int, opts ...Option) counter.Machine {
 	var c cfg
 	for _, o := range opts {
 		o(&c)
@@ -289,43 +284,14 @@ func build(n int, opts []Option) (*proto, []sim.Option) {
 			c.width <<= 1
 		}
 	}
-	return newProto(n, c.width, c.window), c.simOpts
+	return newProto(n, c.width, c.window).Machine()
 }
 
-// NewMachine returns the backend-independent protocol descriptor for n
-// processors — what both backends run.
-func NewMachine(n int, opts ...Option) counter.Machine {
-	pr, _ := build(n, opts)
-	return pr.Machine()
-}
+// Diffracted returns the number of token pairs that bypassed a toggle so far
+// on the diffracting tree m describes (m must come from NewMachine).
+func Diffracted(m counter.Machine) int64 { return atomic.LoadInt64(&m.Proto.(*proto).diffracted) }
 
-// Counter is the diffracting-tree counter on the simulator.
-type Counter struct {
-	*counter.Sim
-	proto *proto
-}
-
-// New creates a diffracting-tree counter over n simulated processors.
-func New(n int, opts ...Option) *Counter {
-	pr, simOpts := build(n, opts)
-	return &Counter{Sim: counter.OnSim(pr.Machine(), simOpts...), proto: pr}
-}
-
-// Width returns the number of leaf counters.
-func (c *Counter) Width() int { return c.proto.width }
-
-// Diffracted returns the number of token pairs that bypassed a toggle.
-func (c *Counter) Diffracted() int64 { return atomic.LoadInt64(&c.proto.diffracted) }
-
-// RootToggles returns how often the root toggle was used — the contention
-// hot spot diffraction exists to relieve.
-func (c *Counter) RootToggles() int64 { return c.proto.toggles[1] }
-
-// RootHost returns the processor hosting the root node.
-func (c *Counter) RootHost() sim.ProcID { return c.proto.nodes[1].host }
-
-// ValueOf returns the value delivered to p's last operation; the concurrent
-// experiments read it after the network quiesces.
-func (c *Counter) ValueOf(p sim.ProcID) (int, bool) {
-	return c.proto.ops.Last(p)
-}
+// RootToggles returns how often the root toggle of the diffracting tree m
+// describes was used — the contention hot spot diffraction exists to
+// relieve.
+func RootToggles(m counter.Machine) int64 { return m.Proto.(*proto).toggles[1] }

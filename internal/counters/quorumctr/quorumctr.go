@@ -205,19 +205,3 @@ func newProto(sys quorum.System) *proto {
 // NewMachine returns the backend-independent protocol descriptor over the
 // given quorum system — what both backends run.
 func NewMachine(sys quorum.System) counter.Machine { return newProto(sys).Machine() }
-
-// Counter is the quorum-replicated counter on the simulator.
-type Counter struct {
-	*counter.Sim
-	proto *proto
-}
-
-// New creates a counter over sys.N() simulated processors using the given
-// quorum system.
-func New(sys quorum.System, simOpts ...sim.Option) *Counter {
-	pr := newProto(sys)
-	return &Counter{Sim: counter.OnSim(pr.Machine(), simOpts...), proto: pr}
-}
-
-// System returns the underlying quorum system.
-func (c *Counter) System() quorum.System { return c.proto.sys }

@@ -131,18 +131,3 @@ func newProto(n int) *proto {
 // NewMachine returns the backend-independent protocol descriptor for n
 // processors — what both backends run.
 func NewMachine(n int) counter.Machine { return newProto(n).Machine() }
-
-// Counter is the token-ring counter on the simulator.
-type Counter struct {
-	*counter.Sim
-	proto *proto
-}
-
-// New creates a token-ring counter over n simulated processors.
-func New(n int, simOpts ...sim.Option) *Counter {
-	pr := newProto(n)
-	return &Counter{Sim: counter.OnSim(pr.Machine(), simOpts...), proto: pr}
-}
-
-// Holder returns the current token holder.
-func (c *Counter) Holder() sim.ProcID { return c.proto.holder }

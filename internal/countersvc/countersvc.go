@@ -191,7 +191,7 @@ type Completion struct {
 
 // shard is one counter instance of the service.
 type shard struct {
-	c    counter.Valued
+	c    counter.Async
 	algo string
 }
 
@@ -292,10 +292,6 @@ func newService(keys, n, base, shards int, mig *Migration) *Service {
 // attached in index order — and hooks its completions on the sim backend.
 // On rt, OnComplete hooks them.
 func (s *Service) attach(i int, algo string, c counter.Async) error {
-	v, ok := c.(counter.Valued)
-	if !ok {
-		return fmt.Errorf("countersvc: shard %d algorithm %q does not expose per-operation values (counter.Valued)", i, c.Name())
-	}
 	if c.N() < s.n {
 		return fmt.Errorf("countersvc: shard %d algorithm %q built %d < %d processors", i, c.Name(), c.N(), s.n)
 	}
@@ -307,7 +303,7 @@ func (s *Service) attach(i int, algo string, c counter.Async) error {
 	case isRT && r.Ops() != 0, !isRT && (nw.Now() != 0 || nw.Ops() != 0):
 		return fmt.Errorf("countersvc: %s has already run; build a fresh counter, runtime or service per run", c.Name())
 	}
-	s.shards[i] = shard{c: v, algo: algo}
+	s.shards[i] = shard{c: c, algo: algo}
 	if isRT {
 		if len(s.rts) == 0 {
 			s.origin = r.Origin()
@@ -362,7 +358,7 @@ func (s *Service) HotShard() int { return s.hot }
 func (s *Service) Algo(shard int) string { return s.shards[shard].algo }
 
 // Counter returns a shard's counter instance.
-func (s *Service) Counter(shard int) counter.Valued { return s.shards[shard].c }
+func (s *Service) Counter(shard int) counter.Async { return s.shards[shard].c }
 
 // RouteFor returns the shard a key currently routes to and whether the key
 // is open for admission (false while frozen for migration drain).

@@ -131,8 +131,8 @@ type Config struct {
 	// central/ctree/combining, quiescent consistency for the counting and
 	// diffracting networks, duplicate-value accounting for the protocols
 	// that are only sequentially correct). The result is attached as
-	// Result.Verification. Requires a counter.Valued implementation — every
-	// algorithm in this repository qualifies.
+	// Result.Verification; values are read back per operation with
+	// counter.Async.OpValue.
 	Verify bool
 	// WedgeIdle is the wall-clock drivers' stall timeout once a fault has
 	// fired (default 2s): a run whose fault plan has destroyed events may

@@ -260,9 +260,13 @@ func TestLatencyIncludesQueueing(t *testing.T) {
 // for), and merged operations' latencies cover their real round trip —
 // they are not marked complete at the merge point.
 func TestCombiningActuallyCombines(t *testing.T) {
-	// Built directly, in the registry's concurrent regime: the Combined
-	// readout lives on the typed handle, not on a registry-built counter.
-	c := combining.New(16, combining.WithWindow(registry.DefaultWindow))
+	// The registry's concurrent-regime machine, kept for the Combined
+	// readout.
+	m, err := registry.NewMachine("combining", 16, registry.Concurrent())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := counter.OnSim(m)
 	order := make([]sim.ProcID, 64)
 	for i := range order {
 		order[i] = sim.ProcID(i%16 + 1)
@@ -271,7 +275,7 @@ func TestCombiningActuallyCombines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Combined() == 0 {
+	if combining.Combined(m) == 0 {
 		t.Fatal("no requests combined despite simultaneous arrivals and a window")
 	}
 	// A merged op still has to wait for the batch round trip: its latency
@@ -289,7 +293,11 @@ func TestCombiningActuallyCombines(t *testing.T) {
 // TestDifftreeActuallyDiffracts: the async diffracting tree pairs tokens
 // in its prisms under concurrent load.
 func TestDifftreeActuallyDiffracts(t *testing.T) {
-	c := difftree.New(16, difftree.WithWindow(registry.DefaultWindow))
+	m, err := registry.NewMachine("difftree", 16, registry.Concurrent())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := counter.OnSim(m)
 	order := make([]sim.ProcID, 64)
 	for i := range order {
 		order[i] = sim.ProcID(i%16 + 1)
@@ -298,7 +306,7 @@ func TestDifftreeActuallyDiffracts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Diffracted() == 0 {
+	if difftree.Diffracted(m) == 0 {
 		t.Fatal("no tokens diffracted despite simultaneous arrivals and a window")
 	}
 	if res.Ops != 64 {

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"strings"
 	"testing"
 
 	"distcount/internal/counter"
@@ -102,39 +101,16 @@ func TestVerifyLinearizableOpenLoop(t *testing.T) {
 	}
 }
 
-// opaqueAsync hides the Valued methods of a real counter, standing in for
-// an external implementation without per-op value readback.
-type opaqueAsync struct {
-	counter.Async
-}
-
-// TestVerifyNeedsValued: verification of a counter without per-op values is
-// an error, not a silent no-op.
-func TestVerifyNeedsValued(t *testing.T) {
-	inner, err := registry.NewWith("central", 8, registry.Concurrent())
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen, err := workload.New("uniform", workload.Config{N: 8, Ops: 20, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = Run(opaqueAsync{inner}, gen, Config{Verify: true})
-	if err == nil || !strings.Contains(err.Error(), "counter.Valued") {
-		t.Fatalf("expected a Valued error, got %v", err)
-	}
-}
-
-// countingValued counts per-op value reads, standing in for counter.Ops's
+// countingAsync counts per-op value reads, standing in for counter.Ops's
 // values table: each OpValue call is one consumed (and freed) entry.
-type countingValued struct {
-	counter.Valued
+type countingAsync struct {
+	counter.Async
 	reads int
 }
 
-func (c *countingValued) OpValue(id sim.OpID) (int, bool) {
+func (c *countingAsync) OpValue(id sim.OpID) (int, bool) {
 	c.reads++
-	return c.Valued.OpValue(id)
+	return c.Async.OpValue(id)
 }
 
 // TestRunWithoutVerifyDrainsOpValues is the regression test for the
@@ -148,7 +124,7 @@ func TestRunWithoutVerifyDrainsOpValues(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cv := &countingValued{Valued: inner.(counter.Valued)}
+		cv := &countingAsync{Async: inner}
 		gen, err := workload.New("uniform", workload.Config{N: 8, Ops: 60, Seed: 1})
 		if err != nil {
 			t.Fatal(err)

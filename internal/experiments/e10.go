@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"distcount/internal/counter"
 	"distcount/internal/counters/combining"
 	"distcount/internal/counters/difftree"
 	"distcount/internal/verify"
@@ -56,11 +57,12 @@ type E10Row struct {
 // E10Combining runs n simultaneous operations on a combining tree with the
 // given window.
 func E10Combining(n int, window int64) (E10Row, error) {
-	c := combining.New(n, combining.WithWindow(window))
+	m := combining.NewMachine(n, combining.WithWindow(window))
+	c := counter.OnSim(m)
 	distinct, err := burst(c, n)
 	return E10Row{
-		RootLoad: c.Net().Load(c.RootHost()),
-		Merged:   c.Combined(),
+		RootLoad: c.Net().Load(combining.RootHost(m)),
+		Merged:   combining.Combined(m),
 		Total:    c.Net().MessagesTotal(),
 		Distinct: distinct,
 	}, err
@@ -69,11 +71,12 @@ func E10Combining(n int, window int64) (E10Row, error) {
 // E10Difftree runs n simultaneous operations on a diffracting tree with the
 // given prism window.
 func E10Difftree(n int, window int64) (E10Row, error) {
-	c := difftree.New(n, difftree.WithWidth(8), difftree.WithWindow(window))
+	m := difftree.NewMachine(n, difftree.WithWidth(8), difftree.WithWindow(window))
+	c := counter.OnSim(m)
 	distinct, err := burst(c, n)
 	return E10Row{
-		RootLoad: c.RootToggles(),
-		Merged:   c.Diffracted(),
+		RootLoad: difftree.RootToggles(m),
+		Merged:   difftree.Diffracted(m),
 		Total:    c.Net().MessagesTotal(),
 		Distinct: distinct,
 	}, err
@@ -81,7 +84,7 @@ func E10Difftree(n int, window int64) (E10Row, error) {
 
 // burst has processors 1..n all start an operation at t=0 and reports
 // whether the values handed out are distinct (exactly 0..n-1).
-func burst(c startable, n int) (bool, error) {
+func burst(c counter.Async, n int) (bool, error) {
 	tv, err := timedRun(c, make([]int64, n))
 	return err == nil && verify.QuiescentConsistent(tv) == nil, err
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"distcount/internal/core"
+	"distcount/internal/counter"
 	"distcount/internal/counters/cnet"
 	"distcount/internal/sim"
 	"distcount/internal/verify"
@@ -48,14 +49,14 @@ func E13(cfg Config) (string, error) {
 
 	// Part 2: randomized control sweep.
 	n, seeds := pick(cfg, 32, 16), pick(cfg, 12, 6)
-	treeViol, treeQuiesce, err := e13Sweep(n, seeds, func(opts ...sim.Option) startable {
-		return concurrentTree{core.New(core.KForSize(n), core.WithoutChecks(), core.WithSimOptions(opts...))}
+	treeViol, treeQuiesce, err := e13Sweep(n, seeds, func(opts ...sim.Option) counter.Async {
+		return counter.OnSim(core.NewMachine(n), opts...)
 	})
 	if err != nil {
 		return "", err
 	}
-	cnetViol, cnetQuiesce, err := e13Sweep(n, seeds, func(opts ...sim.Option) startable {
-		return cnet.New(n, cnet.WithWidth(8), cnet.WithSimOptions(opts...))
+	cnetViol, cnetQuiesce, err := e13Sweep(n, seeds, func(opts ...sim.Option) counter.Async {
+		return counter.OnSim(cnet.NewMachine(n, cnet.WithWidth(8)), opts...)
 	})
 	if err != nil {
 		return "", err
@@ -83,7 +84,7 @@ func E13ScriptedCNet() (violated bool, values []int, err error) {
 	// Stall the exit messages of the 1st and 3rd tokens (A and C) so their
 	// wire-counter reads happen long after E completes.
 	lat := sim.NewStallKindLatency(100, map[string][]int{"exit": {0, 2}})
-	c := cnet.New(5, cnet.WithWidth(2), cnet.WithSimOptions(sim.WithLatency(lat)))
+	c := counter.OnSim(cnet.NewMachine(5, cnet.WithWidth(2)), sim.WithLatency(lat))
 	tv, err := timedRun(c, scheduleABCDE)
 	if err != nil {
 		return false, nil, fmt.Errorf("cnet scripted: %w", err)
@@ -99,7 +100,7 @@ func E13ScriptedCNet() (violated bool, values []int, err error) {
 // delay could plausibly reorder completions).
 func E13ScriptedTree() (violated bool, values []int, err error) {
 	lat := sim.NewStallKindLatency(100, map[string][]int{"value": {0, 2}})
-	tree := concurrentTree{core.New(2, core.WithoutChecks(), core.WithSimOptions(sim.WithLatency(lat)))}
+	tree := counter.OnSim(core.NewMachine(core.SizeForK(2)), sim.WithLatency(lat))
 	tv, err := timedRun(tree, scheduleABCDE)
 	if err != nil {
 		return false, nil, fmt.Errorf("tree scripted: %w", err)
@@ -122,7 +123,7 @@ func valuesOf(tv []verify.TimedValue) []int {
 // e13Sweep runs the randomized concurrent workload — n increments staggered
 // 3 ticks apart under UniformLatency[1,9] — on the counter build returns,
 // once per seed, and returns (linearizability violations, quiescent seeds).
-func e13Sweep(n, seeds int, build func(opts ...sim.Option) startable) (violations, quiescent int, err error) {
+func e13Sweep(n, seeds int, build func(opts ...sim.Option) counter.Async) (violations, quiescent int, err error) {
 	starts := make([]int64, n)
 	for i := range starts {
 		starts[i] = int64(i) * 3
@@ -140,19 +141,4 @@ func e13Sweep(n, seeds int, build func(opts ...sim.Option) startable) (violation
 		}
 	}
 	return violations, quiescent, nil
-}
-
-// concurrentTree is the paper's counter in the concurrent (pipelined) mode
-// of core.Tree.Start, which needs a tree built WithoutChecks; its replies
-// are the counter's ints.
-type concurrentTree struct{ *core.Counter }
-
-func (t concurrentTree) Start(at int64, p sim.ProcID) sim.OpID { return t.Tree.Start(at, p, nil) }
-
-func (t concurrentTree) ValueOf(p sim.ProcID) (int, bool) {
-	reply, ok := t.ReplyOf(p)
-	if !ok {
-		return 0, false
-	}
-	return reply.(int), true
 }

@@ -125,18 +125,11 @@ func Levels(nodes []core.NodeInfo) []Level {
 	return levels
 }
 
-// startable is what timedRun needs of a concurrent counter: asynchronous
-// starts on a simulated network and a per-initiator value readback.
-type startable interface {
-	Start(at int64, p sim.ProcID) sim.OpID
-	Net() *sim.Network
-	ValueOf(p sim.ProcID) (int, bool)
-}
-
 // timedRun is the concurrent experiments' measurement: processor i+1 starts
-// an operation at starts[i], the network runs to quiescence, and every
-// operation's value comes back with its timing, in processor order.
-func timedRun(c startable, starts []int64) ([]verify.TimedValue, error) {
+// an operation at starts[i] on the simulated network of c, the network runs
+// to quiescence, and every operation's value comes back with its timing, in
+// processor order.
+func timedRun(c counter.Async, starts []int64) ([]verify.TimedValue, error) {
 	ops := make([]sim.OpID, len(starts))
 	for i, at := range starts {
 		ops[i] = c.Start(at, sim.ProcID(i+1))
@@ -145,8 +138,8 @@ func timedRun(c startable, starts []int64) ([]verify.TimedValue, error) {
 		return nil, err
 	}
 	values := make([]int, len(starts))
-	for i := range starts {
-		v, ok := c.ValueOf(sim.ProcID(i + 1))
+	for i, id := range ops {
+		v, ok := c.OpValue(id)
 		if !ok {
 			return nil, fmt.Errorf("processor %d received no value", i+1)
 		}

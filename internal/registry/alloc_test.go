@@ -3,7 +3,6 @@ package registry
 import (
 	"testing"
 
-	"distcount/internal/counter"
 	"distcount/internal/rt"
 	"distcount/internal/sim"
 )
@@ -63,7 +62,7 @@ func TestIncAllocCeilings(t *testing.T) {
 				if err := net.Run(); err != nil {
 					t.Fatal(err)
 				}
-				if _, ok := c.(counter.Valued).OpValue(id); !ok {
+				if _, ok := c.OpValue(id); !ok {
 					t.Fatalf("operation %d ended without a value", id)
 				}
 				net.ForgetOp(id)

@@ -25,10 +25,6 @@ func TestPerInitiatorIndependence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			vc, ok := a.(counter.Valued)
-			if !ok {
-				t.Fatalf("%s does not implement counter.Valued", name)
-			}
 			n := a.N()
 			k := 8
 			if k > n {
@@ -50,7 +46,7 @@ func TestPerInitiatorIndependence(t *testing.T) {
 				}
 				seen := make(map[int]int)
 				for id, p := range ids {
-					v, ok := vc.OpValue(id)
+					v, ok := a.OpValue(id)
 					if !ok {
 						t.Fatalf("round %d: operation %d by %v completed without a value", round, id, p)
 					}
@@ -59,12 +55,12 @@ func TestPerInitiatorIndependence(t *testing.T) {
 					// bound (at these tiny counts they run their exact
 					// warmup phase anyway, but the claim under test is the
 					// guarantee, not the phase).
-					if vc.Guarantee().Level != counter.Approximate && (v < 0 || v >= total+k) {
+					if a.Guarantee().Level != counter.Approximate && (v < 0 || v >= total+k) {
 						t.Fatalf("round %d: op by %v got value %d outside [0,%d)", round, p, v, total+k)
 					}
 					seen[v]++
 				}
-				switch vc.Guarantee().Level {
+				switch a.Guarantee().Level {
 				case counter.Quiescent, counter.Linearizable:
 					for v := total; v < total+k; v++ {
 						if seen[v] != 1 {

@@ -4,10 +4,11 @@
 //
 // There is one construction path. Every registered algorithm is one table
 // row holding one closure that builds its counter.Machine — the
-// backend-independent protocol — and NewWith hands that machine to the
-// backend the Config names: counter.OnSim for the simulator, rt.New for the
-// real-hardware runtime. A protocol on rt is therefore by construction the
-// protocol on sim. The Config selects the construction regime — sequential
+// backend-independent protocol, and all an algorithm package exports — and
+// NewWith hands that machine to the backend the Config names: counter.OnSim
+// for the simulator, rt.New for the real-hardware runtime. A protocol on rt
+// is therefore by construction the protocol on sim, and either reads each
+// operation's value back by id (counter.Async.OpValue). The Config selects the construction regime — sequential
 // (combining/diffraction windows closed) or concurrent (windows open so
 // request merging engages); NewWith(name, n, Concurrent()) and
 // NewWith(name, n, Sequential()) are the two idiomatic calls, and New is

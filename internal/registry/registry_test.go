@@ -83,17 +83,27 @@ func TestAllNamesConcurrent(t *testing.T) {
 	}
 }
 
-// TestEveryNameValued: since the per-initiator op-state refactor, every
-// registered algorithm builds as counter.Valued — the registry has no
-// separate async subset left.
+// TestEveryNameValued: every registered algorithm reads a value back by
+// operation id under the Async contract — once, and never for an operation
+// it did not run.
 func TestEveryNameValued(t *testing.T) {
 	for _, name := range Names() {
 		a, err := NewWith(name, 9, Concurrent())
 		if err != nil {
 			t.Fatalf("NewWith(%s): %v", name, err)
 		}
-		if _, ok := a.(counter.Valued); !ok {
-			t.Fatalf("%s: counter does not implement counter.Valued", name)
+		id := a.Start(0, 3)
+		if err := a.Net().Run(); err != nil {
+			t.Fatal(err)
+		}
+		if v, ok := a.OpValue(id); !ok || v != 0 {
+			t.Fatalf("%s: OpValue(%d) = (%d, %v), want (0, true)", name, id, v, ok)
+		}
+		if _, ok := a.OpValue(id); ok {
+			t.Fatalf("%s: OpValue(%d) read a value twice", name, id)
+		}
+		if _, ok := a.OpValue(id + 1); ok {
+			t.Fatalf("%s: OpValue read a value for an operation never started", name)
 		}
 	}
 }

@@ -6,8 +6,10 @@
 // The protocol code is shared, not ported. Every algorithm is described by
 // a counter.Machine (its sim.Protocol, initiation callback and value
 // reader); the simulator wraps the machine in a single-threaded event queue
-// with simulated time, while this package wraps the identical machine in
-// mutex-guarded mailboxes and a worker pool. The sim.Transport interface is the
+// with simulated time (counter.OnSim), while this package wraps the
+// identical machine in mutex-guarded mailboxes and a worker pool. Both are
+// a counter.Async: a caller starts operations and reads each value back by
+// operation id with OpValue, whichever backend runs. The sim.Transport interface is the
 // seam: a delivery callback cannot tell which backend it runs on, so consistency
 // properties verified on simulated interleavings (internal/verify) can be
 // re-checked on real ones — under the race detector — and the simulator's
@@ -246,7 +248,7 @@ func (q *readyList) close() {
 }
 
 // Runtime executes one counter.Machine on real cores. It implements
-// counter.Valued, so countersvc serves it as a shard and the verification
+// counter.Async, so countersvc serves it as a shard and the verification
 // layer reads it like any simulator-backed counter — except that Net returns
 // nil (there is no simulated network to introspect) and Start ignores its
 // scheduling time (real time cannot be fast-forwarded; the driver paces
@@ -297,7 +299,7 @@ type Runtime struct {
 	faultFired atomic.Bool
 }
 
-var _ counter.Valued = (*Runtime)(nil)
+var _ counter.Async = (*Runtime)(nil)
 
 // New builds a runtime for the machine and starts its goroutines: one worker
 // per core the Go scheduler may use, at most one per processor, and the clock.
@@ -493,7 +495,7 @@ func (r *Runtime) Inc(p sim.ProcID) (int, error) {
 	return v, nil
 }
 
-// OpValue implements counter.Valued.
+// OpValue implements counter.Async.
 func (r *Runtime) OpValue(id sim.OpID) (int, bool) {
 	if r.m.Value == nil {
 		return 0, false
@@ -501,7 +503,7 @@ func (r *Runtime) OpValue(id sim.OpID) (int, bool) {
 	return r.m.Value(id)
 }
 
-// Guarantee implements counter.Valued: the machine's claimed level.
+// Guarantee implements counter.Async: the machine's claimed level.
 func (r *Runtime) Guarantee() counter.Guarantee { return r.m.Guarantee }
 
 // startWith injects one operation stamped startNs; a non-positive startNs

@@ -59,7 +59,7 @@ func TestBijectionRejectsOutOfRange(t *testing.T) {
 }
 
 func TestHotSpotOnRealRun(t *testing.T) {
-	c := central.New(6, central.WithSimOptions(sim.WithTracing()))
+	c := counter.OnSim(central.NewMachine(6), sim.WithTracing())
 	res, err := counter.RunSequence(c, counter.SequentialOrder(6))
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func TestHotSpotOnRealRun(t *testing.T) {
 }
 
 func TestHotSpotNeedsOpTracking(t *testing.T) {
-	c := central.New(4)
+	c := counter.OnSim(central.NewMachine(4))
 	res, err := counter.RunSequence(c, counter.SequentialOrder(4))
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestHotSpotNeedsOpTracking(t *testing.T) {
 }
 
 func TestCounterOneCall(t *testing.T) {
-	c := central.New(5, central.WithSimOptions(sim.WithTracing()))
+	c := counter.OnSim(central.NewMachine(5), sim.WithTracing())
 	if err := Counter(c, counter.ReverseOrder(5)); err != nil {
 		t.Fatal(err)
 	}
