@@ -161,13 +161,13 @@ func distLabel(service int64, dist string) string {
 }
 
 // adversarialReplay runs the Lower Bound Theorem's constructive workload
-// sequentially against a traced instance of the algorithm and converts the
+// sequentially against a fresh instance of the algorithm and converts the
 // chosen initiator order into a replay scenario, truncated to at most ops
 // operations (the adversary's order is one per processor, so the stream is
 // also capped at n). The sampled adversary (subset of candidates per step)
 // keeps this affordable at CLI sizes.
 func adversarialReplay(algo string, n, ops int, seed uint64, gap int64) (workload.Generator, error) {
-	probe, err := registry.New(algo, n, sim.WithTracing())
+	probe, err := registry.New(algo, n)
 	if err != nil {
 		return nil, err
 	}

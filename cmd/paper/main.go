@@ -45,6 +45,7 @@ import (
 	"distcount/internal/loadstat"
 	"distcount/internal/registry"
 	"distcount/internal/sim"
+	"distcount/internal/trace"
 	"distcount/internal/verify"
 )
 
@@ -180,7 +181,7 @@ func profile(fs *flag.FlagSet) func(io.Writer) error {
 		case *order != "random" && slices.Contains(explicit(fs), "-seed"):
 			return fmt.Errorf("-seed only applies to -order random")
 		}
-		c, err := registry.New(*algo, *n, sim.WithTracing())
+		c, err := registry.New(*algo, *n)
 		if err != nil {
 			return err
 		}
@@ -290,7 +291,7 @@ func dag(fs *flag.FlagSet) func(io.Writer) error {
 		if *n < 1 || *warmup < 0 {
 			return fmt.Errorf("need -n >= 1 and -warmup >= 0 (have %d, %d)", *n, *warmup)
 		}
-		c, err := registry.New(*algo, *n, sim.WithTracing())
+		c, err := registry.New(*algo, *n)
 		if err != nil {
 			return err
 		}
@@ -303,16 +304,17 @@ func dag(fs *flag.FlagSet) func(io.Writer) error {
 			}
 		}
 
+		var rec trace.Recorder
+		c.Net().OnDeliver(rec.Record)
 		before := c.Net().Ops()
 		val, err := c.Inc(sim.ProcID(*proc))
 		if err != nil {
 			return err
 		}
-		st := c.Net().OpStats(sim.OpID(before + 1))
-		if st == nil || st.DAG == nil {
+		d := rec.DAG(sim.OpID(before + 1))
+		if d == nil {
 			return fmt.Errorf("no DAG captured")
 		}
-		d := st.DAG
 		if err := d.Validate(); err != nil {
 			return err
 		}
@@ -380,7 +382,7 @@ func runAdversary(out io.Writer, algo string, n, sample, schedules int, trace bo
 	if n == 0 {
 		n = 81
 	}
-	simOpts := []sim.Option{sim.WithTracing()}
+	var simOpts []sim.Option
 	var opts []adversary.Option
 	if sample > 0 {
 		opts = append(opts, adversary.SampleSize(sample))

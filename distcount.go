@@ -192,13 +192,6 @@ type buildSpec struct {
 	epsilon    float64
 	backend    string
 	service    int64
-	simOpts    []sim.Option
-}
-
-// WithTracing records the full communication DAG of the run, as required
-// by RunAdversary and the Hot Spot checks.
-func WithTracing() Option {
-	return func(s *buildSpec) { s.simOpts = append(s.simOpts, sim.WithTracing()) }
 }
 
 // InConcurrentRegime configures the counter for concurrent operation:
@@ -259,9 +252,9 @@ func New(algorithm string, n int, opts ...Option) (AsyncCounter, error) {
 	}
 	var cfg registry.Config
 	if s.concurrent {
-		cfg = registry.Concurrent(s.simOpts...)
+		cfg = registry.Concurrent()
 	} else {
-		cfg = registry.Sequential(s.simOpts...)
+		cfg = registry.Sequential()
 	}
 	if s.window != 0 {
 		cfg.Window = s.window
@@ -372,9 +365,10 @@ func SizeFor(k int) int { return bound.SizeFor(k) }
 func KReal(n float64) float64 { return bound.KReal(n) }
 
 // RunAdversary executes the Lower Bound Theorem's constructive workload
-// against a cloneable, traced counter: at each step the not-yet-chosen
-// processor with the longest communication list increments. The result
-// carries the proof trace; VerifyAdversary checks it.
+// against a cloneable counter, recording its communication DAGs itself: at
+// each step the not-yet-chosen processor with the longest communication
+// list increments. The result carries the proof trace; VerifyAdversary
+// checks it.
 func RunAdversary(c Cloneable) (*AdversaryResult, error) {
 	return adversary.Run(c)
 }

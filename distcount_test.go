@@ -94,15 +94,6 @@ func TestNewOptions(t *testing.T) {
 	if _, ok := distcount.DefaultEpsilon("central"); ok {
 		t.Fatal("central reported a default epsilon")
 	}
-
-	// Tracing arrives through the option, as the adversary requires.
-	tr, err := distcount.New("central", 8, distcount.WithTracing())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tr.Net().Tracing() {
-		t.Fatal("WithTracing not forwarded")
-	}
 }
 
 func TestBoundHelpers(t *testing.T) {
@@ -115,7 +106,7 @@ func TestBoundHelpers(t *testing.T) {
 }
 
 func TestAdversaryThroughFacade(t *testing.T) {
-	c, err := distcount.New("central", 8, distcount.WithTracing())
+	c, err := distcount.New("central", 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,8 @@
 //     sub-linear message cost — each carrying its consistency contract
 //     as a Guarantee (exact level, or "approximate(ε)");
 //   - the discrete-event simulator substrate they run on, with per-processor
-//     message-load accounting and communication-DAG tracing;
+//     message-load accounting, whose per-delivery hook feeds the
+//     communication-DAG recorder;
 //   - the lower-bound machinery: SolveK/SizeFor/KReal for the k·k^k = n
 //     arithmetic and RunAdversary for the proof's constructive
 //     longest-communication-list workload;

@@ -56,7 +56,7 @@ func ExampleNew() {
 
 // RunAdversary executes the Lower Bound Theorem's constructive workload.
 func ExampleRunAdversary() {
-	c, err := distcount.New("central", 8, distcount.WithTracing())
+	c, err := distcount.New("central", 8)
 	if err != nil {
 		panic(err)
 	}
@@ -96,11 +96,11 @@ func ExampleNewPriorityQueue() {
 
 // The Hot Spot Lemma: when p and q increment in direct succession, the
 // participant sets of their operations intersect — otherwise q could not
-// know about p's increment. Two traced operations by far-apart processors
+// know about p's increment. Two operations by far-apart processors
 // on three counters show the shared processor carrying the value.
 func Example_hotspot() {
 	for _, algo := range []string{"central", "ctree", "quorum-grid"} {
-		c, err := distcount.New(algo, 8, distcount.WithTracing())
+		c, err := distcount.New(algo, 8)
 		if err != nil {
 			panic(err)
 		}
@@ -108,8 +108,8 @@ func Example_hotspot() {
 		if err != nil {
 			panic(err)
 		}
-		dags := res.DAGs(c.Net())
-		first, second := dags[0].Participants(), dags[1].Participants()
+		net := c.Net()
+		first, second := net.OpStats(res.OpIDs[0]).Participants(), net.OpStats(res.OpIDs[1]).Participants()
 		fmt.Printf("%s: I_p2 = %v, I_p7 = %v, shared %v\n", algo, first, second, intersect(first, second))
 	}
 	// Output:

@@ -12,10 +12,11 @@
 // Run executes this construction against any cloneable counter: at each
 // step it clones the counter state, executes every remaining candidate's
 // operation on a clone, measures the resulting communication-list length
-// (internal/trace), commits the longest candidate on the real counter, and
-// records the proof trace: the executed lengths L_i, the last processor's
-// candidate lists and their lengths l_i, the loads before each step, and the
-// "first affected position" f_i that the potential argument manipulates.
+// (recorded by a trace.Recorder), commits the longest candidate on the real
+// counter, and records the proof trace: the executed lengths L_i, the last
+// processor's candidate lists and their lengths l_i, the loads before each
+// step, and the "first affected position" f_i that the potential argument
+// manipulates.
 //
 // The recorded trace supports the structural checks of the proof:
 //
@@ -42,6 +43,7 @@ import (
 	"distcount/internal/loadstat"
 	"distcount/internal/rng"
 	"distcount/internal/sim"
+	"distcount/internal/trace"
 )
 
 // Step records one committed operation of the adversarial sequence.
@@ -133,9 +135,9 @@ func ScheduleSeeds(s int) Option {
 	return func(c *config) { c.schedules = s }
 }
 
-// Run executes the adversarial sequence construction on a fresh counter.
-// The counter must be cloneable and its network must have tracing enabled
-// (the adversary measures communication lists).
+// Run executes the adversarial sequence construction on a fresh, cloneable
+// counter. It records the DAGs itself, holding the network's OnDeliver hook
+// for the run (replacing any installed before; none is left after).
 func Run(c counter.Cloneable, opts ...Option) (*Result, error) {
 	cfg := config{seed: 1}
 	for _, o := range opts {
@@ -143,9 +145,9 @@ func Run(c counter.Cloneable, opts ...Option) (*Result, error) {
 	}
 	n := c.N()
 	full := cfg.sample <= 0 || cfg.sample >= n
-	if !c.Net().Tracing() {
-		return nil, fmt.Errorf("adversary: counter network must have tracing enabled")
-	}
+	var committed trace.Recorder
+	c.Net().OnDeliver(committed.Record)
+	defer c.Net().OnDeliver(nil)
 	r := rng.New(cfg.seed)
 
 	remaining := make([]sim.ProcID, n)
@@ -225,12 +227,12 @@ func Run(c counter.Cloneable, opts ...Option) (*Result, error) {
 		if _, err := c.Inc(st.Chosen); err != nil {
 			return nil, fmt.Errorf("adversary: committing %v at step %d: %w", st.Chosen, step, err)
 		}
-		opStats := c.Net().OpStats(sim.OpID(before + 1))
-		if opStats == nil || opStats.DAG == nil {
+		dag := committed.DAG(sim.OpID(before + 1))
+		if dag == nil {
 			return nil, fmt.Errorf("adversary: missing DAG for committed op at step %d", step)
 		}
-		st.ListLen = opStats.DAG.ListLength()
-		st.Participants = opStats.DAG.Participants()
+		st.ListLen = dag.ListLength()
+		st.Participants = dag.Participants()
 
 		res.Steps = append(res.Steps, st)
 		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
@@ -313,7 +315,7 @@ func probe(c counter.Cloneable, p sim.ProcID, full bool, seeds []uint64) (length
 }
 
 // probeOnce clones the counter (optionally reseeding the clone's schedule)
-// and executes p's operation.
+// and executes p's operation, recording its DAG.
 func probeOnce(c counter.Cloneable, p sim.ProcID, full bool, seed uint64, reseed bool) (int, []int, error) {
 	cl, err := c.Clone()
 	if err != nil {
@@ -323,16 +325,18 @@ func probeOnce(c counter.Cloneable, p sim.ProcID, full bool, seed uint64, reseed
 	if reseed {
 		net.Reseed(seed)
 	}
+	var rec trace.Recorder
+	net.OnDeliver(rec.Record)
 	before := net.Ops()
 	if _, err := cl.Inc(p); err != nil {
 		return 0, nil, err
 	}
-	st := net.OpStats(sim.OpID(before + 1))
-	if st == nil || st.DAG == nil {
+	dag := rec.DAG(sim.OpID(before + 1))
+	if dag == nil {
 		return 0, nil, fmt.Errorf("probe of %v produced no DAG", p)
 	}
 	if !full {
-		return st.DAG.ListLength(), nil, nil
+		return dag.ListLength(), nil, nil
 	}
-	return st.DAG.ListLength(), st.DAG.CommunicationList(), nil
+	return dag.ListLength(), dag.CommunicationList(), nil
 }

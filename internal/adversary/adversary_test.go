@@ -8,18 +8,19 @@ import (
 	"distcount/internal/counters/central"
 	"distcount/internal/counters/tokenring"
 	"distcount/internal/sim"
+	"distcount/internal/trace"
 )
 
 func centralFactory(n int) counter.Cloneable {
-	return counter.OnSim(central.NewMachine(n), sim.WithTracing())
+	return counter.OnSim(central.NewMachine(n))
 }
 
 func ctreeFactory(n int) counter.Cloneable {
-	return core.NewForSize(n, core.WithSimOptions(sim.WithTracing()))
+	return core.NewForSize(n)
 }
 
 func ringFactory(n int) counter.Cloneable {
-	return counter.OnSim(tokenring.NewMachine(n), sim.WithTracing())
+	return counter.OnSim(tokenring.NewMachine(n))
 }
 
 func TestFullRunCentral(t *testing.T) {
@@ -250,7 +251,6 @@ func TestGreedyChoiceIsMaximal(t *testing.T) {
 func TestScheduleExploration(t *testing.T) {
 	asyncFactory := func() counter.Cloneable {
 		return core.NewForSize(8, core.WithSimOptions(
-			sim.WithTracing(),
 			sim.WithSeed(11),
 			sim.WithLatency(sim.UniformLatency{Min: 1, Max: 7}),
 		))
@@ -285,7 +285,6 @@ func TestScheduleExploration(t *testing.T) {
 func TestScheduleExplorationDeterministic(t *testing.T) {
 	mk := func() counter.Cloneable {
 		return core.NewForSize(8, core.WithSimOptions(
-			sim.WithTracing(),
 			sim.WithSeed(3),
 			sim.WithLatency(sim.UniformLatency{Min: 1, Max: 5}),
 		))
@@ -305,10 +304,28 @@ func TestScheduleExplorationDeterministic(t *testing.T) {
 	}
 }
 
-func TestRequiresTracing(t *testing.T) {
-	c := counter.OnSim(central.NewMachine(8)) // no tracing
-	if _, err := Run(c); err == nil {
-		t.Fatal("adversary accepted a counter without tracing")
+// TestRunRecordsItsOwnDAGs: Run needs no preparation of its subject. It
+// holds the network's OnDeliver hook for the run, replacing one installed
+// before, and leaves none behind.
+func TestRunRecordsItsOwnDAGs(t *testing.T) {
+	c := counter.OnSim(central.NewMachine(8))
+	var before trace.Recorder
+	c.Net().OnDeliver(before.Record)
+	res, err := Run(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Steps) != 8 || res.Steps[0].ListLen != 2 {
+		t.Fatalf("steps %d, first list length %d", len(res.Steps), res.Steps[0].ListLen)
+	}
+	id := sim.OpID(c.Net().Ops() + 1)
+	if _, err := c.Inc(2); err != nil {
+		t.Fatal(err)
+	}
+	for op := sim.OpID(1); op <= id; op++ {
+		if before.DAG(op) != nil {
+			t.Fatalf("op %d reached the hook installed before Run", op)
+		}
 	}
 }
 

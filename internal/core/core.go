@@ -91,11 +91,6 @@ func WithRetireAge(age int) Option {
 	return func(c *config) { c.retireAge = age }
 }
 
-// WithoutRetirement disables retirement (equivalent to WithRetireAge(0)).
-func WithoutRetirement() Option {
-	return func(c *config) { c.retireAge = 0 }
-}
-
 // WithSimOptions forwards options to the underlying network.
 func WithSimOptions(opts ...sim.Option) Option {
 	return func(c *config) { c.simOpts = append(c.simOpts, opts...) }

@@ -10,7 +10,7 @@ import (
 )
 
 func factory(n int) counter.Counter {
-	return NewForSize(n, WithSimOptions(sim.WithTracing()))
+	return NewForSize(n)
 }
 
 func TestConformance(t *testing.T) {
@@ -46,7 +46,7 @@ func TestDefaultRetireAge(t *testing.T) {
 	if got := New(2, WithRetireAge(5)).RetireAge(); got != 5 {
 		t.Fatalf("explicit retire age = %d, want 5", got)
 	}
-	if got := New(2, WithoutRetirement()).RetireAge(); got != 0 {
+	if got := New(2, WithRetireAge(0)).RetireAge(); got != 0 {
 		t.Fatalf("disabled retire age = %d, want 0", got)
 	}
 }
@@ -67,7 +67,7 @@ func TestRetirementHappens(t *testing.T) {
 func TestDifferentOrdersStayCorrect(t *testing.T) {
 	for _, k := range []int{2, 3} {
 		for seed := uint64(1); seed <= 5; seed++ {
-			c := New(k, WithSimOptions(sim.WithTracing()))
+			c := New(k)
 			if err := verify.Counter(c, counter.RandomOrder(c.N(), seed)); err != nil {
 				t.Fatalf("k=%d seed=%d: %v", k, seed, err)
 			}
@@ -85,7 +85,6 @@ func TestAsyncLatencyStaysCorrect(t *testing.T) {
 	// delays.
 	for seed := uint64(1); seed <= 3; seed++ {
 		c := New(2, WithSimOptions(
-			sim.WithTracing(),
 			sim.WithSeed(seed),
 			sim.WithLatency(sim.UniformLatency{Min: 1, Max: 17}),
 		))
@@ -103,7 +102,7 @@ func TestWithoutRetirementRootIsBottleneck(t *testing.T) {
 	// Ablation: disabling retirement degenerates the tree into a static
 	// hierarchy whose root processor carries Θ(n) load — the design choice
 	// the paper's Section 4 exists to avoid.
-	c := New(2, WithoutRetirement())
+	c := New(2, WithRetireAge(0))
 	n := c.N()
 	if _, err := counter.RunSequence(c, counter.SequentialOrder(n)); err != nil {
 		t.Fatal(err)

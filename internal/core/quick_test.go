@@ -21,7 +21,7 @@ import (
 func TestQuickAnyOrderCountsCorrectly(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 40}
 	if err := quick.Check(func(seed uint64) bool {
-		c := New(2, WithSimOptions(sim.WithTracing()))
+		c := New(2)
 		order := counter.RandomOrder(c.N(), seed)
 		if err := verify.Counter(c, order); err != nil {
 			t.Logf("seed %d: %v", seed, err)
@@ -44,7 +44,7 @@ func TestQuickAnyOrderCountsCorrectly(t *testing.T) {
 func TestQuickPartialWorkloads(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 40}
 	if err := quick.Check(func(seed uint64, lenRaw uint8) bool {
-		c := New(2, WithSimOptions(sim.WithTracing()))
+		c := New(2)
 		order := counter.RandomOrder(c.N(), seed)
 		order = order[:1+int(lenRaw)%len(order)]
 		res, err := counter.RunSequence(c, order)
@@ -68,7 +68,6 @@ func TestQuickArbitraryLatencies(t *testing.T) {
 	if err := quick.Check(func(seed uint64, maxRaw uint8) bool {
 		max := int64(maxRaw%20) + 1
 		c := New(2, WithSimOptions(
-			sim.WithTracing(),
 			sim.WithSeed(seed),
 			sim.WithLatency(sim.UniformLatency{Min: 1, Max: max}),
 		))
@@ -89,7 +88,7 @@ func TestQuickArbitraryLatencies(t *testing.T) {
 func TestQuickCloneDivergence(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 25}
 	if err := quick.Check(func(seed uint64, cutRaw uint8) bool {
-		c := New(2, WithSimOptions(sim.WithTracing()))
+		c := New(2)
 		order := counter.RandomOrder(c.N(), seed)
 		cut := 1 + int(cutRaw)%(len(order)-1)
 		if _, err := counter.RunSequence(c, order[:cut]); err != nil {

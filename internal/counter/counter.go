@@ -38,7 +38,8 @@ type Counter interface {
 	// running the network to quiescence, and returns the counter value
 	// observed by p (the pre-increment value).
 	Inc(p sim.ProcID) (int, error)
-	// Net exposes the underlying network for load accounting and tracing.
+	// Net exposes the underlying network for load accounting and DAG
+	// recording (OnDeliver).
 	Net() *sim.Network
 }
 

@@ -12,8 +12,7 @@ import (
 	"distcount/internal/verify"
 )
 
-// Factory builds a fresh counter for (at least) n processors with tracing
-// enabled.
+// Factory builds a fresh counter for (at least) n processors.
 type Factory func(n int) counter.Counter
 
 // Conformance runs the full suite against counters built by factory for the

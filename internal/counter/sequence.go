@@ -5,7 +5,6 @@ import (
 
 	"distcount/internal/rng"
 	"distcount/internal/sim"
-	"distcount/internal/trace"
 )
 
 // RunResult records one executed operation sequence.
@@ -15,7 +14,8 @@ type RunResult struct {
 	// Values[i] is the counter value returned to Order[i].
 	Values []int
 	// OpIDs[i] is the simulator operation id of the ith operation,
-	// resolvable to OpStats (participants, message counts, DAGs).
+	// resolvable to OpStats (participants, message counts) and, when the
+	// network had an OnDeliver recorder, to a DAG.
 	OpIDs []sim.OpID
 }
 
@@ -49,18 +49,6 @@ func RunSequence(c Counter, order []sim.ProcID) (*RunResult, error) {
 		res.OpIDs = append(res.OpIDs, sim.OpID(before+1))
 	}
 	return res, nil
-}
-
-// DAGs resolves the communication DAGs of the run (nil entries when tracing
-// was off).
-func (r *RunResult) DAGs(net *sim.Network) []*trace.DAG {
-	out := make([]*trace.DAG, len(r.OpIDs))
-	for i, id := range r.OpIDs {
-		if st := net.OpStats(id); st != nil {
-			out[i] = st.DAG
-		}
-	}
-	return out
 }
 
 // SequentialOrder returns the canonical workload order 1, 2, ..., n —

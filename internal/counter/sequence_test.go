@@ -6,6 +6,7 @@ import (
 	"distcount/internal/counter"
 	"distcount/internal/counters/central"
 	"distcount/internal/sim"
+	"distcount/internal/trace"
 )
 
 func TestSequentialOrder(t *testing.T) {
@@ -67,7 +68,9 @@ func TestRepeatedOrder(t *testing.T) {
 }
 
 func TestRunSequenceRecordsOpIDs(t *testing.T) {
-	c := counter.OnSim(central.NewMachine(4), sim.WithTracing())
+	c := counter.OnSim(central.NewMachine(4))
+	var rec trace.Recorder
+	c.Net().OnDeliver(rec.Record)
 	res, err := counter.RunSequence(c, counter.SequentialOrder(4))
 	if err != nil {
 		t.Fatal(err)
@@ -83,14 +86,8 @@ func TestRunSequenceRecordsOpIDs(t *testing.T) {
 		if st.Initiator != res.Order[i] {
 			t.Fatalf("op %d: initiator %v, want %v", i, st.Initiator, res.Order[i])
 		}
-	}
-	dags := res.DAGs(c.Net())
-	if len(dags) != 4 {
-		t.Fatalf("DAGs() returned %d entries", len(dags))
-	}
-	for i, d := range dags {
-		if d == nil {
-			t.Fatalf("op %d: nil DAG despite tracing", i)
+		if d := rec.DAG(id); d == nil || d.Validate() != nil || int64(d.Messages()) != st.Messages {
+			t.Fatalf("op %d: DAG %v does not resolve from its id", i, d)
 		}
 	}
 }

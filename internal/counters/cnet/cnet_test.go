@@ -10,11 +10,11 @@ import (
 )
 
 func factory(n int) counter.Counter {
-	return counter.OnSim(NewMachine(n), sim.WithTracing())
+	return counter.OnSim(NewMachine(n))
 }
 
 func periodicFactory(n int) counter.Counter {
-	return counter.OnSim(NewMachine(n, WithConstruction(Periodic)), sim.WithTracing())
+	return counter.OnSim(NewMachine(n, WithConstruction(Periodic)))
 }
 
 // onSim runs the network opts describe on a fresh simulator and returns its

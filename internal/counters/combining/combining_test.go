@@ -10,7 +10,7 @@ import (
 )
 
 func factory(n int) counter.Counter {
-	return counter.OnSim(NewMachine(n), sim.WithTracing())
+	return counter.OnSim(NewMachine(n))
 }
 
 // burst starts one operation per processor at starts[p-1], runs the

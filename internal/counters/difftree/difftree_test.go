@@ -9,7 +9,7 @@ import (
 )
 
 func factory(n int) counter.Counter {
-	return counter.OnSim(NewMachine(n), sim.WithTracing())
+	return counter.OnSim(NewMachine(n))
 }
 
 // startAll starts one operation per processor at starts[p-1] and runs the

@@ -11,23 +11,23 @@ import (
 )
 
 func majorityFactory(n int) counter.Counter {
-	return counter.OnSim(NewMachine(quorum.NewMajority(n)), sim.WithTracing())
+	return counter.OnSim(NewMachine(quorum.NewMajority(n)))
 }
 
 func gridFactory(n int) counter.Counter {
-	return counter.OnSim(NewMachine(quorum.NewGrid(n)), sim.WithTracing())
+	return counter.OnSim(NewMachine(quorum.NewGrid(n)))
 }
 
 func treeFactory(n int) counter.Counter {
-	return counter.OnSim(NewMachine(quorum.NewTree(n)), sim.WithTracing())
+	return counter.OnSim(NewMachine(quorum.NewTree(n)))
 }
 
 func wallFactory(n int) counter.Counter {
-	return counter.OnSim(NewMachine(quorum.NewWall(n)), sim.WithTracing())
+	return counter.OnSim(NewMachine(quorum.NewWall(n)))
 }
 
 func singletonFactory(n int) counter.Counter {
-	return counter.OnSim(NewMachine(quorum.NewSingleton(n)), sim.WithTracing())
+	return counter.OnSim(NewMachine(quorum.NewSingleton(n)))
 }
 
 func TestConformanceMajority(t *testing.T) {

@@ -6,11 +6,10 @@ import (
 	"distcount/internal/counter"
 	"distcount/internal/counter/countertest"
 	"distcount/internal/loadstat"
-	"distcount/internal/sim"
 )
 
 func factory(n int) counter.Counter {
-	return counter.OnSim(NewMachine(n), sim.WithTracing())
+	return counter.OnSim(NewMachine(n))
 }
 
 func TestConformance(t *testing.T) {

@@ -6,7 +6,7 @@ import (
 
 	"distcount/internal/core"
 	"distcount/internal/counter"
-	"distcount/internal/sim"
+	"distcount/internal/trace"
 )
 
 // E1 reproduces Figures 1 and 2: the communication DAG of a single inc
@@ -15,23 +15,22 @@ import (
 // counter (k = 2), warmed up until an operation with a retirement cascade
 // occurs so the DAG shows more than a bare leaf-to-root path.
 func E1(Config) (string, error) {
-	c := core.New(2, core.WithSimOptions(sim.WithTracing()))
-	order := counter.SequentialOrder(c.N())
-
-	res, err := counter.RunSequence(c, order)
+	c := core.New(2)
+	var rec trace.Recorder
+	c.Net().OnDeliver(rec.Record)
+	res, err := counter.RunSequence(c, counter.SequentialOrder(c.N()))
 	if err != nil {
 		return "", err
 	}
 
 	// Pick the operation with the largest DAG (a retirement cascade).
-	dags := res.DAGs(c.Net())
 	bestIdx := 0
-	for i, d := range dags {
-		if d != nil && d.Messages() > dags[bestIdx].Messages() {
-			bestIdx = i
+	d := rec.DAG(res.OpIDs[0])
+	for i, id := range res.OpIDs {
+		if di := rec.DAG(id); di.Messages() > d.Messages() {
+			bestIdx, d = i, di
 		}
 	}
-	d := dags[bestIdx]
 	if err := d.Validate(); err != nil {
 		return "", err
 	}

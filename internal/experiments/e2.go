@@ -8,7 +8,6 @@ import (
 
 	"distcount/internal/adversary"
 	"distcount/internal/core"
-	"distcount/internal/sim"
 )
 
 // E2 reproduces Figure 3 — "Situation before initiating an inc operation":
@@ -19,7 +18,7 @@ import (
 // eventual last processor q whose lists the proof's potential function
 // tracks.
 func E2(Config) (string, error) {
-	c := core.New(2, core.WithSimOptions(sim.WithTracing()))
+	c := core.New(2)
 	res, err := adversary.Run(c)
 	if err != nil {
 		return "", err

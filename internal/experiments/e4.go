@@ -7,7 +7,6 @@ import (
 	"distcount/internal/adversary"
 	"distcount/internal/bound"
 	"distcount/internal/registry"
-	"distcount/internal/sim"
 )
 
 // E4 measures the Lower Bound Theorem: for every implemented counter, the
@@ -39,7 +38,7 @@ func E4(cfg Config) (string, error) {
 				mode = "sampled(8)"
 			}
 			for _, name := range registry.Names() {
-				c, err := registry.New(name, n, sim.WithTracing())
+				c, err := registry.New(name, n)
 				if err != nil {
 					return err
 				}

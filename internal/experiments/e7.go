@@ -3,7 +3,6 @@ package experiments
 import (
 	"distcount/internal/counter"
 	"distcount/internal/registry"
-	"distcount/internal/sim"
 	"distcount/internal/verify"
 )
 
@@ -21,7 +20,7 @@ func E7(cfg Config) (string, error) {
 		header: []string{"algorithm", "ops", "hot-spot", "min |I_i ∩ I_{i+1}|"},
 		over:   registry.Names(),
 		point: func(name string, row func(...any)) error {
-			c, err := registry.New(name, n, sim.WithTracing())
+			c, err := registry.New(name, n)
 			if err != nil {
 				return err
 			}

@@ -23,7 +23,7 @@ func E8(cfg Config) (string, error) {
 		header: []string{"k", "retire/op (<=1)", "grow-old msgs (<=4)", "max m_p", "m_p budget 2(8k+10)+2", "max leaf load (=2)", "violations"},
 		over:   ks,
 		point: func(k int, row func(...any)) error {
-			c := core.New(k, core.WithSimOptions(sim.WithTracing()))
+			c := core.New(k)
 			t, err := RunTree(c, counter.RandomOrder(c.N(), 0xE8))
 			if err != nil {
 				return err

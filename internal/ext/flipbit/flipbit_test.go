@@ -130,7 +130,7 @@ func TestUnexpectedRequestPanics(t *testing.T) {
 }
 
 func TestOptionsForwarded(t *testing.T) {
-	b := New(2, core.WithoutRetirement())
+	b := New(2, core.WithRetireAge(0))
 	if b.Tree().RetireAge() != 0 {
 		t.Fatal("option not forwarded to tree")
 	}

@@ -3,14 +3,17 @@ package registry_test
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
+	"distcount/internal/counter"
 	"distcount/internal/countersvc"
 	"distcount/internal/engine"
 	"distcount/internal/registry"
 	"distcount/internal/rt"
 	"distcount/internal/sim"
+	"distcount/internal/trace"
 	"distcount/internal/workload"
 )
 
@@ -442,4 +445,98 @@ func TestCrossBackendServiceProfile(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCrossBackendDAGs records the communication DAG of every operation of
+// the paper's canonical sequential workload (each processor increments
+// once, in id order) on both backends, through the one OnDeliver seam, and
+// requires the same DAG per operation up to the order of siblings: rt
+// numbers one operation's concurrent deliveries in whichever order its
+// workers reach them. It covers every exact registry row at n = 8 and
+// n = 81 (run under -race in CI's rt smoke job).
+//
+// The quorum rows are compared one step more loosely. Their initiator
+// sends its write phase from whichever read reply reaches it last, and
+// which reply that is depends on the arrival order, not only on sibling
+// order. For them both backends must send the same messages at the same
+// causal depths (arcsByDepth).
+func TestCrossBackendDAGs(t *testing.T) {
+	for _, n := range []int{8, 81} {
+		for _, name := range registry.ExactNames() {
+			t.Run(fmt.Sprintf("%s/n=%d", name, n), func(t *testing.T) {
+				simC, err := registry.NewWith(name, n, registry.Sequential())
+				if err != nil {
+					t.Fatal(err)
+				}
+				rtCfg := registry.Sequential()
+				rtCfg.Backend = "rt"
+				rtC, err := registry.NewWith(name, n, rtCfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r := rtC.(*rt.Runtime)
+				defer r.Close()
+				var simRec, rtRec trace.Recorder
+				simC.Net().OnDeliver(simRec.Record)
+				r.OnDeliver(rtRec.Record)
+				order := counter.SequentialOrder(simC.N())
+				for _, c := range []counter.Async{simC, r} {
+					for _, p := range order {
+						if _, err := c.Inc(p); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				for i, p := range order {
+					id := sim.OpID(i + 1)
+					simD, rtD := simRec.DAG(id), rtRec.DAG(id)
+					if simD == nil || rtD == nil {
+						t.Fatalf("op %d by %v: DAG missing (sim %v, rt %v)", id, p, simD, rtD)
+					}
+					if err := rtD.Validate(); err != nil {
+						t.Fatalf("op %d by %v: rt DAG: %v", id, p, err)
+					}
+					canon := canonicalDAG
+					if strings.HasPrefix(name, "quorum-") {
+						canon = arcsByDepth
+					}
+					if s, r := canon(simD), canon(rtD); s != r || simD.Initiator != int(p) {
+						t.Fatalf("op %d by %v: DAGs differ\nsim %s\nrt  %s", id, p, s, r)
+					}
+				}
+			})
+		}
+	}
+}
+
+// canonicalDAG renders a DAG as a tree term whose children are sorted, so
+// two DAGs that differ only in the order of siblings render alike.
+func canonicalDAG(d *trace.DAG) string {
+	children := make([][]int, len(d.Nodes))
+	for i, nd := range d.Nodes[1:] {
+		children[nd.Parent] = append(children[nd.Parent], i+1)
+	}
+	var term func(node int) string
+	term = func(node int) string {
+		kids := make([]string, len(children[node]))
+		for i, c := range children[node] {
+			kids[i] = term(c)
+		}
+		slices.Sort(kids)
+		return fmt.Sprintf("%d(%s)", d.Nodes[node].Proc, strings.Join(kids, " "))
+	}
+	return term(0)
+}
+
+// arcsByDepth renders a DAG as the sorted list of its arcs, each labelled
+// with the sending and receiving processors and the receiver's depth.
+func arcsByDepth(d *trace.DAG) string {
+	depth := make([]int, len(d.Nodes))
+	arcs := make([]string, 0, len(d.Nodes)-1)
+	for i, nd := range d.Nodes[1:] {
+		depth[i+1] = depth[nd.Parent] + 1
+		arcs = append(arcs, fmt.Sprintf("%d:%d>%d", depth[i+1], d.Nodes[nd.Parent].Proc, nd.Proc))
+	}
+	slices.Sort(arcs)
+	return strings.Join(arcs, " ")
 }

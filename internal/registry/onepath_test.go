@@ -72,7 +72,7 @@ func TestSimBackendIsCounterSim(t *testing.T) {
 func TestRegistryBuiltConformance(t *testing.T) {
 	for _, name := range ExactNames() {
 		factory := func(n int) counter.Counter {
-			c, err := New(name, n, sim.WithTracing())
+			c, err := New(name, n)
 			if err != nil {
 				panic(err) // a listed name cannot be unknown; t belongs to another goroutine here
 			}

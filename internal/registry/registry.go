@@ -44,9 +44,9 @@ type Config struct {
 	// which nothing ever merges.
 	Window int64
 	// SimOpts are forwarded to the simulated network (seed, latency model,
-	// tracing, event budget); the rt backend has no such knobs and ignores
-	// them. What both backends share — service cost, faults — has its own
-	// field below.
+	// event budget). The rt backend has no such knobs: NewWith rejects a
+	// Config that sets them together with Backend "rt". What both backends
+	// share — service cost, faults — has its own field below.
 	SimOpts []sim.Option
 	// Backend selects the execution backend: "" or "sim" builds the
 	// discrete-event simulator (deterministic, simulated time); "rt" builds
@@ -223,12 +223,6 @@ func WindowSensitive(name string) bool {
 	return a.windowed
 }
 
-// WindowSensitiveNames returns the window-sensitive subset of Names(),
-// sorted — the algorithms the scaling study widens windows for.
-func WindowSensitiveNames() []string {
-	return names(func(a algorithm) bool { return a.windowed })
-}
-
 // NewWith builds the named counter over (at least) n processors in the
 // regime the config selects. This is the single construction path: the
 // algorithm's machine is built once and handed to the configured backend.
@@ -250,6 +244,9 @@ func NewWith(name string, n int, cfg Config) (counter.Async, error) {
 		}
 		return counter.OnSim(m, opts...), nil
 	case "rt":
+		if len(cfg.SimOpts) > 0 {
+			return nil, fmt.Errorf("registry: %d simulator options given for the rt backend, which has none", len(cfg.SimOpts))
+		}
 		var opts []rt.Option
 		if cfg.Service != nil {
 			opts = append(opts, rt.WithServiceProfile(cfg.Service))

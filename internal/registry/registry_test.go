@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -38,6 +39,16 @@ func TestNamesStable(t *testing.T) {
 		if Approximate(name) {
 			t.Fatalf("%s listed exact but Approximate() is true", name)
 		}
+	}
+	// The window-sensitive rows are exactly the request-merging schemes.
+	var windowed []string
+	for _, name := range append(names, "nope") {
+		if WindowSensitive(name) {
+			windowed = append(windowed, name)
+		}
+	}
+	if want := []string{"combining", "difftree"}; !slices.Equal(windowed, want) {
+		t.Fatalf("window-sensitive names %v, want %v", windowed, want)
 	}
 }
 
@@ -108,31 +119,6 @@ func TestEveryNameValued(t *testing.T) {
 	}
 }
 
-// TestWindowSensitiveNames pins the window-sensitive subset: exactly the
-// request-merging schemes, and a subset of Names().
-func TestWindowSensitiveNames(t *testing.T) {
-	got := WindowSensitiveNames()
-	want := []string{"combining", "difftree"}
-	if len(got) != len(want) {
-		t.Fatalf("WindowSensitiveNames() = %v, want %v", got, want)
-	}
-	all := map[string]bool{}
-	for _, name := range Names() {
-		all[name] = true
-	}
-	for i, name := range want {
-		if got[i] != name {
-			t.Fatalf("WindowSensitiveNames() = %v, want %v", got, want)
-		}
-		if !all[name] || !WindowSensitive(name) {
-			t.Fatalf("%s not registered as window-sensitive", name)
-		}
-	}
-	if WindowSensitive("central") || WindowSensitive("nope") {
-		t.Fatal("central/unknown reported window-sensitive")
-	}
-}
-
 // TestEveryAlgorithmCountsCorrectly is the cross-implementation conformance
 // sweep: every registered counter passes sequential verification and the
 // Hot Spot Lemma on the canonical workload.
@@ -140,7 +126,7 @@ func TestEveryAlgorithmCountsCorrectly(t *testing.T) {
 	for _, name := range Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			c, err := New(name, 12, sim.WithTracing())
+			c, err := New(name, 12)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -159,14 +145,12 @@ func TestEveryAlgorithmUnderAsynchrony(t *testing.T) {
 	latencies := map[string]func(seed uint64) []sim.Option{
 		"uniform": func(seed uint64) []sim.Option {
 			return []sim.Option{
-				sim.WithTracing(),
 				sim.WithSeed(seed),
 				sim.WithLatency(sim.UniformLatency{Min: 1, Max: 13}),
 			}
 		},
 		"skew": func(seed uint64) []sim.Option {
 			return []sim.Option{
-				sim.WithTracing(),
 				sim.WithSeed(seed),
 				sim.WithLatency(sim.SkewLatency{Max: 9}),
 			}
@@ -190,7 +174,7 @@ func TestEveryAlgorithmUnderAsynchrony(t *testing.T) {
 // TestEveryAlgorithmCloneable: the adversary needs cloning everywhere.
 func TestEveryAlgorithmCloneable(t *testing.T) {
 	for _, name := range Names() {
-		c, err := New(name, 8, sim.WithTracing())
+		c, err := New(name, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,12 +187,30 @@ func TestEveryAlgorithmCloneable(t *testing.T) {
 
 func TestSimOptionsForwarded(t *testing.T) {
 	for _, name := range Names() {
-		c, err := New(name, 8, sim.WithTracing())
+		c, err := New(name, 8, sim.WithServiceTime(3))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !c.Net().Tracing() {
-			t.Fatalf("%s: tracing option not forwarded", name)
+		if got := c.Net().ServiceTimeOf(1); got != 3 {
+			t.Fatalf("%s: service option not forwarded (service time %d)", name, got)
 		}
 	}
+}
+
+// TestSimOptionsRejectedOnRT: the rt backend has no simulator options, so a
+// Config that carries them there is an error rather than silently dropped.
+func TestSimOptionsRejectedOnRT(t *testing.T) {
+	cfg := Sequential(sim.WithSeed(3))
+	cfg.Backend = "rt"
+	c, err := NewWith("central", 4, cfg)
+	if err == nil {
+		c.(interface{ Close() }).Close()
+		t.Fatal("simulator options on the rt backend were accepted")
+	}
+	cfg.SimOpts = nil
+	c, err = NewWith("central", 4, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.(interface{ Close() }).Close()
 }

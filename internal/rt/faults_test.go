@@ -1,6 +1,7 @@
 package rt_test
 
 import (
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"distcount/internal/counter"
 	"distcount/internal/rt"
 	"distcount/internal/sim"
+	"distcount/internal/trace"
 )
 
 // The completion path under faults, on real time: the simulator's fault
@@ -152,5 +154,45 @@ func TestFreezeNeverRecoversDrains(t *testing.T) {
 	}
 	if pp.pings.Load() != 0 {
 		t.Fatal("a processor down for good executed a delivery")
+	}
+}
+
+// TestOnDeliverUnderFaults: the OnDeliver record on real cores under the
+// same deterministic plans as the simulator's test of this name. A lost
+// ping makes no node; a duplicated one makes two, each answered from its
+// own node.
+func TestOnDeliverUnderFaults(t *testing.T) {
+	_, r, done := pingPongRuntime(t, sim.FaultPlan{DropNth: []sim.NthRule{{Proc: 1, Every: 1}}})
+	var rec trace.Recorder
+	r.OnDeliver(rec.Record)
+	id := r.Start(0, 1)
+	wedgedAfter(t, r, done, func(fs sim.FaultStats) bool { return fs.Lost > 0 })
+	if d := rec.DAG(id); d == nil || len(d.Nodes) != 1 || d.Initiator != 1 {
+		t.Fatalf("lost ping: DAG %+v, want the source alone", d)
+	}
+
+	_, r, done = pingPongRuntime(t, sim.FaultPlan{DupNth: []sim.NthRule{{Proc: 1, Every: 1}}})
+	rec = trace.Recorder{}
+	r.OnDeliver(rec.Record)
+	id = r.Start(0, 1)
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("duplicated-ping operation never completed")
+	}
+	d := rec.DAG(id)
+	if err := d.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	// Source, two pings at processor 2, two pongs at processor 1 — each pong
+	// hangs off a different ping, in whichever order the workers numbered
+	// them.
+	if got := d.CommunicationList(); !slices.Equal(got, []int{1, 2, 2, 1, 1}) {
+		t.Fatalf("duplicated ping: communication list %v, want [1 2 2 1 1]", got)
+	}
+	pongParents := []int{d.Nodes[3].Parent, d.Nodes[4].Parent}
+	slices.Sort(pongParents)
+	if d.Nodes[1].Parent != 0 || d.Nodes[2].Parent != 0 || !slices.Equal(pongParents, []int{1, 2}) {
+		t.Fatalf("duplicated ping: nodes %+v", d.Nodes)
 	}
 }

@@ -58,8 +58,8 @@ func (r *relayProto) Deliver(nw sim.Transport, msg sim.Message) {
 		nw.Release(m.tok)
 	case "unknown":
 		nw.Release(m.tok)
-		r.spend("release of a never-issued token", func() { nw.Release(sim.TokenFor(1 << 40)) })
-		r.spend("sendas of a never-issued token", func() { nw.SendAs(sim.TokenFor(1<<40), 3, ack{}) })
+		r.spend("release of a never-issued token", func() { nw.Release(sim.TokenFor(1<<40, 0)) })
+		r.spend("sendas of a never-issued token", func() { nw.SendAs(sim.TokenFor(1<<40, 0), 3, ack{}) })
 	}
 }
 

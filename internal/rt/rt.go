@@ -137,23 +137,28 @@ func WithFaults(plan sim.FaultPlan) Option {
 // the operation, exactly once, on whichever goroutine performed it.
 type opRec struct {
 	id        sim.OpID
-	initiator sim.ProcID
-	startNs   int64
+	initiator int32 // a sim.ProcID, narrowed to keep the record 48 bytes
 	pending   int32
+	startNs   int64
 	// adopted is set once the record is in Runtime.ops, which happens at the
 	// operation's first Adopt and for no other reason: a message carries its
 	// *opRec, so only a token (an id) ever needs the lookup.
 	adopted atomic.Bool
-	msgs    int64
-	waiter  chan<- sim.OpDone // synchronous Inc; nil otherwise
+	// nodes is the number of DAG nodes numbered so far, the source included,
+	// or 0 when the operation started with no OnDeliver hook.
+	nodes  atomic.Int32
+	msgs   int64
+	waiter chan<- sim.OpDone // synchronous Inc; nil otherwise
 }
 
 // item is one mailbox entry: an initiation callback (start) or a message
-// delivery, attributed to rec (nil = detached maintenance work).
+// delivery, attributed to rec (nil = detached maintenance work). parent is
+// the DAG node of the callback that sent the message or set the timer.
 type item struct {
-	msg   sim.Message
-	rec   *opRec
-	start bool
+	msg    sim.Message
+	rec    *opRec
+	start  bool
+	parent int32
 }
 
 // procLoad is one processor's message counters, written only by that
@@ -282,7 +287,8 @@ type Runtime struct {
 	opsMu sync.Mutex
 	ops   map[sim.OpID]*opRec
 
-	onDone func(sim.OpDone)
+	onDone    func(sim.OpDone)
+	onDeliver func(sim.Delivery)
 
 	loads []procLoad // per-processor message loads, 1..n
 
@@ -461,6 +467,13 @@ func (r *Runtime) faultIntercept(p sim.ProcID, it item) bool {
 // and must not block for long (countersvc hands the record to a Sink).
 func (r *Runtime) OnOpDone(fn func(sim.OpDone)) { r.onDone = fn }
 
+// OnDeliver is sim.Network.OnDeliver on real cores. The hook runs on the
+// workers, concurrently, and since each operation numbers its nodes with its
+// own counter, its concurrent deliveries may report out of node order
+// (trace.Recorder handles both). Set it from the goroutine that starts
+// operations, while no operation started under a hook is in flight.
+func (r *Runtime) OnDeliver(fn func(sim.Delivery)) { r.onDeliver = fn }
+
 // Start implements counter.Async: it injects one increment by p and returns
 // its operation id without waiting. Real time cannot be scheduled ahead, so
 // the operation starts immediately whatever at says; a driver paces its
@@ -519,7 +532,10 @@ func (r *Runtime) startWith(p sim.ProcID, startNs int64, waiter chan<- sim.OpDon
 		startNs = r.NowNs()
 	}
 	id := sim.OpID(atomic.AddInt64(&r.nextOp, 1))
-	rec := &opRec{id: id, initiator: p, startNs: startNs, pending: 1, waiter: waiter}
+	rec := &opRec{id: id, initiator: int32(p), startNs: startNs, pending: 1, waiter: waiter}
+	if r.onDeliver != nil {
+		rec.nodes.Store(1)
+	}
 	atomic.AddInt64(&r.started, 1)
 	r.enqueue(p, item{rec: rec, start: true})
 	return id
@@ -611,7 +627,15 @@ func (r *Runtime) deliver(view *procView, it item) {
 			spin(time.Duration(c) * r.tick)
 		}
 	}
-	view.cur = it.rec
+	view.cur, view.node = it.rec, it.parent
+	if rec := it.rec; rec != nil && !it.msg.Local && rec.nodes.Load() > 0 {
+		d := sim.Delivery{Op: rec.id, Proc: view.p, Parent: -1}
+		if !it.start {
+			d.Node, d.Parent = int(rec.nodes.Add(1)-1), int(it.parent)
+		}
+		view.node = int32(d.Node)
+		r.onDeliver(d)
+	}
 	if r.serial != nil {
 		r.serial.Lock()
 	}
@@ -643,7 +667,7 @@ func (r *Runtime) opRelease(rec *opRec) {
 	}
 	d := sim.OpDone{
 		ID:        rec.id,
-		Initiator: rec.initiator,
+		Initiator: sim.ProcID(rec.initiator),
 		Start:     rec.startNs,
 		End:       end,
 		Messages:  atomic.LoadInt64(&rec.msgs),
@@ -668,12 +692,12 @@ func (r *Runtime) lookup(id sim.OpID) *opRec {
 // scheduleTimer arms a wakeup that re-enters processor p's mailbox as a
 // local message after delay ticks of wall time. Attributed timers
 // (rec != nil) already hold a pending unit taken by After.
-func (r *Runtime) scheduleTimer(p sim.ProcID, delay int64, pl sim.Payload, rec *opRec) {
+func (r *Runtime) scheduleTimer(p sim.ProcID, delay int64, pl sim.Payload, rec *opRec, parent int32) {
 	if delay < 0 {
 		delay = 0
 	}
 	r.clock.schedule(r.NowNs()+delay*int64(r.tick), p,
-		item{msg: sim.Message{From: p, To: p, Payload: pl, Local: true}, rec: rec})
+		item{msg: sim.Message{From: p, To: p, Payload: pl, Local: true}, rec: rec, parent: parent})
 }
 
 // spin busy-waits for d, consuming the calling worker's core — the emulated
@@ -689,12 +713,13 @@ func spin(d time.Duration) {
 // procView is the sim.Transport implementation handed to protocol
 // callbacks: it belongs to one processor, is used by the worker currently
 // holding that processor, and carries the operation the current delivery is
-// attributed to. All Transport methods are called from inside a callback
-// only (the interface's calling discipline).
+// attributed to and the DAG node it acts at. All Transport methods are
+// called from inside a callback only (the interface's calling discipline).
 type procView struct {
-	r   *Runtime
-	p   sim.ProcID
-	cur *opRec // operation of the executing callback; nil when detached
+	r    *Runtime
+	p    sim.ProcID
+	cur  *opRec // operation of the executing callback; nil when detached
+	node int32
 }
 
 var _ sim.Transport = (*procView)(nil)
@@ -719,19 +744,19 @@ func (v *procView) CurrentOp() sim.OpID {
 // operation, attributed to it (one pending unit, released when the
 // delivery returns — the simulator's accounting exactly).
 func (v *procView) Send(to sim.ProcID, pl sim.Payload) {
-	v.send(to, pl, v.cur, true)
+	v.send(to, pl, v.cur, v.node, true)
 }
 
 // send is the shared body of Send and SendAs, as Network.enqueueSend is on
 // the simulator: accounting, the fault plan's verdict and the mailbox append,
-// attributed to rec (nil = detached). countPending takes a pending unit for
-// the queued delivery (Send); SendAs instead converts the token's hold.
-func (v *procView) send(to sim.ProcID, pl sim.Payload, rec *opRec, countPending bool) {
+// attributed to rec (nil = detached), sent from DAG node parent. countPending
+// takes a pending unit (Send); SendAs instead converts the token's hold.
+func (v *procView) send(to sim.ProcID, pl sim.Payload, rec *opRec, parent int32, countPending bool) {
 	if to < 1 || int(to) > v.r.n {
 		panic(fmt.Sprintf("rt: send to processor %v outside [1,%d]", to, v.r.n))
 	}
 	v.accountSend(rec, countPending)
-	it := item{msg: sim.Message{From: v.p, To: to, Payload: pl}, rec: rec}
+	it := item{msg: sim.Message{From: v.p, To: to, Payload: pl}, rec: rec, parent: parent}
 	if v.r.faults != nil {
 		drop, dup := v.r.sendFate(v.p)
 		if drop {
@@ -781,7 +806,7 @@ func (v *procView) Adopt() sim.OpToken {
 		v.r.opsMu.Unlock()
 		rec.adopted.Store(true)
 	}
-	return sim.TokenFor(rec.id)
+	return sim.TokenFor(rec.id, int(v.node))
 }
 
 // SendAs implements sim.Transport: Send attributed to the adopted
@@ -792,7 +817,7 @@ func (v *procView) SendAs(tok sim.OpToken, to sim.ProcID, pl sim.Payload) {
 	if rec == nil {
 		panic(fmt.Sprintf("rt: SendAs with spent or unknown token (op %d)", tok.Op()))
 	}
-	v.send(to, pl, rec, false)
+	v.send(to, pl, rec, int32(tok.Node()), false)
 }
 
 // Release implements sim.Transport: it discards an adopted hold, possibly
@@ -813,11 +838,11 @@ func (v *procView) After(delay int64, pl sim.Payload) {
 	if rec != nil {
 		atomic.AddInt32(&rec.pending, 1)
 	}
-	v.r.scheduleTimer(v.p, delay, pl, rec)
+	v.r.scheduleTimer(v.p, delay, pl, rec, v.node)
 }
 
 // AfterDetached implements sim.Transport: a maintenance wakeup belonging to
 // no operation.
 func (v *procView) AfterDetached(delay int64, pl sim.Payload) {
-	v.r.scheduleTimer(v.p, delay, pl, nil)
+	v.r.scheduleTimer(v.p, delay, pl, nil, 0)
 }

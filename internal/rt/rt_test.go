@@ -18,6 +18,7 @@ import (
 	"distcount/internal/quorum"
 	"distcount/internal/rt"
 	"distcount/internal/sim"
+	"distcount/internal/trace"
 )
 
 // machines returns every algorithm family as a backend-independent machine
@@ -523,5 +524,50 @@ func TestCloseCancelsPendingTimers(t *testing.T) {
 			t.Fatalf("%d goroutines after Close, %d before New", runtime.NumGoroutine(), baseline)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// relayWake is the timer payload of TestOnDeliverFromInstallOn.
+type relayWake struct{}
+
+func (relayWake) Kind() string { return "relay-wake" }
+
+// wakeThenPing pings processor 2 when its timer fires.
+type wakeThenPing struct{}
+
+func (wakeThenPing) Deliver(nw sim.Transport, msg sim.Message) {
+	if _, ok := msg.Payload.(relayWake); ok {
+		nw.Send(2, ping{})
+	}
+}
+
+// TestOnDeliverFromInstallOn: an operation started before the hook was
+// installed is not recorded, although its timer fires and its ping is
+// delivered after; one started while the hook is installed is, and its
+// timer keeps the DAG node it was set at (the ping hangs off the source).
+func TestOnDeliverFromInstallOn(t *testing.T) {
+	r := rt.New(timerMachine(2, wakeThenPing{}, func(nw counter.Transport, _ sim.ProcID) {
+		nw.After(20_000, relayWake{}) // 20 ms: the hook is installed meanwhile
+	}))
+	defer r.Close()
+	done := make(chan sim.OpDone, 2)
+	r.OnOpDone(func(d sim.OpDone) { done <- d })
+	early := r.Start(0, 1)
+	var rec trace.Recorder
+	r.OnDeliver(rec.Record)
+	late := r.Start(0, 1)
+	for range 2 {
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("operation never completed")
+		}
+	}
+	if d := rec.DAG(early); d != nil {
+		t.Fatalf("operation started before the hook recorded %+v", d)
+	}
+	d := rec.DAG(late)
+	if d == nil || d.Validate() != nil || d.String() != "1 -> 2" || d.Nodes[1].Parent != 0 {
+		t.Fatalf("operation started under the hook: DAG %+v", d)
 	}
 }

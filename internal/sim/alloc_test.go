@@ -4,12 +4,12 @@ import (
 	"testing"
 )
 
-// The allocation guards below pin the PR's headline property: the untraced,
-// fault-free Send/Step cycle performs ZERO heap allocations once the
-// simulator's reusable structures (event-ring buckets, the op table and its
-// free list) are warm. Tracing (WithTracing) deliberately re-enables
-// allocation — every traced operation builds a fresh DAG — as does fault
-// injection's freeze path; neither is on the steady-state benchmark path.
+// The allocation guards below pin the simulator's headline property: the
+// fault-free Send/Step cycle with no OnDeliver hook performs ZERO heap
+// allocations once the simulator's reusable structures (event-ring buckets,
+// the op table and its free list) are warm. A recording hook allocates
+// whatever its recorder keeps, and fault injection's freeze path may
+// allocate; neither is on the steady-state benchmark path.
 
 // zeroPayload is an empty payload: boxing a zero-size value into the Payload
 // interface costs nothing, so the guard isolates the simulator's own

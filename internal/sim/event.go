@@ -10,7 +10,7 @@ import "math/bits"
 // size): every send copies an event into its bucket and every delivery copies
 // it out again, so the struct's width is the simulator's per-message memory
 // traffic. The sim.Message a protocol sees is not stored; Step rebuilds it
-// from from/to/payload/local at Deliver. Processor ids and trace-node
+// from from/to/payload/local at Deliver. Processor ids and DAG node
 // indices fit 32 bits by a wide margin (the largest loaded run is n = 15625).
 type event struct {
 	at      int64
@@ -20,7 +20,7 @@ type event struct {
 	op      OpID
 	from    int32
 	to      int32
-	parent  int32 // trace node index of the sending event within op's DAG
+	parent  int32 // DAG node of the sending callback within op (Delivery.Parent)
 	// local marks a timer/self-wakeup (Message.Local).
 	local bool
 	// reserved marks a delivery deferred by the service-time model: the

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"distcount/internal/rng"
-	"distcount/internal/trace"
 )
 
 // Errors returned by Network methods.
@@ -24,9 +23,9 @@ var (
 
 // ctx is the execution context while a Deliver or start callback runs.
 type ctx struct {
-	op        OpID
-	traceNode int
-	proc      ProcID
+	op   OpID
+	node int32 // DAG node the callback acts at (see Delivery)
+	proc ProcID
 }
 
 // Network is the simulated asynchronous message-passing system.
@@ -56,10 +55,10 @@ type Network struct {
 	// unused).
 	servers []server
 
-	nextOp   OpID
-	ops      opTable
-	tracing  bool
-	onOpDone func(*OpStats)
+	nextOp    OpID
+	ops       opTable
+	onOpDone  func(*OpStats)
+	onDeliver func(Delivery)
 	// doneQ holds operations completed by Release during a delivery that
 	// belonged to a different operation; drained after each Step.
 	doneQ []*OpStats
@@ -94,11 +93,6 @@ func WithSeed(seed uint64) Option {
 // WithLatency sets the latency model (default UnitLatency).
 func WithLatency(l Latency) Option {
 	return func(nw *Network) { nw.latency = l }
-}
-
-// WithTracing enables communication-DAG capture for every operation.
-func WithTracing() Option {
-	return func(nw *Network) { nw.tracing = true }
 }
 
 // WithMaxEvents overrides the event budget (default 500 million).
@@ -206,13 +200,6 @@ func (nw *Network) Reseed(seed uint64) { nw.rand = rng.New(seed) }
 // Protocol returns the protocol instance driving this network.
 func (nw *Network) Protocol() Protocol { return nw.proto }
 
-// Tracing reports whether DAG capture is enabled.
-func (nw *Network) Tracing() bool { return nw.tracing }
-
-// SetTracing toggles communication-DAG capture for subsequently started
-// operations.
-func (nw *Network) SetTracing(on bool) { nw.tracing = on }
-
 // MessagesTotal returns the total number of network messages sent so far.
 func (nw *Network) MessagesTotal() int64 { return nw.msgTotal }
 
@@ -301,6 +288,13 @@ func (nw *Network) CurrentOp() OpID {
 // handler.
 func (nw *Network) OnOpDone(fn func(*OpStats)) { nw.onOpDone = fn }
 
+// OnDeliver installs the hook that receives, one Delivery per node, the
+// communication DAG of each operation started while a hook is installed
+// (internal/trace builds DAGs from them). A lost message makes no node, a
+// duplicated one two. nil removes the hook; without one a delivery pays a
+// nil check.
+func (nw *Network) OnDeliver(fn func(Delivery)) { nw.onDeliver = fn }
+
 // ForgetOp drops the bookkeeping of a finished operation so that long
 // workload runs do not accumulate per-op state. Forgetting an operation
 // that is still pending would lose its completion; it panics — unless the
@@ -346,8 +340,8 @@ func (nw *Network) ScheduleOp(at int64, p ProcID, start func(nw Transport, p Pro
 	id := nw.nextOp
 	st := nw.ops.alloc(id, p, at, nw.n)
 	st.participants.add(int(p))
-	if nw.tracing {
-		st.DAG = trace.NewDAG(int(p))
+	if nw.onDeliver != nil {
+		st.nodes = 1 // the source
 	}
 	nw.ops.put(id, st)
 	nw.seq++
@@ -370,7 +364,7 @@ func (nw *Network) Send(to ProcID, pl Payload) {
 		panic("sim: Send called outside a delivery context")
 	}
 	nw.checkProc(to, "Send")
-	nw.enqueueSend(to, pl, nw.cur.op, nw.cur.traceNode, true)
+	nw.enqueueSend(to, pl, nw.cur.op, nw.cur.node, true)
 }
 
 // accountSend charges one physical transmission to the sender's load
@@ -403,7 +397,7 @@ func (nw *Network) accountSend(from, to ProcID, pl Payload, st *OpStats, countPe
 // pushSend enqueues one transmission with a fresh latency draw. Under the
 // default UnitLatency the draw is the constant 1 and consumes no randomness,
 // so the model is not consulted; every other model sees the full message.
-func (nw *Network) pushSend(from, to ProcID, pl Payload, op OpID, parent int) {
+func (nw *Network) pushSend(from, to ProcID, pl Payload, op OpID, parent int32) {
 	delay := int64(1)
 	if !nw.unitLatency {
 		delay = nw.latency.Delay(Message{From: from, To: to, Payload: pl}, nw.rand)
@@ -416,15 +410,15 @@ func (nw *Network) pushSend(from, to ProcID, pl Payload, op OpID, parent int) {
 		op:      op,
 		from:    int32(from),
 		to:      int32(to),
-		parent:  int32(parent),
+		parent:  parent,
 	})
 }
 
 // enqueueSend is the shared body of Send and SendAs: load accounting,
 // per-op statistics, and the queue push, attributed to the given operation
-// and DAG parent. countPending adds the queued event to the operation's
+// and DAG node. countPending adds the queued event to the operation's
 // pending count (Send); SendAs instead converts an existing hold.
-func (nw *Network) enqueueSend(to ProcID, pl Payload, op OpID, parent int, countPending bool) {
+func (nw *Network) enqueueSend(to ProcID, pl Payload, op OpID, parent int32, countPending bool) {
 	from := nw.cur.proc
 	st := nw.ops.get(op)
 	nw.accountSend(from, to, pl, st, countPending)
@@ -457,7 +451,7 @@ func (nw *Network) enqueueSend(to ProcID, pl Payload, op OpID, parent int, count
 // operation's delivery context. The zero value is invalid.
 type OpToken struct {
 	op   OpID
-	node int
+	node int32
 }
 
 // Valid reports whether the token holds an operation.
@@ -466,11 +460,13 @@ func (t OpToken) Valid() bool { return t.op != 0 }
 // Op returns the operation the token continues (0 for an invalid token).
 func (t OpToken) Op() OpID { return t.op }
 
-// TokenFor builds a continuation token for the given operation with no DAG
-// position. It exists for alternative Transport implementations (the rt
-// backend keeps its own pending accounting and has no trace nodes); inside
-// the simulator, tokens must come from Adopt so the hold is counted.
-func TokenFor(op OpID) OpToken { return OpToken{op: op} }
+// Node returns the DAG node the token was adopted at (see Delivery).
+func (t OpToken) Node() int { return int(t.node) }
+
+// TokenFor builds a token for op adopted at DAG node node, for alternative
+// Transport implementations (rt keeps its own pending accounting); inside
+// the simulator tokens come from Adopt, so the hold is counted.
+func TokenFor(op OpID, node int) OpToken { return OpToken{op: op, node: int32(node)} }
 
 // Adopt captures the current operation as a continuation token and keeps
 // the operation open (pending) until the token is spent with SendAs or
@@ -488,7 +484,7 @@ func (nw *Network) Adopt() OpToken {
 	if st := nw.ops.get(nw.cur.op); st != nil {
 		st.pending++
 	}
-	return OpToken{op: nw.cur.op, node: nw.cur.traceNode}
+	return OpToken{op: nw.cur.op, node: nw.cur.node}
 }
 
 // SendAs is Send attributed to the adopted operation instead of the
@@ -555,7 +551,7 @@ func (nw *Network) After(delay int64, pl Payload) {
 		op:      nw.cur.op,
 		from:    int32(p),
 		to:      int32(p),
-		parent:  int32(nw.cur.traceNode),
+		parent:  nw.cur.node,
 		local:   true,
 	})
 }
@@ -642,9 +638,10 @@ func (nw *Network) Step() (bool, error) {
 	defer func() { nw.inCallback = false }()
 
 	if e.start != nil {
-		// Operation initiation: the source node of the DAG already exists
-		// (index 0).
-		nw.cur.traceNode = 0
+		// Operation initiation: the DAG's source, node 0.
+		if st != nil && st.nodes > 0 && nw.onDeliver != nil {
+			nw.onDeliver(Delivery{Op: e.op, Proc: to, Parent: -1})
+		}
 		e.start(nw, to)
 	} else {
 		if !e.local {
@@ -652,14 +649,15 @@ func (nw *Network) Step() (bool, error) {
 			if sv := &nw.servers[to]; sv.cost > 0 {
 				sv.freeAt = e.at + sv.cost
 			}
-			if st != nil && st.DAG != nil {
-				nw.cur.traceNode = st.DAG.AddEvent(int(to), int(e.parent))
+			if st != nil && st.nodes > 0 && nw.onDeliver != nil {
+				nw.cur.node = int32(st.nodes)
+				st.nodes++
+				nw.onDeliver(Delivery{Op: e.op, Proc: to, Node: int(nw.cur.node), Parent: int(e.parent)})
 			}
 		} else {
-			// Local wakeups keep the causal position of their scheduler so
-			// that messages sent from a timer remain attached to the DAG
-			// correctly.
-			nw.cur.traceNode = int(e.parent)
+			// Local wakeups keep the DAG node of their scheduler, so that
+			// messages sent from a timer attach where it was set.
+			nw.cur.node = e.parent
 		}
 		nw.proto.Deliver(nw, Message{From: ProcID(e.from), To: to, Payload: e.payload, Local: e.local})
 	}
@@ -742,8 +740,8 @@ func (nw *Network) Run() error {
 // per-processor loads, time, randomness and protocol state are duplicated;
 // operation history is not carried over (the clone starts with an empty
 // operation log but keeps the operation id counter, so op ids remain
-// globally unique across original and clone). A completion handler
-// installed with OnOpDone is not carried over either.
+// globally unique across original and clone). The handlers installed with
+// OnOpDone and OnDeliver are not carried over either.
 func (nw *Network) Clone() (*Network, error) {
 	if nw.inCallback || nw.queue.len() != 0 {
 		return nil, ErrNotQuiescent
@@ -771,7 +769,6 @@ func (nw *Network) Clone() (*Network, error) {
 		servers:     append([]server(nil), nw.servers...),
 		nextOp:      nw.nextOp,
 		ops:         opTable{floor: nw.nextOp, top: nw.nextOp},
-		tracing:     nw.tracing,
 		faults:      nw.faults.Clone(),
 	}
 	copy(out.sent, nw.sent)

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"math/bits"
-
-	"distcount/internal/trace"
-)
+import "math/bits"
 
 // OpDone is one finished operation as a backend reports it: the interval
 // from the operation's initiation to its last attributed event, on the
@@ -17,6 +13,16 @@ type OpDone struct {
 	Messages   int64
 }
 
+// Delivery is one node of an operation's communication DAG (Figure 1) as a
+// backend reports it to an OnDeliver hook: Proc starting Op (Node 0, Parent
+// -1) or receiving one of its network messages, sent from node Parent. A
+// timer makes no node; its callback acts at the node that set it.
+type Delivery struct {
+	Op           OpID
+	Proc         ProcID
+	Node, Parent int
+}
+
 // OpStats aggregates what happened during one operation.
 type OpStats struct {
 	ID        OpID
@@ -26,9 +32,9 @@ type OpStats struct {
 	StartedAt, DoneAt int64
 	// Messages is the number of network messages sent during the operation.
 	Messages int64
-	// DAG is the communication DAG of the operation; nil unless tracing
-	// was enabled when the operation ran.
-	DAG *trace.DAG
+	// nodes is the number of DAG nodes numbered so far, the source included,
+	// or 0 when the operation started with no OnDeliver hook.
+	nodes int
 
 	// participants is the paper's I_p as a bitset over processor ids: one
 	// bit flip per send instead of the map insert that used to dominate the
@@ -229,7 +235,6 @@ func (t *opTable) forget(id OpID) {
 		return
 	}
 	t.ring[slot] = nil
-	st.DAG = nil // a recycled record must not pin a retired trace
 	t.free = append(t.free, st)
 	for t.floor < t.top && t.ring[int(t.floor+1)&mask] == nil {
 		t.floor++

@@ -19,10 +19,10 @@
 // ("enough time elapses in between any two inc requests").
 //
 // The simulator counts, for every processor p, the number of messages p
-// sends plus the number p receives — the paper's message load m_p — and can
-// record the communication DAG of each operation (internal/trace), whose
-// topological linearization is the "communication list" used by the
-// lower-bound adversary.
+// sends plus the number p receives — the paper's message load m_p. An
+// OnDeliver hook receives each operation's communication DAG node by node;
+// internal/trace builds the DAG, whose topological linearization is the
+// "communication list" used by the lower-bound adversary.
 //
 // Networks are cloneable at quiescence, which the adversary uses to explore
 // hypothetical next operations without committing them.

@@ -132,23 +132,16 @@ func TestOpStatsParticipants(t *testing.T) {
 
 func TestTracingBuildsDAG(t *testing.T) {
 	pp := &pingPong{}
-	nw := New(4, pp, WithTracing())
+	nw := New(4, pp)
+	log := dagLog{}
+	nw.OnDeliver(log.record)
 	id := nw.StartOp(1, startPing(2))
 	if err := nw.Run(); err != nil {
 		t.Fatal(err)
 	}
-	st := nw.OpStats(id)
-	if st.DAG == nil {
-		t.Fatal("tracing enabled but no DAG")
-	}
-	if err := st.DAG.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := int64(st.DAG.Messages()), st.Messages; got != want {
+	recs := log.check(t, id, 1)
+	if got, want := int64(len(recs)-1), nw.OpStats(id).Messages; got != want {
 		t.Fatalf("DAG messages = %d, op messages = %d", got, want)
-	}
-	if st.DAG.Initiator != 1 {
-		t.Fatalf("DAG initiator = %d, want 1", st.DAG.Initiator)
 	}
 }
 
@@ -364,37 +357,28 @@ func TestConcurrentOpsInterleave(t *testing.T) {
 	}
 }
 
-// TestConcurrentTracingAttribution: two interleaved traced operations each
-// get a valid DAG containing only their own causal messages.
+// TestConcurrentTracingAttribution: two interleaved recorded operations
+// each get a valid DAG containing only their own causal messages.
 func TestConcurrentTracingAttribution(t *testing.T) {
 	pp := &pingPong{}
-	nw := New(8, pp, WithTracing())
+	nw := New(8, pp)
+	log := dagLog{}
+	nw.OnDeliver(log.record)
 	idA := nw.ScheduleOp(0, 1, startPing(2)) // chain 1->2->3->4
 	idB := nw.ScheduleOp(0, 5, startPing(2)) // chain 5->6->7->8
 	if err := nw.Run(); err != nil {
 		t.Fatal(err)
 	}
+	recsA, recsB := log.check(t, idA, 1), log.check(t, idB, 5)
 	stA, stB := nw.OpStats(idA), nw.OpStats(idB)
-	if stA.DAG == nil || stB.DAG == nil {
-		t.Fatal("missing DAGs")
-	}
-	if err := stA.DAG.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := stB.DAG.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if stA.DAG.Initiator != 1 || stB.DAG.Initiator != 5 {
-		t.Fatalf("initiators %d/%d", stA.DAG.Initiator, stB.DAG.Initiator)
-	}
 	// Both ops have the same shape, so the same message count; each DAG
 	// accounts exactly its own messages.
 	if stA.Messages != stB.Messages {
 		t.Fatalf("asymmetric op attribution: %d vs %d", stA.Messages, stB.Messages)
 	}
-	if int64(stA.DAG.Messages())+int64(stB.DAG.Messages()) != nw.MessagesTotal() {
+	if int64(len(recsA)-1+len(recsB)-1) != nw.MessagesTotal() {
 		t.Fatalf("DAGs account %d+%d messages, network has %d",
-			stA.DAG.Messages(), stB.DAG.Messages(), nw.MessagesTotal())
+			len(recsA)-1, len(recsB)-1, nw.MessagesTotal())
 	}
 	// Ping chains 1->2->3->4 and 5->6->7->8: disjoint participants.
 	for _, p := range stA.Participants() {
@@ -479,13 +463,6 @@ func TestAccessors(t *testing.T) {
 	}
 	if nw.Rand() == nil {
 		t.Fatal("Rand() nil")
-	}
-	if nw.Tracing() {
-		t.Fatal("tracing on by default")
-	}
-	nw.SetTracing(true)
-	if !nw.Tracing() {
-		t.Fatal("SetTracing(true) ignored")
 	}
 	id := nw.StartOp(1, startPing(0))
 	if err := nw.Run(); err != nil {

@@ -12,16 +12,18 @@
 // list" (Figure 2) whose arc count lower-bounds per-processor message counts;
 // the lower-bound adversary ranks candidate operations by the length of this
 // list. Package trace provides both representations plus ASCII and Graphviz
-// renderings.
-//
-// Processors are identified by plain ints here (not sim.ProcID) so that the
-// simulator can depend on trace without an import cycle.
+// renderings, and a Recorder that builds the DAGs from the node records
+// either execution backend reports (sim.Delivery).
 package trace
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
+
+	"distcount/internal/sim"
 )
 
 // Node is a single communication event of one processor.
@@ -33,12 +35,8 @@ type Node struct {
 	Parent int
 }
 
-// Arc is a message: a directed edge between two nodes of the DAG.
-type Arc struct {
-	From, To int // node indices
-}
-
-// DAG is the communication DAG of one operation.
+// DAG is the communication DAG of one operation. Every node but the source
+// has exactly one incoming arc, from its Parent: the message that created it.
 //
 // Nodes are stored in creation order, which is a valid topological order by
 // construction: an arc can only point from an existing node to a newly
@@ -47,7 +45,6 @@ type DAG struct {
 	// Initiator is the processor that started the operation.
 	Initiator int
 	Nodes     []Node
-	Arcs      []Arc
 }
 
 // NewDAG returns a DAG containing only the source node for the initiator.
@@ -59,20 +56,18 @@ func NewDAG(initiator int) *DAG {
 }
 
 // AddEvent appends a communication event for proc caused by the node at
-// index parent (the sender), records the message arc, and returns the new
-// node's index.
+// index parent (the sender) and returns the new node's index.
 func (d *DAG) AddEvent(proc, parent int) int {
 	if parent < 0 || parent >= len(d.Nodes) {
 		panic(fmt.Sprintf("trace: AddEvent parent %d out of range [0,%d)", parent, len(d.Nodes)))
 	}
-	idx := len(d.Nodes)
 	d.Nodes = append(d.Nodes, Node{Proc: proc, Parent: parent})
-	d.Arcs = append(d.Arcs, Arc{From: parent, To: idx})
-	return idx
+	return len(d.Nodes) - 1
 }
 
-// Messages returns the number of messages in the operation (= arcs).
-func (d *DAG) Messages() int { return len(d.Arcs) }
+// Messages returns the number of messages in the operation (= arcs): every
+// node but the source was created by one.
+func (d *DAG) Messages() int { return d.ListLength() }
 
 // Participants returns the sorted set of processors that send or receive a
 // message during the operation: the set I_p of the paper. A node that never
@@ -91,34 +86,15 @@ func (d *DAG) Participants() []int {
 	return out
 }
 
-// ParticipantSet returns the participants as a set for O(1) membership tests.
-func (d *DAG) ParticipantSet() map[int]struct{} {
-	seen := make(map[int]struct{}, len(d.Nodes))
-	for _, n := range d.Nodes {
-		seen[n.Proc] = struct{}{}
-	}
-	return seen
-}
-
-// TopoOrder returns node indices in a deterministic topological order.
-// Creation order is already topological; we return it explicitly so callers
-// do not rely on that invariant.
-func (d *DAG) TopoOrder() []int {
-	order := make([]int, len(d.Nodes))
-	for i := range order {
-		order[i] = i
-	}
-	return order
-}
-
 // CommunicationList returns the processor labels of the DAG nodes in
-// topological order: the paper's linearized "communication list" (Figure 2).
-// Each arc of the DAG corresponds to a path in this list, and each adjacent
-// pair in the list is one message of the modelled execution.
+// creation order, which is topological: the paper's linearized
+// "communication list" (Figure 2). Each arc of the DAG corresponds to a path
+// in this list, and each adjacent pair in the list is one message of the
+// modelled execution.
 func (d *DAG) CommunicationList() []int {
 	list := make([]int, len(d.Nodes))
-	for i, idx := range d.TopoOrder() {
-		list[i] = d.Nodes[idx].Proc
+	for i, n := range d.Nodes {
+		list[i] = n.Proc
 	}
 	return list
 }
@@ -134,9 +110,10 @@ func (d *DAG) ListLength() int {
 	return len(d.Nodes) - 1
 }
 
-// Validate checks structural invariants: arcs reference valid nodes, every
-// non-source node has its parent arc, and arcs go forward in creation order
-// (acyclicity). It returns nil if the DAG is well formed.
+// Validate checks structural invariants: the source is node 0 and belongs to
+// the initiator, and every other node's parent is an earlier node (its arc
+// goes forward in creation order, so the graph is acyclic). It returns nil
+// if the DAG is well formed.
 func (d *DAG) Validate() error {
 	if len(d.Nodes) == 0 {
 		return fmt.Errorf("trace: DAG has no nodes")
@@ -153,34 +130,7 @@ func (d *DAG) Validate() error {
 			return fmt.Errorf("trace: node %d has parent %d, want in [0,%d)", idx, n.Parent, idx)
 		}
 	}
-	if len(d.Arcs) != len(d.Nodes)-1 {
-		return fmt.Errorf("trace: %d arcs for %d nodes, want %d", len(d.Arcs), len(d.Nodes), len(d.Nodes)-1)
-	}
-	for _, a := range d.Arcs {
-		if a.From < 0 || a.From >= len(d.Nodes) || a.To <= 0 || a.To >= len(d.Nodes) {
-			return fmt.Errorf("trace: arc %v out of range", a)
-		}
-		if a.From >= a.To {
-			return fmt.Errorf("trace: arc %v not forward (cycle?)", a)
-		}
-		if d.Nodes[a.To].Parent != a.From {
-			return fmt.Errorf("trace: arc %v does not match node %d parent %d", a, a.To, d.Nodes[a.To].Parent)
-		}
-	}
 	return nil
-}
-
-// Intersects reports whether the participant sets of two DAGs share a
-// processor. The Hot Spot Lemma states this must hold for the DAGs of two
-// operations that increment the counter in direct succession.
-func Intersects(a, b *DAG) bool {
-	as := a.ParticipantSet()
-	for _, n := range b.Nodes {
-		if _, ok := as[n.Proc]; ok {
-			return true
-		}
-	}
-	return false
 }
 
 // String renders the communication list compactly, e.g. "3 -> 11 -> 17".
@@ -191,4 +141,46 @@ func (d *DAG) String() string {
 		parts[i] = fmt.Sprintf("%d", p)
 	}
 	return strings.Join(parts, " -> ")
+}
+
+// Recorder builds communication DAGs from the records a backend reports to
+// its OnDeliver hook (install Record as the hook, on sim or rt). The zero
+// value is ready to use; it is safe for concurrent use, as rt's workers
+// report concurrently.
+type Recorder struct {
+	mu  sync.Mutex
+	ops map[sim.OpID][]sim.Delivery
+}
+
+// Record stores one node record; it is the OnDeliver hook.
+func (r *Recorder) Record(d sim.Delivery) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.ops == nil {
+		r.ops = make(map[sim.OpID][]sim.Delivery)
+	}
+	r.ops[d.Op] = append(r.ops[d.Op], d)
+}
+
+// DAG builds operation op's communication DAG from its records so far, or
+// returns nil when there are none (it started before the hook was
+// installed). rt may report one operation's concurrent deliveries out of
+// node order, so the records are sorted first; a gap or repeat in the node
+// numbering is a backend bug and panics.
+func (r *Recorder) DAG(op sim.OpID) *DAG {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	recs := r.ops[op]
+	if len(recs) == 0 {
+		return nil
+	}
+	slices.SortFunc(recs, func(a, b sim.Delivery) int { return a.Node - b.Node })
+	d := NewDAG(int(recs[0].Proc))
+	for i, rec := range recs[1:] {
+		if rec.Node != i+1 {
+			panic(fmt.Sprintf("trace: op %d: node %d recorded at position %d", op, rec.Node, i+1))
+		}
+		d.AddEvent(int(rec.Proc), rec.Parent)
+	}
+	return d
 }

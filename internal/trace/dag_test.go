@@ -1,11 +1,14 @@
 package trace
 
 import (
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
 	"distcount/internal/rng"
+	"distcount/internal/sim"
 )
 
 // paperFigure1 rebuilds the DAG of Figure 1: processor 3 initiates; the
@@ -66,14 +69,9 @@ func TestParticipants(t *testing.T) {
 
 func TestCommunicationListTopological(t *testing.T) {
 	d := paperFigure1()
-	order := d.TopoOrder()
-	pos := make(map[int]int, len(order))
-	for i, idx := range order {
-		pos[idx] = i
-	}
-	for _, a := range d.Arcs {
-		if pos[a.From] >= pos[a.To] {
-			t.Fatalf("arc %v violates topological order", a)
+	for i, n := range d.Nodes[1:] {
+		if n.Parent > i {
+			t.Fatalf("node %d's arc from %d violates topological order", i+1, n.Parent)
 		}
 	}
 	list := d.CommunicationList()
@@ -85,31 +83,9 @@ func TestCommunicationListTopological(t *testing.T) {
 	}
 }
 
-func TestIntersects(t *testing.T) {
-	a := NewDAG(1)
-	a.AddEvent(2, 0)
-	b := NewDAG(3)
-	b.AddEvent(2, 0)
-	if !Intersects(a, b) {
-		t.Fatal("DAGs sharing processor 2 reported disjoint")
-	}
-	c := NewDAG(9)
-	c.AddEvent(10, 0)
-	if Intersects(a, c) {
-		t.Fatal("disjoint DAGs reported intersecting")
-	}
-}
-
-func TestIntersectsSelf(t *testing.T) {
-	a := NewDAG(4)
-	if !Intersects(a, a) {
-		t.Fatal("a DAG must intersect itself (initiator)")
-	}
-}
-
 func TestValidateRejectsCorrupt(t *testing.T) {
 	d := paperFigure1()
-	d.Arcs[0].From, d.Arcs[0].To = d.Arcs[0].To, d.Arcs[0].From
+	d.Nodes[1].Parent = 3
 	if err := d.Validate(); err == nil {
 		t.Fatal("Validate accepted a backward arc")
 	}
@@ -200,17 +176,77 @@ func TestRandomDAGsValid(t *testing.T) {
 	}
 }
 
-// TestParticipantSetMatchesSlice cross-checks the two participant views.
-func TestParticipantSetMatchesSlice(t *testing.T) {
-	d := paperFigure1()
-	set := d.ParticipantSet()
-	slice := d.Participants()
-	if len(set) != len(slice) {
-		t.Fatalf("set size %d != slice size %d", len(set), len(slice))
+// TestRecorderBuildsDAGs feeds the Figure 1 DAG's node records for two
+// operations, one in node order (as the simulator reports) and one shuffled
+// (as concurrent rt workers may), and checks both rebuild it exactly.
+func TestRecorderBuildsDAGs(t *testing.T) {
+	want := paperFigure1()
+	records := func(op sim.OpID) []sim.Delivery {
+		out := make([]sim.Delivery, len(want.Nodes))
+		for i, n := range want.Nodes {
+			out[i] = sim.Delivery{Op: op, Proc: sim.ProcID(n.Proc), Node: i, Parent: n.Parent}
+		}
+		return out
 	}
-	for _, p := range slice {
-		if _, ok := set[p]; !ok {
-			t.Fatalf("processor %d in slice but not set", p)
+	var rec Recorder
+	for _, d := range records(1) {
+		rec.Record(d)
+	}
+	shuffled := records(2)
+	r := rng.New(7)
+	tail := shuffled[1:] // the source is reported before its operation sends anything
+	for i := len(tail) - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		tail[i], tail[j] = tail[j], tail[i]
+	}
+	for _, d := range shuffled {
+		rec.Record(d)
+	}
+	for op := sim.OpID(1); op <= 2; op++ {
+		got := rec.DAG(op)
+		if got == nil || got.Initiator != want.Initiator || !slices.Equal(got.Nodes, want.Nodes) {
+			t.Fatalf("op %d: rebuilt %+v, want %+v", op, got, want)
 		}
 	}
+	if rec.DAG(3) != nil {
+		t.Fatal("DAG of an unrecorded operation is not nil")
+	}
+}
+
+// TestRecorderConcurrent records many operations from several goroutines,
+// as rt workers report; run under -race.
+func TestRecorderConcurrent(t *testing.T) {
+	var rec Recorder
+	var wg sync.WaitGroup
+	for g := 1; g <= 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			op := sim.OpID(g)
+			rec.Record(sim.Delivery{Op: op, Proc: sim.ProcID(g), Parent: -1})
+			for i := 1; i <= 50; i++ {
+				rec.Record(sim.Delivery{Op: op, Proc: sim.ProcID(i), Node: i, Parent: i - 1})
+			}
+		}()
+	}
+	wg.Wait()
+	for g := 1; g <= 4; g++ {
+		d := rec.DAG(sim.OpID(g))
+		if err := d.Validate(); err != nil || d.Initiator != g || d.Messages() != 50 {
+			t.Fatalf("op %d: %v, initiator %d, %d messages", g, err, d.Initiator, d.Messages())
+		}
+	}
+}
+
+// TestRecorderPanicsOnGap: a node numbering with a hole is a backend bug.
+func TestRecorderPanicsOnGap(t *testing.T) {
+	var rec Recorder
+	rec.Record(sim.Delivery{Op: 1, Proc: 1, Parent: -1})
+	rec.Record(sim.Delivery{Op: 1, Proc: 2, Node: 2, Parent: 0})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("DAG over a gap in the node numbering did not panic")
+		}
+	}()
+	rec.DAG(1)
 }

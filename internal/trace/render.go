@@ -16,8 +16,8 @@ func (d *DAG) DOT() string {
 	for i, n := range d.Nodes[1:] {
 		fmt.Fprintf(&b, "  n%d [label=\"%d\", shape=circle];\n", i+1, n.Proc)
 	}
-	for _, a := range d.Arcs {
-		fmt.Fprintf(&b, "  n%d -> n%d;\n", a.From, a.To)
+	for i, n := range d.Nodes[1:] {
+		fmt.Fprintf(&b, "  n%d -> n%d;\n", n.Parent, i+1)
 	}
 	b.WriteString("}\n")
 	return b.String()
@@ -35,8 +35,8 @@ func (d *DAG) DOT() string {
 // it), the DAG is a tree over events and can be drawn without crossings.
 func (d *DAG) ASCII() string {
 	children := make([][]int, len(d.Nodes))
-	for _, a := range d.Arcs {
-		children[a.From] = append(children[a.From], a.To)
+	for i, n := range d.Nodes[1:] {
+		children[n.Parent] = append(children[n.Parent], i+1)
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%d\n", d.Nodes[0].Proc)

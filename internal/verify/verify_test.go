@@ -59,7 +59,7 @@ func TestBijectionRejectsOutOfRange(t *testing.T) {
 }
 
 func TestHotSpotOnRealRun(t *testing.T) {
-	c := counter.OnSim(central.NewMachine(6), sim.WithTracing())
+	c := counter.OnSim(central.NewMachine(6))
 	res, err := counter.RunSequence(c, counter.SequentialOrder(6))
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestHotSpotNeedsOpTracking(t *testing.T) {
 }
 
 func TestCounterOneCall(t *testing.T) {
-	c := counter.OnSim(central.NewMachine(5), sim.WithTracing())
+	c := counter.OnSim(central.NewMachine(5))
 	if err := Counter(c, counter.ReverseOrder(5)); err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ type brokenCounter struct {
 
 func newBroken(n int) *brokenCounter {
 	pr := &brokenProto{shard: make([]int, n+1)}
-	return &brokenCounter{net: sim.New(n, pr, sim.WithTracing()), proto: pr}
+	return &brokenCounter{net: sim.New(n, pr), proto: pr}
 }
 
 func (c *brokenCounter) Name() string      { return "broken-sharded" }
