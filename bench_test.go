@@ -157,7 +157,7 @@ func BenchmarkSimulatorEventThroughput(b *testing.B) {
 // over 64 rotating initiators, outside any simulator (the stub transport
 // only names the current operation).
 func BenchmarkOpTable(b *testing.B) {
-	ops := counter.NewOps[struct{}, int]()
+	ops := counter.NewOps[struct{}, int](64)
 	ctx := &opContext{}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -140,7 +140,7 @@ func newProto(k, retireAge int, state RootState, checks bool) *proto {
 		nodes:      make([]node, g.nodeCount()),
 		leafParent: make([]sim.ProcID, g.n+1),
 		leafLoad:   make([]int64, g.n+1),
-		ops:        counter.NewOps[struct{}, any](),
+		ops:        counter.NewOps[struct{}, any](g.n),
 		fwd:        make(map[fwdKey]sim.ProcID),
 	}
 	for i := 0; i <= k; i++ {

@@ -2,7 +2,9 @@ package counter
 
 import (
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"distcount/internal/sim"
 )
@@ -40,28 +42,31 @@ import (
 // Layout: the table sits on every operation's path (Begin, Finish, Take, and
 // GetFor per reply on the quorum protocols), so it is dense rather than
 // hashed. Per-initiator state is one slot in a slice indexed by processor
-// id, allocated on the initiator's first Begin and reused — zeroed — by every
-// later one; delivered values wait for Take in a small ring indexed by the
-// sequential operation id (see valueTable). A steady-state operation
-// therefore allocates nothing here.
+// id, sized at construction and reused — zeroed — by every Begin; delivered
+// values wait for Take in a small ring indexed by the sequential operation
+// id (see valueTable). A steady-state operation therefore allocates nothing
+// here.
+//
+// Concurrency: slot p is only ever touched in processor p's own context —
+// its operation's start callback and the deliveries addressed to it, which
+// is where every protocol calls Begin, GetFor and Finish — so the slots take
+// no lock. The simulator runs on one goroutine; the rt backend runs each
+// processor on at most one worker at a time, with a happens-before handoff
+// between workers. Only the value ring is shared across goroutines (Finish
+// puts at the initiator, Take reads on the driving goroutine), and one
+// mutex guards it.
 type Ops[S, V any] struct {
-	// mu guards the table. On the simulator every access runs on one
-	// goroutine and the lock is uncontended; on the rt backend distinct
-	// initiators' operations run on different workers at once, and the table is
-	// the one piece of protocol state they all touch. The *S returned by
-	// Begin/Get stays confined to its own operation's delivery contexts, so
-	// locking the table operations suffices.
-	mu sync.Mutex
-	// slots is indexed by initiator id and grown on demand; an entry is nil
-	// until that processor first initiates. Slots are held by pointer so the
-	// *S handed out by Begin/Get/GetFor survives the slice growing.
-	slots []*opSlot[S]
-	// values holds delivered values of completed operations until consumed.
+	// slots is indexed by initiator id (slot 0 unused).
+	slots []opSlot[S]
+	// mu guards values, which hold delivered values of completed operations
+	// until consumed.
+	mu     sync.Mutex
 	values valueTable[V]
 	// droppedStale counts Finish/GetFor calls discarded because their
 	// operation was no longer the initiator's current one (duplicated or
-	// late replies under fault injection).
-	droppedStale int64
+	// late replies under fault injection); such calls land in any
+	// processor's context, hence the atomic.
+	droppedStale atomic.Int64
 }
 
 // opSlot is one initiator's row: its open operation (op == 0 when idle) with
@@ -73,17 +78,17 @@ type opSlot[S any] struct {
 	st S
 }
 
-// NewOps creates an empty operation table.
-func NewOps[S, V any]() *Ops[S, V] {
-	return &Ops[S, V]{}
+// NewOps creates an empty operation table for initiators 1..n.
+func NewOps[S, V any](n int) *Ops[S, V] {
+	return &Ops[S, V]{slots: make([]opSlot[S], n+1)}
 }
 
-// slot returns initiator p's row, or nil when p has never initiated.
+// slot returns initiator p's row; p outside 1..n is a caller bug.
 func (o *Ops[S, V]) slot(p sim.ProcID) *opSlot[S] {
-	if uint(p) >= uint(len(o.slots)) {
-		return nil
+	if p < 1 || int(p) >= len(o.slots) {
+		panic(fmt.Sprintf("counter: initiator %v outside the table's range [1,%d]", p, len(o.slots)-1))
 	}
-	return o.slots[p]
+	return &o.slots[p]
 }
 
 // current returns p's row when p has an operation in flight and that
@@ -91,8 +96,8 @@ func (o *Ops[S, V]) slot(p sim.ProcID) *opSlot[S] {
 // it is counted and nil is returned.
 func (o *Ops[S, V]) current(nw sim.Transport, p sim.ProcID) *opSlot[S] {
 	s := o.slot(p)
-	if s == nil || s.op == 0 || nw.CurrentOp() != s.op {
-		o.droppedStale++
+	if s.op == 0 || nw.CurrentOp() != s.op {
+		o.droppedStale.Add(1)
 		return nil
 	}
 	return s
@@ -110,26 +115,12 @@ func (o *Ops[S, V]) Begin(nw sim.Transport, p sim.ProcID) *S {
 	if id == 0 {
 		panic("counter: Begin called outside an operation context")
 	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if int(p) >= len(o.slots) {
-		grown := make([]*opSlot[S], max(int(p)+1, 2*len(o.slots)))
-		copy(grown, o.slots)
-		o.slots = grown
-	}
-	s := o.slots[p]
-	switch {
-	case s == nil:
-		s = new(opSlot[S])
-		o.slots[p] = s
-	case s.op != 0:
+	s := o.slot(p)
+	if s.op != 0 {
 		panic(fmt.Sprintf("counter: initiator %v already has operation %d in flight (starting %d)", p, s.op, id))
-	default:
-		// A reused slot must not leak the previous operation's state.
-		var zero S
-		s.st = zero
 	}
-	s.op = id
+	// A reused slot must not leak the previous operation's state.
+	*s = opSlot[S]{op: id}
 	return &s.st
 }
 
@@ -137,21 +128,17 @@ func (o *Ops[S, V]) Begin(nw sim.Transport, p sim.ProcID) *S {
 // none — receiving a protocol message for an idle initiator means the
 // message was stray or the state was dropped early, both protocol bugs.
 func (o *Ops[S, V]) Get(p sim.ProcID) *S {
-	o.mu.Lock()
-	defer o.mu.Unlock()
 	s := o.slot(p)
-	if s == nil || s.op == 0 {
+	if s.op == 0 {
 		panic(fmt.Sprintf("counter: initiator %v has no operation in flight", p))
 	}
 	return &s.st
 }
 
 // InFlight reports whether initiator p currently has an open operation.
+// Like every slot access it belongs in p's context, or at quiescence.
 func (o *Ops[S, V]) InFlight(p sim.ProcID) bool {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	s := o.slot(p)
-	return s != nil && s.op != 0
+	return o.slot(p).op != 0
 }
 
 // Finish completes initiator p's operation with the delivered value v,
@@ -164,13 +151,13 @@ func (o *Ops[S, V]) InFlight(p sim.ProcID) bool {
 // copy can never overwrite a newer operation's state. It reports whether
 // the completion was applied.
 func (o *Ops[S, V]) Finish(nw sim.Transport, p sim.ProcID, v V) bool {
-	o.mu.Lock()
-	defer o.mu.Unlock()
 	s := o.current(nw, p)
 	if s == nil {
 		return false
 	}
+	o.mu.Lock()
 	o.values.put(s.op, v)
+	o.mu.Unlock()
 	s.op = 0
 	return true
 }
@@ -182,8 +169,6 @@ func (o *Ops[S, V]) Finish(nw sim.Transport, p sim.ProcID, v V) bool {
 // initiator's NEXT operation, and is instead recognized as stale (ok
 // false, counted) and ignored.
 func (o *Ops[S, V]) GetFor(nw sim.Transport, p sim.ProcID) (*S, bool) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
 	s := o.current(nw, p)
 	if s == nil {
 		return nil, false
@@ -193,11 +178,7 @@ func (o *Ops[S, V]) GetFor(nw sim.Transport, p sim.ProcID) (*S, bool) {
 
 // DroppedStale returns the number of stale Finish/GetFor calls discarded so
 // far.
-func (o *Ops[S, V]) DroppedStale() int64 {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.droppedStale
-}
+func (o *Ops[S, V]) DroppedStale() int64 { return o.droppedStale.Load() }
 
 // Take returns the value delivered to the completed operation id and
 // forgets it, so drivers running unbounded operation streams do not
@@ -209,32 +190,24 @@ func (o *Ops[S, V]) Take(id sim.OpID) (V, bool) {
 	return o.values.take(id)
 }
 
-// Clone returns an independent deep copy. deepState, when non-nil, deep-
-// copies one in-flight operation's protocol state (needed when S holds
-// slices or maps); nil keeps the shallow copy, sufficient for value-only
-// states. An idle initiator's leftover state is not carried over: the next
-// Begin would zero it anyway.
+// Clone returns an independent deep copy, taken at quiescence. deepState,
+// when non-nil, deep-copies each in-flight operation's protocol state
+// (needed when S holds slices or maps); nil keeps the flat copy, sufficient
+// for value-only states. An idle initiator's leftover state is copied flat
+// and never read: the next Begin zeroes it.
 func (o *Ops[S, V]) Clone(deepState func(*S) S) *Ops[S, V] {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	cp := &Ops[S, V]{
-		slots:        make([]*opSlot[S], len(o.slots)),
-		values:       o.values.clone(),
-		droppedStale: o.droppedStale,
-	}
-	for p, s := range o.slots {
-		if s == nil {
-			continue
-		}
-		ns := &opSlot[S]{op: s.op}
-		if s.op != 0 {
-			ns.st = s.st
-			if deepState != nil {
-				ns.st = deepState(&s.st)
+	cp := &Ops[S, V]{slots: slices.Clone(o.slots)}
+	if deepState != nil {
+		for p := range cp.slots {
+			if s := &cp.slots[p]; s.op != 0 {
+				s.st = deepState(&o.slots[p].st)
 			}
 		}
-		cp.slots[p] = ns
 	}
+	o.mu.Lock()
+	cp.values = o.values.clone()
+	o.mu.Unlock()
+	cp.droppedStale.Store(o.droppedStale.Load())
 	return cp
 }
 

@@ -1,6 +1,8 @@
 package counter
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"distcount/internal/sim"
@@ -38,7 +40,7 @@ func (pr *echoProto) Deliver(nw sim.Transport, msg sim.Message) {
 }
 
 func newEcho(n int) (*sim.Network, *echoProto) {
-	pr := &echoProto{ops: NewOps[struct{}, int]()}
+	pr := &echoProto{ops: NewOps[struct{}, int](n)}
 	return sim.New(n, pr, sim.WithSeed(1)), pr
 }
 
@@ -129,7 +131,7 @@ func TestOpsCloneIndependence(t *testing.T) {
 // dropped and counted, never applied, and the operation's value is the
 // first delivery's.
 func TestOpsFinishStaleDropped(t *testing.T) {
-	pr := &echoProto{ops: NewOps[struct{}, int]()}
+	pr := &echoProto{ops: NewOps[struct{}, int](4)}
 	// Duplicate every send of the server (processor 1): the reply to the
 	// initiator is delivered twice, so Finish runs twice for one operation.
 	net := sim.New(4, pr, sim.WithFaults(sim.FaultPlan{
@@ -184,7 +186,7 @@ func (pr *getForProto) Deliver(nw sim.Transport, msg sim.Message) {
 }
 
 func TestOpsGetForRejectsStaleReplies(t *testing.T) {
-	pr := &getForProto{ops: NewOps[int, int]()}
+	pr := &getForProto{ops: NewOps[int, int](4)}
 	net := sim.New(4, pr, sim.WithFaults(sim.FaultPlan{
 		DupNth: []sim.NthRule{{Proc: 1, Every: 1}},
 	}))
@@ -267,7 +269,7 @@ type probeState struct {
 // first operation's state (quorumctr appends to nothing, but reads
 // awaitReads and quorum from a slot it assumes fresh).
 func TestOpsReusedSlotIsZeroed(t *testing.T) {
-	ops := NewOps[probeState, int]()
+	ops := NewOps[probeState, int](8)
 	st := ops.Begin(in(1), 4)
 	st.quorum, st.await = []int{1, 2, 3}, 2
 	if !ops.Finish(in(1), 4, 10) {
@@ -290,7 +292,7 @@ func TestOpsReusedSlotIsZeroed(t *testing.T) {
 // is still operation 1, so GetFor and Finish must refuse it — counted, never
 // applied — and operation 2's state and value stay untouched.
 func TestOpsStaleAfterNextBegin(t *testing.T) {
-	ops := NewOps[int, int]()
+	ops := NewOps[int, int](8)
 	*ops.Begin(in(1), 5) = 11
 	if !ops.Finish(in(1), 5, 100) {
 		t.Fatal("operation 1 did not finish")
@@ -328,7 +330,7 @@ func TestOpsStaleAfterNextBegin(t *testing.T) {
 // from the id-indexed ring by later completions and must still be there —
 // once — when Take finally asks, however many operations came in between.
 func TestOpsTakeSurvivesRingWraparound(t *testing.T) {
-	ops := NewOps[struct{}, int]()
+	ops := NewOps[struct{}, int](8)
 	const total = 3*valueRingSize + 5
 	for id := sim.OpID(1); id <= total; id++ {
 		p := sim.ProcID(id%7 + 1)
@@ -369,7 +371,7 @@ func TestOpsTakeSurvivesRingWraparound(t *testing.T) {
 // operation's state, the recorded values (ring and spill) and the counters
 // of original and clone evolve independently, whichever side is mutated.
 func TestOpsCloneDeepStateBothDirections(t *testing.T) {
-	ops := NewOps[probeState, int]()
+	ops := NewOps[probeState, int](8)
 	// Enough unconsumed completions that the clone has to copy a spill map.
 	for id := sim.OpID(1); id <= valueRingSize+2; id++ {
 		ops.Begin(in(id), 2)
@@ -427,31 +429,84 @@ func TestOpsCloneDeepStateBothDirections(t *testing.T) {
 	}
 }
 
-// TestOpsGrowsForLargeInitiatorIDs: the slot slice starts empty and grows to
-// whatever initiator id shows up, and growing must not move state already
-// handed out.
-func TestOpsGrowsForLargeInitiatorIDs(t *testing.T) {
-	ops := NewOps[int, int]()
-	if ops.InFlight(9) {
-		t.Fatal("empty table reports an operation in flight")
+// TestOpsRejectsOutOfRangeInitiator: the slots are sized at construction,
+// so an initiator outside 1..n is a caller bug, reported with the range
+// rather than as a bare index panic.
+func TestOpsRejectsOutOfRangeInitiator(t *testing.T) {
+	ops := NewOps[int, int](4)
+	for _, p := range []sim.ProcID{0, 5, 15625} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				want := fmt.Sprintf("counter: initiator %v outside the table's range [1,4]", p)
+				if msg != want {
+					t.Errorf("Begin(%v) panicked with %q, want %q", p, msg, want)
+				}
+			}()
+			ops.Begin(in(1), p)
+		}()
 	}
-	if _, ok := ops.Take(1); ok {
-		t.Fatal("empty table reports a value")
+	// The edges are in range.
+	ops.Begin(in(1), 1)
+	ops.Begin(in(2), 4)
+	if !ops.InFlight(1) || !ops.InFlight(4) || ops.InFlight(3) {
+		t.Fatal("InFlight wrong at the table's edges")
 	}
-	small := ops.Begin(in(1), 3)
-	*small = 33
-	big := ops.Begin(in(2), 15625)
-	*big = 44
-	if ops.Get(3) != small || *small != 33 {
-		t.Fatal("growing the table moved or clobbered an earlier initiator's state")
+}
+
+// TestOpsConcurrentInitiators: slots are not locked, because slot p is only
+// ever touched in processor p's context. One goroutine per initiator — each
+// standing for its processor's worker — runs Begin, GetFor and Finish while
+// a taker consumes the values as they appear; every value arrives exactly
+// once. Run under -race, this checks the confinement the table relies on.
+func TestOpsConcurrentInitiators(t *testing.T) {
+	const n, perInitiator = 8, 500
+	ops := NewOps[int, int](n)
+	var wg sync.WaitGroup
+	ids := make(chan sim.OpID, n*perInitiator)
+	for p := 1; p <= n; p++ {
+		wg.Add(1)
+		go func(p sim.ProcID) {
+			defer wg.Done()
+			for i := range perInitiator {
+				id := sim.OpID(int(p) + n*i) // distinct across initiators
+				*ops.Begin(in(id), p) = int(id)
+				st, ok := ops.GetFor(in(id), p)
+				if !ok || *st != int(id) {
+					t.Errorf("initiator %v: GetFor in its own operation = (%v, %v)", p, st, ok)
+					return
+				}
+				if _, ok := ops.GetFor(in(id+1), p); ok {
+					t.Errorf("initiator %v: GetFor in a foreign context was accepted", p)
+					return
+				}
+				if !ops.Finish(in(id), p, int(id)*3) {
+					t.Errorf("initiator %v: Finish of operation %d refused", p, id)
+					return
+				}
+				ids <- id
+			}
+		}(sim.ProcID(p))
 	}
-	if !ops.InFlight(15625) || ops.InFlight(15624) {
-		t.Fatal("InFlight wrong around the grown slot")
+	go func() { wg.Wait(); close(ids) }()
+	seen := make(map[sim.OpID]bool, n*perInitiator)
+	for id := range ids {
+		v, ok := ops.Take(id)
+		if !ok || v != int(id)*3 {
+			t.Fatalf("Take(%d) = (%d, %v), want (%d, true)", id, v, ok, int(id)*3)
+		}
+		if seen[id] {
+			t.Fatalf("operation %d delivered twice", id)
+		}
+		seen[id] = true
+		if _, ok := ops.Take(id); ok {
+			t.Fatalf("Take(%d) returned a value twice", id)
+		}
 	}
-	if !ops.Finish(in(2), 15625, 1) || !ops.Finish(in(1), 3, 0) {
-		t.Fatal("operations on grown table did not finish")
+	if len(seen) != n*perInitiator {
+		t.Fatalf("%d values taken, want %d", len(seen), n*perInitiator)
 	}
-	if v, ok := ops.Take(2); !ok || v != 1 {
-		t.Fatalf("grown initiator's value = (%d,%v), want (1,true)", v, ok)
+	if got := ops.DroppedStale(); got != n*perInitiator {
+		t.Fatalf("dropped stale = %d, want %d (one foreign GetFor per operation)", got, n*perInitiator)
 	}
 }

@@ -116,7 +116,7 @@ func newCore(n int, eps float64, warmup int) core {
 		warmup:     warmup,
 		base:       make([]int, n+1),
 		unreported: make([]int, n+1),
-		ops:        counter.NewOps[struct{}, int](),
+		ops:        counter.NewOps[struct{}, int](n),
 	}
 }
 

@@ -89,6 +89,6 @@ func (pr *proto) Machine() counter.Machine {
 // NewMachine returns the backend-independent protocol descriptor for n
 // processors — what both backends run.
 func NewMachine(n int) counter.Machine {
-	pr := &proto{n: n, ops: counter.NewOps[struct{}, int]()}
+	pr := &proto{n: n, ops: counter.NewOps[struct{}, int](n)}
 	return pr.Machine()
 }

@@ -111,7 +111,7 @@ func newProto(n, width int, construction Construction) *proto {
 		width:        width,
 		construction: construction,
 		wireCount:    make([]int, width),
-		ops:          counter.NewOps[struct{}, int](),
+		ops:          counter.NewOps[struct{}, int](n),
 	}
 	for w := 0; w < width; w++ {
 		pr.wireCount[w] = w

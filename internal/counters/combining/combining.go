@@ -138,7 +138,7 @@ func newProto(n int, window int64) *proto {
 		n:          n,
 		window:     window,
 		leafParent: make([]int, n+1),
-		ops:        counter.NewOps[struct{}, int](),
+		ops:        counter.NewOps[struct{}, int](n),
 	}
 	for p := range pr.leafParent {
 		pr.leafParent[p] = -1

@@ -100,7 +100,7 @@ func newProto(n, width int, window int64) *proto {
 		window:    window,
 		nodes:     make([]dnode, width), // slots 1..width-1 used
 		leafCount: make([]int, width),
-		ops:       counter.NewOps[struct{}, int](),
+		ops:       counter.NewOps[struct{}, int](n),
 		toggles:   make([]int64, width),
 	}
 	for i := 1; i < width; i++ {

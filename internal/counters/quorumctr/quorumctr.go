@@ -198,7 +198,7 @@ func newProto(sys quorum.System) *proto {
 		sys:      sys,
 		replicas: make([]replica, sys.N()+1),
 		localOps: make([]int, sys.N()+1),
-		ops:      counter.NewOps[opState, int](),
+		ops:      counter.NewOps[opState, int](sys.N()),
 	}
 }
 

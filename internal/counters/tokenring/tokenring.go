@@ -125,7 +125,7 @@ func (pr *proto) Machine() counter.Machine {
 // newProto builds the ring: processor 1 initially holds the token and the
 // value 0.
 func newProto(n int) *proto {
-	return &proto{n: n, holder: 1, ops: counter.NewOps[struct{}, int]()}
+	return &proto{n: n, holder: 1, ops: counter.NewOps[struct{}, int](n)}
 }
 
 // NewMachine returns the backend-independent protocol descriptor for n

@@ -23,9 +23,8 @@ type event struct {
 	parent  int32 // DAG node of the sending callback within op (Delivery.Parent)
 	// local marks a timer/self-wakeup (Message.Local).
 	local bool
-	// reserved marks a delivery deferred by the service-time model: the
-	// event holds a reservation for its receiver's service slot at `at`
-	// and must not be deferred again.
+	// reserved marks a delivery whose receiver's service slot is booked:
+	// `at` is that slot, and the event must not be booked again.
 	reserved bool
 }
 
@@ -90,10 +89,10 @@ func (h *eventHeap) siftDown(i int) {
 // ringWindow is the span, in ticks, of the near-future bucket ring: events
 // scheduled within ringWindow ticks of the last delivery bypass the binary
 // heap. It must be exactly 64 so one machine word can index bucket
-// occupancy. Unit-latency sends, same-tick timers, and service-slot
-// deferrals — the simulator's dominant event population — all land inside
-// the window; only far timers and scheduled future operations pay for the
-// heap.
+// occupancy. Unit-latency sends, same-tick timers, and booked service
+// slots — the simulator's dominant event population — all land inside the
+// window; only far timers, deep receiver backlogs and scheduled future
+// operations pay for the heap.
 const ringWindow = 64
 
 // eventQueue is the simulator's pending-event set: a bucket ring over the
@@ -107,8 +106,9 @@ const ringWindow = 64
 //     every ring event's timestamp stays inside [base, base+ringWindow):
 //     ticks map 1:1 onto buckets (bucket = at mod ringWindow).
 //   - within a bucket, events from heads[b] on are sorted by seq. Pushes
-//     carry fresh, increasing seqs except service-slot and crash-freeze
-//     re-entries, which keep or renew their seq and binary-insert.
+//     carry fresh, increasing seqs except the re-entries of the arrival
+//     booking path (a message waiting for its service slot keeps its seq)
+//     and crash-freeze re-entries (which renew it); those binary-insert.
 //   - occ bit b is set iff bucket b has undelivered events; nearLen counts
 //     them, so emptiness checks and peeks never scan the ring.
 type eventQueue struct {
@@ -139,8 +139,9 @@ func (q *eventQueue) push(e *event) {
 		// everything already queued for the tick.
 		q.near[b] = append(bucket, *e)
 	} else {
-		// A service-slot or freeze re-entry overtaken by newer sends to the
-		// same tick: binary-insert by seq behind the pop cursor.
+		// An arrival-booked service-slot or freeze re-entry overtaken by
+		// newer sends to the same tick: binary-insert by seq behind the pop
+		// cursor.
 		lo, hi := q.heads[b], n
 		for lo < hi {
 			mid := int(uint(lo+hi) >> 1)

@@ -100,6 +100,13 @@ func (p FaultPlan) Empty() bool {
 		len(p.Crashes) == 0 && p.Churn == nil
 }
 
+// hasDowntime reports whether the plan takes any processor down: a crash
+// window or churn. Downtime decides a message's fate at its arrival, so a
+// network under such a plan books service slots at arrival too.
+func (p FaultPlan) hasDowntime() bool {
+	return len(p.Crashes) > 0 || p.Churn != nil
+}
+
 // validate panics on malformed plans; installing a plan is a programming
 // decision, not runtime input (the loadgen CLI validates its flag syntax
 // separately).

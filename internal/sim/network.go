@@ -38,7 +38,12 @@ type Network struct {
 	// default model returns 1 and draws no randomness, so pushSend skips the
 	// interface call and the Message it would have to build for it.
 	unitLatency bool
-	rand        *rng.Source
+	// bookAtSend, fixed at construction, marks a network whose messages reach
+	// each receiver in send order: unit latency and no crash or churn window
+	// to hold one back. pushSend then books the service slot itself, so a
+	// message to a busy receiver is queued once, at its slot.
+	bookAtSend bool
+	rand       *rng.Source
 
 	now   int64
 	seq   uint64
@@ -74,12 +79,24 @@ type Network struct {
 // server is one processor's receiver-side service state. cost is its
 // processing cost per network message in ticks (0 = messages are processed
 // instantly, the paper's pure latency model; a heterogeneous profile models
-// mixed hardware, where a slow processor saturates before its peers); freeAt
-// is the first tick at which it may process its next network message, and
-// nextSlot the next unreserved service slot (deferred deliveries each
-// reserve one, so a message is deferred at most once).
+// mixed hardware, where a slow processor saturates before its peers); next
+// is the first tick its next message may be served at, the end of the last
+// slot booked.
 type server struct {
-	cost, freeAt, nextSlot int64
+	cost, next int64
+}
+
+// reserve books the service slot of a message arriving at a: it is served
+// at max(a, next), after every message booked before it, and holds the
+// processor for cost ticks. Booked in arrival order this is a FIFO queue
+// (Lindley's recursion). It is the simulator's one service-slot rule, run
+// where a message's arrival order at its receiver is known: at send when
+// the network books at send (bookAtSend), otherwise when the message's
+// arrival event pops.
+func (sv *server) reserve(a int64) int64 {
+	slot := max(a, sv.next)
+	sv.next = slot + sv.cost
+	return slot
 }
 
 // Option configures a Network.
@@ -102,8 +119,11 @@ func WithMaxEvents(budget int64) Option {
 
 // WithServiceTime gives every processor a finite processing rate: a
 // processor handles at most one incoming network message per s ticks, and
-// messages reaching a busy processor wait at the receiver (in deterministic
-// send order) until it frees up. Operation starts and local timers are
+// messages reaching a busy processor wait at the receiver until it frees
+// up, served FIFO in arrival order (ties by send order, so deterministic).
+// Under unit latency with no crash or churn window arrival order is send
+// order and the slot is booked when the message is sent; otherwise it is
+// booked when the message arrives. Operation starts and local timers are
 // exempt — the cost models message handling, the quantity the paper counts.
 //
 // The default (0) is the paper's pure latency model, in which a processor
@@ -176,6 +196,7 @@ func New(n int, proto Protocol, opts ...Option) *Network {
 		opt(nw)
 	}
 	_, nw.unitLatency = nw.latency.(UnitLatency)
+	nw.bookAtSend = nw.unitLatency && (nw.faults == nil || !nw.faults.plan.hasDowntime())
 	return nw
 }
 
@@ -397,20 +418,27 @@ func (nw *Network) accountSend(from, to ProcID, pl Payload, st *OpStats, countPe
 // pushSend enqueues one transmission with a fresh latency draw. Under the
 // default UnitLatency the draw is the constant 1 and consumes no randomness,
 // so the model is not consulted; every other model sees the full message.
+// When the network books at send, a message to a serving receiver is queued
+// at its service slot, already reserved.
 func (nw *Network) pushSend(from, to ProcID, pl Payload, op OpID, parent int32) {
 	delay := int64(1)
 	if !nw.unitLatency {
 		delay = nw.latency.Delay(Message{From: from, To: to, Payload: pl}, nw.rand)
 	}
+	at, reserved := nw.now+delay, false
+	if sv := &nw.servers[to]; nw.bookAtSend && sv.cost > 0 {
+		at, reserved = sv.reserve(at), true
+	}
 	nw.seq++
 	nw.queue.push(&event{
-		at:      nw.now + delay,
-		seq:     nw.seq,
-		payload: pl,
-		op:      op,
-		from:    int32(from),
-		to:      int32(to),
-		parent:  parent,
+		at:       at,
+		seq:      nw.seq,
+		payload:  pl,
+		op:       op,
+		from:     int32(from),
+		to:       int32(to),
+		parent:   parent,
+		reserved: reserved,
 	})
 }
 
@@ -603,24 +631,19 @@ func (nw *Network) Step() (bool, error) {
 	if nw.faults != nil && nw.faultIntercept(&e) {
 		return true, nil
 	}
-	// Receiver-side service: a network message reaching a processor that
-	// is still busy — or that has outstanding slot reservations, which
-	// means earlier arrivals are still waiting — reserves the receiver's
-	// next free service slot and re-enters the queue at that time, marked
-	// reserved. Slots are reserved in first-pop order — i.e. arrival order
-	// (at, seq), which is deterministic — and a reserved event is never
-	// deferred again (an unreserved event popping at the same tick as an
-	// outstanding slot defers rather than stealing it), so a backlog of k
-	// messages costs O(k) extra queue operations, not O(k²), and drains
-	// FIFO with no starvation.
+	// Receiver-side service booked at arrival (a network that does not
+	// book at send; Freeze re-entries among them): the message reserves its
+	// receiver's slot when it pops, i.e. in arrival order (at, seq), and a
+	// message that must wait re-enters the queue at its slot, marked
+	// reserved so it is never deferred again (an unreserved event popping
+	// at the same tick as an outstanding slot defers rather than stealing
+	// it). A backlog of k messages thus costs O(k) extra queue operations
+	// and drains FIFO with no starvation.
 	to := ProcID(e.to)
 	if e.start == nil && !e.local && !e.reserved {
 		if sv := &nw.servers[to]; sv.cost > 0 {
-			if free := sv.freeAt; free > e.at || sv.nextSlot > free {
-				slot := max(free, sv.nextSlot)
-				sv.nextSlot = slot + sv.cost
-				e.at = slot
-				e.reserved = true
+			if slot := sv.reserve(e.at); slot > e.at {
+				e.at, e.reserved = slot, true
 				nw.queue.push(&e)
 				return true, nil
 			}
@@ -646,9 +669,6 @@ func (nw *Network) Step() (bool, error) {
 	} else {
 		if !e.local {
 			nw.recv[to]++
-			if sv := &nw.servers[to]; sv.cost > 0 {
-				sv.freeAt = e.at + sv.cost
-			}
 			if st != nil && st.nodes > 0 && nw.onDeliver != nil {
 				nw.cur.node = int32(st.nodes)
 				st.nodes++
@@ -755,6 +775,7 @@ func (nw *Network) Clone() (*Network, error) {
 		proto:       cp.CloneProtocol(),
 		latency:     nw.latency,
 		unitLatency: nw.unitLatency,
+		bookAtSend:  nw.bookAtSend,
 		rand:        nw.rand.Clone(),
 		now:         nw.now,
 		seq:         nw.seq,

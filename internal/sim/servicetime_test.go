@@ -35,8 +35,9 @@ func sendTo(target ProcID) func(nw Transport, p ProcID) {
 }
 
 // TestServiceTimeSerializesReceiver: three messages reaching one processor
-// in the same tick are processed one per service slot, in deterministic
-// send order; without a service time they all land at once.
+// in the same tick are processed one per service slot, in send order (their
+// arrival order under unit latency); without a service time they all land
+// at once.
 func TestServiceTimeSerializesReceiver(t *testing.T) {
 	run := func(opts ...Option) []int64 {
 		s := &sinkProto{}
@@ -98,6 +99,57 @@ func TestServiceTimeNoSlotStealing(t *testing.T) {
 	// W (from p2, arrived 15) waits for slot 20 despite its smaller seq.
 	if s.senders[1] != 4 || s.senders[2] != 2 {
 		t.Fatalf("senders = %v, want [p3 p4 p2] (slot stolen by send order)", s.senders)
+	}
+}
+
+// TestServiceBookingPoint: a network books service slots at send exactly
+// when its messages reach each receiver in send order — unit latency and no
+// crash or churn window — and its clone books where it does. Loss and
+// duplication decide at send, so they keep the send-time booking.
+func TestServiceBookingPoint(t *testing.T) {
+	cases := []struct {
+		name string
+		opts []Option
+		want bool
+	}{
+		{"unit", nil, true},
+		{"loss", []Option{WithFaults(FaultPlan{Loss: 0.1})}, true},
+		{"dup", []Option{WithFaults(FaultPlan{DupNth: []NthRule{{Every: 2}}})}, true},
+		{"crash", []Option{WithFaults(FaultPlan{Crashes: []Downtime{{Proc: 1, From: 5, To: 9}}})}, false},
+		{"churn", []Option{WithFaults(FaultPlan{Churn: &ChurnSpec{Procs: 1, Period: 10, Down: 2}})}, false},
+		{"uniform", []Option{WithLatency(UniformLatency{Min: 1, Max: 1})}, false},
+	}
+	for _, c := range cases {
+		nw := New(3, &sinkProto{}, append(c.opts, WithServiceTime(2))...)
+		cl, err := nw.Clone()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if nw.bookAtSend != c.want || cl.bookAtSend != c.want {
+			t.Errorf("%s: books at send = %v (clone %v), want %v", c.name, nw.bookAtSend, cl.bookAtSend, c.want)
+		}
+	}
+}
+
+// TestServiceSlotAfterDrainedReservation: a reserved delivery destroyed by
+// a crash window still used its slot, and a message arriving after the
+// processor recovered is served on arrival — not at the dead slot, which
+// lies in the past and inside the window.
+func TestServiceSlotAfterDrainedReservation(t *testing.T) {
+	s := &sinkProto{}
+	nw := New(3, s, WithServiceTime(5),
+		WithFaults(FaultPlan{Crashes: []Downtime{{Proc: 1, From: 3, To: 20}}}))
+	nw.StartOp(2, sendTo(1)) // served at 1
+	nw.StartOp(3, sendTo(1)) // arrives at 1, reserves slot 6, drained at 6
+	nw.ScheduleOp(30, 2, sendTo(1))
+	if err := nw.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int64{1, 31}; !equalInt64s(s.deliveries, want) {
+		t.Fatalf("deliveries = %v, want %v", s.deliveries, want)
+	}
+	if st := nw.FaultStats(); st.CrashDropped != 1 {
+		t.Fatalf("crash-dropped = %d, want 1", st.CrashDropped)
 	}
 }
 
