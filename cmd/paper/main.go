@@ -194,7 +194,7 @@ func profile(fs *flag.FlagSet) func(io.Writer) error {
 			if err := verify.Sequential(res); err != nil {
 				return fmt.Errorf("correctness: %w", err)
 			}
-			if err := verify.HotSpot(c.Net(), res); err != nil {
+			if err := verify.HotSpot(res); err != nil {
 				return fmt.Errorf("hot spot: %w", err)
 			}
 		}

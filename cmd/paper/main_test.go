@@ -28,6 +28,8 @@ var runTable = []struct {
 	{name: "profile_random", args: "profile -algo ctree -n 81 -order random -seed 7 -top 5"},
 	{name: "profile_reverse_nocheck", args: "profile -algo central -n 8 -order reverse -buckets 4 -top 3 -check=false"},
 	{name: "profile_grid", args: "profile -algo quorum-grid -n 36 -top 2"},
+	// The Hot Spot check past 127 processors.
+	{name: "profile_ctree_1024", args: "profile -algo ctree -n 1024"},
 	{name: "profile_list", args: "profile -list"},
 	{name: "tree_k2", args: "tree -k 2"},
 	{name: "tree_k2_run", args: "tree -k 2 -run"},

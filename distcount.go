@@ -36,8 +36,8 @@ type (
 	ProcID = sim.ProcID
 	// Network is the simulated asynchronous message-passing system.
 	Network = sim.Network
-	// RunResult records the values and operation ids of an executed
-	// operation sequence.
+	// RunResult records the values of an executed operation sequence and
+	// how many processors each two consecutive operations share.
 	RunResult = counter.RunResult
 	// LoadSummary summarizes per-processor message loads: bottleneck,
 	// mean, median, Gini coefficient.
@@ -322,7 +322,8 @@ func RunKeyedWorkload(svc *CountingService, sc Scenario, cfg WorkloadConfig) (*W
 }
 
 // RunSequence executes the operations in order, each running to quiescence
-// before the next starts (the paper's sequential model).
+// before the next starts (the paper's sequential model). It holds the
+// network's OnDeliver hook for the run.
 func RunSequence(c Counter, order []ProcID) (*RunResult, error) {
 	return counter.RunSequence(c, order)
 }

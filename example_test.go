@@ -6,6 +6,7 @@ import (
 
 	"distcount"
 	"distcount/internal/sim"
+	"distcount/internal/trace"
 	"distcount/internal/verify"
 )
 
@@ -97,19 +98,22 @@ func ExampleNewPriorityQueue() {
 // The Hot Spot Lemma: when p and q increment in direct succession, the
 // participant sets of their operations intersect — otherwise q could not
 // know about p's increment. Two operations by far-apart processors
-// on three counters show the shared processor carrying the value.
+// on three counters, their participant sets read off recorded DAGs, show the
+// shared processor carrying the value.
 func Example_hotspot() {
 	for _, algo := range []string{"central", "ctree", "quorum-grid"} {
 		c, err := distcount.New(algo, 8)
 		if err != nil {
 			panic(err)
 		}
-		res, err := distcount.RunSequence(c, []distcount.ProcID{2, 7})
-		if err != nil {
-			panic(err)
+		var rec trace.Recorder
+		c.Net().OnDeliver(rec.Record)
+		for _, p := range []distcount.ProcID{2, 7} {
+			if _, err := c.Inc(p); err != nil {
+				panic(err)
+			}
 		}
-		net := c.Net()
-		first, second := net.OpStats(res.OpIDs[0]).Participants(), net.OpStats(res.OpIDs[1]).Participants()
+		first, second := rec.DAG(1).Participants(), rec.DAG(2).Participants()
 		fmt.Printf("%s: I_p2 = %v, I_p7 = %v, shared %v\n", algo, first, second, intersect(first, second))
 	}
 	// Output:

@@ -32,6 +32,20 @@ func TestValueTracksOps(t *testing.T) {
 	}
 }
 
+// TestDoForgetsItsOperation: Tree.Do leaves no operation record on the
+// network, retirement cascades included.
+func TestDoForgetsItsOperation(t *testing.T) {
+	c := New(2)
+	for _, p := range counter.RandomOrder(c.N(), 5) {
+		if _, err := c.Inc(p); err != nil {
+			t.Fatal(err)
+		}
+		if id := sim.OpID(c.Net().Ops()); c.Net().OpStats(id) != nil {
+			t.Fatalf("op %d by %v: record survived Do", id, p)
+		}
+	}
+}
+
 func TestNewForSizeRoundsUp(t *testing.T) {
 	c := NewForSize(9)
 	if c.K() != 3 || c.N() != 81 {

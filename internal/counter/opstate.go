@@ -35,9 +35,9 @@ import (
 // the old panic caught remains visible, just as data instead of a crash.
 //
 // Values are read per operation with Take — the Machine's Value hook, behind
-// Async.OpValue for the engine, the experiments and the shared sequential
-// driver RunInc. Take consumes the value so long workload runs do not
-// accumulate per-op state.
+// Async.OpValue for the engine, the experiments and the sequential Sim.Inc.
+// Take consumes the value so long workload runs do not accumulate per-op
+// state.
 //
 // Layout: the table sits on every operation's path (Begin, Finish, Take, and
 // GetFor per reply on the quorum protocols), so it is dense rather than
@@ -213,7 +213,7 @@ func (o *Ops[S, V]) Clone(deepState func(*S) S) *Ops[S, V] {
 
 // valueRingSize is the number of delivered values the table holds without
 // hashing. Drivers consume a value within the completion that produced it
-// (the engine) or right after the run quiesces (RunInc), so only a handful
+// (the engine) or right after the run quiesces (Sim.Inc), so only a handful
 // are ever unconsumed at once; the ring only has to be wide enough that
 // those few rarely collide.
 const valueRingSize = 64
@@ -270,21 +270,4 @@ func (t *valueTable[V]) clone() valueTable[V] {
 		}
 	}
 	return cp
-}
-
-// RunInc drives one increment by p through the concurrent Start path and
-// runs the network to quiescence — the shared body of every
-// implementation's sequential Inc method (the paper's execution model:
-// "enough time elapses in between any two inc requests").
-func RunInc(c Async, p sim.ProcID) (int, error) {
-	net := c.Net()
-	id := c.Start(net.Now(), p)
-	if err := net.Run(); err != nil {
-		return 0, err
-	}
-	v, ok := c.OpValue(id)
-	if !ok {
-		return 0, fmt.Errorf("%s: operation by %v terminated without a value", c.Name(), p)
-	}
-	return v, nil
 }

@@ -213,37 +213,21 @@ func TestOpsGetForRejectsStaleReplies(t *testing.T) {
 	}
 }
 
-// TestRunIncSequence: the shared sequential driver produces 0, 1, 2, ...
-// through an Async wrapper.
-func TestRunIncSequence(t *testing.T) {
-	net, pr := newEcho(4)
-	c := &echoCounter{net: net, pr: pr}
+// TestSimIncSequence: the sequential Inc produces 0, 1, 2, ... from a
+// machine's Initiate and Value hooks.
+func TestSimIncSequence(t *testing.T) {
+	pr := &echoProto{ops: NewOps[struct{}, int](4)}
+	c := OnSim(Machine{Name: "echo", N: 4, Proto: pr, Initiate: pr.initiate, Value: pr.ops.Take})
 	for want := 0; want < 6; want++ {
 		p := sim.ProcID(want%3 + 2)
-		v, err := RunInc(c, p)
+		v, err := c.Inc(p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if v != want {
-			t.Fatalf("RunInc returned %d, want %d", v, want)
+			t.Fatalf("Inc returned %d, want %d", v, want)
 		}
 	}
-}
-
-// echoCounter adapts echoProto to the Async interface for RunInc.
-type echoCounter struct {
-	net *sim.Network
-	pr  *echoProto
-}
-
-func (c *echoCounter) Name() string                    { return "echo" }
-func (c *echoCounter) N() int                          { return c.net.N() }
-func (c *echoCounter) Net() *sim.Network               { return c.net }
-func (c *echoCounter) Inc(p sim.ProcID) (int, error)   { return RunInc(c, p) }
-func (c *echoCounter) Guarantee() Guarantee            { return Exact(Linearizable) }
-func (c *echoCounter) OpValue(id sim.OpID) (int, bool) { return c.pr.ops.Take(id) }
-func (c *echoCounter) Start(at int64, p sim.ProcID) sim.OpID {
-	return c.net.ScheduleOp(at, p, c.pr.initiate)
 }
 
 // opCtx is a Transport stub that only answers CurrentOp — all the table ever

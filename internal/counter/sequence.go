@@ -13,16 +13,18 @@ type RunResult struct {
 	Order []sim.ProcID
 	// Values[i] is the counter value returned to Order[i].
 	Values []int
-	// OpIDs[i] is the simulator operation id of the ith operation,
-	// resolvable to OpStats (participants, message counts) and, when the
-	// network had an OnDeliver recorder, to a DAG.
-	OpIDs []sim.OpID
+	// Shared[i] is |I_i ∩ I_{i+1}|, the number of processors taking part in
+	// both the ith operation and the next one. An operation's I is the
+	// paper's participant set: its initiator and every processor that
+	// received one of its messages, read off the network's delivery records.
+	Shared []int
 }
 
 // RunSequence executes the operations in order, sequentially (each runs to
-// quiescence before the next starts, per the paper's model). It needs the
-// counter's simulated network to number the operations, so a counter on
-// the rt backend is an error.
+// quiescence before the next starts, per the paper's model). It holds the
+// network's OnDeliver hook for the run (replacing any installed before;
+// none is left after), so it needs the counter's simulated network: a
+// counter on the rt backend is an error.
 func RunSequence(c Counter, order []sim.ProcID) (*RunResult, error) {
 	net := c.Net()
 	if net == nil {
@@ -31,22 +33,38 @@ func RunSequence(c Counter, order []sim.ProcID) (*RunResult, error) {
 	res := &RunResult{
 		Order:  append([]sim.ProcID(nil), order...),
 		Values: make([]int, 0, len(order)),
-		OpIDs:  make([]sim.OpID, 0, len(order)),
+		Shared: make([]int, max(len(order)-1, 0)),
 	}
-	for i, p := range order {
+	// mark[p] is 1 + the index of the latest operation p took part in (0:
+	// none yet). Windows are closed, so every delivery of operation i comes
+	// before any of operation i+1 and one stamp per processor suffices.
+	mark := make([]int, net.N()+1)
+	var cur sim.OpID
+	i := 0
+	net.OnDeliver(func(d sim.Delivery) {
+		if d.Op != cur || mark[d.Proc] == i+1 {
+			return
+		}
+		if i > 0 && mark[d.Proc] == i {
+			res.Shared[i-1]++
+		}
+		mark[d.Proc] = i + 1
+	})
+	defer net.OnDeliver(nil)
+	for ; i < len(order); i++ {
+		p := order[i]
 		before := net.Ops()
+		cur = sim.OpID(before + 1)
 		v, err := c.Inc(p)
 		if err != nil {
 			return nil, fmt.Errorf("counter %q: op %d by %v: %w", c.Name(), i, p, err)
 		}
-		res.Values = append(res.Values, v)
-		// The counter performed exactly one operation; its id is the next
-		// one after `before`. Implementations start exactly one op per Inc;
-		// this is asserted here.
+		// Implementations start exactly one op per Inc; this is asserted
+		// here.
 		if net.Ops() != before+1 {
 			return nil, fmt.Errorf("counter %q: Inc started %d ops, want 1", c.Name(), net.Ops()-before)
 		}
-		res.OpIDs = append(res.OpIDs, sim.OpID(before+1))
+		res.Values = append(res.Values, v)
 	}
 	return res, nil
 }

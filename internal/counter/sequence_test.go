@@ -1,6 +1,7 @@
 package counter_test
 
 import (
+	"slices"
 	"testing"
 
 	"distcount/internal/counter"
@@ -67,28 +68,30 @@ func TestRepeatedOrder(t *testing.T) {
 	}
 }
 
-func TestRunSequenceRecordsOpIDs(t *testing.T) {
+// TestRunSequenceCountsSharedParticipants: on the central counter every
+// operation's participant set is its initiator and the center, processor 1,
+// so consecutive operations share exactly the center — or both processors
+// when one initiator runs twice in a row. RunSequence holds the OnDeliver hook for the run and leaves none
+// behind: a recorder installed before it sees nothing.
+func TestRunSequenceCountsSharedParticipants(t *testing.T) {
 	c := counter.OnSim(central.NewMachine(4))
-	var rec trace.Recorder
-	c.Net().OnDeliver(rec.Record)
-	res, err := counter.RunSequence(c, counter.SequentialOrder(4))
+	var before trace.Recorder
+	c.Net().OnDeliver(before.Record)
+	res, err := counter.RunSequence(c, []sim.ProcID{2, 3, 3, 1, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.OpIDs) != 4 || len(res.Values) != 4 {
-		t.Fatalf("result shape wrong: %+v", res)
+	if want := []int{1, 2, 1, 1}; !slices.Equal(res.Shared, want) || len(res.Values) != 5 {
+		t.Fatalf("Shared = %v over %d values, want %v over 5", res.Shared, len(res.Values), want)
 	}
-	for i, id := range res.OpIDs {
-		st := c.Net().OpStats(id)
-		if st == nil {
-			t.Fatalf("op %d: no stats for id %d", i, id)
-		}
-		if st.Initiator != res.Order[i] {
-			t.Fatalf("op %d: initiator %v, want %v", i, st.Initiator, res.Order[i])
-		}
-		if d := rec.DAG(id); d == nil || d.Validate() != nil || int64(d.Messages()) != st.Messages {
-			t.Fatalf("op %d: DAG %v does not resolve from its id", i, d)
-		}
+	if before.DAG(1) != nil {
+		t.Fatal("the hook installed before RunSequence saw its operations")
+	}
+	if _, err := c.Inc(2); err != nil {
+		t.Fatal(err)
+	}
+	if before.DAG(6) != nil {
+		t.Fatal("RunSequence left a hook installed")
 	}
 }
 

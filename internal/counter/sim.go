@@ -39,8 +39,22 @@ func (s *Sim) N() int { return s.m.N }
 // Net implements Counter.
 func (s *Sim) Net() *sim.Network { return s.net }
 
-// Inc implements Counter: one operation run to quiescence.
-func (s *Sim) Inc(p sim.ProcID) (int, error) { return RunInc(s, p) }
+// Inc implements Counter: one operation by p run to quiescence — the
+// paper's execution model, "enough time elapses in between any two inc
+// requests". The network then forgets the operation, so a long sequential
+// run keeps no per-operation record.
+func (s *Sim) Inc(p sim.ProcID) (int, error) {
+	id := s.Start(s.net.Now(), p)
+	if err := s.net.Run(); err != nil {
+		return 0, err
+	}
+	v, ok := s.OpValue(id)
+	if !ok {
+		return 0, fmt.Errorf("%s: operation by %v terminated without a value", s.m.Name, p)
+	}
+	s.net.ForgetOp(id)
+	return v, nil
+}
 
 // Start implements Async. The machine's Initiate is a func value built once
 // per machine, so scheduling an operation allocates nothing beyond the

@@ -208,7 +208,7 @@ func TestDiffractedOpCompletesAtValueDelivery(t *testing.T) {
 	m := NewMachine(2, WithWidth(2), WithWindow(4))
 	c := counter.OnSim(m)
 	done := map[sim.OpID]int64{}
-	c.Net().OnOpDone(func(st *sim.OpStats) { done[st.ID] = st.DoneAt })
+	c.Net().OnOpDone(func(d sim.OpDone) { done[d.ID] = d.End })
 	op1 := c.Start(0, 1)
 	op2 := c.Start(1, 2)
 	if err := c.Net().Run(); err != nil {

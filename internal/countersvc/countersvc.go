@@ -315,7 +315,12 @@ func (s *Service) attach(i int, algo string, c counter.Async) error {
 			s.nets = make([]*sim.Network, 0, len(s.shards))
 		}
 		s.nets = append(s.nets, nw)
-		nw.OnOpDone(func(st *sim.OpStats) { s.noteDone(i, st) })
+		nw.OnOpDone(func(d sim.OpDone) {
+			// Forgotten at once, so a long run keeps no per-operation record
+			// and the next start may recycle it.
+			nw.ForgetOp(d.ID)
+			s.finish(i, d)
+		})
 	}
 	return nil
 }
@@ -439,15 +444,6 @@ func (s *Service) Start(at int64, key int, p sim.ProcID) (shard int, id sim.OpID
 	s.keyOf[shard*(s.n+1)+int(p)] = key
 	k.inflight++
 	return shard, id
-}
-
-// noteDone is the sim backend's completion hook. The record is copied out
-// and the shard network forgets the operation, so a long run keeps no
-// per-operation record and the next start may recycle it.
-func (s *Service) noteDone(shard int, st *sim.OpStats) {
-	d := sim.OpDone{ID: st.ID, Initiator: st.Initiator, Start: st.StartedAt, End: st.DoneAt, Messages: st.Messages}
-	s.nets[shard].ForgetOp(st.ID)
-	s.finish(shard, d)
 }
 
 // finish is the per-completion step shared by both backends: in-flight

@@ -6,6 +6,7 @@ import (
 
 	"distcount/internal/core"
 	"distcount/internal/counter"
+	"distcount/internal/sim"
 	"distcount/internal/trace"
 )
 
@@ -18,16 +19,16 @@ func E1(Config) (string, error) {
 	c := core.New(2)
 	var rec trace.Recorder
 	c.Net().OnDeliver(rec.Record)
-	res, err := counter.RunSequence(c, counter.SequentialOrder(c.N()))
-	if err != nil {
-		return "", err
-	}
-
-	// Pick the operation with the largest DAG (a retirement cascade).
+	// Run the canonical workload and pick the operation with the largest DAG
+	// (a retirement cascade).
+	var d *trace.DAG
 	bestIdx := 0
-	d := rec.DAG(res.OpIDs[0])
-	for i, id := range res.OpIDs {
-		if di := rec.DAG(id); di.Messages() > d.Messages() {
+	for i, p := range counter.SequentialOrder(c.N()) {
+		id := sim.OpID(c.Net().Ops() + 1)
+		if _, err := c.Inc(p); err != nil {
+			return "", err
+		}
+		if di := rec.DAG(id); d == nil || di.Messages() > d.Messages() {
 			bestIdx, d = i, di
 		}
 	}

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"slices"
+
 	"distcount/internal/counter"
 	"distcount/internal/registry"
 	"distcount/internal/verify"
@@ -30,33 +32,11 @@ func E7(cfg Config) (string, error) {
 				return err
 			}
 			status := "ok"
-			if err := verify.HotSpot(c.Net(), res); err != nil {
+			if err := verify.HotSpot(res); err != nil {
 				status = "VIOLATED: " + err.Error()
 			}
-			row(name, len(order), status, minIntersection(c, res))
+			row(name, len(order), status, slices.Min(res.Shared))
 			return nil
 		},
 	}.render()
-}
-
-func minIntersection(c counter.Counter, res *counter.RunResult) int {
-	least := -1
-	for i := 1; i < len(res.OpIDs); i++ {
-		prev := c.Net().OpStats(res.OpIDs[i-1])
-		cur := c.Net().OpStats(res.OpIDs[i])
-		if prev == nil || cur == nil {
-			continue
-		}
-		count := 0
-		curSet := cur.ParticipantSet()
-		for p := range prev.ParticipantSet() {
-			if _, ok := curSet[p]; ok {
-				count++
-			}
-		}
-		if least == -1 || count < least {
-			least = count
-		}
-	}
-	return least
 }

@@ -15,9 +15,9 @@ import (
 // and the engine add nothing, a forwarded message reuses the box it arrived
 // in, and a one-to-many send shares one box — so a figure above its ceiling
 // means a payload is being boxed twice again or per-operation bookkeeping
-// has started allocating. The same quantity shows, rounded down and with the
-// simulator's unrecycled operation record on top, as allocs/op of
-// `go test -bench 'BenchmarkInc$' -benchtime 2000x`; the map-backed op table
+// has started allocating. The same quantity shows, rounded down, as
+// allocs/op of `go test -bench 'BenchmarkInc$' -benchtime 2000x`; the
+// map-backed op table
 // and the re-boxing handlers measure here at 2, 13, 19, 26.7, 2.6, 11, 6, 2,
 // 36.8, 82, 4, 28.9, 27.6 and 2 in table order, so every row fails there.
 var incAllocCeilings = map[string]float64{
@@ -53,19 +53,14 @@ func TestIncAllocCeilings(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			net, n, i := c.Net(), c.N(), 0
-			// One increment run to quiescence — counter.RunInc — followed by
-			// the engine's ForgetOp, so the simulator recycles the operation
-			// record and what is counted is the protocol's own allocation.
+			n, i := c.N(), 0
+			// One sequential Inc. It forgets its operation, so the simulator
+			// recycles the record and what is counted is the protocol's own
+			// allocation; an Inc that stops recycling fails here.
 			inc := func() {
-				id := c.Start(net.Now(), sim.ProcID(i%n+1))
-				if err := net.Run(); err != nil {
+				if _, err := c.Inc(sim.ProcID(i%n + 1)); err != nil {
 					t.Fatal(err)
 				}
-				if _, ok := c.OpValue(id); !ok {
-					t.Fatalf("operation %d ended without a value", id)
-				}
-				net.ForgetOp(id)
 				i++
 			}
 			// Warm up past lazily built state (op-table slots, event buckets,

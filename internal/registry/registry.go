@@ -43,8 +43,8 @@ type Config struct {
 	// window). Zero keeps the windows closed — the sequential regime, in
 	// which nothing ever merges.
 	Window int64
-	// SimOpts are forwarded to the simulated network (seed, latency model,
-	// event budget). The rt backend has no such knobs: NewWith rejects a
+	// SimOpts are forwarded to the simulated network (seed, latency model).
+	// The rt backend has no such knobs: NewWith rejects a
 	// Config that sets them together with Backend "rt". What both backends
 	// share — service cost, faults — has its own field below.
 	SimOpts []sim.Option

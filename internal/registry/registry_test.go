@@ -80,7 +80,7 @@ func TestAllNamesConcurrent(t *testing.T) {
 			}
 			n := a.N()
 			completions := 0
-			a.Net().OnOpDone(func(*sim.OpStats) { completions++ })
+			a.Net().OnOpDone(func(sim.OpDone) { completions++ })
 			for p := 1; p <= 4 && p <= n; p++ {
 				a.Start(int64(p-1), sim.ProcID(p))
 			}

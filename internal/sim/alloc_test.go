@@ -75,11 +75,8 @@ func TestScheduleOpRecyclesRecords(t *testing.T) {
 	if st2 != st {
 		t.Fatalf("second op got a fresh record (%p), want the recycled one (%p)", st2, st)
 	}
-	if st2.ID != id2 || st2.Initiator != 3 || st2.Messages != 0 {
+	if st2.OpDone != (OpDone{ID: id2, Initiator: 3, Start: nw.Now(), End: nw.Now()}) || st2.Done() || st2.Killed() != 0 {
 		t.Fatalf("recycled record not reset: %+v", st2)
-	}
-	if got := st2.Participants(); len(got) != 1 || got[0] != 3 {
-		t.Fatalf("recycled participants = %v, want [3]", got)
 	}
 	if err := nw.Run(); err != nil {
 		t.Fatal(err)
@@ -125,50 +122,9 @@ func TestDupAccountingIsExactlyTwiceSingleSend(t *testing.T) {
 	if ds.Messages != 2*ss.Messages {
 		t.Fatalf("op Messages: dup %d, want 2×%d", ds.Messages, ss.Messages)
 	}
-	// Dimensions a duplicate must NOT change: the payload size ceiling and
-	// the participant set.
+	// The dimension a duplicate must NOT change: the payload size ceiling.
 	if s, d := single.MaxMessageBits(), dup.MaxMessageBits(); d != s {
 		t.Fatalf("MaxMessageBits: dup %d, single %d", d, s)
-	}
-	if s, d := ss.Participants(), ds.Participants(); len(s) != len(d) {
-		t.Fatalf("participants: dup %v, single %v", d, s)
-	}
-}
-
-// TestProcSetOps covers the bitset directly, across the word boundary.
-func TestProcSetOps(t *testing.T) {
-	s := procSet{words: make([]uint64, procSetWords(130))}
-	for _, p := range []int{1, 63, 64, 65, 128, 130} {
-		if s.has(p) {
-			t.Fatalf("empty set has %d", p)
-		}
-		s.add(p)
-		if !s.has(p) {
-			t.Fatalf("set missing %d after add", p)
-		}
-	}
-	s.add(64) // adding twice is idempotent
-	if got := s.count(); got != 6 {
-		t.Fatalf("count = %d, want 6", got)
-	}
-	want := []int{1, 63, 64, 65, 128, 130}
-	got := s.members(nil)
-	if len(got) != len(want) {
-		t.Fatalf("members = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("members = %v, want %v", got, want)
-		}
-	}
-	other := procSet{words: make([]uint64, procSetWords(130))}
-	other.add(2)
-	if s.intersects(other) {
-		t.Fatal("disjoint sets intersect")
-	}
-	other.add(128)
-	if !s.intersects(other) {
-		t.Fatal("overlapping sets do not intersect")
 	}
 }
 
@@ -179,7 +135,7 @@ func TestOpTableGrowAndForget(t *testing.T) {
 	n := 4 * opTableMinSize
 	for i := 1; i <= n; i++ {
 		id := OpID(i)
-		tab.put(id, tab.alloc(id, ProcID(1), 0, 8))
+		tab.put(id, tab.alloc(id, ProcID(1), 0))
 	}
 	for i := 1; i <= n; i++ {
 		st := tab.get(OpID(i))

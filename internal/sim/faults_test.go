@@ -276,8 +276,8 @@ func TestFreezeDefersToRecovery(t *testing.T) {
 	if !st.Done() || st.Wedged() {
 		t.Fatalf("frozen delivery did not complete: done=%v wedged=%v", st.Done(), st.Wedged())
 	}
-	if st.DoneAt < 50 {
-		t.Fatalf("operation completed at %d, before the recovery at 50", st.DoneAt)
+	if st.End < 50 {
+		t.Fatalf("operation completed at %d, before the recovery at 50", st.End)
 	}
 	fs := nw.FaultStats()
 	if fs.CrashDeferred != 1 || fs.CrashDropped != 0 {

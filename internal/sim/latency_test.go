@@ -119,8 +119,8 @@ func TestOnlyUnitLatencySkipsDelay(t *testing.T) {
 		if !nw.unitLatency {
 			t.Fatal("default network does not take the UnitLatency fast path")
 		}
-		if st := run(t, nw); st.DoneAt-st.StartedAt != sends {
-			t.Fatalf("unit-latency relay took %d ticks, want %d", st.DoneAt-st.StartedAt, sends)
+		if st := run(t, nw); st.End-st.Start != sends {
+			t.Fatalf("unit-latency relay took %d ticks, want %d", st.End-st.Start, sends)
 		}
 	})
 	t.Run("wrapped-unit", func(t *testing.T) {
@@ -138,7 +138,7 @@ func TestOnlyUnitLatencySkipsDelay(t *testing.T) {
 		for i := 0; i < sends; i++ {
 			want += UniformLatency{Min: 1, Max: 9}.Delay(Message{}, ref)
 		}
-		if got := st.DoneAt - st.StartedAt; got != want {
+		if got := st.End - st.Start; got != want {
 			t.Fatalf("uniform relay took %d ticks, want the %d of %d seeded draws", got, want, sends)
 		}
 		if a, b := nw.Rand().Uint64(), ref.Uint64(); a != b {
@@ -153,7 +153,7 @@ func TestOnlyUnitLatencySkipsDelay(t *testing.T) {
 		for from := ProcID(1); from <= sends; from++ {
 			want += lat.Delay(Message{From: from, To: from + 1}, nil)
 		}
-		if got := st.DoneAt - st.StartedAt; got != want || want == sends {
+		if got := st.End - st.Start; got != want || want == sends {
 			t.Fatalf("skew relay took %d ticks, want %d (and not the unit %d)", got, want, sends)
 		}
 	})
@@ -164,7 +164,7 @@ func TestOnlyUnitLatencySkipsDelay(t *testing.T) {
 		if lat.seen["zero"] != sends {
 			t.Fatalf("stall model saw %d messages, want %d", lat.seen["zero"], sends)
 		}
-		if got := st.DoneAt - st.StartedAt; got != 1+50+1 {
+		if got := st.End - st.Start; got != 1+50+1 {
 			t.Fatalf("relay with its second hop stalled took %d ticks, want 52", got)
 		}
 	})
@@ -195,8 +195,8 @@ func TestCloneCarriesLatencyFastPath(t *testing.T) {
 			if err := net.Run(); err != nil {
 				t.Fatal(err)
 			}
-			if st := net.OpStats(id); st.DoneAt-st.StartedAt != 3*tc.hop {
-				t.Fatalf("%s: relay took %d ticks, want %d", tc.name, st.DoneAt-st.StartedAt, 3*tc.hop)
+			if st := net.OpStats(id); st.End-st.Start != 3*tc.hop {
+				t.Fatalf("%s: relay took %d ticks, want %d", tc.name, st.End-st.Start, 3*tc.hop)
 			}
 		}
 	}

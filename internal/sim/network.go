@@ -7,11 +7,16 @@ import (
 	"distcount/internal/rng"
 )
 
+// eventBudget is the number of events a network delivers before Run fails
+// with ErrEventBudget: far past any experiment, so reaching it means a
+// runaway protocol.
+const eventBudget = 500_000_000
+
 // Errors returned by Network methods.
 var (
-	// ErrEventBudget is returned by Run when the configured event budget is
-	// exhausted; it indicates a runaway protocol (a livelock or an
-	// unbounded retirement cascade).
+	// ErrEventBudget is returned by Run when the event budget is exhausted;
+	// it indicates a runaway protocol (a livelock or an unbounded retirement
+	// cascade).
 	ErrEventBudget = errors.New("sim: event budget exhausted")
 	// ErrNotQuiescent is returned by Clone when the network still has
 	// queued events or is inside a delivery.
@@ -62,7 +67,7 @@ type Network struct {
 
 	nextOp    OpID
 	ops       opTable
-	onOpDone  func(*OpStats)
+	onOpDone  func(OpDone)
 	onDeliver func(Delivery)
 	// doneQ holds operations completed by Release during a delivery that
 	// belonged to a different operation; drained after each Step.
@@ -110,11 +115,6 @@ func WithSeed(seed uint64) Option {
 // WithLatency sets the latency model (default UnitLatency).
 func WithLatency(l Latency) Option {
 	return func(nw *Network) { nw.latency = l }
-}
-
-// WithMaxEvents overrides the event budget (default 500 million).
-func WithMaxEvents(budget int64) Option {
-	return func(nw *Network) { nw.maxEvents = budget }
 }
 
 // WithServiceTime gives every processor a finite processing rate: a
@@ -190,7 +190,7 @@ func New(n int, proto Protocol, opts ...Option) *Network {
 		sent:      make([]int64, n+1),
 		recv:      make([]int64, n+1),
 		servers:   make([]server, n+1),
-		maxEvents: 500_000_000,
+		maxEvents: eventBudget,
 	}
 	for _, opt := range opts {
 		opt(nw)
@@ -303,11 +303,12 @@ func (nw *Network) CurrentOp() OpID {
 // OnOpDone installs a completion handler invoked whenever the last queued
 // event of an operation has been delivered — i.e. the operation's "process"
 // has run to completion even though the network as a whole may still be
-// busy with other operations. The handler runs outside any delivery
-// context, so it may call ScheduleOp (the closed-loop workload engine
-// admits its next request from here) but not Send. Passing nil removes the
-// handler.
-func (nw *Network) OnOpDone(fn func(*OpStats)) { nw.onOpDone = fn }
+// busy with other operations. It receives the operation's OpDone record,
+// the shape rt's completions take too. The handler runs outside any
+// delivery context, so it may call ScheduleOp (the closed-loop workload
+// engine admits its next request from here) or ForgetOp but not Send.
+// Passing nil removes the handler.
+func (nw *Network) OnOpDone(fn func(OpDone)) { nw.onOpDone = fn }
 
 // OnDeliver installs the hook that receives, one Delivery per node, the
 // communication DAG of each operation started while a hook is installed
@@ -323,11 +324,8 @@ func (nw *Network) OnDeliver(fn func(Delivery)) { nw.onDeliver = fn }
 // its completion is already lost), in which case forgetting is the only
 // way to reclaim it.
 //
-// The forgotten record is recycled: the next operation start may reuse it.
-// Callers must therefore not retain the *OpStats of a forgotten operation
-// across a subsequent StartOp/ScheduleOp (reading it within the same
-// completion callback, after ForgetOp but before scheduling anything new,
-// remains safe — the workload engine does exactly that).
+// The forgotten record is recycled: the next operation start may reuse it,
+// so an *OpStats read from OpStats must not be kept past ForgetOp.
 func (nw *Network) ForgetOp(id OpID) {
 	if st := nw.ops.get(id); st != nil {
 		if st.pending != 0 && st.killed == 0 {
@@ -359,8 +357,7 @@ func (nw *Network) ScheduleOp(at int64, p ProcID, start func(nw Transport, p Pro
 	}
 	nw.nextOp++
 	id := nw.nextOp
-	st := nw.ops.alloc(id, p, at, nw.n)
-	st.participants.add(int(p))
+	st := nw.ops.alloc(id, p, at)
 	if nw.onDeliver != nil {
 		st.nodes = 1 // the source
 	}
@@ -390,12 +387,12 @@ func (nw *Network) Send(to ProcID, pl Payload) {
 
 // accountSend charges one physical transmission to the sender's load
 // counters and, when the operation is tracked, to the operation: message
-// count, participant bits, and — when the queued delivery belongs to the
-// operation — one more pending event. It is the single accounting body
-// shared by the first copy of a send and a fault-injected duplicate, so the
-// two cannot drift (a duplicate is a genuine second transmission: full load
-// accounting and its own pending delivery).
-func (nw *Network) accountSend(from, to ProcID, pl Payload, st *OpStats, countPending bool) {
+// count and — when the queued delivery belongs to the operation — one more
+// pending event. It is the single accounting body shared by the first copy
+// of a send and a fault-injected duplicate, so the two cannot drift (a
+// duplicate is a genuine second transmission: full load accounting and its
+// own pending delivery).
+func (nw *Network) accountSend(from ProcID, pl Payload, st *OpStats, countPending bool) {
 	nw.sent[from]++
 	nw.msgTotal++
 	if sized, ok := pl.(BitSized); ok {
@@ -407,8 +404,6 @@ func (nw *Network) accountSend(from, to ProcID, pl Payload, st *OpStats, countPe
 	}
 	if st != nil {
 		st.Messages++
-		st.participants.add(int(from))
-		st.participants.add(int(to))
 		if countPending {
 			st.pending++
 		}
@@ -449,7 +444,7 @@ func (nw *Network) pushSend(from, to ProcID, pl Payload, op OpID, parent int32) 
 func (nw *Network) enqueueSend(to ProcID, pl Payload, op OpID, parent int32, countPending bool) {
 	from := nw.cur.proc
 	st := nw.ops.get(op)
-	nw.accountSend(from, to, pl, st, countPending)
+	nw.accountSend(from, pl, st, countPending)
 	var dup bool
 	if nw.faults != nil {
 		var drop bool
@@ -469,7 +464,7 @@ func (nw *Network) enqueueSend(to ProcID, pl Payload, op OpID, parent int32, cou
 	if dup {
 		// A duplicated message repeats the whole accounting and gets its own
 		// latency draw. Duplicate copies are not fed back through SendFate.
-		nw.accountSend(from, to, pl, st, true)
+		nw.accountSend(from, pl, st, true)
 		nw.pushSend(from, to, pl, op, parent)
 	}
 }
@@ -502,7 +497,7 @@ func TokenFor(op OpID, node int) OpToken { return OpToken{op: op, node: int32(no
 // messages — a combining tree merging a request into an open batch, a
 // diffracting prism parking a token for a partner — use it so that the
 // merged operation's value delivery is attributed to the merged operation
-// itself: its completion (OnOpDone), load participants, and communication
+// itself: its completion (OnOpDone), message count, and communication
 // DAG then reflect the logical operation rather than the physical carrier.
 // Must be called from within a delivery or start callback.
 func (nw *Network) Adopt() OpToken {
@@ -548,8 +543,8 @@ func (nw *Network) Release(tok OpToken) {
 		return
 	}
 	st.pending--
-	if nw.now > st.DoneAt {
-		st.DoneAt = nw.now
+	if nw.now > st.End {
+		st.End = nw.now
 	}
 	if st.pending == 0 && nw.onOpDone != nil {
 		nw.doneQ = append(nw.doneQ, st)
@@ -652,8 +647,8 @@ func (nw *Network) Step() (bool, error) {
 	nw.now = e.at
 
 	st := nw.ops.get(e.op)
-	if st != nil && e.at > st.DoneAt {
-		st.DoneAt = e.at
+	if st != nil && e.at > st.End {
+		st.End = e.at
 	}
 
 	nw.cur = ctx{op: e.op, proc: to}
@@ -689,7 +684,7 @@ func (nw *Network) Step() (bool, error) {
 	if st != nil {
 		st.pending--
 		if st.pending == 0 && nw.onOpDone != nil {
-			nw.onOpDone(st)
+			nw.onOpDone(st.OpDone)
 		}
 	}
 	// Operations completed by Release during the delivery fire now, also
@@ -698,7 +693,7 @@ func (nw *Network) Step() (bool, error) {
 		d := nw.doneQ[0]
 		nw.doneQ = nw.doneQ[1:]
 		if d.pending == 0 && nw.onOpDone != nil {
-			nw.onOpDone(d)
+			nw.onOpDone(d.OpDone)
 		}
 	}
 	return true, nil

@@ -227,13 +227,13 @@ func TestServiceProfileCloneCarriesProfile(t *testing.T) {
 }
 
 // TestServiceTimeAffectsOpCompletion: a deferred delivery pushes the
-// operation's DoneAt to the actual processing time, so the workload
+// operation's End to the actual processing time, so the workload
 // engine's latencies include receiver-side queueing.
 func TestServiceTimeAffectsOpCompletion(t *testing.T) {
 	s := &sinkProto{}
 	nw := New(3, s, WithServiceTime(5))
 	var dones []int64
-	nw.OnOpDone(func(st *OpStats) { dones = append(dones, st.DoneAt) })
+	nw.OnOpDone(func(st OpDone) { dones = append(dones, st.End) })
 	nw.StartOp(2, sendTo(1))
 	nw.StartOp(3, sendTo(1))
 	if err := nw.Run(); err != nil {

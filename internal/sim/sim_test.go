@@ -104,32 +104,6 @@ func TestSumOfLoadsIsTwiceMessages(t *testing.T) {
 	}
 }
 
-func TestOpStatsParticipants(t *testing.T) {
-	pp := &pingPong{}
-	nw := New(4, pp)
-	id := nw.StartOp(1, startPing(1)) // pings 1->2, 2->3; pongs 2->1, 3->2
-	if err := nw.Run(); err != nil {
-		t.Fatal(err)
-	}
-	st := nw.OpStats(id)
-	if st == nil {
-		t.Fatal("missing op stats")
-	}
-	got := st.Participants()
-	want := []int{1, 2, 3}
-	if len(got) != len(want) {
-		t.Fatalf("participants = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("participants = %v, want %v", got, want)
-		}
-	}
-	if st.Messages != 4 {
-		t.Fatalf("op messages = %d, want 4", st.Messages)
-	}
-}
-
 func TestTracingBuildsDAG(t *testing.T) {
 	pp := &pingPong{}
 	nw := New(4, pp)
@@ -290,7 +264,8 @@ func TestCloneIndependence(t *testing.T) {
 func TestEventBudget(t *testing.T) {
 	// A protocol that ping-pongs forever must hit the budget.
 	pp := &forever{}
-	nw := New(2, pp, WithMaxEvents(100))
+	nw := New(2, pp)
+	nw.maxEvents = 100
 	nw.StartOp(1, func(nw Transport, p ProcID) { nw.Send(2, tickPayload{}) })
 	err := nw.Run()
 	if !errors.Is(err, ErrEventBudget) {
@@ -381,9 +356,9 @@ func TestConcurrentTracingAttribution(t *testing.T) {
 			len(recsA)-1, len(recsB)-1, nw.MessagesTotal())
 	}
 	// Ping chains 1->2->3->4 and 5->6->7->8: disjoint participants.
-	for _, p := range stA.Participants() {
-		if p >= 5 {
-			t.Fatalf("op A touched processor %d", p)
+	for _, d := range recsA {
+		if d.Proc >= 5 {
+			t.Fatalf("op A touched processor %d", d.Proc)
 		}
 	}
 }
@@ -425,11 +400,11 @@ func TestOpDoneAt(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := nw.OpStats(id)
-	if st.StartedAt != 0 {
-		t.Fatalf("StartedAt = %d, want 0", st.StartedAt)
+	if st.Start != 0 {
+		t.Fatalf("Start = %d, want 0", st.Start)
 	}
-	if st.DoneAt != 3 {
-		t.Fatalf("DoneAt = %d, want 3", st.DoneAt)
+	if st.End != 3 {
+		t.Fatalf("End = %d, want 3", st.End)
 	}
 }
 
@@ -478,8 +453,8 @@ func TestAccessors(t *testing.T) {
 		t.Fatalf("Recv() = %v", recv)
 	}
 	st := nw.OpStats(id)
-	if _, ok := st.ParticipantSet()[1]; !ok {
-		t.Fatal("ParticipantSet missing initiator")
+	if st.Initiator != 1 || st.Messages != 2 { // ping and pong
+		t.Fatalf("OpStats = %+v, want initiator p1 and two messages", st)
 	}
 	// No BitSized payloads in this protocol.
 	if nw.BitsTotal() != 0 || nw.MaxMessageBits() != 0 {
@@ -542,11 +517,11 @@ func TestOnOpDoneFiresOncePerOp(t *testing.T) {
 	pp := &pingPong{}
 	nw := New(8, pp)
 	done := map[OpID]int64{}
-	nw.OnOpDone(func(st *OpStats) {
+	nw.OnOpDone(func(st OpDone) {
 		if _, dup := done[st.ID]; dup {
 			t.Fatalf("op %d completed twice", st.ID)
 		}
-		if !st.Done() {
+		if !nw.OpStats(st.ID).Done() {
 			t.Fatalf("op %d handler sees pending events", st.ID)
 		}
 		done[st.ID] = nw.Now()
@@ -559,8 +534,8 @@ func TestOnOpDoneFiresOncePerOp(t *testing.T) {
 	if len(done) != 2 {
 		t.Fatalf("completions = %d, want 2", len(done))
 	}
-	if done[idA] != nw.OpStats(idA).DoneAt || done[idB] != nw.OpStats(idB).DoneAt {
-		t.Fatalf("completion times %v do not match DoneAt", done)
+	if done[idA] != nw.OpStats(idA).End || done[idB] != nw.OpStats(idB).End {
+		t.Fatalf("completion times %v do not match End", done)
 	}
 	if done[idB] <= done[idA] {
 		t.Fatalf("longer op finished first: %v", done)
@@ -573,7 +548,7 @@ func TestOnOpDoneTimerKeepsOpOpen(t *testing.T) {
 	timers := 0
 	nw := New(2, &timerProto{fired: &timers})
 	var doneAt int64 = -1
-	nw.OnOpDone(func(st *OpStats) { doneAt = nw.Now() })
+	nw.OnOpDone(func(st OpDone) { doneAt = nw.Now() })
 	nw.StartOp(1, func(nw Transport, p ProcID) {
 		nw.After(9, tickPayload{})
 	})
@@ -592,7 +567,7 @@ func TestOnOpDoneClosedLoop(t *testing.T) {
 	pp := &pingPong{}
 	nw := New(4, pp)
 	completions := 0
-	nw.OnOpDone(func(st *OpStats) {
+	nw.OnOpDone(func(st OpDone) {
 		completions++
 		if completions < 5 {
 			next := st.Initiator%4 + 1
@@ -680,7 +655,7 @@ func TestAdoptKeepsOpOpenAcrossCarrier(t *testing.T) {
 	pp := &parkProto{}
 	nw := New(3, pp)
 	done := map[OpID]int64{}
-	nw.OnOpDone(func(st *OpStats) { done[st.ID] = nw.Now() })
+	nw.OnOpDone(func(st OpDone) { done[st.ID] = nw.Now() })
 	idA := nw.ScheduleOp(0, 1, startParkReq)
 	idB := nw.ScheduleOp(5, 2, startParkReq) // partner arrives at t=6
 	if err := nw.Run(); err != nil {
@@ -699,8 +674,8 @@ func TestAdoptKeepsOpOpenAcrossCarrier(t *testing.T) {
 	if stA.Messages != 2 {
 		t.Fatalf("parked op has %d messages, want 2 (request + adopted ack)", stA.Messages)
 	}
-	if stA.DoneAt != 7 {
-		t.Fatalf("parked op DoneAt = %d, want 7", stA.DoneAt)
+	if stA.End != 7 {
+		t.Fatalf("parked op End = %d, want 7", stA.End)
 	}
 }
 
@@ -710,7 +685,7 @@ func TestReleaseCompletesOp(t *testing.T) {
 	rp := &releaseProto{}
 	nw := New(3, rp)
 	var order []OpID
-	nw.OnOpDone(func(st *OpStats) { order = append(order, st.ID) })
+	nw.OnOpDone(func(st OpDone) { order = append(order, st.ID) })
 	idA := nw.ScheduleOp(0, 1, startParkReq)
 	idB := nw.ScheduleOp(5, 2, startParkReq)
 	if err := nw.Run(); err != nil {

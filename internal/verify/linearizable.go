@@ -36,7 +36,7 @@ func CollectTimedValues(net *sim.Network, ops []sim.OpID, values []int) ([]Timed
 		if st == nil {
 			return nil, fmt.Errorf("verify: missing stats for op %d (operation forgotten?)", id)
 		}
-		out[i] = TimedValue{Op: id, Value: values[i], Start: st.StartedAt, End: st.DoneAt}
+		out[i] = TimedValue{Op: id, Value: values[i], Start: st.Start, End: st.End}
 	}
 	return out, nil
 }

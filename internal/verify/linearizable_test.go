@@ -131,12 +131,16 @@ func TestCollectTimedValues(t *testing.T) {
 	ids := make([]sim.OpID, 0, 2)
 	values := make([]int, 0, 2)
 	for _, p := range []sim.ProcID{2, 3} {
-		before := c.Net().Ops()
-		v, err := c.Inc(p)
-		if err != nil {
+		// Started and run by hand: Inc would forget the operation's record.
+		id := c.Start(c.Net().Now(), p)
+		if err := c.Net().Run(); err != nil {
 			t.Fatal(err)
 		}
-		ids = append(ids, sim.OpID(before+1))
+		v, ok := c.OpValue(id)
+		if !ok {
+			t.Fatalf("op %d by %v delivered no value", id, p)
+		}
+		ids = append(ids, id)
 		values = append(values, v)
 	}
 	tvs, err := CollectTimedValues(c.Net(), ids, values)

@@ -49,17 +49,17 @@ func Bijection(res *counter.RunResult) error {
 }
 
 // HotSpot checks the Hot Spot Lemma over a run: every two operations
-// executed in direct succession have intersecting participant sets.
-// It needs every operation's stats still on the network (none forgotten).
-func HotSpot(net *sim.Network, res *counter.RunResult) error {
-	for i := 1; i < len(res.OpIDs); i++ {
-		prev, cur := net.OpStats(res.OpIDs[i-1]), net.OpStats(res.OpIDs[i])
-		if prev == nil || cur == nil {
-			return fmt.Errorf("verify: op stats missing (operation forgotten?)")
-		}
-		if !prev.SharesParticipant(cur) {
-			return fmt.Errorf("verify: hot spot violation between op %d (initiator %v, I=%v) and op %d (initiator %v, I=%v)",
-				i-1, res.Order[i-1], prev.Participants(), i, res.Order[i], cur.Participants())
+// executed in direct succession have intersecting participant sets, i.e.
+// every count in res.Shared is positive. A result whose Shared does not
+// cover every pair (one not built by counter.RunSequence) is an error.
+func HotSpot(res *counter.RunResult) error {
+	if len(res.Shared) != max(len(res.Values)-1, 0) {
+		return fmt.Errorf("verify: %d participant intersections for %d operations", len(res.Shared), len(res.Values))
+	}
+	for i, s := range res.Shared {
+		if s == 0 {
+			return fmt.Errorf("verify: hot spot violation: op %d (initiator %v) and op %d (initiator %v) share no processor",
+				i, res.Order[i], i+1, res.Order[i+1])
 		}
 	}
 	return nil
@@ -80,5 +80,5 @@ func Counter(c counter.Counter, order []sim.ProcID) error {
 	if err := Bijection(res); err != nil {
 		return err
 	}
-	return HotSpot(c.Net(), res)
+	return HotSpot(res)
 }

@@ -64,20 +64,23 @@ func TestHotSpotOnRealRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := HotSpot(c.Net(), res); err != nil {
+	if err := HotSpot(res); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestHotSpotNeedsOpTracking: a result that does not carry one participant
+// intersection per consecutive pair — built by hand, not by RunSequence —
+// fails the check instead of passing vacuously.
 func TestHotSpotNeedsOpTracking(t *testing.T) {
 	c := counter.OnSim(central.NewMachine(4))
 	res, err := counter.RunSequence(c, counter.SequentialOrder(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Net().ForgetOp(res.OpIDs[1])
-	if err := HotSpot(c.Net(), res); err == nil {
-		t.Fatal("HotSpot passed without op stats")
+	res.Shared = res.Shared[:1]
+	if err := HotSpot(res); err == nil {
+		t.Fatal("HotSpot passed with intersections missing")
 	}
 }
 
@@ -136,7 +139,7 @@ func TestBrokenCounterCaught(t *testing.T) {
 	if err := Sequential(res); err == nil {
 		t.Fatal("Sequential accepted a sharded counter (all ops returned 0)")
 	}
-	if err := HotSpot(c.Net(), res); err == nil {
+	if err := HotSpot(res); err == nil {
 		t.Fatal("HotSpot accepted operations with disjoint participant sets")
 	}
 }
