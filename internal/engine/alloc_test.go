@@ -12,19 +12,19 @@ import (
 // TestRunWorkloadAllocCeiling pins an allocation budget on a small
 // closed-loop run, counter construction included. Unlike the simulator's
 // Send/Step guard (exactly zero), a workload run legitimately allocates:
-// the counter and network are built fresh, the latency digests grow their
-// counting tables to the largest latency seen, the in-flight sweep buffers
-// one chunk of intervals, the result is assembled, and central boxes one
-// value payload per operation. The ceiling leaves headroom over the measured
-// cost (~220 objects for 200 ops at n=16: about one per op plus
-// construction) but sits below the 425 of the map-backed op table, so a
-// regression that reintroduces per-op allocation in the hot path (an op-table
-// entry, per-send map inserts, per-quantile sort copies) blows through it at
-// once.
+// the counter and network are built fresh, the engine's two stages start
+// with their rings, the latency digests grow their counting tables to the
+// largest latency seen, the in-flight sweep buffers one chunk of intervals
+// and the result is assembled. The ceiling leaves headroom over the measured
+// cost (81 objects for 200 ops at n=16, nearly all construction; 199 while
+// every event bucket grew by doubling) but sits below the 425 of the
+// map-backed op table, so a regression that reintroduces per-op allocation
+// in the hot path (an op-table entry, per-send map inserts, per-quantile
+// sort copies) blows through it at once.
 func TestRunWorkloadAllocCeiling(t *testing.T) {
 	const (
 		ops     = 200
-		ceiling = 400 // objects per whole run (2 per op), measured ~220
+		ceiling = 400 // objects per whole run (2 per op), measured 81
 	)
 	run := func() {
 		c := mustAsync(t, "central", 16)

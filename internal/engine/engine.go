@@ -34,7 +34,9 @@
 // on either backend — a simulator-backed service in ticks, exactly
 // reproducible per scenario seed, a real-hardware one in wall-clock ns and
 // ops/sec. One metrics type derives every report field from the service's
-// clock and loads.
+// clock and loads. The generator and the metrics run on goroutines of their
+// own beside the driving loop, a batch ahead and a batch behind it
+// (stages.go); no report depends on how the three are scheduled.
 //
 // See docs/ARCHITECTURE.md for where the engine sits between internal/workload
 // and internal/engine/report, and docs/EXPERIMENTS.md for a runnable cookbook.
@@ -342,7 +344,8 @@ type KeyStat struct {
 // then scaled by the runtime's tick duration and paced in real time, so the
 // same generator offers the same logical load to both backends, and the
 // result reports wall-clock nanoseconds and operations per second
-// (Result.Wall).
+// (Result.Wall). The generator is read ahead on a goroutine of its own until
+// Run returns, so nothing else may use it meanwhile.
 func Run(c counter.Async, gen workload.Generator, cfg Config) (*Result, error) {
 	svc, err := countersvc.Single(c)
 	if err != nil {
@@ -352,7 +355,7 @@ func Run(c counter.Async, gen workload.Generator, cfg Config) (*Result, error) {
 }
 
 // RunWall is Run. It is kept only for the benchmark harness under bench/,
-// whose sources are frozen; ROADMAP item 8 deletes it.
+// whose sources are frozen, and goes once the harness calls Run.
 func RunWall(r *rt.Runtime, gen workload.Generator, cfg Config) (*Result, error) {
 	return Run(r, gen, cfg)
 }
@@ -429,9 +432,14 @@ func shardAlgoList(svc *countersvc.Service) []string {
 }
 
 // source pulls the request stream one ahead, so admission can stop at a
-// busy initiator or a future arrival without losing the request.
+// busy initiator or a future arrival without losing the request. It reads
+// the producer's batches (stages.go); name is the generator's, read before
+// the producer took it over.
 type source struct {
-	gen     workload.Generator
+	reqs    *ring[workload.Request]
+	batch   []workload.Request // the batch being read, from next on
+	next    int
+	name    string
 	n       int
 	keys    int // key-space bound for keyed runs; 0 = a single counter, every request on key 0
 	head    workload.Request
@@ -440,21 +448,29 @@ type source struct {
 	err     error // sticky: a malformed request stops the stream
 }
 
-func newSource(gen workload.Generator, n, keys int) *source {
-	s := &source{gen: gen, n: n, keys: keys}
+func newSource(reqs *ring[workload.Request], name string, n, keys int) *source {
+	s := &source{reqs: reqs, name: name, n: n, keys: keys}
 	s.pull()
 	return s
 }
 
 func (s *source) pull() {
-	req, ok := s.gen.Next()
-	if !ok {
-		s.have = false
-		return
+	if s.next == len(s.batch) {
+		if s.batch != nil {
+			s.reqs.recycle(s.batch)
+		}
+		var ok bool
+		if s.batch, ok = s.reqs.next(); !ok {
+			s.have = false
+			return
+		}
+		s.next = 0
 	}
+	req := s.batch[s.next]
+	s.next++
 	if req.Proc < 1 || int(req.Proc) > s.n {
 		s.err = fmt.Errorf("engine: scenario %q targets processor %v outside [1,%d]",
-			s.gen.Name(), req.Proc, s.n)
+			s.name, req.Proc, s.n)
 		s.have = false
 		return
 	}
@@ -462,7 +478,7 @@ func (s *source) pull() {
 		req.Key = 0
 	} else if req.Key < 0 || req.Key >= s.keys {
 		s.err = fmt.Errorf("engine: scenario %q addresses key %d outside [0,%d)",
-			s.gen.Name(), req.Key, s.keys)
+			s.name, req.Key, s.keys)
 		s.have = false
 		return
 	}

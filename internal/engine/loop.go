@@ -5,6 +5,7 @@ import (
 
 	"distcount/internal/countersvc"
 	"distcount/internal/sim"
+	"distcount/internal/verify"
 	"distcount/internal/workload"
 )
 
@@ -18,28 +19,41 @@ type flight struct {
 	rec            int   // its index in run.recs; -1 in the closed loop, which keeps no per-request records
 }
 
-// run is the state of one engine run, shared by the two loops. Its times
-// are on the service's clock: simulated ticks, or wall-clock nanoseconds on
-// rt, into which the loops scale scenario arrivals.
+// run is the driver's state for one engine run (see stages.go for the
+// stages around it). Its times are on the service's clock: simulated ticks,
+// or wall-clock nanoseconds on rt, into which the loops scale scenario
+// arrivals.
 type run struct {
 	svc   *countersvc.Service
 	cfg   Config
 	res   *Result
 	src   *source
 	scale int64 // service clock units per scenario tick
-	vf    *verifier
-	m     *metrics
 
 	flights     []flight // per initiator
 	inFlight    int
+	completed   int
 	sampleEvery int
 	seriesCap   int // the series' expected length, from the ops hint (0: unknown)
+	// baseSent and baseRecv are the loads at the warmup boundary; sent and
+	// recv hold the latest series sample's, which the next sample reuses,
+	// so sampling allocates nothing.
+	baseSent, baseRecv, sent, recv []int64
 
 	// Open loop only: every request in arrival order, and the record indices
 	// waiting per initiator (busy initiator or frozen key).
 	recs        []opRec
 	queued      [][]int
 	totalQueued int
+
+	// The side stages: the producer behind src, and the bookkeeper that
+	// applies the completion records to m. out is the batch being filled;
+	// m is the bookkeeper's until halt has joined it.
+	producer, keeper *stage
+	books            *ring[outcome]
+	out              []outcome
+	m                *metrics
+	halted           bool
 }
 
 // drive runs the scenario against the service in cfg.Mode and assembles the
@@ -55,22 +69,20 @@ func drive(svc *countersvc.Service, res *Result, gen workload.Generator, cfg Con
 	if tick := svc.TickNs(); tick > 0 {
 		res.Wall, res.TickNs, r.scale = true, tick, tick
 	}
+	// The generator's Name and Len are read here, before the producer owns it.
 	res.Scenario, res.Mode, res.Warmup = gen.Name(), cfg.Mode.String(), cfg.Warmup
-	r.src = newSource(gen, res.N, res.Keys)
-	if r.src.err != nil {
-		return nil, r.src.err
-	}
 	hint := opsHint(cfg, gen)
-	r.m = newMetrics(res, cfg.Warmup)
-	if cfg.Verify {
-		r.vf = newVerifier(svc, res.Keys > 0)
-	}
-	r.flights = make([]flight, res.N+1)
 	var thinAfter bool
 	r.sampleEvery, thinAfter = resolveStride(cfg, gen)
 	if !thinAfter {
 		r.seriesCap = hint/r.sampleEvery + 1
 	}
+	var vf *verifier
+	if cfg.Verify {
+		vf = newVerifier(svc, res.Keys > 0)
+	}
+	r.m = newMetrics(res, cfg.Warmup, vf)
+	r.flights = make([]flight, res.N+1)
 
 	loop := r.closedLoop
 	if cfg.Mode == Open {
@@ -84,6 +96,11 @@ func drive(svc *countersvc.Service, res *Result, gen workload.Generator, cfg Con
 	svc.OnMigrate(r.reopened)
 	svc.OnComplete(r.complete, cfg.WedgeIdle)
 	defer svc.Close()
+	r.start(gen)
+	defer r.halt()
+	if r.src.err != nil {
+		return nil, r.src.err
+	}
 	err := loop()
 	if err == nil {
 		// Trailing maintenance events (stale timers) still count toward the
@@ -99,17 +116,71 @@ func drive(svc *countersvc.Service, res *Result, gen workload.Generator, cfg Con
 	if err := r.epilogue(); err != nil {
 		return nil, err
 	}
+	r.halt()
 	if cfg.Mode == Open {
 		res.Buckets = bucketize(r.recs, cfg.KneeBuckets)
 		res.Knee = detectKnee(res.Buckets)
 	}
-	if err := r.m.finalize(res, svc, thinAfter); err != nil {
+	if err := r.m.finalize(res, svc, r.baseSent, r.baseRecv, thinAfter); err != nil {
 		return nil, err
 	}
-	if r.vf != nil {
-		r.vf.attach(res)
+	if vf != nil {
+		vf.attach(res)
 	}
 	return res, nil
+}
+
+// start launches the producer and the bookkeeper and pulls the first
+// request.
+func (r *run) start(gen workload.Generator) {
+	reqs := newRing[workload.Request]()
+	r.producer = goStage(func() { produce(gen, reqs) })
+	r.books = newRing[outcome]()
+	r.out, _ = r.books.take()
+	r.keeper = goStage(func() { keep(r.m, r.books) })
+	r.src = newSource(reqs, gen.Name(), r.res.N, r.res.Keys)
+}
+
+// record queues a completion for the bookkeeper, handing the batch over when
+// it is full.
+func (r *run) record(d outcome) {
+	r.out = append(r.out, d)
+	if len(r.out) < cap(r.out) {
+		return
+	}
+	r.books.send(r.out)
+	r.out = nil
+	var ok bool
+	if r.out, ok = r.books.take(); !ok {
+		// The bookkeeper quit mid-run, which only a panic makes it do
+		// (verify.Stream's frontier contract, say): raise it here, inside
+		// the completion, on the caller's goroutine.
+		panic(r.keeper.wait())
+	}
+}
+
+// halt ends the side stages: it releases the producer, hands the
+// bookkeeper the last batch and closes its ring, and waits for both. It
+// runs once — at the end of a run, so m is complete, or on the way out of
+// a failed or panicking one — and re-raises a stage's panic.
+func (r *run) halt() {
+	if r.halted {
+		return
+	}
+	r.halted = true
+	r.src.reqs.stop()
+	if len(r.out) > 0 {
+		r.books.send(r.out)
+	}
+	r.out = nil
+	r.books.close()
+	kept, produced := r.keeper.wait(), r.producer.wait()
+	if kept != nil {
+		panic(kept)
+	}
+	if produced != nil {
+		panic(produced)
+	}
 }
 
 // fresh reports whether the service has never started an operation: the
@@ -273,7 +344,8 @@ func (r *run) launch(arrival, now int64, rec, key int, p sim.ProcID) {
 // runs inside the completing event, so whatever it injects next is
 // scheduled before any later completion of the same event is handled —
 // the (time, sequence) event order, and with it every report, depends on
-// that.
+// that. It keeps what reads the service or feeds the schedule and records
+// the rest for the bookkeeper.
 func (r *run) complete(c countersvc.Completion) {
 	f := r.flights[c.Initiator]
 	r.flights[c.Initiator].busy = false
@@ -282,30 +354,51 @@ func (r *run) complete(c countersvc.Completion) {
 	// reads it, so the loops take each one — verifying or not — or an
 	// unbounded run accumulates one entry per op.
 	value, ok := r.svc.Counter(c.Shard).OpValue(c.ID)
-	if r.vf != nil {
-		r.vf.observe(c, value, ok)
-	}
 	if f.rec >= 0 {
 		r.recs[f.rec].done = c.End
 	}
-	r.m.onDone(r.res, r.svc, c.Key, f.arrival, f.start, c.End)
-	if r.m.inFlight.due() {
-		frontier := r.frontier()
-		r.m.inFlight.advance(frontier)
-		if r.vf != nil {
-			r.vf.stream.Advance(frontier)
-		}
+	r.completed++
+	if r.completed == r.cfg.Warmup+1 && r.cfg.Warmup > 0 {
+		// The op crossing the boundary is the first measured one.
+		r.res.MeasureStart = r.svc.Now()
+		r.baseSent, r.baseRecv = r.svc.Loads(nil, nil)
 	}
-	if r.m.completed%r.sampleEvery == 0 {
+	d := outcome{
+		tv:      verify.TimedValue{Op: c.ID, Value: value, Start: c.Start, End: c.End},
+		arrival: f.arrival,
+		start:   f.start,
+		at:      verify.Placement{Shard: int32(c.Shard), Key: int32(c.Key), Epoch: int32(c.Epoch)},
+		ok:      ok,
+	}
+	if r.completed%frontierEvery == 0 {
+		d.frontier = r.frontier()
+	}
+	r.record(d)
+	if r.completed%r.sampleEvery == 0 {
 		if r.res.Series == nil {
 			r.res.Series = make([]Sample, 0, r.seriesCap)
 		}
-		r.res.Series = append(r.res.Series, r.m.sample(r.res, r.svc, r.inFlight, r.totalQueued))
+		r.res.Series = append(r.res.Series, r.sample())
 	}
 	if r.cfg.Mode == Open {
 		r.feed(c.Initiator)
 	} else {
 		r.admit()
+	}
+}
+
+// sample takes one bottleneck-series point.
+func (r *run) sample() Sample {
+	r.sent, r.recv = r.svc.Loads(r.sent, r.recv)
+	proc, load, sum := scanPeak(r.sent, r.recv)
+	return Sample{
+		SimTime:        r.svc.Now(),
+		Completed:      r.completed,
+		Bottleneck:     proc,
+		BottleneckLoad: load,
+		MeanLoad:       float64(sum) / float64(r.res.N),
+		InFlight:       r.inFlight,
+		QueueDepth:     r.totalQueued,
 	}
 }
 

@@ -8,10 +8,11 @@ import (
 	"distcount/internal/loadstat"
 )
 
-// metrics accumulates the per-completion measurements and derives the
-// result's aggregate fields. Both loops on either backend report through
-// it, so no cell can drift in what it reports; the only backend-dependent
-// inputs are the clock, the loads and the rate unit (Result.Wall).
+// metrics is the bookkeeper stage's state (stages.go): it accumulates the
+// completion records and derives the result's aggregate fields from them.
+// Both loops on either backend report through it, so no cell can drift in
+// what it reports; the only backend-dependent inputs are the clock, the
+// loads and the rate unit (Result.Wall).
 //
 // Only digests and a peak are reported, so neither a retained Result nor the
 // run that produces it holds 8 bytes per operation: each latency kind
@@ -19,24 +20,20 @@ import (
 // sweep (stream.go), and the state is sized by the values seen and the
 // operations in flight.
 type metrics struct {
-	warmup             int
-	completed          int
-	inFlight           inFlightSweep // activity intervals, for PeakInFlight
-	lastDone           int64
-	measureBegan       bool
-	baseSent, baseRecv []int64 // load snapshot at the warmup boundary
+	warmup    int
+	completed int
+	inFlight  inFlightSweep // activity intervals, for PeakInFlight
+	lastDone  int64
 	// Per measured completion: end-to-end latency and its two parts.
 	latency, queueDelay, serviceLat digest
 	keyLatSum                       []int64 // measured end-to-end latency sum per key; nil on unkeyed runs
 	keyMeasured                     []int
-	// sent and recv hold the loads of the latest series sample; the next
-	// sample reuses them, so sampling allocates nothing.
-	sent, recv []int64
+	vf                              *verifier // nil unless Config.Verify
+	frontier                        int64     // the newest the driver stamped
 }
 
-func newMetrics(res *Result, warmup int) *metrics {
-	// No warmup: measure from t=0 with a zero load baseline.
-	m := &metrics{warmup: warmup, measureBegan: warmup == 0}
+func newMetrics(res *Result, warmup int, vf *verifier) *metrics {
+	m := &metrics{warmup: warmup, vf: vf}
 	// One chunk up front: growing to it by append would cost any run of a
 	// thousand operations twenty allocations.
 	m.inFlight.starts = make([]int64, 0, sweepChunk)
@@ -48,46 +45,36 @@ func newMetrics(res *Result, warmup int) *metrics {
 	return m
 }
 
-// onDone records one completion: its activity interval always, and past
-// the warmup boundary its end-to-end latency split into queueing delay
-// (arrival to injection) and service latency (injection to completion),
-// attributed to its key on keyed runs.
-func (m *metrics) onDone(res *Result, s *countersvc.Service, key int, arrival, start, done int64) {
+// add records one completion: its value with the verifier, its activity
+// interval always, and past the warmup boundary its end-to-end latency
+// split into queueing delay (arrival to injection) and service latency
+// (injection to completion), attributed to its key on keyed runs. The
+// newest frontier advances the sweep and the verifier whenever the sweep's
+// buffer is due: it is at most frontierEvery records old, and both report
+// the whole history whichever frontier they advance to.
+func (m *metrics) add(d *outcome) {
+	if m.vf != nil {
+		m.vf.observe(d)
+	}
 	m.completed++
-	m.inFlight.add(start, done)
-	if done > m.lastDone {
-		m.lastDone = done
+	arrival, start, end := d.arrival, d.start, d.tv.End
+	m.inFlight.add(start, end)
+	m.lastDone = max(m.lastDone, end)
+	if m.completed > m.warmup {
+		m.latency.add(end - arrival)
+		m.queueDelay.add(start - arrival)
+		m.serviceLat.add(end - start)
+		if m.keyLatSum != nil {
+			m.keyLatSum[d.at.Key] += end - arrival
+			m.keyMeasured[d.at.Key]++
+		}
 	}
-	if m.completed <= m.warmup {
-		return
-	}
-	if !m.measureBegan {
-		// The op crossing the boundary is the first measured one.
-		m.measureBegan = true
-		res.MeasureStart = s.Now()
-		m.baseSent, m.baseRecv = s.Loads(nil, nil)
-	}
-	m.latency.add(done - arrival)
-	m.queueDelay.add(start - arrival)
-	m.serviceLat.add(done - start)
-	if m.keyLatSum != nil {
-		m.keyLatSum[key] += done - arrival
-		m.keyMeasured[key]++
-	}
-}
-
-// sample takes one bottleneck-series point.
-func (m *metrics) sample(res *Result, s *countersvc.Service, inFlight, queueDepth int) Sample {
-	m.sent, m.recv = s.Loads(m.sent, m.recv)
-	proc, load, sum := scanPeak(m.sent, m.recv)
-	return Sample{
-		SimTime:        s.Now(),
-		Completed:      m.completed,
-		Bottleneck:     proc,
-		BottleneckLoad: load,
-		MeanLoad:       float64(sum) / float64(res.N),
-		InFlight:       inFlight,
-		QueueDepth:     queueDepth,
+	m.frontier = max(m.frontier, d.frontier)
+	if m.inFlight.due() {
+		m.inFlight.advance(m.frontier)
+		if m.vf != nil {
+			m.vf.stream.Advance(m.frontier)
+		}
 	}
 }
 
@@ -107,8 +94,10 @@ func scanPeak(sent, recv []int64) (proc int, load, sum int64) {
 	return proc, load, sum
 }
 
-// finalize derives the aggregate report fields once the run has drained.
-func (m *metrics) finalize(res *Result, s *countersvc.Service, thinAfter bool) error {
+// finalize derives the aggregate report fields once the run has drained
+// and the bookkeeper has applied every record. baseSent and baseRecv are the
+// loads at the warmup boundary (nil without warmup).
+func (m *metrics) finalize(res *Result, s *countersvc.Service, baseSent, baseRecv []int64, thinAfter bool) error {
 	res.Ops = m.completed
 	res.Measured = m.latency.n
 	if res.Measured == 0 && res.Wedged == 0 {
@@ -127,10 +116,10 @@ func (m *metrics) finalize(res *Result, s *countersvc.Service, thinAfter bool) e
 	// Measure-window loads: final loads minus the snapshot at the warmup
 	// boundary (no snapshot when there was no warmup).
 	sent, recv := s.Loads(nil, nil)
-	if m.baseSent != nil {
+	if baseSent != nil {
 		for p := range sent {
-			sent[p] -= m.baseSent[p]
-			recv[p] -= m.baseRecv[p]
+			sent[p] -= baseSent[p]
+			recv[p] -= baseRecv[p]
 		}
 	}
 	res.Loads = loadstat.Summarize(sent, recv)

@@ -132,9 +132,14 @@ func (d *digest) rank(k int) int64 {
 }
 
 // sweepChunk is how many completions buffer between two in-flight sweeps:
-// large enough to amortize a sweep's fixed cost (the frontier is a scan of
-// the initiators), small enough to stay in cache.
+// large enough to amortize a sweep's sorts, small enough to stay in cache.
 const sweepChunk = 1024
+
+// frontierEvery is how many completions pass between two frontiers the
+// driver reports to the sweep (each is a scan of the initiators). A due
+// sweep's newest frontier is then at most that many records old, so what it
+// leaves buffered stays well inside the chunk it was allocated with.
+const frontierEvery = sweepChunk / 8
 
 // inFlightSweep computes the peak number of operations simultaneously in
 // flight from their [start, done] activity intervals, reported in any

@@ -8,7 +8,7 @@ import (
 
 // verifier checks each completed operation's delivered value as the run
 // goes (Config.Verify; the engine's default runs skip it entirely). It feeds
-// a verify.Stream from the completion handler and advances it with the
+// a verify.Stream from the bookkeeper stage and advances it with the
 // in-flight sweep's frontier, so it holds the operations the frontier has
 // not passed yet, not the run. A single counter is checked at its own
 // guarantee (the stream's Report, as verify.EvaluateWithFaults would); a
@@ -34,13 +34,12 @@ func newVerifier(svc *countersvc.Service, keyed bool) *verifier {
 }
 
 // observe checks the value the service delivered for a completion.
-func (v *verifier) observe(c countersvc.Completion, value int, ok bool) {
-	if !ok {
+func (v *verifier) observe(d *outcome) {
+	if !d.ok {
 		v.missing++
 		return
 	}
-	v.stream.Observe(verify.TimedValue{Op: c.ID, Value: value, Start: c.Start, End: c.End},
-		verify.Placement{Shard: int32(c.Shard), Key: int32(c.Key), Epoch: int32(c.Epoch)})
+	v.stream.Observe(d.tv, d.at)
 }
 
 // attach finishes the check into the result. Fault-attributable anomalies

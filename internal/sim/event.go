@@ -122,6 +122,24 @@ type eventQueue struct {
 
 func (q *eventQueue) len() int { return q.nearLen + q.far.len() }
 
+// bucketCap is each near bucket's first capacity: a unit-latency run keeps
+// a handful of events per tick, and a bucket that needs more grows past its
+// slab share by append and keeps the larger array.
+const bucketCap = 4
+
+// carve gives each bucket of an empty queue its share of one slab, so a
+// fresh network's first pass around the ring costs one allocation instead
+// of three doublings per bucket. Full slice expressions keep a bucket's
+// append from running into its neighbour's share. Only New carves: a clone
+// is mostly an adversary probe that runs one operation, for which growing
+// the few buckets it touches is cheaper than zeroing a slab.
+func (q *eventQueue) carve() {
+	slab := make([]event, ringWindow*bucketCap)
+	for b := range q.near {
+		q.near[b] = slab[b*bucketCap : b*bucketCap : (b+1)*bucketCap]
+	}
+}
+
 // push enqueues a copy of *e, routing it to the ring when its timestamp
 // falls inside the current window and to the heap otherwise. Taking a
 // pointer makes a send exactly one event copy: from the caller's frame into

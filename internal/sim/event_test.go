@@ -21,7 +21,9 @@ func TestEventFitsOneCacheLine(t *testing.T) {
 // near and far, interleaved pops, and service-slot-style re-pushes that keep
 // their original seq — and requires identical (at, seq) pop order
 // throughout. This is the equivalence property the ring's O(1) fast path
-// rests on: callers must not be able to distinguish it from the heap.
+// rests on: callers must not be able to distinguish it from the heap. The
+// odd seeds start from New's carved queue, whose buckets share one slab: a
+// bucket outgrowing its share must leave its neighbours' events intact.
 func TestEventQueueMatchesHeapReference(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3, 42, 1997} {
 		var (
@@ -31,6 +33,9 @@ func TestEventQueueMatchesHeapReference(t *testing.T) {
 			seq uint64
 			now int64
 		)
+		if seed%2 == 1 {
+			q.carve()
+		}
 		push := func(e event) {
 			q.push(&e)
 			ref.push(&e)

@@ -197,6 +197,7 @@ func New(n int, proto Protocol, opts ...Option) *Network {
 	}
 	_, nw.unitLatency = nw.latency.(UnitLatency)
 	nw.bookAtSend = nw.unitLatency && (nw.faults == nil || !nw.faults.plan.hasDowntime())
+	nw.queue.carve()
 	return nw
 }
 
