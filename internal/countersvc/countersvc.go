@@ -393,7 +393,9 @@ func (s *Service) Migrations() []MigrationEvent { return s.events }
 // scheduled before any later completion of the same event is handled; inside
 // Await on rt. wedgeIdle is how long an rt wait stays silent once a fault
 // has fired before it gives up (see Await); the simulator ignores it. Set it
-// before the first Start.
+// before the first Start. On rt each shard runtime lends the driving
+// goroutine a worker from here to Close (rt.NewSink): Await runs ready
+// processors while it has no completion to hand over.
 func (s *Service) OnComplete(fn func(Completion), wedgeIdle time.Duration) {
 	s.done = fn
 	if len(s.rts) == 0 {
@@ -403,7 +405,7 @@ func (s *Service) OnComplete(fn func(Completion), wedgeIdle time.Duration) {
 	if _, active := s.FaultStats(); active {
 		s.period = min(wedgeIdle, s.stall)
 	}
-	s.sink = rt.NewSink(s.Now, s.period)
+	s.sink = rt.NewSink(s.Now, s.period, s.rts...)
 	for shard, r := range s.rts {
 		lag := s.lag[shard]
 		r.OnOpDone(func(d sim.OpDone) {
@@ -602,8 +604,10 @@ func (s *Service) Due(at int64, early bool) (now int64, due bool) {
 // completion to the OnComplete handler, or returns once the clock reaches
 // until (the next arrival; negative: none pending). On the simulator that is
 // one Step — until is the caller's to honour through Due. On rt it hands
-// over every completion the sink holds, or parks until one arrives, until
-// comes due, or the sink reports silence. It returns false when nothing
+// over every completion the sink holds, or runs the shard runtimes' ready
+// processors and parks, once none is ready, until one arrives, until comes
+// due, or the sink reports silence; a protocol panic in a processor it runs
+// propagates to the caller. It returns false when nothing
 // happened and nothing will: the simulator ran out of events, or real time
 // stayed silent for the stall timeout (30 s) — once a fault has fired, for
 // OnComplete's wedgeIdle.

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -30,7 +31,7 @@ const digestFirst = 1 << 10
 type digest struct {
 	counts []uint32 // counts[v] samples equal v (of those that arrived once the table covered v)
 	span   int      // counts[:span] holds every counted sample: rank and reset stop there
-	over   []int64  // the other samples, sorted by stats
+	over   []int64  // the other samples, arranged for rank by stats
 	n      int
 	sum    int64
 }
@@ -85,7 +86,13 @@ func (d *digest) stats() LatencyStats {
 	if d.n == 0 {
 		return LatencyStats{}
 	}
-	slices.Sort(d.over)
+	// The ranks read below, in increasing order: the min, the two bracketing
+	// each quantile, the max.
+	ranks := [8]int{7: d.n - 1}
+	for i, q := range [3]float64{0.50, 0.90, 0.99} {
+		ranks[2*i+1], ranks[2*i+2], _ = bracket(d.n, q)
+	}
+	d.order(ranks[:])
 	return LatencyStats{
 		Mean: float64(d.sum) / float64(d.n),
 		P50:  d.quantile(0.50),
@@ -96,23 +103,86 @@ func (d *digest) stats() LatencyStats {
 	}
 }
 
+// order arranges the raw samples so that rank reads the given ranks
+// (ascending) right. The strays below the span interleave with counted
+// values and the walk merges them, so they go first, sorted; there are few,
+// since only a sample that arrived before the table grew to cover it is
+// one. The strays at or above the span follow every counted value, so rank
+// k among all samples is the one at over[k-counted]: selection puts just
+// the ranks asked for in place, not the whole tail.
+func (d *digest) order(ranks []int) {
+	below := 0
+	for i, v := range d.over {
+		if v < int64(d.span) {
+			d.over[i], d.over[below] = d.over[below], v
+			below++
+		}
+	}
+	slices.Sort(d.over[:below])
+	counted := d.n - len(d.over)
+	from := below // over[from:] is not in place yet
+	for _, k := range ranks {
+		if i := k - counted; i >= from {
+			nth(d.over[from:], i-from)
+			from = i + 1
+		}
+	}
+}
+
+// nth rearranges a so that a[k] holds what sorting would put there, with no
+// larger value before it and no smaller one after: quickselect (Hoare
+// partitions around a median of three), falling back to sorting what is
+// left once the partitions have stopped halving it.
+func nth(a []int64, k int) {
+	for budget := 2 * bits.Len(uint(len(a))); len(a) > 1; budget-- {
+		if budget == 0 {
+			slices.Sort(a)
+			return
+		}
+		x, y, z := a[0], a[len(a)/2], a[len(a)-1]
+		pivot := max(min(x, y), min(max(x, y), z))
+		i, j := -1, len(a)
+		for {
+			for i++; a[i] < pivot; i++ {
+			}
+			for j--; a[j] > pivot; j-- {
+			}
+			if i >= j {
+				break
+			}
+			a[i], a[j] = a[j], a[i]
+		}
+		// a[:j+1] holds no value above the pivot, a[j+1:] none below it.
+		if k <= j {
+			a = a[:j+1]
+		} else {
+			a, k = a[j+1:], k-j-1
+		}
+	}
+}
+
+// bracket returns the two ranks whose order statistics the q-quantile of n
+// samples interpolates between, and the weight of the upper one.
+func bracket(n int, q float64) (lo, hi int, frac float64) {
+	pos := q * float64(n-1)
+	lo, hi = int(math.Floor(pos)), int(math.Ceil(pos))
+	return lo, hi, pos - float64(lo)
+}
+
 // quantile interpolates the q-quantile: the "type 7" estimator (linear
 // interpolation between the order statistics at the two ranks bracketing
 // q·(n−1), the default of R and NumPy) — not the nearest-rank method, which
-// never interpolates. over must be sorted.
+// never interpolates. order must have placed both ranks.
 func (d *digest) quantile(q float64) float64 {
-	pos := q * float64(d.n-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
+	lo, hi, frac := bracket(d.n, q)
 	if lo == hi {
 		return float64(d.rank(lo))
 	}
-	frac := pos - float64(lo)
 	return float64(d.rank(lo))*(1-frac) + float64(d.rank(hi))*frac
 }
 
 // rank returns the k-th smallest sample (0-based), merging the table with
-// the raw samples. over must be sorted. The walk ends at the largest
+// the raw samples. order must have placed k. The walk ends at the largest
 // counted value; the raw samples it has not passed are the ranks above.
 func (d *digest) rank(k int) int64 {
 	j := 0

@@ -132,6 +132,78 @@ func TestDigestMatchesSort(t *testing.T) {
 	}
 }
 
+// TestDigestSelectMatchesSort: stats selects its ranks among the strays
+// above the table's span instead of sorting them, and reads the same
+// numbers as sorting every sample, on random populations built to stress
+// the split: strays that arrived before the table grew and now sit below
+// its span among counted values, heavy duplicates on both sides of it,
+// all-equal samples and a single one.
+func TestDigestSelectMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	for trial := 0; trial < 400; trial++ {
+		var vals []int64
+		switch trial % 4 {
+		case 0: // early wide samples stay raw, then the table grows past them
+			for i := rng.Intn(200); i > 0; i-- {
+				vals = append(vals, digestFirst+rng.Int63n(4*digestFirst))
+			}
+			for i := rng.Intn(20000); i > 0; i-- {
+				vals = append(vals, rng.Int63n(8*digestFirst))
+			}
+		case 1: // few distinct values, some above the dense bound
+			levels := []int64{0, 7, digestFirst + 1, digestDense - 1, digestDense, 3 * digestDense}
+			for i := 1 + rng.Intn(5000); i > 0; i-- {
+				vals = append(vals, levels[rng.Intn(len(levels))])
+			}
+		case 2: // all equal
+			v := []int64{-3, 0, 500, digestDense + 9}[rng.Intn(4)]
+			for i := 1 + rng.Intn(3000); i > 0; i-- {
+				vals = append(vals, v)
+			}
+		default: // a single sample, or a sprinkle of negatives in a long tail
+			if rng.Intn(2) == 0 {
+				vals = []int64{rng.Int63n(4*digestDense) - 8}
+				break
+			}
+			for i := 1 + rng.Intn(8000); i > 0; i-- {
+				vals = append(vals, rng.Int63n(1<<24)-rng.Int63n(64))
+			}
+		}
+		if got, want := digestOf(vals), sortedStats(slices.Clone(vals)); got != want {
+			t.Fatalf("trial %d (%d samples): digest %+v, sort %+v", trial, len(vals), got, want)
+		}
+	}
+}
+
+// TestNthMatchesSort: the selection behind stats leaves the k-th smallest
+// at k with nothing larger before it and nothing smaller after, on sorted,
+// reversed, tied and random input.
+func TestNthMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	inputs := [][]int64{{5}, {2, 1}, {3, 3, 3, 3}}
+	for _, n := range []int{10, 257, 4000} {
+		up, down, ties, random := make([]int64, n), make([]int64, n), make([]int64, n), make([]int64, n)
+		for i := range up {
+			up[i], down[i] = int64(i), int64(n-i)
+			ties[i], random[i] = rng.Int63n(3), rng.Int63()-rng.Int63()
+		}
+		inputs = append(inputs, up, down, ties, random)
+	}
+	for _, in := range inputs {
+		sorted := slices.Sorted(slices.Values(in))
+		for _, k := range []int{0, len(in) / 3, len(in) / 2, len(in) - 1} {
+			a := slices.Clone(in)
+			nth(a, k)
+			if a[k] != sorted[k] {
+				t.Fatalf("n=%d k=%d: %d at k, want %d", len(in), k, a[k], sorted[k])
+			}
+			if slices.Max(a[:k+1]) > a[k] || slices.Min(a[k:]) < a[k] {
+				t.Fatalf("n=%d k=%d: not partitioned around %d", len(in), k, a[k])
+			}
+		}
+	}
+}
+
 // TestDigestFootprint: the digest holds O(min(samples, digestDense)) bytes —
 // a short run with wide latencies keeps them raw instead of paying for the
 // whole table, and a long one stops growing once the table covers them.

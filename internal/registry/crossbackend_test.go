@@ -2,6 +2,7 @@ package registry_test
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -443,6 +444,25 @@ func TestCrossBackendServiceProfile(t *testing.T) {
 			if u := float64(busy) / makespan; u < 0.5 || u > 1+1/float64(recv[straggler]-1)+0.01 {
 				t.Errorf("straggler utilization %.2f (%d ticks busy of %.0f), want the bottleneck's ~1", u, busy, makespan)
 			}
+		})
+	}
+}
+
+// TestCrossBackendScheduleIndependence re-runs the equivalence, keyed and
+// service-profile checks at GOMAXPROCS 1 and 2. An rt runtime driven through
+// the service lends the driving goroutine a worker, which then runs ready
+// processors between completions: at GOMAXPROCS 1 the driver and one worker
+// take turns on one core, at 2 the worker that stays and the driver run
+// protocol code at once. Every result the three checks pin (completed and
+// verified operations, per-key values and routing, the straggler as the
+// saturated processor) must hold under either schedule.
+func TestCrossBackendScheduleIndependence(t *testing.T) {
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			t.Run("Equivalence", TestCrossBackendEquivalence)
+			t.Run("KeyedEquivalence", TestCrossBackendKeyedEquivalence)
+			t.Run("ServiceProfile", TestCrossBackendServiceProfile)
 		})
 	}
 }

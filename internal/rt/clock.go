@@ -18,14 +18,16 @@ import (
 // is inside the horizon.
 const spinHorizon = 1500 * time.Microsecond
 
-// WaitFor receives from ch for at most d of wall time and reports whether a
+// waitFor receives from ch for at most d of wall time and reports whether a
 // value arrived. It is the one wall-clock wait of the rt backend, shared by
 // the runtime's clock goroutine and Sink.Await's wait for an arrival:
 // beyond spinHorizon it sleeps on t, inside it it polls ch between
 // runtime.Gosched calls, so the deadline is met within microseconds without
-// starving runnable goroutines. t is the caller's reusable timer, stopped
+// starving runnable goroutines. A non-nil help replaces the Gosched call
+// whenever it finds work: the sink's driver runs ready processors while an
+// arrival is about to come due. t is the caller's reusable timer, stopped
 // on entry; it is stopped and drained again on every return.
-func WaitFor[T any](t *time.Timer, ch <-chan T, d time.Duration) (v T, ok bool) {
+func waitFor[T any](t *time.Timer, ch <-chan T, d time.Duration, help func() bool) (v T, ok bool) {
 	deadline := time.Now().Add(d)
 	if d > spinHorizon {
 		t.Reset(d - spinHorizon)
@@ -50,7 +52,9 @@ func WaitFor[T any](t *time.Timer, ch <-chan T, d time.Duration) (v T, ok bool) 
 		if !time.Now().Before(deadline) {
 			return v, false
 		}
-		runtime.Gosched()
+		if help == nil || !help() {
+			runtime.Gosched()
+		}
 	}
 }
 
@@ -183,7 +187,7 @@ func (r *Runtime) runClock() {
 		case next < 0:
 			<-c.wake
 		default:
-			WaitFor(sleep, c.wake, time.Duration(next-r.NowNs()))
+			waitFor(sleep, c.wake, time.Duration(next-r.NowNs()), nil)
 		}
 	}
 }

@@ -25,23 +25,34 @@
 // delivers the batch in arrival order by calling the protocol's Deliver with
 // that processor's Transport view, whose CurrentOp is the operation the
 // message is attributed to; a processor that received more mail meanwhile
-// goes back to the tail of the list. A processor is on the list or inside a
-// worker at most once, so its handlers never run concurrently with each
+// goes back to the tail of the list. A processor is on the list or inside an
+// executor at most once, so its handlers never run concurrently with each
 // other and its protocol state needs no lock. A message to an idle processor
-// thus costs two appends, and parks or wakes a goroutine only when a worker
-// was idle — not once per hop, as a goroutine per processor would. Mailboxes
-// are unbounded deliberately: the protocols exchange cyclic request/reply
-// patterns, and a bounded channel could deadlock two processors sending to
-// each other's full queues. The paper's model (Section 2) promises unbounded
-// local memory and finite but unbounded message delay, which is exactly what
-// an unbounded mailbox plus a work-conserving pool provides.
+// thus costs two appends, and parks or wakes a goroutine only when an
+// executor was idle — not once per hop, as a goroutine per processor would.
+// Mailboxes are unbounded deliberately: the protocols exchange cyclic
+// request/reply patterns, and a bounded channel could deadlock two
+// processors sending to each other's full queues. The paper's model
+// (Section 2) promises unbounded local memory and finite but unbounded
+// message delay, which is exactly what an unbounded mailbox plus a
+// work-conserving pool provides.
+//
+// A runtime that delivers its completions into a Sink makes the sink's
+// driving goroutine its last worker: while it has more than one worker, one
+// retires for the sink's life, and Sink.Await runs ready processors — with
+// the same claim, one batch at a time — whenever it has no completion to
+// hand over, instead of parking or spinning toward an arrival. A processor
+// that becomes ready while no worker is parked posts the sink's wake token,
+// so a parked driver is an idle executor like a parked worker. So at most
+// GOMAXPROCS goroutines run protocol code, and a completion is usually
+// handled by the goroutine that produced it.
 //
 // Operation accounting mirrors the simulator event for event: an operation
 // is open while it has pending attributed work (its initiation callback,
 // in-flight attributed messages and timers, and Adopt holds); when the
 // count reaches zero the operation is complete and the OnOpDone callback
 // fires. The per-message service cost of sim.WithServiceTime is emulated by
-// busy-spinning the worker that holds the receiving processor for cost x
+// busy-spinning the executor that holds the receiving processor for cost x
 // tick per network message, which reproduces the serial-server bottleneck —
 // the paper's hot-spot — on real cores.
 //
@@ -161,8 +172,8 @@ type item struct {
 	parent int32
 }
 
-// procLoad is one processor's message counters, written only by that
-// worker currently holding that processor (Send and deliver both run on it)
+// procLoad is one processor's message counters, written only by the
+// executor currently holding that processor (Send and deliver both run on it)
 // and padded to a cache line of their own, so counting a message contends
 // with nobody.
 type procLoad struct {
@@ -176,9 +187,9 @@ const cacheLine = 64
 // processor is one mailbox and the Transport view its handlers run under.
 // scheduled is the processor's claim on execution: set by the enqueue that
 // finds it clear (which then puts the processor on the ready list), cleared by
-// the worker that finds the mailbox empty after a batch. While it is set the
-// processor is on the ready list or inside a worker exactly once, so view
-// belongs to whichever worker popped it.
+// the executor (a worker or a sink's driver) that finds the mailbox empty
+// after a batch. While it is set the processor is on the ready list or inside
+// an executor exactly once, so view belongs to whichever executor popped it.
 type processor struct {
 	view      procView
 	mu        sync.Mutex
@@ -188,8 +199,8 @@ type processor struct {
 }
 
 // readyList is the run queue: processors with pending mail, in the order
-// they became ready, and the workers waiting for one. Each processor is on it
-// at most once, so a ring of n slots never fills. Its mutex is never held
+// they became ready, and the executors waiting for one. Each processor is on
+// it at most once, so a ring of n slots never fills. Its mutex is never held
 // together with a mailbox's.
 type readyList struct {
 	mu         sync.Mutex
@@ -201,6 +212,15 @@ type readyList struct {
 	idle   int
 	work   sync.Cond
 	closed bool
+	// workers counts the worker goroutines not asked to retire, and retire
+	// the ones asked but not yet gone.
+	workers, retire int
+	// driver, while the runtime serves a sink, is the sink whose awaiting
+	// goroutine runs ready processors too (Runtime.lend): with no worker
+	// parked, a processor that becomes ready posts its wake token instead.
+	driver *Sink
+	// lent records that a worker retired for driver and is owed back.
+	lent bool
 }
 
 // push appends a processor that just became ready.
@@ -210,33 +230,67 @@ func (q *readyList) push(pr *processor) {
 	q.mu.Unlock()
 }
 
-// add appends pr and wakes an idle worker for it. The caller holds q.mu.
+// add appends pr and wakes an idle executor for it. The caller holds q.mu.
 func (q *readyList) add(pr *processor) {
 	q.ring[(q.head+q.size)%len(q.ring)] = pr
 	q.size++
+	q.wakeOne()
+}
+
+// wakeOne wakes an idle executor: a parked worker when there is one, else
+// the driver of the sink the runtime serves, which may be parked in Await.
+// The caller holds q.mu.
+func (q *readyList) wakeOne() {
 	if q.idle > 0 {
 		q.idle--
 		q.work.Signal()
+	} else if q.driver != nil {
+		q.driver.post()
 	}
 }
 
 // next hands a worker the processor at the head of the list, parking it
 // while the list is empty; again, when non-nil, is the processor the worker
 // just ran and found with more mail, which goes to the tail first, behind
-// every processor already waiting. It returns nil once the list is closed.
+// every processor already waiting. It returns nil once the list is closed or
+// the worker is to retire.
 func (q *readyList) next(again *processor) *processor {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if again != nil {
 		q.add(again)
 	}
-	for q.size == 0 && !q.closed {
+	for q.size == 0 && !q.closed && q.retire == 0 {
 		q.idle++
 		q.work.Wait()
 	}
-	if q.closed {
+	switch {
+	case q.closed:
+		return nil
+	case q.retire > 0:
+		q.retire--
+		if q.size > 0 {
+			q.wakeOne() // the wake-up this worker may have taken
+		}
 		return nil
 	}
+	return q.pop()
+}
+
+// poll is next for the sink's driver: the processor at the head of the list,
+// or nil at once when none is waiting.
+func (q *readyList) poll() *processor {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.size == 0 || q.closed {
+		return nil
+	}
+	return q.pop()
+}
+
+// pop removes the processor at the head of the list. The caller holds q.mu
+// and has checked that the list is not empty.
+func (q *readyList) pop() *processor {
 	pr := q.ring[q.head]
 	q.ring[q.head] = nil
 	q.head = (q.head + 1) % len(q.ring)
@@ -272,6 +326,9 @@ type Runtime struct {
 	procs []processor // 1..n
 	ready readyList
 	wg    sync.WaitGroup
+	// helped is the mailbox buffer of help, which only the driver of the sink
+	// the runtime serves calls.
+	helped []item
 	// serial, when non-nil, is held around every protocol callback
 	// (Machine.Serial).
 	serial *sync.Mutex
@@ -335,9 +392,9 @@ func New(m counter.Machine, opts ...Option) *Runtime {
 	r.ready.ring = make([]*processor, r.n)
 	r.ready.work.L = &r.ready.mu
 	r.start = time.Now()
-	workers := min(r.n, runtime.GOMAXPROCS(0))
-	r.wg.Add(workers + 1)
-	for i := 0; i < workers; i++ {
+	r.ready.workers = min(r.n, runtime.GOMAXPROCS(0))
+	r.wg.Add(r.ready.workers + 1)
+	for i := 0; i < r.ready.workers; i++ {
 		go r.work()
 	}
 	go r.runClock()
@@ -463,12 +520,13 @@ func (r *Runtime) faultIntercept(p sim.ProcID, it item) bool {
 
 // OnOpDone registers the completion callback, which receives each finished
 // operation stamped in NowNs. It must be set before the first Start and not
-// changed while operations are in flight; the callback runs on the workers
-// and must not block for long (countersvc hands the record to a Sink).
+// changed while operations are in flight; the callback runs on the workers,
+// and on a sink's driver while it helps, and must not block for long
+// (countersvc hands the record to a Sink).
 func (r *Runtime) OnOpDone(fn func(sim.OpDone)) { r.onDone = fn }
 
 // OnDeliver is sim.Network.OnDeliver on real cores. The hook runs on the
-// workers, concurrently, and since each operation numbers its nodes with its
+// executors, concurrently, and since each operation numbers its nodes with its
 // own counter, its concurrent deliveries may report out of node order
 // (trace.Recorder handles both). Set it from the goroutine that starts
 // operations, while no operation started under a hook is in flight.
@@ -580,10 +638,9 @@ func (r *Runtime) enqueue(p sim.ProcID, it item) {
 	}
 }
 
-// work is one worker: take the next ready processor, drain the mailbox it
-// has now in arrival order, and give the processor up — back to the ready
-// list when mail arrived meanwhile, so that one busy processor cannot keep a
-// worker from the others.
+// work is one worker: take the next ready processor, run it, and give it up
+// — back to the ready list when mail arrived meanwhile, so that one busy
+// processor cannot keep a worker from the others.
 func (r *Runtime) work() {
 	defer r.wg.Done()
 	var (
@@ -595,22 +652,93 @@ func (r *Runtime) work() {
 		if pr == nil {
 			return
 		}
-		pr.mu.Lock()
-		batch, pr.queue = pr.queue, batch[:0]
-		pr.mu.Unlock()
-		for i := range batch {
-			r.deliver(&pr.view, batch[i])
-			batch[i] = item{} // drop the opRec reference
-		}
 		again = nil
-		pr.mu.Lock()
-		if len(pr.queue) > 0 {
+		if r.run(pr, &batch) {
 			again = pr
-		} else {
-			pr.scheduled = false
 		}
-		pr.mu.Unlock()
 	}
+}
+
+// run delivers the mailbox a claimed processor has now, in arrival order,
+// swapping in *batch as its new queue and keeping the drained one there for
+// the next call. It reports whether mail arrived meanwhile: the processor
+// then stays claimed and goes back to the tail of the ready list; otherwise
+// its claim is released.
+func (r *Runtime) run(pr *processor, batch *[]item) bool {
+	pr.mu.Lock()
+	b := pr.queue
+	pr.queue = (*batch)[:0]
+	pr.mu.Unlock()
+	for i := range b {
+		r.deliver(&pr.view, b[i])
+		b[i] = item{} // drop the opRec reference
+	}
+	*batch = b
+	pr.mu.Lock()
+	more := len(pr.queue) > 0
+	pr.scheduled = more
+	pr.mu.Unlock()
+	return more
+}
+
+// help runs the processor at the head of the ready list on the calling
+// goroutine, the driver of the sink the runtime serves, with the same claim
+// as a worker's; it reports whether one was waiting. A panic in a protocol
+// callback propagates to the caller and leaves the processor claimed, so its
+// deliveries stop there.
+func (r *Runtime) help() bool {
+	pr := r.ready.poll()
+	if pr == nil {
+		return false
+	}
+	if r.run(pr, &r.helped) {
+		r.ready.push(pr)
+	}
+	return true
+}
+
+// lend makes s's awaiting goroutine one of the runtime's executors: while
+// the runtime has more than one worker, one retires, and a processor that
+// becomes ready while no worker is parked wakes s's driver, which runs it
+// (help). So at most GOMAXPROCS goroutines run protocol code. A runtime
+// serves one sink; reclaim ends the loan.
+func (r *Runtime) lend(s *Sink) {
+	q := &r.ready
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.driver != nil {
+		panic("rt: runtime already serves a sink")
+	}
+	q.driver = s
+	if q.workers > 1 && !q.closed {
+		q.workers--
+		q.retire++
+		q.lent = true
+		if q.idle > 0 {
+			q.idle--
+			q.work.Signal()
+		}
+	}
+}
+
+// reclaim ends lend's loan: the sink's driver stops being woken, and a
+// runtime still open gets its worker back.
+func (r *Runtime) reclaim() {
+	q := &r.ready
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.driver = nil
+	if !q.lent || q.closed {
+		return
+	}
+	q.lent = false
+	q.workers++
+	if q.retire > 0 {
+		q.retire-- // the worker had not left yet
+		return
+	}
+	r.wg.Add(1) // before Close's Wait: Close closes q under q.mu first
+	go r.work()
 }
 
 // deliver runs one mailbox item: service emulation, then the protocol
@@ -700,7 +828,7 @@ func (r *Runtime) scheduleTimer(p sim.ProcID, delay int64, pl sim.Payload, rec *
 		item{msg: sim.Message{From: p, To: p, Payload: pl, Local: true}, rec: rec, parent: parent})
 }
 
-// spin busy-waits for d, consuming the calling worker's core — the emulated
+// spin busy-waits for d, consuming the calling executor's core — the emulated
 // per-message processing cost. Sleeping would free the core and let the
 // scheduler hide the serial-server bottleneck the emulation exists to
 // expose; at microsecond scale the sleep granularity would also swamp the
@@ -711,7 +839,7 @@ func spin(d time.Duration) {
 }
 
 // procView is the sim.Transport implementation handed to protocol
-// callbacks: it belongs to one processor, is used by the worker currently
+// callbacks: it belongs to one processor, is used by the executor currently
 // holding that processor, and carries the operation the current delivery is
 // attributed to and the DAG node it acts at. All Transport methods are
 // called from inside a callback only (the interface's calling discipline).

@@ -17,6 +17,11 @@ import (
 // so a completion costs one uncontended lock on each side and no timer is
 // touched while completions flow.
 //
+// The runtimes passed to NewSink lend that goroutine a worker each: it runs
+// their ready processors whenever Await has no completion to hand over, and
+// a processor that becomes ready while no worker is parked posts the wake
+// token, so a driver parked in Await counts as an idle executor.
+//
 // Real goroutines that stop making progress just stay silent, so "nothing
 // will happen" needs a timeout. It lives off the hot path: a watchdog timer
 // compares the clock with the loop's last sign of life and wakes the loop
@@ -31,7 +36,9 @@ type Sink struct {
 
 	// Owned by the awaiting goroutine.
 	batch   []put
-	arrival *time.Timer // reusable timer of the until >= 0 waits (WaitFor)
+	arrival *time.Timer // reusable timer of the until >= 0 waits (waitFor)
+	rts     []*Runtime  // the runtimes whose processors it runs (help)
+	turn    int         // the runtime help tries first
 
 	now   func() int64
 	stall time.Duration
@@ -59,9 +66,15 @@ type put struct {
 // NewSink returns a sink whose Await reports a stall once now's clock
 // (nanoseconds, the clock of the records delivered into it) has moved
 // stall past the loop's last sign of life. The watchdog starts counting
-// immediately; Close stops it.
-func NewSink(now func() int64, stall time.Duration) *Sink {
-	s := &Sink{wake: make(chan struct{}, 1), now: now, stall: stall}
+// immediately; Close stops it. Each of rts, the runtimes that deliver into
+// the sink, lends its awaiting goroutine a worker until Close: while a
+// runtime has more than one worker, one retires, and Await runs the
+// runtime's ready processors instead.
+func NewSink(now func() int64, stall time.Duration, rts ...*Runtime) *Sink {
+	s := &Sink{wake: make(chan struct{}, 1), now: now, stall: stall, rts: rts}
+	for _, r := range rts {
+		r.lend(s)
+	}
 	s.arrival = time.NewTimer(time.Hour)
 	s.arrival.Stop()
 	s.life.Store(now())
@@ -94,10 +107,12 @@ func (s *Sink) post() {
 // completion to handle with the index it was put under, in arrival order,
 // and returns true; with none pending it waits for one, or — when until >=
 // 0, an arrival due at that instant of now's clock — returns true once the
-// clock reaches until. It returns false when nothing happened and nothing
-// will: the sink stayed silent for the stall timeout with no arrival
-// pending. A caller that waits on through the silence gets the next report
-// one stall timeout later.
+// clock reaches until. While it waits it runs the ready processors of the
+// sink's runtimes, one mailbox at a time, looking for completions between
+// two; a panic in a protocol callback run there propagates to the caller.
+// It returns false when nothing happened and nothing will: the sink stayed
+// silent for the stall timeout with no arrival pending. A caller that waits
+// on through the silence gets the next report one stall timeout later.
 func (s *Sink) Await(until int64, handle func(from int, d sim.OpDone)) bool {
 	for {
 		s.mu.Lock()
@@ -110,8 +125,15 @@ func (s *Sink) Await(until int64, handle func(from int, d sim.OpDone)) bool {
 			}
 			return true
 		}
+		if until >= 0 && s.now() >= until {
+			s.life.Store(until)
+			return true
+		}
+		if s.help() {
+			continue
+		}
 		if until >= 0 {
-			if _, woken := WaitFor(s.arrival, s.wake, time.Duration(until-s.now())); !woken {
+			if _, woken := waitFor(s.arrival, s.wake, time.Duration(until-s.now()), s.help); !woken {
 				s.life.Store(until)
 				return true
 			}
@@ -124,6 +146,19 @@ func (s *Sink) Await(until int64, handle func(from int, d sim.OpDone)) bool {
 			return false
 		}
 	}
+}
+
+// help runs one ready processor of the sink's runtimes, taking them in turn,
+// and reports whether there was one.
+func (s *Sink) help() bool {
+	for i := range s.rts {
+		j := (s.turn + i) % len(s.rts)
+		if s.rts[j].help() {
+			s.turn = (j + 1) % len(s.rts)
+			return true
+		}
+	}
+	return false
 }
 
 // silent re-checks a stall report on the awaiting goroutine: nothing is
@@ -170,12 +205,16 @@ func (s *Sink) aim() {
 	s.dog.Reset(rest)
 }
 
-// Close stops the sink's timers. Completions delivered afterwards are kept
-// and never consumed.
+// Close stops the sink's timers and ends its runtimes' loans: one still
+// open gets its worker back. Completions delivered afterwards are kept and
+// never consumed.
 func (s *Sink) Close() {
 	s.dogMu.Lock()
 	s.closed = true
 	s.dog.Stop()
 	s.dogMu.Unlock()
 	s.arrival.Stop()
+	for _, r := range s.rts {
+		r.reclaim()
+	}
 }
