@@ -200,24 +200,22 @@ func Example_concurrent() {
 	if err != nil {
 		panic(err)
 	}
-	ids := make([]sim.OpID, n)
-	for i := range ids {
-		ids[i] = c.Start(0, distcount.ProcID(i+1))
+	var timed []verify.TimedValue
+	c.Net().OnOpDone(func(d sim.OpDone) {
+		v, ok := c.OpValue(d.ID)
+		if !ok {
+			panic(fmt.Sprintf("operation %d got no value", d.ID))
+		}
+		timed = append(timed, verify.TimedValue{Op: d.ID, Value: v, Start: d.Start, End: d.End})
+	})
+	for i := 0; i < n; i++ {
+		c.Start(0, distcount.ProcID(i+1))
 	}
 	if err := c.Net().Run(); err != nil {
 		panic(err)
 	}
-	values := make([]int, n)
-	for i, id := range ids {
-		v, ok := c.OpValue(id)
-		if !ok {
-			panic(fmt.Sprintf("operation %d got no value", id))
-		}
-		values[i] = v
-	}
-	timed, err := verify.CollectTimedValues(c.Net(), ids, values)
-	if err != nil {
-		panic(err)
+	if len(timed) != n {
+		panic(fmt.Sprintf("%d of %d operations completed", len(timed), n))
 	}
 	fmt.Printf("n=%d: sequential makespan %d ticks, pipelined %d ticks\n", n, seq.Net().Now(), c.Net().Now())
 	fmt.Println("linearizable:", verify.Linearizable(timed) == nil)

@@ -116,7 +116,7 @@ func NewTree(k int, state RootState, opts ...Option) *Tree {
 
 // Do executes one operation initiated by processor p against the root
 // state, running the network to quiescence, and returns the root's reply.
-// The network then forgets the operation.
+// The network frees the operation's record with its last event.
 func (t *Tree) Do(p sim.ProcID, req any) (any, error) {
 	t.proto.curReq = req
 	id := t.net.StartOp(p, t.proto.initiate)
@@ -128,7 +128,6 @@ func (t *Tree) Do(p sim.ProcID, req any) (any, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: operation by %v terminated without a reply", p)
 	}
-	t.net.ForgetOp(id)
 	return reply, nil
 }
 

@@ -32,16 +32,19 @@ func TestValueTracksOps(t *testing.T) {
 	}
 }
 
-// TestDoForgetsItsOperation: Tree.Do leaves no operation record on the
-// network, retirement cascades included.
+// TestDoForgetsItsOperation: Tree.Do runs its operation to completion,
+// retirement cascades included, so the network has freed the operation's
+// record (it does so with the last event) by the time Do returns.
 func TestDoForgetsItsOperation(t *testing.T) {
 	c := New(2)
+	var last sim.OpDone
+	c.Net().OnOpDone(func(d sim.OpDone) { last = d })
 	for _, p := range counter.RandomOrder(c.N(), 5) {
 		if _, err := c.Inc(p); err != nil {
 			t.Fatal(err)
 		}
-		if id := sim.OpID(c.Net().Ops()); c.Net().OpStats(id) != nil {
-			t.Fatalf("op %d by %v: record survived Do", id, p)
+		if id := sim.OpID(c.Net().Ops()); last.ID != id || last.Initiator != p {
+			t.Fatalf("op %d by %v: last completion %+v", id, p, last)
 		}
 	}
 }

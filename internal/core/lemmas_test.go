@@ -291,3 +291,42 @@ func TestLoadSumConsistency(t *testing.T) {
 		t.Fatalf("sum of loads %d != 2 * %d", sum, c.Net().MessagesTotal())
 	}
 }
+
+// TestRepeatedCanonicalRounds pins what the tree counter does past the n
+// operations the lemmas speak of: the canonical workload repeated, each
+// processor once per round, with the round's bottleneck m_b the largest
+// load increase of the round. Round one is the paper's regime (m_b = O(k),
+// no pool exhausted). From round two on the replacement pools run out, the
+// exhausted nodes soldier on with their current processor, and m_b climbs
+// to central's order — the counter leaves its proven regime, silently in
+// every loaded run. The figures are today's behaviour, not a target: a fix
+// that keeps the pools turning moves every round after the first.
+func TestRepeatedCanonicalRounds(t *testing.T) {
+	for _, tc := range []struct {
+		k         int
+		mb, pools [4]int64 // per round: m_b, and PoolExhausted after it
+	}{
+		{3, [4]int64{56, 75, 218, 218}, [4]int64{0, 46, 88, 154}},
+		{4, [4]int64{72, 437, 2562, 2562}, [4]int64{0, 481, 993, 1761}},
+	} {
+		c := New(tc.k)
+		prev := c.Net().Loads()
+		for r := range tc.mb {
+			for _, p := range counter.SequentialOrder(c.N()) {
+				if _, err := c.Inc(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cur := c.Net().Loads()
+			var mb int64
+			for p := range cur {
+				mb = max(mb, cur[p]-prev[p])
+			}
+			prev = cur
+			if got := c.Stats().PoolExhausted; mb != tc.mb[r] || got != tc.pools[r] {
+				t.Fatalf("n=%d round %d: m_b %d, PoolExhausted %d; want %d and %d",
+					c.N(), r+1, mb, got, tc.mb[r], tc.pools[r])
+			}
+		}
+	}
+}

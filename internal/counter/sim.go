@@ -41,8 +41,8 @@ func (s *Sim) Net() *sim.Network { return s.net }
 
 // Inc implements Counter: one operation by p run to quiescence — the
 // paper's execution model, "enough time elapses in between any two inc
-// requests". The network then forgets the operation, so a long sequential
-// run keeps no per-operation record.
+// requests". The network frees the operation's record with its last event,
+// so a long sequential run keeps no per-operation record.
 func (s *Sim) Inc(p sim.ProcID) (int, error) {
 	id := s.Start(s.net.Now(), p)
 	if err := s.net.Run(); err != nil {
@@ -52,7 +52,6 @@ func (s *Sim) Inc(p sim.ProcID) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("%s: operation by %v terminated without a value", s.m.Name, p)
 	}
-	s.net.ForgetOp(id)
 	return v, nil
 }
 

@@ -24,7 +24,6 @@ func TestSimStartAddsNoAllocation(t *testing.T) {
 			if _, ok := s.OpValue(id); !ok {
 				t.Fatal("operation completed without a value")
 			}
-			s.Net().ForgetOp(id)
 		}
 	}
 	m := central.NewMachine(8)

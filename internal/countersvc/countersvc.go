@@ -315,12 +315,7 @@ func (s *Service) attach(i int, algo string, c counter.Async) error {
 			s.nets = make([]*sim.Network, 0, len(s.shards))
 		}
 		s.nets = append(s.nets, nw)
-		nw.OnOpDone(func(d sim.OpDone) {
-			// Forgotten at once, so a long run keeps no per-operation record
-			// and the next start may recycle it.
-			nw.ForgetOp(d.ID)
-			s.finish(i, d)
-		})
+		nw.OnOpDone(func(d sim.OpDone) { s.finish(i, d) })
 	}
 	return nil
 }

@@ -127,23 +127,29 @@ func Levels(nodes []core.NodeInfo) []Level {
 
 // timedRun is the concurrent experiments' measurement: processor i+1 starts
 // an operation at starts[i] on the simulated network of c, the network runs
-// to quiescence, and every operation's value comes back with its timing, in
-// processor order.
+// to quiescence, and every operation's value comes back with its timing
+// (taken from its completion), in processor order.
 func timedRun(c counter.Async, starts []int64) ([]verify.TimedValue, error) {
 	ops := make([]sim.OpID, len(starts))
 	for i, at := range starts {
 		ops[i] = c.Start(at, sim.ProcID(i+1))
 	}
+	done := make(map[sim.OpID]sim.OpDone, len(ops))
+	c.Net().OnOpDone(func(d sim.OpDone) { done[d.ID] = d })
 	if err := c.Net().Run(); err != nil {
 		return nil, err
 	}
-	values := make([]int, len(starts))
+	out := make([]verify.TimedValue, len(ops))
 	for i, id := range ops {
 		v, ok := c.OpValue(id)
 		if !ok {
 			return nil, fmt.Errorf("processor %d received no value", i+1)
 		}
-		values[i] = v
+		d, ok := done[id]
+		if !ok {
+			return nil, fmt.Errorf("processor %d's operation did not complete", i+1)
+		}
+		out[i] = verify.TimedValue{Op: id, Value: v, Start: d.Start, End: d.End}
 	}
-	return verify.CollectTimedValues(c.Net(), ops, values)
+	return out, nil
 }

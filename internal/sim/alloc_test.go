@@ -35,15 +35,14 @@ var startRelay = func(nw Transport, p ProcID) {
 }
 
 // TestSendStepAllocFree pins allocs/op at exactly zero for the untraced,
-// fault-free start→send→deliver→forget cycle.
+// fault-free start→send→deliver→free cycle.
 func TestSendStepAllocFree(t *testing.T) {
 	nw := New(8, &relayProto{hops: 3})
 	run := func() {
-		id := nw.StartOp(1, startRelay)
+		nw.StartOp(1, startRelay)
 		if err := nw.Run(); err != nil {
 			t.Fatal(err)
 		}
-		nw.ForgetOp(id)
 	}
 	// Warm the ring buckets, op table, and free list.
 	for i := 0; i < 64; i++ {
@@ -54,28 +53,28 @@ func TestSendStepAllocFree(t *testing.T) {
 	}
 }
 
-// TestScheduleOpRecyclesRecords pins the free-list property directly: after
-// ForgetOp, the next operation start reuses the same *OpStats record.
+// TestScheduleOpRecyclesRecords pins the free-list property directly: an
+// operation's record is freed with its last event, and the next operation
+// start reuses it.
 func TestScheduleOpRecyclesRecords(t *testing.T) {
 	nw := New(4, &relayProto{hops: 0})
 	id := nw.StartOp(1, startRelay)
+	st := nw.ops.get(id)
+	if st == nil {
+		t.Fatal("no record for the op in flight")
+	}
 	if err := nw.Run(); err != nil {
 		t.Fatal(err)
 	}
-	st := nw.OpStats(id)
-	if st == nil {
-		t.Fatal("no OpStats for first op")
-	}
-	nw.ForgetOp(id)
-	if nw.OpStats(id) != nil {
-		t.Fatal("OpStats survived ForgetOp")
+	if nw.ops.get(id) != nil {
+		t.Fatal("record survived the op's last event")
 	}
 	id2 := nw.StartOp(3, startRelay)
-	st2 := nw.OpStats(id2)
+	st2 := nw.ops.get(id2)
 	if st2 != st {
 		t.Fatalf("second op got a fresh record (%p), want the recycled one (%p)", st2, st)
 	}
-	if st2.OpDone != (OpDone{ID: id2, Initiator: 3, Start: nw.Now(), End: nw.Now()}) || st2.Done() || st2.Killed() != 0 {
+	if *st2 != (opStats{OpDone: OpDone{ID: id2, Initiator: 3, Start: nw.Now(), End: nw.Now()}, pending: 1}) {
 		t.Fatalf("recycled record not reset: %+v", st2)
 	}
 	if err := nw.Run(); err != nil {
@@ -90,8 +89,10 @@ func TestScheduleOpRecyclesRecords(t *testing.T) {
 // duplication branch shares one accounting helper with the primary copy, and
 // this is the test that keeps the two from drifting.
 func TestDupAccountingIsExactlyTwiceSingleSend(t *testing.T) {
+	var ops []OpDone
 	run := func(opts ...Option) *Network {
 		nw := New(4, &relayProto{hops: 0}, opts...)
+		nw.OnOpDone(func(d OpDone) { ops = append(ops, d) })
 		nw.StartOp(1, func(tr Transport, p ProcID) {
 			tr.Send(2, sizedPayload{bits: 17})
 		})
@@ -102,6 +103,9 @@ func TestDupAccountingIsExactlyTwiceSingleSend(t *testing.T) {
 	}
 	single := run()
 	dup := run(WithFaults(FaultPlan{Dup: 0.999999}))
+	if len(ops) != 2 {
+		t.Fatalf("%d completions over the two runs, want 2", len(ops))
+	}
 	if got := dup.FaultStats().Duplicated; got != 1 {
 		t.Fatalf("duplication did not fire exactly once: %d", got)
 	}
@@ -118,7 +122,7 @@ func TestDupAccountingIsExactlyTwiceSingleSend(t *testing.T) {
 	if s, d := single.Load(2), dup.Load(2); d != 2*s {
 		t.Fatalf("receiver load: dup %d, want 2×%d", d, s)
 	}
-	ss, ds := single.OpStats(1), dup.OpStats(1)
+	ss, ds := ops[0], ops[1]
 	if ds.Messages != 2*ss.Messages {
 		t.Fatalf("op Messages: dup %d, want 2×%d", ds.Messages, ss.Messages)
 	}
@@ -129,7 +133,7 @@ func TestDupAccountingIsExactlyTwiceSingleSend(t *testing.T) {
 }
 
 // TestOpTableGrowAndForget exercises the dense ring through growth and
-// floor advancement with an out-of-order forget pattern.
+// floor advancement with an out-of-order drop pattern.
 func TestOpTableGrowAndForget(t *testing.T) {
 	var tab opTable
 	n := 4 * opTableMinSize
@@ -143,16 +147,16 @@ func TestOpTableGrowAndForget(t *testing.T) {
 			t.Fatalf("get(%d) = %v after growth", i, st)
 		}
 	}
-	// Forget out of order: the floor may only advance over a forgotten
-	// prefix, and surviving ids must stay reachable.
-	tab.forget(2)
+	// Drop out of order: the floor may only advance over a freed prefix, and
+	// surviving ids must stay reachable.
+	tab.drop(tab.get(2))
 	if tab.get(2) != nil {
-		t.Fatal("forgotten id still reachable")
+		t.Fatal("dropped id still reachable")
 	}
 	if tab.get(1) == nil || tab.get(3) == nil {
-		t.Fatal("neighbors lost on forget")
+		t.Fatal("neighbors lost on drop")
 	}
-	tab.forget(1) // now 1 and 2 are both gone: floor advances past both
+	tab.drop(tab.get(1)) // now 1 and 2 are both gone: floor advances past both
 	if tab.floor < 2 {
 		t.Fatalf("floor = %d, want >= 2", tab.floor)
 	}

@@ -35,12 +35,13 @@ func TestOnDeliverUnderFaults(t *testing.T) {
 	lossy := New(3, &pingPong{}, WithFaults(FaultPlan{DropNth: []NthRule{{Proc: 1, Every: 1}}}))
 	log := dagLog{}
 	lossy.OnDeliver(log.record)
+	done := recordDone(t, lossy)
 	id := lossy.StartOp(1, startPing(0)) // the 1 -> 2 ping is lost
 	if err := lossy.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if recs := log.check(t, id, 1); len(recs) != 1 || !lossy.OpStats(id).Wedged() {
-		t.Fatalf("lost ping: records %+v, wedged %v; want the source alone", recs, lossy.OpStats(id).Wedged())
+	if recs := log.check(t, id, 1); len(recs) != 1 || len(done) != 0 {
+		t.Fatalf("lost ping: records %+v, completions %v; want the source alone and none", recs, done)
 	}
 
 	dup := New(3, &pingPong{}, WithFaults(FaultPlan{DupNth: []NthRule{{Proc: 1, Every: 1}}}))
@@ -73,6 +74,7 @@ func TestOnDeliverUnderFaults(t *testing.T) {
 // it is installed is; nil removes the hook.
 func TestOnDeliverFromInstallOn(t *testing.T) {
 	nw := New(4, &pingPong{})
+	done := recordDone(t, nw)
 	early := nw.StartOp(1, startPing(1))
 	log := dagLog{}
 	nw.OnDeliver(log.record)
@@ -83,7 +85,7 @@ func TestOnDeliverFromInstallOn(t *testing.T) {
 	if len(log[early]) != 0 {
 		t.Fatalf("operation started before the hook recorded %+v", log[early])
 	}
-	if recs := log.check(t, late, 3); int64(len(recs)-1) != nw.OpStats(late).Messages {
+	if recs := log.check(t, late, 3); int64(len(recs)-1) != done[late].Messages {
 		t.Fatalf("operation started under the hook: records %+v", recs)
 	}
 	nw.OnDeliver(nil)

@@ -15,10 +15,10 @@ import (
 // under faults:
 //
 //   - A lost message is destroyed in flight AFTER the sender paid for it:
-//     load accounting and the operation's pending count are unchanged, but
-//     the delivery never happens, so the operation wedges (never completes)
-//     instead of completing with a silently missing effect. "Visibly stall,
-//     no silent gaps."
+//     load accounting is unchanged, but the delivery never happens, so the
+//     operation is marked lost and wedges (never completes) instead of
+//     completing with a silently missing effect. "Visibly stall, no silent
+//     gaps." Its record is freed with its last event all the same.
 //   - A duplicated message is a genuine second transmission: it is counted
 //     in every load metric and delivered with its own latency draw,
 //     attributed to the same operation.

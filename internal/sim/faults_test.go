@@ -156,26 +156,33 @@ func TestDownAtChurnRotation(t *testing.T) {
 	}
 }
 
-// TestLossWedgesOperation: a dropped message wedges its operation — the
-// pending count never reaches zero and the wedge is visible — instead of
-// letting the operation complete with a silent gap.
+// requireLost asserts that operation id lost an event to a fault: it never
+// completed, and the network kept no record of it (nor of any other).
+func requireLost(t *testing.T, nw *Network, done map[OpID]OpDone, id OpID) {
+	t.Helper()
+	if _, ok := done[id]; ok {
+		t.Fatalf("op %d completed after losing an event", id)
+	}
+	if live := liveRecords(nw); live != 0 {
+		t.Fatalf("%d operation records survive the lost op %d", live, id)
+	}
+}
+
+// TestLossWedgesOperation: a dropped message wedges its operation — it never
+// completes, visibly — instead of letting the operation complete with a
+// silent gap; its record is freed all the same.
 func TestLossWedgesOperation(t *testing.T) {
 	pp := &pingPong{}
 	nw := New(3, pp, WithFaults(FaultPlan{DropNth: []NthRule{{Proc: 1, Every: 1}}}))
 	if !nw.FaultsActive() {
 		t.Fatal("fault plan not installed")
 	}
+	done := recordDone(t, nw)
 	id := nw.StartOp(1, startPing(0)) // 1 -> 2 ping is dropped
 	if err := nw.Run(); err != nil {
 		t.Fatal(err)
 	}
-	st := nw.OpStats(id)
-	if st.Done() {
-		t.Fatal("operation with a destroyed event completed")
-	}
-	if !st.Wedged() || st.Killed() != 1 {
-		t.Fatalf("wedged=%v killed=%d, want true/1", st.Wedged(), st.Killed())
-	}
+	requireLost(t, nw, done, id)
 	if fs := nw.FaultStats(); fs.Lost != 1 || fs.Any() == false {
 		t.Fatalf("fault stats = %+v, want Lost 1", fs)
 	}
@@ -191,6 +198,7 @@ func TestLossWedgesOperation(t *testing.T) {
 func TestDupDeliversTwiceWithFullAccounting(t *testing.T) {
 	pp := &pingPong{}
 	nw := New(3, pp, WithFaults(FaultPlan{DupNth: []NthRule{{Proc: 1, Every: 1}}}))
+	done := recordDone(t, nw)
 	id := nw.StartOp(1, startPing(0))
 	if err := nw.Run(); err != nil {
 		t.Fatal(err)
@@ -204,9 +212,8 @@ func TestDupDeliversTwiceWithFullAccounting(t *testing.T) {
 	if pp.pongs != 2 {
 		t.Fatalf("pongs = %d, want 2", pp.pongs)
 	}
-	st := nw.OpStats(id)
-	if !st.Done() || st.Wedged() {
-		t.Fatalf("duplicated-message operation did not complete cleanly: done=%v wedged=%v", st.Done(), st.Wedged())
+	if st, ok := done[id]; !ok || st.Messages != 4 {
+		t.Fatalf("duplicated-message operation did not complete cleanly: %v, %+v", ok, st)
 	}
 	if fs := nw.FaultStats(); fs.Duplicated != 1 {
 		t.Fatalf("duplicated = %d, want 1", fs.Duplicated)
@@ -217,25 +224,32 @@ func TestDupDeliversTwiceWithFullAccounting(t *testing.T) {
 	}
 }
 
-// TestForgetOpWedged: ForgetOp reclaims wedged operations (their completion
-// is already lost) but still panics for an operation whose events are
-// merely in flight.
-func TestForgetOpWedged(t *testing.T) {
-	pp := &pingPong{}
-	nw := New(3, pp, WithFaults(FaultPlan{DropNth: []NthRule{{Proc: 1, Every: 1}}}))
-	id := nw.StartOp(1, startPing(0))
-	if err := nw.Run(); err != nil {
-		t.Fatal(err)
+// TestLostOpsFreeTheirRecords: a long sequential run under message loss
+// keeps state in proportion to the operations in flight, not to those run.
+// Every 1000th ping is lost; each lost operation's record goes with its last
+// event, so the op table's floor keeps up and the ring never grows past its
+// minimum.
+func TestLostOpsFreeTheirRecords(t *testing.T) {
+	const ops, every = 200_000, 1000
+	nw := New(2, &pingPong{}, WithFaults(FaultPlan{DropNth: []NthRule{{Proc: 1, Every: every}}}))
+	completed := 0
+	nw.OnOpDone(func(OpDone) { completed++ })
+	start := startPing(0)
+	for i := 0; i < ops; i++ {
+		nw.StartOp(1, start)
+		if err := nw.Run(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	nw.ForgetOp(id) // wedged: must not panic
-	if nw.OpStats(id) != nil {
-		t.Fatal("wedged operation not forgotten")
+	if lost := nw.FaultStats().Lost; lost != ops/every || completed != ops-ops/every {
+		t.Fatalf("lost %d, completed %d; want %d and %d", lost, completed, ops/every, ops-ops/every)
 	}
-
-	// An operation that is pending but NOT wedged still panics.
-	nw2 := New(3, &pingPong{})
-	id2 := nw2.ScheduleOp(5, 1, startPing(0)) // never run: start event in flight
-	expectPanic(t, "ForgetOp of an in-flight op", func() { nw2.ForgetOp(id2) })
+	if live := liveRecords(nw); live != 0 {
+		t.Fatalf("%d operation records survive the run", live)
+	}
+	if got := len(nw.ops.ring); got != opTableMinSize {
+		t.Fatalf("op ring grew to %d slots (floor %d), want %d", got, nw.ops.floor, opTableMinSize)
+	}
 }
 
 // TestCrashDrainsDeliveries: an event addressed to a crashed processor is
@@ -243,14 +257,12 @@ func TestForgetOpWedged(t *testing.T) {
 func TestCrashDrainsDeliveries(t *testing.T) {
 	pp := &pingPong{}
 	nw := New(3, pp, WithFaults(FaultPlan{Crashes: []Downtime{{Proc: 2, From: 0, To: 50}}}))
+	done := recordDone(t, nw)
 	id := nw.StartOp(1, startPing(0)) // ping 1 -> 2 arrives at t=1, proc 2 down
 	if err := nw.Run(); err != nil {
 		t.Fatal(err)
 	}
-	st := nw.OpStats(id)
-	if !st.Wedged() {
-		t.Fatal("operation into a drained mailbox did not wedge")
-	}
+	requireLost(t, nw, done, id)
 	if fs := nw.FaultStats(); fs.CrashDropped != 1 {
 		t.Fatalf("crash dropped = %d, want 1", fs.CrashDropped)
 	}
@@ -268,13 +280,14 @@ func TestFreezeDefersToRecovery(t *testing.T) {
 		Crashes: []Downtime{{Proc: 2, From: 0, To: 50}},
 		Freeze:  true,
 	}))
+	done := recordDone(t, nw)
 	id := nw.StartOp(1, startPing(0))
 	if err := nw.Run(); err != nil {
 		t.Fatal(err)
 	}
-	st := nw.OpStats(id)
-	if !st.Done() || st.Wedged() {
-		t.Fatalf("frozen delivery did not complete: done=%v wedged=%v", st.Done(), st.Wedged())
+	st, ok := done[id]
+	if !ok {
+		t.Fatal("frozen delivery did not complete")
 	}
 	if st.End < 50 {
 		t.Fatalf("operation completed at %d, before the recovery at 50", st.End)
@@ -296,13 +309,12 @@ func TestFreezeNeverRecoversDrains(t *testing.T) {
 		Crashes: []Downtime{{Proc: 2, From: 0}},
 		Freeze:  true,
 	}))
+	done := recordDone(t, nw)
 	id := nw.StartOp(1, startPing(0))
 	if err := nw.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !nw.OpStats(id).Wedged() {
-		t.Fatal("delivery to a never-recovering processor was not drained")
-	}
+	requireLost(t, nw, done, id)
 	if fs := nw.FaultStats(); fs.CrashDropped != 1 || fs.CrashDeferred != 0 {
 		t.Fatalf("fault stats = %+v, want one drop and no deferral", fs)
 	}
@@ -328,6 +340,7 @@ func TestCrashCancelsTimers(t *testing.T) {
 		Crashes: []Downtime{{Proc: 1, From: 5, To: 100}},
 		Freeze:  true, // even frozen crashes lose soft state
 	}))
+	done := recordDone(t, nw)
 	id := nw.StartOp(1, func(nw Transport, p ProcID) {
 		nw.After(10, crashTimerPayload{}) // fires at t=10, inside the crash window
 	})
@@ -340,9 +353,7 @@ func TestCrashCancelsTimers(t *testing.T) {
 	if fs := nw.FaultStats(); fs.TimersCancelled != 1 || fs.CrashDeferred != 0 {
 		t.Fatalf("fault stats = %+v, want one cancelled timer", fs)
 	}
-	if !nw.OpStats(id).Wedged() {
-		t.Fatal("operation whose timer was cancelled did not wedge")
-	}
+	requireLost(t, nw, done, id)
 }
 
 // TestCloneReplaysFaultSchedule: a clone taken at quiescence replays the

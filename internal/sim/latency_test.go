@@ -101,13 +101,14 @@ func (l countingLatency) Delay(msg Message, r *rng.Source) int64 {
 // message.
 func TestOnlyUnitLatencySkipsDelay(t *testing.T) {
 	const sends = 3 // relayProto{hops: 3}: 1→2→3→4
-	run := func(t *testing.T, nw *Network) *OpStats {
+	run := func(t *testing.T, nw *Network) OpDone {
 		t.Helper()
+		done := recordDone(t, nw)
 		id := nw.StartOp(1, startRelay)
 		if err := nw.Run(); err != nil {
 			t.Fatal(err)
 		}
-		st := nw.OpStats(id)
+		st := done[id]
 		if st.Messages != sends {
 			t.Fatalf("operation sent %d messages, want %d", st.Messages, sends)
 		}
@@ -191,11 +192,12 @@ func TestCloneCarriesLatencyFastPath(t *testing.T) {
 			t.Fatalf("%s: fast path original=%v clone=%v, want %v", tc.name, nw.unitLatency, cl.unitLatency, tc.unit)
 		}
 		for _, net := range []*Network{nw, cl} {
+			done := recordDone(t, net)
 			id := net.StartOp(1, startRelay)
 			if err := net.Run(); err != nil {
 				t.Fatal(err)
 			}
-			if st := net.OpStats(id); st.End-st.Start != 3*tc.hop {
+			if st := done[id]; st.End-st.Start != 3*tc.hop {
 				t.Fatalf("%s: relay took %d ticks, want %d", tc.name, st.End-st.Start, 3*tc.hop)
 			}
 		}

@@ -71,7 +71,7 @@ type Network struct {
 	onDeliver func(Delivery)
 	// doneQ holds operations completed by Release during a delivery that
 	// belonged to a different operation; drained after each Step.
-	doneQ []*OpStats
+	doneQ []OpDone
 
 	// faults, when non-nil, is the installed fault-injection plan (see
 	// WithFaults and faults.go). All fault decisions run through it.
@@ -273,10 +273,6 @@ func (nw *Network) NextAt() (int64, bool) {
 	return nw.queue.peekAt()
 }
 
-// OpStats returns the statistics of an operation, or nil if unknown (never
-// started, or dropped with ForgetOp).
-func (nw *Network) OpStats(id OpID) *OpStats { return nw.ops.get(id) }
-
 // FaultsActive reports whether a fault plan is installed.
 func (nw *Network) FaultsActive() bool { return nw.faults != nil }
 
@@ -305,10 +301,12 @@ func (nw *Network) CurrentOp() OpID {
 // event of an operation has been delivered — i.e. the operation's "process"
 // has run to completion even though the network as a whole may still be
 // busy with other operations. It receives the operation's OpDone record,
-// the shape rt's completions take too. The handler runs outside any
-// delivery context, so it may call ScheduleOp (the closed-loop workload
-// engine admits its next request from here) or ForgetOp but not Send.
-// Passing nil removes the handler.
+// the shape rt's completions take too; the simulator has freed its own
+// record by then, so the OpDone is the only trace a finished operation
+// leaves. An operation that lost an event to an injected fault never
+// completes and fires nothing. The handler runs outside any delivery
+// context, so it may call ScheduleOp (the closed-loop workload engine admits
+// its next request from here) but not Send. Passing nil removes the handler.
 func (nw *Network) OnOpDone(fn func(OpDone)) { nw.onOpDone = fn }
 
 // OnDeliver installs the hook that receives, one Delivery per node, the
@@ -318,23 +316,11 @@ func (nw *Network) OnOpDone(fn func(OpDone)) { nw.onOpDone = fn }
 // nil check.
 func (nw *Network) OnDeliver(fn func(Delivery)) { nw.onDeliver = fn }
 
-// ForgetOp drops the bookkeeping of a finished operation so that long
-// workload runs do not accumulate per-op state. Forgetting an operation
-// that is still pending would lose its completion; it panics — unless the
-// operation is wedged (an injected fault destroyed one of its events, so
-// its completion is already lost), in which case forgetting is the only
-// way to reclaim it.
-//
-// The forgotten record is recycled: the next operation start may reuse it,
-// so an *OpStats read from OpStats must not be kept past ForgetOp.
-func (nw *Network) ForgetOp(id OpID) {
-	if st := nw.ops.get(id); st != nil {
-		if st.pending != 0 && st.killed == 0 {
-			panic(fmt.Sprintf("sim: ForgetOp(%d): operation still has %d pending events", id, st.pending))
-		}
-		nw.ops.forget(id)
-	}
-}
+// ForgetOp does nothing: the simulator frees an operation's record itself,
+// with the operation's last pending event (see release). It is kept only
+// for the frozen benchmark harness under bench/, which still calls it, and
+// goes when that harness next changes.
+func (nw *Network) ForgetOp(OpID) {}
 
 // Ops returns the number of operations started so far.
 func (nw *Network) Ops() int { return int(nw.nextOp) }
@@ -393,7 +379,7 @@ func (nw *Network) Send(to ProcID, pl Payload) {
 // of a send and a fault-injected duplicate, so the two cannot drift (a
 // duplicate is a genuine second transmission: full load accounting and its
 // own pending delivery).
-func (nw *Network) accountSend(from ProcID, pl Payload, st *OpStats, countPending bool) {
+func (nw *Network) accountSend(from ProcID, pl Payload, st *opStats, countPending bool) {
 	nw.sent[from]++
 	nw.msgTotal++
 	if sized, ok := pl.(BitSized); ok {
@@ -451,13 +437,9 @@ func (nw *Network) enqueueSend(to ProcID, pl Payload, op OpID, parent int32, cou
 		var drop bool
 		drop, dup = nw.faults.SendFate(from)
 		if drop {
-			// The sender paid for the message and the operation still awaits
-			// the delivery, but the message is destroyed in flight: no event
-			// is enqueued, so the operation wedges visibly instead of
-			// completing with a silent gap.
-			if st != nil {
-				st.killed++
-			}
+			// The sender paid for the message, but it is destroyed in flight:
+			// no event is enqueued, and the operation is lost.
+			nw.release(st, true)
 			return
 		}
 	}
@@ -539,17 +521,44 @@ func (nw *Network) Release(tok OpToken) {
 	if !tok.Valid() {
 		panic("sim: Release of an invalid token")
 	}
-	st := nw.ops.get(tok.op)
+	if st := nw.ops.get(tok.op); st != nil {
+		st.End = max(st.End, nw.now)
+		nw.release(st, false)
+	}
+}
+
+// release retires one pending unit of st's operation: a delivered event, a
+// Release, or — lost set — an event destroyed by an injected fault. It is
+// the one place a record's lifetime is decided: with the last unit the
+// record is freed, and an operation that lost nothing completes, its
+// OnOpDone firing at once outside a delivery, or after the current delivery
+// inside one. st may be nil (an event of no operation).
+func (nw *Network) release(st *opStats, lost bool) {
 	if st == nil {
 		return
 	}
-	st.pending--
-	if nw.now > st.End {
-		st.End = nw.now
+	if lost {
+		st.lost = true
 	}
-	if st.pending == 0 && nw.onOpDone != nil {
-		nw.doneQ = append(nw.doneQ, st)
+	if st.pending--; st.pending == 0 {
+		nw.finish(st)
 	}
+}
+
+// finish frees the record of an operation whose last unit retired and
+// reports its completion unless it was lost (release's slow path, kept
+// apart so the per-event path inlines).
+func (nw *Network) finish(st *opStats) {
+	d, done := st.OpDone, !st.lost && nw.onOpDone != nil
+	nw.ops.drop(st)
+	if !done {
+		return
+	}
+	if nw.inCallback {
+		nw.doneQ = append(nw.doneQ, d)
+		return
+	}
+	nw.onOpDone(d)
 }
 
 // After schedules a local wakeup for the currently executing processor after
@@ -682,19 +691,14 @@ func (nw *Network) Step() (bool, error) {
 	// The delivered event no longer belongs to the operation; if it was the
 	// last one, the operation is complete. The handler runs outside the
 	// delivery context so it may schedule follow-up operations.
-	if st != nil {
-		st.pending--
-		if st.pending == 0 && nw.onOpDone != nil {
-			nw.onOpDone(st.OpDone)
-		}
-	}
+	nw.release(st, false)
 	// Operations completed by Release during the delivery fire now, also
 	// outside the delivery context.
 	for len(nw.doneQ) > 0 {
 		d := nw.doneQ[0]
 		nw.doneQ = nw.doneQ[1:]
-		if d.pending == 0 && nw.onOpDone != nil {
-			nw.onOpDone(d.OpDone)
+		if nw.onOpDone != nil {
+			nw.onOpDone(d)
 		}
 	}
 	return true, nil
@@ -708,14 +712,11 @@ func (nw *Network) faultIntercept(e *event) bool {
 	if !down {
 		return false
 	}
-	st := nw.ops.get(e.op)
 	if e.local {
 		// A crash loses soft state: local timers at a down processor are
 		// cancelled outright, even under Freeze.
 		nw.faults.NoteTimerCancelled()
-		if st != nil {
-			st.killed++
-		}
+		nw.release(nw.ops.get(e.op), true)
 		return true
 	}
 	if nw.faults.Plan().Freeze && !forever {
@@ -729,11 +730,9 @@ func (nw *Network) faultIntercept(e *event) bool {
 		nw.queue.push(e)
 		return true
 	}
-	// Drained mailbox: the delivery is destroyed and its operation wedges.
+	// Drained mailbox: the delivery is destroyed and its operation is lost.
 	nw.faults.NoteCrashDropped()
-	if st != nil {
-		st.killed++
-	}
+	nw.release(nw.ops.get(e.op), true)
 	return true
 }
 

@@ -21,62 +21,49 @@ type Delivery struct {
 	Node, Parent int
 }
 
-// OpStats aggregates what happened during one operation: the OpDone record
+// opStats is the simulator's record of one operation in flight: the OpDone
 // its completion reports (Start and End are simulated times of the
 // initiation event and of the last event attributed to the operation) and
-// the simulator's own accounting of its queued events.
-type OpStats struct {
+// the accounting that decides the record's lifetime (see Network.release).
+type opStats struct {
 	OpDone
 	// nodes is the number of DAG nodes numbered so far, the source included,
 	// or 0 when the operation started with no OnDeliver hook.
 	nodes int
-	// pending counts the queued events (messages, timers, the initiation
-	// itself) still belonging to the operation; the operation is complete
-	// exactly when pending returns to zero.
+	// pending counts the units still belonging to the operation: queued
+	// events (messages, timers, the initiation itself) and adopted tokens.
+	// The record is freed when it returns to zero.
 	pending int
-	// killed counts events of the operation destroyed by injected faults
-	// (lost messages, deliveries drained at a crashed processor, cancelled
-	// timers). A killed event is never delivered, so pending can no longer
-	// reach zero: the operation is wedged, visibly, rather than completing
-	// with a silent gap.
-	killed int
+	// lost marks an operation that an injected fault destroyed an event of
+	// (a lost message, a delivery drained at a crashed processor, a
+	// cancelled timer). Its record is still freed with its last unit, but it
+	// never completes: no OnOpDone fires, so it stalls visibly rather than
+	// completing with a silent gap.
+	lost bool
 }
-
-// Killed returns the number of the operation's events destroyed by injected
-// faults.
-func (s *OpStats) Killed() int { return s.killed }
-
-// Wedged reports whether the operation can no longer complete because an
-// injected fault destroyed at least one of its events.
-func (s *OpStats) Wedged() bool { return s.pending > 0 && s.killed > 0 }
-
-// Done reports whether the operation has completed: no queued event belongs
-// to it anymore.
-func (s *OpStats) Done() bool { return s.pending == 0 }
 
 // opTable stores the live operations' records in a power-of-two ring
 // indexed by the sequential OpID, replacing the map whose assign/scan costs
 // dominated the event-processing profile. Because ids are issued
-// consecutively and the engine forgets operations shortly after completion,
-// the live ids form a narrow moving window (floor, top]: slot id&mask is
-// unambiguous as long as the window is no wider than the ring, and the ring
-// doubles on the rare runs that keep more operations alive.
+// consecutively and a record is freed with its operation's last pending
+// unit, the live ids form a narrow moving window (floor, top]: slot id&mask
+// is unambiguous as long as the window is no wider than the ring, and the
+// ring doubles on the rare runs that keep more operations in flight.
 //
-// Forgotten records are recycled through a free list, so a steady-state
-// workload run performs no per-operation allocation at all (see
-// Network.ForgetOp for the resulting retention contract).
+// Freed records are recycled through a free list, so a steady-state
+// workload run performs no per-operation allocation at all.
 type opTable struct {
-	floor OpID       // every id <= floor is forgotten (or predates tracking)
+	floor OpID       // every id <= floor is freed (or predates tracking)
 	top   OpID       // highest id ever stored
-	ring  []*OpStats // len is a power of two; nil slot = forgotten
-	free  []*OpStats // recycled records, reused by the next put
+	ring  []*opStats // len is a power of two; nil slot = freed
+	free  []*opStats // recycled records, reused by the next put
 }
 
 const opTableMinSize = 64
 
-// get returns the record of id, or nil when the id is unknown, forgotten,
-// or zero.
-func (t *opTable) get(id OpID) *OpStats {
+// get returns the record of id, or nil when the id is unknown, freed, or
+// zero.
+func (t *opTable) get(id OpID) *opStats {
 	if id <= t.floor || id > t.top {
 		return nil
 	}
@@ -84,24 +71,24 @@ func (t *opTable) get(id OpID) *OpStats {
 }
 
 // alloc returns a record for the given operation, recycled when one is free.
-func (t *opTable) alloc(id OpID, p ProcID, at int64) *OpStats {
-	var st *OpStats
+func (t *opTable) alloc(id OpID, p ProcID, at int64) *opStats {
+	var st *opStats
 	if last := len(t.free) - 1; last >= 0 {
 		st = t.free[last]
 		t.free[last] = nil
 		t.free = t.free[:last]
 	} else {
-		st = new(OpStats)
+		st = new(opStats)
 	}
-	*st = OpStats{OpDone: OpDone{ID: id, Initiator: p, Start: at, End: at}, pending: 1}
+	*st = opStats{OpDone: OpDone{ID: id, Initiator: p, Start: at, End: at}, pending: 1}
 	return st
 }
 
 // put stores the record of id, which must be the successor of the highest
 // id stored so far (ids are issued by a counter).
-func (t *opTable) put(id OpID, st *OpStats) {
+func (t *opTable) put(id OpID, st *opStats) {
 	if t.ring == nil {
-		t.ring = make([]*OpStats, opTableMinSize)
+		t.ring = make([]*opStats, opTableMinSize)
 	}
 	for int(id-t.floor) > len(t.ring) {
 		t.grow()
@@ -112,7 +99,7 @@ func (t *opTable) put(id OpID, st *OpStats) {
 
 // grow doubles the ring, re-slotting the live window.
 func (t *opTable) grow() {
-	next := make([]*OpStats, len(t.ring)*2)
+	next := make([]*opStats, len(t.ring)*2)
 	mask, nmask := len(t.ring)-1, len(next)-1
 	for id := t.floor + 1; id <= t.top; id++ {
 		next[int(id)&nmask] = t.ring[int(id)&mask]
@@ -120,19 +107,11 @@ func (t *opTable) grow() {
 	t.ring = next
 }
 
-// forget drops id's record, recycling it into the free list, and advances
-// the floor over the forgotten prefix.
-func (t *opTable) forget(id OpID) {
-	if id <= t.floor || id > t.top {
-		return
-	}
+// drop frees st's slot, recycling the record into the free list, and
+// advances the floor over the freed prefix.
+func (t *opTable) drop(st *opStats) {
 	mask := len(t.ring) - 1
-	slot := int(id) & mask
-	st := t.ring[slot]
-	if st == nil {
-		return
-	}
-	t.ring[slot] = nil
+	t.ring[int(st.ID)&mask] = nil
 	t.free = append(t.free, st)
 	for t.floor < t.top && t.ring[int(t.floor+1)&mask] == nil {
 		t.floor++

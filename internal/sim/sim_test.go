@@ -49,6 +49,34 @@ func startPing(hops int) func(nw Transport, p ProcID) {
 	}
 }
 
+// recordDone installs an OnOpDone recorder on nw: the simulator frees an
+// operation's record with its last event, so a test reads a finished
+// operation off the OpDone its completion reported.
+func recordDone(t *testing.T, nw *Network) map[OpID]OpDone {
+	done := map[OpID]OpDone{}
+	nw.OnOpDone(func(d OpDone) {
+		if _, dup := done[d.ID]; dup {
+			t.Fatalf("op %d completed twice", d.ID)
+		}
+		if nw.ops.get(d.ID) != nil {
+			t.Fatalf("op %d completed with its record still live", d.ID)
+		}
+		done[d.ID] = d
+	})
+	return done
+}
+
+// liveRecords counts the operation records the network still holds.
+func liveRecords(nw *Network) int {
+	live := 0
+	for id := nw.ops.floor + 1; id <= nw.ops.top; id++ {
+		if nw.ops.get(id) != nil {
+			live++
+		}
+	}
+	return live
+}
+
 func TestSendAndDeliver(t *testing.T) {
 	pp := &pingPong{}
 	nw := New(3, pp)
@@ -109,12 +137,13 @@ func TestTracingBuildsDAG(t *testing.T) {
 	nw := New(4, pp)
 	log := dagLog{}
 	nw.OnDeliver(log.record)
+	done := recordDone(t, nw)
 	id := nw.StartOp(1, startPing(2))
 	if err := nw.Run(); err != nil {
 		t.Fatal(err)
 	}
 	recs := log.check(t, id, 1)
-	if got, want := int64(len(recs)-1), nw.OpStats(id).Messages; got != want {
+	if got, want := int64(len(recs)-1), done[id].Messages; got != want {
 		t.Fatalf("DAG messages = %d, op messages = %d", got, want)
 	}
 }
@@ -317,6 +346,7 @@ func TestScheduleOpInPastPanics(t *testing.T) {
 func TestConcurrentOpsInterleave(t *testing.T) {
 	pp := &pingPong{}
 	nw := New(6, pp)
+	done := recordDone(t, nw)
 	ids := make([]OpID, 0, 3)
 	for p := 1; p <= 3; p++ {
 		ids = append(ids, nw.ScheduleOp(0, ProcID(p), startPing(4)))
@@ -325,9 +355,8 @@ func TestConcurrentOpsInterleave(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range ids {
-		st := nw.OpStats(id)
-		if st == nil || st.Messages == 0 {
-			t.Fatalf("op %d missing stats", id)
+		if done[id].Messages == 0 {
+			t.Fatalf("op %d missing completion", id)
 		}
 	}
 }
@@ -339,13 +368,14 @@ func TestConcurrentTracingAttribution(t *testing.T) {
 	nw := New(8, pp)
 	log := dagLog{}
 	nw.OnDeliver(log.record)
+	done := recordDone(t, nw)
 	idA := nw.ScheduleOp(0, 1, startPing(2)) // chain 1->2->3->4
 	idB := nw.ScheduleOp(0, 5, startPing(2)) // chain 5->6->7->8
 	if err := nw.Run(); err != nil {
 		t.Fatal(err)
 	}
 	recsA, recsB := log.check(t, idA, 1), log.check(t, idB, 5)
-	stA, stB := nw.OpStats(idA), nw.OpStats(idB)
+	stA, stB := done[idA], done[idB]
 	// Both ops have the same shape, so the same message count; each DAG
 	// accounts exactly its own messages.
 	if stA.Messages != stB.Messages {
@@ -395,11 +425,12 @@ func TestStepAndPending(t *testing.T) {
 func TestOpDoneAt(t *testing.T) {
 	pp := &pingPong{}
 	nw := New(3, pp)
+	done := recordDone(t, nw)
 	id := nw.StartOp(1, startPing(1)) // 1->2 ping (t1), 2->3 ping(t2), pongs t2, t3
 	if err := nw.Run(); err != nil {
 		t.Fatal(err)
 	}
-	st := nw.OpStats(id)
+	st := done[id]
 	if st.Start != 0 {
 		t.Fatalf("Start = %d, want 0", st.Start)
 	}
@@ -439,6 +470,7 @@ func TestAccessors(t *testing.T) {
 	if nw.Rand() == nil {
 		t.Fatal("Rand() nil")
 	}
+	done := recordDone(t, nw)
 	id := nw.StartOp(1, startPing(0))
 	if err := nw.Run(); err != nil {
 		t.Fatal(err)
@@ -452,9 +484,8 @@ func TestAccessors(t *testing.T) {
 	if recv := nw.Recv(); recv[2] != 1 {
 		t.Fatalf("Recv() = %v", recv)
 	}
-	st := nw.OpStats(id)
-	if st.Initiator != 1 || st.Messages != 2 { // ping and pong
-		t.Fatalf("OpStats = %+v, want initiator p1 and two messages", st)
+	if st := done[id]; st.Initiator != 1 || st.Messages != 2 { // ping and pong
+		t.Fatalf("OpDone = %+v, want initiator p1 and two messages", st)
 	}
 	// No BitSized payloads in this protocol.
 	if nw.BitsTotal() != 0 || nw.MaxMessageBits() != 0 {
@@ -521,8 +552,11 @@ func TestOnOpDoneFiresOncePerOp(t *testing.T) {
 		if _, dup := done[st.ID]; dup {
 			t.Fatalf("op %d completed twice", st.ID)
 		}
-		if !nw.OpStats(st.ID).Done() {
-			t.Fatalf("op %d handler sees pending events", st.ID)
+		if nw.ops.get(st.ID) != nil {
+			t.Fatalf("op %d handler sees its record still live", st.ID)
+		}
+		if st.End != nw.Now() {
+			t.Fatalf("op %d completed at %d with End %d", st.ID, nw.Now(), st.End)
 		}
 		done[st.ID] = nw.Now()
 	})
@@ -533,9 +567,6 @@ func TestOnOpDoneFiresOncePerOp(t *testing.T) {
 	}
 	if len(done) != 2 {
 		t.Fatalf("completions = %d, want 2", len(done))
-	}
-	if done[idA] != nw.OpStats(idA).End || done[idB] != nw.OpStats(idB).End {
-		t.Fatalf("completion times %v do not match End", done)
 	}
 	if done[idB] <= done[idA] {
 		t.Fatalf("longer op finished first: %v", done)
@@ -586,31 +617,25 @@ func TestOnOpDoneClosedLoop(t *testing.T) {
 	}
 }
 
+// TestForgetOp: the network frees an operation's record with its last
+// event, so ForgetOp has nothing left to do — on a finished operation, twice,
+// or on one still in flight, which then completes as if never forgotten.
 func TestForgetOp(t *testing.T) {
 	pp := &pingPong{}
 	nw := New(2, pp)
+	done := recordDone(t, nw)
 	id := nw.StartOp(1, startPing(0))
+	nw.ForgetOp(id) // in flight: no effect
+	if nw.ops.get(id) == nil {
+		t.Fatal("ForgetOp freed an in-flight record")
+	}
 	if err := nw.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if nw.OpStats(id) == nil {
-		t.Fatal("missing op stats before forget")
+	if _, ok := done[id]; !ok || liveRecords(nw) != 0 {
+		t.Fatalf("completed %v, %d records live; want the op done and none live", ok, liveRecords(nw))
 	}
 	nw.ForgetOp(id)
-	if nw.OpStats(id) != nil {
-		t.Fatal("op stats survived ForgetOp")
-	}
-	nw.ForgetOp(id) // forgetting twice is a no-op
-}
-
-func TestForgetPendingOpPanics(t *testing.T) {
-	nw := New(2, &pingPong{})
-	id := nw.StartOp(1, startPing(0))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
 	nw.ForgetOp(id)
 }
 
@@ -654,8 +679,8 @@ func startParkReq(nw Transport, p ProcID) {
 func TestAdoptKeepsOpOpenAcrossCarrier(t *testing.T) {
 	pp := &parkProto{}
 	nw := New(3, pp)
-	done := map[OpID]int64{}
-	nw.OnOpDone(func(st OpDone) { done[st.ID] = nw.Now() })
+	done, ends := map[OpID]int64{}, map[OpID]OpDone{}
+	nw.OnOpDone(func(st OpDone) { done[st.ID], ends[st.ID] = nw.Now(), st })
 	idA := nw.ScheduleOp(0, 1, startParkReq)
 	idB := nw.ScheduleOp(5, 2, startParkReq) // partner arrives at t=6
 	if err := nw.Run(); err != nil {
@@ -669,7 +694,7 @@ func TestAdoptKeepsOpOpenAcrossCarrier(t *testing.T) {
 	if done[idB] != 7 {
 		t.Fatalf("carrier op completed at t=%d, want 7", done[idB])
 	}
-	stA := nw.OpStats(idA)
+	stA := ends[idA]
 	// A's messages: its request plus its re-attributed ack.
 	if stA.Messages != 2 {
 		t.Fatalf("parked op has %d messages, want 2 (request + adopted ack)", stA.Messages)

@@ -24,23 +24,6 @@ type TimedValue struct {
 	Start, End int64
 }
 
-// CollectTimedValues pairs per-operation values with the simulator's
-// operation timing. values[i] belongs to ops[i].
-func CollectTimedValues(net *sim.Network, ops []sim.OpID, values []int) ([]TimedValue, error) {
-	if len(ops) != len(values) {
-		return nil, fmt.Errorf("verify: %d ops but %d values", len(ops), len(values))
-	}
-	out := make([]TimedValue, len(ops))
-	for i, id := range ops {
-		st := net.OpStats(id)
-		if st == nil {
-			return nil, fmt.Errorf("verify: missing stats for op %d (operation forgotten?)", id)
-		}
-		out[i] = TimedValue{Op: id, Value: values[i], Start: st.Start, End: st.End}
-	}
-	return out, nil
-}
-
 // QuiescentConsistent checks that the values handed out by a concurrent run
 // are exactly {0, ..., len-1}: no duplicates, no gaps. Counting networks
 // and diffracting trees guarantee this.

@@ -5,10 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"distcount/internal/counter"
-	"distcount/internal/counters/central"
 	"distcount/internal/rng"
-	"distcount/internal/sim"
 )
 
 func tv(value int, start, end int64) TimedValue {
@@ -123,47 +120,5 @@ func TestLinearizableMatchesBruteForce(t *testing.T) {
 		return brute(vals) == (Linearizable(vals) == nil)
 	}, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCollectTimedValues(t *testing.T) {
-	c := counter.OnSim(central.NewMachine(4))
-	ids := make([]sim.OpID, 0, 2)
-	values := make([]int, 0, 2)
-	for _, p := range []sim.ProcID{2, 3} {
-		// Started and run by hand: Inc would forget the operation's record.
-		id := c.Start(c.Net().Now(), p)
-		if err := c.Net().Run(); err != nil {
-			t.Fatal(err)
-		}
-		v, ok := c.OpValue(id)
-		if !ok {
-			t.Fatalf("op %d by %v delivered no value", id, p)
-		}
-		ids = append(ids, id)
-		values = append(values, v)
-	}
-	tvs, err := CollectTimedValues(c.Net(), ids, values)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tvs) != 2 || tvs[0].Value != 0 || tvs[1].Value != 1 {
-		t.Fatalf("collected %+v", tvs)
-	}
-	if tvs[0].End < tvs[0].Start {
-		t.Fatalf("negative duration: %+v", tvs[0])
-	}
-	if err := Linearizable(tvs); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCollectTimedValuesErrors(t *testing.T) {
-	c := counter.OnSim(central.NewMachine(4))
-	if _, err := CollectTimedValues(c.Net(), []sim.OpID{1}, []int{0, 1}); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-	if _, err := CollectTimedValues(c.Net(), []sim.OpID{99}, []int{0}); err == nil {
-		t.Fatal("unknown op accepted")
 	}
 }
