@@ -305,8 +305,8 @@ func dag(fs *flag.FlagSet) func(io.Writer) error {
 		}
 
 		var rec trace.Recorder
-		c.Net().OnDeliver(rec.Record)
-		before := c.Net().Ops()
+		c.OnDeliver(rec.Record)
+		before := c.Ops()
 		val, err := c.Inc(sim.ProcID(*proc))
 		if err != nil {
 			return err

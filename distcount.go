@@ -322,8 +322,8 @@ func RunKeyedWorkload(svc *CountingService, sc Scenario, cfg WorkloadConfig) (*W
 }
 
 // RunSequence executes the operations in order, each running to quiescence
-// before the next starts (the paper's sequential model). It holds the
-// network's OnDeliver hook for the run.
+// before the next starts (the paper's sequential model), on either backend.
+// It holds the counter's OnDeliver hook for the run.
 func RunSequence(c Counter, order []ProcID) (*RunResult, error) {
 	return counter.RunSequence(c, order)
 }
@@ -335,16 +335,10 @@ func SequentialOrder(n int) []ProcID { return counter.SequentialOrder(n) }
 // RandomOrder returns a seeded random permutation of 1..n.
 func RandomOrder(n int, seed uint64) []ProcID { return counter.RandomOrder(n, seed) }
 
-// Loads summarizes the per-processor message loads m_p accumulated so far:
-// by the counter's simulated network, or — on the rt backend, which has
-// none — by the runtime's own per-processor send and receive counts.
+// Loads summarizes the per-processor message loads m_p the counter has
+// accumulated so far, on either backend.
 func Loads(c Counter) LoadSummary {
-	if r, ok := c.(interface {
-		Loads(sent, recv []int64) ([]int64, []int64)
-	}); ok {
-		return loadstat.Summarize(r.Loads(nil, nil))
-	}
-	return loadstat.Summarize(c.Net().Sent(), c.Net().Recv())
+	return loadstat.Summarize(c.Loads(nil, nil))
 }
 
 // VerifyCounter runs the given workload on a fresh counter and checks

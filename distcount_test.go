@@ -265,24 +265,30 @@ func rtCentral(t *testing.T) distcount.AsyncCounter {
 	return c
 }
 
-// TestRunSequenceOnRT: the sequential helpers number operations on the
-// simulated network, which an rt counter does not have — an error, not a
-// nil dereference.
+// TestRunSequenceOnRT: the sequential driver runs on the rt backend as on
+// the simulator — the canonical workload hands out 0..n-1 in order.
 func TestRunSequenceOnRT(t *testing.T) {
 	c := rtCentral(t)
-	_, err := distcount.RunSequence(c, distcount.SequentialOrder(c.N()))
-	if err == nil || !strings.Contains(err.Error(), "no simulated network") {
-		t.Fatalf("RunSequence on rt: err = %v, want a no-simulated-network error", err)
+	res, err := distcount.RunSequence(c, distcount.SequentialOrder(c.N()))
+	if err != nil {
+		t.Fatalf("RunSequence on rt: %v", err)
+	}
+	for i, v := range res.Values {
+		if v != i {
+			t.Fatalf("op %d returned %d, want %d (values %v)", i, v, i, res.Values)
+		}
+	}
+	if len(res.Values) != c.N() {
+		t.Fatalf("%d values for %d operations", len(res.Values), c.N())
 	}
 }
 
-// TestVerifyCounterOnRT: VerifyCounter runs its workload through
-// RunSequence and reports the same error.
+// TestVerifyCounterOnRT: VerifyCounter's sequential and Hot Spot checks
+// pass on an rt counter.
 func TestVerifyCounterOnRT(t *testing.T) {
 	c := rtCentral(t)
-	err := distcount.VerifyCounter(c, distcount.SequentialOrder(c.N()))
-	if err == nil || !strings.Contains(err.Error(), "no simulated network") {
-		t.Fatalf("VerifyCounter on rt: err = %v, want a no-simulated-network error", err)
+	if err := distcount.VerifyCounter(c, distcount.SequentialOrder(c.N())); err != nil {
+		t.Fatalf("VerifyCounter on rt: %v", err)
 	}
 }
 

@@ -49,7 +49,7 @@ func ExampleNew() {
 	v1, _ := c.Inc(2)
 	v2, _ := c.Inc(3)
 	fmt.Println(v1, v2)
-	fmt.Println("messages:", c.Net().MessagesTotal())
+	fmt.Println("messages:", c.MessagesTotal())
 	// Output:
 	// 0 1
 	// messages: 4
@@ -107,7 +107,7 @@ func Example_hotspot() {
 			panic(err)
 		}
 		var rec trace.Recorder
-		c.Net().OnDeliver(rec.Record)
+		c.OnDeliver(rec.Record)
 		for _, p := range []distcount.ProcID{2, 7} {
 			if _, err := c.Inc(p); err != nil {
 				panic(err)
@@ -200,8 +200,9 @@ func Example_concurrent() {
 	if err != nil {
 		panic(err)
 	}
+	nw := c.(distcount.Cloneable).Net() // the simulated network, run by hand
 	var timed []verify.TimedValue
-	c.Net().OnOpDone(func(d sim.OpDone) {
+	c.OnOpDone(func(d sim.OpDone) {
 		v, ok := c.OpValue(d.ID)
 		if !ok {
 			panic(fmt.Sprintf("operation %d got no value", d.ID))
@@ -211,13 +212,13 @@ func Example_concurrent() {
 	for i := 0; i < n; i++ {
 		c.Start(0, distcount.ProcID(i+1))
 	}
-	if err := c.Net().Run(); err != nil {
+	if err := nw.Run(); err != nil {
 		panic(err)
 	}
 	if len(timed) != n {
 		panic(fmt.Sprintf("%d of %d operations completed", len(timed), n))
 	}
-	fmt.Printf("n=%d: sequential makespan %d ticks, pipelined %d ticks\n", n, seq.Net().Now(), c.Net().Now())
+	fmt.Printf("n=%d: sequential makespan %d ticks, pipelined %d ticks\n", n, seq.Net().Now(), nw.Now())
 	fmt.Println("linearizable:", verify.Linearizable(timed) == nil)
 	// Output:
 	// n=81: sequential makespan 408 ticks, pipelined 23 ticks

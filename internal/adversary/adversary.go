@@ -146,8 +146,8 @@ func Run(c counter.Cloneable, opts ...Option) (*Result, error) {
 	n := c.N()
 	full := cfg.sample <= 0 || cfg.sample >= n
 	var committed trace.Recorder
-	c.Net().OnDeliver(committed.Record)
-	defer c.Net().OnDeliver(nil)
+	c.OnDeliver(committed.Record)
+	defer c.OnDeliver(nil)
 	r := rng.New(cfg.seed)
 
 	remaining := make([]sim.ProcID, n)
@@ -223,7 +223,7 @@ func Run(c counter.Cloneable, opts ...Option) (*Result, error) {
 		if bestReseed {
 			c.Net().Reseed(bestSeed)
 		}
-		before := c.Net().Ops()
+		before := c.Ops()
 		if _, err := c.Inc(st.Chosen); err != nil {
 			return nil, fmt.Errorf("adversary: committing %v at step %d: %w", st.Chosen, step, err)
 		}
@@ -321,13 +321,12 @@ func probeOnce(c counter.Cloneable, p sim.ProcID, full bool, seed uint64, reseed
 	if err != nil {
 		return 0, nil, err
 	}
-	net := cl.Net()
 	if reseed {
-		net.Reseed(seed)
+		cl.Net().Reseed(seed)
 	}
 	var rec trace.Recorder
-	net.OnDeliver(rec.Record)
-	before := net.Ops()
+	cl.OnDeliver(rec.Record)
+	before := cl.Ops()
 	if _, err := cl.Inc(p); err != nil {
 		return 0, nil, err
 	}

@@ -147,6 +147,33 @@ func (t *Tree) N() int { return t.net.N() }
 // Net exposes the underlying network.
 func (t *Tree) Net() *sim.Network { return t.net }
 
+// OnDeliver installs the network's delivery hook (counter.Counter).
+func (t *Tree) OnDeliver(fn func(sim.Delivery)) { t.net.OnDeliver(fn) }
+
+// OnOpDone installs the network's completion hook (counter.Counter).
+func (t *Tree) OnOpDone(fn func(sim.OpDone)) { t.net.OnOpDone(fn) }
+
+// Loads copies the network's per-processor sent and received counts into
+// sent and recv, replacing a slice shorter than n+1 (counter.Counter).
+func (t *Tree) Loads(sent, recv []int64) ([]int64, []int64) {
+	return refill(sent, t.net.Sent()), refill(recv, t.net.Recv())
+}
+
+// MessagesTotal returns the network's message count (counter.Counter).
+func (t *Tree) MessagesTotal() int64 { return t.net.MessagesTotal() }
+
+// Ops returns the number of operations started (counter.Counter).
+func (t *Tree) Ops() int { return t.net.Ops() }
+
+// refill copies src into dst, replacing dst when it is shorter.
+func refill(dst, src []int64) []int64 {
+	if len(dst) < len(src) {
+		dst = make([]int64, len(src))
+	}
+	copy(dst, src)
+	return dst
+}
+
 // State returns the live root state (owned by the root's current
 // processor; read it only at quiescence).
 func (t *Tree) State() RootState { return t.proto.root }
@@ -316,7 +343,7 @@ func (c *Counter) Inc(p sim.ProcID) (int, error) {
 }
 
 // Clone implements counter.Cloneable.
-func (c *Counter) Clone() (counter.Counter, error) {
+func (c *Counter) Clone() (counter.Cloneable, error) {
 	tr, err := c.CloneTree()
 	if err != nil {
 		return nil, err

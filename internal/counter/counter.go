@@ -8,9 +8,12 @@
 // that start an operation and read its result, with no execution substrate
 // baked in. Sim (built by OnSim) binds a Machine to the discrete-event
 // simulator and is the only simulator-backed Counter there is; internal/rt
-// binds the same Machine to real cores. The interfaces below (Counter,
-// Async, Cloneable) are what drivers see of either, and a caller reads each
-// operation's value by its id with Async.OpValue.
+// binds the same Machine to real cores. Counter and Async are what drivers
+// see of either — operations, their delivery and completion hooks and the
+// per-processor message loads, with no handle on a simulated network — and a
+// caller reads each operation's value by its id with Async.OpValue.
+// Cloneable is the simulator's alone: only a simulated network can be
+// copied.
 //
 // A distributed counter encapsulates an integer value val and supports inc:
 // inc returns the current counter value to the requesting processor and
@@ -38,18 +41,32 @@ type Counter interface {
 	// running the network to quiescence, and returns the counter value
 	// observed by p (the pre-increment value).
 	Inc(p sim.ProcID) (int, error)
-	// Net exposes the underlying network for load accounting and DAG
-	// recording (OnDeliver).
-	Net() *sim.Network
+	// OnDeliver installs the hook that receives each operation's
+	// communication DAG, one sim.Delivery per node (nil removes it); on rt
+	// it runs on the executors, concurrently.
+	OnDeliver(fn func(sim.Delivery))
+	// OnOpDone installs the hook that receives each finished operation.
+	OnOpDone(fn func(sim.OpDone))
+	// Loads snapshots the per-processor sent and received message counts
+	// (1-indexed; the paper's m_p is their sum) into sent and recv,
+	// replacing a slice shorter than n+1, and returns them.
+	Loads(sent, recv []int64) ([]int64, []int64)
+	// MessagesTotal and Ops count the messages sent and the operations
+	// started so far.
+	MessagesTotal() int64
+	Ops() int
 }
 
 // Cloneable is implemented by counters that can deep-copy their full state
-// (network + protocol). The lower-bound adversary requires it.
+// (network + protocol): the simulator's. The lower-bound adversary requires
+// it, and reseeds and probes the copies through their network.
 type Cloneable interface {
 	Counter
+	// Net exposes the underlying simulated network.
+	Net() *sim.Network
 	// Clone returns an independent copy; operations on the copy do not
 	// affect the original.
-	Clone() (Counter, error)
+	Clone() (Cloneable, error)
 }
 
 // Async is a Counter whose increments can be injected into the simulated
@@ -69,9 +86,9 @@ type Cloneable interface {
 // shared op table enforces this by panicking on overlap (Ops.Begin).
 type Async interface {
 	Counter
-	// Start schedules one increment by p at absolute simulated time at
-	// (>= Net().Now()) and returns its operation id without running the
-	// network. Completion is observable via the network's OnOpDone handler.
+	// Start schedules one increment by p at absolute simulated time at (no
+	// earlier than the network's clock) and returns its operation id
+	// without running the network. Completion is observable via OnOpDone.
 	Start(at int64, p sim.ProcID) sim.OpID
 	// OpValue returns the value delivered to the completed operation id and
 	// forgets it (long workload runs must not accumulate per-op state). ok

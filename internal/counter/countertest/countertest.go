@@ -59,9 +59,9 @@ func Conformance(t *testing.T, factory Factory, sizes ...int) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if a.Net().MessagesTotal() != b.Net().MessagesTotal() {
+			if a.MessagesTotal() != b.MessagesTotal() {
 				t.Fatalf("nondeterministic message totals: %d vs %d",
-					a.Net().MessagesTotal(), b.Net().MessagesTotal())
+					a.MessagesTotal(), b.MessagesTotal())
 			}
 			for i := range ra.Values {
 				if ra.Values[i] != rb.Values[i] {
@@ -94,7 +94,7 @@ func CloneIndependence(t *testing.T, factory Factory, n int) {
 		t.Fatalf("clone: %v", err)
 	}
 
-	origLoadBefore := c.Net().MessagesTotal()
+	origLoadBefore := c.MessagesTotal()
 	// Drive the clone to completion.
 	resClone, err := counter.RunSequence(copied, order[half:])
 	if err != nil {
@@ -105,7 +105,7 @@ func CloneIndependence(t *testing.T, factory Factory, n int) {
 			t.Fatalf("clone op %d returned %d, want %d", i, v, want)
 		}
 	}
-	if got := c.Net().MessagesTotal(); got != origLoadBefore {
+	if got := c.MessagesTotal(); got != origLoadBefore {
 		t.Fatalf("running the clone changed the original's message total: %d -> %d", origLoadBefore, got)
 	}
 

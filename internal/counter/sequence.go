@@ -2,6 +2,7 @@ package counter
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"distcount/internal/rng"
 	"distcount/internal/sim"
@@ -21,50 +22,46 @@ type RunResult struct {
 }
 
 // RunSequence executes the operations in order, sequentially (each runs to
-// quiescence before the next starts, per the paper's model). It holds the
-// network's OnDeliver hook for the run (replacing any installed before;
-// none is left after), so it needs the counter's simulated network: a
-// counter on the rt backend is an error.
+// quiescence before the next starts, per the paper's model), on either
+// backend. It holds the counter's OnDeliver hook for the run (replacing any
+// installed before; none is left after).
 func RunSequence(c Counter, order []sim.ProcID) (*RunResult, error) {
-	net := c.Net()
-	if net == nil {
-		return nil, fmt.Errorf("counter %q has no simulated network: run sequences on the sim backend", c.Name())
-	}
 	res := &RunResult{
 		Order:  append([]sim.ProcID(nil), order...),
 		Values: make([]int, 0, len(order)),
 		Shared: make([]int, max(len(order)-1, 0)),
 	}
 	// mark[p] is 1 + the index of the latest operation p took part in (0:
-	// none yet). Windows are closed, so every delivery of operation i comes
-	// before any of operation i+1 and one stamp per processor suffices.
-	mark := make([]int, net.N()+1)
+	// none yet); operations do not overlap, so one stamp per processor
+	// suffices. rt delivers to distinct processors concurrently (never to
+	// one), so the stamps need no lock but the running intersection is atomic.
+	mark := make([]int, c.N()+1)
+	var shared atomic.Int64
 	var cur sim.OpID
 	i := 0
-	net.OnDeliver(func(d sim.Delivery) {
-		if d.Op != cur || mark[d.Proc] == i+1 {
-			return
+	c.OnDeliver(func(d sim.Delivery) {
+		if d.Op == cur && mark[d.Proc] != i+1 {
+			if mark[d.Proc] == i {
+				shared.Add(1)
+			}
+			mark[d.Proc] = i + 1
 		}
-		if i > 0 && mark[d.Proc] == i {
-			res.Shared[i-1]++
-		}
-		mark[d.Proc] = i + 1
 	})
-	defer net.OnDeliver(nil)
+	defer c.OnDeliver(nil)
 	for ; i < len(order); i++ {
-		p := order[i]
-		before := net.Ops()
+		before := c.Ops()
 		cur = sim.OpID(before + 1)
-		v, err := c.Inc(p)
+		v, err := c.Inc(order[i])
 		if err != nil {
-			return nil, fmt.Errorf("counter %q: op %d by %v: %w", c.Name(), i, p, err)
+			return nil, fmt.Errorf("counter %q: op %d by %v: %w", c.Name(), i, order[i], err)
 		}
-		// Implementations start exactly one op per Inc; this is asserted
-		// here.
-		if net.Ops() != before+1 {
-			return nil, fmt.Errorf("counter %q: Inc started %d ops, want 1", c.Name(), net.Ops()-before)
+		if c.Ops() != before+1 {
+			return nil, fmt.Errorf("counter %q: Inc started %d ops, want 1", c.Name(), c.Ops()-before)
 		}
 		res.Values = append(res.Values, v)
+		if n := shared.Swap(0); i > 0 {
+			res.Shared[i-1] = int(n)
+		}
 	}
 	return res, nil
 }

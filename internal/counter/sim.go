@@ -36,8 +36,25 @@ func (s *Sim) Name() string { return s.m.Name }
 // N implements Counter.
 func (s *Sim) N() int { return s.m.N }
 
-// Net implements Counter.
+// Net implements Cloneable.
 func (s *Sim) Net() *sim.Network { return s.net }
+
+// OnDeliver implements Counter.
+func (s *Sim) OnDeliver(fn func(sim.Delivery)) { s.net.OnDeliver(fn) }
+
+// OnOpDone implements Counter.
+func (s *Sim) OnOpDone(fn func(sim.OpDone)) { s.net.OnOpDone(fn) }
+
+// Loads implements Counter: it copies the network's Sent and Recv.
+func (s *Sim) Loads(sent, recv []int64) ([]int64, []int64) {
+	return refill(sent, s.net.Sent()), refill(recv, s.net.Recv())
+}
+
+// MessagesTotal implements Counter.
+func (s *Sim) MessagesTotal() int64 { return s.net.MessagesTotal() }
+
+// Ops implements Counter.
+func (s *Sim) Ops() int { return s.net.Ops() }
 
 // Inc implements Counter: one operation by p run to quiescence — the
 // paper's execution model, "enough time elapses in between any two inc
@@ -71,7 +88,7 @@ func (s *Sim) Guarantee() Guarantee { return s.m.Guarantee }
 // Clone implements Cloneable: it deep-copies the network and re-describes
 // the machine from the cloned protocol. A machine whose protocol is not a
 // Describer (a hand-written literal) cannot be rebound and reports an error.
-func (s *Sim) Clone() (Counter, error) {
+func (s *Sim) Clone() (Cloneable, error) {
 	net, err := s.net.Clone()
 	if err != nil {
 		return nil, err
@@ -81,4 +98,14 @@ func (s *Sim) Clone() (Counter, error) {
 		return nil, fmt.Errorf("%s: clone: protocol %T cannot describe itself as a counter.Machine", s.m.Name, net.Protocol())
 	}
 	return &Sim{m: d.Machine(), net: net}, nil
+}
+
+// refill copies src into dst, replacing dst when it is shorter, and returns
+// it: Counter.Loads's slice rule.
+func refill(dst, src []int64) []int64 {
+	if len(dst) < len(src) {
+		dst = make([]int64, len(src))
+	}
+	copy(dst, src)
+	return dst
 }

@@ -113,8 +113,8 @@ func TestGridLoadBeatsMajority(t *testing.T) {
 	if _, err := counter.RunSequence(maj, counter.SequentialOrder(n)); err != nil {
 		t.Fatal(err)
 	}
-	g := loadstat.SummarizeLoads(grid.Net().Loads())
-	m := loadstat.SummarizeLoads(maj.Net().Loads())
+	g := loadstat.Summarize(grid.Loads(nil, nil))
+	m := loadstat.Summarize(maj.Loads(nil, nil))
 	if g.MaxLoad >= m.MaxLoad {
 		t.Fatalf("grid bottleneck %d not below majority %d", g.MaxLoad, m.MaxLoad)
 	}
@@ -129,7 +129,7 @@ func TestTreeQuorumRootHotSpot(t *testing.T) {
 	if _, err := counter.RunSequence(c, counter.SequentialOrder(n)); err != nil {
 		t.Fatal(err)
 	}
-	s := loadstat.SummarizeLoads(c.Net().Loads())
+	s := loadstat.Summarize(c.Loads(nil, nil))
 	if s.MaxLoad < 3*int64(s.Mean) {
 		t.Fatalf("tree-quorum bottleneck %d not clearly above mean %.1f", s.MaxLoad, s.Mean)
 	}

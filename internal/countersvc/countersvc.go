@@ -137,9 +137,9 @@ type Service struct {
 	// shard, so the loop need not peek every queue per event. Built by the
 	// first merge; nil until then and on one network, which needs no merge.
 	next []int64
-	// rtSent, rtRecv are the scratch one rt shard's loads are snapshotted
-	// into on their way into a Loads sum.
-	rtSent, rtRecv []int64
+	// shardSent, shardRecv are the scratch one shard's loads are
+	// snapshotted into on their way into a Loads sum.
+	shardSent, shardRecv []int64
 
 	keys []keyState
 	// keyOf[shard*(n+1)+p] is the key of the one operation processor p may
@@ -290,32 +290,32 @@ func newService(keys, n, base, shards int, mig *Migration) *Service {
 
 // attach installs c, built as algorithm algo, as shard i — shards are
 // attached in index order — and hooks its completions on the sim backend.
-// On rt, OnComplete hooks them.
+// On rt, OnComplete hooks them. Its type switch is where the service picks
+// a driver: a simulated (cloneable) counter's network for Step, NextAt and
+// Now, or a runtime for the completion sink.
 func (s *Service) attach(i int, algo string, c counter.Async) error {
 	if c.N() < s.n {
 		return fmt.Errorf("countersvc: shard %d algorithm %q built %d < %d processors", i, c.Name(), c.N(), s.n)
 	}
-	r, isRT := c.(*rt.Runtime)
-	nw := c.Net()
-	switch {
-	case !isRT && nw == nil:
-		return fmt.Errorf("countersvc: counter %q has no simulated network to drive", c.Name())
-	case isRT && r.Ops() != 0, !isRT && (nw.Now() != 0 || nw.Ops() != 0):
+	if c.Ops() != 0 {
 		return fmt.Errorf("countersvc: %s has already run; build a fresh counter, runtime or service per run", c.Name())
 	}
 	s.shards[i] = shard{c: c, algo: algo}
-	if isRT {
+	switch b := c.(type) {
+	case *rt.Runtime:
 		if len(s.rts) == 0 {
-			s.origin = r.Origin()
+			s.origin = b.Origin()
 		}
-		s.rts = append(s.rts, r)
-		s.lag = append(s.lag, r.Origin().Sub(s.origin).Nanoseconds())
-	} else {
+		s.rts = append(s.rts, b)
+		s.lag = append(s.lag, b.Origin().Sub(s.origin).Nanoseconds())
+	case counter.Cloneable:
 		if s.nets == nil {
 			s.nets = make([]*sim.Network, 0, len(s.shards))
 		}
-		s.nets = append(s.nets, nw)
-		nw.OnOpDone(func(d sim.OpDone) { s.finish(i, d) })
+		s.nets = append(s.nets, b.Net())
+		c.OnOpDone(func(d sim.OpDone) { s.finish(i, d) })
+	default:
+		return fmt.Errorf("countersvc: counter %q has no simulated network or runtime to drive", c.Name())
 	}
 	return nil
 }
@@ -672,11 +672,8 @@ func (s *Service) TickNs() int64 {
 // MessagesTotal sums network messages across all shards.
 func (s *Service) MessagesTotal() int64 {
 	var total int64
-	for _, nw := range s.nets {
-		total += nw.MessagesTotal()
-	}
-	for _, r := range s.rts {
-		total += r.MessagesTotal()
+	for _, sh := range s.shards {
+		total += sh.c.MessagesTotal()
 	}
 	return total
 }
@@ -689,14 +686,10 @@ func (s *Service) MessagesTotal() int64 {
 // back allocates nothing.
 func (s *Service) Loads(sent, recv []int64) ([]int64, []int64) {
 	sent, recv = zeroed(sent, s.n+1), zeroed(recv, s.n+1)
-	for _, nw := range s.nets {
-		add(sent, nw.Sent())
-		add(recv, nw.Recv())
-	}
-	for _, r := range s.rts {
-		s.rtSent, s.rtRecv = r.Loads(s.rtSent, s.rtRecv)
-		add(sent, s.rtSent)
-		add(recv, s.rtRecv)
+	for _, sh := range s.shards {
+		s.shardSent, s.shardRecv = sh.c.Loads(s.shardSent, s.shardRecv)
+		add(sent, s.shardSent)
+		add(recv, s.shardRecv)
 	}
 	return sent, recv
 }
@@ -744,11 +737,11 @@ func (s *Service) FaultStats() (stats sim.FaultStats, active bool) {
 // Close detaches the service from its shard networks and its handlers, and
 // shuts down the shard runtimes and the sink. Must be called at quiescence.
 func (s *Service) Close() {
-	for _, nw := range s.nets {
-		nw.OnOpDone(nil)
-	}
 	for _, r := range s.rts {
 		r.Close()
+	}
+	for _, sh := range s.shards {
+		sh.c.OnOpDone(nil)
 	}
 	if s.sink != nil {
 		s.sink.Close()

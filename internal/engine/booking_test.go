@@ -35,22 +35,22 @@ type opRecord struct {
 // every value it takes; the engine takes each value inside the completion
 // that produced it, so the network clock then reads the completion time.
 type recorded struct {
-	counter.Async
+	*counter.Sim
 	starts map[sim.OpID]opRecord
 	log    []opRecord
 }
 
 func (r *recorded) Start(at int64, p sim.ProcID) sim.OpID {
-	id := r.Async.Start(at, p)
+	id := r.Sim.Start(at, p)
 	r.starts[id] = opRecord{id: id, initiator: p, start: at}
 	return id
 }
 
 func (r *recorded) OpValue(id sim.OpID) (int, bool) {
-	v, ok := r.Async.OpValue(id)
+	v, ok := r.Sim.OpValue(id)
 	rec := r.starts[id]
 	rec.end, rec.value, rec.ok = r.Net().Now(), v, ok
-	rec.messagesSoFar = r.Net().MessagesTotal()
+	rec.messagesSoFar = r.MessagesTotal()
 	r.log = append(r.log, rec)
 	return v, ok
 }
@@ -96,7 +96,7 @@ func TestServiceBookingPointsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rc := &recorded{Async: c, starts: make(map[sim.OpID]opRecord)}
+		rc := &recorded{Sim: c.(*counter.Sim), starts: make(map[sim.OpID]opRecord)}
 		gen, err := workload.New("ramprate", workload.Config{N: n, Ops: ops, Seed: 5, RateFrom: 0.1, RateTo: 2})
 		if err != nil {
 			t.Fatal(err)

@@ -302,7 +302,7 @@ func TestSeriesTrackerMatchesSummarize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := loadstat.SummarizeLoads(c.Net().Loads())
+	want := loadstat.Summarize(c.Loads(nil, nil))
 	last := res.Series[len(res.Series)-1]
 	if last.Completed != 240 {
 		t.Fatalf("series does not end at the final completion: %+v", last)

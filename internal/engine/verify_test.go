@@ -104,13 +104,13 @@ func TestVerifyLinearizableOpenLoop(t *testing.T) {
 // countingAsync counts per-op value reads, standing in for counter.Ops's
 // values table: each OpValue call is one consumed (and freed) entry.
 type countingAsync struct {
-	counter.Async
+	*counter.Sim
 	reads int
 }
 
 func (c *countingAsync) OpValue(id sim.OpID) (int, bool) {
 	c.reads++
-	return c.Async.OpValue(id)
+	return c.Sim.OpValue(id)
 }
 
 // TestRunWithoutVerifyDrainsOpValues is the regression test for the
@@ -124,7 +124,7 @@ func TestRunWithoutVerifyDrainsOpValues(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cv := &countingAsync{Async: inner}
+		cv := &countingAsync{Sim: inner.(*counter.Sim)}
 		gen, err := workload.New("uniform", workload.Config{N: 8, Ops: 60, Seed: 1})
 		if err != nil {
 			t.Fatal(err)

@@ -18,13 +18,13 @@ import (
 func E1(Config) (string, error) {
 	c := core.New(2)
 	var rec trace.Recorder
-	c.Net().OnDeliver(rec.Record)
+	c.OnDeliver(rec.Record)
 	// Run the canonical workload and pick the operation with the largest DAG
 	// (a retirement cascade).
 	var d *trace.DAG
 	bestIdx := 0
 	for i, p := range counter.SequentialOrder(c.N()) {
-		id := sim.OpID(c.Net().Ops() + 1)
+		id := sim.OpID(c.Ops() + 1)
 		if _, err := c.Inc(p); err != nil {
 			return "", err
 		}

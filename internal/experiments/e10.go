@@ -63,7 +63,7 @@ func E10Combining(n int, window int64) (E10Row, error) {
 	return E10Row{
 		RootLoad: c.Net().Load(combining.RootHost(m)),
 		Merged:   combining.Combined(m),
-		Total:    c.Net().MessagesTotal(),
+		Total:    c.MessagesTotal(),
 		Distinct: distinct,
 	}, err
 }
@@ -77,14 +77,14 @@ func E10Difftree(n int, window int64) (E10Row, error) {
 	return E10Row{
 		RootLoad: difftree.RootToggles(m),
 		Merged:   difftree.Diffracted(m),
-		Total:    c.Net().MessagesTotal(),
+		Total:    c.MessagesTotal(),
 		Distinct: distinct,
 	}, err
 }
 
 // burst has processors 1..n all start an operation at t=0 and reports
 // whether the values handed out are distinct (exactly 0..n-1).
-func burst(c counter.Async, n int) (bool, error) {
+func burst(c *counter.Sim, n int) (bool, error) {
 	tv, err := timedRun(c, make([]int64, n))
 	return err == nil && verify.QuiescentConsistent(tv) == nil, err
 }

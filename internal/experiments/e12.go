@@ -24,7 +24,7 @@ func E12(cfg Config) (string, error) {
 		}
 		total := t.Net().BitsTotal()
 		fmt.Fprintf(&b, "%-3d %-9d %-9d %-16d %-16.1f %-12d\n", k, t.N(), sim.BitsFor(t.N()),
-			t.Net().MaxMessageBits(), float64(total)/float64(t.Net().MessagesTotal()), total)
+			t.Net().MaxMessageBits(), float64(total)/float64(t.MessagesTotal()), total)
 	}
 	b.WriteString("\nmax message bits grow with log n (a constant number of identifiers), not with n.\n")
 	return b.String(), nil

@@ -49,13 +49,13 @@ func E13(cfg Config) (string, error) {
 
 	// Part 2: randomized control sweep.
 	n, seeds := pick(cfg, 32, 16), pick(cfg, 12, 6)
-	treeViol, treeQuiesce, err := e13Sweep(n, seeds, func(opts ...sim.Option) counter.Async {
+	treeViol, treeQuiesce, err := e13Sweep(n, seeds, func(opts ...sim.Option) *counter.Sim {
 		return counter.OnSim(core.NewMachine(n), opts...)
 	})
 	if err != nil {
 		return "", err
 	}
-	cnetViol, cnetQuiesce, err := e13Sweep(n, seeds, func(opts ...sim.Option) counter.Async {
+	cnetViol, cnetQuiesce, err := e13Sweep(n, seeds, func(opts ...sim.Option) *counter.Sim {
 		return counter.OnSim(cnet.NewMachine(n, cnet.WithWidth(8)), opts...)
 	})
 	if err != nil {
@@ -123,7 +123,7 @@ func valuesOf(tv []verify.TimedValue) []int {
 // e13Sweep runs the randomized concurrent workload — n increments staggered
 // 3 ticks apart under UniformLatency[1,9] — on the counter build returns,
 // once per seed, and returns (linearizability violations, quiescent seeds).
-func e13Sweep(n, seeds int, build func(opts ...sim.Option) counter.Async) (violations, quiescent int, err error) {
+func e13Sweep(n, seeds int, build func(opts ...sim.Option) *counter.Sim) (violations, quiescent int, err error) {
 	starts := make([]int64, n)
 	for i := range starts {
 		starts[i] = int64(i) * 3

@@ -66,5 +66,5 @@ func E6Point(name string, n int) (int64, float64, error) {
 		return 0, 0, fmt.Errorf("E6: %s n=%d: %w", name, n, err)
 	}
 	mb := loadstat.SummarizeLoads(c.Net().Loads()).MaxLoad
-	return mb, float64(c.Net().MessagesTotal()) / float64(c.N()), nil
+	return mb, float64(c.MessagesTotal()) / float64(c.N()), nil
 }

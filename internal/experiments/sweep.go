@@ -129,13 +129,13 @@ func Levels(nodes []core.NodeInfo) []Level {
 // an operation at starts[i] on the simulated network of c, the network runs
 // to quiescence, and every operation's value comes back with its timing
 // (taken from its completion), in processor order.
-func timedRun(c counter.Async, starts []int64) ([]verify.TimedValue, error) {
+func timedRun(c *counter.Sim, starts []int64) ([]verify.TimedValue, error) {
 	ops := make([]sim.OpID, len(starts))
 	for i, at := range starts {
 		ops[i] = c.Start(at, sim.ProcID(i+1))
 	}
 	done := make(map[sim.OpID]sim.OpDone, len(ops))
-	c.Net().OnOpDone(func(d sim.OpDone) { done[d.ID] = d })
+	c.OnOpDone(func(d sim.OpDone) { done[d.ID] = d })
 	if err := c.Net().Run(); err != nil {
 		return nil, err
 	}

@@ -35,13 +35,13 @@ func TestPerInitiatorIndependence(t *testing.T) {
 			total := 0
 			for round := 0; round < 2; round++ {
 				ids := make(map[sim.OpID]sim.ProcID, k)
-				base := a.Net().Now()
+				base := a.(*counter.Sim).Net().Now()
 				for i := 0; i < k; i++ {
 					p := sim.ProcID(i + 1)
 					// Stagger by less than a round trip so operations overlap.
 					ids[a.Start(base+int64(i), p)] = p
 				}
-				if err := a.Net().Run(); err != nil {
+				if err := a.(*counter.Sim).Net().Run(); err != nil {
 					t.Fatal(err)
 				}
 				seen := make(map[int]int)
@@ -86,7 +86,7 @@ func TestSequentialAfterConcurrent(t *testing.T) {
 		for p := 1; p <= 4; p++ {
 			a.Start(int64(p-1), sim.ProcID(p))
 		}
-		if err := a.Net().Run(); err != nil {
+		if err := a.(*counter.Sim).Net().Run(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if _, err := a.Inc(1); err != nil {

@@ -15,6 +15,7 @@ import (
 	"distcount/internal/rt"
 	"distcount/internal/sim"
 	"distcount/internal/trace"
+	"distcount/internal/verify"
 	"distcount/internal/workload"
 )
 
@@ -416,12 +417,7 @@ func TestCrossBackendServiceProfile(t *testing.T) {
 			if res.Wall != (backend == "rt") {
 				t.Fatalf("Wall = %v on backend %q", res.Wall, backend)
 			}
-			var recv []int64
-			if r, ok := c.(*rt.Runtime); ok {
-				_, recv = r.Loads(nil, nil)
-			} else {
-				recv = c.Net().Recv()
-			}
+			_, recv := c.Loads(nil, nil)
 			if recv[straggler] < 8 {
 				t.Fatalf("straggler received only %d messages — the check is vacuous", recv[straggler])
 			}
@@ -497,7 +493,7 @@ func TestCrossBackendDAGs(t *testing.T) {
 				r := rtC.(*rt.Runtime)
 				defer r.Close()
 				var simRec, rtRec trace.Recorder
-				simC.Net().OnDeliver(simRec.Record)
+				simC.OnDeliver(simRec.Record)
 				r.OnDeliver(rtRec.Record)
 				order := counter.SequentialOrder(simC.N())
 				for _, c := range []counter.Async{simC, r} {
@@ -525,6 +521,57 @@ func TestCrossBackendDAGs(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestCrossBackendHotSpot runs the paper's sequential workload through
+// counter.RunSequence on both backends and requires the same values and the
+// same Hot Spot intersections |I_i ∩ I_{i+1}| from each, with the lemma
+// holding on both. It covers every exact registry row at n = 8 and n = 81,
+// in id order and in E7's random order, so the second order reproduces E7's
+// Hot Spot table on real cores (run under -race in CI's rt smoke job: rt
+// reports deliveries from its executors concurrently).
+func TestCrossBackendHotSpot(t *testing.T) {
+	orders := map[string]func(n int) []sim.ProcID{
+		"sequential": counter.SequentialOrder,
+		"e7":         func(n int) []sim.ProcID { return counter.RandomOrder(n, 0xE7) },
+	}
+	for _, n := range []int{8, 81} {
+		for _, name := range registry.ExactNames() {
+			for oname, order := range orders {
+				t.Run(fmt.Sprintf("%s/n=%d/%s", name, n, oname), func(t *testing.T) {
+					simC, err := registry.NewWith(name, n, registry.Sequential())
+					if err != nil {
+						t.Fatal(err)
+					}
+					rtCfg := registry.Sequential()
+					rtCfg.Backend = "rt"
+					rtC, err := registry.NewWith(name, n, rtCfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer rtC.(*rt.Runtime).Close()
+					ord := order(simC.N())
+					res := map[string]*counter.RunResult{}
+					for backend, c := range map[string]counter.Async{"sim": simC, "rt": rtC} {
+						r, err := counter.RunSequence(c, ord)
+						if err != nil {
+							t.Fatalf("%s: %v", backend, err)
+						}
+						if err := verify.HotSpot(r); err != nil {
+							t.Fatalf("%s: %v", backend, err)
+						}
+						res[backend] = r
+					}
+					if !slices.Equal(res["sim"].Values, res["rt"].Values) {
+						t.Fatalf("values differ:\nsim %v\nrt  %v", res["sim"].Values, res["rt"].Values)
+					}
+					if !slices.Equal(res["sim"].Shared, res["rt"].Shared) {
+						t.Fatalf("intersections differ:\nsim %v\nrt  %v", res["sim"].Shared, res["rt"].Shared)
+					}
+				})
+			}
 		}
 	}
 }

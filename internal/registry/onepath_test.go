@@ -25,7 +25,7 @@ func TestEveryAlgorithmStartsInBothRegimes(t *testing.T) {
 					t.Fatal(err)
 				}
 				id := a.Start(0, 2)
-				if err := a.Net().Run(); err != nil {
+				if err := a.(*counter.Sim).Net().Run(); err != nil {
 					t.Fatal(err)
 				}
 				if v, ok := a.OpValue(id); !ok || v != 0 {

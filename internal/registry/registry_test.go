@@ -80,11 +80,11 @@ func TestAllNamesConcurrent(t *testing.T) {
 			}
 			n := a.N()
 			completions := 0
-			a.Net().OnOpDone(func(sim.OpDone) { completions++ })
+			a.OnOpDone(func(sim.OpDone) { completions++ })
 			for p := 1; p <= 4 && p <= n; p++ {
 				a.Start(int64(p-1), sim.ProcID(p))
 			}
-			if err := a.Net().Run(); err != nil {
+			if err := a.(*counter.Sim).Net().Run(); err != nil {
 				t.Fatal(err)
 			}
 			if want := min(4, n); completions != want {
@@ -104,7 +104,7 @@ func TestEveryNameValued(t *testing.T) {
 			t.Fatalf("NewWith(%s): %v", name, err)
 		}
 		id := a.Start(0, 3)
-		if err := a.Net().Run(); err != nil {
+		if err := a.(*counter.Sim).Net().Run(); err != nil {
 			t.Fatal(err)
 		}
 		if v, ok := a.OpValue(id); !ok || v != 0 {

@@ -307,11 +307,10 @@ func (q *readyList) close() {
 }
 
 // Runtime executes one counter.Machine on real cores. It implements
-// counter.Async, so countersvc serves it as a shard and the verification
-// layer reads it like any simulator-backed counter — except that Net returns
-// nil (there is no simulated network to introspect) and Start ignores its
-// scheduling time (real time cannot be fast-forwarded; the driver paces
-// admission itself).
+// counter.Async, so countersvc serves it as a shard and the sequence driver,
+// the verification layer and the load readers use it like any
+// simulator-backed counter — except that Start ignores its scheduling time
+// (real time cannot be fast-forwarded; the driver paces admission itself).
 //
 // A Runtime is live from New until Close: its goroutines — the workers and
 // the clock — exist even while no operation is in flight. Close must be called at quiescence (every
@@ -406,11 +405,6 @@ func (r *Runtime) Name() string { return r.m.Name }
 
 // N implements counter.Counter.
 func (r *Runtime) N() int { return r.n }
-
-// Net implements counter.Counter. The rt backend has no simulated network;
-// callers that need one (trace recording, the sequential paper-model tools)
-// must build the sim backend instead.
-func (r *Runtime) Net() *sim.Network { return nil }
 
 // Tick returns the wall-clock duration of one simulated tick.
 func (r *Runtime) Tick() time.Duration { return r.tick }

@@ -97,34 +97,24 @@ func TestCounterOneCall(t *testing.T) {
 // — both checkers must catch it.
 type brokenProto struct {
 	shard []int
+	ops   *counter.Ops[struct{}, int]
 }
 
 func (bp *brokenProto) Deliver(sim.Transport, sim.Message) {}
 
-func (bp *brokenProto) initiate(_ sim.Transport, p sim.ProcID) {
-	bp.shard[p]++
-}
-
-type brokenCounter struct {
-	net   *sim.Network
-	proto *brokenProto
-}
-
-func newBroken(n int) *brokenCounter {
-	pr := &brokenProto{shard: make([]int, n+1)}
-	return &brokenCounter{net: sim.New(n, pr), proto: pr}
-}
-
-func (c *brokenCounter) Name() string      { return "broken-sharded" }
-func (c *brokenCounter) N() int            { return c.net.N() }
-func (c *brokenCounter) Net() *sim.Network { return c.net }
-
-func (c *brokenCounter) Inc(p sim.ProcID) (int, error) {
-	c.net.StartOp(p, c.proto.initiate)
-	if err := c.net.Run(); err != nil {
-		return 0, err
-	}
-	return c.proto.shard[p] - 1, nil
+func newBroken(n int) *counter.Sim {
+	bp := &brokenProto{shard: make([]int, n+1), ops: counter.NewOps[struct{}, int](n)}
+	return counter.OnSim(counter.Machine{
+		Name:  "broken-sharded",
+		N:     n,
+		Proto: bp,
+		Initiate: func(nw sim.Transport, p sim.ProcID) {
+			bp.ops.Begin(nw, p)
+			bp.ops.Finish(nw, p, bp.shard[p])
+			bp.shard[p]++
+		},
+		Value: bp.ops.Take,
+	})
 }
 
 // TestBrokenCounterCaught: a sharded no-coordination counter violates both
