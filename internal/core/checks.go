@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"distcount/internal/sim"
 )
@@ -37,9 +38,9 @@ type checker struct {
 	retCount []int32
 	touched  []int
 
-	// occupied maps a processor to the inner node (level >= 1) it currently
-	// works for.
-	occupied map[sim.ProcID]int
+	// owner[p] is the inner node (level >= 1) processor p currently works
+	// for, 0 when none: node 0 is the root, which is never recorded.
+	owner []int32
 
 	violations     []string
 	violationCount int64
@@ -62,16 +63,16 @@ func newChecker(g geometry, retireAge int, nodes []node) *checker {
 		msgCount:  make([]int32, len(nodes)),
 		retStamp:  make([]int32, len(nodes)),
 		retCount:  make([]int32, len(nodes)),
-		occupied:  make(map[sim.ProcID]int),
+		owner:     make([]int32, g.n+1),
 	}
 	for id := range nodes {
 		if nodes[id].level == 0 {
 			continue
 		}
-		if prev, ok := c.occupied[nodes[id].cur]; ok {
+		if prev := c.owner[nodes[id].cur]; prev != 0 {
 			c.violate("initial identifiers collide: nodes %d and %d both at %v", prev, id, nodes[id].cur)
 		}
-		c.occupied[nodes[id].cur] = id
+		c.owner[nodes[id].cur] = int32(id)
 	}
 	return c
 }
@@ -144,15 +145,15 @@ func (c *checker) retirement(id, level int, old, succ, poolStart sim.ProcID, poo
 	if level == 0 {
 		return
 	}
-	if cur, ok := c.occupied[old]; !ok || cur != id {
+	if int(c.owner[old]) != id {
 		c.violate("occupancy: node %d retiring from %v which is not recorded as its processor", id, old)
 	} else {
-		delete(c.occupied, old)
+		c.owner[old] = 0
 	}
-	if prev, ok := c.occupied[succ]; ok {
+	if prev := c.owner[succ]; prev != 0 {
 		c.violate("identifier collision: node %d moved to %v already serving node %d", id, succ, prev)
 	}
-	c.occupied[succ] = id
+	c.owner[succ] = int32(id)
 }
 
 // poolExhausted records a retirement that could not happen.
@@ -161,23 +162,13 @@ func (c *checker) poolExhausted(id int) {
 }
 
 func (c *checker) clone() *checker {
-	cp := &checker{
-		g:              c.g,
-		retireAge:      c.retireAge,
-		opSeq:          c.opSeq,
-		msgStamp:       append([]int32(nil), c.msgStamp...),
-		msgCount:       append([]int32(nil), c.msgCount...),
-		retStamp:       append([]int32(nil), c.retStamp...),
-		retCount:       append([]int32(nil), c.retCount...),
-		touched:        append([]int(nil), c.touched...),
-		occupied:       make(map[sim.ProcID]int, len(c.occupied)),
-		violations:     append([]string(nil), c.violations...),
-		violationCount: c.violationCount,
-		growOldMax:     c.growOldMax,
-		retirePerOpMax: c.retirePerOpMax,
-	}
-	for k, v := range c.occupied {
-		cp.occupied[k] = v
-	}
-	return cp
+	cp := *c
+	cp.msgStamp = slices.Clone(c.msgStamp)
+	cp.msgCount = slices.Clone(c.msgCount)
+	cp.retStamp = slices.Clone(c.retStamp)
+	cp.retCount = slices.Clone(c.retCount)
+	cp.touched = slices.Clone(c.touched)
+	cp.owner = slices.Clone(c.owner)
+	cp.violations = slices.Clone(c.violations)
+	return &cp
 }

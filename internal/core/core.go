@@ -242,7 +242,7 @@ func (t *Tree) Nodes() []NodeInfo {
 			Cur:       nd.cur,
 			PoolStart: nd.poolStart,
 			PoolSize:  nd.poolSize,
-			Retired:   nd.retired,
+			Retired:   nd.retirements(),
 			Age:       nd.age,
 		}
 	}
@@ -255,8 +255,7 @@ func (t *Tree) Nodes() []NodeInfo {
 // canonical workload).
 func (t *Tree) HostedInner(p sim.ProcID) bool {
 	for i := range t.proto.nodes {
-		nd := &t.proto.nodes[i]
-		if p >= nd.poolStart && int(p-nd.poolStart) <= nd.retired {
+		if t.proto.nodes[i].served(p) {
 			return true
 		}
 	}
@@ -292,8 +291,8 @@ func NewForSize(n int, opts ...Option) *Counter {
 }
 
 // Machine implements counter.Describer for a tree whose root state is the
-// counter. Serial: retirement rewrites a node's current processor and the
-// forwarding table that every receiver's ensureRole consults, so the rt
+// counter. Serial: retirement rewrites a node's current processor, which
+// every receiver's ensureRole reads (nodes[].cur is shared), so the rt
 // backend must serialize all protocol callbacks rather than run receivers
 // concurrently. Linearizable: the root applies operations in arrival order
 // and replies directly to initiators, so values respect real-time order

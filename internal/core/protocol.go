@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"distcount/internal/counter"
 	"distcount/internal/sim"
@@ -67,22 +68,26 @@ func (newIDPayload) Kind() string         { return "new-id" }
 // is owned by the node's current processor; the slice-of-structs layout is
 // an implementation convenience, not shared memory — every access happens in
 // the delivery context of the owning processor.
+//
+// A role only ever moves from its processor to the next one of its pool
+// (retire), so the processors that have served the node are exactly
+// [poolStart, cur]: the node's retirement count and the successor of any
+// processor it left are both derived, never stored.
 type node struct {
 	level, pos int
 	cur        sim.ProcID
 	poolStart  sim.ProcID
 	poolSize   int
-	retired    int
 	age        int
-	parentProc sim.ProcID   // known current processor of the parent node
-	childProc  []sim.ProcID // known current processors of the children
+	parentProc sim.ProcID // known current processor of the parent node
 }
 
-// fwdKey identifies a (processor, role) pair the processor once held.
-type fwdKey struct {
-	proc sim.ProcID
-	node int
-}
+// served reports whether processor p has worked for the node so far, its
+// current processor included.
+func (nd *node) served(p sim.ProcID) bool { return nd.poolStart <= p && p <= nd.cur }
+
+// retirements is the number of times the node has handed its role on.
+func (nd *node) retirements() int { return int(nd.cur - nd.poolStart) }
 
 // proto is the communication-tree protocol, generic over the root state.
 type proto struct {
@@ -90,6 +95,9 @@ type proto struct {
 	retireAge int // age threshold; 0 disables retirement (ablation)
 	root      RootState
 	nodes     []node
+	// childProc[id*k+c] is node id's knowledge of its c-th child's current
+	// processor (a leaf's own id for level-k nodes).
+	childProc []sim.ProcID
 	// leafParent[l] is leaf l's knowledge of its parent's current processor.
 	leafParent []sim.ProcID
 	// leafLoad[p] counts the messages processor p sent or received in its
@@ -97,10 +105,6 @@ type proto struct {
 	// inc request, the value answer, and parent-retirement notifications.
 	// The Leaf Node Work Lemma bounds it.
 	leafLoad []int64
-	// fwd records, per retired (processor, role), the successor processor:
-	// the "proper handshaking protocol" of the paper, implemented as
-	// successor forwarding for messages addressed via stale neighbor tables.
-	fwd map[fwdKey]sim.ProcID
 
 	// curReq is the request of the operation being initiated (sequential
 	// model: at most one in flight).
@@ -140,10 +144,10 @@ func newProto(k, retireAge int, state RootState, checks bool) *proto {
 		retireAge:  retireAge,
 		root:       state,
 		nodes:      make([]node, g.nodeCount()),
+		childProc:  make([]sim.ProcID, g.nodeCount()*k),
 		leafParent: make([]sim.ProcID, g.n+1),
 		leafLoad:   make([]int64, g.n+1),
 		ops:        counter.NewOps[struct{}, any](g.n),
-		fwd:        make(map[fwdKey]sim.ProcID),
 	}
 	for i := 0; i <= k; i++ {
 		for j := 0; j < pow(k, i); j++ {
@@ -155,20 +159,19 @@ func newProto(k, retireAge int, state RootState, checks bool) *proto {
 				cur:       proc,
 				poolStart: proc,
 				poolSize:  pool,
-				childProc: make([]sim.ProcID, k),
 			}
 			if i > 0 {
 				pLevel, pPos := g.levelPos(g.parent(i, j))
 				pProc, _ := g.initialProc(pLevel, pPos)
 				nd.parentProc = pProc
 			}
-			for c := 0; c < k; c++ {
+			children := pr.children(id)
+			for c := range children {
 				if i < k {
 					cLevel, cPos := g.levelPos(g.childNode(i, j, c))
-					cProc, _ := g.initialProc(cLevel, cPos)
-					nd.childProc[c] = cProc
+					children[c], _ = g.initialProc(cLevel, cPos)
 				} else {
-					nd.childProc[c] = g.leafChild(j, c)
+					children[c] = g.leafChild(j, c)
 				}
 			}
 			pr.nodes[id] = nd
@@ -182,6 +185,12 @@ func newProto(k, retireAge int, state RootState, checks bool) *proto {
 		pr.checks = newChecker(g, retireAge, pr.nodes)
 	}
 	return pr
+}
+
+// children returns node id's row of the childProc arena.
+func (pr *proto) children(id int) []sim.ProcID {
+	k := pr.g.k
+	return pr.childProc[id*k : id*k+k]
 }
 
 // initiate is the operation start: leaf p sends "op from p" to its parent.
@@ -228,7 +237,7 @@ func (pr *proto) Deliver(nw sim.Transport, msg sim.Message) {
 		// role has already moved on again (possible under reordering
 		// latencies in ablation configurations).
 		nd := &pr.nodes[pl.Node]
-		if nd.retired == pl.Retirement && nd.cur != msg.To {
+		if nd.retirements() == pl.Retirement && nd.cur != msg.To {
 			panic(fmt.Sprintf("core: handoff job for node %d delivered to %v, current %v",
 				pl.Node, msg.To, nd.cur))
 		}
@@ -241,24 +250,23 @@ func (pr *proto) Deliver(nw sim.Transport, msg sim.Message) {
 }
 
 // ensureRole checks that the receiving processor currently works for the
-// target node; if it retired from that role, the message is forwarded to the
-// successor (one extra message per stale hop — the paper's constant-overhead
-// handshake) and false is returned. pl is the message's payload as it
-// arrived — already boxed — so forwarding it allocates nothing; passing the
-// type-switched value instead would box a second copy on every delivery,
-// forwarded or not.
+// target node; if it retired from that role, the message is forwarded to its
+// successor proc+1 (one extra message per stale hop — the paper's
+// constant-overhead handshake) and false is returned. pl is the message's
+// payload as it arrived — already boxed — so forwarding it allocates
+// nothing; passing the type-switched value instead would box a second copy
+// on every delivery, forwarded or not.
 func (pr *proto) ensureRole(nw sim.Transport, proc sim.ProcID, target int, pl sim.Payload) bool {
 	nd := &pr.nodes[target]
 	if nd.cur == proc {
 		return true
 	}
-	succ, ok := pr.fwd[fwdKey{proc: proc, node: target}]
-	if !ok {
+	if !nd.served(proc) {
 		panic(fmt.Sprintf("core: processor %v received message for node %d it never served (current %v)",
 			proc, target, nd.cur))
 	}
 	pr.stats.Forwarded++
-	nw.Send(succ, pl)
+	nw.Send(proc+1, pl)
 	return false
 }
 
@@ -291,8 +299,7 @@ func (pr *proto) handleNewID(nw sim.Transport, pl newIDPayload) {
 	case nd.level > 0 && pr.g.parent(nd.level, nd.pos) == pl.Changed:
 		nd.parentProc = pl.NewProc
 	default:
-		idx := pr.childIndex(pl.Target, pl.Changed)
-		nd.childProc[idx] = pl.NewProc
+		pr.children(pl.Target)[pr.childIndex(pl.Target, pl.Changed)] = pl.NewProc
 	}
 	nd.age++
 	if pr.checks != nil {
@@ -322,7 +329,7 @@ func (pr *proto) maybeRetire(nw sim.Transport, id int) {
 	if nd.age < pr.retireAge {
 		return
 	}
-	if nd.retired+1 >= nd.poolSize {
+	if nd.retirements()+1 >= nd.poolSize {
 		// Pool exhausted: the node soldiers on with its current processor.
 		// Within the paper's n operations this is unreachable at the default
 		// threshold (Number of Retirements Lemma) and reachable only in
@@ -346,8 +353,10 @@ func (pr *proto) maybeRetire(nw sim.Transport, id int) {
 // messages inform the node's parent and children about id_new."
 func (pr *proto) retire(nw sim.Transport, id int) {
 	nd := &pr.nodes[id]
+	children := pr.children(id)
 	old := nd.cur
 	succ := old + 1
+	retirement := nd.retirements() + 1
 	pr.stats.Retirements++
 	if pr.checks != nil {
 		pr.checks.retirement(id, nd.level, old, succ, nd.poolStart, nd.poolSize)
@@ -359,25 +368,24 @@ func (pr *proto) retire(nw sim.Transport, id int) {
 	// that would inform the parent").
 	nw.Send(succ, handoffJobPayload{
 		Node:       id,
-		Retirement: nd.retired + 1,
+		Retirement: retirement,
 		ParentProc: nd.parentProc,
 	})
 	if nd.level > 0 {
 		nw.Send(succ, handoffParentPayload{Node: id, ParentProc: nd.parentProc})
 	} else {
 		// Root: the state-carrying message keeps the k+2 count symmetric.
-		nw.Send(succ, handoffJobPayload{Node: id, Retirement: nd.retired + 1})
+		nw.Send(succ, handoffJobPayload{Node: id, Retirement: retirement})
 	}
-	for c := 0; c < pr.g.k; c++ {
-		nw.Send(succ, handoffChildPayload{Node: id, Idx: c, ChildProc: nd.childProc[c]})
+	for c, proc := range children {
+		nw.Send(succ, handoffChildPayload{Node: id, Idx: c, ChildProc: proc})
 	}
 
 	// State transfer: the node's current processor becomes the successor.
 	// (Messages above carry the same data; effecting the transfer here
-	// keeps role dispatch well defined for messages already in flight.)
-	pr.fwd[fwdKey{proc: old, node: id}] = succ
+	// keeps role dispatch well defined for messages already in flight, which
+	// ensureRole forwards from old to succ.)
 	nd.cur = succ
-	nd.retired++
 	nd.age = 0
 
 	// k+1 notifications: parent (unless root) and children learn id_new.
@@ -389,8 +397,8 @@ func (pr *proto) retire(nw sim.Transport, id int) {
 		})
 	}
 	if nd.level < pr.g.k {
-		for c := 0; c < pr.g.k; c++ {
-			nw.Send(nd.childProc[c], newIDPayload{
+		for c, proc := range children {
+			nw.Send(proc, newIDPayload{
 				Target:  pr.g.childNode(nd.level, nd.pos, c),
 				Changed: id,
 				NewProc: succ,
@@ -400,27 +408,22 @@ func (pr *proto) retire(nw sim.Transport, id int) {
 	}
 	// Leaves all get the same note: one boxed payload serves the k of them.
 	var note sim.Payload = newIDPayload{Target: leafTarget, Changed: id, NewProc: succ}
-	for c := 0; c < pr.g.k; c++ {
-		nw.Send(nd.childProc[c], note)
+	for _, proc := range children {
+		nw.Send(proc, note)
 	}
 }
 
-// CloneProtocol implements sim.CloneableProtocol.
+// CloneProtocol implements sim.CloneableProtocol. The tree's state is flat
+// slices of values, so the copy is a fixed number of slice copies whatever
+// the tree's size or history.
 func (pr *proto) CloneProtocol() sim.Protocol {
 	cp := *pr
 	cp.root = pr.root.CloneState()
-	cp.nodes = make([]node, len(pr.nodes))
-	copy(cp.nodes, pr.nodes)
-	for i := range cp.nodes {
-		cp.nodes[i].childProc = append([]sim.ProcID(nil), pr.nodes[i].childProc...)
-	}
-	cp.leafParent = append([]sim.ProcID(nil), pr.leafParent...)
-	cp.leafLoad = append([]int64(nil), pr.leafLoad...)
-	cp.ops = pr.ops.Clone(nil)
-	cp.fwd = make(map[fwdKey]sim.ProcID, len(pr.fwd))
-	for k, v := range pr.fwd {
-		cp.fwd[k] = v
-	}
+	cp.nodes = slices.Clone(pr.nodes)
+	cp.childProc = slices.Clone(pr.childProc)
+	cp.leafParent = slices.Clone(pr.leafParent)
+	cp.leafLoad = slices.Clone(pr.leafLoad)
+	cp.ops = pr.ops.Clone()
 	if pr.checks != nil {
 		cp.checks = pr.checks.clone()
 	}

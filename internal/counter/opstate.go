@@ -2,6 +2,7 @@ package counter
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -190,20 +191,13 @@ func (o *Ops[S, V]) Take(id sim.OpID) (V, bool) {
 	return o.values.take(id)
 }
 
-// Clone returns an independent deep copy, taken at quiescence. deepState,
-// when non-nil, deep-copies each in-flight operation's protocol state
-// (needed when S holds slices or maps); nil keeps the flat copy, sufficient
-// for value-only states. An idle initiator's leftover state is copied flat
-// and never read: the next Begin zeroes it.
-func (o *Ops[S, V]) Clone(deepState func(*S) S) *Ops[S, V] {
+// Clone returns an independent copy, taken at quiescence. Each in-flight
+// operation's state S is copied flat, so the rule for S is: a slice (or map)
+// held in S must not be mutated after it is set — original and clone then
+// share it safely. An idle initiator's leftover state is copied too and
+// never read: the next Begin zeroes it.
+func (o *Ops[S, V]) Clone() *Ops[S, V] {
 	cp := &Ops[S, V]{slots: slices.Clone(o.slots)}
-	if deepState != nil {
-		for p := range cp.slots {
-			if s := &cp.slots[p]; s.op != 0 {
-				s.st = deepState(&o.slots[p].st)
-			}
-		}
-	}
 	o.mu.Lock()
 	cp.values = o.values.clone()
 	o.mu.Unlock()
@@ -264,10 +258,7 @@ func (t *valueTable[V]) take(id sim.OpID) (V, bool) {
 func (t *valueTable[V]) clone() valueTable[V] {
 	cp := valueTable[V]{ring: t.ring}
 	if len(t.spill) > 0 {
-		cp.spill = make(map[sim.OpID]V, len(t.spill))
-		for id, v := range t.spill {
-			cp.spill[id] = v
-		}
+		cp.spill = maps.Clone(t.spill)
 	}
 	return cp
 }

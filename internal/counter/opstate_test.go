@@ -116,7 +116,7 @@ func TestOpsCloneIndependence(t *testing.T) {
 	if err := net.Run(); err != nil {
 		t.Fatal(err)
 	}
-	cp := pr.ops.Clone(nil)
+	cp := pr.ops.Clone()
 	if v, ok := cp.Take(id); !ok || v != 0 {
 		t.Fatalf("clone lost recorded value: (%d,%v)", v, ok)
 	}
@@ -351,9 +351,10 @@ func TestOpsTakeSurvivesRingWraparound(t *testing.T) {
 	}
 }
 
-// TestOpsCloneDeepStateBothDirections: with a deepState copier, an in-flight
-// operation's state, the recorded values (ring and spill) and the counters
-// of original and clone evolve independently, whichever side is mutated.
+// TestOpsCloneDeepStateBothDirections: an in-flight operation's counts, the
+// recorded values (ring and spill) and the stale counter of original and
+// clone evolve independently, whichever side is mutated. The state's slice
+// is shared, not copied: Clone's rule is that it is never mutated once set.
 func TestOpsCloneDeepStateBothDirections(t *testing.T) {
 	ops := NewOps[probeState, int](8)
 	// Enough unconsumed completions that the clone has to copy a spill map.
@@ -366,13 +367,9 @@ func TestOpsCloneDeepStateBothDirections(t *testing.T) {
 	st.quorum, st.await = []int{7, 8, 9}, 3
 	ops.GetFor(in(1), 3) // one stale call, so the counter is non-zero
 
-	cp := ops.Clone(func(s *probeState) probeState {
-		d := *s
-		d.quorum = append([]int(nil), s.quorum...)
-		return d
-	})
+	cp := ops.Clone()
 	cst := cp.Get(3)
-	if cst == st || &cst.quorum[0] == &st.quorum[0] {
+	if cst == st {
 		t.Fatal("clone shares the in-flight operation's state with the original")
 	}
 	if cst.await != 3 || len(cst.quorum) != 3 || cst.quorum[2] != 9 {
@@ -380,18 +377,18 @@ func TestOpsCloneDeepStateBothDirections(t *testing.T) {
 	}
 
 	// Clone → original.
-	cst.quorum[0], cst.await = -1, 0
+	cst.await = 0
 	if !cp.Finish(in(live), 3, 500) {
 		t.Fatal("clone could not finish the copied operation")
 	}
-	if st.quorum[0] != 7 || st.await != 3 || !ops.InFlight(3) {
+	if st.await != 3 || !ops.InFlight(3) {
 		t.Fatal("mutating the clone changed the original")
 	}
 	if _, ok := ops.Take(live); ok {
 		t.Fatal("clone's completion recorded a value in the original")
 	}
 	// Original → clone.
-	st.quorum[1] = -2
+	st.await = 1
 	if v, ok := ops.Take(1); !ok || v != 1 {
 		t.Fatalf("original lost a spilled value: (%d,%v)", v, ok)
 	}
@@ -410,6 +407,9 @@ func TestOpsCloneDeepStateBothDirections(t *testing.T) {
 	}
 	if v, ok := cp.Take(live); !ok || v != 500 {
 		t.Fatalf("clone's value for the copied operation = (%d,%v), want (500,true)", v, ok)
+	}
+	if cst.await != 0 {
+		t.Fatal("mutating the original changed the clone")
 	}
 }
 

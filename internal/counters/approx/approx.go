@@ -174,7 +174,7 @@ func (c *core) clone() core {
 	cp := *c
 	cp.base = append([]int(nil), c.base...)
 	cp.unreported = append([]int(nil), c.unreported...)
-	cp.ops = c.ops.Clone(nil)
+	cp.ops = c.ops.Clone()
 	return cp
 }
 

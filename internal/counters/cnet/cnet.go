@@ -247,7 +247,7 @@ func (pr *proto) CloneProtocol() sim.Protocol {
 	cp := *pr
 	cp.balancers = append([]balancer(nil), pr.balancers...)
 	cp.wireCount = append([]int(nil), pr.wireCount...)
-	cp.ops = pr.ops.Clone(nil)
+	cp.ops = pr.ops.Clone()
 	// stageWire is immutable after construction and can be shared.
 	return &cp
 }

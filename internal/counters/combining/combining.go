@@ -301,7 +301,7 @@ func (pr *proto) CloneProtocol() sim.Protocol {
 		}
 	}
 	cp.leafParent = append([]int(nil), pr.leafParent...)
-	cp.ops = pr.ops.Clone(nil)
+	cp.ops = pr.ops.Clone()
 	return &cp
 }
 

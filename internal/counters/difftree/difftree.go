@@ -226,7 +226,7 @@ func (pr *proto) CloneProtocol() sim.Protocol {
 		}
 	}
 	cp.leafCount = append([]int(nil), pr.leafCount...)
-	cp.ops = pr.ops.Clone(nil)
+	cp.ops = pr.ops.Clone()
 	cp.toggles = append([]int64(nil), pr.toggles...)
 	return &cp
 }

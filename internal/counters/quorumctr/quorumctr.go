@@ -53,7 +53,9 @@ type replica struct {
 }
 
 // opState is one initiator's in-flight quorum probe: the quorum it chose,
-// the outstanding read/ack counts, and the best (version, value) seen.
+// the outstanding read/ack counts, and the best (version, value) seen. The
+// quorum slice is set once, in initiate, and only ranged over afterwards, so
+// a clone shares it (counter.Ops.Clone).
 type opState struct {
 	quorum       []int
 	awaitReads   int
@@ -167,11 +169,7 @@ func (pr *proto) CloneProtocol() sim.Protocol {
 	cp := *pr
 	cp.replicas = append([]replica(nil), pr.replicas...)
 	cp.localOps = append([]int(nil), pr.localOps...)
-	cp.ops = pr.ops.Clone(func(st *opState) opState {
-		d := *st
-		d.quorum = append([]int(nil), st.quorum...)
-		return d
-	})
+	cp.ops = pr.ops.Clone()
 	return &cp
 }
 

@@ -99,7 +99,7 @@ func (pr *proto) Deliver(nw sim.Transport, msg sim.Message) {
 
 func (pr *proto) CloneProtocol() sim.Protocol {
 	cp := *pr
-	cp.ops = pr.ops.Clone(nil)
+	cp.ops = pr.ops.Clone()
 	return &cp
 }
 

@@ -245,9 +245,17 @@ func New(cfg Config) (*Service, error) {
 	for i, name := range algos {
 		c, err := registry.NewWith(name, cfg.N, cfg.Registry)
 		if err != nil {
-			return nil, fmt.Errorf("countersvc: shard %d: %w", i, err)
+			err = fmt.Errorf("countersvc: shard %d: %w", i, err)
+		} else if err = s.attach(i, name, c); err != nil {
+			if r, ok := c.(*rt.Runtime); ok {
+				r.Close()
+			}
 		}
-		if err := s.attach(i, name, c); err != nil {
+		if err != nil {
+			// Not Close: the shards past i were never attached.
+			for _, r := range s.rts {
+				r.Close()
+			}
 			return nil, err
 		}
 	}

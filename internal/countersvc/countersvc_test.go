@@ -255,6 +255,24 @@ func TestMigrationDrain(t *testing.T) {
 	}
 }
 
+// TestNewFailureClosesBuiltShards: when a later shard cannot be built, New
+// closes the rt runtimes of the shards it already built, so a failed
+// construction leaves no worker or clock goroutine behind.
+func TestNewFailureClosesBuiltShards(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	_, err := New(Config{Keys: 4, N: 8, Shards: 2, ShardAlgos: []string{"central", "nosuch"},
+		Registry: registry.Config{Backend: "rt", Window: registry.DefaultWindow}})
+	if err == nil {
+		t.Fatal("New built a shard of an unknown algorithm")
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the failed New, %d before", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestMaxMovesRespected: with the default budget of one move, a second hot
 // key never migrates.
 func TestMaxMovesRespected(t *testing.T) {
