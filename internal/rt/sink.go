@@ -43,8 +43,9 @@ type Sink struct {
 	now   func() int64
 	stall time.Duration
 	// life is the latest instant, on now's clock, at which the loop was seen
-	// alive: the newest handled completion's End or the newest arrival waited
-	// out. Written by the awaiting goroutine, read by the watchdog.
+	// alive: the newest handled completion's End, the newest arrival waited
+	// out, or the moment Await last parked. Written by the awaiting goroutine,
+	// read by the watchdog.
 	life atomic.Int64
 	// stalled asks the loop to check for a stall; the loop re-checks the
 	// silence itself, so a completion racing the watchdog is never lost.
@@ -111,8 +112,10 @@ func (s *Sink) post() {
 // sink's runtimes, one mailbox at a time, looking for completions between
 // two; a panic in a protocol callback run there propagates to the caller.
 // It returns false when nothing happened and nothing will: the sink stayed
-// silent for the stall timeout with no arrival pending. A caller that waits
-// on through the silence gets the next report one stall timeout later.
+// silent for the stall timeout with no arrival pending, counted from the
+// moment Await parked, so never less than one stall timeout after the call.
+// A caller that waits on through the silence gets the next report one stall
+// timeout later.
 func (s *Sink) Await(until int64, handle func(from int, d sim.OpDone)) bool {
 	for {
 		s.mu.Lock()
@@ -139,6 +142,10 @@ func (s *Sink) Await(until int64, handle func(from int, d sim.OpDone)) bool {
 			}
 			continue
 		}
+		// Parking counts as a sign of life, so the silence a stall report
+		// needs is counted from here: never from before the call, however
+		// long ago the last completion came or the watchdog last fired.
+		s.life.Store(s.now())
 		<-s.wake
 		// The token is a completion's (possibly one an earlier call already
 		// handled: look again) or the watchdog's.

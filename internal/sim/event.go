@@ -6,12 +6,16 @@ import "math/bits"
 // start (start != nil). Events are ordered by (at, seq); seq is a strictly
 // increasing tie-breaker that makes simulations fully deterministic.
 //
-// The layout is packed into one 64-byte cache line (event_test.go pins the
-// size): every send copies an event into its bucket and every delivery copies
-// it out again, so the struct's width is the simulator's per-message memory
-// traffic. The sim.Message a protocol sees is not stored; Step rebuilds it
-// from from/to/payload/local at Deliver. Processor ids and DAG node
-// indices fit 32 bits by a wide margin (the largest loaded run is n = 15625).
+// An event lives in one place from enqueue to delivery: eventQueue.slot
+// hands out its queue slot, the sender writes the fields there, and pop
+// returns a pointer to that same slot, which Step reads. The pointer is valid
+// until the next enqueue (which may reuse the slot), so Step copies what it
+// needs into locals before any callback runs. The layout is packed into one
+// 64-byte cache line (event_test.go pins the size): the struct's width is the
+// simulator's per-message memory traffic. The sim.Message a protocol sees is
+// not stored; Step rebuilds it from from/to/payload/local at Deliver.
+// Processor ids and DAG node indices fit 32 bits by a wide margin (the
+// largest loaded run is n = 15625).
 type event struct {
 	at      int64
 	seq     uint64
@@ -45,9 +49,21 @@ func (h *eventHeap) less(i, j int) bool {
 	return a.seq < b.seq
 }
 
-func (h *eventHeap) push(e *event) {
-	h.evs = append(h.evs, *e)
-	i := len(h.evs) - 1
+// grow extends the heap by one slot at its tail and returns it, unordered:
+// the caller fills it and sifts it in with up. Growing within capacity
+// reslices without clearing, so the slot's old contents (the event the last
+// pop left there) stay readable until the caller overwrites them.
+func (h *eventHeap) grow() *event {
+	if n := len(h.evs); n < cap(h.evs) {
+		h.evs = h.evs[:n+1]
+	} else {
+		h.evs = append(h.evs, event{})
+	}
+	return &h.evs[len(h.evs)-1]
+}
+
+// up sifts the event at index i towards the root to its (at, seq) place.
+func (h *eventHeap) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !h.less(i, parent) {
@@ -58,13 +74,15 @@ func (h *eventHeap) push(e *event) {
 	}
 }
 
-func (h *eventHeap) pop() event {
-	top := h.evs[0]
+// pop removes the (at, seq)-smallest event and returns a pointer to it: the
+// root is swapped to the tail, just past the shrunken heap, where it stays
+// until the next grow reuses the slot.
+func (h *eventHeap) pop() *event {
 	last := len(h.evs) - 1
-	h.evs[0] = h.evs[last]
+	h.evs[0], h.evs[last] = h.evs[last], h.evs[0]
 	h.evs = h.evs[:last]
 	h.siftDown(0)
-	return top
+	return &h.evs[:last+1][last]
 }
 
 func (h *eventHeap) siftDown(i int) {
@@ -98,19 +116,21 @@ const ringWindow = 64
 // eventQueue is the simulator's pending-event set: a bucket ring over the
 // next ringWindow ticks backed by a binary min-heap for everything further
 // out. Ordering is exactly (at, seq) — identical to a pure heap, which the
-// property test in event_test.go pins — but the common push/pop pair costs
-// O(1) appends instead of O(log n) sift chains.
+// property test in event_test.go pins — but the common slot/pop pair costs
+// O(1) instead of O(log n) sift chains.
 //
 // Invariants:
 //   - base only advances, and never past the earliest queued event, so
 //     every ring event's timestamp stays inside [base, base+ringWindow):
 //     ticks map 1:1 onto buckets (bucket = at mod ringWindow).
-//   - within a bucket, events from heads[b] on are sorted by seq. Pushes
+//   - within a bucket, events from heads[b] on are sorted by seq. Enqueues
 //     carry fresh, increasing seqs except the re-entries of the arrival
 //     booking path (a message waiting for its service slot keeps its seq)
 //     and crash-freeze re-entries (which renew it); those binary-insert.
 //   - occ bit b is set iff bucket b has undelivered events; nearLen counts
 //     them, so emptiness checks and peeks never scan the ring.
+//   - staged marks the far heap's tail as a slot handed out by slot and not
+//     yet sifted in; every read of the heap's order sifts it first (farMin).
 type eventQueue struct {
 	far     eventHeap
 	near    [ringWindow][]event
@@ -118,6 +138,7 @@ type eventQueue struct {
 	occ     uint64          // bucket-occupancy bitmask
 	base    int64           // ring window start (last delivered timestamp)
 	nearLen int
+	staged  bool
 }
 
 func (q *eventQueue) len() int { return q.nearLen + q.far.len() }
@@ -140,42 +161,75 @@ func (q *eventQueue) carve() {
 	}
 }
 
-// push enqueues a copy of *e, routing it to the ring when its timestamp
-// falls inside the current window and to the heap otherwise. Taking a
-// pointer makes a send exactly one event copy: from the caller's frame into
-// its bucket.
-func (q *eventQueue) push(e *event) {
-	d := e.at - q.base
-	if uint64(d) >= ringWindow { // also catches a (never expected) past event
-		q.far.push(e)
-		return
-	}
-	b := int(e.at) & (ringWindow - 1)
+// slot is the queue's one enqueue primitive: it reserves the place of an
+// event due at `at` with tie-breaker seq — a ring bucket's slot when at falls
+// inside the current window, otherwise the far heap's tail, sifted in at the
+// next read of the heap — writes at and seq there, and returns it. The caller
+// writes every other field: the slot may hold a delivered event's leftovers.
+// slot writes no other field of a slot already in use, so an event
+// re-enqueued from the slot pop returned (which the new slot may be) can be
+// copied over field by field.
+func (q *eventQueue) slot(at int64, seq uint64) *event {
+	var e *event
+	b := int(at) & (ringWindow - 1)
 	bucket := q.near[b]
-	if n := len(bucket); n == q.heads[b] || bucket[n-1].seq < e.seq {
-		// The overwhelmingly common case: a fresh seq, larger than
-		// everything already queued for the tick.
-		q.near[b] = append(bucket, *e)
-	} else {
-		// An arrival-booked service-slot or freeze re-entry overtaken by
-		// newer sends to the same tick: binary-insert by seq behind the pop
-		// cursor.
-		lo, hi := q.heads[b], n
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if bucket[mid].seq < e.seq {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		bucket = append(bucket, event{})
-		copy(bucket[lo+1:], bucket[lo:])
-		bucket[lo] = *e
+	switch n := len(bucket); {
+	case uint64(at-q.base) >= ringWindow: // also catches a (never expected) past event
+		q.settle()
+		e = q.far.grow()
+		q.staged = true
+		e.at, e.seq = at, seq
+		return e
+	case n < cap(bucket) && (n == q.heads[b] || bucket[n-1].seq < seq):
+		// The overwhelmingly common case: room in the bucket and a fresh
+		// seq, larger than everything already queued for the tick.
+		bucket = bucket[:n+1]
 		q.near[b] = bucket
+		e = &bucket[n]
+	default:
+		e = q.nearInsert(b, seq)
 	}
 	q.occ |= 1 << b
 	q.nearLen++
+	e.at, e.seq = at, seq
+	return e
+}
+
+// nearInsert is slot's slow path into bucket b, for a full bucket or an
+// arrival-booked service-slot or freeze re-entry overtaken by newer sends to
+// the same tick: it grows the bucket by one and binary-inserts by seq behind
+// the pop cursor (a fresh seq lands at the end).
+func (q *eventQueue) nearInsert(b int, seq uint64) *event {
+	bucket := q.near[b]
+	n := len(bucket)
+	bucket = append(bucket, event{})
+	q.near[b] = bucket
+	lo, hi := q.heads[b], n
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if bucket[mid].seq < seq {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	copy(bucket[lo+1:], bucket[lo:n])
+	return &bucket[lo]
+}
+
+// settle sifts a staged far-heap slot into place.
+func (q *eventQueue) settle() {
+	if q.staged {
+		q.far.up(q.far.len() - 1)
+		q.staged = false
+	}
+}
+
+// farMin returns the far heap's earliest event. Must not be called on an
+// empty heap.
+func (q *eventQueue) farMin() *event {
+	q.settle()
+	return &q.far.evs[0]
 }
 
 // nearMin returns the ring's earliest pending event. Must not be called on
@@ -196,34 +250,35 @@ func (q *eventQueue) peekAt() (int64, bool) {
 	case q.nearLen == 0 && q.far.len() == 0:
 		return 0, false
 	case q.nearLen == 0:
-		return q.far.evs[0].at, true
+		return q.farMin().at, true
 	case q.far.len() == 0:
 		return q.nearMin().at, true
 	}
 	at := q.nearMin().at
-	if h := q.far.evs[0].at; h < at {
+	if h := q.farMin().at; h < at {
 		return h, true
 	}
 	return at, true
 }
 
-// pop removes and returns the (at, seq)-smallest queued event, advancing
-// the ring window to its timestamp. Must not be called on an empty queue.
-func (q *eventQueue) pop() event {
-	var e event
+// pop removes the (at, seq)-smallest queued event, advancing the ring window
+// to its timestamp, and returns a pointer to its slot. The slot stays intact
+// until the next enqueue, which may reuse it. Must not be called on an empty
+// queue.
+func (q *eventQueue) pop() *event {
+	var e *event
 	switch {
 	case q.nearLen == 0:
+		q.settle()
 		e = q.far.pop()
 	default:
-		cand := q.nearMin()
+		e = q.nearMin()
 		if q.far.len() > 0 {
-			if h := &q.far.evs[0]; h.at < cand.at || (h.at == cand.at && h.seq < cand.seq) {
+			if h := q.farMin(); h.at < e.at || (h.at == e.at && h.seq < e.seq) {
 				e = q.far.pop()
-				q.base = e.at
-				return e
+				break
 			}
 		}
-		e = *cand
 		b := int(e.at) & (ringWindow - 1)
 		q.heads[b]++
 		q.nearLen--
@@ -247,9 +302,9 @@ func (q *eventQueue) clone() eventQueue {
 		occ:     q.occ,
 		base:    q.base,
 		nearLen: q.nearLen,
+		staged:  q.staged,
 	}
-	out.far.evs = make([]event, len(q.far.evs))
-	copy(out.far.evs, q.far.evs)
+	out.far.evs = append([]event(nil), q.far.evs...)
 	for b, bucket := range q.near {
 		if len(bucket) > 0 {
 			out.near[b] = append([]event(nil), bucket...)

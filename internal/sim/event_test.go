@@ -7,9 +7,20 @@ import (
 	"distcount/internal/rng"
 )
 
-// TestEventFitsOneCacheLine pins the packed layout: a send copies one event
-// into its bucket and a delivery copies it out, so growing the struct past a
-// cache line is a per-message cost on every protocol.
+// push enqueues a copy of *e through slot, the queue's one enqueue
+// primitive: the tests build their events whole where the simulator writes
+// them in place.
+func (q *eventQueue) push(e *event) { *q.slot(e.at, e.seq) = *e }
+
+// push is the reference heap's enqueue: grow, fill, sift in.
+func (h *eventHeap) push(e *event) {
+	*h.grow() = *e
+	h.up(h.len() - 1)
+}
+
+// TestEventFitsOneCacheLine pins the packed layout: a send writes one event
+// into its slot and a delivery reads it from there, so growing the struct
+// past a cache line is a per-message cost on every protocol.
 func TestEventFitsOneCacheLine(t *testing.T) {
 	if size := unsafe.Sizeof(event{}); size > 64 {
 		t.Fatalf("sizeof(event) = %d bytes, want <= 64", size)
@@ -47,7 +58,7 @@ func TestEventQueueMatchesHeapReference(t *testing.T) {
 			if at, ok := q.peekAt(); !ok || at != ref.evs[0].at {
 				t.Fatalf("seed %d: peekAt = (%d, %v), reference head at %d", seed, at, ok, ref.evs[0].at)
 			}
-			got, want := q.pop(), ref.pop()
+			got, want := *q.pop(), *ref.pop()
 			if got.at != want.at || got.seq != want.seq {
 				t.Fatalf("seed %d: pop = (at %d, seq %d), reference (at %d, seq %d)",
 					seed, got.at, got.seq, want.at, want.seq)

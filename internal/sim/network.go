@@ -350,14 +350,10 @@ func (nw *Network) ScheduleOp(at int64, p ProcID, start func(nw Transport, p Pro
 	}
 	nw.ops.put(id, st)
 	nw.seq++
-	nw.queue.push(&event{
-		at:    at,
-		seq:   nw.seq,
-		from:  int32(p),
-		to:    int32(p),
-		op:    id,
-		start: start,
-	})
+	e := nw.queue.slot(at, nw.seq)
+	e.payload, e.start, e.op = nil, start, id
+	e.from, e.to, e.parent = int32(p), int32(p), 0
+	e.local, e.reserved = false, false
 	return id
 }
 
@@ -401,7 +397,8 @@ func (nw *Network) accountSend(from ProcID, pl Payload, st *opStats, countPendin
 // default UnitLatency the draw is the constant 1 and consumes no randomness,
 // so the model is not consulted; every other model sees the full message.
 // When the network books at send, a message to a serving receiver is queued
-// at its service slot, already reserved.
+// at its service slot, already reserved. The event is written straight into
+// its queue slot.
 func (nw *Network) pushSend(from, to ProcID, pl Payload, op OpID, parent int32) {
 	delay := int64(1)
 	if !nw.unitLatency {
@@ -412,20 +409,14 @@ func (nw *Network) pushSend(from, to ProcID, pl Payload, op OpID, parent int32) 
 		at, reserved = sv.reserve(at), true
 	}
 	nw.seq++
-	nw.queue.push(&event{
-		at:       at,
-		seq:      nw.seq,
-		payload:  pl,
-		op:       op,
-		from:     int32(from),
-		to:       int32(to),
-		parent:   parent,
-		reserved: reserved,
-	})
+	e := nw.queue.slot(at, nw.seq)
+	e.payload, e.start, e.op = pl, nil, op
+	e.from, e.to, e.parent = int32(from), int32(to), parent
+	e.local, e.reserved = false, reserved
 }
 
 // enqueueSend is the shared body of Send and SendAs: load accounting,
-// per-op statistics, and the queue push, attributed to the given operation
+// per-op statistics, and the enqueue, attributed to the given operation
 // and DAG node. countPending adds the queued event to the operation's
 // pending count (Send); SendAs instead converts an existing hold.
 func (nw *Network) enqueueSend(to ProcID, pl Payload, op OpID, parent int32, countPending bool) {
@@ -575,18 +566,12 @@ func (nw *Network) After(delay int64, pl Payload) {
 	if st := nw.ops.get(nw.cur.op); st != nil {
 		st.pending++
 	}
-	p := nw.cur.proc
+	p := int32(nw.cur.proc)
 	nw.seq++
-	nw.queue.push(&event{
-		at:      nw.now + delay,
-		seq:     nw.seq,
-		payload: pl,
-		op:      nw.cur.op,
-		from:    int32(p),
-		to:      int32(p),
-		parent:  nw.cur.node,
-		local:   true,
-	})
+	e := nw.queue.slot(nw.now+delay, nw.seq)
+	e.payload, e.start, e.op = pl, nil, nw.cur.op
+	e.from, e.to, e.parent = p, p, nw.cur.node
+	e.local, e.reserved = true, false
 }
 
 // AfterDetached is After for a maintenance wakeup that belongs to no
@@ -603,16 +588,23 @@ func (nw *Network) AfterDetached(delay int64, pl Payload) {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: AfterDetached called with negative delay %d", delay))
 	}
-	p := nw.cur.proc
+	p := int32(nw.cur.proc)
 	nw.seq++
-	nw.queue.push(&event{
-		at:      nw.now + delay,
-		seq:     nw.seq,
-		payload: pl,
-		from:    int32(p),
-		to:      int32(p),
-		local:   true,
-	})
+	e := nw.queue.slot(nw.now+delay, nw.seq)
+	e.payload, e.start, e.op = pl, nil, 0
+	e.from, e.to, e.parent = p, p, 0
+	e.local, e.reserved = true, false
+}
+
+// requeue enqueues the popped event e again at (at, seq) with the given
+// reserved mark: the service-slot deferral and the Freeze re-entry. It copies
+// e field by field into its new slot, which may be e's own: slot writes
+// nothing there but at and seq, so the copy stays correct when it is.
+func (nw *Network) requeue(e *event, at int64, seq uint64, reserved bool) {
+	s := nw.queue.slot(at, seq)
+	s.payload, s.start, s.op = e.payload, e.start, e.op
+	s.from, s.to, s.parent = e.from, e.to, e.parent
+	s.local, s.reserved = e.local, reserved
 }
 
 // Pending returns the number of queued events.
@@ -620,6 +612,11 @@ func (nw *Network) Pending() int { return nw.queue.len() }
 
 // Step delivers the single next event. It returns false when the queue is
 // empty.
+//
+// Step defers nothing: it clears the callback mark itself once the callback
+// returns. A callback that panics therefore leaves the network inside a
+// delivery for good — CurrentOp keeps answering and Clone refuses it with
+// ErrNotQuiescent — so a network whose protocol panicked is not reusable.
 func (nw *Network) Step() (bool, error) {
 	if nw.queue.len() == 0 {
 		return false, nil
@@ -633,7 +630,7 @@ func (nw *Network) Step() (bool, error) {
 	// down processor is drained, deferred to recovery (Freeze), or — for a
 	// local timer — cancelled. The check precedes service-slot reservation
 	// so a crashed processor's destroyed backlog does not consume slots.
-	if nw.faults != nil && nw.faultIntercept(&e) {
+	if nw.faults != nil && nw.faultIntercept(e) {
 		return true, nil
 	}
 	// Receiver-side service booked at arrival (a network that does not
@@ -648,43 +645,45 @@ func (nw *Network) Step() (bool, error) {
 	if e.start == nil && !e.local && !e.reserved {
 		if sv := &nw.servers[to]; sv.cost > 0 {
 			if slot := sv.reserve(e.at); slot > e.at {
-				e.at, e.reserved = slot, true
-				nw.queue.push(&e)
+				nw.requeue(e, slot, e.seq, true)
 				return true, nil
 			}
 		}
 	}
-	nw.now = e.at
+	// e points into the queue, and any enqueue — from a callback or the
+	// OnDeliver hook — may reuse its slot: the delivery is read out of it
+	// here, before anything runs.
+	at, op, start, parent := e.at, e.op, e.start, e.parent
+	from, pl, local := ProcID(e.from), e.payload, e.local
+	nw.now = at
 
-	st := nw.ops.get(e.op)
-	if st != nil && e.at > st.End {
-		st.End = e.at
+	st := nw.ops.get(op)
+	if st != nil && at > st.End {
+		st.End = at
 	}
 
-	nw.cur = ctx{op: e.op, proc: to}
+	nw.cur = ctx{op: op, proc: to}
 	nw.inCallback = true
-	defer func() { nw.inCallback = false }()
-
-	if e.start != nil {
+	if start != nil {
 		// Operation initiation: the DAG's source, node 0.
 		if st != nil && st.nodes > 0 && nw.onDeliver != nil {
-			nw.onDeliver(Delivery{Op: e.op, Proc: to, Parent: -1})
+			nw.onDeliver(Delivery{Op: op, Proc: to, Parent: -1})
 		}
-		e.start(nw, to)
+		start(nw, to)
 	} else {
-		if !e.local {
+		if !local {
 			nw.recv[to]++
 			if st != nil && st.nodes > 0 && nw.onDeliver != nil {
 				nw.cur.node = int32(st.nodes)
 				st.nodes++
-				nw.onDeliver(Delivery{Op: e.op, Proc: to, Node: int(nw.cur.node), Parent: int(e.parent)})
+				nw.onDeliver(Delivery{Op: op, Proc: to, Node: int(nw.cur.node), Parent: int(parent)})
 			}
 		} else {
 			// Local wakeups keep the DAG node of their scheduler, so that
 			// messages sent from a timer attach where it was set.
-			nw.cur.node = e.parent
+			nw.cur.node = parent
 		}
-		nw.proto.Deliver(nw, Message{From: ProcID(e.from), To: to, Payload: e.payload, Local: e.local})
+		nw.proto.Deliver(nw, Message{From: from, To: to, Payload: pl, Local: local})
 	}
 	nw.inCallback = false
 
@@ -724,10 +723,7 @@ func (nw *Network) faultIntercept(e *event) bool {
 		// the queue at recovery, where it competes for service slots again.
 		nw.faults.NoteCrashDeferred()
 		nw.seq++
-		e.at = until
-		e.seq = nw.seq
-		e.reserved = false
-		nw.queue.push(e)
+		nw.requeue(e, until, nw.seq, false)
 		return true
 	}
 	// Drained mailbox: the delivery is destroyed and its operation is lost.
@@ -756,7 +752,8 @@ func (nw *Network) Run() error {
 // operation history is not carried over (the clone starts with an empty
 // operation log but keeps the operation id counter, so op ids remain
 // globally unique across original and clone). The handlers installed with
-// OnOpDone and OnDeliver are not carried over either.
+// OnOpDone and OnDeliver are not carried over either. A network whose
+// protocol panicked inside a delivery is never quiescent again (see Step).
 func (nw *Network) Clone() (*Network, error) {
 	if nw.inCallback || nw.queue.len() != 0 {
 		return nil, ErrNotQuiescent

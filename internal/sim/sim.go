@@ -28,7 +28,10 @@
 // hypothetical next operations without committing them.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // ProcID identifies a processor; valid ids are 1..n.
 type ProcID int
@@ -62,12 +65,7 @@ func BitsFor(v int) int {
 	if v < 0 {
 		panic("sim: BitsFor of negative value")
 	}
-	bits := 1
-	for v > 1 {
-		v >>= 1
-		bits++
-	}
-	return bits
+	return max(1, bits.Len(uint(v)))
 }
 
 // Message is a single point-to-point message.

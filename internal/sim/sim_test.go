@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -251,6 +252,28 @@ func TestCloneRequiresQuiescence(t *testing.T) {
 	}
 }
 
+// TestCloneRefusesAfterCallbackPanic: Step defers nothing, so a callback
+// that panics leaves the network inside its delivery, with its queue empty,
+// and Clone refuses it.
+func TestCloneRefusesAfterCallbackPanic(t *testing.T) {
+	nw := New(2, &pingPong{})
+	nw.StartOp(1, func(Transport, ProcID) { panic("protocol bug") })
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the start callback's panic did not surface from Step")
+			}
+		}()
+		nw.Step()
+	}()
+	if nw.Pending() != 0 {
+		t.Fatalf("%d events pending, want 0", nw.Pending())
+	}
+	if _, err := nw.Clone(); !errors.Is(err, ErrNotQuiescent) {
+		t.Fatalf("Clone after a panicked callback: err = %v, want ErrNotQuiescent", err)
+	}
+}
+
 func TestCloneRequiresCloneableProtocol(t *testing.T) {
 	nw := New(2, &timerProto{fired: new(int)})
 	if _, err := nw.Clone(); !errors.Is(err, ErrNotCloneable) {
@@ -452,6 +475,22 @@ func TestHeapOrdering(t *testing.T) {
 			t.Fatalf("heap order violated: (%d,%d) after (%d,%d)", e.at, e.seq, prevAt, prevSeq)
 		}
 		prevAt, prevSeq = e.at, e.seq
+	}
+}
+
+// TestBitsForBoundaries pins BitsFor at every power-of-two boundary: 2^k-1
+// takes k bits and 2^k takes k+1, from 0 (one bit, like 1) up to
+// math.MaxInt.
+func TestBitsForBoundaries(t *testing.T) {
+	type tc struct{ v, want int }
+	cases := []tc{{0, 1}, {1, 1}, {2, 2}, {3, 2}, {math.MaxInt, 63}}
+	for k := 1; k < 63; k++ {
+		cases = append(cases, tc{1<<k - 1, k}, tc{1 << k, k + 1})
+	}
+	for _, c := range cases {
+		if got := BitsFor(c.v); got != c.want {
+			t.Errorf("BitsFor(%d) = %d, want %d", c.v, got, c.want)
+		}
 	}
 }
 
