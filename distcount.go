@@ -26,12 +26,12 @@ type (
 	// performs one test-and-increment initiated by processor p and returns
 	// the pre-increment value.
 	Counter = counter.Counter
-	// Cloneable is a Counter whose full state (network + protocol) can be
-	// deep-copied; required by the lower-bound adversary.
-	Cloneable = counter.Cloneable
-	// TreeCounter is the paper's communication-tree counter with processor
-	// retirement (the matching O(k) upper bound).
-	TreeCounter = core.Counter
+	// Cloneable is the simulated counter, whose full state (network +
+	// protocol) can be deep-copied; required by the lower-bound adversary.
+	Cloneable = *counter.Sim
+	// TreeCounter is the paper's retiring communication-tree counter (the
+	// O(k) upper bound): a Cloneable (its Sim) plus the lemma readouts.
+	TreeCounter = core.Tree
 	// ProcID identifies a processor (1..n).
 	ProcID = sim.ProcID
 	// Network is the simulated asynchronous message-passing system.
@@ -243,8 +243,8 @@ func WithBackend(name string) Option {
 // workload-driven concurrent operation. The returned counter always
 // supports both Inc and Start, reads each started operation's value back
 // with OpValue(id), and exposes its consistency contract via Guarantee().
-// The paper's lemma instrumentation lives on NewTreeCounter's handle, not
-// here.
+// The paper's lemma instrumentation is off here: NewTreeCounter builds the
+// tree with it on.
 func New(algorithm string, n int, opts ...Option) (AsyncCounter, error) {
 	var s buildSpec
 	for _, o := range opts {
@@ -360,10 +360,10 @@ func SizeFor(k int) int { return bound.SizeFor(k) }
 func KReal(n float64) float64 { return bound.KReal(n) }
 
 // RunAdversary executes the Lower Bound Theorem's constructive workload
-// against a cloneable counter, recording its communication DAGs itself: at
-// each step the not-yet-chosen processor with the longest communication
-// list increments. The result carries the proof trace; VerifyAdversary
-// checks it.
+// against a simulated counter (a TreeCounter's is its Sim), recording its
+// communication DAGs itself: at each step the not-yet-chosen processor with
+// the longest communication list increments. The result carries the proof
+// trace; VerifyAdversary checks it.
 func RunAdversary(c Cloneable) (*AdversaryResult, error) {
 	return adversary.Run(c)
 }

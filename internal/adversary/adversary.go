@@ -9,14 +9,14 @@
 // potential-function argument over those lists shows that some processor
 // must carry load Ω(k) with k·k^k = n.
 //
-// Run executes this construction against any cloneable counter: at each
-// step it clones the counter state, executes every remaining candidate's
-// operation on a clone, measures the resulting communication-list length
-// (recorded by a trace.Recorder), commits the longest candidate on the real
-// counter, and records the proof trace: the executed lengths L_i, the last
-// processor's candidate lists and their lengths l_i, the loads before each
-// step, and the "first affected position" f_i that the potential argument
-// manipulates.
+// Run executes this construction against any simulated counter (a
+// counter.Sim, the kind that clones): at each step it clones the counter,
+// executes every remaining candidate's operation on a clone, measures the
+// resulting communication-list length (recorded by a trace.Recorder),
+// commits the longest candidate on the real counter, and records the proof
+// trace: the executed lengths L_i, the last processor's candidate lists and
+// their lengths l_i, the loads before each step, and the "first affected
+// position" f_i that the potential argument manipulates.
 //
 // The recorded trace supports the structural checks of the proof:
 //
@@ -135,10 +135,10 @@ func ScheduleSeeds(s int) Option {
 	return func(c *config) { c.schedules = s }
 }
 
-// Run executes the adversarial sequence construction on a fresh, cloneable
+// Run executes the adversarial sequence construction on a fresh simulated
 // counter. It records the DAGs itself, holding the network's OnDeliver hook
 // for the run (replacing any installed before; none is left after).
-func Run(c counter.Cloneable, opts ...Option) (*Result, error) {
+func Run(c *counter.Sim, opts ...Option) (*Result, error) {
 	cfg := config{seed: 1}
 	for _, o := range opts {
 		o(&cfg)
@@ -289,7 +289,7 @@ func candidates(remaining []sim.ProcID, sample int, full bool, r *rng.Source) []
 // the inherited schedule when seeds is empty — and returns the longest
 // communication list found, the seed that produced it, and whether a
 // reseed is needed to replay it.
-func probe(c counter.Cloneable, p sim.ProcID, full bool, seeds []uint64) (length int, list []int, seed uint64, reseeded bool, err error) {
+func probe(c *counter.Sim, p sim.ProcID, full bool, seeds []uint64) (length int, list []int, seed uint64, reseeded bool, err error) {
 	type scheduleTry struct {
 		seed   uint64
 		reseed bool
@@ -316,7 +316,7 @@ func probe(c counter.Cloneable, p sim.ProcID, full bool, seeds []uint64) (length
 
 // probeOnce clones the counter (optionally reseeding the clone's schedule)
 // and executes p's operation, recording its DAG.
-func probeOnce(c counter.Cloneable, p sim.ProcID, full bool, seed uint64, reseed bool) (int, []int, error) {
+func probeOnce(c *counter.Sim, p sim.ProcID, full bool, seed uint64, reseed bool) (int, []int, error) {
 	cl, err := c.Clone()
 	if err != nil {
 		return 0, nil, err

@@ -11,15 +11,15 @@ import (
 	"distcount/internal/trace"
 )
 
-func centralFactory(n int) counter.Cloneable {
+func centralFactory(n int) *counter.Sim {
 	return counter.OnSim(central.NewMachine(n))
 }
 
-func ctreeFactory(n int) counter.Cloneable {
-	return core.NewForSize(n)
+func ctreeFactory(n int) *counter.Sim {
+	return core.NewForSize(n).Sim
 }
 
-func ringFactory(n int) counter.Cloneable {
+func ringFactory(n int) *counter.Sim {
 	return counter.OnSim(tokenring.NewMachine(n))
 }
 
@@ -249,11 +249,11 @@ func TestGreedyChoiceIsMaximal(t *testing.T) {
 // several schedules per candidate can only lengthen the executed lists,
 // and the replayed commit still matches the probe exactly.
 func TestScheduleExploration(t *testing.T) {
-	asyncFactory := func() counter.Cloneable {
+	asyncFactory := func() *counter.Sim {
 		return core.NewForSize(8, core.WithSimOptions(
 			sim.WithSeed(11),
 			sim.WithLatency(sim.UniformLatency{Min: 1, Max: 7}),
-		))
+		)).Sim
 	}
 	plain, err := Run(asyncFactory())
 	if err != nil {
@@ -283,11 +283,11 @@ func TestScheduleExploration(t *testing.T) {
 // TestScheduleExplorationDeterministic: identical options give identical
 // adversarial sequences.
 func TestScheduleExplorationDeterministic(t *testing.T) {
-	mk := func() counter.Cloneable {
+	mk := func() *counter.Sim {
 		return core.NewForSize(8, core.WithSimOptions(
 			sim.WithSeed(3),
 			sim.WithLatency(sim.UniformLatency{Min: 1, Max: 5}),
-		))
+		)).Sim
 	}
 	a, err := Run(mk(), ScheduleSeeds(3), WithSeed(9))
 	if err != nil {
@@ -362,7 +362,7 @@ func TestFirstAffected(t *testing.T) {
 // for every implemented counter, the adversarial workload forces a
 // bottleneck of at least k(n).
 func TestBottleneckAtLeastBoundAllAlgorithms(t *testing.T) {
-	factories := map[string]func(n int) counter.Cloneable{
+	factories := map[string]func(n int) *counter.Sim{
 		"central":   centralFactory,
 		"ctree":     ctreeFactory,
 		"tokenring": ringFactory,

@@ -84,13 +84,18 @@ func (c *checker) violate(format string, args ...any) {
 	}
 }
 
-// beginOp opens a new operation window.
+// beginOp opens a new operation window, closing the previous one: in the
+// sequential model an operation begins only once the one before it has
+// quiesced.
 func (c *checker) beginOp() {
+	c.endOp()
 	c.opSeq++
-	c.touched = c.touched[:0]
 }
 
-// endOp evaluates the per-operation lemmas for the window just closed.
+// endOp evaluates the per-operation lemmas for the open window and closes
+// it. The tree's readouts call it, so the last operation's window is
+// counted without a further operation; a closed window has no touched nodes
+// left, so calling it again adds nothing.
 func (c *checker) endOp() {
 	for _, id := range c.touched {
 		msgs, rets := 0, 0
@@ -113,6 +118,7 @@ func (c *checker) endOp() {
 			c.growOldMax = msgs
 		}
 	}
+	c.touched = c.touched[:0]
 }
 
 // nodeMsgs records delta messages handled by node id in the current op.

@@ -17,8 +17,9 @@
 //
 // The tree is generic over the root state (RootState): the paper observes
 // that its results extend to "a bit that can be accessed and flipped and a
-// priority queue", both built on Tree in internal/ext. Counter is the
-// counter instantiation.
+// priority queue", both built on Tree in internal/ext. New builds the
+// counter instantiation, and NewMachine the same counter with its lemma
+// instrumentation off for the registry's backends.
 //
 // # Retirement
 //
@@ -65,15 +66,20 @@ import (
 )
 
 // Tree is the communication tree serving an arbitrary sequential object
-// (RootState) with O(k) per-processor message load. Operations are
-// submitted with Do and run to quiescence (the paper's sequential model).
+// (RootState) with O(k) per-processor message load, in the paper's own
+// model: a counter.Sim over the tree's protocol with the Section 4 lemma
+// instrumentation on, plus the readouts of that instrumentation and of the
+// tree's structure. The Sim is the counter — Inc, Start, the hooks, Loads,
+// Clone — and Do submits a general root-state operation, run to quiescence.
+// It is the handle the lemma experiments, the visualizer, the adversary and
+// the extension data types use; concurrent runs and the rt backend take the
+// protocol through NewMachine instead.
 type Tree struct {
-	net   *sim.Network
+	*counter.Sim
 	proto *proto
-	k     int
 }
 
-// Option configures a Tree (and therefore a Counter).
+// Option configures a Tree.
 type Option func(*config)
 
 type config struct {
@@ -107,72 +113,43 @@ func NewTree(k int, state RootState, opts ...Option) *Tree {
 		cfg.retireAge = 4 * k
 	}
 	pr := newProto(k, cfg.retireAge, state, true)
-	return &Tree{
-		net:   sim.New(pr.g.n, pr, cfg.simOpts...),
-		proto: pr,
-		k:     k,
-	}
+	return &Tree{Sim: counter.OnSim(pr.Machine(), cfg.simOpts...), proto: pr}
+}
+
+// algoName is the paper's counter in the registry and in reports.
+const algoName = "ctree"
+
+// New creates the counter for the tree of arity k over exactly n = k^(k+1)
+// processors: the Tree serving a counter as its root state.
+func New(k int, opts ...Option) *Tree {
+	return NewTree(k, &counterState{}, opts...)
+}
+
+// NewForSize creates the counter for at least n processors, rounding n up
+// to the next admissible size k·k^k as the paper prescribes. The network
+// size is Tree.N(), which may exceed the request.
+func NewForSize(n int, opts ...Option) *Tree {
+	return New(KForSize(n), opts...)
 }
 
 // Do executes one operation initiated by processor p against the root
 // state, running the network to quiescence, and returns the root's reply.
 // The network frees the operation's record with its last event.
 func (t *Tree) Do(p sim.ProcID, req any) (any, error) {
-	t.proto.curReq = req
-	id := t.net.StartOp(p, t.proto.initiate)
-	if err := t.net.Run(); err != nil {
+	pr, nw := t.proto, t.Net()
+	id := nw.StartOp(p, func(tr sim.Transport, p sim.ProcID) { pr.initiateReq(tr, p, req) })
+	if err := nw.Run(); err != nil {
 		return nil, err
 	}
-	t.proto.checks.endOp()
-	reply, ok := t.TakeReply(id)
+	reply, ok := pr.ops.Take(id)
 	if !ok {
 		return nil, fmt.Errorf("core: operation by %v terminated without a reply", p)
 	}
 	return reply, nil
 }
 
-// TakeReply returns the reply delivered to the completed operation id and
-// forgets it; ok is false when the operation is unknown, unfinished, or
-// already read.
-func (t *Tree) TakeReply(id sim.OpID) (any, bool) {
-	return t.proto.ops.Take(id)
-}
-
 // K returns the arity of the communication tree.
-func (t *Tree) K() int { return t.k }
-
-// N returns the number of processors, n = k^(k+1).
-func (t *Tree) N() int { return t.net.N() }
-
-// Net exposes the underlying network.
-func (t *Tree) Net() *sim.Network { return t.net }
-
-// OnDeliver installs the network's delivery hook (counter.Counter).
-func (t *Tree) OnDeliver(fn func(sim.Delivery)) { t.net.OnDeliver(fn) }
-
-// OnOpDone installs the network's completion hook (counter.Counter).
-func (t *Tree) OnOpDone(fn func(sim.OpDone)) { t.net.OnOpDone(fn) }
-
-// Loads copies the network's per-processor sent and received counts into
-// sent and recv, replacing a slice shorter than n+1 (counter.Counter).
-func (t *Tree) Loads(sent, recv []int64) ([]int64, []int64) {
-	return refill(sent, t.net.Sent()), refill(recv, t.net.Recv())
-}
-
-// MessagesTotal returns the network's message count (counter.Counter).
-func (t *Tree) MessagesTotal() int64 { return t.net.MessagesTotal() }
-
-// Ops returns the number of operations started (counter.Counter).
-func (t *Tree) Ops() int { return t.net.Ops() }
-
-// refill copies src into dst, replacing dst when it is shorter.
-func refill(dst, src []int64) []int64 {
-	if len(dst) < len(src) {
-		dst = make([]int64, len(src))
-	}
-	copy(dst, src)
-	return dst
-}
+func (t *Tree) K() int { return t.proto.g.k }
 
 // State returns the live root state (owned by the root's current
 // processor; read it only at quiescence).
@@ -186,11 +163,11 @@ func (t *Tree) Stats() Stats { return t.proto.stats }
 
 // CloneTree returns an independent deep copy of the tree and its network.
 func (t *Tree) CloneTree() (*Tree, error) {
-	net, err := t.net.Clone()
+	s, err := t.Clone()
 	if err != nil {
 		return nil, err
 	}
-	return &Tree{net: net, proto: net.Protocol().(*proto), k: t.k}, nil
+	return &Tree{Sim: s, proto: s.Net().Protocol().(*proto)}, nil
 }
 
 // Violations returns the lemma violations recorded so far (at most the
@@ -198,6 +175,7 @@ func (t *Tree) CloneTree() (*Tree, error) {
 // configuration — the test suite asserts this; ablation configurations
 // use them as measurements.
 func (t *Tree) Violations() ([]string, int64) {
+	t.proto.checks.endOp()
 	return append([]string(nil), t.proto.checks.violations...), t.proto.checks.violationCount
 }
 
@@ -205,12 +183,14 @@ func (t *Tree) Violations() ([]string, int64) {
 // inner node that did not retire during that operation (the Grow Old Lemma
 // bounds it by 4).
 func (t *Tree) GrowOldMax() int {
+	t.proto.checks.endOp()
 	return t.proto.checks.growOldMax
 }
 
 // RetirePerOpMax returns the largest number of retirements of a single node
 // within one operation (the Retirement Lemma bounds it by 1).
 func (t *Tree) RetirePerOpMax() int {
+	t.proto.checks.endOp()
 	return t.proto.checks.retirePerOpMax
 }
 
@@ -262,55 +242,25 @@ func (t *Tree) HostedInner(p sim.ProcID) bool {
 	return false
 }
 
-// Counter is the paper's communication-tree distributed counter in the
-// paper's own model: the Tree serving a counter as its root state, one
-// operation at a time, with the Section 4 lemma instrumentation on. It is
-// the handle the lemma experiments, the visualizer and the adversary use;
-// concurrent runs and the rt backend take the protocol through NewMachine
-// instead.
-type Counter struct {
-	*Tree
-}
-
-var _ counter.Cloneable = (*Counter)(nil)
-
-// algoName is the paper's counter in the registry and in reports.
-const algoName = "ctree"
-
-// New creates the counter for the tree of arity k over exactly n = k^(k+1)
-// processors.
-func New(k int, opts ...Option) *Counter {
-	return &Counter{Tree: NewTree(k, &counterState{}, opts...)}
-}
-
-// NewForSize creates the counter for at least n processors, rounding n up
-// to the next admissible size k·k^k as the paper prescribes. The network
-// size is Counter.N(), which may exceed the request.
-func NewForSize(n int, opts ...Option) *Counter {
-	return New(KForSize(n), opts...)
-}
-
-// Machine implements counter.Describer for a tree whose root state is the
-// counter. Serial: retirement rewrites a node's current processor, which
-// every receiver's ensureRole reads (nodes[].cur is shared), so the rt
-// backend must serialize all protocol callbacks rather than run receivers
-// concurrently. Linearizable: the root applies operations in arrival order
-// and replies directly to initiators, so values respect real-time order
-// under every schedule (experiment E13).
+// Machine implements counter.Describer: the tree as a counter, its
+// operations started with no request. Value reads an integer reply; a tree
+// whose root state answers otherwise (the flip-bit, the priority queue)
+// reports ok == false, so Inc on it is an error. Serial: retirement rewrites
+// a node's current processor, which every receiver's ensureRole reads
+// (nodes[].cur is shared), so the rt backend must serialize all protocol
+// callbacks rather than run receivers concurrently. Linearizable: the root
+// applies operations in arrival order and replies directly to initiators,
+// so values respect real-time order under every schedule (experiment E13).
 func (pr *proto) Machine() counter.Machine {
 	return counter.Machine{
-		Name:  algoName,
-		N:     pr.g.n,
-		Proto: pr,
-		Initiate: func(nw sim.Transport, p sim.ProcID) {
-			pr.initiateReq(nw, p, nil)
-		},
+		Name:     algoName,
+		N:        pr.g.n,
+		Proto:    pr,
+		Initiate: pr.initiate,
 		Value: func(id sim.OpID) (int, bool) {
-			reply, ok := pr.ops.Take(id)
-			if !ok {
-				return 0, false
-			}
-			return reply.(int), true
+			reply, _ := pr.ops.Take(id)
+			v, ok := reply.(int)
+			return v, ok
 		},
 		Guarantee: counter.Exact(counter.Linearizable),
 		Serial:    true,
@@ -324,28 +274,4 @@ func (pr *proto) Machine() counter.Machine {
 func NewMachine(n int) counter.Machine {
 	k := KForSize(n)
 	return newProto(k, 4*k, &counterState{}, false).Machine()
-}
-
-// Name implements counter.Counter.
-func (c *Counter) Name() string { return algoName }
-
-// Value returns the root's current counter value (= operations completed).
-func (c *Counter) Value() int { return c.proto.root.(*counterState).val }
-
-// Inc implements counter.Counter.
-func (c *Counter) Inc(p sim.ProcID) (int, error) {
-	reply, err := c.Do(p, nil)
-	if err != nil {
-		return 0, err
-	}
-	return reply.(int), nil
-}
-
-// Clone implements counter.Cloneable.
-func (c *Counter) Clone() (counter.Cloneable, error) {
-	tr, err := c.CloneTree()
-	if err != nil {
-		return nil, err
-	}
-	return &Counter{Tree: tr}, nil
 }

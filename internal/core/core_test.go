@@ -1,6 +1,9 @@
 package core
 
 import (
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"distcount/internal/counter"
@@ -17,8 +20,10 @@ func TestConformance(t *testing.T) {
 	countertest.Conformance(t, factory, 8, 81)
 }
 
+// TestCloneIndependence clones the tree's simulated counter, as the
+// adversary does: the copy carries the instrumented protocol with it.
 func TestCloneIndependence(t *testing.T) {
-	countertest.CloneIndependence(t, factory, 8)
+	countertest.CloneIndependence(t, func(n int) counter.Counter { return NewForSize(n).Sim }, 8)
 }
 
 func TestValueTracksOps(t *testing.T) {
@@ -27,8 +32,8 @@ func TestValueTracksOps(t *testing.T) {
 	if _, err := counter.RunSequence(c, order); err != nil {
 		t.Fatal(err)
 	}
-	if c.Value() != c.N() {
-		t.Fatalf("value = %d after %d ops", c.Value(), c.N())
+	if v := c.State().(*counterState).val; v != c.N() {
+		t.Fatalf("value = %d after %d ops", v, c.N())
 	}
 }
 
@@ -148,6 +153,94 @@ func TestAggressiveThresholdBreaksLemmas(t *testing.T) {
 		t.Fatal("aggressive threshold produced no violations and no pool exhaustion; ablation not discriminating")
 	}
 }
+
+// TestLemmaWindowClosesItself: the checker evaluates an operation's
+// Retirement and Grow Old Lemma window without a further operation closing
+// it. Under an aggressive threshold the first operation that breaks a lemma
+// is made the last one of a run; the readouts taken right after it report
+// the break, and reading them again adds nothing.
+func TestLemmaWindowClosesItself(t *testing.T) {
+	order := counter.SequentialOrder(SizeForK(2))
+	full := New(2, WithRetireAge(1))
+	if _, err := counter.RunSequence(full, order); err != nil {
+		t.Fatal(err)
+	}
+	first := 0 // the first operation whose window broke a lemma
+	msgs, _ := full.Violations()
+	for _, v := range msgs {
+		if !strings.Contains(v, "lemma:") {
+			continue
+		}
+		op, err := strconv.Atoi(v[strings.LastIndex(v, " ")+1:])
+		if err != nil {
+			t.Fatalf("violation %q: %v", v, err)
+		}
+		if first == 0 || op < first {
+			first = op
+		}
+	}
+	if first == 0 {
+		t.Fatal("threshold 1 broke no lemma: the ablation does not reach the window check")
+	}
+
+	type readout struct {
+		msgs                  []string
+		count                 int64
+		retireMax, growOldMax int
+	}
+	read := func(c *Tree) readout {
+		msgs, count := c.Violations()
+		return readout{msgs, count, c.RetirePerOpMax(), c.GrowOldMax()}
+	}
+	run := func(ops int) *Tree {
+		c := New(2, WithRetireAge(1))
+		if _, err := counter.RunSequence(c, order[:ops]); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	before := read(run(first - 1))
+	if before.retireMax > 1 || before.growOldMax > 4 {
+		t.Fatalf("before op %d the maxima already break a lemma: %+v", first, before)
+	}
+	c := run(first)
+	after := read(c)
+	suffix := " in op " + strconv.Itoa(first)
+	if !slices.ContainsFunc(after.msgs, func(v string) bool { return strings.HasSuffix(v, suffix) }) {
+		t.Fatalf("op %d's lemma violation is not reported right after it: %v", first, after.msgs)
+	}
+	if after.count <= before.count || (after.retireMax <= 1 && after.growOldMax <= 4) {
+		t.Fatalf("op %d's window went uncounted: before %+v, after %+v", first, before, after)
+	}
+	if again := read(c); again.count != after.count || again.retireMax != after.retireMax ||
+		again.growOldMax != after.growOldMax || !slices.Equal(again.msgs, after.msgs) {
+		t.Fatalf("a second read changed the readouts: %+v, then %+v", after, again)
+	}
+}
+
+// TestIncOnNonCounterTreeErrs: the tree's Machine reads an integer reply;
+// a root state that answers otherwise makes Inc an error, not a panic.
+func TestIncOnNonCounterTreeErrs(t *testing.T) {
+	tr := NewTree(2, &echoState{})
+	if _, err := tr.Inc(1); err == nil {
+		t.Fatal("Inc on a tree whose root answers a string returned no error")
+	}
+	if reply, err := tr.Do(2, "ping"); err != nil || reply != "ping" {
+		t.Fatalf("Do after the failed Inc = (%v, %v), want (ping, nil)", reply, err)
+	}
+}
+
+// echoState answers every request with a string.
+type echoState struct{}
+
+func (*echoState) Apply(req any) any {
+	if req == nil {
+		return "inc"
+	}
+	return req
+}
+
+func (s *echoState) CloneState() RootState { return s }
 
 func TestHandoffConsistencySelfCheck(t *testing.T) {
 	// The handoff job message carries the authoritative state; its

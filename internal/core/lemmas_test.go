@@ -15,10 +15,10 @@ import (
 // messages, matching the Ω(k) lower bound.
 
 // runCanonical executes the canonical workload in a few different orders and
-// returns the counters afterwards.
-func runCanonical(t *testing.T, k int) []*Counter {
+// returns the trees afterwards.
+func runCanonical(t *testing.T, k int) []*Tree {
 	t.Helper()
-	out := make([]*Counter, 0, 3)
+	out := make([]*Tree, 0, 3)
 	orders := [][]sim.ProcID{
 		counter.SequentialOrder(SizeForK(k)),
 		counter.ReverseOrder(SizeForK(k)),

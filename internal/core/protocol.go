@@ -106,9 +106,6 @@ type proto struct {
 	// The Leaf Node Work Lemma bounds it.
 	leafLoad []int64
 
-	// curReq is the request of the operation being initiated (sequential
-	// model: at most one in flight).
-	curReq any
 	// ops tracks the in-flight operation per initiating leaf and records
 	// each operation's delivered reply — shared with every other counter
 	// implementation via counter.Ops.
@@ -193,11 +190,13 @@ func (pr *proto) children(id int) []sim.ProcID {
 	return pr.childProc[id*k : id*k+k]
 }
 
-// initiate is the operation start: leaf p sends "op from p" to its parent.
+// initiate is the counter's operation start: an inc carries no request.
 func (pr *proto) initiate(nw sim.Transport, p sim.ProcID) {
-	pr.initiateReq(nw, p, pr.curReq)
+	pr.initiateReq(nw, p, nil)
 }
 
+// initiateReq starts p's operation on req: leaf p sends "op from p" to its
+// parent. The lemma checker's window for it opens here.
 func (pr *proto) initiateReq(nw sim.Transport, p sim.ProcID, req any) {
 	pr.ops.Begin(nw, p)
 	pr.stats.Ops++

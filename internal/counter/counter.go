@@ -11,9 +11,8 @@
 // binds the same Machine to real cores. Counter and Async are what drivers
 // see of either — operations, their delivery and completion hooks and the
 // per-processor message loads, with no handle on a simulated network — and a
-// caller reads each operation's value by its id with Async.OpValue.
-// Cloneable is the simulator's alone: only a simulated network can be
-// copied.
+// caller reads each operation's value by its id with Async.OpValue. Only a
+// simulated network can be copied, so Sim.Clone is the one clone there is.
 //
 // A distributed counter encapsulates an integer value val and supports inc:
 // inc returns the current counter value to the requesting processor and
@@ -55,18 +54,6 @@ type Counter interface {
 	// started so far.
 	MessagesTotal() int64
 	Ops() int
-}
-
-// Cloneable is implemented by counters that can deep-copy their full state
-// (network + protocol): the simulator's. The lower-bound adversary requires
-// it, and reseeds and probes the copies through their network.
-type Cloneable interface {
-	Counter
-	// Net exposes the underlying simulated network.
-	Net() *sim.Network
-	// Clone returns an independent copy; operations on the copy do not
-	// affect the original.
-	Clone() (Cloneable, error)
 }
 
 // Async is a Counter whose increments can be injected into the simulated

@@ -79,9 +79,9 @@ func Conformance(t *testing.T, factory Factory, sizes ...int) {
 func CloneIndependence(t *testing.T, factory Factory, n int) {
 	t.Helper()
 	c := factory(n)
-	cl, ok := c.(counter.Cloneable)
+	cl, ok := c.(*counter.Sim)
 	if !ok {
-		t.Fatalf("counter %q is not Cloneable", c.Name())
+		t.Fatalf("counter %q is a %T, not a *counter.Sim: only a simulated counter clones", c.Name(), c)
 	}
 	order := counter.SequentialOrder(c.N())
 	half := len(order) / 2

@@ -16,14 +16,15 @@ type Describer interface {
 
 // Sim binds a Machine to a simulated network — the simulator twin of
 // rt.New. It is the only sim-backed counter in the repository: an algorithm
-// package exports its Machine, never a simulator handle, and the registry
-// builds nothing else on the sim backend.
+// package exports its Machine, never a simulator handle, the registry builds
+// nothing else on the sim backend, and the paper's instrumented tree
+// (core.Tree) is a Sim over its checked protocol.
 type Sim struct {
 	m   Machine
 	net *sim.Network
 }
 
-var _ Cloneable = (*Sim)(nil)
+var _ Async = (*Sim)(nil)
 
 // OnSim wraps m in a fresh simulated network configured by opts.
 func OnSim(m Machine, opts ...sim.Option) *Sim {
@@ -36,7 +37,8 @@ func (s *Sim) Name() string { return s.m.Name }
 // N implements Counter.
 func (s *Sim) N() int { return s.m.N }
 
-// Net implements Cloneable.
+// Net exposes the simulated network: its clock, stepping and fault plan
+// for the drivers that run it by hand, and its message statistics.
 func (s *Sim) Net() *sim.Network { return s.net }
 
 // OnDeliver implements Counter.
@@ -85,10 +87,12 @@ func (s *Sim) OpValue(id sim.OpID) (int, bool) { return s.m.Value(id) }
 // Guarantee implements Async.
 func (s *Sim) Guarantee() Guarantee { return s.m.Guarantee }
 
-// Clone implements Cloneable: it deep-copies the network and re-describes
-// the machine from the cloned protocol. A machine whose protocol is not a
-// Describer (a hand-written literal) cannot be rebound and reports an error.
-func (s *Sim) Clone() (Cloneable, error) {
+// Clone returns an independent copy; operations on the copy do not affect
+// the original. It deep-copies the network and re-describes the machine from
+// the cloned protocol. A machine whose protocol is not a Describer (a
+// hand-written literal) cannot be rebound and reports an error. The
+// lower-bound adversary clones its subject to probe every candidate.
+func (s *Sim) Clone() (*Sim, error) {
 	net, err := s.net.Clone()
 	if err != nil {
 		return nil, err

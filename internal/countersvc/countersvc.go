@@ -137,8 +137,8 @@ type Service struct {
 	// shard, so the loop need not peek every queue per event. Built by the
 	// first merge; nil until then and on one network, which needs no merge.
 	next []int64
-	// shardSent, shardRecv are the scratch one shard's loads are
-	// snapshotted into on their way into a Loads sum.
+	// shardSent, shardRecv are the scratch a shard past the first
+	// snapshots its loads into on their way into a Loads sum.
 	shardSent, shardRecv []int64
 
 	keys []keyState
@@ -299,8 +299,8 @@ func newService(keys, n, base, shards int, mig *Migration) *Service {
 // attach installs c, built as algorithm algo, as shard i — shards are
 // attached in index order — and hooks its completions on the sim backend.
 // On rt, OnComplete hooks them. Its type switch is where the service picks
-// a driver: a simulated (cloneable) counter's network for Step, NextAt and
-// Now, or a runtime for the completion sink.
+// a driver: a simulated counter's network for Step, NextAt and Now, or a
+// runtime for the completion sink.
 func (s *Service) attach(i int, algo string, c counter.Async) error {
 	if c.N() < s.n {
 		return fmt.Errorf("countersvc: shard %d algorithm %q built %d < %d processors", i, c.Name(), c.N(), s.n)
@@ -316,7 +316,7 @@ func (s *Service) attach(i int, algo string, c counter.Async) error {
 		}
 		s.rts = append(s.rts, b)
 		s.lag = append(s.lag, b.Origin().Sub(s.origin).Nanoseconds())
-	case counter.Cloneable:
+	case *counter.Sim:
 		if s.nets == nil {
 			s.nets = make([]*sim.Network, 0, len(s.shards))
 		}
@@ -690,26 +690,20 @@ func (s *Service) MessagesTotal() int64 {
 // across shards into sent and recv, replacing a slice shorter than N()+1
 // (nil) with a fresh one, and returns them: processor p is the same machine
 // in every shard's network, so its load is its total traffic over all
-// protocols it participates in. A sampler that passes its previous result
-// back allocates nothing.
+// protocols it participates in. The first shard reads straight into the
+// caller's slices, offered at full capacity since a shard may span more
+// processors than the service (its size rounds up); only further shards go
+// through the scratch. A sampler that passes its previous result back
+// allocates nothing.
 func (s *Service) Loads(sent, recv []int64) ([]int64, []int64) {
-	sent, recv = zeroed(sent, s.n+1), zeroed(recv, s.n+1)
-	for _, sh := range s.shards {
+	sent, recv = s.shards[0].c.Loads(sent[:cap(sent)], recv[:cap(recv)])
+	sent, recv = sent[:s.n+1], recv[:s.n+1]
+	for _, sh := range s.shards[1:] {
 		s.shardSent, s.shardRecv = sh.c.Loads(s.shardSent, s.shardRecv)
 		add(sent, s.shardSent)
 		add(recv, s.shardRecv)
 	}
 	return sent, recv
-}
-
-// zeroed returns v cleared to length n, or a fresh slice when v is shorter.
-func zeroed(v []int64, n int) []int64 {
-	if len(v) < n {
-		return make([]int64, n)
-	}
-	v = v[:n]
-	clear(v)
-	return v
 }
 
 // add accumulates src into dst over the processors both cover.

@@ -2,6 +2,7 @@ package countersvc
 
 import (
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -74,6 +75,47 @@ func TestShardValueSequences(t *testing.T) {
 	for k := 0; k < s.Keys(); k++ {
 		if got := s.KeyOps(k); got != 4 {
 			t.Fatalf("key %d completed %d ops, want 4", k, got)
+		}
+	}
+}
+
+// TestOneShardLoadsCopyNothing: a one-shard service reads its loads
+// straight from the shard counter into the caller's slices, so reading them
+// costs no allocation beyond building the service.
+func TestOneShardLoadsCopyNothing(t *testing.T) {
+	cfg := Config{Keys: 1, N: 5, Algo: "central"}
+	sent, recv := make([]int64, cfg.N+1), make([]int64, cfg.N+1)
+	build := testing.AllocsPerRun(10, func() { mustService(t, cfg) })
+	read := testing.AllocsPerRun(10, func() { mustService(t, cfg).Loads(sent, recv) })
+	if read > build {
+		t.Fatalf("building costs %v allocs, building and reading the loads %v", build, read)
+	}
+}
+
+// TestOneShardLoadsSpanTheService: a shard may span more processors than
+// its service — the ctree shard rounds 5 up to 8 — and the service still
+// reports its own 5, equal to the shard's first entries; a sampler that
+// passes its previous result back allocates nothing.
+func TestOneShardLoadsSpanTheService(t *testing.T) {
+	for _, algo := range []string{"central", "ctree"} {
+		cfg := Config{Keys: 1, N: 5, Algo: algo}
+		s := mustService(t, cfg)
+		for p := 1; p <= cfg.N; p++ {
+			s.Start(s.Now(), 0, sim.ProcID(p))
+			if err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sent, recv := s.Loads(nil, nil)
+		shardSent, shardRecv := s.Counter(0).Loads(nil, nil)
+		if len(sent) != cfg.N+1 || len(recv) != cfg.N+1 {
+			t.Fatalf("%s: loads span %d/%d entries, want %d", algo, len(sent), len(recv), cfg.N+1)
+		}
+		if !slices.Equal(sent, shardSent[:cfg.N+1]) || !slices.Equal(recv, shardRecv[:cfg.N+1]) {
+			t.Fatalf("%s: service loads %v/%v, shard's %v/%v", algo, sent, recv, shardSent, shardRecv)
+		}
+		if a := testing.AllocsPerRun(10, func() { sent, recv = s.Loads(sent, recv) }); a != 0 {
+			t.Fatalf("%s: re-reading the loads into the previous result allocates %v", algo, a)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"distcount/internal/counter"
@@ -31,28 +32,37 @@ type opRecord struct {
 	messagesSoFar int64
 }
 
-// recorded wraps a counter to log every operation the engine starts and
-// every value it takes; the engine takes each value inside the completion
-// that produced it, so the network clock then reads the completion time.
+// recorded logs every operation the engine starts and every value it takes;
+// the engine takes each value inside the completion that produced it, so
+// the network clock then reads the completion time.
 type recorded struct {
 	*counter.Sim
 	starts map[sim.OpID]opRecord
 	log    []opRecord
 }
 
-func (r *recorded) Start(at int64, p sim.ProcID) sim.OpID {
-	id := r.Sim.Start(at, p)
-	r.starts[id] = opRecord{id: id, initiator: p, start: at}
-	return id
-}
-
-func (r *recorded) OpValue(id sim.OpID) (int, bool) {
-	v, ok := r.Sim.OpValue(id)
-	rec := r.starts[id]
-	rec.end, rec.value, rec.ok = r.Net().Now(), v, ok
-	rec.messagesSoFar = r.MessagesTotal()
-	r.log = append(r.log, rec)
-	return v, ok
+// record binds m to the simulator with its Initiate and Value hooks
+// wrapped to log into a recorded. An operation's start event is never held
+// back by a service slot, so Initiate runs at the time the engine started
+// the operation for.
+func record(m counter.Machine, opts ...sim.Option) *recorded {
+	r := &recorded{starts: make(map[sim.OpID]opRecord)}
+	initiate, value := m.Initiate, m.Value
+	m.Initiate = func(nw sim.Transport, p sim.ProcID) {
+		id := nw.CurrentOp()
+		r.starts[id] = opRecord{id: id, initiator: p, start: nw.Now()}
+		initiate(nw, p)
+	}
+	m.Value = func(id sim.OpID) (int, bool) {
+		v, ok := value(id)
+		rec := r.starts[id]
+		rec.end, rec.value, rec.ok = r.Net().Now(), v, ok
+		rec.messagesSoFar = r.MessagesTotal()
+		r.log = append(r.log, rec)
+		return v, ok
+	}
+	r.Sim = counter.OnSim(m, opts...)
+	return r
 }
 
 // TestServiceBookingPointsAgree: booking a service slot at send (unit
@@ -92,16 +102,22 @@ func TestServiceBookingPointsAgree(t *testing.T) {
 	}
 	run := func(t *testing.T, algo string, cfg registry.Config) (*Result, []opRecord) {
 		t.Helper()
-		c, err := registry.NewWith(algo, n, cfg)
+		// registry.NewWith's simulator binding, with the machine's hooks
+		// wrapped on the way.
+		m, err := registry.NewMachine(algo, n, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rc := &recorded{Sim: c.(*counter.Sim), starts: make(map[sim.OpID]opRecord)}
+		opts := append(slices.Clone(cfg.SimOpts), sim.WithServiceProfile(cfg.Service))
+		if cfg.Faults != nil {
+			opts = append(opts, sim.WithFaults(*cfg.Faults))
+		}
+		rc := record(m, opts...)
 		gen, err := workload.New("ramprate", workload.Config{N: n, Ops: ops, Seed: 5, RateFrom: 0.1, RateTo: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(rc, gen, Config{Mode: Open, Verify: true})
+		res, err := Run(rc.Sim, gen, Config{Mode: Open, Verify: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -101,18 +101,6 @@ func TestVerifyLinearizableOpenLoop(t *testing.T) {
 	}
 }
 
-// countingAsync counts per-op value reads, standing in for counter.Ops's
-// values table: each OpValue call is one consumed (and freed) entry.
-type countingAsync struct {
-	*counter.Sim
-	reads int
-}
-
-func (c *countingAsync) OpValue(id sim.OpID) (int, bool) {
-	c.reads++
-	return c.Sim.OpValue(id)
-}
-
 // TestRunWithoutVerifyDrainsOpValues is the regression test for the
 // per-op value leak: counter.Ops records every completed operation's value
 // until someone consumes it, and with Config.Verify off nobody did — an
@@ -120,20 +108,26 @@ func (c *countingAsync) OpValue(id sim.OpID) (int, bool) {
 // read-and-discard each value on completion instead.
 func TestRunWithoutVerifyDrainsOpValues(t *testing.T) {
 	for _, mode := range []Mode{Closed, Open} {
-		inner, err := registry.NewWith("central", 8, registry.Concurrent())
+		// Count per-op value reads, standing in for counter.Ops's values
+		// table: each Value call is one consumed (and freed) entry.
+		m, err := registry.NewMachine("central", 8, registry.Concurrent())
 		if err != nil {
 			t.Fatal(err)
 		}
-		cv := &countingAsync{Sim: inner.(*counter.Sim)}
+		reads, value := 0, m.Value
+		m.Value = func(id sim.OpID) (int, bool) {
+			reads++
+			return value(id)
+		}
 		gen, err := workload.New("uniform", workload.Config{N: 8, Ops: 60, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Run(cv, gen, Config{Mode: mode}); err != nil {
+		if _, err := Run(counter.OnSim(m), gen, Config{Mode: mode}); err != nil {
 			t.Fatal(err)
 		}
-		if cv.reads != 60 {
-			t.Fatalf("%v: %d of 60 op values drained — the rest leak in counter.Ops", mode, cv.reads)
+		if reads != 60 {
+			t.Fatalf("%v: %d of 60 op values drained — the rest leak in counter.Ops", mode, reads)
 		}
 	}
 }

@@ -19,7 +19,7 @@ import (
 // tracks.
 func E2(Config) (string, error) {
 	c := core.New(2)
-	res, err := adversary.Run(c)
+	res, err := adversary.Run(c.Sim)
 	if err != nil {
 		return "", err
 	}

@@ -72,10 +72,10 @@ func column[T any](rows [][]any, i int) []T {
 }
 
 // TreeRun is the tree counter after a workload, with the readouts every
-// consumer wants next to it (the embedded counter has the rest: Stats,
+// consumer wants next to it (the embedded tree has the rest: Stats,
 // GrowOldMax, Net).
 type TreeRun struct {
-	*core.Counter
+	*core.Tree
 	// Load summarizes the per-processor message loads.
 	Load loadstat.Summary
 	// Violations counts the Section 4 lemma violations the instrumentation
@@ -87,7 +87,7 @@ type TreeRun struct {
 // canonical sequential order 1..n) and summarizes the result. It is the
 // one "run the paper's workload on the arity-k tree" of the experiments,
 // their tests and `paper tree -run`.
-func RunTree(c *core.Counter, order []sim.ProcID) (TreeRun, error) {
+func RunTree(c *core.Tree, order []sim.ProcID) (TreeRun, error) {
 	if order == nil {
 		order = counter.SequentialOrder(c.N())
 	}
@@ -96,7 +96,7 @@ func RunTree(c *core.Counter, order []sim.ProcID) (TreeRun, error) {
 	}
 	_, violations := c.Violations()
 	return TreeRun{
-		Counter:    c,
+		Tree:       c,
 		Load:       loadstat.SummarizeLoads(c.Net().Loads()),
 		Violations: violations,
 	}, nil

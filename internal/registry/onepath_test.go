@@ -58,9 +58,9 @@ func TestSimBackendIsCounterSim(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: clone: %v", name, err)
 			}
-			if cl.Name() != s.Name() || cl.N() != s.N() || cl.(counter.Async).Guarantee() != s.Guarantee() {
+			if cl.Name() != s.Name() || cl.N() != s.N() || cl.Guarantee() != s.Guarantee() {
 				t.Fatalf("%s: clone describes itself as %s/n=%d/%v, original %s/n=%d/%v", name,
-					cl.Name(), cl.N(), cl.(counter.Async).Guarantee(), s.Name(), s.N(), s.Guarantee())
+					cl.Name(), cl.N(), cl.Guarantee(), s.Name(), s.N(), s.Guarantee())
 			}
 		}
 	}

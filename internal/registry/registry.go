@@ -76,7 +76,8 @@ type Config struct {
 // Sequential returns the construction regime of the paper's model: the zero
 // Config (windows closed) plus the given network options. The ctree lemma
 // instrumentation is not part of either regime — it only records, and its
-// readouts live on core.Counter, which the lemma experiments build directly.
+// readouts live on core.Tree (core.New), the simulated counter the lemma
+// experiments build directly.
 func Sequential(simOpts ...sim.Option) Config {
 	return Config{SimOpts: simOpts}
 }
@@ -200,13 +201,6 @@ func ExactNames() []string { return names(func(a algorithm) bool { return !a.app
 // ApproximateNames returns the registered ε-approximate algorithms, sorted.
 func ApproximateNames() []string { return names(algorithm.approx) }
 
-// Approximate reports whether the named algorithm claims an approximate
-// guarantee. Unknown names report false.
-func Approximate(name string) bool {
-	a, _ := lookup(name)
-	return a.approx()
-}
-
 // DefaultEpsilon returns the error bound the named algorithm claims when
 // Config.Epsilon is zero, and false for exact or unknown algorithms.
 func DefaultEpsilon(name string) (float64, bool) {
@@ -272,8 +266,8 @@ func NewMachine(name string, n int, cfg Config) (counter.Machine, error) {
 
 // New builds the named counter on the simulator in the sequential regime
 // of the paper's model (windows closed). The result is the concrete
-// *counter.Sim, so it is Cloneable without an assertion (the adversary
-// clones its subject).
+// *counter.Sim, so it clones without an assertion (the adversary clones its
+// subject).
 func New(name string, n int, simOpts ...sim.Option) (*counter.Sim, error) {
 	m, err := NewMachine(name, n, Config{})
 	if err != nil {

@@ -31,13 +31,10 @@ func TestNamesStable(t *testing.T) {
 		if !ok || eps <= 0 || eps > 1 {
 			t.Fatalf("%s: default epsilon %v (ok=%v) out of range", name, eps, ok)
 		}
-		if !Approximate(name) {
-			t.Fatalf("%s listed approximate but Approximate() is false", name)
-		}
 	}
 	for _, name := range ExactNames() {
-		if Approximate(name) {
-			t.Fatalf("%s listed exact but Approximate() is true", name)
+		if eps, ok := DefaultEpsilon(name); ok {
+			t.Fatalf("%s listed exact but claims a default epsilon %v", name, eps)
 		}
 	}
 	// The window-sensitive rows are exactly the request-merging schemes.
@@ -178,8 +175,7 @@ func TestEveryAlgorithmCloneable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var cl counter.Cloneable = c // by type: New returns *counter.Sim
-		if _, err := cl.Clone(); err != nil {
+		if _, err := c.Clone(); err != nil { // by type: New returns *counter.Sim
 			t.Fatalf("%s: clone failed: %v", name, err)
 		}
 	}
