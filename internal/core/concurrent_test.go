@@ -75,17 +75,23 @@ func TestConcurrentUnderReordering(t *testing.T) {
 }
 
 func TestPayloadKinds(t *testing.T) {
-	kinds := map[string]sim.Payload{
-		"inc-from":       incPayload{},
-		"value":          valuePayload{},
-		"handoff-job":    handoffJobPayload{},
-		"handoff-parent": handoffParentPayload{},
-		"handoff-child":  handoffChildPayload{},
-		"new-id":         newIDPayload{},
+	// The word and the boxed form of an inc share one kind: latency models
+	// key on it.
+	kinds := []struct {
+		want string
+		pl   sim.Payload
+	}{
+		{"inc-from", incWord{}},
+		{"inc-from", incPayload{}},
+		{"value", valuePayload{}},
+		{"handoff-job", handoffJobPayload{}},
+		{"handoff-parent", handoffParentPayload{}},
+		{"handoff-child", handoffChildPayload{}},
+		{"new-id", newIDPayload{}},
 	}
-	for want, pl := range kinds {
-		if got := pl.Kind(); got != want {
-			t.Errorf("Kind() = %q, want %q", got, want)
+	for _, k := range kinds {
+		if got := k.pl.Kind(); got != k.want {
+			t.Errorf("%T: Kind() = %q, want %q", k.pl, got, k.want)
 		}
 	}
 }
@@ -100,7 +106,7 @@ func TestStateAccessor(t *testing.T) {
 func TestNewIDBitsLeafTarget(t *testing.T) {
 	// The leaf marker (-1) must not break size accounting.
 	pl := newIDPayload{Target: leafTarget, Changed: 3, NewProc: 7}
-	if pl.Bits() <= 0 {
-		t.Fatalf("Bits() = %d", pl.Bits())
+	if pl.Bits(0) <= 0 {
+		t.Fatalf("Bits() = %d", pl.Bits(0))
 	}
 }

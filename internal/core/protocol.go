@@ -17,9 +17,15 @@ import (
 const leafTarget = -1
 
 type (
-	// incPayload is "inc from p" (or, generically, "op from p"): forwarded
-	// leaf -> ... -> root. Req is the operation applied at the root; the
-	// paper's counter sends nil (inc needs no argument).
+	// incWord is "inc from p": forwarded leaf -> ... -> root with the target
+	// node and the origin packed into the message word
+	// (sim.Pair(Target, Origin)). The paper's counter sends it: an inc needs
+	// no argument, so its messages box nothing.
+	incWord struct{}
+	// incPayload is "op from p" for a tree whose operation carries a
+	// request (the flip bit's and the priority queue's): Req is applied at
+	// the root. The request is an arbitrary value and does not fit a word,
+	// so this kind stays boxed, once at the leaf and again at each hop.
 	incPayload struct {
 		Target int
 		Origin sim.ProcID
@@ -57,6 +63,7 @@ type (
 	}
 )
 
+func (incWord) Kind() string              { return "inc-from" }
 func (incPayload) Kind() string           { return "inc-from" }
 func (valuePayload) Kind() string         { return "value" }
 func (handoffJobPayload) Kind() string    { return "handoff-job" }
@@ -203,19 +210,34 @@ func (pr *proto) initiateReq(nw sim.Transport, p sim.ProcID, req any) {
 	if pr.checks != nil {
 		pr.checks.beginOp()
 	}
-	target := pr.g.leafParentNode(p)
 	pr.leafLoad[p]++
-	nw.Send(pr.leafParent[p], incPayload{Target: target, Origin: p, Req: req})
+	pr.sendInc(nw, pr.leafParent[p], pr.g.leafParentNode(p), p, req)
+}
+
+// sendInc sends "op from origin" on req to node target's processor: in the
+// message word for the counter's inc (a nil request), boxed otherwise.
+func (pr *proto) sendInc(nw sim.Transport, to sim.ProcID, target int, origin sim.ProcID, req any) {
+	if req == nil {
+		nw.SendWord(to, incWord{}, sim.Pair(target, int(origin)))
+		return
+	}
+	nw.Send(to, incPayload{Target: target, Origin: origin, Req: req})
 }
 
 // Deliver implements sim.Protocol.
 func (pr *proto) Deliver(nw sim.Transport, msg sim.Message) {
 	switch pl := msg.Payload.(type) {
-	case incPayload:
-		if !pr.ensureRole(nw, msg.To, pl.Target, msg.Payload) {
+	case incWord:
+		target, origin := sim.Unpair(msg.Word)
+		if !pr.ensureRole(nw, msg.To, target, msg) {
 			return
 		}
-		pr.handleInc(nw, pl)
+		pr.handleInc(nw, target, sim.ProcID(origin), nil)
+	case incPayload:
+		if !pr.ensureRole(nw, msg.To, pl.Target, msg) {
+			return
+		}
+		pr.handleInc(nw, pl.Target, pl.Origin, pl.Req)
 	case valuePayload:
 		pr.leafLoad[msg.To]++
 		pr.ops.Finish(nw, msg.To, pl.Reply)
@@ -225,7 +247,7 @@ func (pr *proto) Deliver(nw sim.Transport, msg sim.Message) {
 			pr.leafParent[msg.To] = pl.NewProc
 			return
 		}
-		if !pr.ensureRole(nw, msg.To, pl.Target, msg.Payload) {
+		if !pr.ensureRole(nw, msg.To, pl.Target, msg) {
 			return
 		}
 		pr.handleNewID(nw, pl)
@@ -251,11 +273,11 @@ func (pr *proto) Deliver(nw sim.Transport, msg sim.Message) {
 // ensureRole checks that the receiving processor currently works for the
 // target node; if it retired from that role, the message is forwarded to its
 // successor proc+1 (one extra message per stale hop — the paper's
-// constant-overhead handshake) and false is returned. pl is the message's
-// payload as it arrived — already boxed — so forwarding it allocates
-// nothing; passing the type-switched value instead would box a second copy
-// on every delivery, forwarded or not.
-func (pr *proto) ensureRole(nw sim.Transport, proc sim.ProcID, target int, pl sim.Payload) bool {
+// constant-overhead handshake) and false is returned. The forward re-sends
+// msg's payload as it arrived — a word kind with its word, a boxed payload
+// in the box it came in — so it allocates nothing; passing the type-switched
+// value instead would box a second copy on every delivery, forwarded or not.
+func (pr *proto) ensureRole(nw sim.Transport, proc sim.ProcID, target int, msg sim.Message) bool {
 	nd := &pr.nodes[target]
 	if nd.cur == proc {
 		return true
@@ -265,7 +287,7 @@ func (pr *proto) ensureRole(nw sim.Transport, proc sim.ProcID, target int, pl si
 			proc, target, nd.cur))
 	}
 	pr.stats.Forwarded++
-	nw.Send(proc+1, pl)
+	nw.SendWord(proc+1, msg.Payload, msg.Word)
 	return false
 }
 
@@ -273,19 +295,18 @@ func (pr *proto) ensureRole(nw sim.Transport, proc sim.ProcID, target int, pl si
 // to its state and answers the initiator directly; any other node forwards
 // to its parent. Either way the node's age grows by two (one receive, one
 // send) and the node retires if it has grown old.
-func (pr *proto) handleInc(nw sim.Transport, pl incPayload) {
-	nd := &pr.nodes[pl.Target]
+func (pr *proto) handleInc(nw sim.Transport, target int, origin sim.ProcID, req any) {
+	nd := &pr.nodes[target]
 	if nd.level == 0 {
-		nw.Send(pl.Origin, valuePayload{Reply: pr.root.Apply(pl.Req)})
+		nw.Send(origin, valuePayload{Reply: pr.root.Apply(req)})
 	} else {
-		parent := pr.g.parent(nd.level, nd.pos)
-		nw.Send(nd.parentProc, incPayload{Target: parent, Origin: pl.Origin, Req: pl.Req})
+		pr.sendInc(nw, nd.parentProc, pr.g.parent(nd.level, nd.pos), origin, req)
 	}
 	nd.age += 2
 	if pr.checks != nil {
-		pr.checks.nodeMsgs(pl.Target, 2)
+		pr.checks.nodeMsgs(target, 2)
 	}
-	pr.maybeRetire(nw, pl.Target)
+	pr.maybeRetire(nw, target)
 }
 
 // handleNewID updates the receiver's neighbor table after a neighbor's

@@ -12,9 +12,15 @@ import "distcount/internal/sim"
 // tagBits distinguishes the protocol's message kinds.
 const tagBits = 3
 
+// valueSizer is implemented by request and reply values that size
+// themselves (small structs of the extension data types).
+type valueSizer interface {
+	Bits() int
+}
+
 // valueBits sizes a request/reply value: the counter's replies are ints,
 // the extension data types use bools and small structs that implement
-// sim.BitSized themselves.
+// valueSizer.
 func valueBits(v any) int {
 	switch val := v.(type) {
 	case nil:
@@ -26,42 +32,49 @@ func valueBits(v any) int {
 			val = -val
 		}
 		return sim.BitsFor(val)
-	case sim.BitSized:
+	case valueSizer:
 		return val.Bits()
 	default:
 		// Unknown payload types are charged a machine word; extension
-		// states that care implement sim.BitSized.
+		// states that care implement valueSizer.
 		return 64
 	}
 }
 
+// Bits implements sim.BitSized: the fields packed into the word, the same
+// size as incPayload's with a nil request.
+func (incWord) Bits(w int64) int {
+	target, origin := sim.Unpair(w)
+	return tagBits + sim.BitsFor(target) + sim.BitsFor(origin)
+}
+
 // Bits implements sim.BitSized.
-func (p incPayload) Bits() int {
+func (p incPayload) Bits(int64) int {
 	return tagBits + sim.BitsFor(p.Target) + sim.BitsFor(int(p.Origin)) + valueBits(p.Req)
 }
 
 // Bits implements sim.BitSized.
-func (p valuePayload) Bits() int {
+func (p valuePayload) Bits(int64) int {
 	return tagBits + valueBits(p.Reply)
 }
 
 // Bits implements sim.BitSized.
-func (p handoffJobPayload) Bits() int {
+func (p handoffJobPayload) Bits(int64) int {
 	return tagBits + sim.BitsFor(p.Node) + sim.BitsFor(p.Retirement) + sim.BitsFor(int(p.ParentProc))
 }
 
 // Bits implements sim.BitSized.
-func (p handoffParentPayload) Bits() int {
+func (p handoffParentPayload) Bits(int64) int {
 	return tagBits + sim.BitsFor(p.Node) + sim.BitsFor(int(p.ParentProc))
 }
 
 // Bits implements sim.BitSized.
-func (p handoffChildPayload) Bits() int {
+func (p handoffChildPayload) Bits(int64) int {
 	return tagBits + sim.BitsFor(p.Node) + sim.BitsFor(p.Idx) + sim.BitsFor(int(p.ChildProc))
 }
 
 // Bits implements sim.BitSized.
-func (p newIDPayload) Bits() int {
+func (p newIDPayload) Bits(int64) int {
 	target := p.Target
 	if target < 0 {
 		target = 0 // leaf marker
@@ -70,6 +83,7 @@ func (p newIDPayload) Bits() int {
 }
 
 var (
+	_ sim.BitSized = incWord{}
 	_ sim.BitSized = incPayload{}
 	_ sim.BitSized = valuePayload{}
 	_ sim.BitSized = handoffJobPayload{}

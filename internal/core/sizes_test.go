@@ -101,3 +101,57 @@ func TestValueBits(t *testing.T) {
 type sizedValue struct{}
 
 func (sizedValue) Bits() int { return 5 }
+
+// TestWordBitsPinned: an inc travels as a kind value plus the message word
+// (incWord), sized from that word, and the figures below are what the same
+// runs accounted when every inc was a boxed incPayload — so moving the data
+// into the word changed no accounted bit, no message and no forwarding hop.
+// Three sequential canonical rounds (retirements and exhausted pools
+// included) and three concurrent rounds under reordering latencies, where
+// incs addressed to retired processors are forwarded with their word.
+func TestWordBitsPinned(t *testing.T) {
+	type figures struct {
+		bits            int64
+		maxBits         int
+		msgs, forwarded int64
+	}
+	read := func(c *counter.Sim) figures {
+		return figures{c.Net().BitsTotal(), c.Net().MaxMessageBits(), c.MessagesTotal(),
+			c.Net().Protocol().(*proto).stats.Forwarded}
+	}
+	seq := map[int]figures{
+		2: {969, 11, 132, 4},
+		3: {20391, 19, 1811, 10},
+		4: {469461, 29, 28638, 132},
+	}
+	for k, want := range seq {
+		c := New(k)
+		for range 3 {
+			if _, err := counter.RunSequence(c.Sim, counter.SequentialOrder(c.N())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := read(c.Sim); got != want {
+			t.Errorf("sequential k=%d: got %+v, want %+v", k, got, want)
+		}
+	}
+	conc := map[int]figures{
+		2: {1059, 11, 145, 17},
+		3: {36277, 19, 3378, 1577},
+	}
+	for k, want := range conc {
+		c := counter.OnSim(NewMachine(SizeForK(k)),
+			sim.WithSeed(3), sim.WithLatency(sim.UniformLatency{Min: 1, Max: 11}))
+		for range 3 {
+			for i := range c.N() {
+				c.Start(c.Net().Now()+int64(i/2), sim.ProcID(i+1))
+			}
+			if err := c.Net().Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := read(c); got != want {
+			t.Errorf("concurrent k=%d: got %+v, want %+v", k, got, want)
+		}
+	}
+}

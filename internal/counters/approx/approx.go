@@ -40,40 +40,36 @@ import (
 	"distcount/internal/sim"
 )
 
-// payloads
+// Message kinds. Every one carries its fields in the message word, so
+// neither protocol boxes a message.
 type (
-	// syncReqPayload/syncValPayload are the exact bootstrap phase: a
+	// syncReqWord/syncValWord are the exact bootstrap phase: a
 	// central-style round trip that assigns the true pre-increment count.
-	syncReqPayload struct{ Origin sim.ProcID }
-	syncValPayload struct {
-		Val   int
-		Level uint // css sampling level at the coordinator; 0 for gxu
-	}
-	// reportPayload carries a site's accumulated unreported increments to
-	// the coordinator (gxu); ackPayload returns the fresh global total.
-	reportPayload struct {
-		Origin sim.ProcID
-		Delta  int
-	}
-	ackPayload struct{ Total int }
-	// samplePayload is one sampled increment (css); the carried level is
-	// the one the SITE sampled at, so the coordinator's 2^Level credit
-	// stays unbiased even when the site's level is stale.
-	samplePayload struct{ Level uint }
-	// bcastPayload pushes the coordinator's estimate (and css level) to
-	// every site.
-	bcastPayload struct {
-		Total int
-		Level uint
-	}
+	// syncReqWord's word is the origin; syncValWord's is
+	// sim.Pair(val, level), level being the css sampling level at the
+	// coordinator (0 for gxu).
+	syncReqWord struct{}
+	syncValWord struct{}
+	// reportWord carries a site's accumulated unreported increments to the
+	// coordinator (gxu), word sim.Pair(origin, delta); ackWord returns the
+	// fresh global total in its word.
+	reportWord struct{}
+	ackWord    struct{}
+	// sampleWord is one sampled increment (css); its word is the level the
+	// SITE sampled at, so the coordinator's 2^level credit stays unbiased
+	// even when the site's level is stale.
+	sampleWord struct{}
+	// bcastWord pushes the coordinator's estimate (and css level) to every
+	// site, word sim.Pair(total, level).
+	bcastWord struct{}
 )
 
-func (syncReqPayload) Kind() string { return "sync-request" }
-func (syncValPayload) Kind() string { return "sync-value" }
-func (reportPayload) Kind() string  { return "report" }
-func (ackPayload) Kind() string     { return "ack" }
-func (samplePayload) Kind() string  { return "sample" }
-func (bcastPayload) Kind() string   { return "broadcast" }
+func (syncReqWord) Kind() string { return "sync-request" }
+func (syncValWord) Kind() string { return "sync-value" }
+func (reportWord) Kind() string  { return "report" }
+func (ackWord) Kind() string     { return "ack" }
+func (sampleWord) Kind() string  { return "sample" }
+func (bcastWord) Kind() string   { return "broadcast" }
 
 // core is the state shared by both protocols. Concurrency discipline (what
 // makes the rt backend race-free without serializing): base[p] and
@@ -144,13 +140,12 @@ func (c *core) maybeBroadcast(nw sim.Transport, level uint, div int) {
 		return
 	}
 	c.lastBcast = c.total
-	// One boxed payload serves all n-1 sites (payloads are immutable).
-	var push sim.Payload = bcastPayload{Total: c.total, Level: level}
+	push := sim.Pair(c.total, int(level))
 	for q := 1; q <= c.n; q++ {
 		if sim.ProcID(q) == c.coord {
 			continue
 		}
-		nw.Send(sim.ProcID(q), push)
+		nw.SendWord(sim.ProcID(q), bcastWord{}, push)
 	}
 }
 

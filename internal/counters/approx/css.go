@@ -83,7 +83,7 @@ func (pr *cssProto) initiate(nw sim.Transport, p sim.ProcID) {
 		return
 	}
 	if pr.base[p] < pr.warmup {
-		nw.Send(pr.coord, syncReqPayload{Origin: p})
+		nw.SendWord(pr.coord, syncReqWord{}, int64(p))
 		return
 	}
 	v := pr.base[p]
@@ -91,29 +91,31 @@ func (pr *cssProto) initiate(nw sim.Transport, p sim.ProcID) {
 	// Sample with probability 2^-l: the low l bits of one fresh draw are
 	// all zero. l = 0 masks nothing and always samples.
 	if pr.rngs[p].Uint64()&((1<<l)-1) == 0 {
-		nw.Send(pr.coord, samplePayload{Level: l})
+		nw.SendWord(pr.coord, sampleWord{}, int64(l))
 	}
 	pr.ops.Finish(nw, p, v)
 }
 
 func (pr *cssProto) Deliver(nw sim.Transport, msg sim.Message) {
-	switch pl := msg.Payload.(type) {
-	case syncReqPayload:
-		nw.Send(pl.Origin, syncValPayload{Val: pr.total, Level: pr.levelOf()})
+	switch msg.Payload.(type) {
+	case syncReqWord:
+		nw.SendWord(sim.ProcID(msg.Word), syncValWord{}, sim.Pair(pr.total, int(pr.levelOf())))
 		pr.total++
 		pr.maybeBroadcast(nw, pr.levelOf(), 8)
-	case syncValPayload:
-		pr.lift(msg.To, pl.Val)
-		pr.liftLevel(msg.To, pl.Level)
-		pr.ops.Finish(nw, msg.To, pl.Val)
-	case samplePayload:
+	case syncValWord:
+		val, level := sim.Unpair(msg.Word)
+		pr.lift(msg.To, val)
+		pr.liftLevel(msg.To, uint(level))
+		pr.ops.Finish(nw, msg.To, val)
+	case sampleWord:
 		// Credit at the level the SITE sampled at: E[credit] = 1 per
 		// increment regardless of how stale that level is.
-		pr.total += 1 << pl.Level
+		pr.total += 1 << uint(msg.Word)
 		pr.maybeBroadcast(nw, pr.levelOf(), 8)
-	case bcastPayload:
-		pr.lift(msg.To, pl.Total)
-		pr.liftLevel(msg.To, pl.Level)
+	case bcastWord:
+		total, level := sim.Unpair(msg.Word)
+		pr.lift(msg.To, total)
+		pr.liftLevel(msg.To, uint(level))
 	default:
 		panic(badPayload("css-sample", msg.Payload))
 	}

@@ -53,35 +53,38 @@ func (pr *gxuProto) initiate(nw sim.Transport, p sim.ProcID) {
 		return
 	}
 	if pr.base[p] < pr.warmup {
-		nw.Send(pr.coord, syncReqPayload{Origin: p})
+		nw.SendWord(pr.coord, syncReqWord{}, int64(p))
 		return
 	}
 	v := pr.base[p] + pr.unreported[p]
 	pr.unreported[p]++
 	if pr.unreported[p] >= pr.reportThreshold(p) {
-		nw.Send(pr.coord, reportPayload{Origin: p, Delta: pr.unreported[p]})
+		nw.SendWord(pr.coord, reportWord{}, sim.Pair(int(p), pr.unreported[p]))
 		pr.unreported[p] = 0
 	}
 	pr.ops.Finish(nw, p, v)
 }
 
 func (pr *gxuProto) Deliver(nw sim.Transport, msg sim.Message) {
-	switch pl := msg.Payload.(type) {
-	case syncReqPayload:
-		nw.Send(pl.Origin, syncValPayload{Val: pr.total})
+	switch msg.Payload.(type) {
+	case syncReqWord:
+		nw.SendWord(sim.ProcID(msg.Word), syncValWord{}, sim.Pair(pr.total, 0))
 		pr.total++
 		pr.maybeBroadcast(nw, 0, 4)
-	case syncValPayload:
-		pr.lift(msg.To, pl.Val)
-		pr.ops.Finish(nw, msg.To, pl.Val)
-	case reportPayload:
-		pr.total += pl.Delta
-		nw.Send(pl.Origin, ackPayload{Total: pr.total})
+	case syncValWord:
+		val, _ := sim.Unpair(msg.Word)
+		pr.lift(msg.To, val)
+		pr.ops.Finish(nw, msg.To, val)
+	case reportWord:
+		origin, delta := sim.Unpair(msg.Word)
+		pr.total += delta
+		nw.SendWord(sim.ProcID(origin), ackWord{}, int64(pr.total))
 		pr.maybeBroadcast(nw, 0, 4)
-	case ackPayload:
-		pr.lift(msg.To, pl.Total)
-	case bcastPayload:
-		pr.lift(msg.To, pl.Total)
+	case ackWord:
+		pr.lift(msg.To, int(msg.Word))
+	case bcastWord:
+		total, _ := sim.Unpair(msg.Word)
+		pr.lift(msg.To, total)
 	default:
 		panic(badPayload("gxu-threshold", msg.Payload))
 	}

@@ -17,14 +17,15 @@ import (
 	"distcount/internal/sim"
 )
 
-// payloads
+// Message kinds. Both carry their one field in the message word, so an
+// operation's two messages box nothing.
 type (
-	reqPayload struct{ Origin sim.ProcID }
-	valPayload struct{ Val int }
+	reqWord struct{} // word: the origin
+	valWord struct{} // word: the value
 )
 
-func (reqPayload) Kind() string { return "inc-request" }
-func (valPayload) Kind() string { return "value" }
+func (reqWord) Kind() string { return "inc-request" }
+func (valWord) Kind() string { return "value" }
 
 // holder is the processor storing the counter value.
 const holder sim.ProcID = 1
@@ -50,16 +51,16 @@ func (pr *proto) initiate(nw sim.Transport, p sim.ProcID) {
 		pr.val++
 		return
 	}
-	nw.Send(holder, reqPayload{Origin: p})
+	nw.SendWord(holder, reqWord{}, int64(p))
 }
 
 func (pr *proto) Deliver(nw sim.Transport, msg sim.Message) {
-	switch pl := msg.Payload.(type) {
-	case reqPayload:
-		nw.Send(pl.Origin, valPayload{Val: pr.val})
+	switch msg.Payload.(type) {
+	case reqWord:
+		nw.SendWord(sim.ProcID(msg.Word), valWord{}, int64(pr.val))
 		pr.val++
-	case valPayload:
-		pr.ops.Finish(nw, msg.To, pl.Val)
+	case valWord:
+		pr.ops.Finish(nw, msg.To, int(msg.Word))
 	default:
 		panic(fmt.Sprintf("central: unexpected payload %T", msg.Payload))
 	}

@@ -29,26 +29,23 @@ import (
 	"distcount/internal/sim"
 )
 
+// Message kinds. Each carries its fields in the message word, so a
+// traversal boxes nothing.
 type (
-	// tokenPayload traverses the network: it is about to enter the
-	// balancer of stage Stage on wire Wire.
-	tokenPayload struct {
-		Stage  int
-		Wire   int
-		Origin sim.ProcID
-	}
-	// exitPayload delivers a token to its output-wire owner.
-	exitPayload struct {
-		Wire   int
-		Origin sim.ProcID
-	}
-	// valuePayload returns the assigned value to the initiator.
-	valuePayload struct{ Val int }
+	// tokenWord traverses the network: it is about to enter the balancer of
+	// stage s on wire w. Word: sim.Pair(s·width+w, origin).
+	tokenWord struct{}
+	// exitWord delivers a token to its output-wire owner. Word:
+	// sim.Pair(wire, origin).
+	exitWord struct{}
+	// valueWord returns the assigned value to the initiator. Word: the
+	// value.
+	valueWord struct{}
 )
 
-func (tokenPayload) Kind() string { return "token" }
-func (exitPayload) Kind() string  { return "exit" }
-func (valuePayload) Kind() string { return "value" }
+func (tokenWord) Kind() string { return "token" }
+func (exitWord) Kind() string  { return "exit" }
+func (valueWord) Kind() string { return "value" }
 
 // balancer is a two-wire toggle.
 type balancer struct {
@@ -198,6 +195,15 @@ func (pr *proto) wireOwner(w int) sim.ProcID {
 	return sim.ProcID(w%pr.n + 1)
 }
 
+// sendToken sends origin's token to the balancer entered at (stage, wire).
+func (pr *proto) sendToken(nw sim.Transport, stage, wire, origin int) {
+	// Read only the balancer's immutable host field: copying the whole
+	// struct would also read its toggle, which the host processor flips
+	// concurrently on the rt backend.
+	host := pr.balancers[pr.stageWire[stage][wire]].host
+	nw.SendWord(host, tokenWord{}, sim.Pair(stage*pr.width+wire, origin))
+}
+
 func (pr *proto) initiate(nw sim.Transport, p sim.ProcID) {
 	pr.ops.Begin(nw, p)
 	// The entry wire is a strictly local choice (the initiator's own id):
@@ -206,38 +212,33 @@ func (pr *proto) initiate(nw sim.Transport, p sim.ProcID) {
 	// message-passing model does not allow — it would even smuggle
 	// information between operations behind the Hot Spot Lemma's back.
 	entry := (int(p) - 1) % pr.width
-	// Read only the balancer's immutable host field: copying the whole
-	// struct would also read its toggle, which the host processor flips
-	// concurrently on the rt backend.
-	host := pr.balancers[pr.stageWire[0][entry]].host
-	nw.Send(host, tokenPayload{Stage: 0, Wire: entry, Origin: p})
+	pr.sendToken(nw, 0, entry, int(p))
 }
 
 func (pr *proto) Deliver(nw sim.Transport, msg sim.Message) {
-	switch pl := msg.Payload.(type) {
-	case tokenPayload:
-		b := &pr.balancers[pr.stageWire[pl.Stage][pl.Wire]]
+	switch msg.Payload.(type) {
+	case tokenWord:
+		in, origin := sim.Unpair(msg.Word)
+		stage, wire := in/pr.width, in%pr.width
+		b := &pr.balancers[pr.stageWire[stage][wire]]
 		out := b.first
 		if b.toggle {
 			out = b.a + b.b - b.first // the other wire
 		}
 		b.toggle = !b.toggle
-		next := pl.Stage + 1
+		next := stage + 1
 		if next == pr.depth() {
-			nw.Send(pr.wireOwner(out), exitPayload{Wire: out, Origin: pl.Origin})
+			nw.SendWord(pr.wireOwner(out), exitWord{}, sim.Pair(out, origin))
 			return
 		}
-		nw.Send(pr.balancers[pr.stageWire[next][out]].host, tokenPayload{
-			Stage:  next,
-			Wire:   out,
-			Origin: pl.Origin,
-		})
-	case exitPayload:
-		val := pr.wireCount[pl.Wire]
-		pr.wireCount[pl.Wire] += pr.width
-		nw.Send(pl.Origin, valuePayload{Val: val})
-	case valuePayload:
-		pr.ops.Finish(nw, msg.To, pl.Val)
+		pr.sendToken(nw, next, out, origin)
+	case exitWord:
+		wire, origin := sim.Unpair(msg.Word)
+		val := pr.wireCount[wire]
+		pr.wireCount[wire] += pr.width
+		nw.SendWord(sim.ProcID(origin), valueWord{}, int64(val))
+	case valueWord:
+		pr.ops.Finish(nw, msg.To, int(msg.Word))
 	default:
 		panic(fmt.Sprintf("cnet: unexpected payload %T", msg.Payload))
 	}

@@ -42,8 +42,9 @@ type (
 		Batch int
 		Base  int
 	}
-	// valuePayload delivers a leaf's assigned value.
-	valuePayload struct{ Val int }
+	// valueWord delivers a leaf's assigned value in the message word.
+	// Requests and responses carry more than a word holds and are boxed.
+	valueWord struct{}
 	// windowTimer closes a combining window.
 	windowTimer struct {
 		Node int
@@ -51,10 +52,10 @@ type (
 	}
 )
 
-func (reqPayload) Kind() string   { return "combine-request" }
-func (respPayload) Kind() string  { return "combine-response" }
-func (valuePayload) Kind() string { return "value" }
-func (windowTimer) Kind() string  { return "window-timer" }
+func (reqPayload) Kind() string  { return "combine-request" }
+func (respPayload) Kind() string { return "combine-response" }
+func (valueWord) Kind() string   { return "value" }
+func (windowTimer) Kind() string { return "window-timer" }
 
 // contrib is one participant of a batch.
 type contrib struct {
@@ -171,8 +172,8 @@ func (pr *proto) Deliver(nw sim.Transport, msg sim.Message) {
 		pr.handleReq(nw, pl)
 	case respPayload:
 		pr.handleResp(nw, pl)
-	case valuePayload:
-		pr.ops.Finish(nw, msg.To, pl.Val)
+	case valueWord:
+		pr.ops.Finish(nw, msg.To, int(msg.Word))
 	case windowTimer:
 		nd := &pr.nodes[pl.Node]
 		if nd.pending != nil && nd.pending.seq == pl.Seq {
@@ -264,16 +265,17 @@ func (pr *proto) distribute(nw sim.Transport, nd *cnode, b *batch, base int) {
 		var (
 			to sim.ProcID
 			pl sim.Payload
+			w  int64
 		)
 		if c.fromNode == -1 {
-			to, pl = c.fromLeaf, valuePayload{Val: offset}
+			to, pl, w = c.fromLeaf, valueWord{}, int64(offset)
 		} else {
 			to, pl = pr.nodes[c.fromNode].host, respPayload{Node: c.fromNode, Batch: c.childBatch, Base: offset}
 		}
 		if c.tok.Valid() {
-			nw.SendAs(c.tok, to, pl)
+			nw.SendAs(c.tok, to, pl, w)
 		} else {
-			nw.Send(to, pl)
+			nw.SendWord(to, pl, w)
 		}
 		offset += c.count
 	}

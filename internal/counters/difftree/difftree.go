@@ -19,28 +19,31 @@ package difftree
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"distcount/internal/counter"
 	"distcount/internal/sim"
 )
 
+// token is a token about to enter inner node Node (heap index) at depth
+// Level with partial leaf index Idx.
+type token struct {
+	Node   int
+	Level  int
+	Idx    int
+	Origin sim.ProcID
+}
+
+// Message kinds. A token, its exit and its value travel in the message
+// word: tokenWord carries sim.Pair(Node·width+Idx, Origin), the level
+// following from the node; exitWord sim.Pair(Idx, Origin) to leaf counter
+// Idx's owner; valueWord the assigned value. Only the prism's timer is
+// boxed.
 type (
-	// tokenPayload is a token about to enter inner node Node (heap index)
-	// at depth Level with partial leaf index Idx.
-	tokenPayload struct {
-		Node   int
-		Level  int
-		Idx    int
-		Origin sim.ProcID
-	}
-	// exitPayload delivers a token to leaf counter Idx's owner.
-	exitPayload struct {
-		Idx    int
-		Origin sim.ProcID
-	}
-	// valuePayload returns the assigned value.
-	valuePayload struct{ Val int }
+	tokenWord struct{}
+	exitWord  struct{}
+	valueWord struct{}
 	// prismTimer expires a parked token.
 	prismTimer struct {
 		Node int
@@ -48,10 +51,10 @@ type (
 	}
 )
 
-func (tokenPayload) Kind() string { return "token" }
-func (exitPayload) Kind() string  { return "exit" }
-func (valuePayload) Kind() string { return "value" }
-func (prismTimer) Kind() string   { return "prism-timer" }
+func (tokenWord) Kind() string  { return "token" }
+func (exitWord) Kind() string   { return "exit" }
+func (valueWord) Kind() string  { return "value" }
+func (prismTimer) Kind() string { return "prism-timer" }
 
 // dnode is an inner node: a toggle plus a one-slot prism.
 type dnode struct {
@@ -61,7 +64,7 @@ type dnode struct {
 	// the adopted continuation of its operation: a diffracting partner
 	// routes the parked token onward inside the parked operation's own
 	// causal chain rather than its own.
-	parked *tokenPayload
+	parked *token
 	tok    sim.OpToken
 	seq    int
 }
@@ -118,81 +121,87 @@ func (pr *proto) leafOwner(idx int) sim.ProcID {
 
 func (pr *proto) initiate(nw sim.Transport, p sim.ProcID) {
 	pr.ops.Begin(nw, p)
-	nw.Send(pr.nodes[1].host, tokenPayload{Node: 1, Level: 0, Idx: 0, Origin: p})
+	nw.SendWord(pr.nodes[1].host, tokenWord{}, sim.Pair(pr.width, int(p)))
+}
+
+// send sends a word message inside the adopted operation tok when tok is
+// valid, otherwise inside the current one.
+func send(nw sim.Transport, tok sim.OpToken, to sim.ProcID, pl sim.Payload, w int64) {
+	if tok.Valid() {
+		nw.SendAs(tok, to, pl, w)
+	} else {
+		nw.SendWord(to, pl, w)
+	}
+}
+
+// unpack returns the token a tokenWord's word carries.
+func (pr *proto) unpack(w int64) token {
+	at, origin := sim.Unpair(w)
+	node := at / pr.width
+	return token{Node: node, Level: bits.Len(uint(node)) - 1, Idx: at % pr.width, Origin: sim.ProcID(origin)}
 }
 
 // route sends a token onward after it resolved direction at node tk.Node:
-// right == true sets the level bit of the leaf index.
-func (pr *proto) route(nw sim.Transport, tk tokenPayload, right bool) {
-	pr.routeWith(nw.Send, tk, right)
-}
-
-// routeWith is route with an explicit send function, so a diffracted
-// partner can be forwarded inside its own operation (sim.SendAs).
-func (pr *proto) routeWith(send func(sim.ProcID, sim.Payload), tk tokenPayload, right bool) {
+// right == true sets the level bit of the leaf index. A valid tok forwards
+// it inside that adopted operation (a diffracted partner, an expired parked
+// token) rather than the current delivery's.
+func (pr *proto) route(nw sim.Transport, tok sim.OpToken, tk token, right bool) {
 	idx := tk.Idx
 	child := tk.Node * 2
 	if right {
 		idx |= 1 << tk.Level
 		child++
 	}
-	if tk.Level+1 == pr.depth {
-		send(pr.leafOwner(idx), exitPayload{Idx: idx, Origin: tk.Origin})
+	if tk.Level+1 < pr.depth {
+		send(nw, tok, pr.nodes[child].host, tokenWord{}, sim.Pair(child*pr.width+idx, int(tk.Origin)))
 		return
 	}
-	send(pr.nodes[child].host, tokenPayload{
-		Node:   child,
-		Level:  tk.Level + 1,
-		Idx:    idx,
-		Origin: tk.Origin,
-	})
+	send(nw, tok, pr.leafOwner(idx), exitWord{}, sim.Pair(idx, int(tk.Origin)))
 }
 
-// toggleRoute resolves a token through the node's toggle.
-func (pr *proto) toggleRoute(nw sim.Transport, tk tokenPayload) {
-	pr.toggleRouteWith(nw.Send, tk)
-}
-
-// toggleRouteWith is toggleRoute with an explicit send function, for the
-// prism-expiry path where the token continues through its adopted
-// continuation rather than the (detached) timer delivery.
-func (pr *proto) toggleRouteWith(send func(sim.ProcID, sim.Payload), tk tokenPayload) {
+// toggleRoute resolves a token through the node's toggle; tok is route's.
+func (pr *proto) toggleRoute(nw sim.Transport, tok sim.OpToken, tk token) {
 	nd := &pr.nodes[tk.Node]
 	right := nd.toggle
 	nd.toggle = !nd.toggle
 	pr.toggles[tk.Node]++
-	pr.routeWith(send, tk, right)
+	pr.route(nw, tok, tk, right)
+}
+
+// arrive handles token tk entering its node in the current operation.
+func (pr *proto) arrive(nw sim.Transport, tk token) {
+	nd := &pr.nodes[tk.Node]
+	if nd.parked != nil {
+		// Diffraction: the parked partner goes left, the arriving token
+		// right; the toggle is untouched. The partner continues inside its
+		// own operation through the adopted token.
+		partner := *nd.parked
+		tok := nd.tok
+		nd.parked = nil
+		nd.tok = sim.OpToken{}
+		atomic.AddInt64(&pr.diffracted, 1)
+		pr.route(nw, tok, partner, false)
+		pr.route(nw, sim.OpToken{}, tk, true)
+		return
+	}
+	if pr.window == 0 {
+		pr.toggleRoute(nw, sim.OpToken{}, tk)
+		return
+	}
+	// Park: the operation is held open by the adopted token alone; the
+	// expiry timer is detached so that a timer outliving a diffraction does
+	// not delay the diffracted operation's completion.
+	parked := tk // a copy, so only a parking arrival moves it to the heap
+	nd.seq++
+	nd.parked = &parked
+	nd.tok = nw.Adopt()
+	nw.AfterDetached(pr.window, prismTimer{Node: tk.Node, Seq: nd.seq})
 }
 
 func (pr *proto) Deliver(nw sim.Transport, msg sim.Message) {
 	switch pl := msg.Payload.(type) {
-	case tokenPayload:
-		nd := &pr.nodes[pl.Node]
-		if nd.parked != nil {
-			// Diffraction: the parked partner goes left, the arriving
-			// token right; the toggle is untouched. The partner continues
-			// inside its own operation through the adopted token.
-			partner := *nd.parked
-			tok := nd.tok
-			nd.parked = nil
-			nd.tok = sim.OpToken{}
-			atomic.AddInt64(&pr.diffracted, 1)
-			pr.routeWith(func(to sim.ProcID, p sim.Payload) { nw.SendAs(tok, to, p) }, partner, false)
-			pr.route(nw, pl, true)
-			return
-		}
-		if pr.window == 0 {
-			pr.toggleRoute(nw, pl)
-			return
-		}
-		// Park: the operation is held open by the adopted token alone; the
-		// expiry timer is detached so that a timer outliving a diffraction
-		// does not delay the diffracted operation's completion.
-		tk := pl
-		nd.seq++
-		nd.parked = &tk
-		nd.tok = nw.Adopt()
-		nw.AfterDetached(pr.window, prismTimer{Node: pl.Node, Seq: nd.seq})
+	case tokenWord:
+		pr.arrive(nw, pr.unpack(msg.Word))
 	case prismTimer:
 		nd := &pr.nodes[pl.Node]
 		if nd.parked != nil && nd.seq == pl.Seq {
@@ -202,14 +211,16 @@ func (pr *proto) Deliver(nw sim.Transport, msg sim.Message) {
 			tok := nd.tok
 			nd.parked = nil
 			nd.tok = sim.OpToken{}
-			pr.toggleRouteWith(func(to sim.ProcID, p sim.Payload) { nw.SendAs(tok, to, p) }, tk)
+			pr.toggleRoute(nw, tok, tk)
 		}
-	case exitPayload:
-		val := pr.leafCount[pl.Idx]
-		pr.leafCount[pl.Idx] += pr.width
-		nw.Send(pl.Origin, valuePayload{Val: val})
-	case valuePayload:
-		pr.ops.Finish(nw, msg.To, pl.Val)
+	case exitWord:
+		// Leaf counter idx hands its next value to origin.
+		idx, origin := sim.Unpair(msg.Word)
+		val := pr.leafCount[idx]
+		pr.leafCount[idx] += pr.width
+		nw.SendWord(sim.ProcID(origin), valueWord{}, int64(val))
+	case valueWord:
+		pr.ops.Finish(nw, msg.To, int(msg.Word))
 	default:
 		panic(fmt.Sprintf("difftree: unexpected payload %T", msg.Payload))
 	}

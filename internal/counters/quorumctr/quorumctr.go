@@ -32,9 +32,13 @@ import (
 	"distcount/internal/sim"
 )
 
+// Message kinds. The read phase's carry their fields in the message word
+// (readReq: the origin; readResp: sim.Pair(val, ver)), so a read
+// boxes nothing. A write request's three fields do not fit one word; its
+// one box serves the whole quorum.
 type (
-	readReq  struct{ Origin sim.ProcID }
-	readResp struct{ Val, Ver int }
+	readReq  struct{}
+	readResp struct{}
 	writeReq struct {
 		Origin   sim.ProcID
 		Val, Ver int
@@ -85,8 +89,6 @@ func (pr *proto) initiate(nw sim.Transport, p sim.ProcID) {
 	st := pr.ops.Begin(nw, p)
 	st.quorum = pr.sys.Quorum(idx)
 	st.bestVal, st.ver = -1, -1
-	// One boxed request serves the whole quorum (payloads are immutable).
-	var req sim.Payload = readReq{Origin: p}
 	for _, member := range st.quorum {
 		if member == int(p) {
 			// Local replica: no messages needed to read your own memory.
@@ -94,7 +96,7 @@ func (pr *proto) initiate(nw sim.Transport, p sim.ProcID) {
 			continue
 		}
 		st.awaitReads++
-		nw.Send(sim.ProcID(member), req)
+		nw.SendWord(sim.ProcID(member), readReq{}, int64(p))
 	}
 	if st.awaitReads == 0 {
 		pr.startWrite(nw, p, st)
@@ -128,10 +130,10 @@ func (pr *proto) Deliver(nw sim.Transport, msg sim.Message) {
 	switch pl := msg.Payload.(type) {
 	case readReq:
 		r := pr.replicas[msg.To]
-		nw.Send(pl.Origin, readResp{Val: r.val, Ver: r.ver})
+		nw.SendWord(sim.ProcID(msg.Word), readResp{}, sim.Pair(r.val, r.ver))
 	case readResp:
 		// GetFor discriminates stale replies: under fault injection a
-		// duplicated readResp may arrive after its operation finished or
+		// duplicated read response may arrive after its operation finished or
 		// after the initiator began its next one, and must not perturb that
 		// newer probe's counts.
 		st, ok := pr.ops.GetFor(nw, msg.To)
@@ -140,7 +142,8 @@ func (pr *proto) Deliver(nw sim.Transport, msg sim.Message) {
 			// already closed: the probe has moved on.
 			return
 		}
-		pr.observe(st, replica{val: pl.Val, ver: pl.Ver})
+		val, ver := sim.Unpair(msg.Word)
+		pr.observe(st, replica{val: val, ver: ver})
 		st.awaitReads--
 		if st.awaitReads == 0 {
 			pr.startWrite(nw, msg.To, st)

@@ -20,14 +20,12 @@ import (
 	"distcount/internal/sim"
 )
 
-// tokenPayload carries the counter value and the destination processor that
-// requested it; intermediate ring members forward it.
-type tokenPayload struct {
-	Val  int
-	Dest sim.ProcID
-}
+// tokenWord carries the counter value and the destination processor that
+// requested it, packed in the message word (sim.Pair(val, dest));
+// intermediate ring members forward it.
+type tokenWord struct{}
 
-func (tokenPayload) Kind() string { return "token" }
+func (tokenWord) Kind() string { return "token" }
 
 type proto struct {
 	n      int
@@ -69,29 +67,29 @@ func (pr *proto) initiate(nw sim.Transport, p sim.ProcID) {
 func (pr *proto) routeToken(nw sim.Transport, dest sim.ProcID) {
 	// Request message: initiator -> holder (1 message), then token hops
 	// holder -> ... -> dest along the ring.
-	nw.Send(pr.holder, requestPayload{Dest: dest})
+	nw.SendWord(pr.holder, requestWord{}, int64(dest))
 }
 
-type requestPayload struct{ Dest sim.ProcID }
+// requestWord steers the token toward the destination in its word.
+type requestWord struct{}
 
-func (requestPayload) Kind() string { return "token-request" }
+func (requestWord) Kind() string { return "token-request" }
 
 func (pr *proto) Deliver(nw sim.Transport, msg sim.Message) {
-	switch pl := msg.Payload.(type) {
-	case requestPayload:
+	switch msg.Payload.(type) {
+	case requestWord:
 		// Current holder releases the token toward the destination.
-		nw.Send(pr.next(msg.To), tokenPayload{Val: pr.val, Dest: pl.Dest})
-	case tokenPayload:
-		if msg.To == pl.Dest {
-			pr.holder = msg.To
-			pr.val = pl.Val
-			pr.ops.Finish(nw, msg.To, pr.val)
-			pr.val++
+		nw.SendWord(pr.next(msg.To), tokenWord{}, sim.Pair(pr.val, int(msg.Word)))
+	case tokenWord:
+		val, dest := sim.Unpair(msg.Word)
+		if msg.To != sim.ProcID(dest) {
+			nw.SendWord(pr.next(msg.To), tokenWord{}, msg.Word)
 			return
 		}
-		// Forward the payload as it arrived: re-sending pl would box a
-		// fresh copy at every hop of the ring.
-		nw.Send(pr.next(msg.To), msg.Payload)
+		pr.holder = msg.To
+		pr.val = val
+		pr.ops.Finish(nw, msg.To, pr.val)
+		pr.val++
 	default:
 		panic(fmt.Sprintf("tokenring: unexpected payload %T", msg.Payload))
 	}

@@ -140,6 +140,10 @@ type Service struct {
 	// shardSent, shardRecv are the scratch a shard past the first
 	// snapshots its loads into on their way into a Loads sum.
 	shardSent, shardRecv []int64
+	// width is the length of a Loads result: one more than the widest
+	// shard's processor count, which exceeds n when a shard's algorithm
+	// rounds its size up.
+	width int
 
 	keys []keyState
 	// keyOf[shard*(n+1)+p] is the key of the one operation processor p may
@@ -279,6 +283,7 @@ func Single(c counter.Async) (*Service, error) {
 func newService(keys, n, base, shards int, mig *Migration) *Service {
 	s := &Service{
 		n:      n,
+		width:  n + 1,
 		base:   base,
 		mig:    mig,
 		hot:    -1,
@@ -309,6 +314,7 @@ func (s *Service) attach(i int, algo string, c counter.Async) error {
 		return fmt.Errorf("countersvc: %s has already run; build a fresh counter, runtime or service per run", c.Name())
 	}
 	s.shards[i] = shard{c: c, algo: algo}
+	s.width = max(s.width, c.N()+1)
 	switch b := c.(type) {
 	case *rt.Runtime:
 		if len(s.rts) == 0 {
@@ -687,23 +693,38 @@ func (s *Service) MessagesTotal() int64 {
 }
 
 // Loads writes the per-processor sent and received message counts summed
-// across shards into sent and recv, replacing a slice shorter than N()+1
-// (nil) with a fresh one, and returns them: processor p is the same machine
-// in every shard's network, so its load is its total traffic over all
-// protocols it participates in. The first shard reads straight into the
-// caller's slices, offered at full capacity since a shard may span more
-// processors than the service (its size rounds up); only further shards go
-// through the scratch. A sampler that passes its previous result back
-// allocates nothing.
+// across shards into sent and recv and returns them: processor p is the same
+// machine in every shard's network, so its load is its total traffic over
+// all protocols it participates in. A shard whose algorithm rounds N() up
+// spans processors past N(), whose messages count too, so the result spans
+// the widest shard: index 1 up to its processor count. A slice with less
+// capacity (nil) is replaced by a fresh one. The first shard reads straight
+// into the result; only further shards go through the scratch. A sampler
+// that passes its previous result back allocates nothing.
 func (s *Service) Loads(sent, recv []int64) ([]int64, []int64) {
-	sent, recv = s.shards[0].c.Loads(sent[:cap(sent)], recv[:cap(recv)])
-	sent, recv = sent[:s.n+1], recv[:s.n+1]
+	sent, recv = fit(sent, s.width), fit(recv, s.width)
+	first := s.shards[0].c
+	sent, recv = first.Loads(sent, recv)
+	// Past the first shard's processors nothing was written.
+	clear(sent[first.N()+1:])
+	clear(recv[first.N()+1:])
 	for _, sh := range s.shards[1:] {
 		s.shardSent, s.shardRecv = sh.c.Loads(s.shardSent, s.shardRecv)
-		add(sent, s.shardSent)
-		add(recv, s.shardRecv)
+		// The scratch may still hold a wider shard's entries past this
+		// one's processors; only this shard's own count.
+		w := sh.c.N() + 1
+		add(sent, s.shardSent[:w])
+		add(recv, s.shardRecv[:w])
 	}
 	return sent, recv
+}
+
+// fit returns x resliced to length n, or a fresh slice when x holds fewer.
+func fit(x []int64, n int) []int64 {
+	if cap(x) < n {
+		return make([]int64, n)
+	}
+	return x[:n]
 }
 
 // add accumulates src into dst over the processors both cover.

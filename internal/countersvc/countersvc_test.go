@@ -93,9 +93,9 @@ func TestOneShardLoadsCopyNothing(t *testing.T) {
 }
 
 // TestOneShardLoadsSpanTheService: a shard may span more processors than
-// its service — the ctree shard rounds 5 up to 8 — and the service still
-// reports its own 5, equal to the shard's first entries; a sampler that
-// passes its previous result back allocates nothing.
+// its service — the ctree shard rounds 5 up to 8 — and the service's loads
+// span the shard too, equal to the shard's own; a sampler that passes its
+// previous result back allocates nothing.
 func TestOneShardLoadsSpanTheService(t *testing.T) {
 	for _, algo := range []string{"central", "ctree"} {
 		cfg := Config{Keys: 1, N: 5, Algo: algo}
@@ -108,14 +108,44 @@ func TestOneShardLoadsSpanTheService(t *testing.T) {
 		}
 		sent, recv := s.Loads(nil, nil)
 		shardSent, shardRecv := s.Counter(0).Loads(nil, nil)
-		if len(sent) != cfg.N+1 || len(recv) != cfg.N+1 {
-			t.Fatalf("%s: loads span %d/%d entries, want %d", algo, len(sent), len(recv), cfg.N+1)
+		if want := s.Counter(0).N() + 1; len(sent) != want || len(recv) != want {
+			t.Fatalf("%s: loads span %d/%d entries, want %d", algo, len(sent), len(recv), want)
 		}
-		if !slices.Equal(sent, shardSent[:cfg.N+1]) || !slices.Equal(recv, shardRecv[:cfg.N+1]) {
+		if !slices.Equal(sent, shardSent) || !slices.Equal(recv, shardRecv) {
 			t.Fatalf("%s: service loads %v/%v, shard's %v/%v", algo, sent, recv, shardSent, shardRecv)
 		}
 		if a := testing.AllocsPerRun(10, func() { sent, recv = s.Loads(sent, recv) }); a != 0 {
 			t.Fatalf("%s: re-reading the loads into the previous result allocates %v", algo, a)
+		}
+	}
+}
+
+// TestKeyedLoadsCountRoundedShards: a keyed service whose shards round N up
+// (ctree: 5 processors become 8) counts every message of every shard in its
+// loads, so they add up to MessagesTotal — also when the first shard is the
+// narrow one and the caller passes its previous result back, whose entries
+// past that shard must not be summed again, and when a narrow shard follows
+// a wide one through the shared scratch, whose entries past the narrow
+// shard's processors are stale.
+func TestKeyedLoadsCountRoundedShards(t *testing.T) {
+	for _, algos := range [][]string{{"ctree", "ctree"}, {"central", "ctree"}, {"central", "ctree", "central"}} {
+		s := mustService(t, Config{Keys: 6, N: 5, Shards: len(algos), ShardAlgos: algos})
+		var sent, recv []int64
+		for i := range 10 {
+			s.Start(s.Now(), i%s.Keys(), sim.ProcID(i%s.N()+1))
+			if err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+			sent, recv = s.Loads(sent, recv)
+		}
+		var sum, rsum int64
+		for p := range sent {
+			sum += sent[p]
+			rsum += recv[p]
+		}
+		if len(sent) != 9 || sum != s.MessagesTotal() || rsum != s.MessagesTotal() {
+			t.Fatalf("%v: loads over %d processors sum to %d sent, %d received; MessagesTotal %d",
+				algos, len(sent)-1, sum, rsum, s.MessagesTotal())
 		}
 	}
 }

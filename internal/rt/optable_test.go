@@ -53,13 +53,13 @@ func (r *relayProto) Deliver(nw sim.Transport, msg sim.Message) {
 	}
 	switch m.then {
 	case "sendas":
-		nw.SendAs(m.tok, 3, ack{})
+		nw.SendAs(m.tok, 3, ack{}, 0)
 	case "release":
 		nw.Release(m.tok)
 	case "unknown":
 		nw.Release(m.tok)
 		r.spend("release of a never-issued token", func() { nw.Release(sim.TokenFor(1<<40, 0)) })
-		r.spend("sendas of a never-issued token", func() { nw.SendAs(sim.TokenFor(1<<40, 0), 3, ack{}) })
+		r.spend("sendas of a never-issued token", func() { nw.SendAs(sim.TokenFor(1<<40, 0), 3, ack{}, 0) })
 	}
 }
 

@@ -866,19 +866,27 @@ func (v *procView) CurrentOp() sim.OpID {
 // operation, attributed to it (one pending unit, released when the
 // delivery returns — the simulator's accounting exactly).
 func (v *procView) Send(to sim.ProcID, pl sim.Payload) {
-	v.send(to, pl, v.cur, v.node, true)
+	v.send(to, pl, 0, v.cur, v.node, true)
 }
 
-// send is the shared body of Send and SendAs, as Network.enqueueSend is on
-// the simulator: accounting, the fault plan's verdict and the mailbox append,
-// attributed to rec (nil = detached), sent from DAG node parent. countPending
-// takes a pending unit (Send); SendAs instead converts the token's hold.
-func (v *procView) send(to sim.ProcID, pl sim.Payload, rec *opRec, parent int32, countPending bool) {
+// SendWord implements sim.Transport: Send with the inline word w, which the
+// mailbox item carries in its message (a duplicate and a frozen re-entry
+// too).
+func (v *procView) SendWord(to sim.ProcID, pl sim.Payload, w int64) {
+	v.send(to, pl, w, v.cur, v.node, true)
+}
+
+// send is the shared body of Send, SendWord and SendAs, as
+// Network.enqueueSend is on the simulator: accounting, the fault plan's
+// verdict and the mailbox append of the message with its word w, attributed
+// to rec (nil = detached), sent from DAG node parent. countPending takes a
+// pending unit (Send); SendAs instead converts the token's hold.
+func (v *procView) send(to sim.ProcID, pl sim.Payload, w int64, rec *opRec, parent int32, countPending bool) {
 	if to < 1 || int(to) > v.r.n {
 		panic(fmt.Sprintf("rt: send to processor %v outside [1,%d]", to, v.r.n))
 	}
 	v.accountSend(rec, countPending)
-	it := item{msg: sim.Message{From: v.p, To: to, Payload: pl}, rec: rec, parent: parent}
+	it := item{msg: sim.Message{From: v.p, To: to, Payload: pl, Word: w}, rec: rec, parent: parent}
 	if v.r.faults != nil {
 		drop, dup := v.r.sendFate(v.p)
 		if drop {
@@ -931,15 +939,15 @@ func (v *procView) Adopt() sim.OpToken {
 	return sim.TokenFor(rec.id, int(v.node))
 }
 
-// SendAs implements sim.Transport: Send attributed to the adopted
+// SendAs implements sim.Transport: SendWord attributed to the adopted
 // operation. The token's pending hold transfers to the in-flight message
 // (no new unit taken; the delivery's return releases it).
-func (v *procView) SendAs(tok sim.OpToken, to sim.ProcID, pl sim.Payload) {
+func (v *procView) SendAs(tok sim.OpToken, to sim.ProcID, pl sim.Payload, w int64) {
 	rec := v.r.lookup(tok.Op())
 	if rec == nil {
 		panic(fmt.Sprintf("rt: SendAs with spent or unknown token (op %d)", tok.Op()))
 	}
-	v.send(to, pl, rec, int32(tok.Node()), false)
+	v.send(to, pl, w, rec, int32(tok.Node()), false)
 }
 
 // Release implements sim.Transport: it discards an adopted hold, possibly

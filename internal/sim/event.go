@@ -3,8 +3,9 @@ package sim
 import "math/bits"
 
 // event is a queued occurrence: either a message delivery or an operation
-// start (start != nil). Events are ordered by (at, seq); seq is a strictly
-// increasing tie-breaker that makes simulations fully deterministic.
+// start, whose callback rides in the payload slot as a startFn. Events are
+// ordered by (at, seq); seq is a strictly increasing tie-breaker that makes
+// simulations fully deterministic.
 //
 // An event lives in one place from enqueue to delivery: eventQueue.slot
 // hands out its queue slot, the sender writes the fields there, and pop
@@ -13,14 +14,14 @@ import "math/bits"
 // needs into locals before any callback runs. The layout is packed into one
 // 64-byte cache line (event_test.go pins the size): the struct's width is the
 // simulator's per-message memory traffic. The sim.Message a protocol sees is
-// not stored; Step rebuilds it from from/to/payload/local at Deliver.
+// not stored; Step rebuilds it from from/to/payload/word/local at Deliver.
 // Processor ids and DAG node indices fit 32 bits by a wide margin (the
 // largest loaded run is n = 15625).
 type event struct {
 	at      int64
 	seq     uint64
-	payload Payload
-	start   func(nw Transport, p ProcID)
+	payload Payload // the message's payload, or an operation start's startFn
+	word    int64   // Message.Word
 	op      OpID
 	from    int32
 	to      int32

@@ -95,8 +95,12 @@ func (r inPlaceRun) check(t *testing.T, want inPlaceRun) {
 	}
 }
 
-// msg and timer shorten the expected tables.
+// msg, wmsg and timer shorten the expected tables.
 func msg(from, to ProcID, tag step) Message { return Message{From: from, To: to, Payload: tag} }
+
+func wmsg(from, to ProcID, tag step, w int64) Message {
+	return Message{From: from, To: to, Payload: tag, Word: w}
+}
 
 func timer(p ProcID, tag step) Message { return Message{From: p, To: p, Payload: tag, Local: true} }
 
@@ -106,9 +110,10 @@ func timer(p ProcID, tag step) Message { return Message{From: p, To: p, Payload:
 // OnDeliver hook schedules op B at Now() into a1's slot before a1's Deliver
 // runs; the timer a-timer is tick 1's last event when it pops from index 1,
 // and its callback's After(0) and ScheduleOp(Now()) fill indexes 0 and 1.
+// a1 carries a word, which must be read out of the slot with the payload.
 func TestInPlaceSameTickReuse(t *testing.T) {
 	got := runScripted(t, func(s *scripted) {
-		s.acts["A"] = func(nw Transport) { nw.Send(2, step("a1")) }
+		s.acts["A"] = func(nw Transport) { nw.SendWord(2, step("a1"), 1<<40) }
 		s.acts["a1"] = func(nw Transport) {
 			nw.After(0, step("a-timer"))
 			nw.Send(1, step("a2"))
@@ -128,7 +133,7 @@ func TestInPlaceSameTickReuse(t *testing.T) {
 	got.check(t, inPlaceRun{
 		seen: []seen{
 			{0, 1, msg(1, 1, "A")},
-			{1, 1, msg(1, 2, "a1")},
+			{1, 1, wmsg(1, 2, "a1", 1<<40)},
 			{1, 2, msg(3, 3, "B")},
 			{1, 1, timer(2, "a-timer")},
 			{1, 1, timer(2, "a-last")},
@@ -201,27 +206,28 @@ func TestInPlaceFarReuse(t *testing.T) {
 // re-enters the queue from the slot it popped from, and so does a message
 // to a frozen processor at its recovery. Service time 100 sends both
 // re-entries past the ring: d2 moves from a ring bucket to the far heap,
-// z2 — popped from the far heap — re-enters in its own slot.
+// z2 — popped from the far heap — re-enters in its own slot. Every message
+// carries a word, which each re-entry keeps.
 func TestInPlaceServiceRequeue(t *testing.T) {
 	plan := FaultPlan{Crashes: []Downtime{{Proc: 4, From: 0, To: 200}}, Freeze: true}
 	var nw *Network
 	got := runScripted(t, func(s *scripted) {
 		nw = s.nw
 		s.acts["S"] = func(nw Transport) {
-			nw.Send(3, step("d1"))
-			nw.Send(3, step("d2"))
-			nw.Send(4, step("z1"))
-			nw.Send(4, step("z2"))
+			nw.SendWord(3, step("d1"), 11)
+			nw.SendWord(3, step("d2"), 12)
+			nw.SendWord(4, step("z1"), 21)
+			nw.SendWord(4, step("z2"), -22)
 		}
 		s.nw.StartOp(1, s.start("S"))
 	}, nil, WithServiceTime(100), WithFaults(plan))
 	got.check(t, inPlaceRun{
 		seen: []seen{
 			{0, 1, msg(1, 1, "S")},
-			{1, 1, msg(1, 3, "d1")},
-			{101, 1, msg(1, 3, "d2")}, // deferred behind d1's slot
-			{200, 1, msg(1, 4, "z1")}, // frozen until recovery
-			{300, 1, msg(1, 4, "z2")}, // frozen, then deferred behind z1
+			{1, 1, wmsg(1, 3, "d1", 11)},
+			{101, 1, wmsg(1, 3, "d2", 12)},  // deferred behind d1's slot
+			{200, 1, wmsg(1, 4, "z1", 21)},  // frozen until recovery
+			{300, 1, wmsg(1, 4, "z2", -22)}, // frozen, then deferred behind z1
 		},
 		dag: []Delivery{
 			{Op: 1, Proc: 1, Node: 0, Parent: -1},

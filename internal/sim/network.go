@@ -351,21 +351,40 @@ func (nw *Network) ScheduleOp(at int64, p ProcID, start func(nw Transport, p Pro
 	nw.ops.put(id, st)
 	nw.seq++
 	e := nw.queue.slot(at, nw.seq)
-	e.payload, e.start, e.op = nil, start, id
+	e.payload, e.word, e.op = startFn(start), 0, id
 	e.from, e.to, e.parent = int32(p), int32(p), 0
 	e.local, e.reserved = false, false
 	return id
 }
 
+// startFn is an operation start's callback. It rides in its event's payload
+// slot: a func value is pointer-shaped, so boxing it allocates nothing, and
+// Step tells a start from a delivery by this type.
+type startFn func(nw Transport, p ProcID)
+
+func (startFn) Kind() string { return "op-start" }
+
+// isStart reports whether an event's payload is an operation start.
+func isStart(pl Payload) bool {
+	_, ok := pl.(startFn)
+	return ok
+}
+
 // Send transmits a message from the currently executing processor to another
 // processor. It must be called from within a Deliver or operation start
-// callback. The message is attributed to the current operation.
-func (nw *Network) Send(to ProcID, pl Payload) {
+// callback. The message is attributed to the current operation. It is
+// SendWord with a zero word.
+func (nw *Network) Send(to ProcID, pl Payload) { nw.SendWord(to, pl, 0) }
+
+// SendWord is Send with the inline word w, delivered as Message.Word: a
+// message kind whose data fits in 64 bits passes a zero-size kind value and
+// its data in w, and the send allocates nothing.
+func (nw *Network) SendWord(to ProcID, pl Payload, w int64) {
 	if !nw.inCallback {
 		panic("sim: Send called outside a delivery context")
 	}
 	nw.checkProc(to, "Send")
-	nw.enqueueSend(to, pl, nw.cur.op, nw.cur.node, true)
+	nw.enqueueSend(to, pl, w, nw.cur.op, nw.cur.node, true)
 }
 
 // accountSend charges one physical transmission to the sender's load
@@ -375,11 +394,11 @@ func (nw *Network) Send(to ProcID, pl Payload) {
 // of a send and a fault-injected duplicate, so the two cannot drift (a
 // duplicate is a genuine second transmission: full load accounting and its
 // own pending delivery).
-func (nw *Network) accountSend(from ProcID, pl Payload, st *opStats, countPending bool) {
+func (nw *Network) accountSend(from ProcID, pl Payload, w int64, st *opStats, countPending bool) {
 	nw.sent[from]++
 	nw.msgTotal++
 	if sized, ok := pl.(BitSized); ok {
-		bits := sized.Bits()
+		bits := sized.Bits(w)
 		nw.bitsTotal += int64(bits)
 		if bits > nw.maxMsgBits {
 			nw.maxMsgBits = bits
@@ -399,10 +418,10 @@ func (nw *Network) accountSend(from ProcID, pl Payload, st *opStats, countPendin
 // When the network books at send, a message to a serving receiver is queued
 // at its service slot, already reserved. The event is written straight into
 // its queue slot.
-func (nw *Network) pushSend(from, to ProcID, pl Payload, op OpID, parent int32) {
+func (nw *Network) pushSend(from, to ProcID, pl Payload, w int64, op OpID, parent int32) {
 	delay := int64(1)
 	if !nw.unitLatency {
-		delay = nw.latency.Delay(Message{From: from, To: to, Payload: pl}, nw.rand)
+		delay = nw.latency.Delay(Message{From: from, To: to, Payload: pl, Word: w}, nw.rand)
 	}
 	at, reserved := nw.now+delay, false
 	if sv := &nw.servers[to]; nw.bookAtSend && sv.cost > 0 {
@@ -410,19 +429,19 @@ func (nw *Network) pushSend(from, to ProcID, pl Payload, op OpID, parent int32) 
 	}
 	nw.seq++
 	e := nw.queue.slot(at, nw.seq)
-	e.payload, e.start, e.op = pl, nil, op
+	e.payload, e.word, e.op = pl, w, op
 	e.from, e.to, e.parent = int32(from), int32(to), parent
 	e.local, e.reserved = false, reserved
 }
 
-// enqueueSend is the shared body of Send and SendAs: load accounting,
+// enqueueSend is the shared body of SendWord and SendAs: load accounting,
 // per-op statistics, and the enqueue, attributed to the given operation
 // and DAG node. countPending adds the queued event to the operation's
 // pending count (Send); SendAs instead converts an existing hold.
-func (nw *Network) enqueueSend(to ProcID, pl Payload, op OpID, parent int32, countPending bool) {
+func (nw *Network) enqueueSend(to ProcID, pl Payload, w int64, op OpID, parent int32, countPending bool) {
 	from := nw.cur.proc
 	st := nw.ops.get(op)
-	nw.accountSend(from, pl, st, countPending)
+	nw.accountSend(from, pl, w, st, countPending)
 	var dup bool
 	if nw.faults != nil {
 		var drop bool
@@ -434,12 +453,12 @@ func (nw *Network) enqueueSend(to ProcID, pl Payload, op OpID, parent int32, cou
 			return
 		}
 	}
-	nw.pushSend(from, to, pl, op, parent)
+	nw.pushSend(from, to, pl, w, op, parent)
 	if dup {
 		// A duplicated message repeats the whole accounting and gets its own
 		// latency draw. Duplicate copies are not fed back through SendFate.
-		nw.accountSend(from, pl, st, true)
-		nw.pushSend(from, to, pl, op, parent)
+		nw.accountSend(from, pl, w, st, true)
+		nw.pushSend(from, to, pl, w, op, parent)
 	}
 }
 
@@ -484,12 +503,12 @@ func (nw *Network) Adopt() OpToken {
 	return OpToken{op: nw.cur.op, node: nw.cur.node}
 }
 
-// SendAs is Send attributed to the adopted operation instead of the
+// SendAs is SendWord attributed to the adopted operation instead of the
 // current one: the message is physically sent by the currently executing
 // processor, but belongs — for completion tracking, per-op stats, and DAG
 // purposes — to the token's operation, whose continuation it spends. Each
 // token must be spent (SendAs) or discarded (Release) exactly once.
-func (nw *Network) SendAs(tok OpToken, to ProcID, pl Payload) {
+func (nw *Network) SendAs(tok OpToken, to ProcID, pl Payload, w int64) {
 	if !nw.inCallback {
 		panic("sim: SendAs called outside a delivery context")
 	}
@@ -498,7 +517,7 @@ func (nw *Network) SendAs(tok OpToken, to ProcID, pl Payload) {
 	}
 	nw.checkProc(to, "SendAs")
 	// The hold converts into the queued event: pending is unchanged.
-	nw.enqueueSend(to, pl, tok.op, tok.node, false)
+	nw.enqueueSend(to, pl, w, tok.op, tok.node, false)
 }
 
 // Release discards an adopted continuation without sending, for protocols
@@ -569,7 +588,7 @@ func (nw *Network) After(delay int64, pl Payload) {
 	p := int32(nw.cur.proc)
 	nw.seq++
 	e := nw.queue.slot(nw.now+delay, nw.seq)
-	e.payload, e.start, e.op = pl, nil, nw.cur.op
+	e.payload, e.word, e.op = pl, 0, nw.cur.op
 	e.from, e.to, e.parent = p, p, nw.cur.node
 	e.local, e.reserved = true, false
 }
@@ -591,7 +610,7 @@ func (nw *Network) AfterDetached(delay int64, pl Payload) {
 	p := int32(nw.cur.proc)
 	nw.seq++
 	e := nw.queue.slot(nw.now+delay, nw.seq)
-	e.payload, e.start, e.op = pl, nil, 0
+	e.payload, e.word, e.op = pl, 0, 0
 	e.from, e.to, e.parent = p, p, 0
 	e.local, e.reserved = true, false
 }
@@ -602,7 +621,7 @@ func (nw *Network) AfterDetached(delay int64, pl Payload) {
 // nothing there but at and seq, so the copy stays correct when it is.
 func (nw *Network) requeue(e *event, at int64, seq uint64, reserved bool) {
 	s := nw.queue.slot(at, seq)
-	s.payload, s.start, s.op = e.payload, e.start, e.op
+	s.payload, s.word, s.op = e.payload, e.word, e.op
 	s.from, s.to, s.parent = e.from, e.to, e.parent
 	s.local, s.reserved = e.local, reserved
 }
@@ -642,8 +661,8 @@ func (nw *Network) Step() (bool, error) {
 	// it). A backlog of k messages thus costs O(k) extra queue operations
 	// and drains FIFO with no starvation.
 	to := ProcID(e.to)
-	if e.start == nil && !e.local && !e.reserved {
-		if sv := &nw.servers[to]; sv.cost > 0 {
+	if !e.local && !e.reserved {
+		if sv := &nw.servers[to]; sv.cost > 0 && !isStart(e.payload) {
 			if slot := sv.reserve(e.at); slot > e.at {
 				nw.requeue(e, slot, e.seq, true)
 				return true, nil
@@ -653,8 +672,8 @@ func (nw *Network) Step() (bool, error) {
 	// e points into the queue, and any enqueue — from a callback or the
 	// OnDeliver hook — may reuse its slot: the delivery is read out of it
 	// here, before anything runs.
-	at, op, start, parent := e.at, e.op, e.start, e.parent
-	from, pl, local := ProcID(e.from), e.payload, e.local
+	at, op, parent := e.at, e.op, e.parent
+	from, pl, w, local := ProcID(e.from), e.payload, e.word, e.local
 	nw.now = at
 
 	st := nw.ops.get(op)
@@ -664,7 +683,7 @@ func (nw *Network) Step() (bool, error) {
 
 	nw.cur = ctx{op: op, proc: to}
 	nw.inCallback = true
-	if start != nil {
+	if start, ok := pl.(startFn); ok {
 		// Operation initiation: the DAG's source, node 0.
 		if st != nil && st.nodes > 0 && nw.onDeliver != nil {
 			nw.onDeliver(Delivery{Op: op, Proc: to, Parent: -1})
@@ -683,7 +702,7 @@ func (nw *Network) Step() (bool, error) {
 			// messages sent from a timer attach where it was set.
 			nw.cur.node = parent
 		}
-		nw.proto.Deliver(nw, Message{From: from, To: to, Payload: pl, Local: local})
+		nw.proto.Deliver(nw, Message{From: from, To: to, Payload: pl, Word: w, Local: local})
 	}
 	nw.inCallback = false
 

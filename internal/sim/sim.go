@@ -30,6 +30,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -40,9 +41,10 @@ type ProcID int
 // is never a valid id; ids start at 1.
 type OpID int
 
-// Payload is the protocol-specific content of a message. Implementations
-// must be immutable value types (or treated as such): clones of a network
-// share in-flight payloads.
+// Payload is the protocol-specific content of a message: its kind tag, and
+// for a kind whose data does not fit the message's inline word (see
+// Message) the data itself. Implementations must be immutable value types
+// (or treated as such): clones of a network share in-flight payloads.
 type Payload interface {
 	// Kind returns a short human-readable tag used in traces and debugging.
 	Kind() string
@@ -53,8 +55,10 @@ type Payload interface {
 // track the largest message and total bits for payloads that implement
 // this interface (see Network.MaxMessageBits).
 type BitSized interface {
-	// Bits returns the payload size in bits.
-	Bits() int
+	// Bits returns the size in bits of a message carrying this payload and
+	// the inline word w (Message.Word): a word kind sizes the fields it
+	// packed into w, a boxed payload ignores w.
+	Bits(w int64) int
 }
 
 // BitsFor returns the number of bits needed to represent the non-negative
@@ -68,14 +72,38 @@ func BitsFor(v int) int {
 	return max(1, bits.Len(uint(v)))
 }
 
-// Message is a single point-to-point message.
+// Message is a single point-to-point message. Its content is a Payload
+// plus one inline word: a message kind whose data fits in 64 bits is a
+// zero-size kind value (boxing one into Payload allocates nothing) with the
+// data packed into Word (see SendWord and Pair); a kind that does not fit is
+// a payload struct, boxed once at its send, and its Word is 0.
 type Message struct {
 	From, To ProcID
 	Payload  Payload
+	// Word is the message's inline data word, as passed to SendWord or
+	// SendAs (0 for Send and timers). A duplicated or deferred message
+	// keeps it.
+	Word int64
 	// Local marks a timer/self-wakeup: it is delivered through the normal
 	// event queue but is not a network message, so it is not counted in any
 	// message load and does not appear in communication DAGs.
 	Local bool
+}
+
+// Pair packs two fields in [0, 2^32) into one message word, hi in the upper
+// half; Unpair splits it again. It panics on a field out of range, which a
+// protocol's data would reach only far past any simulated run (a counter
+// value or an operation count above four billion).
+func Pair(hi, lo int) int64 {
+	if uint64(hi)|uint64(lo) > math.MaxUint32 {
+		panic(fmt.Sprintf("sim: word fields (%d, %d) out of range", hi, lo))
+	}
+	return int64(uint64(hi)<<32 | uint64(lo))
+}
+
+// Unpair returns the two fields Pair packed into w.
+func Unpair(w int64) (hi, lo int) {
+	return int(uint64(w) >> 32), int(uint32(w))
 }
 
 // Transport is the messaging surface a protocol runs against: everything a
@@ -83,7 +111,9 @@ type Message struct {
 // discrete-event Network is one implementation (simulated time, single
 // thread); internal/rt's worker-pool runtime is the second (wall-clock
 // time, real concurrency). Protocols written against Transport
-// run unchanged on either.
+// run unchanged on either. Both carry a message's inline word (SendWord,
+// SendAs) everywhere its payload goes: to the receiver, into a fault-injected
+// duplicate and through a deferral.
 //
 // All methods except N, Now and CurrentOp must be called from within a
 // delivery or start callback, in the execution context of one processor.
@@ -101,14 +131,18 @@ type Transport interface {
 	// callback belongs to (0 outside a callback or in a detached timer).
 	CurrentOp() OpID
 	// Send transmits a message from the currently executing processor,
-	// attributed to the current operation.
+	// attributed to the current operation. It is SendWord with a zero word.
 	Send(to ProcID, pl Payload)
+	// SendWord is Send with the inline word w (Message.Word): a message
+	// kind whose data fits in 64 bits sends a zero-size kind value and
+	// packs its data into w, so the send boxes nothing.
+	SendWord(to ProcID, pl Payload, w int64)
 	// Adopt captures the current operation as a continuation token, keeping
 	// it open until the token is spent with SendAs or discarded with Release.
 	Adopt() OpToken
-	// SendAs is Send attributed to the adopted operation instead of the
-	// current one, spending the token.
-	SendAs(tok OpToken, to ProcID, pl Payload)
+	// SendAs is SendWord attributed to the adopted operation instead of
+	// the current one, spending the token.
+	SendAs(tok OpToken, to ProcID, pl Payload, w int64)
 	// Release discards an adopted continuation without sending.
 	Release(tok OpToken)
 	// After schedules a local wakeup for the current processor, attributed

@@ -551,8 +551,8 @@ func TestBitsAccounting(t *testing.T) {
 
 type sizedPayload struct{ bits int }
 
-func (sizedPayload) Kind() string { return "sized" }
-func (s sizedPayload) Bits() int  { return s.bits }
+func (sizedPayload) Kind() string     { return "sized" }
+func (s sizedPayload) Bits(int64) int { return s.bits }
 
 type sizedProto struct{}
 
@@ -700,7 +700,7 @@ func (pp *parkProto) Deliver(nw Transport, msg Message) {
 			pp.tok = nw.Adopt()
 			return
 		}
-		nw.SendAs(pp.tok, pp.parked, parkAck{})
+		nw.SendAs(pp.tok, pp.parked, parkAck{}, 0)
 		nw.Send(pl.Origin, parkAck{})
 		pp.parked = 0
 		pp.tok = OpToken{}
@@ -804,7 +804,7 @@ func TestSendAsInvalidTokenPanics(t *testing.T) {
 		}
 	}()
 	nw.StartOp(1, func(nw Transport, p ProcID) {
-		nw.SendAs(OpToken{}, 2, tickPayload{})
+		nw.SendAs(OpToken{}, 2, tickPayload{}, 0)
 	})
 	_ = nw.Run()
 }
