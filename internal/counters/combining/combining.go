@@ -15,6 +15,11 @@
 // bound survives combining trees and why its Section 4 counter instead
 // rotates processors. The concurrent experiments (E10) turn the window up
 // and watch the root's message count fall.
+//
+// Every message and window timer carries its data in the message word and
+// names its node by a one-byte position, and a node keeps the batches
+// awaiting its parent's response in a short slice keyed by never-reused
+// batch ids, so a warm counter allocates nothing per operation.
 package combining
 
 import (
@@ -25,35 +30,30 @@ import (
 	"distcount/internal/sim"
 )
 
-// payloads
+// Message kinds. Every one carries its data in the message word, so no
+// message or timer boxes anything. An inner node is named by its position in
+// its host's chain (see proto.top), which a one-byte kind value carries: it
+// boxes into sim.Payload without allocating.
 type (
-	// reqPayload climbs the tree. Exactly one of FromLeaf (leaf request)
-	// and FromNode/ChildBatch (combined request from a child node) is set.
-	reqPayload struct {
-		Node       int // target inner node
-		FromLeaf   sim.ProcID
-		FromNode   int // -1 when FromLeaf is set
-		ChildBatch int
-		Count      int
-	}
-	// respPayload descends with the base of the assigned value range.
-	respPayload struct {
-		Node  int
-		Batch int
-		Base  int
-	}
+	// leafReq climbs from leaf msg.From to the node above it, counting one.
+	leafReq struct{}
+	// reqFrom climbs from the child node at this position in msg.From's
+	// chain to that child's parent, with sim.Pair(count, batch id).
+	reqFrom uint8
+	// respTo descends to the child node at this position in msg.To's chain
+	// with sim.Pair(base, batch id): the base of the range assigned to the
+	// child's batch.
+	respTo uint8
 	// valueWord delivers a leaf's assigned value in the message word.
-	// Requests and responses carry more than a word holds and are boxed.
 	valueWord struct{}
-	// windowTimer closes a combining window.
-	windowTimer struct {
-		Node int
-		Seq  int
-	}
+	// windowTimer closes a combining window: sim.Pair(seq, node) of the
+	// batch that opened it.
+	windowTimer struct{}
 )
 
-func (reqPayload) Kind() string  { return "combine-request" }
-func (respPayload) Kind() string { return "combine-response" }
+func (leafReq) Kind() string     { return "combine-request" }
+func (reqFrom) Kind() string     { return "combine-request" }
+func (respTo) Kind() string      { return "combine-response" }
 func (valueWord) Kind() string   { return "value" }
 func (windowTimer) Kind() string { return "window-timer" }
 
@@ -78,6 +78,12 @@ type batch struct {
 	total    int
 }
 
+// flight is a batch sent upward under id, awaiting the parent's response.
+type flight struct {
+	id int
+	b  *batch
+}
+
 // cnode is one inner node of the combining tree.
 type cnode struct {
 	parent int // -1 for the root
@@ -85,8 +91,10 @@ type cnode struct {
 	// pending is the batch currently collecting (nil outside a window).
 	pending *batch
 	seq     int
-	// inFlight maps batch ids to batches awaiting the parent's response.
-	inFlight map[int]*batch
+	// inFlight holds the batches awaiting the parent's response, searched by
+	// id: a node has only a few in flight at a time. Ids are never reused,
+	// so a duplicated response for a batch already distributed finds none.
+	inFlight []flight
 	nextID   int
 	val      int // root only
 	// free holds distributed batches for reuse, contribs backing array
@@ -101,6 +109,14 @@ type proto struct {
 	nodes  []cnode
 	// leafParent[p] is the inner node above leaf p (-1 when n == 1).
 	leafParent []int
+	// top[p] is the first inner node hosted at processor p (-1 for none).
+	// A node is hosted at the lowest leaf of its range, and buildTree numbers
+	// nodes in preorder, so a node's left child is the next node and shares
+	// its host: the nodes hosted at p are top[p], top[p]+1, ... down one
+	// left-child chain at most ⌈log₂ n⌉ long, and a node's position in that
+	// chain fits the one-byte kind values that name it. Both leafParent and
+	// top are fixed at construction, so clones share them.
+	top []int
 	// ops tracks the in-flight operation per initiator and records each
 	// operation's delivered value.
 	ops *counter.Ops[struct{}, int]
@@ -123,11 +139,10 @@ func (pr *proto) buildTree(lo, hi, parent int) int {
 		return -1
 	}
 	id := len(pr.nodes)
-	pr.nodes = append(pr.nodes, cnode{
-		parent:   parent,
-		host:     sim.ProcID(lo),
-		inFlight: make(map[int]*batch),
-	})
+	pr.nodes = append(pr.nodes, cnode{parent: parent, host: sim.ProcID(lo)})
+	if pr.top[lo] == -1 {
+		pr.top[lo] = id
+	}
 	mid := (lo + hi) / 2
 	pr.buildTree(lo, mid, id)
 	pr.buildTree(mid+1, hi, id)
@@ -139,16 +154,20 @@ func newProto(n int, window int64) *proto {
 		n:          n,
 		window:     window,
 		leafParent: make([]int, n+1),
+		top:        make([]int, n+1),
 		ops:        counter.NewOps[struct{}, int](n),
 	}
 	for p := range pr.leafParent {
-		pr.leafParent[p] = -1
+		pr.leafParent[p], pr.top[p] = -1, -1
 	}
 	if n > 1 {
 		pr.buildTree(1, n, -1)
 	}
 	return pr
 }
+
+// pos returns inner node's position in its host's chain (see proto.top).
+func (pr *proto) pos(node int) uint8 { return uint8(node - pr.top[pr.nodes[node].host]) }
 
 func (pr *proto) initiate(nw sim.Transport, p sim.ProcID) {
 	pr.ops.Begin(nw, p)
@@ -157,47 +176,47 @@ func (pr *proto) initiate(nw sim.Transport, p sim.ProcID) {
 		pr.val++
 		return
 	}
-	parent := pr.leafParent[p]
-	nw.Send(pr.nodes[parent].host, reqPayload{
-		Node:     parent,
-		FromLeaf: p,
-		FromNode: -1,
-		Count:    1,
-	})
+	nw.Send(pr.nodes[pr.leafParent[p]].host, leafReq{})
 }
 
 func (pr *proto) Deliver(nw sim.Transport, msg sim.Message) {
 	switch pl := msg.Payload.(type) {
-	case reqPayload:
-		pr.handleReq(nw, pl)
-	case respPayload:
-		pr.handleResp(nw, pl)
+	case leafReq:
+		pr.handleReq(nw, pr.leafParent[msg.From], contrib{fromLeaf: msg.From, fromNode: -1, count: 1})
+	case reqFrom:
+		child := pr.top[msg.From] + int(pl)
+		count, id := sim.Unpair(msg.Word)
+		pr.handleReq(nw, pr.nodes[child].parent, contrib{fromNode: child, childBatch: id, count: count})
+	case respTo:
+		base, id := sim.Unpair(msg.Word)
+		pr.handleResp(nw, pr.top[msg.To]+int(pl), id, base)
 	case valueWord:
 		pr.ops.Finish(nw, msg.To, int(msg.Word))
 	case windowTimer:
-		nd := &pr.nodes[pl.Node]
-		if nd.pending != nil && nd.pending.seq == pl.Seq {
-			pr.closeBatch(nw, pl.Node)
+		seq, node := sim.Unpair(msg.Word)
+		if nd := &pr.nodes[node]; nd.pending != nil && nd.pending.seq == seq {
+			pr.closeBatch(nw, node)
 		}
 	default:
 		panic(fmt.Sprintf("combining: unexpected payload %T", msg.Payload))
 	}
 }
 
-func (pr *proto) handleReq(nw sim.Transport, pl reqPayload) {
-	nd := &pr.nodes[pl.Node]
-	c := contrib{fromLeaf: pl.FromLeaf, fromNode: pl.FromNode, childBatch: pl.ChildBatch, count: pl.Count}
+// handleReq joins contribution c to inner node's batch, opening one (and its
+// window) when none is collecting.
+func (pr *proto) handleReq(nw sim.Transport, node int, c contrib) {
+	nd := &pr.nodes[node]
 	if nd.pending == nil {
 		nd.seq++
 		b := nd.newBatch()
-		b.seq, b.total = nd.seq, pl.Count
+		b.seq, b.total = nd.seq, c.count
 		b.contribs = append(b.contribs, c)
 		nd.pending = b
 		if pr.window > 0 {
-			nw.After(pr.window, windowTimer{Node: pl.Node, Seq: nd.seq})
+			nw.AfterWord(pr.window, windowTimer{}, sim.Pair(nd.seq, node))
 			return
 		}
-		pr.closeBatch(nw, pl.Node)
+		pr.closeBatch(nw, node)
 		return
 	}
 	// Combining: merge into the open window. The merged request sends
@@ -205,7 +224,7 @@ func (pr *proto) handleReq(nw sim.Transport, pl reqPayload) {
 	// it so the eventual downward send re-enters its causal chain.
 	c.tok = nw.Adopt()
 	nd.pending.contribs = append(nd.pending.contribs, c)
-	nd.pending.total += pl.Count
+	nd.pending.total += c.count
 	atomic.AddInt64(&pr.combined, 1)
 }
 
@@ -232,26 +251,27 @@ func (pr *proto) closeBatch(nw sim.Transport, node int) {
 	}
 	id := nd.nextID
 	nd.nextID++
-	nd.inFlight[id] = b
-	nw.Send(pr.nodes[nd.parent].host, reqPayload{
-		Node:       nd.parent,
-		FromNode:   node,
-		ChildBatch: id,
-		Count:      b.total,
-	})
+	nd.inFlight = append(nd.inFlight, flight{id: id, b: b})
+	nw.SendWord(pr.nodes[nd.parent].host, reqFrom(pr.pos(node)), sim.Pair(b.total, id))
 }
 
-func (pr *proto) handleResp(nw sim.Transport, pl respPayload) {
-	nd := &pr.nodes[pl.Node]
-	b, ok := nd.inFlight[pl.Batch]
-	if !ok {
-		// A response for a batch already distributed can only be a
-		// duplicated delivery (fault injection); it carries no new
-		// information, so drop it rather than re-assign the range.
-		return
+// handleResp distributes the range starting at base over inner node's batch
+// id.
+func (pr *proto) handleResp(nw sim.Transport, node, id, base int) {
+	nd := &pr.nodes[node]
+	for i, f := range nd.inFlight {
+		if f.id == id {
+			last := len(nd.inFlight) - 1
+			nd.inFlight[i] = nd.inFlight[last]
+			nd.inFlight[last] = flight{}
+			nd.inFlight = nd.inFlight[:last]
+			pr.distribute(nw, nd, f.b, base)
+			return
+		}
 	}
-	delete(nd.inFlight, pl.Batch)
-	pr.distribute(nw, nd, b, pl.Base)
+	// A response for a batch already distributed can only be a duplicated
+	// delivery (fault injection); it carries no new information, so drop it
+	// rather than re-assign the range.
 }
 
 // distribute splits a value range among the contributors of node nd's batch
@@ -270,7 +290,7 @@ func (pr *proto) distribute(nw sim.Transport, nd *cnode, b *batch, base int) {
 		if c.fromNode == -1 {
 			to, pl, w = c.fromLeaf, valueWord{}, int64(offset)
 		} else {
-			to, pl = pr.nodes[c.fromNode].host, respPayload{Node: c.fromNode, Batch: c.childBatch, Base: offset}
+			to, pl, w = pr.nodes[c.fromNode].host, respTo(pr.pos(c.fromNode)), sim.Pair(offset, c.childBatch)
 		}
 		if c.tok.Valid() {
 			nw.SendAs(c.tok, to, pl, w)
@@ -295,14 +315,13 @@ func (pr *proto) CloneProtocol() sim.Protocol {
 			b.contribs = append([]contrib(nil), src.pending.contribs...)
 			cp.nodes[i].pending = &b
 		}
-		cp.nodes[i].inFlight = make(map[int]*batch, len(src.inFlight))
-		for id, bb := range src.inFlight {
-			b := *bb
-			b.contribs = append([]contrib(nil), bb.contribs...)
-			cp.nodes[i].inFlight[id] = &b
+		cp.nodes[i].inFlight = nil
+		for _, f := range src.inFlight {
+			b := *f.b
+			b.contribs = append([]contrib(nil), f.b.contribs...)
+			cp.nodes[i].inFlight = append(cp.nodes[i].inFlight, flight{id: f.id, b: &b})
 		}
 	}
-	cp.leafParent = append([]int(nil), pr.leafParent...)
 	cp.ops = pr.ops.Clone()
 	return &cp
 }

@@ -1,6 +1,8 @@
 package combining
 
 import (
+	"math/bits"
+	"slices"
 	"testing"
 
 	"distcount/internal/counter"
@@ -156,6 +158,28 @@ func TestSingleProcessorLocal(t *testing.T) {
 	}
 }
 
+// TestChainPositions: the inner nodes hosted at a processor are numbered
+// consecutively from its first, so a node's position in its host's chain
+// names it, and that position stays below ⌈log₂ n⌉, far inside a byte.
+func TestChainPositions(t *testing.T) {
+	for n := 2; n <= 300; n++ {
+		pr := newProto(n, 0)
+		for node, nd := range pr.nodes {
+			first := pr.top[nd.host]
+			for j := first; j <= node; j++ {
+				if pr.nodes[j].host != nd.host {
+					t.Fatalf("n=%d: node %d hosted at %v, but node %d between it and its chain's first %d is at %v",
+						n, node, nd.host, j, first, pr.nodes[j].host)
+				}
+			}
+			if pos := int(pr.pos(node)); pos != node-first || pos >= bits.Len(uint(n-1)) {
+				t.Fatalf("n=%d: node %d at position %d of %v's chain, want %d below %d",
+					n, node, pos, nd.host, node-first, bits.Len(uint(n-1)))
+			}
+		}
+	}
+}
+
 func TestNegativeWindowPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -168,5 +192,73 @@ func TestNegativeWindowPanics(t *testing.T) {
 func TestName(t *testing.T) {
 	if NewMachine(2).Name != "combining" {
 		t.Fatal("wrong name")
+	}
+}
+
+// staleWatch runs the combining protocol and counts the response copies
+// that land at a node while a newer batch of that node is in flight: the
+// copies a reused batch id would apply to the wrong batch.
+type staleWatch struct {
+	*proto
+	stale int
+}
+
+func (w *staleWatch) Deliver(nw sim.Transport, msg sim.Message) {
+	if pos, ok := msg.Payload.(respTo); ok {
+		_, id := sim.Unpair(msg.Word)
+		nd := &w.nodes[w.top[msg.To]+int(pos)]
+		if !slices.ContainsFunc(nd.inFlight, func(f flight) bool { return f.id == id }) &&
+			slices.ContainsFunc(nd.inFlight, func(f flight) bool { return f.id > id }) {
+			w.stale++
+		}
+	}
+	w.proto.Deliver(nw, msg)
+}
+
+// TestDuplicatedResponseAfterNewerBatch: under latencies of 1–5 ticks and
+// a fault plan duplicating one send in five, responses are duplicated and
+// some copies land after their node has opened and sent a newer batch, so
+// the newer batch is in flight when the copy arrives. Each such copy is
+// dropped (batch ids are never reused), and every operation's value is the
+// one below, measured on the map-keyed batches this protocol replaced.
+// Processor p starts operations at 2p and then every 40 ticks, four waves,
+// so batches pipeline at every node. The values skip numbers where a
+// duplicated request was counted twice.
+func TestDuplicatedResponseAfterNewerBatch(t *testing.T) {
+	const n, waves = 8, 4
+	want := []int{
+		1, 2, 5, 8, 7, 9, 11, 12,
+		14, 17, 18, 19, 16, 21, 22, 23,
+		25, 24, 26, 30, 28, 31, 32, 33,
+		34, 36, 39, 46, 40, 44, 43, 45,
+	}
+	w := &staleWatch{proto: newProto(n, 2)}
+	m := w.proto.Machine()
+	m.Proto = w
+	c := counter.OnSim(m,
+		sim.WithLatency(sim.UniformLatency{Min: 1, Max: 5}),
+		sim.WithFaults(sim.FaultPlan{Dup: 0.2, Seed: 3}))
+	var ids []sim.OpID
+	for wave := range waves {
+		for p := sim.ProcID(1); p <= n; p++ {
+			ids = append(ids, c.Start(int64(2*int(p)+40*wave), p))
+		}
+	}
+	if err := c.Net().Run(); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]int, len(ids))
+	for i, id := range ids {
+		v, ok := c.OpValue(id)
+		if !ok {
+			t.Fatalf("operation %d got no value", id)
+		}
+		got[i] = v
+	}
+	if w.stale == 0 {
+		t.Fatal("no duplicated response landed while a newer batch was in flight")
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("values\n got %v\nwant %v", got, want)
 	}
 }

@@ -38,17 +38,13 @@ type token struct {
 // Message kinds. A token, its exit and its value travel in the message
 // word: tokenWord carries sim.Pair(Node·width+Idx, Origin), the level
 // following from the node; exitWord sim.Pair(Idx, Origin) to leaf counter
-// Idx's owner; valueWord the assigned value. Only the prism's timer is
-// boxed.
+// Idx's owner; valueWord the assigned value; prismTimer, which expires a
+// parked token, sim.Pair(Seq, Node) of the parking it expires.
 type (
-	tokenWord struct{}
-	exitWord  struct{}
-	valueWord struct{}
-	// prismTimer expires a parked token.
-	prismTimer struct {
-		Node int
-		Seq  int
-	}
+	tokenWord  struct{}
+	exitWord   struct{}
+	valueWord  struct{}
+	prismTimer struct{}
 )
 
 func (tokenWord) Kind() string  { return "token" }
@@ -195,16 +191,17 @@ func (pr *proto) arrive(nw sim.Transport, tk token) {
 	nd.seq++
 	nd.parked = &parked
 	nd.tok = nw.Adopt()
-	nw.AfterDetached(pr.window, prismTimer{Node: tk.Node, Seq: nd.seq})
+	nw.AfterDetached(pr.window, prismTimer{}, sim.Pair(nd.seq, tk.Node))
 }
 
 func (pr *proto) Deliver(nw sim.Transport, msg sim.Message) {
-	switch pl := msg.Payload.(type) {
+	switch msg.Payload.(type) {
 	case tokenWord:
 		pr.arrive(nw, pr.unpack(msg.Word))
 	case prismTimer:
-		nd := &pr.nodes[pl.Node]
-		if nd.parked != nil && nd.seq == pl.Seq {
+		seq, node := sim.Unpair(msg.Word)
+		nd := &pr.nodes[node]
+		if nd.parked != nil && nd.seq == seq {
 			// Un-paired expiry: the detached timer carries no operation,
 			// so the token continues through its adopted continuation.
 			tk := *nd.parked

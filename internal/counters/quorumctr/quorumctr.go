@@ -32,17 +32,14 @@ import (
 	"distcount/internal/sim"
 )
 
-// Message kinds. The read phase's carry their fields in the message word
-// (readReq: the origin; readResp: sim.Pair(val, ver)), so a read
-// boxes nothing. A write request's three fields do not fit one word; its
-// one box serves the whole quorum.
+// Message kinds. Each carries its fields in the message word (readReq: the
+// origin; readResp and writeReq: sim.Pair(val, ver)), so an operation boxes
+// nothing. A write request's origin is its sender: every write phase starts
+// at the operation's initiator.
 type (
 	readReq  struct{}
 	readResp struct{}
-	writeReq struct {
-		Origin   sim.ProcID
-		Val, Ver int
-	}
+	writeReq struct{}
 	writeAck struct{}
 )
 
@@ -54,6 +51,14 @@ func (writeAck) Kind() string { return "write-ack" }
 // replica is one processor's copy of the counter.
 type replica struct {
 	val, ver int
+}
+
+// write applies a write request's word w = sim.Pair(val, ver), unless the
+// replica already holds a version at least as new.
+func (r *replica) write(w int64) {
+	if val, ver := sim.Unpair(w); ver > r.ver {
+		r.val, r.ver = val, ver
+	}
 }
 
 // opState is one initiator's in-flight quorum probe: the quorum it chose,
@@ -112,14 +117,13 @@ func (pr *proto) observe(st *opState, r replica) {
 
 func (pr *proto) startWrite(nw sim.Transport, origin sim.ProcID, st *opState) {
 	val, ver := st.bestVal+1, st.ver+1
-	var req sim.Payload = writeReq{Origin: origin, Val: val, Ver: ver}
 	for _, member := range st.quorum {
 		if member == int(origin) {
 			pr.replicas[member] = replica{val: val, ver: ver}
 			continue
 		}
 		st.awaitAcks++
-		nw.Send(sim.ProcID(member), req)
+		nw.SendWord(sim.ProcID(member), writeReq{}, sim.Pair(val, ver))
 	}
 	if st.awaitAcks == 0 {
 		pr.ops.Finish(nw, origin, st.bestVal)
@@ -127,7 +131,7 @@ func (pr *proto) startWrite(nw sim.Transport, origin sim.ProcID, st *opState) {
 }
 
 func (pr *proto) Deliver(nw sim.Transport, msg sim.Message) {
-	switch pl := msg.Payload.(type) {
+	switch msg.Payload.(type) {
 	case readReq:
 		r := pr.replicas[msg.To]
 		nw.SendWord(sim.ProcID(msg.Word), readResp{}, sim.Pair(r.val, r.ver))
@@ -149,11 +153,8 @@ func (pr *proto) Deliver(nw sim.Transport, msg sim.Message) {
 			pr.startWrite(nw, msg.To, st)
 		}
 	case writeReq:
-		r := &pr.replicas[msg.To]
-		if pl.Ver > r.ver {
-			r.val, r.ver = pl.Val, pl.Ver
-		}
-		nw.Send(pl.Origin, writeAck{})
+		pr.replicas[msg.To].write(msg.Word)
+		nw.Send(msg.From, writeAck{})
 	case writeAck:
 		st, ok := pr.ops.GetFor(nw, msg.To)
 		if !ok || st.awaitAcks == 0 {

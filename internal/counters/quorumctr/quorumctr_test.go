@@ -166,18 +166,13 @@ func TestPayloadKinds(t *testing.T) {
 func TestStaleWriteIgnored(t *testing.T) {
 	// A replica must keep the higher-version value when writes arrive out
 	// of order. Exercised directly on the replica rule.
-	pr := &proto{replicas: make([]replica, 4)}
-	pr.replicas[2] = replica{val: 9, ver: 9}
-	// Simulate the writeReq guard: lower version must not regress.
-	if pl := (writeReq{Val: 3, Ver: 3}); pl.Ver > pr.replicas[2].ver {
-		t.Fatal("test setup wrong")
-	}
-	r := &pr.replicas[2]
-	pl := writeReq{Val: 3, Ver: 3}
-	if pl.Ver > r.ver {
-		r.val, r.ver = pl.Val, pl.Ver
-	}
+	r := replica{val: 9, ver: 9}
+	r.write(sim.Pair(3, 3))
 	if r.val != 9 || r.ver != 9 {
-		t.Fatalf("stale write regressed replica to %+v", *r)
+		t.Fatalf("stale write regressed replica to %+v", r)
+	}
+	r.write(sim.Pair(10, 10))
+	if r.val != 10 || r.ver != 10 {
+		t.Fatalf("newer write left replica at %+v", r)
 	}
 }

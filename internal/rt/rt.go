@@ -814,12 +814,12 @@ func (r *Runtime) lookup(id sim.OpID) *opRec {
 // scheduleTimer arms a wakeup that re-enters processor p's mailbox as a
 // local message after delay ticks of wall time. Attributed timers
 // (rec != nil) already hold a pending unit taken by After.
-func (r *Runtime) scheduleTimer(p sim.ProcID, delay int64, pl sim.Payload, rec *opRec, parent int32) {
+func (r *Runtime) scheduleTimer(p sim.ProcID, delay int64, pl sim.Payload, w int64, rec *opRec, parent int32) {
 	if delay < 0 {
 		delay = 0
 	}
 	r.clock.schedule(r.NowNs()+delay*int64(r.tick), p,
-		item{msg: sim.Message{From: p, To: p, Payload: pl, Local: true}, rec: rec, parent: parent})
+		item{msg: sim.Message{From: p, To: p, Payload: pl, Word: w, Local: true}, rec: rec, parent: parent})
 }
 
 // spin busy-waits for d, consuming the calling executor's core — the emulated
@@ -960,19 +960,22 @@ func (v *procView) Release(tok sim.OpToken) {
 	v.r.opRelease(rec)
 }
 
-// After implements sim.Transport: a local wakeup for this processor after
-// delay ticks of wall time, attributed to (and keeping open) the current
-// operation.
-func (v *procView) After(delay int64, pl sim.Payload) {
+// After implements sim.Transport: AfterWord with a zero word.
+func (v *procView) After(delay int64, pl sim.Payload) { v.AfterWord(delay, pl, 0) }
+
+// AfterWord implements sim.Transport: a local wakeup for this processor
+// after delay ticks of wall time, carrying the word w in its mailbox item,
+// attributed to (and keeping open) the current operation.
+func (v *procView) AfterWord(delay int64, pl sim.Payload, w int64) {
 	rec := v.cur
 	if rec != nil {
 		atomic.AddInt32(&rec.pending, 1)
 	}
-	v.r.scheduleTimer(v.p, delay, pl, rec, v.node)
+	v.r.scheduleTimer(v.p, delay, pl, w, rec, v.node)
 }
 
-// AfterDetached implements sim.Transport: a maintenance wakeup belonging to
-// no operation.
-func (v *procView) AfterDetached(delay int64, pl sim.Payload) {
-	v.r.scheduleTimer(v.p, delay, pl, nil, 0)
+// AfterDetached implements sim.Transport: a maintenance wakeup carrying the
+// word w and belonging to no operation.
+func (v *procView) AfterDetached(delay int64, pl sim.Payload, w int64) {
+	v.r.scheduleTimer(v.p, delay, pl, w, nil, 0)
 }

@@ -503,7 +503,7 @@ func TestCloseCancelsPendingTimers(t *testing.T) {
 			delay = 3_600_000_000 // an hour
 		}
 		after(nw, rt.DefaultTick, delay, int(p))
-		nw.AfterDetached(delay, wake{id: -int(p)})
+		nw.AfterDetached(delay, wake{id: -int(p)}, 0)
 		armed <- struct{}{}
 	}))
 	r.Start(0, 1)

@@ -14,7 +14,8 @@ import (
 
 // A message's inline word (sim.Transport.SendWord) rides in the mailbox item
 // with the payload, so it crosses workers and survives a duplicate like the
-// rest of the message.
+// rest of the message; a timer's (AfterWord, AfterDetached) rides in the
+// clock's wakeup the same way.
 
 // hop is a zero-size word kind: its word is the chain it belongs to in the
 // upper half and the hops it has made in the lower (sim.Pair).
@@ -179,5 +180,98 @@ func TestWordSendAs(t *testing.T) {
 	}
 	if msgs[idA] != 2 || msgs[idB] != 1 {
 		t.Fatalf("messages per op %v, want %d: 2 and %d: 1", msgs, idA, idB)
+	}
+}
+
+// tick is a zero-size timer kind: its word is the chain it belongs to in the
+// upper half and the wakeups it has made in the lower.
+type tick struct{}
+
+func (tick) Kind() string { return "tick" }
+
+// detachedChain marks a chain of detached timers in its id.
+const detachedChain = 1 << 30
+
+// tickChain re-arms each delivered timer one tick later, one wakeup further,
+// until it has made hops wakeups, and logs every wakeup; a detached chain
+// reports its end on finished.
+type tickChain struct {
+	hops     int
+	mu       sync.Mutex
+	got      map[int][]int // chain -> wakeups in delivery order
+	bad      []sim.Message // not local, not at its own processor, or in the wrong operation
+	finished chan int
+}
+
+func (c *tickChain) Deliver(nw sim.Transport, msg sim.Message) {
+	chain, made := sim.Unpair(msg.Word)
+	detached := chain&detachedChain != 0
+	c.mu.Lock()
+	c.got[chain] = append(c.got[chain], made)
+	if !msg.Local || msg.From != msg.To || detached != (nw.CurrentOp() == 0) {
+		c.bad = append(c.bad, msg)
+	}
+	c.mu.Unlock()
+	switch {
+	case made < c.hops:
+		nw.AfterWord(1, tick{}, sim.Pair(chain, made+1))
+	case detached:
+		c.finished <- chain
+	}
+}
+
+// TestWordTimerAcrossWorkers: every processor of a runtime served by two
+// workers starts one chain of attributed timers (AfterWord) and one of
+// detached ones (AfterDetached); each timer's word crosses the clock
+// goroutine and a worker intact, arrives local at its own processor, and the
+// attributed chain keeps its operation open to the end while sending
+// nothing. Chain ids sit past 2^31, so a word cut to 32 bits shows.
+func TestWordTimerAcrossWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const n, hops = 6, 100
+	c := &tickChain{hops: hops, got: map[int][]int{}, finished: make(chan int, n)}
+	chainOf := func(p sim.ProcID) int { return 1<<31 + int(p) }
+	r := rt.New(timerMachine(n, c, func(nw counter.Transport, p sim.ProcID) {
+		nw.AfterWord(1, tick{}, sim.Pair(chainOf(p), 1))
+		nw.AfterDetached(1, tick{}, sim.Pair(chainOf(p)|detachedChain, 1))
+	}))
+	defer r.Close()
+	done := make(chan sim.OpDone, n)
+	r.OnOpDone(func(d sim.OpDone) { done <- d })
+	for p := sim.ProcID(1); p <= n; p++ {
+		r.Start(0, p)
+	}
+	for range 2 * n {
+		select {
+		case d := <-done:
+			if d.Messages != 0 {
+				t.Errorf("op %d by %v: %d messages, want 0", d.ID, d.Initiator, d.Messages)
+			}
+		case <-c.finished:
+		case <-time.After(10 * time.Second):
+			t.Fatal("timer chains never completed")
+		}
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	want := make([]int, hops)
+	for i := range want {
+		want[i] = i + 1
+	}
+	for p := sim.ProcID(1); p <= n; p++ {
+		for _, chain := range []int{chainOf(p), chainOf(p) | detachedChain} {
+			if !slices.Equal(c.got[chain], want) {
+				t.Errorf("chain %#x: wakeups %v, want 1..%d", chain, c.got[chain], hops)
+			}
+		}
+	}
+	if len(c.got) != 2*n {
+		t.Errorf("%d chains delivered, want %d: a word was altered", len(c.got), 2*n)
+	}
+	if len(c.bad) != 0 {
+		t.Errorf("misdelivered wakeups: %+v", c.bad)
+	}
+	if r.MessagesTotal() != 0 {
+		t.Errorf("timers charged as %d messages", r.MessagesTotal())
 	}
 }

@@ -572,10 +572,14 @@ func (nw *Network) finish(st *opStats) {
 }
 
 // After schedules a local wakeup for the currently executing processor after
-// the given delay. The wakeup is delivered like a message with Local set but
-// is not a network message: it is excluded from all load accounting and
-// traces. Protocols use it for timing windows (e.g. combining intervals).
-func (nw *Network) After(delay int64, pl Payload) {
+// the given delay. It is AfterWord with a zero word.
+func (nw *Network) After(delay int64, pl Payload) { nw.AfterWord(delay, pl, 0) }
+
+// AfterWord is After with the inline word w, delivered as Message.Word. The
+// wakeup is delivered like a message with Local set but is not a network
+// message: it is excluded from all load accounting and traces. Protocols use
+// it for timing windows (e.g. combining intervals).
+func (nw *Network) AfterWord(delay int64, pl Payload, w int64) {
 	if !nw.inCallback {
 		panic("sim: After called outside a delivery context")
 	}
@@ -588,19 +592,19 @@ func (nw *Network) After(delay int64, pl Payload) {
 	p := int32(nw.cur.proc)
 	nw.seq++
 	e := nw.queue.slot(nw.now+delay, nw.seq)
-	e.payload, e.word, e.op = pl, 0, nw.cur.op
+	e.payload, e.word, e.op = pl, w, nw.cur.op
 	e.from, e.to, e.parent = p, p, nw.cur.node
 	e.local, e.reserved = true, false
 }
 
-// AfterDetached is After for a maintenance wakeup that belongs to no
+// AfterDetached is AfterWord for a maintenance wakeup that belongs to no
 // operation: it does not keep the current operation pending, and work done
 // when it fires is attributed to no op (sends from its delivery must
 // therefore use SendAs with a previously adopted token, or be genuine
 // maintenance traffic). Diffracting prisms use it for their expiry timers:
 // the parked operation is held by Adopt, so a stale timer outliving a
 // diffraction must not also pin the operation open.
-func (nw *Network) AfterDetached(delay int64, pl Payload) {
+func (nw *Network) AfterDetached(delay int64, pl Payload, w int64) {
 	if !nw.inCallback {
 		panic("sim: AfterDetached called outside a delivery context")
 	}
@@ -610,7 +614,7 @@ func (nw *Network) AfterDetached(delay int64, pl Payload) {
 	p := int32(nw.cur.proc)
 	nw.seq++
 	e := nw.queue.slot(nw.now+delay, nw.seq)
-	e.payload, e.word, e.op = pl, 0, 0
+	e.payload, e.word, e.op = pl, w, 0
 	e.from, e.to, e.parent = p, p, 0
 	e.local, e.reserved = true, false
 }

@@ -80,9 +80,9 @@ func BitsFor(v int) int {
 type Message struct {
 	From, To ProcID
 	Payload  Payload
-	// Word is the message's inline data word, as passed to SendWord or
-	// SendAs (0 for Send and timers). A duplicated or deferred message
-	// keeps it.
+	// Word is the message's inline data word, as passed to SendWord,
+	// SendAs, AfterWord or AfterDetached (0 for Send and After). A
+	// duplicated or deferred message keeps it.
 	Word int64
 	// Local marks a timer/self-wakeup: it is delivered through the normal
 	// event queue but is not a network message, so it is not counted in any
@@ -113,7 +113,8 @@ func Unpair(w int64) (hi, lo int) {
 // time, real concurrency). Protocols written against Transport
 // run unchanged on either. Both carry a message's inline word (SendWord,
 // SendAs) everywhere its payload goes: to the receiver, into a fault-injected
-// duplicate and through a deferral.
+// duplicate and through a deferral; a timer's word (AfterWord,
+// AfterDetached) reaches its wakeup the same way.
 //
 // All methods except N, Now and CurrentOp must be called from within a
 // delivery or start callback, in the execution context of one processor.
@@ -146,11 +147,16 @@ type Transport interface {
 	// Release discards an adopted continuation without sending.
 	Release(tok OpToken)
 	// After schedules a local wakeup for the current processor, attributed
-	// to (and keeping open) the current operation.
+	// to (and keeping open) the current operation. It is AfterWord with a
+	// zero word.
 	After(delay int64, pl Payload)
-	// AfterDetached is After for maintenance wakeups that belong to no
+	// AfterWord is After with the inline word w, delivered as Message.Word
+	// with Local set: a timer whose data fits in 64 bits schedules a
+	// zero-size kind value and boxes nothing.
+	AfterWord(delay int64, pl Payload, w int64)
+	// AfterDetached is AfterWord for maintenance wakeups that belong to no
 	// operation.
-	AfterDetached(delay int64, pl Payload)
+	AfterDetached(delay int64, pl Payload, w int64)
 }
 
 // Protocol is a distributed algorithm running on a transport. Per-processor

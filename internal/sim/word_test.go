@@ -9,9 +9,9 @@ import (
 // value plus the message's inline word (SendWord). The tests below follow
 // the word down the paths a message can take besides the plain one: a
 // fault-injected duplicate, a latency model keyed on the kind, a send inside
-// an adopted continuation (SendAs), and the send itself, which must box
-// nothing. The Freeze re-entry and the service-slot
-// deferral are in inplace_test.go's tables.
+// an adopted continuation (SendAs), a timer (AfterWord, AfterDetached), and
+// the send itself, which must box nothing. The Freeze re-entry and the
+// service-slot deferral are in inplace_test.go's tables.
 
 // wordKind is a zero-size word kind that sizes itself from its word.
 type wordKind struct{}
@@ -163,6 +163,64 @@ func TestWordSendAllocFree(t *testing.T) {
 	if got := nw.MaxMessageBits(); got != BitsFor(1<<40+2) {
 		t.Fatalf("MaxMessageBits = %d, want %d", got, BitsFor(1<<40+2))
 	}
+}
+
+// startTimers is an operation start that sets one attributed timer with
+// word wOp after 3 ticks and one detached timer with word wDet after 5.
+func startTimers(wOp, wDet int64) func(Transport, ProcID) {
+	return func(nw Transport, _ ProcID) {
+		nw.AfterWord(3, wordKind{}, wOp)
+		nw.AfterDetached(5, wordKind{}, wDet)
+	}
+}
+
+// TestWordTimer: a timer's word (AfterWord, AfterDetached) reaches its
+// wakeup, delivered with Local set at its own processor, the attributed one
+// inside its operation and the detached one in none; neither is a network
+// message. A crash still cancels both, words and all.
+func TestWordTimer(t *testing.T) {
+	wOp, wDet := int64(1<<40), Pair(1<<32-1, 7)
+	timer := func(at int64, op OpID, w int64) seen {
+		return seen{at, op, Message{From: 1, To: 1, Payload: wordKind{}, Word: w, Local: true}}
+	}
+	t.Run("delivered", func(t *testing.T) {
+		log := &wordLog{}
+		nw := New(2, log)
+		done := recordDone(t, nw)
+		id := nw.StartOp(1, startTimers(wOp, wDet))
+		if err := nw.Run(); err != nil {
+			t.Fatal(err)
+		}
+		want := []seen{timer(3, id, wOp), timer(5, 0, wDet)}
+		if !reflect.DeepEqual(log.got, want) {
+			t.Fatalf("deliveries:\n got %+v\nwant %+v", log.got, want)
+		}
+		if d, ok := done[id]; !ok || d.Messages != 0 || d.End != 3 {
+			t.Fatalf("completion %+v (ok %v), want 0 messages, ending at 3", d, ok)
+		}
+		if nw.MessagesTotal() != 0 || nw.Load(1) != 0 {
+			t.Fatalf("timers charged as messages: total %d, load %d", nw.MessagesTotal(), nw.Load(1))
+		}
+	})
+	t.Run("crash", func(t *testing.T) {
+		log := &wordLog{}
+		nw := New(2, log, WithFaults(FaultPlan{
+			Crashes: []Downtime{{Proc: 1, From: 2, To: 100}},
+			Freeze:  true,
+		}))
+		done := recordDone(t, nw)
+		id := nw.StartOp(1, startTimers(wOp, wDet))
+		if err := nw.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if len(log.got) != 0 {
+			t.Fatalf("timers at a crashed processor fired: %+v", log.got)
+		}
+		if fs := nw.FaultStats(); fs.TimersCancelled != 2 || fs.CrashDeferred != 0 {
+			t.Fatalf("fault stats = %+v, want two cancelled timers", fs)
+		}
+		requireLost(t, nw, done, id)
+	})
 }
 
 // TestPairRoundTrip: Pair packs two fields of [0, 2^32) into one word and
