@@ -47,6 +47,9 @@ var runTable = []struct {
 	{name: "bound_adv_ctree_trace", args: "bound -adversary -algo ctree -n 81 -trace"},
 	{name: "bound_adv_sampled", args: "bound -adversary -algo central -n 16 -sample 4"},
 	{name: "bound_adv_schedules", args: "bound -adversary -algo ctree -n 8 -schedules 3"},
+	// q's per-step lists under schedule exploration and on a Θ(n)-list row.
+	{name: "bound_adv_combining_schedules_trace", args: "bound -adversary -algo combining -n 8 -schedules 3 -trace"},
+	{name: "bound_adv_quorum_majority_trace", args: "bound -adversary -algo quorum-majority -n 8 -trace"},
 	{name: "exp_list", args: "exp -list"},
 	{name: "exp_e3_quick", args: "exp -exp E3 -quick"},
 	{name: "exp_e14_lower", args: "exp -exp e14"},
