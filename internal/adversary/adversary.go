@@ -10,13 +10,13 @@
 // must carry load Ω(k) with k·k^k = n.
 //
 // Run executes this construction against any simulated counter (a
-// counter.Sim, the kind that clones): at each step it clones the counter,
-// executes every remaining candidate's operation on a clone, measures the
-// resulting communication-list length (recorded by a trace.Recorder),
-// commits the longest candidate on the real counter, and records the proof
-// trace: the executed lengths L_i, the last processor's candidate lists and
-// their lengths l_i, the loads before each step, and the "first affected
-// position" f_i that the potential argument manipulates.
+// counter.Sim, the kind that clones) in two passes. The greedy pass runs
+// every remaining candidate's operation on a clone, keeps only the list
+// lengths (recorded by a trace.Recorder) and commits the longest. Once q is
+// known, a replay of the committed sequence probes q alone at each step.
+// Together they record the proof trace: the executed lengths L_i, q's
+// candidate lists and their lengths l_i, the loads before each step, and
+// the "first affected position" f_i that the potential argument manipulates.
 //
 // The recorded trace supports the structural checks of the proof:
 //
@@ -36,7 +36,7 @@ package adversary
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"distcount/internal/bound"
 	"distcount/internal/counter"
@@ -136,8 +136,13 @@ func ScheduleSeeds(s int) Option {
 }
 
 // Run executes the adversarial sequence construction on a fresh simulated
-// counter. It records the DAGs itself, holding the network's OnDeliver hook
-// for the run (replacing any installed before; none is left after).
+// counter in two passes. The greedy pass commits, step by step, the
+// candidate whose probe is longest, keeping only the probed lengths and the
+// schedules explored. In full mode a replay pass then reruns the committed
+// sequence on a copy of the counter taken before the first, probing q alone
+// before each step for its list, f_i and the loads: list memory is O(n·L).
+// Run records the DAGs itself, holding the network's OnDeliver hook for the
+// run (replacing any installed before; none is left after).
 func Run(c *counter.Sim, opts ...Option) (*Result, error) {
 	cfg := config{seed: 1}
 	for _, o := range opts {
@@ -145,8 +150,13 @@ func Run(c *counter.Sim, opts ...Option) (*Result, error) {
 	}
 	n := c.N()
 	full := cfg.sample <= 0 || cfg.sample >= n
-	var committed trace.Recorder
-	c.OnDeliver(committed.Record)
+	var start *counter.Sim
+	if full {
+		var err error
+		if start, err = c.Clone(); err != nil {
+			return nil, fmt.Errorf("adversary: %w", err)
+		}
+	}
 	defer c.OnDeliver(nil)
 	r := rng.New(cfg.seed)
 
@@ -159,94 +169,59 @@ func Run(c *counter.Sim, opts ...Option) (*Result, error) {
 		BoundK: bound.SolveK(n),
 		Full:   full,
 	}
-	// In full mode, every remaining candidate's hypothetical list is
-	// recorded per step; q's per-step lists (the quantity the proof's
-	// potential function tracks) are extracted once q is known, i.e. after
-	// the last step. Memory is O(n² · L), fine for the sizes full mode is
-	// meant for (n <= a few hundred).
-	var listsPerStep []map[sim.ProcID][]int
-	if full {
-		listsPerStep = make([]map[sim.ProcID][]int, 0, n)
-	}
+	// Per step, the latency seeds explored (nil: the inherited schedule
+	// only) and the index of the one the commit ran under.
+	seeds := make([][]uint64, 0, n)
+	picks := make([]int, 0, n)
 
 	for step := 0; step < n; step++ {
-		// Evaluate candidates: the adversary picks the processor whose
-		// communication list is longest (ties: smallest id, determinism).
-		// Latency seeds to explore per candidate (empty slice = keep the
-		// inherited schedule stream).
-		var seeds []uint64
+		var stepSeeds []uint64
 		if cfg.schedules > 1 {
-			seeds = make([]uint64, cfg.schedules)
-			for i := range seeds {
-				seeds[i] = r.Uint64()
+			stepSeeds = make([]uint64, cfg.schedules)
+			for i := range stepSeeds {
+				stepSeeds[i] = r.Uint64()
 			}
 		}
 
+		// The adversary picks the processor whose communication list is
+		// longest (ties: smallest id, determinism).
 		cands := candidates(remaining, cfg.sample, full, r)
-		bestIdx, bestLen := -1, -1
-		var bestSeed uint64
-		bestReseed := false
-		var stepLists map[sim.ProcID][]int
-		if full {
-			stepLists = make(map[sim.ProcID][]int, len(cands))
-		}
+		bestIdx, bestLen, bestPick := -1, -1, 0
 		candidateLens := make(map[sim.ProcID]int, len(cands))
 		for _, idx := range cands {
 			p := remaining[idx]
-			length, list, seed, reseeded, err := probe(c, p, full, seeds)
+			dag, pick, err := probe(c, p, stepSeeds)
 			if err != nil {
 				return nil, fmt.Errorf("adversary: probing %v at step %d: %w", p, step, err)
 			}
-			if full {
-				stepLists[p] = list
-			}
+			length := dag.ListLength()
 			candidateLens[p] = length
 			if length > bestLen {
-				bestLen, bestIdx = length, idx
-				bestSeed, bestReseed = seed, reseeded
+				bestLen, bestIdx, bestPick = length, idx, pick
 			}
 		}
 		if bestIdx < 0 {
 			return nil, fmt.Errorf("adversary: no candidate at step %d", step)
 		}
-		if full {
-			listsPerStep = append(listsPerStep, stepLists)
-		}
 
 		st := Step{Chosen: remaining[bestIdx], CandidateLens: candidateLens}
-		if full {
-			st.LoadsBefore = c.Net().Loads()
-		}
-
-		// Commit the chosen operation on the real counter, replaying the
-		// chosen schedule when schedules were explored.
-		if bestReseed {
-			c.Net().Reseed(bestSeed)
-		}
-		before := c.Ops()
-		if _, err := c.Inc(st.Chosen); err != nil {
+		dag, err := exec(c, st.Chosen, stepSeeds, bestPick)
+		if err != nil {
 			return nil, fmt.Errorf("adversary: committing %v at step %d: %w", st.Chosen, step, err)
-		}
-		dag := committed.DAG(sim.OpID(before + 1))
-		if dag == nil {
-			return nil, fmt.Errorf("adversary: missing DAG for committed op at step %d", step)
 		}
 		st.ListLen = dag.ListLength()
 		st.Participants = dag.Participants()
 
 		res.Steps = append(res.Steps, st)
+		seeds = append(seeds, stepSeeds)
+		picks = append(picks, bestPick)
 		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
 	}
 
 	res.Last = res.Steps[n-1].Chosen
 	if full {
-		for i := range res.Steps {
-			list := listsPerStep[i][res.Last]
-			res.Steps[i].LastList = list
-			if len(list) > 0 {
-				res.Steps[i].LastListLen = len(list) - 1
-			}
-			res.Steps[i].FirstAffected = firstAffected(list, res.Steps[i].Participants)
+		if err := replay(start, res, seeds, picks); err != nil {
+			return nil, err
 		}
 	}
 	res.Loads = c.Net().Loads()
@@ -254,15 +229,35 @@ func Run(c *counter.Sim, opts ...Option) (*Result, error) {
 	return res, nil
 }
 
+// replay reruns res's committed sequence on c, a copy of the counter taken
+// before it, under the same schedules. Before each commit it records the
+// loads and probes q alone, filling q's list, its length and f_i.
+func replay(c *counter.Sim, res *Result, seeds [][]uint64, picks []int) error {
+	for i := range res.Steps {
+		st := &res.Steps[i]
+		st.LoadsBefore = c.Net().Loads()
+		dag, _, err := probe(c, res.Last, seeds[i])
+		if err != nil {
+			return fmt.Errorf("adversary: replaying q = %v at step %d: %w", res.Last, i, err)
+		}
+		st.LastList = dag.CommunicationList()
+		st.LastListLen = dag.ListLength()
+		st.FirstAffected = firstAffected(st.LastList, st.Participants)
+		if dag, err = exec(c, st.Chosen, seeds[i], picks[i]); err != nil {
+			return fmt.Errorf("adversary: replaying %v at step %d: %w", st.Chosen, i, err)
+		}
+		if dag.ListLength() != st.ListLen {
+			return fmt.Errorf("adversary: replay of step %d ran %d messages, the commit %d", i, dag.ListLength(), st.ListLen)
+		}
+	}
+	return nil
+}
+
 // firstAffected returns the 1-based position of the first entry of list
 // that occurs in participants (sorted), or 0 if none does.
 func firstAffected(list []int, participants []int) int {
-	inOp := make(map[int]struct{}, len(participants))
-	for _, p := range participants {
-		inOp[p] = struct{}{}
-	}
 	for j, p := range list {
-		if _, ok := inOp[p]; ok {
+		if _, ok := slices.BinarySearch(participants, p); ok {
 			return j + 1
 		}
 	}
@@ -281,61 +276,47 @@ func candidates(remaining []sim.ProcID, sample int, full bool, r *rng.Source) []
 	// Random subset without replacement.
 	perm := r.Perm(len(remaining))
 	out := perm[:sample]
-	sort.Ints(out)
+	slices.Sort(out)
 	return out
 }
 
-// probe runs p's operation on clones — once per latency seed, or once on
-// the inherited schedule when seeds is empty — and returns the longest
-// communication list found, the seed that produced it, and whether a
-// reseed is needed to replay it.
-func probe(c *counter.Sim, p sim.ProcID, full bool, seeds []uint64) (length int, list []int, seed uint64, reseeded bool, err error) {
-	type scheduleTry struct {
-		seed   uint64
-		reseed bool
-	}
-	tries := []scheduleTry{{}}
-	if len(seeds) > 0 {
-		tries = tries[:0]
-		for _, s := range seeds {
-			tries = append(tries, scheduleTry{seed: s, reseed: true})
+// probe runs p's operation on clones of c, once per latency seed or once on
+// the inherited schedule when seeds is empty, and returns the first longest
+// operation's DAG and the index of its seed.
+func probe(c *counter.Sim, p sim.ProcID, seeds []uint64) (*trace.DAG, int, error) {
+	var best *trace.DAG
+	pick := 0
+	for i := 0; i < max(1, len(seeds)); i++ {
+		cl, err := c.Clone()
+		if err != nil {
+			return nil, 0, err
+		}
+		dag, err := exec(cl, p, seeds, i)
+		if err != nil {
+			return nil, 0, err
+		}
+		if best == nil || dag.ListLength() > best.ListLength() {
+			best, pick = dag, i
 		}
 	}
-	length = -1
-	for _, try := range tries {
-		l, lst, perr := probeOnce(c, p, full, try.seed, try.reseed)
-		if perr != nil {
-			return 0, nil, 0, false, perr
-		}
-		if l > length {
-			length, list, seed, reseeded = l, lst, try.seed, try.reseed
-		}
-	}
-	return length, list, seed, reseeded, nil
+	return best, pick, nil
 }
 
-// probeOnce clones the counter (optionally reseeding the clone's schedule)
-// and executes p's operation, recording its DAG.
-func probeOnce(c *counter.Sim, p sim.ProcID, full bool, seed uint64, reseed bool) (int, []int, error) {
-	cl, err := c.Clone()
-	if err != nil {
-		return 0, nil, err
-	}
-	if reseed {
-		cl.Net().Reseed(seed)
+// exec runs p's operation on c under a fresh recorder, first reseeding c's
+// schedule with seeds[i] when seeds is not empty, and returns its DAG.
+func exec(c *counter.Sim, p sim.ProcID, seeds []uint64, i int) (*trace.DAG, error) {
+	if len(seeds) > 0 {
+		c.Net().Reseed(seeds[i])
 	}
 	var rec trace.Recorder
-	cl.OnDeliver(rec.Record)
-	before := cl.Ops()
-	if _, err := cl.Inc(p); err != nil {
-		return 0, nil, err
+	c.OnDeliver(rec.Record)
+	before := c.Ops()
+	if _, err := c.Inc(p); err != nil {
+		return nil, err
 	}
 	dag := rec.DAG(sim.OpID(before + 1))
 	if dag == nil {
-		return 0, nil, fmt.Errorf("probe of %v produced no DAG", p)
+		return nil, fmt.Errorf("operation of %v produced no DAG", p)
 	}
-	if !full {
-		return dag.ListLength(), nil, nil
-	}
-	return dag.ListLength(), dag.CommunicationList(), nil
+	return dag, nil
 }

@@ -1,12 +1,14 @@
 package adversary
 
 import (
+	"slices"
 	"testing"
 
 	"distcount/internal/core"
 	"distcount/internal/counter"
 	"distcount/internal/counters/central"
 	"distcount/internal/counters/tokenring"
+	"distcount/internal/registry"
 	"distcount/internal/sim"
 	"distcount/internal/trace"
 )
@@ -326,6 +328,56 @@ func TestRunRecordsItsOwnDAGs(t *testing.T) {
 		if before.DAG(op) != nil {
 			t.Fatalf("op %d reached the hook installed before Run", op)
 		}
+	}
+}
+
+// TestReplayMatchesDirectProbe holds Run's replay pass to the method it
+// replaced, one clone per step: for every registry row, commit the chosen
+// sequence on a fresh counter and, before each step, probe q on a clone of
+// it directly. q's list, its length, f_i and the loads must equal Run's.
+func TestReplayMatchesDirectProbe(t *testing.T) {
+	for _, name := range registry.Names() {
+		t.Run(name, func(t *testing.T) {
+			c, err := registry.New(name, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Run(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := registry.New(name, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, st := range res.Steps {
+				if loads := ref.Net().Loads(); !slices.Equal(st.LoadsBefore, loads) {
+					t.Fatalf("step %d: LoadsBefore %v, direct %v", i, st.LoadsBefore, loads)
+				}
+				cl, err := ref.Clone()
+				if err != nil {
+					t.Fatal(err)
+				}
+				var rec trace.Recorder
+				cl.OnDeliver(rec.Record)
+				id := sim.OpID(cl.Ops() + 1)
+				if _, err := cl.Inc(res.Last); err != nil {
+					t.Fatal(err)
+				}
+				dag := rec.DAG(id)
+				list := dag.CommunicationList()
+				if !slices.Equal(st.LastList, list) || st.LastListLen != dag.ListLength() {
+					t.Fatalf("step %d: LastList %v (l=%d), direct %v (l=%d)",
+						i, st.LastList, st.LastListLen, list, dag.ListLength())
+				}
+				if f := firstAffected(list, st.Participants); st.FirstAffected != f {
+					t.Fatalf("step %d: FirstAffected %d, direct %d", i, st.FirstAffected, f)
+				}
+				if _, err := ref.Inc(st.Chosen); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
