@@ -23,17 +23,17 @@ import (
 var studyGoldenHashes = map[string]string{
 	"scaling.text":    "cb50c1ef098cb2aa6f160595d3114d42586bf9cd14a8a9999ea2d94d6d0eeea8",
 	"scaling.json":    "47b07839154d6a39f0e2adb84c74a452312419e1d0b048cdd23b28c072b788e6",
-	"regression.text": "930300d336f5768a84a71de7e16e2ecac0c9a25cb9749bd278eb480661800d42",
-	"regression.json": "a797e92df5f0068f1a0872f8f2d568c90875ecb83a4555729886d5a752e9acad",
-	"faults.text":     "445f5356fa075a3b90677ec37b326ba574f54389ebec7d1ed305b836afa8c5e5",
-	"faults.json":     "e025d425c4df81f166738b0b394c3f3ce0e5e16bf50e5b0558d24e112eb52875",
+	"regression.text": "54ad46f1edb517928ab05f499a5d6596a35d4bf56d7a20945796288205181b93",
+	"regression.json": "9e8f0b26bba84892e3e4c939163abe5c9e9339654490b555fcacfed2936ec9aa",
+	"faults.text":     "550647368783076f8b1c2167b6f3b569d803671ac42b2776c9e1955ae75103fc",
+	"faults.json":     "736f02709c0894e81ba879f449c36ce618d7f59fcdaa4bc0e467367671fc8c2b",
 	"skew.text":       "efb98ba1e5bbfe7343801c47b9e8c2700be51b24d11aac59e7d373ad92c496bc",
 	"skew.json":       "b231fde7fdf55f51edb5b469cd13ccefd3d4b660fde5160e052d81303f7a28c8",
 	"accuracy.text":   "349005d55dcf159527dd8539c7e54d297adfbe5b0ae5001867944582acf715e6",
 	"accuracy.json":   "caa7b206c0b7be0a1608490f4d858774b00301ac8156639513583204388302c6",
-	"check.csv":       "8ea5c8afcd7fcd7b2a88691cc09d31a7edce977475cb1021dc2513757892cc4c",
+	"check.csv":       "bff3e47ca334f253def975809ea4179ee37c4aa7fe73410f84a0ffda32913c56",
 	"check.text":      "2a95d0e1b9bc7929233ab523caa74b10baffabd89bbb50980cc76ec406b6844b",
-	"check.json":      "7d9f10a0a51fbf894500c61a0d13dceafadbafa634f7899b33670d8d2554b26d",
+	"check.json":      "99c255b57ed18a4f0a12de07b02ef0edd3b0da009ebaeb447194cc19c82b93ad",
 }
 
 // TestStudyGoldens: the five sim studies are pure functions of the code.

@@ -13,6 +13,12 @@ import (
 // measured. With the default retirement threshold the test suite asserts
 // that no violation is ever recorded.
 //
+// The checker is an observer of the whole run, not protocol state: it sees
+// every processor's retirements and counts in one place, which only the
+// single-threaded simulator can offer, and its per-operation windows assume
+// the sequential model. Only core.New's Tree turns it on; NewMachine, the
+// protocol both backends run, leaves it off.
+//
 // Checked per operation:
 //
 //   - Retirement Lemma: "No node retires more than once during any single
@@ -69,10 +75,11 @@ func newChecker(g geometry, retireAge int, nodes []node) *checker {
 		if nodes[id].level == 0 {
 			continue
 		}
-		if prev := c.owner[nodes[id].cur]; prev != 0 {
-			c.violate("initial identifiers collide: nodes %d and %d both at %v", prev, id, nodes[id].cur)
+		p := nodes[id].poolStart
+		if prev := c.owner[p]; prev != 0 {
+			c.violate("initial identifiers collide: nodes %d and %d both at %v", prev, id, p)
 		}
-		c.owner[nodes[id].cur] = int32(id)
+		c.owner[p] = int32(id)
 	}
 	return c
 }

@@ -33,6 +33,26 @@
 // protocol with a constant number of extra messages" is realized as
 // successor forwarding for messages addressed through stale neighbor tables.
 //
+// # Message passing
+//
+// The handoff carries the role. Each processor owns its status in the pools
+// it is in — waiting, holding or retired, for at most the root and one inner
+// node, since the pools of levels 1..k tile 1..n — and a node's table (age,
+// neighbor processors) and the root's state belong to the node's holder:
+// no other processor reads or writes them. The retiring processor marks
+// itself retired and sends the k+2 messages; the successor takes the role
+// when the job message lands (for the root, the job carrying the root
+// state), merges the parent and child messages into the table, and holds a
+// message that reaches it for the role before the job, serving it when the
+// job lands. A retired processor forwards to its successor. The rt backend
+// therefore runs the tree's receivers concurrently. Under message loss a
+// lost job strands its role and the operations behind it wedge: the paper's
+// model has no loss.
+//
+// The lemma instrumentation (checks.go) is the exception: a global observer
+// of the run, not protocol state, which only the simulated Tree of New
+// turns on. NewMachine, what both backends run, leaves it off.
+//
 // # Reconstructed constants
 //
 // The source scan of the paper loses most numeric constants. This
@@ -152,14 +172,20 @@ func (t *Tree) Do(p sim.ProcID, req any) (any, error) {
 func (t *Tree) K() int { return t.proto.g.k }
 
 // State returns the live root state (owned by the root's current
-// processor; read it only at quiescence).
+// processor; read it only at quiescence). It is nil while the root's
+// state-carrying handoff message is in flight, or after it was lost.
 func (t *Tree) State() RootState { return t.proto.root }
 
 // RetireAge returns the retirement threshold in effect (0 = disabled).
 func (t *Tree) RetireAge() int { return t.proto.retireAge }
 
-// Stats returns protocol-level counters.
-func (t *Tree) Stats() Stats { return t.proto.stats }
+// Stats returns protocol-level counters, summed over the processors (Ops is
+// the network's count of operations started). Read it at quiescence.
+func (t *Tree) Stats() Stats {
+	st := t.proto.totals()
+	st.Ops = int64(t.Ops())
+	return st
+}
 
 // CloneTree returns an independent deep copy of the tree and its network.
 func (t *Tree) CloneTree() (*Tree, error) {
@@ -211,18 +237,21 @@ type NodeInfo struct {
 	Age        int
 }
 
-// Nodes returns snapshots of all inner nodes in level order.
+// Nodes returns snapshots of all inner nodes in level order. Read it at
+// quiescence.
 func (t *Tree) Nodes() []NodeInfo {
-	out := make([]NodeInfo, len(t.proto.nodes))
-	for i := range t.proto.nodes {
-		nd := &t.proto.nodes[i]
-		out[i] = NodeInfo{
+	pr := t.proto
+	out := make([]NodeInfo, len(pr.nodes))
+	for id := range pr.nodes {
+		nd := &pr.nodes[id]
+		cur := pr.holder(id)
+		out[id] = NodeInfo{
 			Level:     nd.level,
 			Pos:       nd.pos,
-			Cur:       nd.cur,
+			Cur:       cur,
 			PoolStart: nd.poolStart,
 			PoolSize:  nd.poolSize,
-			Retired:   nd.retirements(),
+			Retired:   int(cur - nd.poolStart),
 			Age:       nd.age,
 		}
 	}
@@ -234,23 +263,21 @@ func (t *Tree) Nodes() []NodeInfo {
 // that never hosted an inner node must have load exactly 2 after the
 // canonical workload).
 func (t *Tree) HostedInner(p sim.ProcID) bool {
-	for i := range t.proto.nodes {
-		if t.proto.nodes[i].served(p) {
-			return true
-		}
+	pr := t.proto
+	if pr.status[p] != waiting {
+		return true
 	}
-	return false
+	return int(p) <= pr.g.kPowK && pr.status[pr.slot(p, 0)] != waiting
 }
 
 // Machine implements counter.Describer: the tree as a counter, its
 // operations started with no request. Value reads an integer reply; a tree
 // whose root state answers otherwise (the flip-bit, the priority queue)
-// reports ok == false, so Inc on it is an error. Serial: retirement rewrites
-// a node's current processor, which every receiver's ensureRole reads
-// (nodes[].cur is shared), so the rt backend must serialize all protocol
-// callbacks rather than run receivers concurrently. Linearizable: the root
-// applies operations in arrival order and replies directly to initiators,
-// so values respect real-time order under every schedule (experiment E13).
+// reports ok == false, so Inc on it is an error. Every handler reads and
+// writes only its receiver's state (see proto), so the rt backend runs
+// receivers concurrently. Linearizable: the root applies operations in
+// arrival order and replies directly to initiators, so values respect
+// real-time order under every schedule (experiment E13).
 func (pr *proto) Machine() counter.Machine {
 	return counter.Machine{
 		Name:     algoName,
@@ -263,14 +290,13 @@ func (pr *proto) Machine() counter.Machine {
 			return v, ok
 		},
 		Guarantee: counter.Exact(counter.Linearizable),
-		Serial:    true,
 	}
 }
 
 // NewMachine returns the backend-independent protocol descriptor for at
 // least n processors (the size rounds up to k^(k+1)) — what both backends
-// run. Lemma instrumentation stays off: its per-operation windows assume
-// the sequential model.
+// run. Lemma instrumentation stays off: it is a global observer, and its
+// per-operation windows assume the sequential model.
 func NewMachine(n int) counter.Machine {
 	k := KForSize(n)
 	return newProto(k, 4*k, &counterState{}, false).Machine()

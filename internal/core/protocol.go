@@ -33,18 +33,22 @@ type (
 	}
 	// valuePayload is the root's answer to the initiator.
 	valuePayload struct{ Reply any }
-	// handoffJobPayload tells the successor it now works for Node. For
-	// robustness it carries the full neighbor table; the separate
-	// handoffParentPayload / handoffChildPayload messages reproduce the
-	// paper's k+2 message accounting and let the receiver cross-check.
-	// For the root, a second job message stands in for the paper's
-	// value-carrying message ("It additionally informs the new processor
-	// of the counter value val"), keeping the k+2 total.
+	// handoffJobPayload tells the successor it now works for Node and which
+	// processor serves the node's parent; the successor takes the role when
+	// it lands. The root, which has no parent, sends two: the paper's job
+	// message and, in the parent message's slot, the one that "additionally
+	// informs the new processor of the counter value val". That one carries
+	// the root state (moved, not copied: the retiring processor gives its
+	// reference up), and only a root job carrying state hands the root over.
+	// The state is not charged to the message's size.
 	handoffJobPayload struct {
 		Node       int
 		Retirement int
 		ParentProc sim.ProcID
+		State      RootState
 	}
+	// handoffParentPayload and handoffChildPayload fill the rest of the
+	// successor's table: the parent's processor and the c-th child's.
 	handoffParentPayload struct {
 		Node       int
 		ParentProc sim.ProcID
@@ -71,40 +75,57 @@ func (handoffParentPayload) Kind() string { return "handoff-parent" }
 func (handoffChildPayload) Kind() string  { return "handoff-child" }
 func (newIDPayload) Kind() string         { return "new-id" }
 
-// node is the state of one inner node of the communication tree. The state
-// is owned by the node's current processor; the slice-of-structs layout is
-// an implementation convenience, not shared memory — every access happens in
-// the delivery context of the owning processor.
-//
-// A role only ever moves from its processor to the next one of its pool
-// (retire), so the processors that have served the node are exactly
-// [poolStart, cur]: the node's retirement count and the successor of any
-// processor it left are both derived, never stored.
+// node is one inner node of the communication tree. Its shape (level,
+// position, replacement pool) is fixed at construction, and any processor
+// may read it. Its table — age, the parent's processor and, in childProc,
+// the children's — belongs to the role: only the processor holding the node
+// reads or writes it, and the handoff messages carry it on to the
+// successor, which takes it over when the job lands. The slice-of-structs
+// layout is an implementation convenience, not shared memory. Processor ids
+// in the table only grow (a role moves from p to p+1), so handoff and
+// new-id messages merge into it by maximum, and one arriving late cannot
+// take it backwards.
 type node struct {
 	level, pos int
-	cur        sim.ProcID
 	poolStart  sim.ProcID
 	poolSize   int
 	age        int
 	parentProc sim.ProcID // known current processor of the parent node
 }
 
-// served reports whether processor p has worked for the node so far, its
-// current processor included.
-func (nd *node) served(p sim.ProcID) bool { return nd.poolStart <= p && p <= nd.cur }
-
-// retirements is the number of times the node has handed its role on.
-func (nd *node) retirements() int { return int(nd.cur - nd.poolStart) }
+// Statuses of one processor in one node's pool. A role only ever moves from
+// a processor to the next one of its pool, so the processors that have
+// served a node are its retired ones and its holder, in pool order.
+const (
+	waiting uint8 = iota // the node's job has not reached this processor
+	holding              // this processor serves the node
+	retired              // this processor handed the node on
+)
 
 // proto is the communication-tree protocol, generic over the root state.
+//
+// Every piece of protocol state belongs to one processor, and only that
+// processor's callbacks touch it, so the tree runs on the rt backend's
+// concurrent workers as on the simulator. Pools on levels 1..k tile 1..n
+// level by level, so a processor is in the pool of exactly one inner node
+// below the root and, for p <= k^k, of the root: it owns two status slots,
+// p (that inner node) and n+p (the root; see slot), with their held lists.
+// A node's table and, for the root, the root state belong to its holder.
 type proto struct {
 	g         geometry
 	retireAge int // age threshold; 0 disables retirement (ablation)
-	root      RootState
-	nodes     []node
+	// root is the root's state; it travels in the root's state-carrying job
+	// message, and is nil while that message is in flight.
+	root  RootState
+	nodes []node
 	// childProc[id*k+c] is node id's knowledge of its c-th child's current
 	// processor (a leaf's own id for level-k nodes).
 	childProc []sim.ProcID
+	// status[s] is slot s's standing in its pool, and held[s] the messages
+	// for its node that reached it before the job, each holding its
+	// operation open by an adopted token.
+	status []uint8
+	held   [][]heldMsg
 	// leafParent[l] is leaf l's knowledge of its parent's current processor.
 	leafParent []sim.ProcID
 	// leafLoad[p] counts the messages processor p sent or received in its
@@ -112,15 +133,31 @@ type proto struct {
 	// inc request, the value answer, and parent-retirement notifications.
 	// The Leaf Node Work Lemma bounds it.
 	leafLoad []int64
+	// stats[p] counts what only processor p sees happen; Tree.Stats sums
+	// it, and reads the operations off the network and the retirements off
+	// the statuses.
+	stats []procStats
 
 	// ops tracks the in-flight operation per initiating leaf and records
 	// each operation's delivered reply — shared with every other counter
-	// implementation via counter.Ops.
+	// implementation via counter.Ops, whose slots are per initiator too.
 	ops *counter.Ops[struct{}, any]
 
-	stats  Stats
-	checks *checker // nil when invariant checking is off
+	// checks is the lemma instrumentation: a global observer of the whole
+	// run, not protocol state. Only the simulated Tree (New) turns it on;
+	// NewMachine, which both backends run, leaves it nil.
+	checks *checker
 }
+
+// heldMsg is a message that reached a waiting processor: it is served once
+// the node's job lands, inside its own operation through tok.
+type heldMsg struct {
+	msg sim.Message
+	tok sim.OpToken
+}
+
+// procStats is one processor's share of Stats.
+type procStats struct{ forwarded, exhausted int64 }
 
 var _ sim.CloneableProtocol = (*proto)(nil)
 
@@ -149,8 +186,11 @@ func newProto(k, retireAge int, state RootState, checks bool) *proto {
 		root:       state,
 		nodes:      make([]node, g.nodeCount()),
 		childProc:  make([]sim.ProcID, g.nodeCount()*k),
+		status:     make([]uint8, g.n+g.kPowK+1),
+		held:       make([][]heldMsg, g.n+g.kPowK+1),
 		leafParent: make([]sim.ProcID, g.n+1),
 		leafLoad:   make([]int64, g.n+1),
+		stats:      make([]procStats, g.n+1),
 		ops:        counter.NewOps[struct{}, any](g.n),
 	}
 	for i := 0; i <= k; i++ {
@@ -160,30 +200,26 @@ func newProto(k, retireAge int, state RootState, checks bool) *proto {
 			nd := node{
 				level:     i,
 				pos:       j,
-				cur:       proc,
 				poolStart: proc,
 				poolSize:  pool,
 			}
 			if i > 0 {
-				pLevel, pPos := g.levelPos(g.parent(i, j))
-				pProc, _ := g.initialProc(pLevel, pPos)
-				nd.parentProc = pProc
+				nd.parentProc, _ = g.initialProc(g.levelPos(g.parent(i, j)))
 			}
 			children := pr.children(id)
 			for c := range children {
 				if i < k {
-					cLevel, cPos := g.levelPos(g.childNode(i, j, c))
-					children[c], _ = g.initialProc(cLevel, cPos)
+					children[c], _ = g.initialProc(g.levelPos(g.childNode(i, j, c)))
 				} else {
 					children[c] = g.leafChild(j, c)
 				}
 			}
 			pr.nodes[id] = nd
+			pr.status[pr.slot(proc, id)] = holding
 		}
 	}
 	for p := 1; p <= g.n; p++ {
-		parentNode := g.leafParentNode(sim.ProcID(p))
-		pr.leafParent[p] = pr.nodes[parentNode].cur
+		pr.leafParent[p] = pr.nodes[g.leafParentNode(sim.ProcID(p))].poolStart
 	}
 	if checks {
 		pr.checks = newChecker(g, retireAge, pr.nodes)
@@ -191,10 +227,37 @@ func newProto(k, retireAge int, state RootState, checks bool) *proto {
 	return pr
 }
 
+// slot returns the index of processor p's status in node id's pool: the
+// root's slots follow the n inner ones. A processor outside the node's pool
+// is never sent anything for it, so asking for one is a protocol bug.
+func (pr *proto) slot(p sim.ProcID, id int) int {
+	nd := &pr.nodes[id]
+	if p < nd.poolStart || int(p-nd.poolStart) >= nd.poolSize {
+		panic(fmt.Sprintf("core: processor %v received a message for node %d, which it never serves (pool %v..%v)",
+			p, id, nd.poolStart, nd.poolStart+sim.ProcID(nd.poolSize-1)))
+	}
+	if id == 0 {
+		return pr.g.n + int(p)
+	}
+	return int(p)
+}
+
 // children returns node id's row of the childProc arena.
 func (pr *proto) children(id int) []sim.ProcID {
 	k := pr.g.k
 	return pr.childProc[id*k : id*k+k]
+}
+
+// holder returns the processor serving node id: the first of its pool that
+// has not retired. It reads every pool member's status, so only readouts at
+// quiescence call it. A processor whose job was lost holds nothing yet and
+// is returned all the same: the role is stranded there.
+func (pr *proto) holder(id int) sim.ProcID {
+	p := pr.nodes[id].poolStart
+	for pr.status[pr.slot(p, id)] == retired {
+		p++
+	}
+	return p
 }
 
 // initiate is the counter's operation start: an inc carries no request.
@@ -206,7 +269,6 @@ func (pr *proto) initiate(nw sim.Transport, p sim.ProcID) {
 // parent. The lemma checker's window for it opens here.
 func (pr *proto) initiateReq(nw sim.Transport, p sim.ProcID, req any) {
 	pr.ops.Begin(nw, p)
-	pr.stats.Ops++
 	if pr.checks != nil {
 		pr.checks.beginOp()
 	}
@@ -226,76 +288,129 @@ func (pr *proto) sendInc(nw sim.Transport, to sim.ProcID, target int, origin sim
 
 // Deliver implements sim.Protocol.
 func (pr *proto) Deliver(nw sim.Transport, msg sim.Message) {
+	var target int
 	switch pl := msg.Payload.(type) {
 	case incWord:
-		target, origin := sim.Unpair(msg.Word)
-		if !pr.ensureRole(nw, msg.To, target, msg) {
-			return
-		}
-		pr.handleInc(nw, target, sim.ProcID(origin), nil)
+		target, _ = sim.Unpair(msg.Word)
 	case incPayload:
-		if !pr.ensureRole(nw, msg.To, pl.Target, msg) {
-			return
-		}
-		pr.handleInc(nw, pl.Target, pl.Origin, pl.Req)
-	case valuePayload:
-		pr.leafLoad[msg.To]++
-		pr.ops.Finish(nw, msg.To, pl.Reply)
+		target = pl.Target
 	case newIDPayload:
 		if pl.Target == leafTarget {
 			pr.leafLoad[msg.To]++
-			pr.leafParent[msg.To] = pl.NewProc
+			pr.leafParent[msg.To] = max(pr.leafParent[msg.To], pl.NewProc)
 			return
 		}
-		if !pr.ensureRole(nw, msg.To, pl.Target, msg) {
-			return
-		}
-		pr.handleNewID(nw, pl)
+		target = pl.Target
+	case handoffParentPayload:
+		target = pl.Node
+	case handoffChildPayload:
+		target = pl.Node
 	case handoffJobPayload:
-		// State transfer is effected at retirement time (see retire); the
-		// job message carries the authoritative table so the successor can
-		// cross-check what it was handed. The check is skipped when the
-		// role has already moved on again (possible under reordering
-		// latencies in ablation configurations).
-		nd := &pr.nodes[pl.Node]
-		if nd.retirements() == pl.Retirement && nd.cur != msg.To {
-			panic(fmt.Sprintf("core: handoff job for node %d delivered to %v, current %v",
-				pl.Node, msg.To, nd.cur))
-		}
-	case handoffParentPayload, handoffChildPayload:
-		// Pure accounting: these reproduce the paper's k+2 handoff message
-		// count; their content duplicates what the job message carries.
+		pr.take(nw, msg.To, pl)
+		return
+	case valuePayload:
+		pr.leafLoad[msg.To]++
+		pr.ops.Finish(nw, msg.To, pl.Reply)
+		return
 	default:
 		panic(fmt.Sprintf("core: unexpected payload %T", msg.Payload))
 	}
+	pr.serve(nw, msg, target)
 }
 
-// ensureRole checks that the receiving processor currently works for the
-// target node; if it retired from that role, the message is forwarded to its
-// successor proc+1 (one extra message per stale hop — the paper's
-// constant-overhead handshake) and false is returned. The forward re-sends
-// msg's payload as it arrived — a word kind with its word, a boxed payload
-// in the box it came in — so it allocates nothing; passing the type-switched
-// value instead would box a second copy on every delivery, forwarded or not.
-func (pr *proto) ensureRole(nw sim.Transport, proc sim.ProcID, target int, msg sim.Message) bool {
-	nd := &pr.nodes[target]
-	if nd.cur == proc {
-		return true
+// serve handles a message for node target at its receiver p, by p's status
+// in the node's pool: the holder acts on it; a retired processor forwards
+// it to its successor p+1 (one extra message per stale hop — the paper's
+// constant-overhead handshake); a waiting one holds it until the node's job
+// lands. The forward re-sends msg's payload as it arrived — a word kind
+// with its word, a boxed payload in the box it came in — so it allocates
+// nothing.
+func (pr *proto) serve(nw sim.Transport, msg sim.Message, target int) {
+	p := msg.To
+	s := pr.slot(p, target)
+	switch pr.status[s] {
+	case retired:
+		pr.stats[p].forwarded++
+		nw.SendWord(p+1, msg.Payload, msg.Word)
+		return
+	case waiting:
+		if pr.held == nil { // a clone's, made on first use (see CloneProtocol)
+			pr.held = make([][]heldMsg, len(pr.status))
+		}
+		pr.held[s] = append(pr.held[s], heldMsg{msg: msg, tok: nw.Adopt()})
+		return
 	}
-	if !nd.served(proc) {
-		panic(fmt.Sprintf("core: processor %v received message for node %d it never served (current %v)",
-			proc, target, nd.cur))
+	switch pl := msg.Payload.(type) {
+	case incWord:
+		_, origin := sim.Unpair(msg.Word)
+		pr.handleInc(nw, p, s, target, sim.ProcID(origin), nil)
+	case incPayload:
+		pr.handleInc(nw, p, s, target, pl.Origin, pl.Req)
+	case newIDPayload:
+		pr.handleNewID(nw, p, s, pl)
+	case handoffParentPayload:
+		nd := &pr.nodes[target]
+		nd.parentProc = max(nd.parentProc, pl.ParentProc)
+	case handoffChildPayload:
+		kid := &pr.children(target)[pl.Idx]
+		*kid = max(*kid, pl.ChildProc)
 	}
-	pr.stats.Forwarded++
-	nw.SendWord(proc+1, msg.Payload, msg.Word)
-	return false
+}
+
+// take hands node pl.Node to p when its job lands: p takes the node's table
+// over, with the parent the job names, and serves in arrival order what it
+// held for the node meanwhile. A job reaching a processor that is
+// not waiting duplicates one already taken and is ignored, as is the root's
+// job that carries no state (its twin hands the root over).
+func (pr *proto) take(nw sim.Transport, p sim.ProcID, pl handoffJobPayload) {
+	s := pr.slot(p, pl.Node)
+	if pr.status[s] != waiting || (pl.Node == 0 && pl.State == nil) {
+		return
+	}
+	pr.status[s] = holding
+	nd := &pr.nodes[pl.Node]
+	nd.parentProc = max(nd.parentProc, pl.ParentProc)
+	if pl.Node == 0 {
+		pr.root = pl.State
+	}
+	var held []heldMsg
+	if pr.held != nil {
+		held, pr.held[s] = pr.held[s], nil
+	}
+	for _, h := range held {
+		at := &adopted{Transport: nw, tok: h.tok}
+		pr.serve(at, h.msg, pl.Node)
+		if at.tok.Valid() {
+			nw.Release(at.tok)
+		}
+	}
+}
+
+// adopted is the transport a held message is served on. Its first send —
+// the inc's next hop or reply, or a forward — continues the held operation
+// (SendAs spends the token); any further send, a retirement the message
+// triggered, belongs to the delivery that released it, as a cascade does.
+type adopted struct {
+	sim.Transport
+	tok sim.OpToken
+}
+
+func (a *adopted) Send(to sim.ProcID, pl sim.Payload) { a.SendWord(to, pl, 0) }
+
+func (a *adopted) SendWord(to sim.ProcID, pl sim.Payload, w int64) {
+	if !a.tok.Valid() {
+		a.Transport.SendWord(to, pl, w)
+		return
+	}
+	a.Transport.SendAs(a.tok, to, pl, w)
+	a.tok = sim.OpToken{}
 }
 
 // handleInc processes "op from p" at a node: the root applies the request
 // to its state and answers the initiator directly; any other node forwards
 // to its parent. Either way the node's age grows by two (one receive, one
 // send) and the node retires if it has grown old.
-func (pr *proto) handleInc(nw sim.Transport, target int, origin sim.ProcID, req any) {
+func (pr *proto) handleInc(nw sim.Transport, p sim.ProcID, s, target int, origin sim.ProcID, req any) {
 	nd := &pr.nodes[target]
 	if nd.level == 0 {
 		nw.Send(origin, valuePayload{Reply: pr.root.Apply(req)})
@@ -306,26 +421,26 @@ func (pr *proto) handleInc(nw sim.Transport, target int, origin sim.ProcID, req 
 	if pr.checks != nil {
 		pr.checks.nodeMsgs(target, 2)
 	}
-	pr.maybeRetire(nw, target)
+	pr.maybeRetire(nw, p, s, target)
 }
 
 // handleNewID updates the receiver's neighbor table after a neighbor's
 // retirement; receiving the notification ages the node and may cascade its
 // own retirement (paper: "It may of course happen that this increment
 // triggers the retirement of parent and children nodes").
-func (pr *proto) handleNewID(nw sim.Transport, pl newIDPayload) {
+func (pr *proto) handleNewID(nw sim.Transport, p sim.ProcID, s int, pl newIDPayload) {
 	nd := &pr.nodes[pl.Target]
-	switch {
-	case nd.level > 0 && pr.g.parent(nd.level, nd.pos) == pl.Changed:
-		nd.parentProc = pl.NewProc
-	default:
-		pr.children(pl.Target)[pr.childIndex(pl.Target, pl.Changed)] = pl.NewProc
+	if nd.level > 0 && pr.g.parent(nd.level, nd.pos) == pl.Changed {
+		nd.parentProc = max(nd.parentProc, pl.NewProc)
+	} else {
+		kid := &pr.children(pl.Target)[pr.childIndex(pl.Target, pl.Changed)]
+		*kid = max(*kid, pl.NewProc)
 	}
 	nd.age++
 	if pr.checks != nil {
 		pr.checks.nodeMsgs(pl.Target, 1)
 	}
-	pr.maybeRetire(nw, pl.Target)
+	pr.maybeRetire(nw, p, s, pl.Target)
 }
 
 // childIndex finds which child slot of parent refers to node changed.
@@ -338,10 +453,10 @@ func (pr *proto) childIndex(parent, changed int) int {
 	return cPos % pr.g.k
 }
 
-// maybeRetire retires the node if its age reached the threshold. "After
-// incrementing its age value a node decides locally whether it should
-// retire."
-func (pr *proto) maybeRetire(nw sim.Transport, id int) {
+// maybeRetire retires p, whose status in node id's pool is slot s, from the
+// node if its age reached the threshold. "After incrementing its age value
+// a node decides locally whether it should retire."
+func (pr *proto) maybeRetire(nw sim.Transport, p sim.ProcID, s, id int) {
 	if pr.retireAge <= 0 {
 		return
 	}
@@ -349,7 +464,7 @@ func (pr *proto) maybeRetire(nw sim.Transport, id int) {
 	if nd.age < pr.retireAge {
 		return
 	}
-	if nd.retirements()+1 >= nd.poolSize {
+	if int(p-nd.poolStart)+1 >= nd.poolSize {
 		// Pool exhausted: the node soldiers on with its current processor.
 		// Within the paper's n operations this is unreachable at the default
 		// threshold (Number of Retirements Lemma) and reachable only in
@@ -357,69 +472,66 @@ func (pr *proto) maybeRetire(nw sim.Transport, id int) {
 		// round of the repeated canonical workload on
 		// (TestRepeatedCanonicalRounds), so long loaded runs take it
 		// routinely.
-		pr.stats.PoolExhausted++
+		pr.stats[p].exhausted++
 		if pr.checks != nil {
 			pr.checks.poolExhausted(id)
 		}
 		nd.age = 0
 		return
 	}
-	pr.retire(nw, id)
+	pr.retire(nw, p, s, id)
 }
 
-// retire hands the node to the next processor of its pool: "To retire the
-// node updates its local values by setting age = 0 and id_new = id_old + 1;
-// it then sends k+2 final messages [to the successor] ... the other k+1
-// messages inform the node's parent and children about id_new."
-func (pr *proto) retire(nw sim.Transport, id int) {
+// retire hands node id from p to the next processor of its pool: "To retire
+// the node updates its local values by setting age = 0 and id_new = id_old
+// + 1; it then sends k+2 final messages [to the successor] ... the other
+// k+1 messages inform the node's parent and children about id_new." p marks
+// itself retired — from here on it forwards what reaches it for the node —
+// and reads its table out before the job leaves: once the job lands the
+// table is the successor's.
+func (pr *proto) retire(nw sim.Transport, p sim.ProcID, s, id int) {
 	nd := &pr.nodes[id]
-	children := pr.children(id)
-	old := nd.cur
-	succ := old + 1
-	retirement := nd.retirements() + 1
-	pr.stats.Retirements++
+	level, pos, start := nd.level, nd.pos, nd.poolStart
+	parent := nd.parentProc
+	var row [8]sim.ProcID // k <= 8
+	children := row[:copy(row[:], pr.children(id))]
+	succ := p + 1
+	retirement := int(succ - start)
 	if pr.checks != nil {
-		pr.checks.retirement(id, nd.level, old, succ, nd.poolStart, nd.poolSize)
+		pr.checks.retirement(id, level, p, succ, start, nd.poolSize)
 	}
+	nd.age = 0
+	pr.status[s] = retired
 
 	// k+2 handoff messages to the successor. For the root the parent slot
 	// is replaced by the state-carrying message ("It additionally informs
 	// the new processor of the counter value val and it saves the message
 	// that would inform the parent").
-	nw.Send(succ, handoffJobPayload{
-		Node:       id,
-		Retirement: retirement,
-		ParentProc: nd.parentProc,
-	})
-	if nd.level > 0 {
-		nw.Send(succ, handoffParentPayload{Node: id, ParentProc: nd.parentProc})
-	} else {
-		// Root: the state-carrying message keeps the k+2 count symmetric.
+	if level == 0 {
+		st := pr.root
+		pr.root = nil
 		nw.Send(succ, handoffJobPayload{Node: id, Retirement: retirement})
+		nw.Send(succ, handoffJobPayload{Node: id, Retirement: retirement, State: st})
+	} else {
+		nw.Send(succ, handoffJobPayload{Node: id, Retirement: retirement, ParentProc: parent})
+		nw.Send(succ, handoffParentPayload{Node: id, ParentProc: parent})
 	}
 	for c, proc := range children {
 		nw.Send(succ, handoffChildPayload{Node: id, Idx: c, ChildProc: proc})
 	}
 
-	// State transfer: the node's current processor becomes the successor.
-	// (Messages above carry the same data; effecting the transfer here
-	// keeps role dispatch well defined for messages already in flight, which
-	// ensureRole forwards from old to succ.)
-	nd.cur = succ
-	nd.age = 0
-
 	// k+1 notifications: parent (unless root) and children learn id_new.
-	if nd.level > 0 {
-		nw.Send(nd.parentProc, newIDPayload{
-			Target:  pr.g.parent(nd.level, nd.pos),
+	if level > 0 {
+		nw.Send(parent, newIDPayload{
+			Target:  pr.g.parent(level, pos),
 			Changed: id,
 			NewProc: succ,
 		})
 	}
-	if nd.level < pr.g.k {
+	if level < pr.g.k {
 		for c, proc := range children {
 			nw.Send(proc, newIDPayload{
-				Target:  pr.g.childNode(nd.level, nd.pos, c),
+				Target:  pr.g.childNode(level, pos, c),
 				Changed: id,
 				NewProc: succ,
 			})
@@ -435,17 +547,42 @@ func (pr *proto) retire(nw sim.Transport, id int) {
 
 // CloneProtocol implements sim.CloneableProtocol. The tree's state is flat
 // slices of values, so the copy is a fixed number of slice copies whatever
-// the tree's size or history.
+// the tree's size or history. Held messages stay behind: each belongs to an
+// operation still open, and a cloned network starts with none open (held
+// messages outlive quiescence only when a job was lost). The clone, which
+// runs on the simulator alone, makes its held table on first use.
 func (pr *proto) CloneProtocol() sim.Protocol {
 	cp := *pr
-	cp.root = pr.root.CloneState()
+	if pr.root != nil {
+		cp.root = pr.root.CloneState()
+	}
 	cp.nodes = slices.Clone(pr.nodes)
 	cp.childProc = slices.Clone(pr.childProc)
+	cp.status = slices.Clone(pr.status)
+	cp.held = nil
 	cp.leafParent = slices.Clone(pr.leafParent)
 	cp.leafLoad = slices.Clone(pr.leafLoad)
+	cp.stats = slices.Clone(pr.stats)
 	cp.ops = pr.ops.Clone()
 	if pr.checks != nil {
 		cp.checks = pr.checks.clone()
 	}
 	return &cp
+}
+
+// totals sums the processors' counts and their retired slots (each
+// retirement retires one slot for good) into Stats, all but Ops; read it at
+// quiescence.
+func (pr *proto) totals() Stats {
+	var sum Stats
+	for _, st := range pr.stats {
+		sum.Forwarded += st.forwarded
+		sum.PoolExhausted += st.exhausted
+	}
+	for _, st := range pr.status {
+		if st == retired {
+			sum.Retirements++
+		}
+	}
+	return sum
 }

@@ -17,15 +17,15 @@ func retiredNode(t *testing.T) (*sim.Network, *proto, int) {
 	pr := newProto(3, 12, &counterState{}, false)
 	net := sim.New(pr.g.n, pr)
 	id := pr.g.nodeID(1, 1)
-	if nd := pr.nodes[id]; nd.poolStart != 10 || nd.cur != 10 {
-		t.Fatalf("node (1,1) starts at %v with pool start %v, want 10 and 10", nd.cur, nd.poolStart)
+	if cur, start := pr.holder(id), pr.nodes[id].poolStart; start != 10 || cur != 10 {
+		t.Fatalf("node (1,1) starts at %v with pool start %v, want 10 and 10", cur, start)
 	}
-	net.StartOp(10, func(nw sim.Transport, _ sim.ProcID) { pr.retire(nw, id) })
+	net.StartOp(10, func(nw sim.Transport, _ sim.ProcID) { pr.retire(nw, 10, pr.slot(10, id), id) })
 	if err := net.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if nd := pr.nodes[id]; nd.cur != 11 || nd.retirements() != 1 {
-		t.Fatalf("after one retirement node (1,1) is at %v with %d retirements", nd.cur, nd.retirements())
+	if cur, st := pr.holder(id), pr.status[pr.slot(11, id)]; cur != 11 || st != holding {
+		t.Fatalf("after one retirement node (1,1) is at %v, and processor 11's status is %d", cur, st)
 	}
 	return net, pr, id
 }
@@ -44,7 +44,7 @@ func TestForwardOneHop(t *testing.T) {
 	if err := net.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := pr.stats.Forwarded; got != 1 {
+	if got := pr.totals().Forwarded; got != 1 {
 		t.Fatalf("Stats.Forwarded = %d, want 1", got)
 	}
 	if d := [3]int64{net.Sent()[10] - sent10, net.Recv()[10] - recv10, net.Recv()[11] - recv11}; d != [3]int64{1, 1, 1} {
@@ -53,16 +53,17 @@ func TestForwardOneHop(t *testing.T) {
 	if v, ok := pr.ops.Take(op); !ok || v != 0 {
 		t.Fatalf("forwarded operation's value = (%v,%v), want (0,true)", v, ok)
 	}
-	if pr.nodes[id].cur != 11 {
-		t.Fatalf("node moved on to %v", pr.nodes[id].cur)
+	if cur := pr.holder(id); cur != 11 {
+		t.Fatalf("node moved on to %v", cur)
 	}
 }
 
 // TestNeverServedPanics: a message for a node reaching a processor outside
-// [poolStart, cur] — one before its pool or one the role has not reached
-// yet — is a protocol bug, not a stale address, and panics.
+// the node's pool — before it or past it — is a protocol bug, not a stale
+// address, and panics. (One reaching a pool member the role has not reached
+// yet is held for its job: TestRoleWaitsForItsJob.)
 func TestNeverServedPanics(t *testing.T) {
-	for _, to := range []sim.ProcID{9, 12} {
+	for _, to := range []sim.ProcID{9, 19} {
 		net, pr, id := retiredNode(t)
 		var got any
 		func() {
@@ -72,10 +73,10 @@ func TestNeverServedPanics(t *testing.T) {
 			})
 			_ = net.Run()
 		}()
-		if msg, _ := got.(string); !strings.Contains(msg, "never served") {
+		if msg, _ := got.(string); !strings.Contains(msg, "never serves") {
 			t.Fatalf("message to %v for node %d: recovered %v, want a never-served panic", to, id, got)
 		}
-		if pr.stats.Forwarded != 0 {
+		if pr.totals().Forwarded != 0 {
 			t.Fatalf("message to %v was forwarded", to)
 		}
 	}
@@ -105,7 +106,7 @@ func TestCloneAllocsFlat(t *testing.T) {
 			}
 			pr = m.Proto.(*proto)
 		}
-		if pr.stats.Retirements == 0 {
+		if pr.totals().Retirements == 0 {
 			t.Fatalf("n=%d: no retirements before the clone", n)
 		}
 		return testing.AllocsPerRun(20, func() { pr.CloneProtocol() })

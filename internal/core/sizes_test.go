@@ -117,7 +117,7 @@ func TestWordBitsPinned(t *testing.T) {
 	}
 	read := func(c *counter.Sim) figures {
 		return figures{c.Net().BitsTotal(), c.Net().MaxMessageBits(), c.MessagesTotal(),
-			c.Net().Protocol().(*proto).stats.Forwarded}
+			c.Net().Protocol().(*proto).totals().Forwarded}
 	}
 	seq := map[int]figures{
 		2: {969, 11, 132, 4},
@@ -135,9 +135,12 @@ func TestWordBitsPinned(t *testing.T) {
 			t.Errorf("sequential k=%d: got %+v, want %+v", k, got, want)
 		}
 	}
+	// The concurrent k = 3 figures are not the boxed runs': they were taken
+	// once the handoff carried the role, since a successor holds what
+	// reaches it before its job message rather than serving it.
 	conc := map[int]figures{
 		2: {1059, 11, 145, 17},
-		3: {36277, 19, 3378, 1577},
+		3: {35328, 19, 3295, 1494},
 	}
 	for k, want := range conc {
 		c := counter.OnSim(NewMachine(SizeForK(k)),

@@ -31,10 +31,4 @@ type Machine struct {
 	// Guarantee is the contract the algorithm claims under concurrency:
 	// consistency level plus error bound for approximate protocols.
 	Guarantee Guarantee
-	// Serial marks protocols whose handlers touch state owned by other
-	// processors (the tree counter's role forwarding, the token ring's
-	// holder shortcut). The simulator is single-threaded, so they are safe
-	// there; the rt backend must serialize all protocol callbacks under one
-	// lock instead of running receivers concurrently.
-	Serial bool
 }

@@ -15,6 +15,7 @@ package tokenring
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"distcount/internal/counter"
 	"distcount/internal/sim"
@@ -28,9 +29,17 @@ type tokenWord struct{}
 func (tokenWord) Kind() string { return "token" }
 
 type proto struct {
-	n      int
-	holder sim.ProcID // current token holder
-	val    int
+	n int
+	// oracle is the modelled "initiator knows the holder" shortcut: the
+	// token's current holder and the value it carries, one word
+	// sim.Pair(val, holder) shared by every processor. It is the protocol's
+	// one cell no single processor owns. A real ring would circulate each
+	// request to find the token; the model charges only the token's hops.
+	// Every callback touches the word with one atomic step — a load, a
+	// store, or (an initiator holding the token) a compare-and-swap — so on
+	// the rt backend each acts at one instant, and runs are equivalent to
+	// the serial order of callbacks the simulator takes.
+	oracle atomic.Int64
 
 	ops *counter.Ops[struct{}, int]
 }
@@ -44,30 +53,32 @@ func (pr *proto) next(p sim.ProcID) sim.ProcID {
 	return p + 1
 }
 
-func (pr *proto) initiate(nw sim.Transport, p sim.ProcID) {
-	pr.ops.Begin(nw, p)
-	if p == pr.holder {
-		pr.ops.Finish(nw, p, pr.val)
-		pr.val++
-		return
-	}
-	// The requester asks the ring to route the token to it. In a real ring
-	// the request would circulate; to keep the message accounting focused on
-	// token movement (the canonical presentation of token-ring counters), the
-	// holder is modelled as already knowing the destination, and the token
-	// starts moving from the holder: the initiation message is the holder's
-	// dispatch of the token to its ring successor.
-	pr.routeToken(nw, p)
+// holder reads the oracle: the value the token carries and its holder.
+func (pr *proto) holder() (val int, at sim.ProcID) {
+	val, h := sim.Unpair(pr.oracle.Load())
+	return val, sim.ProcID(h)
 }
 
-// routeToken starts token movement from the current holder toward dest.
-// Called in the initiator's context; the first hop is accounted to the
-// holder by sending a steering request to it when the initiator is not the
-// holder.
-func (pr *proto) routeToken(nw sim.Transport, dest sim.ProcID) {
-	// Request message: initiator -> holder (1 message), then token hops
-	// holder -> ... -> dest along the ring.
-	nw.SendWord(pr.holder, requestWord{}, int64(dest))
+// initiate starts p's operation. A holder takes the next value itself, with
+// no message; any other initiator asks the holder, which the oracle names,
+// to route the token to it. In a real ring the request would circulate; to
+// keep the message accounting focused on token movement (the canonical
+// presentation of token-ring counters), the request is one message to the
+// holder, and the token moves from there.
+func (pr *proto) initiate(nw sim.Transport, p sim.ProcID) {
+	pr.ops.Begin(nw, p)
+	for {
+		w := pr.oracle.Load()
+		val, h := sim.Unpair(w)
+		if sim.ProcID(h) != p {
+			nw.SendWord(sim.ProcID(h), requestWord{}, int64(p))
+			return
+		}
+		if pr.oracle.CompareAndSwap(w, sim.Pair(val+1, h)) {
+			pr.ops.Finish(nw, p, val)
+			return
+		}
+	}
 }
 
 // requestWord steers the token toward the destination in its word.
@@ -78,36 +89,35 @@ func (requestWord) Kind() string { return "token-request" }
 func (pr *proto) Deliver(nw sim.Transport, msg sim.Message) {
 	switch msg.Payload.(type) {
 	case requestWord:
-		// Current holder releases the token toward the destination.
-		nw.SendWord(pr.next(msg.To), tokenWord{}, sim.Pair(pr.val, int(msg.Word)))
+		// The holder releases the token toward the destination.
+		val, _ := pr.holder()
+		nw.SendWord(pr.next(msg.To), tokenWord{}, sim.Pair(val, int(msg.Word)))
 	case tokenWord:
 		val, dest := sim.Unpair(msg.Word)
 		if msg.To != sim.ProcID(dest) {
 			nw.SendWord(pr.next(msg.To), tokenWord{}, msg.Word)
 			return
 		}
-		pr.holder = msg.To
-		pr.val = val
-		pr.ops.Finish(nw, msg.To, pr.val)
-		pr.val++
+		pr.oracle.Store(sim.Pair(val+1, dest))
+		pr.ops.Finish(nw, msg.To, val)
 	default:
 		panic(fmt.Sprintf("tokenring: unexpected payload %T", msg.Payload))
 	}
 }
 
 func (pr *proto) CloneProtocol() sim.Protocol {
-	cp := *pr
-	cp.ops = pr.ops.Clone()
-	return &cp
+	cp := &proto{n: pr.n, ops: pr.ops.Clone()}
+	cp.oracle.Store(pr.oracle.Load())
+	return cp
 }
 
-// Machine implements counter.Describer. Serial: initiate reads the current
-// holder, which every token landing rewrites, so the rt backend must
-// serialize all callbacks. Sequential-only: under concurrency the holder may
-// release the token toward several destinations before any of them lands, so
-// values can duplicate — every token copy still terminates at its
-// destination, and the hop-by-hop load profile remains the quantity of
-// interest for workload studies.
+// Machine implements counter.Describer. Sequential-only: under concurrency
+// the holder may release the token toward several destinations before any
+// of them lands, so values can duplicate — every token copy still
+// terminates at its destination, and the hop-by-hop load profile remains
+// the quantity of interest for workload studies. Apart from the oracle
+// word every cell is its processor's own, so the rt backend runs receivers
+// concurrently.
 func (pr *proto) Machine() counter.Machine {
 	return counter.Machine{
 		Name:      "tokenring",
@@ -116,14 +126,15 @@ func (pr *proto) Machine() counter.Machine {
 		Initiate:  pr.initiate,
 		Value:     pr.ops.Take,
 		Guarantee: counter.Exact(counter.SequentialOnly),
-		Serial:    true,
 	}
 }
 
 // newProto builds the ring: processor 1 initially holds the token and the
 // value 0.
 func newProto(n int) *proto {
-	return &proto{n: n, holder: 1, ops: counter.NewOps[struct{}, int](n)}
+	pr := &proto{n: n, ops: counter.NewOps[struct{}, int](n)}
+	pr.oracle.Store(sim.Pair(0, 1))
+	return pr
 }
 
 // NewMachine returns the backend-independent protocol descriptor for n

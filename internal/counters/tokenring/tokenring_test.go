@@ -1,11 +1,14 @@
 package tokenring
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"distcount/internal/counter"
 	"distcount/internal/counter/countertest"
 	"distcount/internal/loadstat"
+	"distcount/internal/sim"
 )
 
 func factory(n int) counter.Counter {
@@ -26,8 +29,8 @@ func TestTokenMoves(t *testing.T) {
 	if _, err := c.Inc(5); err != nil {
 		t.Fatal(err)
 	}
-	if pr.holder != 5 {
-		t.Fatalf("holder = %v, want 5", pr.holder)
+	if _, h := pr.holder(); h != 5 {
+		t.Fatalf("holder = %v, want 5", h)
 	}
 	// Request 1 msg + hops 1->2->3->4->5 = 4 token messages.
 	if got := c.Net().MessagesTotal(); got != 5 {
@@ -54,8 +57,8 @@ func TestRingWrapAround(t *testing.T) {
 	if _, err := c.Inc(2); err != nil { // token 3 -> 4 -> 1 -> 2 (wraps)
 		t.Fatal(err)
 	}
-	if pr.holder != 2 {
-		t.Fatalf("holder = %v, want 2", pr.holder)
+	if _, h := pr.holder(); h != 2 {
+		t.Fatalf("holder = %v, want 2", h)
 	}
 }
 
@@ -79,3 +82,60 @@ func TestName(t *testing.T) {
 		t.Fatal("wrong name")
 	}
 }
+
+// TestOnlyTheOracleIsShared holds the ring to the message-passing model
+// with its one labelled exception. proto's fields are the immutable ring
+// size, the per-initiator ops slots (confined by counter.Ops itself) and
+// the oracle word; a field added to it fails here until its owner is
+// argued. Around every callback of a concurrent run, the size stays put and
+// the oracle changes only in a callback of the processor it names as the
+// holder afterwards: only the token's holder writes it.
+func TestOnlyTheOracleIsShared(t *testing.T) {
+	typ := reflect.TypeOf(proto{})
+	var fields []string
+	for i := range typ.NumField() {
+		fields = append(fields, typ.Field(i).Name)
+	}
+	if want := []string{"n", "oracle", "ops"}; !slices.Equal(fields, want) {
+		t.Fatalf("proto's fields are %v, want %v", fields, want)
+	}
+
+	pr := newProto(16)
+	callbacks := 0
+	around := func(p sim.ProcID, callback func()) {
+		n, before := pr.n, pr.oracle.Load()
+		callback()
+		callbacks++
+		if pr.n != n {
+			t.Fatalf("callback at %v changed the ring size", p)
+		}
+		if after := pr.oracle.Load(); after != before {
+			if _, h := pr.holder(); h != p {
+				t.Fatalf("callback at %v moved the oracle to holder %v", p, h)
+			}
+		}
+	}
+	m := pr.Machine()
+	m.Proto = protoFunc(func(nw sim.Transport, msg sim.Message) {
+		around(msg.To, func() { pr.Deliver(nw, msg) })
+	})
+	m.Initiate = func(nw sim.Transport, p sim.ProcID) {
+		around(p, func() { pr.initiate(nw, p) })
+	}
+	c := counter.OnSim(m, sim.WithSeed(3), sim.WithLatency(sim.UniformLatency{Min: 1, Max: 11}))
+	for round := range 3 {
+		for p := 1; p <= m.N; p++ {
+			c.Start(int64(1000*round+p/2), sim.ProcID(p))
+		}
+	}
+	if err := c.Net().Run(); err != nil {
+		t.Fatal(err)
+	}
+	if callbacks < 3*m.N {
+		t.Fatalf("only %d callbacks checked", callbacks)
+	}
+}
+
+type protoFunc func(nw sim.Transport, msg sim.Message)
+
+func (f protoFunc) Deliver(nw sim.Transport, msg sim.Message) { f(nw, msg) }

@@ -159,6 +159,10 @@ var algorithms = []algorithm{
 	quorumRow("quorum-singleton", func(n int) quorum.System { return quorum.NewSingleton(n) }),
 	quorumRow("quorum-tree", func(n int) quorum.System { return quorum.NewTree(n) }),
 	quorumRow("quorum-wall", func(n int) quorum.System { return quorum.NewWall(n) }),
+	// tokenring models the "initiator knows the holder" oracle: a request
+	// goes straight to the token's holder, named by one shared atomic word,
+	// and only the token's hops are charged. A real ring would circulate
+	// each request.
 	{name: "tokenring", machine: func(n int, _ Config) counter.Machine {
 		return tokenring.NewMachine(n)
 	}},

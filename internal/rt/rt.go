@@ -56,10 +56,11 @@
 // tick per network message, which reproduces the serial-server bottleneck —
 // the paper's hot-spot — on real cores.
 //
-// Machines flagged Serial (token ring, the paper's tree) have handlers
-// that touch state owned by other processors; the simulator's single thread
-// hides that, so this backend serializes all their protocol callbacks under
-// one mutex. Message passing and service spinning still run concurrently.
+// Protocol callbacks take no lock: a handler reads and writes only its
+// receiving processor's state (sim.Protocol's contract; the one cell shared
+// on purpose, the token ring's holder oracle, is an atomic word), and a
+// processor runs on at most one executor at a time, so receivers run
+// concurrently.
 //
 // # Time
 //
@@ -328,9 +329,6 @@ type Runtime struct {
 	// helped is the mailbox buffer of help, which only the driver of the sink
 	// the runtime serves calls.
 	helped []item
-	// serial, when non-nil, is held around every protocol callback
-	// (Machine.Serial).
-	serial *sync.Mutex
 
 	start   time.Time
 	nextOp  int64
@@ -380,9 +378,6 @@ func New(m counter.Machine, opts ...Option) *Runtime {
 	}
 	for _, opt := range opts {
 		opt(r)
-	}
-	if m.Serial {
-		r.serial = &sync.Mutex{}
 	}
 	r.procs = make([]processor, r.n+1)
 	for p := 1; p <= r.n; p++ {
@@ -758,16 +753,10 @@ func (r *Runtime) deliver(view *procView, it item) {
 		view.node = int32(d.Node)
 		r.onDeliver(d)
 	}
-	if r.serial != nil {
-		r.serial.Lock()
-	}
 	if it.start {
 		r.m.Initiate(view, view.p)
 	} else {
 		r.m.Proto.Deliver(view, it.msg)
-	}
-	if r.serial != nil {
-		r.serial.Unlock()
 	}
 	view.cur = nil
 	if it.rec != nil {
