@@ -40,7 +40,8 @@ type (
 	// informs the new processor of the counter value val". That one carries
 	// the root state (moved, not copied: the retiring processor gives its
 	// reference up), and only a root job carrying state hands the root over.
-	// The state is not charged to the message's size.
+	// The state is charged to the message's size by its own measure
+	// (valueBits): the counter's value in log₂(val) bits.
 	handoffJobPayload struct {
 		Node       int
 		Retirement int

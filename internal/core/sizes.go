@@ -13,7 +13,8 @@ import "distcount/internal/sim"
 const tagBits = 3
 
 // valueSizer is implemented by request and reply values that size
-// themselves (small structs of the extension data types).
+// themselves (small structs of the extension data types), and by root
+// states, which a root handoff carries.
 type valueSizer interface {
 	Bits() int
 }
@@ -58,9 +59,11 @@ func (p valuePayload) Bits(int64) int {
 	return tagBits + valueBits(p.Reply)
 }
 
-// Bits implements sim.BitSized.
+// Bits implements sim.BitSized. A root job carrying the state is charged
+// the state's size too: the counter's value val in log₂(val) bits.
 func (p handoffJobPayload) Bits(int64) int {
-	return tagBits + sim.BitsFor(p.Node) + sim.BitsFor(p.Retirement) + sim.BitsFor(int(p.ParentProc))
+	return tagBits + sim.BitsFor(p.Node) + sim.BitsFor(p.Retirement) + sim.BitsFor(int(p.ParentProc)) +
+		valueBits(p.State)
 }
 
 // Bits implements sim.BitSized.

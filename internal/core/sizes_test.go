@@ -105,7 +105,9 @@ func (sizedValue) Bits() int { return 5 }
 // TestWordBitsPinned: an inc travels as a kind value plus the message word
 // (incWord), sized from that word, and the figures below are what the same
 // runs accounted when every inc was a boxed incPayload — so moving the data
-// into the word changed no accounted bit, no message and no forwarding hop.
+// into the word changed no accounted bit, no message and no forwarding hop —
+// plus the counter value each root handoff carries, charged since (11 bits
+// of 980 at k = 2).
 // Three sequential canonical rounds (retirements and exhausted pools
 // included) and three concurrent rounds under reordering latencies, where
 // incs addressed to retired processors are forwarded with their word.
@@ -120,9 +122,9 @@ func TestWordBitsPinned(t *testing.T) {
 			c.Net().Protocol().(*proto).totals().Forwarded}
 	}
 	seq := map[int]figures{
-		2: {969, 11, 132, 4},
-		3: {20391, 19, 1811, 10},
-		4: {469461, 29, 28638, 132},
+		2: {980, 11, 132, 4},
+		3: {20560, 19, 1811, 10},
+		4: {472008, 29, 28638, 132},
 	}
 	for k, want := range seq {
 		c := New(k)
@@ -139,8 +141,8 @@ func TestWordBitsPinned(t *testing.T) {
 	// once the handoff carried the role, since a successor holds what
 	// reaches it before its job message rather than serving it.
 	conc := map[int]figures{
-		2: {1059, 11, 145, 17},
-		3: {35328, 19, 3295, 1494},
+		2: {1070, 11, 145, 17},
+		3: {35495, 19, 3295, 1494},
 	}
 	for k, want := range conc {
 		c := counter.OnSim(NewMachine(SizeForK(k)),

@@ -1,5 +1,7 @@
 package core
 
+import "distcount/internal/sim"
+
 // The paper notes that its Hot Spot Lemma — and with it the whole lower
 // bound — applies to "the family of all distributed data structures in
 // which an operation depends on the operation that immediately precedes
@@ -16,7 +18,8 @@ package core
 // RootState is the sequential object the tree serves. Apply is invoked in
 // the root's delivery context, once per operation, in operation order.
 // Requests and replies must be immutable values (they travel in message
-// payloads).
+// payloads). A root handoff carries the state; one that has a Bits() int
+// method is charged that many bits for it, any other a machine word.
 type RootState interface {
 	// Apply executes one operation against the state and returns the reply
 	// sent back to the initiator.
@@ -43,3 +46,6 @@ func (s *counterState) CloneState() RootState {
 	cp := *s
 	return &cp
 }
+
+// Bits sizes the state a root handoff carries: the counter value.
+func (s *counterState) Bits() int { return sim.BitsFor(s.val) }

@@ -60,20 +60,30 @@ func TestRunWorkloadAllocCeiling(t *testing.T) {
 //	                              as a duplicate of it may come). A history
 //	                              checked post hoc made it 88, a copy of it
 //	                              per shard and per segment 472
+//	rt central, n=8, Verify on    10 B/op at 200k ops, 38 at 50k: the
+//	                              digests' tables, grown once per run, are
+//	                              most of it; the operation records are
+//	                              recycled. An allocated record per
+//	                              operation and raw wall-clock strays made
+//	                              it 58 and 87. Under -race 35 and 73
+//	                              (before: 151 and 163): the slower run
+//	                              keeps more early strays raw, and sync.Pool
+//	                              drops a quarter of what it is given
 func TestRunFootprintPerOp(t *testing.T) {
 	for _, row := range []struct {
 		name    string
 		ceiling float64 // bytes per operation
+		race    float64 // the ceiling under the race detector, when higher
 		run     func(t *testing.T, ops int)
 	}{
-		{"central closed loop", 30, func(t *testing.T, ops int) {
+		{"central closed loop", 30, 0, func(t *testing.T, ops int) {
 			c := mustAsync(t, "central", 64)
 			gen := mustScenario(t, "uniform", workload.Config{N: 64, Ops: ops, Seed: 1})
 			if _, err := Run(c, gen, Config{InFlight: 8, Ops: ops}); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"single counter, verified", 25, func(t *testing.T, ops int) {
+		{"single counter, verified", 25, 0, func(t *testing.T, ops int) {
 			c := mustAsync(t, "central", 64)
 			gen := mustScenario(t, "uniform", workload.Config{N: 64, Ops: ops, Seed: 1})
 			res, err := Run(c, gen, Config{InFlight: 8, Ops: ops, Verify: true})
@@ -84,7 +94,21 @@ func TestRunFootprintPerOp(t *testing.T) {
 				t.Fatalf("verification: %+v", res.Verification)
 			}
 		}},
-		{"keyed, verified", 30, func(t *testing.T, ops int) {
+		{"rt central, n=8, verified", 50, 90, func(t *testing.T, ops int) {
+			c, err := registry.NewWith("central", 8, registry.Config{Backend: "rt"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			gen := mustScenario(t, "uniform", workload.Config{N: 8, Ops: ops, Seed: 1})
+			res, err := Run(c, gen, Config{InFlight: 8, Ops: ops, Verify: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Verification.Violations != 0 || res.Verification.Ops != ops {
+				t.Fatalf("verification: %+v", res.Verification)
+			}
+		}},
+		{"keyed, verified", 30, 0, func(t *testing.T, ops int) {
 			svc := keyedSvc(t, countersvc.Config{Keys: 64, N: 64, Shards: 4,
 				Registry: registry.Config{Window: registry.DefaultWindow}})
 			gen := keyedGen(t, workload.Config{N: 64, Ops: ops, Seed: 1, Keys: 64, KeyZipfS: 1.2}, "uniform")
@@ -108,8 +132,12 @@ func TestRunFootprintPerOp(t *testing.T) {
 			perOp(1000) // warm lazy runtime state out of the measurement
 			short, long := perOp(50_000), perOp(200_000)
 			t.Logf("%.1f B/op at 50k ops, %.1f B/op at 200k", short, long)
-			if short > row.ceiling || long > row.ceiling {
-				t.Errorf("run allocates %.1f B/op at 50k ops and %.1f at 200k, ceiling %.0f", short, long, row.ceiling)
+			ceiling := row.ceiling
+			if raceEnabled {
+				ceiling = max(ceiling, row.race)
+			}
+			if short > ceiling || long > ceiling {
+				t.Errorf("run allocates %.1f B/op at 50k ops and %.1f at 200k, ceiling %.0f", short, long, ceiling)
 			}
 			if long > short+1 {
 				t.Errorf("bytes per op rise with the run's length: %.1f at 50k ops, %.1f at 200k", short, long)

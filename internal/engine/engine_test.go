@@ -438,7 +438,10 @@ func TestPercentileType7(t *testing.T) {
 		for _, v := range sorted {
 			d.add(v)
 		}
-		if got := d.quantile(c.q); got != c.want {
+		lo, hi, _ := bracket(d.n, c.q)
+		var at [2]int64
+		d.values([]int{lo, hi}, at[:])
+		if got := interpolate(d.n, c.q, at[0], at[1]); got != c.want {
 			t.Fatalf("digest p%v = %v, want %v", c.q*100, got, c.want)
 		}
 	}

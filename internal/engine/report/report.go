@@ -79,6 +79,9 @@ func Render(res *engine.Result) string {
 		res.Latency.Mean, res.Latency.P50, res.Latency.P90, res.Latency.P99, res.Latency.Max, tickU)
 	fmt.Fprintf(&b, "  queueing   mean %.1f  p99 %.1f %s, service mean %.1f  p99 %.1f %s\n",
 		res.QueueDelay.Mean, res.QueueDelay.P99, tickU, res.ServiceLatency.Mean, res.ServiceLatency.P99, tickU)
+	if res.Wall {
+		b.WriteString("  precision  latency quantiles and maxima of 65536 ns or more are rounded to 10 significant bits (within 0.1%); means are exact\n")
+	}
 	fmt.Fprintf(&b, "  messages   %d total, %d in measure window (%.2f per op)\n",
 		res.Messages, res.Loads.TotalMessages, res.MessagesPerOp)
 	b.WriteString(loadstat.FormatSummary("measured loads", res.Loads))

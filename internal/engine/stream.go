@@ -16,40 +16,86 @@ import (
 // long run nearly every sample lands in the table.
 const digestDense = 1 << 16
 
+// wallExact bounds the wall-clock samples a digest keeps exact, in
+// nanoseconds; addWall rounds larger ones to wallBits significant bits.
+const (
+	wallExact = 1 << 16
+	wallBits  = 10
+)
+
 // digestFirst is the table's first size: 4 KB covers a run whose latencies
 // stay below a thousand ticks in one allocation.
 const digestFirst = 1 << 10
 
 // digest is an exact latency digest: its statistics are those of sorting
 // every sample, bit for bit, without keeping the samples. Values the table
-// covers are counted; the others stay raw. The table grows, up to
+// covers are counted; the others are strays. The table grows, up to
 // digestDense, only while it costs no more than the samples it has seen
 // would cost raw, so a digest holds O(min(samples, digestDense)) bytes plus
-// the strays beyond the bound: a 300-op run with microsecond-wide latencies
-// does not pay for a 65 536-entry table, and a 500 000-op run does not pay
-// per sample.
+// the strays: a 300-op run with microsecond-wide latencies does not pay for
+// a 65 536-entry table, and a 500 000-op run does not pay per sample below
+// the bound. Strays are kept raw until the raw buffer fills. Then those the
+// table has grown to cover since are counted, and the rest compacted into
+// runs, one exact (value, count) pair per distinct value, when that at least
+// halves what they cost raw; otherwise they stay raw, with the next try once
+// there are twice as many. So strays cost at most 8 bytes a sample, as raw
+// ones do, and strays that repeat (rt's rounded wall-clock samples,
+// metrics.add) cost 16 bytes a distinct value however many samples share it.
 type digest struct {
-	counts []uint32 // counts[v] samples equal v (of those that arrived once the table covered v)
+	counts []uint32 // counts[v] samples equal v, but for strays not yet folded in (compact)
 	span   int      // counts[:span] holds every counted sample: rank and reset stop there
-	over   []int64  // the other samples, arranged for rank by stats
+	over   []int64  // the raw strays, arranged for rank by stats
+	runs   []digestRun
+	retry  int // len(over) before which a full buffer grows without a compaction
 	n      int
 	sum    int64
+}
+
+// digestRun is c compacted strays equal to v; a digest's runs ascend by v.
+type digestRun struct {
+	v int64
+	c int
 }
 
 func (d *digest) add(v int64) {
 	d.n++
 	d.sum += v
 	if uint64(v) >= uint64(len(d.counts)) && !d.cover(v) {
-		if d.over == nil {
+		switch {
+		case d.over == nil:
 			// Strays are few or, on a wide distribution, most of the run:
 			// skip the first doublings.
 			d.over = make([]int64, 0, digestFirst/2)
+		case len(d.over) == cap(d.over) && len(d.over) >= d.retry:
+			d.compact()
 		}
 		d.over = append(d.over, v)
 		return
 	}
 	d.span = max(d.span, int(v)+1)
 	d.counts[v]++
+}
+
+// addWall adds a wall-clock sample, in nanoseconds: to the mean exactly,
+// and to the order statistics rounded by roundWall. A sample of wallExact ns
+// or more is a stray; rounded, an rt run's strays take at most 512 distinct
+// values per doubling of the latency, so compaction keeps them in constant
+// memory however long the run.
+func (d *digest) addWall(v int64) {
+	r := roundWall(v)
+	d.add(r)
+	d.sum += v - r
+}
+
+// roundWall rounds v, when it is wallExact or more, to the nearest value
+// with wallBits significant bits: a relative error below 2^-wallBits. Smaller
+// values are returned as they are.
+func roundWall(v int64) int64 {
+	if v < wallExact {
+		return v
+	}
+	shift := bits.Len64(uint64(v)) - wallBits
+	return (v + 1<<(shift-1)) >> shift << shift
 }
 
 // cover grows the table to count v, if v is below the dense bound and the
@@ -72,11 +118,104 @@ func (d *digest) cover(v int64) bool {
 	return true
 }
 
-// reset empties the digest, keeping its table for the next population.
+// compact makes room in the full raw buffer: it counts the strays the table
+// now covers, and merges the others into the runs, emptying the buffer, when
+// the runs that adds (16 bytes each) cost at most half the raw samples (8
+// bytes each); otherwise the strays stay raw and the next try waits until
+// there are twice as many. A tail of distinct values (a simulated closed
+// loop falling behind its arrivals) is told by a sample, so it pays no sort.
+func (d *digest) compact() {
+	// Strays that arrived before the table grew to cover them are counted
+	// now; when that frees half the buffer, it is enough.
+	kept := d.over[:0]
+	for _, v := range d.over {
+		if uint64(v) < uint64(len(d.counts)) {
+			d.span = max(d.span, int(v)+1)
+			d.counts[v]++
+		} else {
+			kept = append(kept, v)
+		}
+	}
+	d.over = kept
+	if 2*len(d.over) <= cap(d.over) {
+		return
+	}
+	if !d.repeats() {
+		d.retry = 2 * len(d.over)
+		return
+	}
+	slices.Sort(d.over)
+	added := 0
+	for i, j := 0, 0; j < len(d.over); j++ {
+		v := d.over[j]
+		if j > 0 && v == d.over[j-1] {
+			continue
+		}
+		for i < len(d.runs) && d.runs[i].v < v {
+			i++
+		}
+		if i == len(d.runs) || d.runs[i].v != v {
+			added++
+		}
+	}
+	if 4*added > len(d.over) {
+		d.retry = 2 * len(d.over)
+		return
+	}
+	// Merge from the back, so that every run moves at most once and the
+	// runs already in place stay there.
+	i, k := len(d.runs)-1, len(d.runs)+added-1
+	d.runs = slices.Grow(d.runs, added)[:k+1]
+	for j := len(d.over) - 1; j >= 0; k-- {
+		v, c := d.over[j], 0
+		for ; j >= 0 && d.over[j] == v; j-- {
+			c++
+		}
+		for ; i >= 0 && d.runs[i].v > v; i, k = i-1, k-1 {
+			d.runs[k] = d.runs[i]
+		}
+		if i >= 0 && d.runs[i].v == v {
+			c += d.runs[i].c
+			i--
+		}
+		d.runs[k] = digestRun{v, c}
+	}
+	d.over = d.over[:0]
+}
+
+// repeats reports whether a sample of the raw strays holds a value twice:
+// the newest 256 and 256 evenly spaced over the rest. Strays that compaction
+// would at least halve repeat so much that it nearly always does — the
+// newest ones when latencies trend with the run, the spread ones when they
+// do not — and if it does not, they only stay raw.
+func (d *digest) repeats() bool {
+	const half = 256
+	var sample [2 * half]int64
+	rest := len(d.over) - half
+	if rest < half {
+		return true
+	}
+	copy(sample[:half], d.over[rest:])
+	for i := range half {
+		sample[half+i] = d.over[i*rest/half]
+	}
+	slices.Sort(sample[:])
+	for i := 1; i < len(sample); i++ {
+		if sample[i] == sample[i-1] {
+			return true
+		}
+	}
+	return false
+}
+
+// reset empties the digest, keeping its table and buffers for the next
+// population.
 func (d *digest) reset() {
 	clear(d.counts[:d.span])
 	d.span = 0
 	d.over = d.over[:0]
+	d.runs = d.runs[:0]
+	d.retry = 0
 	d.n, d.sum = 0, 0
 }
 
@@ -86,34 +225,48 @@ func (d *digest) stats() LatencyStats {
 	if d.n == 0 {
 		return LatencyStats{}
 	}
-	// The ranks read below, in increasing order: the min, the two bracketing
-	// each quantile, the max.
+	// The ranks read below, sorted: the min, the two bracketing each
+	// quantile, the max.
+	qs := [3]float64{0.50, 0.90, 0.99}
 	ranks := [8]int{7: d.n - 1}
-	for i, q := range [3]float64{0.50, 0.90, 0.99} {
+	for i, q := range qs {
 		ranks[2*i+1], ranks[2*i+2], _ = bracket(d.n, q)
 	}
+	slices.Sort(ranks[:])
 	d.order(ranks[:])
+	var at [8]int64
+	d.values(ranks[:], at[:])
+	var p [3]float64
+	for i, q := range qs {
+		lo, hi, _ := bracket(d.n, q)
+		p[i] = interpolate(d.n, q, at[slices.Index(ranks[:], lo)], at[slices.Index(ranks[:], hi)])
+	}
 	return LatencyStats{
 		Mean: float64(d.sum) / float64(d.n),
-		P50:  d.quantile(0.50),
-		P90:  d.quantile(0.90),
-		P99:  d.quantile(0.99),
-		Min:  d.rank(0),
-		Max:  d.rank(d.n - 1),
+		P50:  p[0],
+		P90:  p[1],
+		P99:  p[2],
+		Min:  at[0],
+		Max:  at[7],
 	}
 }
 
-// order arranges the raw samples so that rank reads the given ranks
-// (ascending) right. The strays below the span interleave with counted
-// values and the walk merges them, so they go first, sorted; there are few,
+// order arranges the raw samples so that values reads the given ranks
+// (ascending) right. The counted values are the table's and the runs'. Raw
+// strays below the largest of them interleave with counted values and the
+// walk merges them, so they go first, sorted; without runs there are few,
 // since only a sample that arrived before the table grew to cover it is
-// one. The strays at or above the span follow every counted value, so rank
-// k among all samples is the one at over[k-counted]: selection puts just
-// the ranks asked for in place, not the whole tail.
+// one. The strays at or above it follow every counted value, so rank k
+// among all samples is the one at over[k-counted]: selection puts just the
+// ranks asked for in place, not the whole tail.
 func (d *digest) order(ranks []int) {
+	bound := int64(d.span)
+	if last := len(d.runs) - 1; last >= 0 {
+		bound = max(bound, d.runs[last].v)
+	}
 	below := 0
 	for i, v := range d.over {
-		if v < int64(d.span) {
+		if v < bound {
 			d.over[i], d.over[below] = d.over[below], v
 			below++
 		}
@@ -169,36 +322,55 @@ func bracket(n int, q float64) (lo, hi int, frac float64) {
 	return lo, hi, pos - float64(lo)
 }
 
-// quantile interpolates the q-quantile: the "type 7" estimator (linear
-// interpolation between the order statistics at the two ranks bracketing
-// q·(n−1), the default of R and NumPy) — not the nearest-rank method, which
-// never interpolates. order must have placed both ranks.
-func (d *digest) quantile(q float64) float64 {
-	lo, hi, frac := bracket(d.n, q)
-	if lo == hi {
-		return float64(d.rank(lo))
+// interpolate returns the q-quantile of n samples whose order statistics at
+// the two ranks bracketing q·(n−1) are lo and hi: the "type 7" estimator
+// (linear interpolation between them, the default of R and NumPy) — not the
+// nearest-rank method, which never interpolates.
+func interpolate(n int, q float64, lo, hi int64) float64 {
+	l, h, frac := bracket(n, q)
+	if l == h {
+		return float64(lo)
 	}
-	return float64(d.rank(lo))*(1-frac) + float64(d.rank(hi))*frac
+	return float64(lo)*(1-frac) + float64(hi)*frac
 }
 
-// rank returns the k-th smallest sample (0-based), merging the table with
-// the raw samples. order must have placed k. The walk ends at the largest
-// counted value; the raw samples it has not passed are the ranks above.
-func (d *digest) rank(k int) int64 {
-	j := 0
-	for v, c := range d.counts[:d.span] {
-		for ; j < len(d.over) && d.over[j] < int64(v); j++ {
-			if k == 0 {
-				return d.over[j]
+// values sets out[i] to the ranks[i]-th smallest sample (0-based; ranks
+// ascending) in one walk that merges the counted values — the table's and
+// the runs', themselves merged — with the raw samples. order must have
+// placed the ranks. The walk ends at the largest counted value; the raw
+// samples it has not passed are the ranks above.
+func (d *digest) values(ranks []int, out []int64) {
+	t, i, j := 0, 0, 0 // the next table value, run and raw sample
+	pos, r := 0, 0     // the samples passed, and the next rank to read
+	for r < len(ranks) {
+		for t < d.span && d.counts[t] == 0 {
+			t++
+		}
+		var v int64
+		var c int
+		switch {
+		case t < d.span && (i == len(d.runs) || int64(t) <= d.runs[i].v):
+			v, c = int64(t), int(d.counts[t])
+			t++
+		case i < len(d.runs):
+			v, c = d.runs[i].v, d.runs[i].c
+			i++
+		default:
+			for ; r < len(ranks); r++ {
+				out[r] = d.over[j+ranks[r]-pos]
 			}
-			k--
+			return
 		}
-		if k < int(c) {
-			return int64(v)
+		for ; j < len(d.over) && d.over[j] < v; j, pos = j+1, pos+1 {
+			for ; r < len(ranks) && ranks[r] == pos; r++ {
+				out[r] = d.over[j]
+			}
 		}
-		k -= int(c)
+		for ; r < len(ranks) && ranks[r] < pos+c; r++ {
+			out[r] = v
+		}
+		pos += c
 	}
-	return d.over[j+k]
 }
 
 // sweepChunk is how many completions buffer between two in-flight sweeps:

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"encoding/binary"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -226,6 +227,135 @@ func TestDigestFootprint(t *testing.T) {
 	if len(d.counts) != digestDense || len(d.over) != raw || raw > digestDense/2 {
 		t.Fatalf("after 400k samples below the bound: table %d entries, %d raw samples (%d at 100k)",
 			len(d.counts), len(d.over), raw)
+	}
+}
+
+// TestDigestCompactsRepeatedStrays: strays that repeat are compacted into
+// counted runs, which then merge with the table, with raw strays that came
+// after the last compaction and with the strays kept raw because they were
+// too diverse to compact, and the digest still reads what sorting reads.
+// Every population is fed through the compaction path many times over,
+// fresh and after a reset, and the raw buffer must stop growing once the
+// strays repeat.
+func TestDigestCompactsRepeatedStrays(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	levels := func(k int, lo, hi int64) []int64 {
+		out := make([]int64, k)
+		for i := range out {
+			out[i] = lo + rng.Int63n(hi-lo)
+		}
+		return out
+	}
+	for trial := 0; trial < 30; trial++ {
+		var vals []int64
+		// A few hundred distinct values above the dense bound, some below
+		// zero, and a sprinkle of table values that grow the table late.
+		large := levels(1+rng.Intn(400), digestDense, 1<<30)
+		negative := levels(1+rng.Intn(4), -50, 0)
+		for i := 20_000 + rng.Intn(40_000); i > 0; i-- {
+			switch r := rng.Intn(100); {
+			case r < 70:
+				vals = append(vals, large[rng.Intn(len(large))])
+			case r < 72:
+				vals = append(vals, negative[rng.Intn(len(negative))])
+			case r < 80 && trial%3 == 0:
+				vals = append(vals, rng.Int63n(1<<40)) // diverse: stays raw
+			default:
+				vals = append(vals, rng.Int63n(int64(trial%4+1)*digestFirst))
+			}
+		}
+		var d digest
+		for _, v := range vals[:len(vals)/3] {
+			d.add(v + 11)
+		}
+		d.reset()
+		for _, v := range vals {
+			d.add(v)
+		}
+		if got, want := d.stats(), sortedStats(slices.Clone(vals)); got != want {
+			t.Fatalf("trial %d (%d samples, %d runs, %d raw): digest %+v, sort %+v",
+				trial, len(vals), len(d.runs), len(d.over), got, want)
+		}
+		if len(d.runs) == 0 {
+			t.Fatalf("trial %d: %d samples over %d large levels made no runs", trial, len(vals), len(large))
+		}
+		// Compaction succeeds once the buffer holds four samples per new
+		// distinct value, and the buffer only doubles while it fails.
+		if distinct := len(large) + len(negative) + digestFirst; trial%3 != 0 && cap(d.over) > 8*distinct {
+			t.Fatalf("trial %d: raw buffer grew to %d samples over %d large levels", trial, cap(d.over), len(large))
+		}
+	}
+}
+
+// TestDigestWallPrecision: a wall-clock digest rounds samples of wallExact
+// ns or more to wallBits significant bits, so every figure it reports of
+// that size is within 2^-wallBits of what sorting the exact samples reads,
+// smaller samples stay exact, the mean stays exact, and the second half of
+// a long run adds no raw buffer and at most 512 runs per doubling.
+func TestDigestWallPrecision(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	trend := int64(wallExact)
+	within := func(name string, got, want float64) {
+		t.Helper()
+		if want >= wallExact && math.Abs(got-want) > want/(1<<wallBits) {
+			t.Errorf("%s: %v, exact %v: relative error %.2e above 2^-%d", name, got, want, math.Abs(got-want)/want, wallBits)
+		}
+		if want < wallExact && got != want && math.Max(got, want) < wallExact {
+			t.Errorf("%s: %v, exact %v: a figure below %d ns must be exact", name, got, want, wallExact)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		draw func() int64
+	}{
+		{"all below the bound", func() int64 { return 500 + rng.Int63n(wallExact-500) }},
+		{"rt-like: a few microseconds, a long tail", func() int64 {
+			return 1500 + int64(rng.ExpFloat64()*3000) + rng.Int63n(2)*int64(rng.ExpFloat64()*200_000)
+		}},
+		{"all above the bound", func() int64 { return wallExact + rng.Int63n(1<<33) }},
+		{"straddling", func() int64 { return wallExact - 64 + rng.Int63n(128) }},
+		{"trending: a closed loop falling behind", func() int64 {
+			trend += 2000 // at first faster than the rounding's steps
+			return trend + rng.Int63n(1000)
+		}},
+	} {
+		vals := make([]int64, 600_000)
+		var d digest
+		var runs, raw int
+		for i := range vals {
+			if i == len(vals)/2 {
+				runs, raw = len(d.runs), cap(d.over)
+			}
+			vals[i] = tc.draw()
+			d.addWall(vals[i])
+		}
+		got, want := d.stats(), sortedStats(slices.Clone(vals))
+		within(tc.name+" p50", got.P50, want.P50)
+		within(tc.name+" p90", got.P90, want.P90)
+		within(tc.name+" p99", got.P99, want.P99)
+		within(tc.name+" min", float64(got.Min), float64(want.Min))
+		within(tc.name+" max", float64(got.Max), float64(want.Max))
+		if got.Mean != want.Mean {
+			t.Errorf("%s: mean %v, exact %v", tc.name, got.Mean, want.Mean)
+		}
+		// Rounded strays take 512 values per doubling of the latency, over at
+		// most 33 doublings here, and once the buffer compacts it stops
+		// growing.
+		if len(d.runs) > 512*33 || cap(d.over) != raw {
+			t.Errorf("%s: %d runs and a raw buffer of %d samples after %d samples; %d and %d halfway",
+				tc.name, len(d.runs), cap(d.over), len(vals), runs, raw)
+		}
+	}
+	for _, v := range []int64{0, 1, wallExact - 1, -5} {
+		if r := roundWall(v); r != v {
+			t.Errorf("roundWall(%d) = %d, want it unchanged", v, r)
+		}
+	}
+	for v := int64(wallExact); v < 1<<40; v = v*3/2 + 7 {
+		r := roundWall(v)
+		if math.Abs(float64(r-v)) >= float64(v)/(1<<wallBits) || bits.Len64(uint64(r))-bits.TrailingZeros64(uint64(r)) > wallBits {
+			t.Fatalf("roundWall(%d) = %d", v, r)
+		}
 	}
 }
 

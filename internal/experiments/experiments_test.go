@@ -14,11 +14,14 @@ import (
 
 // allFullSHA256 is the sha256 of RunAll(Config{}) — `paper exp -all`, 38 KB
 // — as the fourteen hand-rolled experiment files printed it at PR 17, except
-// for one figure: E9's reckless row (threshold 2 at k = 3) forwards 98
+// in two places: E9's reckless row (threshold 2 at k = 3) forwards 98
 // messages, since a node's neighbour table merges new-ids by maximum (a
 // node that retires twice in one operation can have its two new-ids reach a
-// child out of order, and the stale one does not win).
-const allFullSHA256 = "d7713b989ffbb438e1794f7d78aa674f04eabd8f7489a34567080c85ac8b1fb6"
+// child out of order, and the stale one does not win); and E12's totals,
+// in the quick report too, charge the counter value a root handoff carries
+// (449 → 456 bits at k = 2, 8029 → 8102 at k = 3, 211289 → 212483 at
+// k = 4; the maxima are unchanged).
+const allFullSHA256 = "8a7e84d60e49568f613dca690a20826ac9fed5ce5ca7553e28551a54e8f8fd09"
 
 // TestExperimentGoldens: every experiment is a pure function of the code
 // (deterministic simulator, fixed seeds), so both reports are pinned byte

@@ -57,6 +57,17 @@ func (s *pqState) CloneState() core.RootState {
 	return &pqState{heap: append([]int(nil), s.heap...)}
 }
 
+// Bits sizes the state a root handoff carries: the queue's length and each
+// priority's magnitude. Unlike the counter's value it grows with the
+// queue, so a root handoff's message does not stay within O(log n) bits.
+func (s *pqState) Bits() int {
+	bits := sim.BitsFor(len(s.heap))
+	for _, p := range s.heap {
+		bits += sim.BitsFor(max(p, -p))
+	}
+	return bits
+}
+
 func (s *pqState) push(v int) {
 	s.heap = append(s.heap, v)
 	i := len(s.heap) - 1

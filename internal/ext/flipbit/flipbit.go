@@ -54,6 +54,9 @@ func (s *bitState) CloneState() core.RootState {
 	return &cp
 }
 
+// Bits sizes the state a root handoff carries: one bit.
+func (s *bitState) Bits() int { return 1 }
+
 // Bit is a distributed test-and-flip bit with O(k) bottleneck load.
 type Bit struct {
 	tree *core.Tree

@@ -91,12 +91,17 @@ func TestIncAllocCeilings(t *testing.T) {
 }
 
 // rtIncAllocCeiling is the rt backend's row of the same budget: one
-// synchronous Inc on central at n = 8 allocates its operation record and its
-// reply channel; its two messages carry their data in the word (a mailbox
-// item holds it), and the runtime's mailboxes, completion path and load
-// counters add nothing per operation. BenchmarkRTInc reports the same
-// quantity.
-const rtIncAllocCeiling = 2
+// synchronous Inc on central at n = 8 allocates only its reply channel. Its
+// operation record is recycled, its two messages carry their data in the
+// word (a mailbox item holds it), and the runtime's mailboxes, completion
+// path and load counters add nothing per operation. BenchmarkRTInc reports
+// the same quantity. Under the race detector sync.Pool drops a quarter of
+// the records it is given, so a quarter of the operations allocate theirs
+// (raceSlack covers that and its sampling noise).
+const (
+	rtIncAllocCeiling = 1
+	raceSlack         = 0.35
+)
 
 func TestRTIncAllocCeiling(t *testing.T) {
 	cfg := Concurrent()
@@ -126,7 +131,11 @@ func TestRTIncAllocCeiling(t *testing.T) {
 			inc()
 		}
 	}) / rounds
-	if got > rtIncAllocCeiling+allocSlack {
+	ceiling := rtIncAllocCeiling + allocSlack
+	if raceEnabled {
+		ceiling += raceSlack
+	}
+	if got > ceiling {
 		t.Fatalf("%.2f allocs per rt Inc, ceiling %d", got, rtIncAllocCeiling)
 	}
 }

@@ -1,12 +1,14 @@
 package rt_test
 
 import (
+	"runtime"
 	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"distcount/internal/counter"
+	"distcount/internal/counters/combining"
 	"distcount/internal/rt"
 	"distcount/internal/sim"
 	"distcount/internal/trace"
@@ -125,6 +127,84 @@ func TestDupDeliversTwiceWithFullAccounting(t *testing.T) {
 	r.Close()
 	if len(done) != 0 {
 		t.Fatalf("%d more completions after the one operation", len(done))
+	}
+}
+
+// TestLostOpsFreeTheirRecords: a long sequential run under message loss
+// keeps no record of a lost operation: each is freed with its last unit,
+// without a completion, as on the simulator. On the ping-pong protocol every
+// 100th ping is lost. On combining at n = 2 every request of processor 2 is
+// duplicated, so the copy merges into the window the original opened and
+// adopts the operation, and every 7th of the root host's two value messages
+// per operation is lost: the surviving copy still delivers the value, but
+// the operation is lost, and its adopted record must leave the op table.
+func TestLostOpsFreeTheirRecords(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		m         counter.Machine
+		p         sim.ProcID // the initiator
+		plan      sim.FaultPlan
+		ops, lost int
+	}{
+		{
+			name: "ping-pong",
+			m: timerMachine(3, &pingPong{}, func(nw counter.Transport, _ sim.ProcID) {
+				nw.Send(2, ping{})
+			}),
+			p:    1,
+			plan: sim.FaultPlan{DropNth: []sim.NthRule{{Proc: 1, Every: 100}}},
+			ops:  20_000, lost: 200,
+		},
+		{
+			name: "combining",
+			m:    combining.NewMachine(2, combining.WithWindow(100)),
+			p:    2,
+			plan: sim.FaultPlan{
+				DupNth:  []sim.NthRule{{Proc: 2, Every: 1}},
+				DropNth: []sim.NthRule{{Proc: 1, Every: 7}},
+			},
+			ops: 2_000, lost: 2 * 2_000 / 7,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := rt.New(tc.m, rt.WithFaults(tc.plan))
+			defer r.Close()
+			done := make(chan sim.OpDone, 4)
+			r.OnOpDone(func(d sim.OpDone) { done <- d })
+			completed := 0
+			for i := 0; i < tc.ops; i++ {
+				// The operation has ended once it completed or lost a message,
+				// and its initiator is free again once its value landed (which
+				// OpValue consumes).
+				id := r.Start(0, tc.p)
+				valued := false
+				for deadline := time.Now().Add(10 * time.Second); ; runtime.Gosched() {
+					select {
+					case <-done:
+						completed++
+					default:
+					}
+					if !valued {
+						_, valued = r.OpValue(id)
+					}
+					if valued && completed+int(r.FaultStats().Lost) == i+1 {
+						break
+					}
+					if time.Now().After(deadline) {
+						t.Fatalf("op %d of %d neither completed nor lost a message: %+v", i, tc.ops, r.FaultStats())
+					}
+				}
+			}
+			if lost := r.FaultStats().Lost; lost != int64(tc.lost) || completed != tc.ops-tc.lost {
+				t.Fatalf("lost %d, completed %d; want %d and %d", lost, completed, tc.lost, tc.ops-tc.lost)
+			}
+			// A lost operation's last unit may still be in flight.
+			for deadline := time.Now().Add(5 * time.Second); rt.Registered(r) != 0; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d operation records survive the run", rt.Registered(r))
+				}
+			}
+		})
 	}
 }
 

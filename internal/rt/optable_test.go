@@ -63,6 +63,14 @@ func (r *relayProto) Deliver(nw sim.Transport, msg sim.Message) {
 	}
 }
 
+// Registered returns how many operations r's op table holds: the adopted
+// ones whose records are not yet freed. Exported for the external tests.
+func Registered(r *Runtime) int {
+	r.opsMu.Lock()
+	defer r.opsMu.Unlock()
+	return len(r.ops)
+}
+
 // TestLazyOpRegistry: the op table is written by Adopt only. A token adopted
 // on one processor's goroutine still resolves on another's for SendAs and
 // Release; a token no Adopt issued, or whose operation has completed, still
@@ -90,10 +98,7 @@ func TestLazyOpRegistry(t *testing.T) {
 		if _, err := r.Inc(1); err != nil {
 			t.Fatalf("%s: %v", then, err)
 		}
-		r.opsMu.Lock()
-		open := len(r.ops)
-		r.opsMu.Unlock()
-		if open != 0 {
+		if open := Registered(r); open != 0 {
 			t.Fatalf("%s: %d operations still registered at quiescence", then, open)
 		}
 	}
@@ -124,11 +129,6 @@ func TestRegistryHoldsAdoptedOpsOnly(t *testing.T) {
 		t.Run(m.Name, func(t *testing.T) {
 			r := New(m)
 			defer r.Close()
-			registered := func() int {
-				r.opsMu.Lock()
-				defer r.opsMu.Unlock()
-				return len(r.ops)
-			}
 			done := make(chan struct{}, r.N())
 			r.OnOpDone(func(sim.OpDone) { done <- struct{}{} })
 			peak := 0
@@ -137,10 +137,10 @@ func TestRegistryHoldsAdoptedOpsOnly(t *testing.T) {
 					r.Start(0, sim.ProcID(p))
 				}
 				for p := 1; p <= r.N(); p++ {
-					peak = max(peak, registered())
+					peak = max(peak, Registered(r))
 					<-done
 				}
-				if open := registered(); open != 0 {
+				if open := Registered(r); open != 0 {
 					t.Fatalf("round %d: %d operations registered at quiescence", i, open)
 				}
 			}

@@ -51,10 +51,13 @@
 // is open while it has pending attributed work (its initiation callback,
 // in-flight attributed messages and timers, and Adopt holds); when the
 // count reaches zero the operation is complete and the OnOpDone callback
-// fires. The per-message service cost of sim.WithServiceTime is emulated by
-// busy-spinning the executor that holds the receiving processor for cost x
-// tick per network message, which reproduces the serial-server bottleneck —
-// the paper's hot-spot — on real cores.
+// fires — unless an injected fault destroyed part of its work, which loses
+// the operation: it never completes, and only its record is freed. Records
+// are recycled, so a run allocates none per operation. The per-message
+// service cost of sim.WithServiceTime is emulated by busy-spinning the
+// executor that holds the receiving processor for cost x tick per network
+// message, which reproduces the serial-server bottleneck — the paper's
+// hot-spot — on real cores.
 //
 // Protocol callbacks take no lock: a handler reads and writes only its
 // receiving processor's state (sim.Protocol's contract; the one cell shared
@@ -143,19 +146,23 @@ func WithFaults(plan sim.FaultPlan) Option {
 // opRec is the runtime's record of one in-flight operation. pending counts
 // open attributed work exactly like the simulator's per-op event count:
 // +1 at injection (released when the initiation callback returns), +1 per
-// attributed message or timer (released when its delivery returns), +1 per
-// Adopt hold (released by Release, or transferred to a SendAs message and
-// released when that delivery returns). The transition to zero completes
-// the operation, exactly once, on whichever goroutine performed it.
+// attributed message or timer (released when its delivery returns or an
+// injected fault destroys it), +1 per Adopt hold (released by Release, or
+// transferred to a SendAs message and released with it). The transition to
+// zero finishes the operation, exactly once, on whichever goroutine
+// performed it (Runtime.finish): the record goes back to Runtime.recs.
 type opRec struct {
 	id        sim.OpID
-	initiator int32 // a sim.ProcID, narrowed to keep the record 48 bytes
+	initiator int32 // a sim.ProcID
 	pending   int32
 	startNs   int64
 	// adopted is set once the record is in Runtime.ops, which happens at the
 	// operation's first Adopt and for no other reason: a message carries its
 	// *opRec, so only a token (an id) ever needs the lookup.
 	adopted atomic.Bool
+	// lost is set once an injected fault destroyed one of the operation's
+	// units: it then never completes, as on the simulator.
+	lost atomic.Bool
 	// nodes is the number of DAG nodes numbered so far, the source included,
 	// or 0 when the operation started with no OnDeliver hook.
 	nodes  atomic.Int32
@@ -340,6 +347,10 @@ type Runtime struct {
 	// Adopt never takes opsMu.
 	opsMu sync.Mutex
 	ops   map[sim.OpID]*opRec
+	// recs recycles finished operations' records, the simulator's op-table
+	// free list on real cores: records are freed on the executors and taken
+	// by the starting goroutine, so the list must be safe across goroutines.
+	recs sync.Pool
 
 	onDone    func(sim.OpDone)
 	onDeliver func(sim.Delivery)
@@ -379,6 +390,7 @@ func New(m counter.Machine, opts ...Option) *Runtime {
 	for _, opt := range opts {
 		opt(r)
 	}
+	r.recs.New = func() any { return new(opRec) }
 	r.procs = make([]processor, r.n+1)
 	for p := 1; p <= r.n; p++ {
 		r.procs[p].view = procView{r: r, p: sim.ProcID(p)}
@@ -474,11 +486,10 @@ func (r *Runtime) sendFate(from sim.ProcID) (drop, dup bool) {
 
 // faultIntercept enforces crash/churn windows on a mailbox item about to be
 // delivered at processor p, mirroring the simulator's delivery-side check:
-// drained items are destroyed (wedging their operations — their pending
-// units are never released), frozen items re-enter the mailbox at recovery,
-// and local timers are cancelled outright. Downtime is measured in ticks of
-// wall time since the runtime started. Returns true when the item was
-// consumed.
+// drained items are destroyed (losing their operations, see lose), frozen
+// items re-enter the mailbox at recovery, and local timers are cancelled
+// outright (also a loss). Downtime is measured in ticks of wall time since
+// the runtime started. Returns true when the item was consumed.
 func (r *Runtime) faultIntercept(p sim.ProcID, it item) bool {
 	t := r.NowNs() / int64(r.tick)
 	r.faultMu.Lock()
@@ -492,6 +503,7 @@ func (r *Runtime) faultIntercept(p sim.ProcID, it item) bool {
 	if it.msg.Local && !it.start {
 		r.faults.NoteTimerCancelled()
 		r.faultMu.Unlock()
+		r.lose(it.rec)
 		return true
 	}
 	if r.faults.Plan().Freeze && !forever {
@@ -504,6 +516,7 @@ func (r *Runtime) faultIntercept(p sim.ProcID, it item) bool {
 	}
 	r.faults.NoteCrashDropped()
 	r.faultMu.Unlock()
+	r.lose(it.rec)
 	return true
 }
 
@@ -579,7 +592,8 @@ func (r *Runtime) startWith(p sim.ProcID, startNs int64, waiter chan<- sim.OpDon
 		startNs = r.NowNs()
 	}
 	id := sim.OpID(atomic.AddInt64(&r.nextOp, 1))
-	rec := &opRec{id: id, initiator: int32(p), startNs: startNs, pending: 1, waiter: waiter}
+	rec := r.recs.Get().(*opRec)
+	*rec = opRec{id: id, initiator: int32(p), startNs: startNs, pending: 1, waiter: waiter}
 	if r.onDeliver != nil {
 		rec.nodes.Store(1)
 	}
@@ -765,30 +779,53 @@ func (r *Runtime) deliver(view *procView, it item) {
 }
 
 // opRelease retires one unit of pending attributed work; the transition to
-// zero completes the operation.
+// zero finishes the operation.
 func (r *Runtime) opRelease(rec *opRec) {
 	if atomic.AddInt32(&rec.pending, -1) > 0 {
 		return
 	}
+	r.finish(rec)
+}
+
+// lose retires a unit of rec's work that an injected fault destroyed (a
+// dropped message, a delivery drained at a crashed processor, a cancelled
+// timer): the operation is marked lost and its record is freed with its last
+// unit, without a completion — the simulator's release semantics. rec may be
+// nil (detached work).
+func (r *Runtime) lose(rec *opRec) {
+	if rec != nil {
+		rec.lost.Store(true)
+		r.opRelease(rec)
+	}
+}
+
+// finish retires the record of an operation whose last unit was released:
+// it leaves Runtime.ops, reports its completion to the waiter and to
+// OnOpDone unless it was lost, and goes back to Runtime.recs, since nothing
+// can reach it any more.
+func (r *Runtime) finish(rec *opRec) {
 	end := r.NowNs()
 	if rec.adopted.Load() {
 		r.opsMu.Lock()
 		delete(r.ops, rec.id)
 		r.opsMu.Unlock()
 	}
-	d := sim.OpDone{
-		ID:        rec.id,
-		Initiator: sim.ProcID(rec.initiator),
-		Start:     rec.startNs,
-		End:       end,
-		Messages:  atomic.LoadInt64(&rec.msgs),
+	if !rec.lost.Load() {
+		d := sim.OpDone{
+			ID:        rec.id,
+			Initiator: sim.ProcID(rec.initiator),
+			Start:     rec.startNs,
+			End:       end,
+			Messages:  atomic.LoadInt64(&rec.msgs),
+		}
+		if rec.waiter != nil {
+			rec.waiter <- d
+		}
+		if r.onDone != nil {
+			r.onDone(d)
+		}
 	}
-	if rec.waiter != nil {
-		rec.waiter <- d
-	}
-	if r.onDone != nil {
-		r.onDone(d)
-	}
+	r.recs.Put(rec)
 }
 
 // lookup resolves a token's operation: nil once the operation completed (a
@@ -880,8 +917,9 @@ func (v *procView) send(to sim.ProcID, pl sim.Payload, w int64, rec *opRec, pare
 		drop, dup := v.r.sendFate(v.p)
 		if drop {
 			// Destroyed in flight after the sender paid: the pending unit (or
-			// the adopted hold) is never released, so the operation wedges —
-			// the simulator's loss semantics exactly.
+			// the adopted hold) goes with it, and the operation is lost — the
+			// simulator's loss semantics exactly.
+			v.r.lose(rec)
 			return
 		}
 		if dup {
