@@ -13,8 +13,8 @@ import (
 // closed-loop run, counter construction included. Unlike the simulator's
 // Send/Step guard (exactly zero), a workload run legitimately allocates:
 // the counter and network are built fresh, the engine's two stages start
-// with their rings, the latency digests grow their counting tables to the
-// largest latency seen, the in-flight sweep buffers one chunk of intervals
+// with their rings, the latency digests allocate a page of counts for the
+// latencies seen, the in-flight sweep buffers one chunk of intervals
 // and the result is assembled. The ceiling leaves headroom over the measured
 // cost (81 objects for 200 ops at n=16, nearly all construction; 199 while
 // every event bucket grew by doubling) but sits below the 425 of the
@@ -43,32 +43,30 @@ func TestRunWorkloadAllocCeiling(t *testing.T) {
 // that the figure does not rise with the operation count: what the harness
 // keeps per completion is digests, a sweep chunk and the verifier's
 // unresolved operations, so quadrupling a run must only amortize its fixed
-// costs further. The ceilings leave headroom over the measured cost, enough
-// for the ~8 B/op the race detector adds to every row, and sit well below
-// what per-op bookkeeping costs:
+// costs further. The ceilings leave headroom over the measured cost and sit
+// well below what per-op bookkeeping costs:
 //
-//	central, n=64, closed loop    8 B/op at 200k ops (the boxed value
-//	                              payload), 10 at 50k; with five int64
-//	                              vectors sized by ops it was 49
-//	central, n=64, Verify on      9 B/op at 200k ops, 13 at 50k: the same
+//	central, n=64, closed loop    0.8 B/op at 200k ops, 3.2 at 50k; with
+//	                              five int64 vectors sized by ops it was 49
+//	central, n=64, Verify on      1.4 B/op at 200k ops, 5.7 at 50k: the same
 //	                              plus the verifier's first pending chunk; a
 //	                              history of every value checked post hoc
 //	                              made it 52
-//	4 central shards, Verify on   15 B/op at 200k ops, 20 at 50k: each (key,
+//	4 central shards, Verify on   7.7 B/op at 200k ops, 13 at 50k: each (key,
 //	                              epoch) segment's value bitset (~5: which
 //	                              segment held a value is needed for as long
 //	                              as a duplicate of it may come). A history
 //	                              checked post hoc made it 88, a copy of it
 //	                              per shard and per segment 472
-//	rt central, n=8, Verify on    10 B/op at 200k ops, 38 at 50k: the
-//	                              digests' tables, grown once per run, are
+//	rt central, n=8, Verify on    5.2 B/op at 200k ops, 19 at 50k: the
+//	                              digests' pages, allocated once per run, are
 //	                              most of it; the operation records are
 //	                              recycled. An allocated record per
-//	                              operation and raw wall-clock strays made
-//	                              it 58 and 87. Under -race 35 and 73
-//	                              (before: 151 and 163): the slower run
-//	                              keeps more early strays raw, and sync.Pool
-//	                              drops a quarter of what it is given
+//	                              operation, raw wall-clock strays and a
+//	                              table grown by doubling made it 58, 87 and
+//	                              36. Under -race 21 and 37 (before: 30 and
+//	                              68): sync.Pool drops a quarter of what it
+//	                              is given
 func TestRunFootprintPerOp(t *testing.T) {
 	for _, row := range []struct {
 		name    string
@@ -94,7 +92,7 @@ func TestRunFootprintPerOp(t *testing.T) {
 				t.Fatalf("verification: %+v", res.Verification)
 			}
 		}},
-		{"rt central, n=8, verified", 50, 90, func(t *testing.T, ops int) {
+		{"rt central, n=8, verified", 25, 50, func(t *testing.T, ops int) {
 			c, err := registry.NewWith("central", 8, registry.Config{Backend: "rt"})
 			if err != nil {
 				t.Fatal(err)

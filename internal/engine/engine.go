@@ -253,9 +253,9 @@ type Result struct {
 	// mean(Latency) = mean(QueueDelay) + mean(ServiceLatency). Simulated
 	// digests are exact. On a wall-clock run (Wall) every Mean is exact and
 	// so is every sample below 65 536 ns, but larger samples are rounded to
-	// 10 significant bits before they reach a digest: a quantile, Min or Max
-	// of 65 536 ns or more is within a relative 2^-10 (0.1 %) of the exact
-	// one. That keeps an rt run's digests in constant memory.
+	// 10 significant bits and counted in at most 24 pages of a digest: a
+	// quantile, Min or Max of 65 536 ns or more is within a relative 2^-10
+	// (0.1 %) of the exact one, and an rt run's digests hold constant memory.
 	Latency        LatencyStats `json:"latency"`
 	QueueDelay     LatencyStats `json:"queue_delay"`
 	ServiceLatency LatencyStats `json:"service_latency"`

@@ -18,11 +18,10 @@ import (
 // run that produces it holds 8 bytes per operation: each latency kind
 // streams into an exact digest and the activity intervals into an online
 // sweep (stream.go), and the state is sized by the values seen and the
-// operations in flight. On a wall-clock run the digests round samples of
-// 65 536 ns or more to 10 significant bits (digest.addWall), so that state
-// stays bounded however long the run.
+// operations in flight. The digests of a wall-clock run round samples of
+// 65 536 ns or more to 10 significant bits and count them in at most 24
+// pages (digest.wall), so that state stays bounded however long the run.
 type metrics struct {
-	wall      bool // the run's stamps are wall-clock nanoseconds (Result.Wall)
 	warmup    int
 	completed int
 	inFlight  inFlightSweep // activity intervals, for PeakInFlight
@@ -36,7 +35,8 @@ type metrics struct {
 }
 
 func newMetrics(res *Result, warmup int, vf *verifier) *metrics {
-	m := &metrics{wall: res.Wall, warmup: warmup, vf: vf}
+	m := &metrics{warmup: warmup, vf: vf}
+	m.latency.wall, m.queueDelay.wall, m.serviceLat.wall = res.Wall, res.Wall, res.Wall
 	// One chunk up front: growing to it by append would cost any run of a
 	// thousand operations twenty allocations.
 	m.inFlight.starts = make([]int64, 0, sweepChunk)
@@ -51,8 +51,7 @@ func newMetrics(res *Result, warmup int, vf *verifier) *metrics {
 // add records one completion: its value with the verifier, its activity
 // interval always, and past the warmup boundary its end-to-end latency
 // split into queueing delay (arrival to injection) and service latency
-// (injection to completion), attributed to its key on keyed runs; the
-// wall-clock ones go through the digests' precision rule. The
+// (injection to completion), attributed to its key on keyed runs. The
 // newest frontier advances the sweep and the verifier whenever the sweep's
 // buffer is due: it is at most frontierEvery records old, and both report
 // the whole history whichever frontier they advance to.
@@ -65,15 +64,9 @@ func (m *metrics) add(d *outcome) {
 	m.inFlight.add(start, end)
 	m.lastDone = max(m.lastDone, end)
 	if m.completed > m.warmup {
-		if m.wall {
-			m.latency.addWall(end - arrival)
-			m.queueDelay.addWall(start - arrival)
-			m.serviceLat.addWall(end - start)
-		} else {
-			m.latency.add(end - arrival)
-			m.queueDelay.add(start - arrival)
-			m.serviceLat.add(end - start)
-		}
+		m.latency.add(end - arrival)
+		m.queueDelay.add(start - arrival)
+		m.serviceLat.add(end - start)
 		if m.keyLatSum != nil {
 			m.keyLatSum[d.at.Key] += end - arrival
 			m.keyMeasured[d.at.Key]++

@@ -11,211 +11,121 @@ import (
 // sized by the values it saw and the operations still in flight — not one
 // vector entry per completed operation.
 
-// digestDense bounds the digest's counting table. Simulated latencies are
-// small tick counts and rt's are mostly below 65 µs in nanoseconds, so on a
-// long run nearly every sample lands in the table.
-const digestDense = 1 << 16
-
-// wallExact bounds the wall-clock samples a digest keeps exact, in
-// nanoseconds; addWall rounds larger ones to wallBits significant bits.
+// digestDense bounds the exact values a digest counts. Simulated latencies
+// are small tick counts and rt's are mostly below 65 µs in nanoseconds, so
+// on a long run nearly every sample lands in the table.
 const (
-	wallExact = 1 << 16
-	wallBits  = 10
+	denseBits   = 16
+	digestDense = 1 << denseBits
 )
 
-// digestFirst is the table's first size: 4 KB covers a run whose latencies
-// stay below a thousand ticks in one allocation.
-const digestFirst = 1 << 10
+// A wall-clock digest rounds samples of digestDense ns or more to wallBits
+// significant bits (roundWall) and counts them too: 2^(wallBits-1) values
+// per doubling, over the wallOctaves doublings up to 2^63, follow the exact
+// ones in the table.
+const (
+	wallBits    = 10
+	wallOctaves = 63 - denseBits
+	digestSlots = digestDense + wallOctaves<<(wallBits-1)
+)
+
+// pageSize is how many counters a page of the table holds: 4 KB, which
+// covers a run whose latencies stay below a thousand ticks.
+const pageSize = 1 << 10
 
 // digest is an exact latency digest: its statistics are those of sorting
 // every sample, bit for bit, without keeping the samples. Values the table
-// covers are counted; the others are strays. The table grows, up to
-// digestDense, only while it costs no more than the samples it has seen
-// would cost raw, so a digest holds O(min(samples, digestDense)) bytes plus
-// the strays: a 300-op run with microsecond-wide latencies does not pay for
-// a 65 536-entry table, and a 500 000-op run does not pay per sample below
-// the bound. Strays are kept raw until the raw buffer fills. Then those the
-// table has grown to cover since are counted, and the rest compacted into
-// runs, one exact (value, count) pair per distinct value, when that at least
-// halves what they cost raw; otherwise they stay raw, with the next try once
-// there are twice as many. So strays cost at most 8 bytes a sample, as raw
-// ones do, and strays that repeat (rt's rounded wall-clock samples,
-// metrics.add) cost 16 bytes a distinct value however many samples share it.
+// holds a page for are counted; the others are strays, kept raw. A page is
+// allocated on the first sample it would count, if the pages then held
+// cost (4 bytes a counter) no more than the samples seen so far would cost
+// raw (8 bytes each); the first page is always allowed. So a digest holds
+// O(min(samples, digestSlots)) bytes plus the strays: a 300-op run with
+// microsecond-wide latencies pays for one page, not 64, a 500 000-op run
+// does not pay per sample below the bound, and nothing is copied as the
+// table grows. On a wall-clock run (wall) the rounded samples are counted
+// too, in at most 24 pages, so strays are only negatives and samples that
+// came before their page was affordable: the digest stays in constant
+// memory however long the run. The mean stays exact either way.
 type digest struct {
-	counts []uint32 // counts[v] samples equal v, but for strays not yet folded in (compact)
-	span   int      // counts[:span] holds every counted sample: rank and reset stop there
-	over   []int64  // the raw strays, arranged for rank by stats
-	runs   []digestRun
-	retry  int // len(over) before which a full buffer grows without a compaction
-	n      int
-	sum    int64
-}
-
-// digestRun is c compacted strays equal to v; a digest's runs ascend by v.
-type digestRun struct {
-	v int64
-	c int
+	wall  bool // samples are wall-clock nanoseconds: round those of digestDense or more
+	pages [(digestSlots + pageSize - 1) / pageSize]*[pageSize]uint32
+	held  int     // pages allocated; reset keeps them
+	span  int     // every counted sample's slot is below span: rank and reset stop there
+	over  []int64 // the strays, arranged for rank by stats
+	n     int
+	sum   int64
 }
 
 func (d *digest) add(v int64) {
 	d.n++
 	d.sum += v
-	if uint64(v) >= uint64(len(d.counts)) && !d.cover(v) {
-		switch {
-		case d.over == nil:
-			// Strays are few or, on a wide distribution, most of the run:
-			// skip the first doublings.
-			d.over = make([]int64, 0, digestFirst/2)
-		case len(d.over) == cap(d.over) && len(d.over) >= d.retry:
-			d.compact()
-		}
-		d.over = append(d.over, v)
-		return
+	s, limit := v, int64(digestDense)
+	if d.wall && v >= digestDense {
+		v = roundWall(v)
+		s, limit = wallSlot(v), digestSlots
 	}
-	d.span = max(d.span, int(v)+1)
-	d.counts[v]++
+	if uint64(s) < uint64(limit) {
+		p := d.pages[s/pageSize]
+		if p == nil && (d.held == 0 || (d.held+1)*pageSize <= 2*d.n) {
+			p = new([pageSize]uint32)
+			d.pages[s/pageSize] = p
+			d.held++
+		}
+		if p != nil {
+			p[s%pageSize]++
+			d.span = max(d.span, int(s)+1)
+			return
+		}
+	}
+	if d.over == nil {
+		// Strays are few or, on a wide distribution, most of the run: skip
+		// the first doublings.
+		d.over = make([]int64, 0, pageSize/2)
+	}
+	d.over = append(d.over, v)
 }
 
-// addWall adds a wall-clock sample, in nanoseconds: to the mean exactly,
-// and to the order statistics rounded by roundWall. A sample of wallExact ns
-// or more is a stray; rounded, an rt run's strays take at most 512 distinct
-// values per doubling of the latency, so compaction keeps them in constant
-// memory however long the run.
-func (d *digest) addWall(v int64) {
-	r := roundWall(v)
-	d.add(r)
-	d.sum += v - r
-}
-
-// roundWall rounds v, when it is wallExact or more, to the nearest value
+// roundWall rounds v, when it is digestDense or more, to the nearest value
 // with wallBits significant bits: a relative error below 2^-wallBits. Smaller
 // values are returned as they are.
 func roundWall(v int64) int64 {
-	if v < wallExact {
+	if v < digestDense {
 		return v
 	}
 	shift := bits.Len64(uint64(v)) - wallBits
 	return (v + 1<<(shift-1)) >> shift << shift
 }
 
-// cover grows the table to count v, if v is below the dense bound and the
-// grown table (4 bytes a value) is no larger than the samples so far kept
-// raw (8 bytes each).
-func (d *digest) cover(v int64) bool {
-	if uint64(v) >= digestDense {
-		return false
-	}
-	size := digestFirst
-	for size <= int(v) {
-		size *= 2
-	}
-	if size > digestFirst && size > 2*d.n {
-		return false
-	}
-	grown := make([]uint32, size)
-	copy(grown, d.counts)
-	d.counts = grown
-	return true
+// wallSlot is the table slot of a rounded wall-clock sample r of digestDense
+// or more: its doubling above digestDense, then its wallBits-1 bits below
+// the leading one. A slot at or past digestSlots (r overflowed) is a stray's.
+func wallSlot(r int64) int64 {
+	l := bits.Len64(uint64(r))
+	mantissa := int64(uint64(r) >> (l - wallBits))
+	return digestDense + int64(l-denseBits-1)<<(wallBits-1) + mantissa - 1<<(wallBits-1)
 }
 
-// compact makes room in the full raw buffer: it counts the strays the table
-// now covers, and merges the others into the runs, emptying the buffer, when
-// the runs that adds (16 bytes each) cost at most half the raw samples (8
-// bytes each); otherwise the strays stay raw and the next try waits until
-// there are twice as many. A tail of distinct values (a simulated closed
-// loop falling behind its arrivals) is told by a sample, so it pays no sort.
-func (d *digest) compact() {
-	// Strays that arrived before the table grew to cover them are counted
-	// now; when that frees half the buffer, it is enough.
-	kept := d.over[:0]
-	for _, v := range d.over {
-		if uint64(v) < uint64(len(d.counts)) {
-			d.span = max(d.span, int(v)+1)
-			d.counts[v]++
-		} else {
-			kept = append(kept, v)
-		}
+// slotValue is the sample value slot s counts: wallSlot's inverse past the
+// exact values.
+func slotValue(s int) int64 {
+	if s < digestDense {
+		return int64(s)
 	}
-	d.over = kept
-	if 2*len(d.over) <= cap(d.over) {
-		return
-	}
-	if !d.repeats() {
-		d.retry = 2 * len(d.over)
-		return
-	}
-	slices.Sort(d.over)
-	added := 0
-	for i, j := 0, 0; j < len(d.over); j++ {
-		v := d.over[j]
-		if j > 0 && v == d.over[j-1] {
-			continue
-		}
-		for i < len(d.runs) && d.runs[i].v < v {
-			i++
-		}
-		if i == len(d.runs) || d.runs[i].v != v {
-			added++
-		}
-	}
-	if 4*added > len(d.over) {
-		d.retry = 2 * len(d.over)
-		return
-	}
-	// Merge from the back, so that every run moves at most once and the
-	// runs already in place stay there.
-	i, k := len(d.runs)-1, len(d.runs)+added-1
-	d.runs = slices.Grow(d.runs, added)[:k+1]
-	for j := len(d.over) - 1; j >= 0; k-- {
-		v, c := d.over[j], 0
-		for ; j >= 0 && d.over[j] == v; j-- {
-			c++
-		}
-		for ; i >= 0 && d.runs[i].v > v; i, k = i-1, k-1 {
-			d.runs[k] = d.runs[i]
-		}
-		if i >= 0 && d.runs[i].v == v {
-			c += d.runs[i].c
-			i--
-		}
-		d.runs[k] = digestRun{v, c}
-	}
-	d.over = d.over[:0]
+	i := s - digestDense
+	mantissa := int64(1<<(wallBits-1) + i%(1<<(wallBits-1)))
+	return mantissa << (i>>(wallBits-1) + denseBits + 1 - wallBits)
 }
 
-// repeats reports whether a sample of the raw strays holds a value twice:
-// the newest 256 and 256 evenly spaced over the rest. Strays that compaction
-// would at least halve repeat so much that it nearly always does — the
-// newest ones when latencies trend with the run, the spread ones when they
-// do not — and if it does not, they only stay raw.
-func (d *digest) repeats() bool {
-	const half = 256
-	var sample [2 * half]int64
-	rest := len(d.over) - half
-	if rest < half {
-		return true
-	}
-	copy(sample[:half], d.over[rest:])
-	for i := range half {
-		sample[half+i] = d.over[i*rest/half]
-	}
-	slices.Sort(sample[:])
-	for i := 1; i < len(sample); i++ {
-		if sample[i] == sample[i-1] {
-			return true
-		}
-	}
-	return false
-}
-
-// reset empties the digest, keeping its table and buffers for the next
+// reset empties the digest, keeping its pages and buffer for the next
 // population.
 func (d *digest) reset() {
-	clear(d.counts[:d.span])
+	for _, p := range d.pages[:(d.span+pageSize-1)/pageSize] {
+		if p != nil {
+			clear(p[:])
+		}
+	}
 	d.span = 0
 	d.over = d.over[:0]
-	d.runs = d.runs[:0]
-	d.retry = 0
 	d.n, d.sum = 0, 0
 }
 
@@ -251,24 +161,22 @@ func (d *digest) stats() LatencyStats {
 	}
 }
 
-// order arranges the raw samples so that values reads the given ranks
-// (ascending) right. The counted values are the table's and the runs'. Raw
-// strays below the largest of them interleave with counted values and the
-// walk merges them, so they go first, sorted; without runs there are few,
-// since only a sample that arrived before the table grew to cover it is
-// one. The strays at or above it follow every counted value, so rank k
-// among all samples is the one at over[k-counted]: selection puts just the
-// ranks asked for in place, not the whole tail.
+// order arranges the strays so that values reads the given ranks
+// (ascending) right. Strays below the largest counted value interleave with
+// counted values and the walk merges them, so they go first, sorted; they
+// are few, since only negatives and samples that came before their page was
+// affordable are below it. The strays at or above it follow every counted
+// value, so rank k among all samples is the one at over[k-counted]:
+// selection puts just the ranks asked for in place, not the whole tail.
 func (d *digest) order(ranks []int) {
-	bound := int64(d.span)
-	if last := len(d.runs) - 1; last >= 0 {
-		bound = max(bound, d.runs[last].v)
-	}
 	below := 0
-	for i, v := range d.over {
-		if v < bound {
-			d.over[i], d.over[below] = d.over[below], v
-			below++
+	if d.span > 0 {
+		bound := slotValue(d.span - 1)
+		for i, v := range d.over {
+			if v < bound {
+				d.over[i], d.over[below] = d.over[below], v
+				below++
+			}
 		}
 	}
 	slices.Sort(d.over[:below])
@@ -335,32 +243,22 @@ func interpolate(n int, q float64, lo, hi int64) float64 {
 }
 
 // values sets out[i] to the ranks[i]-th smallest sample (0-based; ranks
-// ascending) in one walk that merges the counted values — the table's and
-// the runs', themselves merged — with the raw samples. order must have
-// placed the ranks. The walk ends at the largest counted value; the raw
-// samples it has not passed are the ranks above.
+// ascending) in one walk that merges the counted values, page by page, with
+// the strays. order must have placed the ranks. The walk ends at the
+// largest counted value; the strays it has not passed are the ranks above.
 func (d *digest) values(ranks []int, out []int64) {
-	t, i, j := 0, 0, 0 // the next table value, run and raw sample
-	pos, r := 0, 0     // the samples passed, and the next rank to read
-	for r < len(ranks) {
-		for t < d.span && d.counts[t] == 0 {
-			t++
+	j, pos, r := 0, 0, 0 // the next stray, the samples passed, the next rank to read
+	for s := 0; s < d.span && r < len(ranks); s++ {
+		p := d.pages[s/pageSize]
+		if p == nil {
+			s += pageSize - 1
+			continue
 		}
-		var v int64
-		var c int
-		switch {
-		case t < d.span && (i == len(d.runs) || int64(t) <= d.runs[i].v):
-			v, c = int64(t), int(d.counts[t])
-			t++
-		case i < len(d.runs):
-			v, c = d.runs[i].v, d.runs[i].c
-			i++
-		default:
-			for ; r < len(ranks); r++ {
-				out[r] = d.over[j+ranks[r]-pos]
-			}
-			return
+		c := int(p[s%pageSize])
+		if c == 0 {
+			continue
 		}
+		v := slotValue(s)
 		for ; j < len(d.over) && d.over[j] < v; j, pos = j+1, pos+1 {
 			for ; r < len(ranks) && ranks[r] == pos; r++ {
 				out[r] = d.over[j]
@@ -370,6 +268,9 @@ func (d *digest) values(ranks []int, out []int64) {
 			out[r] = v
 		}
 		pos += c
+	}
+	for ; r < len(ranks); r++ {
+		out[r] = d.over[j+ranks[r]-pos]
 	}
 }
 

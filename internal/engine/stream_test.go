@@ -134,25 +134,25 @@ func TestDigestMatchesSort(t *testing.T) {
 }
 
 // TestDigestSelectMatchesSort: stats selects its ranks among the strays
-// above the table's span instead of sorting them, and reads the same
-// numbers as sorting every sample, on random populations built to stress
-// the split: strays that arrived before the table grew and now sit below
-// its span among counted values, heavy duplicates on both sides of it,
-// all-equal samples and a single one.
+// above the largest counted value instead of sorting them, and reads the
+// same numbers as sorting every sample, on random populations built to
+// stress the split: strays that arrived before their page was affordable
+// and now sit among counted values, heavy duplicates on both sides of the
+// dense bound, all-equal samples and a single one.
 func TestDigestSelectMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(39))
 	for trial := 0; trial < 400; trial++ {
 		var vals []int64
 		switch trial % 4 {
-		case 0: // early wide samples stay raw, then the table grows past them
+		case 0: // early wide samples stay raw, then their pages are allocated
 			for i := rng.Intn(200); i > 0; i-- {
-				vals = append(vals, digestFirst+rng.Int63n(4*digestFirst))
+				vals = append(vals, pageSize+rng.Int63n(4*pageSize))
 			}
 			for i := rng.Intn(20000); i > 0; i-- {
-				vals = append(vals, rng.Int63n(8*digestFirst))
+				vals = append(vals, rng.Int63n(8*pageSize))
 			}
 		case 1: // few distinct values, some above the dense bound
-			levels := []int64{0, 7, digestFirst + 1, digestDense - 1, digestDense, 3 * digestDense}
+			levels := []int64{0, 7, pageSize + 1, digestDense - 1, digestDense, 3 * digestDense}
 			for i := 1 + rng.Intn(5000); i > 0; i-- {
 				vals = append(vals, levels[rng.Intn(len(levels))])
 			}
@@ -205,17 +205,17 @@ func TestNthMatchesSort(t *testing.T) {
 	}
 }
 
-// TestDigestFootprint: the digest holds O(min(samples, digestDense)) bytes —
+// TestDigestFootprint: the digest holds O(min(samples, digestSlots)) bytes —
 // a short run with wide latencies keeps them raw instead of paying for the
-// whole table, and a long one stops growing once the table covers them.
+// whole table, and a long one stops allocating once its pages cover them.
 func TestDigestFootprint(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var d digest
 	for i := 0; i < 300; i++ {
 		d.add(rng.Int63n(digestDense))
 	}
-	if len(d.counts) != digestFirst {
-		t.Fatalf("300 wide samples grew the table to %d entries, want %d", len(d.counts), digestFirst)
+	if d.held != 1 {
+		t.Fatalf("300 wide samples hold %d pages, want 1", d.held)
 	}
 	for d.n < 100_000 {
 		d.add(rng.Int63n(digestDense))
@@ -224,19 +224,21 @@ func TestDigestFootprint(t *testing.T) {
 	for d.n < 400_000 {
 		d.add(rng.Int63n(digestDense))
 	}
-	if len(d.counts) != digestDense || len(d.over) != raw || raw > digestDense/2 {
-		t.Fatalf("after 400k samples below the bound: table %d entries, %d raw samples (%d at 100k)",
-			len(d.counts), len(d.over), raw)
+	if d.held > digestDense/pageSize || len(d.over) != raw || raw > digestDense/2 {
+		t.Fatalf("after 400k samples below the bound: %d pages, %d raw samples (%d at 100k)",
+			d.held, len(d.over), raw)
 	}
 }
 
-// TestDigestCompactsRepeatedStrays: strays that repeat are compacted into
-// counted runs, which then merge with the table, with raw strays that came
-// after the last compaction and with the strays kept raw because they were
-// too diverse to compact, and the digest still reads what sorting reads.
-// Every population is fed through the compaction path many times over,
-// fresh and after a reset, and the raw buffer must stop growing once the
-// strays repeat.
+// TestDigestCompactsRepeatedStrays: values that repeat above the dense
+// bound are strays of a plain digest, kept raw, and a wall-clock digest
+// counts them at their rounded slot instead. Both read what sorting reads
+// (the wall digest, what sorting the rounded samples reads, with the exact
+// mean) on populations of a few hundred repeated large values, some
+// negatives and a sprinkle of table values whose pages come late, fed to a
+// digest reset after an earlier population. The wall digest's raw buffer
+// keeps only the negatives and the samples that came before their page was
+// affordable, whatever the number of repeats.
 func TestDigestCompactsRepeatedStrays(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	levels := func(k int, lo, hi int64) []int64 {
@@ -248,113 +250,138 @@ func TestDigestCompactsRepeatedStrays(t *testing.T) {
 	}
 	for trial := 0; trial < 30; trial++ {
 		var vals []int64
-		// A few hundred distinct values above the dense bound, some below
-		// zero, and a sprinkle of table values that grow the table late.
 		large := levels(1+rng.Intn(400), digestDense, 1<<30)
 		negative := levels(1+rng.Intn(4), -50, 0)
+		negatives := 0
 		for i := 20_000 + rng.Intn(40_000); i > 0; i-- {
 			switch r := rng.Intn(100); {
 			case r < 70:
 				vals = append(vals, large[rng.Intn(len(large))])
 			case r < 72:
 				vals = append(vals, negative[rng.Intn(len(negative))])
+				negatives++
 			case r < 80 && trial%3 == 0:
-				vals = append(vals, rng.Int63n(1<<40)) // diverse: stays raw
+				vals = append(vals, rng.Int63n(1<<40)) // diverse
 			default:
-				vals = append(vals, rng.Int63n(int64(trial%4+1)*digestFirst))
+				vals = append(vals, rng.Int63n(int64(trial%4+1)*8*pageSize))
 			}
 		}
-		var d digest
+		d, w := digest{}, digest{wall: true}
 		for _, v := range vals[:len(vals)/3] {
 			d.add(v + 11)
+			w.add(v + 11)
 		}
 		d.reset()
+		w.reset()
+		var sum int64
 		for _, v := range vals {
 			d.add(v)
+			w.add(v)
+			sum += v
+		}
+		// A non-negative stray came while its page was unaffordable: before
+		// the samples seen would cost as much raw as one more page than the
+		// digest now holds.
+		if strays := len(w.over) - negatives; strays < 0 || strays > (w.held+1)*pageSize/2 {
+			t.Fatalf("trial %d (%d samples, %d negatives, %d pages): the wall digest keeps %d raw samples",
+				trial, len(vals), negatives, w.held, len(w.over))
 		}
 		if got, want := d.stats(), sortedStats(slices.Clone(vals)); got != want {
-			t.Fatalf("trial %d (%d samples, %d runs, %d raw): digest %+v, sort %+v",
-				trial, len(vals), len(d.runs), len(d.over), got, want)
+			t.Fatalf("trial %d (%d samples, %d raw): digest %+v, sort %+v", trial, len(vals), len(d.over), got, want)
 		}
-		if len(d.runs) == 0 {
-			t.Fatalf("trial %d: %d samples over %d large levels made no runs", trial, len(vals), len(large))
+		rounded := make([]int64, len(vals))
+		for i, v := range vals {
+			rounded[i] = roundWall(v)
 		}
-		// Compaction succeeds once the buffer holds four samples per new
-		// distinct value, and the buffer only doubles while it fails.
-		if distinct := len(large) + len(negative) + digestFirst; trial%3 != 0 && cap(d.over) > 8*distinct {
-			t.Fatalf("trial %d: raw buffer grew to %d samples over %d large levels", trial, cap(d.over), len(large))
+		want := sortedStats(rounded)
+		want.Mean = float64(sum) / float64(len(vals))
+		if got := w.stats(); got != want {
+			t.Fatalf("trial %d (%d samples, %d raw): wall digest %+v, sort of the rounded samples %+v",
+				trial, len(vals), len(w.over), got, want)
 		}
 	}
 }
 
-// TestDigestWallPrecision: a wall-clock digest rounds samples of wallExact
-// ns or more to wallBits significant bits, so every figure it reports of
-// that size is within 2^-wallBits of what sorting the exact samples reads,
-// smaller samples stay exact, the mean stays exact, and the second half of
-// a long run adds no raw buffer and at most 512 runs per doubling.
+// TestDigestWallPrecision: a wall-clock digest rounds samples of digestDense
+// ns or more to wallBits significant bits and counts them: it reports, bit
+// for bit, what sorting the rounded samples reads, with the exact mean, so
+// every figure of that size is within 2^-wallBits of what sorting the exact
+// samples reads and smaller ones are exact. The second half of a long run
+// allocates no raw buffer and no page, but one for each doubling its samples
+// reach past the first half's.
 func TestDigestWallPrecision(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	trend := int64(wallExact)
+	trend := int64(digestDense)
 	within := func(name string, got, want float64) {
 		t.Helper()
-		if want >= wallExact && math.Abs(got-want) > want/(1<<wallBits) {
+		if want >= digestDense && math.Abs(got-want) > want/(1<<wallBits) {
 			t.Errorf("%s: %v, exact %v: relative error %.2e above 2^-%d", name, got, want, math.Abs(got-want)/want, wallBits)
 		}
-		if want < wallExact && got != want && math.Max(got, want) < wallExact {
-			t.Errorf("%s: %v, exact %v: a figure below %d ns must be exact", name, got, want, wallExact)
+		if want < digestDense && got != want && math.Max(got, want) < digestDense {
+			t.Errorf("%s: %v, exact %v: a figure below %d ns must be exact", name, got, want, digestDense)
 		}
 	}
 	for _, tc := range []struct {
 		name string
 		draw func() int64
 	}{
-		{"all below the bound", func() int64 { return 500 + rng.Int63n(wallExact-500) }},
+		{"all below the bound", func() int64 { return 500 + rng.Int63n(digestDense-500) }},
 		{"rt-like: a few microseconds, a long tail", func() int64 {
 			return 1500 + int64(rng.ExpFloat64()*3000) + rng.Int63n(2)*int64(rng.ExpFloat64()*200_000)
 		}},
-		{"all above the bound", func() int64 { return wallExact + rng.Int63n(1<<33) }},
-		{"straddling", func() int64 { return wallExact - 64 + rng.Int63n(128) }},
+		{"all above the bound", func() int64 { return digestDense + rng.Int63n(1<<33) }},
+		{"straddling", func() int64 { return digestDense - 64 + rng.Int63n(128) }},
 		{"trending: a closed loop falling behind", func() int64 {
 			trend += 2000 // at first faster than the rounding's steps
 			return trend + rng.Int63n(1000)
 		}},
 	} {
 		vals := make([]int64, 600_000)
-		var d digest
-		var runs, raw int
+		d := digest{wall: true}
+		var held, raw int
+		var sum, top, halfTop int64
 		for i := range vals {
 			if i == len(vals)/2 {
-				runs, raw = len(d.runs), cap(d.over)
+				held, raw, halfTop = d.held, cap(d.over), top
 			}
 			vals[i] = tc.draw()
-			d.addWall(vals[i])
+			d.add(vals[i])
+			sum, top = sum+vals[i], max(top, vals[i])
 		}
-		got, want := d.stats(), sortedStats(slices.Clone(vals))
-		within(tc.name+" p50", got.P50, want.P50)
-		within(tc.name+" p90", got.P90, want.P90)
-		within(tc.name+" p99", got.P99, want.P99)
-		within(tc.name+" min", float64(got.Min), float64(want.Min))
-		within(tc.name+" max", float64(got.Max), float64(want.Max))
-		if got.Mean != want.Mean {
-			t.Errorf("%s: mean %v, exact %v", tc.name, got.Mean, want.Mean)
+		got := d.stats()
+		exact := sortedStats(slices.Clone(vals))
+		within(tc.name+" p50", got.P50, exact.P50)
+		within(tc.name+" p90", got.P90, exact.P90)
+		within(tc.name+" p99", got.P99, exact.P99)
+		within(tc.name+" min", float64(got.Min), float64(exact.Min))
+		within(tc.name+" max", float64(got.Max), float64(exact.Max))
+		rounded := make([]int64, len(vals))
+		for i, v := range vals {
+			rounded[i] = roundWall(v)
 		}
-		// Rounded strays take 512 values per doubling of the latency, over at
-		// most 33 doublings here, and once the buffer compacts it stops
-		// growing.
-		if len(d.runs) > 512*33 || cap(d.over) != raw {
-			t.Errorf("%s: %d runs and a raw buffer of %d samples after %d samples; %d and %d halfway",
-				tc.name, len(d.runs), cap(d.over), len(vals), runs, raw)
+		want := sortedStats(rounded)
+		want.Mean = float64(sum) / float64(len(vals))
+		if got != want {
+			t.Errorf("%s: digest %+v, sort of the rounded samples %+v", tc.name, got, want)
+		}
+		doublings := bits.Len64(uint64(roundWall(top))) - bits.Len64(uint64(roundWall(halfTop)))
+		if cap(d.over) != raw || d.held-held > doublings {
+			t.Errorf("%s: %d pages and a raw buffer of %d samples after %d samples; %d and %d halfway",
+				tc.name, d.held, cap(d.over), len(vals), held, raw)
 		}
 	}
-	for _, v := range []int64{0, 1, wallExact - 1, -5} {
+	for _, v := range []int64{0, 1, digestDense - 1, -5} {
 		if r := roundWall(v); r != v {
 			t.Errorf("roundWall(%d) = %d, want it unchanged", v, r)
 		}
 	}
-	for v := int64(wallExact); v < 1<<40; v = v*3/2 + 7 {
+	for v := int64(digestDense); v < 1<<40; v = v*3/2 + 7 {
 		r := roundWall(v)
 		if math.Abs(float64(r-v)) >= float64(v)/(1<<wallBits) || bits.Len64(uint64(r))-bits.TrailingZeros64(uint64(r)) > wallBits {
 			t.Fatalf("roundWall(%d) = %d", v, r)
+		}
+		if s := wallSlot(r); s < digestDense || s >= digestSlots || slotValue(int(s)) != r {
+			t.Fatalf("roundWall(%d) = %d counts at slot %d, which reads %d", v, r, s, slotValue(int(s)))
 		}
 	}
 }

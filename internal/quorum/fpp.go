@@ -43,34 +43,6 @@ func NewFPP(n int) FPP {
 // Order returns the plane's prime order q (quorums have q+1 elements).
 func (f FPP) Order() int { return f.q }
 
-// normalizeTriple scales a nonzero triple over Z_q so its first nonzero
-// coordinate is 1, giving one canonical representative per projective
-// point.
-func normalizeTriple(x, y, z, q int) [3]int {
-	inv := func(a int) int {
-		// Fermat: a^(q-2) mod q for prime q.
-		result, base, e := 1, a%q, q-2
-		for e > 0 {
-			if e&1 == 1 {
-				result = result * base % q
-			}
-			base = base * base % q
-			e >>= 1
-		}
-		return result
-	}
-	switch {
-	case x%q != 0:
-		k := inv(x % q)
-		return [3]int{1, y * k % q, z * k % q}
-	case y%q != 0:
-		k := inv(y % q)
-		return [3]int{0, 1, z * k % q}
-	default:
-		return [3]int{0, 0, 1}
-	}
-}
-
 // build enumerates the plane's points and lines.
 func (f *FPP) build() {
 	q := f.q

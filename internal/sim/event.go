@@ -294,22 +294,3 @@ func (q *eventQueue) pop() *event {
 	q.base = e.at
 	return e
 }
-
-// clone returns a deep copy of the queue (slices are copied; events are
-// value types, payloads are immutable by contract).
-func (q *eventQueue) clone() eventQueue {
-	out := eventQueue{
-		heads:   q.heads,
-		occ:     q.occ,
-		base:    q.base,
-		nearLen: q.nearLen,
-		staged:  q.staged,
-	}
-	out.far.evs = append([]event(nil), q.far.evs...)
-	for b, bucket := range q.near {
-		if len(bucket) > 0 {
-			out.near[b] = append([]event(nil), bucket...)
-		}
-	}
-	return out
-}

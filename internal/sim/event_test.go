@@ -156,28 +156,3 @@ func TestEventQueueFarToNearMigration(t *testing.T) {
 		t.Fatalf("queue not empty after drain: %d", q.len())
 	}
 }
-
-// TestEventQueueClone verifies clones are deep: popping from the clone must
-// not disturb the original.
-func TestEventQueueClone(t *testing.T) {
-	var q eventQueue
-	for i := 1; i <= 10; i++ {
-		q.push(&event{at: int64(i % 7), seq: uint64(i)})
-	}
-	q.push(&event{at: 200, seq: 11})
-	cl := q.clone()
-	for cl.len() > 0 {
-		cl.pop()
-	}
-	if q.len() != 11 {
-		t.Fatalf("original queue drained by clone pops: len %d, want 11", q.len())
-	}
-	prevAt, prevSeq := int64(-1), uint64(0)
-	for q.len() > 0 {
-		e := q.pop()
-		if e.at < prevAt || (e.at == prevAt && e.seq < prevSeq) {
-			t.Fatalf("original out of order after clone: (%d,%d) after (%d,%d)", e.at, e.seq, prevAt, prevSeq)
-		}
-		prevAt, prevSeq = e.at, e.seq
-	}
-}

@@ -794,7 +794,7 @@ func (nw *Network) Clone() (*Network, error) {
 		rand:        nw.rand.Clone(),
 		now:         nw.now,
 		seq:         nw.seq,
-		queue:       nw.queue.clone(),
+		queue:       eventQueue{base: nw.queue.base},
 		sent:        make([]int64, len(nw.sent)),
 		recv:        make([]int64, len(nw.recv)),
 		msgTotal:    nw.msgTotal,
