@@ -184,29 +184,39 @@ func (c *opContext) CurrentOp() sim.OpID { return c.op }
 // scenario generation, concurrent injection, completion tracking, and
 // report assembly — across representative algorithm x scenario pairs. The
 // custom metrics surface the quantities the workload reports are about:
-// simulated throughput and the bottleneck load.
+// simulated throughput and the bottleneck load. The gap=1 rows are the
+// cells of the repository benchmark's sim_closed_protocols workload (uniform
+// arrivals at mean gap 1, 16 in flight) at bench size.
 func BenchmarkWorkloadEngine(b *testing.B) {
 	const ops = 2000
 	for _, cfg := range []struct {
 		algo, scen string
 		n          int
+		gap        int64 // workload.Config.MeanGap; 0 keeps the scenario's default
 	}{
-		{"central", "uniform", 64},
-		{"central", "zipf", 64},
-		{"ctree", "zipf", 256},
-		{"ctree", "bursty", 256},
-		{"combining", "hotspot", 64},
-		{"difftree", "uniform", 64},
+		{"central", "uniform", 64, 0},
+		{"central", "zipf", 64, 0},
+		{"ctree", "zipf", 256, 0},
+		{"ctree", "bursty", 256, 0},
+		{"combining", "hotspot", 64, 0},
+		{"difftree", "uniform", 64, 0},
+		{"ctree", "uniform", 256, 1},
+		{"combining", "uniform", 64, 1},
+		{"quorum-majority", "uniform", 81, 1},
 	} {
 		cfg := cfg
-		b.Run(fmt.Sprintf("%s/%s/n=%d", cfg.algo, cfg.scen, cfg.n), func(b *testing.B) {
+		name := fmt.Sprintf("%s/%s/n=%d", cfg.algo, cfg.scen, cfg.n)
+		if cfg.gap > 0 {
+			name += fmt.Sprintf("/gap=%d", cfg.gap)
+		}
+		b.Run(name, func(b *testing.B) {
 			var rep *distcount.WorkloadReport
 			for i := 0; i < b.N; i++ {
 				c, err := registry.NewWith(cfg.algo, cfg.n, registry.Concurrent())
 				if err != nil {
 					b.Fatal(err)
 				}
-				sc, err := workload.New(cfg.scen, workload.Config{N: c.N(), Ops: ops, Seed: 1})
+				sc, err := workload.New(cfg.scen, workload.Config{N: c.N(), Ops: ops, Seed: 1, MeanGap: cfg.gap})
 				if err != nil {
 					b.Fatal(err)
 				}

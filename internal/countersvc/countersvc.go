@@ -118,11 +118,11 @@ type MigrationEvent struct {
 }
 
 // Service routes keyed increments to shards. A driver starts operations
-// with Start and makes progress with Await, which steps the merged event
-// loop on the simulator and waits on the completion sink on rt; either way
-// each finished operation reaches the OnComplete handler on the driving
-// goroutine. Not safe for concurrent use; the engine owns it from one
-// goroutine.
+// with Start and makes progress with Await, which delivers the merged event
+// loop's events up to the next arrival on the simulator and waits on the
+// completion sink on rt; either way each finished operation reaches the
+// OnComplete handler on the driving goroutine. Not safe for concurrent use;
+// the engine owns it from one goroutine.
 type Service struct {
 	n      int
 	base   int // home shard count (hot shard, if any, is shard index base)
@@ -304,8 +304,8 @@ func newService(keys, n, base, shards int, mig *Migration) *Service {
 // attach installs c, built as algorithm algo, as shard i — shards are
 // attached in index order — and hooks its completions on the sim backend.
 // On rt, OnComplete hooks them. Its type switch is where the service picks
-// a driver: a simulated counter's network for Step, NextAt and Now, or a
-// runtime for the completion sink.
+// a driver: a simulated counter's network for its delivery loop, NextAt and
+// Now, or a runtime for the completion sink.
 func (s *Service) attach(i int, algo string, c counter.Async) error {
 	if c.N() < s.n {
 		return fmt.Errorf("countersvc: shard %d algorithm %q built %d < %d processors", i, c.Name(), c.N(), s.n)
@@ -397,14 +397,15 @@ func (s *Service) Migrations() []MigrationEvent { return s.events }
 
 // OnComplete registers the completion handler, invoked on the driving
 // goroutine after the service's own bookkeeping (routing, migration) for
-// each finished operation: inside Step on the simulator, at the
-// completion's point in the event order, so whatever the handler starts is
-// scheduled before any later completion of the same event is handled; inside
-// Await on rt. wedgeIdle is how long an rt wait stays silent once a fault
-// has fired before it gives up (see Await); the simulator ignores it. Set it
-// before the first Start. On rt each shard runtime lends the driving
-// goroutine a worker from here to Close (rt.NewSink): Await runs ready
-// processors while it has no completion to hand over.
+// each finished operation, inside Await on both backends. On the simulator
+// it runs at the completion's point in the event order, so whatever the
+// handler starts is scheduled before any later completion of the same event
+// is handled, and is delivered by the same Await when due before its until.
+// wedgeIdle is how long an rt wait stays silent once a fault has fired
+// before it gives up (see Await); the simulator ignores it. Set it before
+// the first Start. On rt each shard runtime lends the driving goroutine a
+// worker from here to Close (rt.NewSink): Await runs ready processors while
+// it has no completion to hand over.
 func (s *Service) OnComplete(fn func(Completion), wedgeIdle time.Duration) {
 	s.done = fn
 	if len(s.rts) == 0 {
@@ -529,38 +530,14 @@ func (s *Service) cutover(key int) {
 	}
 }
 
-// NextAt returns the earliest queued event time across all shard networks
+// nextAt returns the earliest queued event time across all shard networks
 // (sim backend); ok is false at global quiescence.
-func (s *Service) NextAt() (int64, bool) {
+func (s *Service) nextAt() (int64, bool) {
 	if len(s.nets) == 1 {
 		return s.nets[0].NextAt()
 	}
 	shard, at := s.earliest()
 	return at, shard >= 0
-}
-
-// Step delivers the globally earliest queued event; ok is false at global
-// quiescence. One network needs no merge and steps directly.
-func (s *Service) Step() (bool, error) {
-	if len(s.nets) == 1 {
-		return s.nets[0].Step()
-	}
-	shard, at := s.earliest()
-	if shard < 0 {
-		return false, nil
-	}
-	// Advance the merged clock before delivering: completion callbacks run
-	// inside Step and must see Now() == the event time they run at (an
-	// engine driver clamps its next injections to Now()).
-	if at > s.now {
-		s.now = at
-	}
-	_, err := s.nets[shard].Step()
-	s.refresh(shard)
-	if err != nil {
-		return false, err
-	}
-	return true, nil
 }
 
 // earliest returns the shard holding the globally earliest queued event and
@@ -595,8 +572,9 @@ func (s *Service) refresh(shard int) {
 // Due reports whether an operation arriving at at may be started, next to
 // the clock reading it decided on (what Now returns). On rt the clock must
 // have reached it. The simulator schedules into the future: an arrival is
-// due once no event can happen before it, and always when early is set —
-// the caller starts it at max(at, now) (the engine's closed loop).
+// due once no event can happen before it — Await(at) has delivered every
+// event before it — and always when early is set: the caller starts it at
+// max(at, now) (the engine's closed loop).
 func (s *Service) Due(at int64, early bool) (now int64, due bool) {
 	now = s.Now()
 	if s.rts != nil {
@@ -605,48 +583,77 @@ func (s *Service) Due(at int64, early bool) (now int64, due bool) {
 	if early {
 		return now, true
 	}
-	next, ok := s.NextAt()
+	next, ok := s.nextAt()
 	return now, !ok || next >= at
 }
 
-// Await makes progress on the driving goroutine: it delivers the next
-// completion to the OnComplete handler, or returns once the clock reaches
-// until (the next arrival; negative: none pending). On the simulator that is
-// one Step — until is the caller's to honour through Due. On rt it hands
-// over every completion the sink holds, or runs the shard runtimes' ready
-// processors and parks, once none is ready, until one arrives, until comes
-// due, or the sink reports silence; a protocol panic in a processor it runs
-// propagates to the caller. It returns false when nothing
-// happened and nothing will: the simulator ran out of events, or real time
-// stayed silent for the stall timeout (30 s) — once a fault has fired, for
-// OnComplete's wedgeIdle.
+// Await makes progress on the driving goroutine up to the driver's next
+// decision point: the next arrival, until (negative: none pending), or the
+// OnComplete handler, which runs inside Await at each completion and may
+// start operations there. On the simulator it delivers every event due
+// before until in (time, shard, sequence) order — every event, the ones its
+// completions start included, when until is negative — and leaves the
+// earliest remaining event at until or later, so an arrival at until finds
+// nothing before it (Due). On rt it hands over every completion the sink
+// holds, or runs the shard runtimes' ready processors and parks, once none is
+// ready, until one arrives, until comes due, or the sink reports silence; a
+// protocol panic in a processor it runs propagates to the caller. It returns
+// false when nothing happened and nothing will: on the simulator, nothing was
+// queued; on rt, real time stayed silent for the stall timeout (30 s) — once
+// a fault has fired, for OnComplete's wedgeIdle.
 func (s *Service) Await(until int64) (bool, error) {
 	if s.sink == nil {
-		return s.Step()
+		return s.deliver(until)
 	}
-	return s.wait(until), nil
-}
-
-// wait is Await on rt, a function of its own so that the simulator's
-// per-event step does not run under its larger frame: with the two in one
-// body the regression study took ≈20 % more CPU on a 2-vCPU x86-64 machine.
-func (s *Service) wait(until int64) bool {
 	for quiet := s.period; !s.sink.Await(until, s.finish); quiet += s.period {
 		if st, _ := s.FaultStats(); quiet >= s.stall || st.Any() {
-			return false
+			return false, nil
 		}
 	}
-	return true
+	return true, nil
 }
 
-// Run steps the merged event loop to global quiescence — at once on rt,
-// which has no events to step: a driver that saw every completion is done.
-func (s *Service) Run() error {
-	for {
-		if ok, err := s.Step(); err != nil || !ok {
-			return err
+// deliver is Await on the simulator. One network runs its own delivery loop.
+// Several merge: each event is the globally earliest (ties to the lowest
+// shard), found with one scan of the head cache and delivered by stepping
+// its network alone, so no shard runs past another's head — a completion on
+// one shard may start an operation on any other, which Start enters into
+// the cache.
+func (s *Service) deliver(until int64) (bool, error) {
+	if len(s.nets) == 1 {
+		return s.nets[0].RunUntil(until)
+	}
+	shard, at := s.earliest()
+	if shard < 0 {
+		return false, nil
+	}
+	for ; shard >= 0 && (until < 0 || at < until); shard, at = s.earliest() {
+		if err := s.stepShard(shard, at); err != nil {
+			return true, err
 		}
 	}
+	return true, nil
+}
+
+// stepShard delivers the next event of shard, due at at, the globally
+// earliest. The merged clock advances first: completion callbacks run inside
+// the step and must see Now() == the event time they run at (an engine
+// driver clamps its next injections to Now()).
+func (s *Service) stepShard(shard int, at int64) error {
+	if at > s.now {
+		s.now = at
+	}
+	_, err := s.nets[shard].Step()
+	s.refresh(shard)
+	return err
+}
+
+// Run delivers every remaining event, to global quiescence — at once on rt,
+// which has no events to deliver: a driver that saw every completion is
+// done.
+func (s *Service) Run() error {
+	_, err := s.deliver(-1)
+	return err
 }
 
 // Now returns the service's clock on its backend. On the simulator it is

@@ -285,7 +285,7 @@ func TestMigrationDrain(t *testing.T) {
 				continue
 			}
 		}
-		ok, err := s.Step()
+		ok, err := s.step()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package quorum
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -245,6 +246,25 @@ func TestNormalize(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("normalize = %v, want %v", got, want)
+		}
+	}
+}
+
+// TestMajorityRotationSortFree holds Majority.Quorum, which writes its two
+// ascending runs directly, to the sort-and-dedup of the rotating block it
+// replaced, element for element.
+func TestMajorityRotationSortFree(t *testing.T) {
+	for n := 1; n <= 130; n++ {
+		m := NewMajority(n)
+		for i := 0; i < 2*n; i++ {
+			block := make([]int, n/2+1)
+			for j := range block {
+				block[j] = (i%n+j)%n + 1
+			}
+			want := normalize(block)
+			if got := m.Quorum(i); !slices.Equal(got, want) {
+				t.Fatalf("n=%d i=%d: Quorum = %v, want %v", n, i, got, want)
+			}
 		}
 	}
 }

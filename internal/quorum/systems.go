@@ -41,15 +41,21 @@ func (Majority) Name() string { return "majority" }
 // N implements System.
 func (m Majority) N() int { return m.n }
 
-// Quorum implements System.
+// Quorum implements System. The block start+1, ..., start+size wraps past n
+// onto 1, ..., start+size−n, so its sorted form is two ascending runs — the
+// wrapped low run, then start+1 up to n — written in place, with no sort.
 func (m Majority) Quorum(i int) []int {
 	size := m.n/2 + 1
 	start := i % m.n
 	q := make([]int, size)
-	for j := 0; j < size; j++ {
-		q[j] = (start+j)%m.n + 1
+	wrapped := max(start+size-m.n, 0)
+	for j := range wrapped {
+		q[j] = j + 1
 	}
-	return normalize(q)
+	for j := wrapped; j < size; j++ {
+		q[j] = start + 1 + j - wrapped
+	}
+	return q
 }
 
 // Grid is Maekawa-style: processors arranged in a rows×cols grid; a quorum

@@ -262,34 +262,44 @@ func (q *eventQueue) peekAt() (int64, bool) {
 	return at, true
 }
 
-// pop removes the (at, seq)-smallest queued event, advancing the ring window
-// to its timestamp, and returns a pointer to its slot. The slot stays intact
-// until the next enqueue, which may reuse it. Must not be called on an empty
-// queue.
-func (q *eventQueue) pop() *event {
-	var e *event
-	switch {
-	case q.nearLen == 0:
-		q.settle()
-		e = q.far.pop()
-	default:
-		e = q.nearMin()
-		if q.far.len() > 0 {
-			if h := q.farMin(); h.at < e.at || (h.at == e.at && h.seq < e.seq) {
-				e = q.far.pop()
-				break
+// pop removes the (at, seq)-smallest queued event if it is due before
+// limit, advancing the ring window to its timestamp, and returns a pointer to
+// its slot; it returns nil, and removes nothing, when the queue is empty or
+// its earliest event is at limit or later. The slot stays intact until the
+// next enqueue, which may reuse it. Finding the earliest event is the peek,
+// so a delivery loop that pops up to a limit peeks once per event.
+func (q *eventQueue) pop(limit int64) *event {
+	if q.nearLen == 0 {
+		if q.far.len() == 0 || q.farMin().at >= limit {
+			return nil
+		}
+		e := q.far.pop()
+		q.base = e.at
+		return e
+	}
+	e := q.nearMin()
+	if q.far.len() > 0 {
+		if h := q.farMin(); h.at < e.at || (h.at == e.at && h.seq < e.seq) {
+			if h.at >= limit {
+				return nil
 			}
+			e = q.far.pop()
+			q.base = e.at
+			return e
 		}
-		b := int(e.at) & (ringWindow - 1)
-		q.heads[b]++
-		q.nearLen--
-		if q.heads[b] == len(q.near[b]) {
-			// Bucket drained: recycle its backing array for the tick that
-			// will claim this slot ringWindow ticks from now.
-			q.near[b] = q.near[b][:0]
-			q.heads[b] = 0
-			q.occ &^= 1 << b
-		}
+	}
+	if e.at >= limit {
+		return nil
+	}
+	b := int(e.at) & (ringWindow - 1)
+	q.heads[b]++
+	q.nearLen--
+	if q.heads[b] == len(q.near[b]) {
+		// Bucket drained: recycle its backing array for the tick that will
+		// claim this slot ringWindow ticks from now.
+		q.near[b] = q.near[b][:0]
+		q.heads[b] = 0
+		q.occ &^= 1 << b
 	}
 	q.base = e.at
 	return e

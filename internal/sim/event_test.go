@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"unsafe"
 
@@ -35,8 +37,21 @@ func TestEventFitsOneCacheLine(t *testing.T) {
 // rests on: callers must not be able to distinguish it from the heap. The
 // odd seeds start from New's carved queue, whose buckets share one slab: a
 // bucket outgrowing its share must leave its neighbours' events intact.
+//
+// A quarter of the pops carry a limit (RunUntil's pop) just below, at or
+// just above the head's time, or anywhere up to past the ring window: the
+// queue must pop exactly when the reference head is before the limit and
+// otherwise return nil and change nothing. The dense runs keep every tick of
+// the ring occupied; the sparse ones let the far heap's head come before the
+// ring's (about 1 800 limited pops see it). Popping the event at the limit,
+// or comparing the limit against the ring's head when the far heap holds
+// the earlier event, fails here.
 func TestEventQueueMatchesHeapReference(t *testing.T) {
-	for _, seed := range []uint64{1, 2, 3, 42, 1997} {
+	for _, run := range []struct {
+		sparse bool
+		seed   uint64
+	}{{false, 1}, {false, 2}, {false, 3}, {false, 42}, {false, 1997}, {true, 1}, {true, 2}, {true, 3}} {
+		seed, tag := run.seed, fmt.Sprintf("seed %d (sparse %v)", run.seed, run.sparse)
 		var (
 			r   = rng.New(seed)
 			q   eventQueue
@@ -51,32 +66,67 @@ func TestEventQueueMatchesHeapReference(t *testing.T) {
 			q.push(&e)
 			ref.push(&e)
 		}
-		popBoth := func() event {
+		// popBoth pops both structures, the queue with the given limit; ok
+		// is false when the reference head is not before it, and then the
+		// queue must refuse too.
+		popBoth := func(limit int64) (e event, ok bool) {
 			if q.len() != ref.len() {
-				t.Fatalf("seed %d: queue len %d != reference len %d", seed, q.len(), ref.len())
+				t.Fatalf("%s: queue len %d != reference len %d", tag, q.len(), ref.len())
 			}
 			if at, ok := q.peekAt(); !ok || at != ref.evs[0].at {
-				t.Fatalf("seed %d: peekAt = (%d, %v), reference head at %d", seed, at, ok, ref.evs[0].at)
+				t.Fatalf("%s: peekAt = (%d, %v), reference head at %d", tag, at, ok, ref.evs[0].at)
 			}
-			got, want := *q.pop(), *ref.pop()
+			head := ref.evs[0].at
+			popped := q.pop(limit)
+			if head >= limit {
+				if popped != nil {
+					t.Fatalf("%s: pop(%d) returned (at %d, seq %d) with the head at %d",
+						tag, limit, popped.at, popped.seq, head)
+				}
+				return event{}, false
+			}
+			if popped == nil {
+				t.Fatalf("%s: pop(%d) returned nil with the head at %d", tag, limit, head)
+			}
+			got, want := *popped, *ref.pop()
 			if got.at != want.at || got.seq != want.seq {
-				t.Fatalf("seed %d: pop = (at %d, seq %d), reference (at %d, seq %d)",
-					seed, got.at, got.seq, want.at, want.seq)
+				t.Fatalf("%s: pop = (at %d, seq %d), reference (at %d, seq %d)",
+					tag, got.at, got.seq, want.at, want.seq)
 			}
 			// The narrow fields ride along unchanged through both structures.
 			if got.from != want.from || got.to != want.to || got.parent != want.parent ||
 				got.local != want.local || got.reserved != want.reserved || got.op != want.op {
-				t.Fatalf("seed %d: event (at %d, seq %d) came back altered: %+v vs reference %+v",
-					seed, got.at, got.seq, got, want)
+				t.Fatalf("%s: event (at %d, seq %d) came back altered: %+v vs reference %+v",
+					tag, got.at, got.seq, got, want)
 			}
-			return got
+			return got, true
+		}
+		// pickLimit draws a pop's limit: none three times in four.
+		pickLimit := func() int64 {
+			if r.Uint64()%4 != 0 {
+				return math.MaxInt64
+			}
+			head := ref.evs[0].at
+			switch r.Uint64() % 4 {
+			case 0:
+				return head
+			case 1:
+				return head + 1
+			case 2:
+				return max(head-1, 0)
+			}
+			return now + int64(r.Uint64()%1000)
 		}
 		for i := 0; i < 20000; i++ {
-			if q.len() == 0 || r.Uint64()%4 != 0 {
+			if q.len() == 0 || (!run.sparse && r.Uint64()%4 != 0) || (run.sparse && r.Uint64()%2 == 0) {
 				// Fresh push with a strictly increasing seq: usually inside
-				// the ring window, sometimes a far timer for the heap.
+				// the ring window, sometimes a far timer for the heap. A
+				// sparse run pushes as often as it pops and half its pushes
+				// go far, so the ring thins out and the window moves up to
+				// far events while the ring holds only later ones: the far
+				// heap's head is then the earlier one.
 				var d int64
-				if r.Uint64()%8 == 0 {
+				if r.Uint64()%8 == 0 || (run.sparse && r.Uint64()%2 == 0) {
 					d = int64(r.Uint64() % 1000)
 				} else {
 					d = int64(r.Uint64() % 64)
@@ -90,7 +140,10 @@ func TestEventQueueMatchesHeapReference(t *testing.T) {
 				})
 				continue
 			}
-			e := popBoth()
+			e, ok := popBoth(pickLimit())
+			if !ok {
+				continue
+			}
 			now = e.at
 			if r.Uint64()%8 == 0 {
 				// Service-slot deferral: the popped event re-enters at a later
@@ -101,11 +154,19 @@ func TestEventQueueMatchesHeapReference(t *testing.T) {
 				push(e)
 			}
 		}
+		// The drain, with the queue thinning out, is where the far heap's
+		// head overtakes the ring's: the window has moved up to a far event
+		// while the ring holds only later ones.
 		for q.len() > 0 {
-			now = popBoth().at
+			if e, ok := popBoth(pickLimit()); ok {
+				now = e.at
+			}
+		}
+		if q.pop(math.MaxInt64) != nil {
+			t.Fatalf("%s: pop on an empty queue returned an event", tag)
 		}
 		if ref.len() != 0 {
-			t.Fatalf("seed %d: reference still holds %d events after drain", seed, ref.len())
+			t.Fatalf("%s: reference still holds %d events after drain", tag, ref.len())
 		}
 	}
 }
@@ -121,7 +182,7 @@ func TestEventQueueSameTickSeqOrder(t *testing.T) {
 	q.push(&event{at: 3, seq: 13})
 	var got []uint64
 	for q.len() > 0 {
-		got = append(got, q.pop().seq)
+		got = append(got, q.pop(math.MaxInt64).seq)
 	}
 	want := []uint64{13, 10, 11, 12}
 	for i := range want {
@@ -140,7 +201,7 @@ func TestEventQueueFarToNearMigration(t *testing.T) {
 	q.push(&event{at: 500, seq: 1}) // far: beyond the 64-tick window of base 0
 	q.push(&event{at: 2, seq: 2})
 	q.push(&event{at: 499, seq: 3}) // also far
-	if e := q.pop(); e.seq != 2 {
+	if e := q.pop(math.MaxInt64); e.seq != 2 {
 		t.Fatalf("first pop seq %d, want 2", e.seq)
 	}
 	// Window now starts at 2; 499 is still far, pushes land in the ring only
@@ -148,7 +209,7 @@ func TestEventQueueFarToNearMigration(t *testing.T) {
 	q.push(&event{at: 65, seq: 4})
 	order := []uint64{4, 3, 1}
 	for _, want := range order {
-		if e := q.pop(); e.seq != want {
+		if e := q.pop(math.MaxInt64); e.seq != want {
 			t.Fatalf("pop seq %d, want %d", e.seq, want)
 		}
 	}

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"distcount/internal/rng"
 )
@@ -26,11 +27,16 @@ var (
 	ErrNotCloneable = errors.New("sim: protocol does not implement CloneableProtocol")
 )
 
-// ctx is the execution context while a Deliver or start callback runs.
+// ctx is the execution context while a Deliver or start callback runs. st
+// is op's record (nil for a detached event): the delivered event holds one
+// of op's pending units until the callback returns, so the record stays live
+// for the whole callback, and sends, timers and Adopt charge it without a
+// second table lookup.
 type ctx struct {
 	op   OpID
 	node int32 // DAG node the callback acts at (see Delivery)
 	proc ProcID
+	st   *opStats
 }
 
 // Network is the simulated asynchronous message-passing system.
@@ -384,7 +390,7 @@ func (nw *Network) SendWord(to ProcID, pl Payload, w int64) {
 		panic("sim: Send called outside a delivery context")
 	}
 	nw.checkProc(to, "Send")
-	nw.enqueueSend(to, pl, w, nw.cur.op, nw.cur.node, true)
+	nw.enqueueSend(to, pl, w, nw.cur.op, nw.cur.st, nw.cur.node, true)
 }
 
 // accountSend charges one physical transmission to the sender's load
@@ -435,12 +441,12 @@ func (nw *Network) pushSend(from, to ProcID, pl Payload, w int64, op OpID, paren
 }
 
 // enqueueSend is the shared body of SendWord and SendAs: load accounting,
-// per-op statistics, and the enqueue, attributed to the given operation
-// and DAG node. countPending adds the queued event to the operation's
-// pending count (Send); SendAs instead converts an existing hold.
-func (nw *Network) enqueueSend(to ProcID, pl Payload, w int64, op OpID, parent int32, countPending bool) {
+// per-op statistics, and the enqueue, attributed to the given operation, its
+// record st (nil when untracked) and DAG node. countPending adds the queued
+// event to the operation's pending count (Send); SendAs instead converts an
+// existing hold.
+func (nw *Network) enqueueSend(to ProcID, pl Payload, w int64, op OpID, st *opStats, parent int32, countPending bool) {
 	from := nw.cur.proc
-	st := nw.ops.get(op)
 	nw.accountSend(from, pl, w, st, countPending)
 	var dup bool
 	if nw.faults != nil {
@@ -497,7 +503,7 @@ func (nw *Network) Adopt() OpToken {
 	if !nw.inCallback {
 		panic("sim: Adopt called outside a delivery context")
 	}
-	if st := nw.ops.get(nw.cur.op); st != nil {
+	if st := nw.cur.st; st != nil {
 		st.pending++
 	}
 	return OpToken{op: nw.cur.op, node: nw.cur.node}
@@ -516,8 +522,10 @@ func (nw *Network) SendAs(tok OpToken, to ProcID, pl Payload, w int64) {
 		panic("sim: SendAs with an invalid token")
 	}
 	nw.checkProc(to, "SendAs")
-	// The hold converts into the queued event: pending is unchanged.
-	nw.enqueueSend(to, pl, w, tok.op, tok.node, false)
+	// The hold converts into the queued event: pending is unchanged. The
+	// token's operation is generally not the delivering one, so its record
+	// is looked up, not taken from the context.
+	nw.enqueueSend(to, pl, w, tok.op, nw.ops.get(tok.op), tok.node, false)
 }
 
 // Release discards an adopted continuation without sending, for protocols
@@ -586,7 +594,7 @@ func (nw *Network) AfterWord(delay int64, pl Payload, w int64) {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: After called with negative delay %d", delay))
 	}
-	if st := nw.ops.get(nw.cur.op); st != nil {
+	if st := nw.cur.st; st != nil {
 		st.pending++
 	}
 	p := int32(nw.cur.proc)
@@ -635,26 +643,55 @@ func (nw *Network) Pending() int { return nw.queue.len() }
 
 // Step delivers the single next event. It returns false when the queue is
 // empty.
-//
-// Step defers nothing: it clears the callback mark itself once the callback
-// returns. A callback that panics therefore leaves the network inside a
-// delivery for good — CurrentOp keeps answering and Clone refuses it with
-// ErrNotQuiescent — so a network whose protocol panicked is not reusable.
 func (nw *Network) Step() (bool, error) {
+	e := nw.queue.pop(math.MaxInt64)
+	if e == nil {
+		return false, nil
+	}
+	return true, nw.deliver(e)
+}
+
+// RunUntil delivers, in (time, sequence) order, every queued event due
+// before until — every event, the ones its deliveries queue included, when
+// until is negative — and leaves the earliest remaining event, if any, at
+// until or later: an event exactly at until stays queued. It is the
+// network's one delivery loop, which finds each next event once: OnOpDone
+// handlers run between deliveries and whatever they schedule before until is
+// delivered in the same call. It returns false only when nothing was queued.
+func (nw *Network) RunUntil(until int64) (bool, error) {
 	if nw.queue.len() == 0 {
 		return false, nil
 	}
+	limit := until
+	if limit < 0 {
+		limit = math.MaxInt64
+	}
+	for e := nw.queue.pop(limit); e != nil; e = nw.queue.pop(limit) {
+		if err := nw.deliver(e); err != nil {
+			return true, err
+		}
+	}
+	return true, nil
+}
+
+// deliver delivers the popped event e: the one body of Step and RunUntil.
+//
+// deliver defers nothing: it clears the callback mark itself once the
+// callback returns. A callback that panics therefore leaves the network
+// inside a delivery for good — CurrentOp keeps answering and Clone refuses it
+// with ErrNotQuiescent — so a network whose protocol panicked is not
+// reusable.
+func (nw *Network) deliver(e *event) error {
 	nw.events++
 	if nw.events > nw.maxEvents {
-		return false, fmt.Errorf("%w (%d events)", ErrEventBudget, nw.maxEvents)
+		return fmt.Errorf("%w (%d events)", ErrEventBudget, nw.maxEvents)
 	}
-	e := nw.queue.pop()
 	// Crash windows are enforced at delivery time: an event addressed to a
 	// down processor is drained, deferred to recovery (Freeze), or — for a
 	// local timer — cancelled. The check precedes service-slot reservation
 	// so a crashed processor's destroyed backlog does not consume slots.
 	if nw.faults != nil && nw.faultIntercept(e) {
-		return true, nil
+		return nil
 	}
 	// Receiver-side service booked at arrival (a network that does not
 	// book at send; Freeze re-entries among them): the message reserves its
@@ -669,7 +706,7 @@ func (nw *Network) Step() (bool, error) {
 		if sv := &nw.servers[to]; sv.cost > 0 && !isStart(e.payload) {
 			if slot := sv.reserve(e.at); slot > e.at {
 				nw.requeue(e, slot, e.seq, true)
-				return true, nil
+				return nil
 			}
 		}
 	}
@@ -685,7 +722,7 @@ func (nw *Network) Step() (bool, error) {
 		st.End = at
 	}
 
-	nw.cur = ctx{op: op, proc: to}
+	nw.cur = ctx{op: op, proc: to, st: st}
 	nw.inCallback = true
 	if start, ok := pl.(startFn); ok {
 		// Operation initiation: the DAG's source, node 0.
@@ -723,7 +760,7 @@ func (nw *Network) Step() (bool, error) {
 			nw.onOpDone(d)
 		}
 	}
-	return true, nil
+	return nil
 }
 
 // faultIntercept applies the fault plan's crash/churn windows to a popped
@@ -755,19 +792,13 @@ func (nw *Network) faultIntercept(e *event) bool {
 	return true
 }
 
-// Run delivers events until the network is quiescent (empty queue). In the
-// paper's sequential model this is called after each StartOp so that "the
-// preceding inc operation is finished before the next one starts".
+// Run delivers events until the network is quiescent (empty queue): it is
+// RunUntil with no limit. In the paper's sequential model this is called
+// after each StartOp so that "the preceding inc operation is finished before
+// the next one starts".
 func (nw *Network) Run() error {
-	for {
-		ok, err := nw.Step()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-	}
+	_, err := nw.RunUntil(-1)
+	return err
 }
 
 // Clone returns an independent deep copy of the network at quiescence:
